@@ -11,6 +11,9 @@ enumeration solver.  It combines
 
 Infeasibility is only certified when the box bound is valid and the grid
 minimum clears a Lipschitz slack; otherwise the scan is inconclusive.
+
+``walk_supports`` runs these scans over the complementary supports and
+applies the slack test; membership and the enumeration solver both read it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, apply_m1, batch_apply_m1, jacobian_m1
+from .tensor import (
+    IndexSet,
+    Tensor,
+    apply_m1,
+    apply_off,
+    batch_apply_m1,
+    jacobian_m1,
+    principal_subtensor,
+)
 
 SYS_TOL = 1e-9  # residual at which a refined point counts as a root
+SLACK_TOL = 1e-8  # a support root counts when its slack is >= -SLACK_TOL
 
 _C_MIN = 0.05  # sphere-norm level below which no box bound is claimed
 
@@ -101,36 +113,48 @@ def _box_grid(k: int, R: float, budget_cells: int = 300_000) -> np.ndarray:
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def newton_refine(A: Tensor, q: np.ndarray, u0: np.ndarray,
-                  iters: int = 60) -> tuple[np.ndarray, float]:
-    """Damped Newton with nonnegativity clamping on F(u) = A u^{m-1} + q."""
-    u = np.maximum(np.asarray(u0, dtype=float), 0.0)
-    F = apply_m1(A, u) + q
-    r = float(np.linalg.norm(F))
+def damped_newton(F, J, x, iters: int, tol: float, project=lambda v: v):
+    """Newton on F(x) = 0 with backtracking on ||F||.
+
+    Each step solves J(x) d = -F(x) (least squares when J is singular) and
+    halves t until ||F(project(x + t d))|| < (1 - 1e-4 t) ||F(x)|| or drops
+    to tol; the loop stops at tol, after iters steps, or when no halving
+    down to t = 1e-14 helps.  Returns (x, ||F(x)||).
+    """
+    Fx = F(x)
+    r = float(np.linalg.norm(Fx))
     for _ in range(iters):
-        if r <= SYS_TOL * 1e-2:
+        if r <= tol:
             break
-        J = jacobian_m1(A, u)
+        Jx = J(x)
         try:
-            d = np.linalg.solve(J, -F)
+            d = np.linalg.solve(Jx, -Fx)
         except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(J, -F, rcond=None)[0]
+            d = np.linalg.lstsq(Jx, -Fx, rcond=None)[0]
         if not np.all(np.isfinite(d)):
             break
         t = 1.0
-        accepted = False
         while t > 1e-14:
-            un = np.maximum(u + t * d, 0.0)
-            Fn = apply_m1(A, un) + q
+            xn = project(x + t * d)
+            Fn = F(xn)
             rn = float(np.linalg.norm(Fn))
-            if rn < r * (1.0 - 1e-4 * t) or rn < SYS_TOL * 1e-2:
-                u, F, r = un, Fn, rn
-                accepted = True
+            if rn < r * (1.0 - 1e-4 * t) or rn <= tol:
+                x, Fx, r = xn, Fn, rn
                 break
             t *= 0.5
-        if not accepted:
+        else:
             break
-    return u, r
+    return x, r
+
+
+def newton_refine(A: Tensor, q: np.ndarray, u0: np.ndarray,
+                  iters: int = 60) -> tuple[np.ndarray, float]:
+    """Damped Newton with nonnegativity clamping on F(u) = A u^{m-1} + q."""
+    return damped_newton(lambda u: apply_m1(A, u) + q,
+                         lambda u: jacobian_m1(A, u),
+                         np.maximum(np.asarray(u0, dtype=float), 0.0),
+                         iters, SYS_TOL * 1e-2,
+                         project=lambda v: np.maximum(v, 0.0))
 
 
 def _dedup(roots: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarray]:
@@ -228,3 +252,33 @@ def scan_system(A: Tensor, q, multistarts: int = 24,
             scan.inconclusive = True
             scan.reason = "no box bound (near-singular on the orthant)"
     return scan
+
+
+def walk_supports(A: Tensor, q: np.ndarray, multistarts: int):
+    """Scan every complementary support alpha of {1..n}, by increasing size
+    and lexicographically within a size, yielding (alpha, feasible, settled).
+
+    feasible lists the (u_alpha, slack) pairs with u_alpha >= 0 a root of
+    A_aa u^{m-1} + q_a = 0 whose slack A_{comp,a} u^{m-1} + q_comp is
+    >= -SLACK_TOL; each one gives a solution (u_alpha, 0) of TCP(q, A).
+    settled is True when the scan proves no other feasible root exists:
+    the system is certified infeasible, or its root list is complete.
+    The generator is lazy, so a caller may stop at the first feasible root.
+    """
+    n = A.dim
+    for r in range(n + 1):
+        for members in itertools.combinations(range(1, n + 1), r):
+            alpha = IndexSet(members, n)
+            if r == 0:
+                yield alpha, ([(np.zeros(0), q)] if np.all(q >= -SLACK_TOL) else []), True
+                continue
+            scan = scan_system(principal_subtensor(A, alpha), q[[i - 1 for i in members]],
+                               multistarts=multistarts, want_all=True)
+            comp = [i - 1 for i in alpha.complement]
+            feasible = []
+            for u_a in scan.roots:
+                slack = apply_off(A, alpha, u_a) + q[comp] if comp else np.zeros(0)
+                if np.all(slack >= -SLACK_TOL):
+                    feasible.append((u_a, slack))
+            yield alpha, feasible, (scan.certified_infeasible
+                                    or (scan.roots_complete and not scan.inconclusive))

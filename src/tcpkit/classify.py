@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class SearchBudget:
     grid_resolution: int = 0  # 0 = pick by dimension (64 up to n=3, else 16)
     multistarts: int = 16
     polish_iters: int = 200
-    seed: int = 0
     margin: float = 1e-6
 
     def __post_init__(self):
@@ -171,34 +170,36 @@ class _Objective:
         return math.sqrt(max(v, 0.0))
 
 
-def _polish_on_simplex(obj: _Objective, G: np.ndarray, lam0: np.ndarray, iters: int):
-    """Projected gradient with Armijo backtracking on the coefficient simplex."""
-    lam = lam0.copy()
-    x = G @ lam
-    f = obj.internal(x)
+def descend_on_simplex(f, grad, lam0: np.ndarray, iters: int):
+    """Projected gradient descent of f on the standard simplex.
+
+    Each step backtracks from the last accepted step length, halving at
+    most 30 times, and accepts the first strict decrease of f; an accepted
+    step length doubles for the next step (capped at 1e6).  Stops when
+    ||grad|| <= 1e-14 or no halving decreases f.  Returns
+    (lam, f(lam), evaluations of f).
+    """
+    lam = np.asarray(lam0, dtype=float).copy()
+    val = f(lam)
     evals = 1
     step = 1.0
     for _ in range(iters):
-        g = G.T @ obj.grad(x)
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= 1e-16:
+        g = grad(lam)
+        if float(np.linalg.norm(g)) <= 1e-14:
             break
         t = step
-        improved = False
         for _ in range(30):
             cand = _project_simplex(lam - t * g)
-            xc = G @ cand
-            fc = obj.internal(xc)
+            fc = f(cand)
             evals += 1
-            if fc <= f - 1e-4 * t * gnorm**2 or fc < f - 1e-18:
-                lam, x, f = cand, xc, fc
-                step = min(t * 2.0, 1e6)
-                improved = True
+            if fc < val:
+                lam, val = cand, fc
+                step = min(2.0 * t, 1e6)
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
-    return lam, x, f, evals
+    return lam, val, evals
 
 
 def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchBudget):
@@ -228,11 +229,13 @@ def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchB
 
     starts = [lattice[int(i)] for i in order[: budget.multistarts]]
     for lam0 in starts:
-        _, x, f, used = _polish_on_simplex(obj, G, lam0, budget.polish_iters)
+        lam, f, used = descend_on_simplex(lambda lam: obj.internal(G @ lam),
+                                          lambda lam: G.T @ obj.grad(G @ lam),
+                                          lam0, budget.polish_iters)
         evals += used
         v = obj.from_internal(f)
         if v < best_val - 1e-15:
-            best_val, best_x = v, x
+            best_val, best_x = v, G @ lam
     return best_val, best_x, evals
 
 
@@ -327,11 +330,11 @@ def all_principal_nonsingular(A: Tensor, budget: SearchBudget | None = None) -> 
                    per_alpha=table)
 
 
-def s_cone_samples(A: Tensor, N: int, seed: int,
+def s_cone_samples(A: Tensor, N: int,
                    budget: SearchBudget | None = None) -> list[np.ndarray]:
     """Unit vectors x >= 0 approximately solving the homogeneous problem:
     A x^{m-1} >= -margin componentwise and |A x^m| <= margin."""
-    budget = budget or SearchBudget(seed=seed)
+    budget = budget or SearchBudget()
     n = A.dim
     dense = A.to_dense()
     res = budget.resolution_for(n)
@@ -355,29 +358,7 @@ def s_cone_samples(A: Tensor, N: int, seed: int,
 
     out: list[np.ndarray] = []
     for lam in candidates:
-        x = lam.copy()
-        f = merit(x)
-        step = 1.0
-        for _ in range(budget.polish_iters):
-            if f <= 1e-24:
-                break
-            g = merit_grad(x)
-            gn = float(np.linalg.norm(g))
-            if gn <= 1e-16:
-                break
-            t = step
-            moved = False
-            for _ in range(30):
-                cand = _project_simplex(x - t * g)
-                fc = merit(cand)
-                if fc < f:
-                    x, f = cand, fc
-                    step = min(2 * t, 1e6)
-                    moved = True
-                    break
-                t *= 0.5
-            if not moved:
-                break
+        x, _, _ = descend_on_simplex(merit, merit_grad, lam, budget.polish_iters)
         u = _unit(x)
         Fu = apply_m1(A, u)
         if np.all(Fu >= -budget.margin) and abs(float(np.dot(u, Fu))) <= budget.margin:
@@ -394,7 +375,7 @@ def q_in_dual_SA(A: Tensor, q, budget: SearchBudget | None = None) -> Verdict:
     element.  'holds' is a claim at sampling resolution only."""
     budget = budget or SearchBudget()
     q = np.asarray(q, dtype=float)
-    samples = s_cone_samples(A, max(budget.multistarts, 8), budget.seed, budget)
+    samples = s_cone_samples(A, max(budget.multistarts, 8), budget)
     used = len(samples)
     worst = None
     worst_val = math.inf

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -67,9 +66,19 @@ def _load_json_file(path: str) -> dict:
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(t) for t in text.split(",") if t.strip() != ""])
+        v = np.array([float(t) for t in text.split(",") if t.strip() != ""])
     except ValueError as e:
         raise _ParseFailure(f"cannot parse vector {text!r}: {e}") from e
+    if not np.all(np.isfinite(v)):
+        raise _ParseFailure(f"vector {text!r} has a non-finite entry")
+    return v
+
+
+def _parse_q(text: str, n: int) -> np.ndarray:
+    q = _parse_vector(text)
+    if q.shape != (n,):
+        raise _ParseFailure(f"--q has {len(q)} entries, expected {n}")
+    return q
 
 
 def _get_tensor(args):
@@ -87,23 +96,11 @@ def _get_tensor(args):
 
 
 def _get_budget(args) -> SearchBudget:
-    return SearchBudget(
-        grid_resolution=getattr(args, "budget", 0) or 0,
-        seed=getattr(args, "seed", 0) or 0,
-    )
-
-
-def _threads() -> int:
-    raw = os.environ.get("TCPKIT_THREADS", "")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        return 1
+    return SearchBudget(grid_resolution=getattr(args, "budget", 0) or 0)
 
 
 def _emit(args, report: dict) -> None:
     report["version"] = __version__
-    report["threads"] = _threads()
     if args.pretty:
         out = json.dumps(report, sort_keys=True, indent=2)
     else:
@@ -146,13 +143,15 @@ def cmd_classify(args) -> int:
 
 def cmd_solve(args) -> int:
     if args.instance:
-        inst = instance_from_json(_load_json_file(args.instance))
+        try:
+            inst = instance_from_json(_load_json_file(args.instance))
+        except (ValueError, KeyError, TypeError) as e:
+            raise _ParseFailure(f"bad instance file {args.instance}: {e}") from e
     else:
         A = _get_tensor(args)
         if args.q is None:
             raise _ParseFailure("--q is required without --instance")
-        q = _parse_vector(args.q)
-        inst = TcpInstance(orthant(A.dim), q, A)
+        inst = TcpInstance(orthant(A.dim), _parse_q(args.q, A.dim), A)
     budget = _get_budget(args)
     outcome = solve_enumerate(inst, budget)
     sols = list(outcome.solutions)
@@ -177,7 +176,7 @@ def cmd_solve(args) -> int:
 
 def cmd_membership(args) -> int:
     A = _get_tensor(args)
-    q = _parse_vector(args.q)
+    q = _parse_q(args.q, A.dim)
     budget = _get_budget(args)
     try:
         res = q_membership(A, q, budget)
@@ -200,7 +199,7 @@ def cmd_perturb(args) -> int:
         if args.mode in ("existence", "error-bound", "usc"):
             if args.q is None:
                 raise _ParseFailure("--q is required for this probe")
-            inst = TcpInstance(orthant(A.dim), _parse_vector(args.q), A)
+            inst = TcpInstance(orthant(A.dim), _parse_q(args.q, A.dim), A)
         if args.mode == "existence":
             result = perturb_existence(inst, args.eps, args.trials, args.seed,
                                        budget).to_json()
@@ -215,7 +214,7 @@ def cmd_perturb(args) -> int:
         elif args.mode == "unsolvable":
             if args.q is None:
                 raise _ParseFailure("--q is required for unsolvable")
-            result = unsolvable_neighborhood_probe(A, _parse_vector(args.q),
+            result = unsolvable_neighborhood_probe(A, _parse_q(args.q, A.dim),
                                                    args.eps, args.trials,
                                                    args.seed, budget)
         elif args.mode == "openness":
@@ -225,7 +224,7 @@ def cmd_perturb(args) -> int:
         elif args.mode == "uniqueness":
             if args.q is None or args.xbar is None:
                 raise _ParseFailure("--q and --xbar are required for uniqueness")
-            inst = TcpInstance(orthant(A.dim), _parse_vector(args.q), A)
+            inst = TcpInstance(orthant(A.dim), _parse_q(args.q, A.dim), A)
             result = local_uniqueness_certificate(
                 inst, _parse_vector(args.xbar), budget).to_json()
         else:  # unreachable: argparse restricts choices

@@ -10,25 +10,22 @@ the per-alpha polynomial systems.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._polysys import SYS_TOL, newton_refine, scan_system
+from ._polysys import SYS_TOL, newton_refine, walk_supports
 from .classify import SearchBudget, Verdict, _simplex_lattice
 from .cones import PolyhedralCone
 from .tensor import (
     IndexSet,
+    ShapeError,
     Tensor,
     apply_m1,
-    apply_off,
     batch_apply_m1,
     jacobian_m1,
-    power_vec,
     principal_subtensor,
-    unit_tensor,
 )
 
 __all__ = [
@@ -38,8 +35,6 @@ __all__ = [
     "q_membership",
     "solution_from_membership",
 ]
-
-SLACK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,12 +72,6 @@ def complementary_tensor(A: Tensor, alpha: IndexSet | tuple) -> Tensor:
             key = (i,) * m
             entries[key] = entries.get(key, 0.0) + 1.0
     return Tensor(m, A.dim, entries)
-
-
-def _subsets(n: int):
-    """All subsets of {1..n}, increasing cardinality, lexicographic within."""
-    for r in range(n + 1):
-        yield from itertools.combinations(range(1, n + 1), r)
 
 
 def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None = None) -> Verdict:
@@ -181,66 +170,39 @@ def q_membership(A: Tensor, q, budget: SearchBudget | None = None) -> Membership
     """Decide q in Q(R^n_+, A) by scanning supports in increasing cardinality.
 
     member=True comes with (alpha, u) reconstructing a verified solution;
-    member=False only when every subset's system is certified infeasible
-    (or feasible for the system but certified to violate the slack);
+    member=False only when every support is settled (its system certified
+    infeasible, or its complete root list failing the slack test);
     otherwise unknown.
     """
     budget = budget or SearchBudget()
     q = np.asarray(q, dtype=float)
     n = A.dim
+    if q.shape != (n,):
+        raise ShapeError(f"q of shape {q.shape}, expected ({n},)")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("q has a non-finite entry")
     if n > 12:
         raise ValueError("membership scan limited to dim <= 12")
     examined = 0
-    any_inconclusive = False
-    for alpha in _subsets(n):
+    all_settled = True
+    for alpha, feasible, settled in walk_supports(A, q, budget.multistarts):
         examined += 1
-        iset = IndexSet(alpha, n)
-        if len(alpha) == 0:
-            if np.all(q >= -SLACK_TOL):
-                u = power_vec(np.maximum(q, 0.0), 1.0 / (A.order - 1))
-                return MembershipResult(True, iset, u, 0.0, examined)
-            continue
-        sub = principal_subtensor(A, iset)
-        scan = scan_system(sub, q[[i - 1 for i in alpha]],
-                           multistarts=budget.multistarts, want_all=True)
-        found = None
-        for u_a in scan.roots:
-            slack = _slack(A, iset, u_a, q)
-            if slack is None or np.all(slack >= -SLACK_TOL):
-                found = (u_a, slack)
-                break
-        if found is not None:
-            u_a, slack = found
+        if feasible:
+            u_a, slack = feasible[0]
             u = np.zeros(n)
-            for kpos, i in enumerate(alpha):
-                u[i - 1] = u_a[kpos]
-            if slack is not None:
-                for kpos, i in enumerate(iset.complement):
-                    u[i - 1] = max(slack[kpos], 0.0) ** (1.0 / (A.order - 1))
-            resid = _system_residual(A, iset, u_a, q)
-            return MembershipResult(True, iset, u, resid, examined)
-        if scan.roots and scan.roots_complete and not scan.inconclusive:
-            pass  # every root of this alpha provably fails the slack test
-        elif scan.roots and not scan.inconclusive and not scan.certified_infeasible:
-            # system solvable but every root failed the slack test; the root
-            # list is not certified complete, so stay agnostic for this alpha
-            any_inconclusive = True
-        elif not scan.certified_infeasible:
-            any_inconclusive = True
-    if any_inconclusive:
-        return MembershipResult(None, None, None, math.inf, examined)
-    return MembershipResult(False, None, None, math.inf, examined)
-
-
-def _slack(A: Tensor, alpha: IndexSet, u_a: np.ndarray, q: np.ndarray):
-    comp = alpha.complement
-    if not comp:
-        return None
-    off = apply_off(A, alpha, u_a)
-    return off + q[[i - 1 for i in comp]]
+            u[[i - 1 for i in alpha.members]] = u_a
+            u[[i - 1 for i in alpha.complement]] = np.maximum(slack, 0.0) ** (1.0 / (A.order - 1))
+            resid = _system_residual(A, alpha, u_a, q)
+            return MembershipResult(True, alpha, u, resid, examined)
+        all_settled = all_settled and settled
+    if all_settled:
+        return MembershipResult(False, None, None, math.inf, examined)
+    return MembershipResult(None, None, None, math.inf, examined)
 
 
 def _system_residual(A: Tensor, alpha: IndexSet, u_a: np.ndarray, q: np.ndarray) -> float:
+    if len(alpha) == 0:
+        return 0.0  # the empty support's system has no equations
     sub = principal_subtensor(A, alpha)
     return float(np.linalg.norm(apply_m1(sub, u_a) + q[[i - 1 for i in alpha.members]]))
 

@@ -9,11 +9,9 @@ step is combinatorial and deliberately capped.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from ._rng import SplitMix64
 from .tensor import ShapeError
@@ -89,6 +87,8 @@ def _dedup_rays(rays) -> list[np.ndarray]:
 def _in_conic_hull(rays: list[np.ndarray], v: np.ndarray) -> bool:
     if not rays:
         return np.linalg.norm(v) <= 1e-9
+    from scipy.optimize import nnls  # scipy.optimize is slow to import; orthants never need it
+
     G = np.column_stack(rays)
     _, resid = nnls(G, v)
     return resid <= 1e-9
@@ -163,6 +163,8 @@ def from_generators(vs) -> PolyhedralCone:
 def _is_pointed(gens) -> bool:
     # Non-pointed iff 0 is a nonzero nonnegative combination of generators,
     # i.e. 0 lies in the convex hull of the normalized generators.
+    from scipy.optimize import nnls
+
     G = np.column_stack(_normalize_rows(gens))
     aug = np.vstack([G, np.ones((1, G.shape[1]))])
     rhs = np.zeros(G.shape[0] + 1)
@@ -198,6 +200,8 @@ def project(K: PolyhedralCone, z) -> np.ndarray:
         return np.maximum(z, 0.0)
     if not K.generators:
         return np.zeros(K.dim)
+    from scipy.optimize import nnls
+
     G = np.column_stack(K.generators)
     lam, _ = nnls(G, z, maxiter=50 * G.shape[1])
     return G @ lam

@@ -8,24 +8,20 @@ refinement is a semismooth Newton method on the componentwise min-map.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._polysys import SYS_TOL, scan_system
+from ._polysys import damped_newton, walk_supports
 from ._rng import SplitMix64
 from .classify import SearchBudget
-from .cones import PolyhedralCone, cone_from_json, cone_to_json, contains, dist, dual
+from .cones import PolyhedralCone, cone_from_json, cone_to_json, dist, dual
 from .tensor import (
     IndexSet,
     ShapeError,
     Tensor,
     apply_m1,
-    apply_off,
     jacobian_m1,
-    principal_subtensor,
     tensor_from_json,
     tensor_to_json,
 )
@@ -57,6 +53,8 @@ class TcpInstance:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (self.A.dim,) or self.cone.dim != self.A.dim:
             raise ShapeError("cone, q and tensor dimensions disagree")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("q has a non-finite entry")
         object.__setattr__(self, "q", q)
 
     def w_of(self, x) -> np.ndarray:
@@ -123,15 +121,16 @@ def _make_solution(inst: TcpInstance, x: np.ndarray, converged: bool = True) -> 
 @dataclass(frozen=True)
 class EnumerationOutcome:
     solutions: tuple
-    unknown: bool  # some support scan was inconclusive and nothing was found there
+    unknown: bool  # nothing was found and some support could not be settled
 
 
 def solve_enumerate(inst: TcpInstance, budget: SearchBudget | None = None) -> EnumerationOutcome:
     """All solutions found by complementary-support enumeration (orthant only).
 
     Solutions are deduplicated at distance 1e-6 and sorted lexicographically
-    by x.  The unknown flag is set when at least one support system could
-    not be certified infeasible and yielded nothing.
+    by x.  The unknown flag is set when nothing was found and at least one
+    support could not be settled (see ``walk_supports``), the rule
+    ``q_membership`` uses for its unknown verdict.
     """
     if not inst.cone.is_orthant:
         raise ValueError("enumeration solver requires the nonnegative orthant")
@@ -140,35 +139,20 @@ def solve_enumerate(inst: TcpInstance, budget: SearchBudget | None = None) -> En
         raise ValueError("enumeration limited to dim <= 12")
     budget = budget or SearchBudget()
     sols: list[np.ndarray] = []
-    unknown = False
-    for r in range(0, n + 1):
-        for alpha in itertools.combinations(range(1, n + 1), r):
-            iset = IndexSet(alpha, n)
-            if r == 0:
-                if np.all(inst.q >= -SYS_TOL):
-                    sols.append(np.zeros(n))
-                continue
-            sub = principal_subtensor(inst.A, iset)
-            scan = scan_system(sub, inst.q[[i - 1 for i in alpha]],
-                               multistarts=budget.multistarts, want_all=True)
-            if scan.inconclusive:
-                unknown = True
-            for u_a in scan.roots:
-                x = np.zeros(n)
-                for kpos, i in enumerate(alpha):
-                    x[i - 1] = u_a[kpos]
-                if r < n:
-                    slack = apply_off(inst.A, iset, u_a) + inst.q[[i - 1 for i in iset.complement]]
-                    if np.any(slack < -1e-8):
-                        continue
-                if is_solution(inst, x, _SUPPORT_TOL):
-                    sols.append(x)
+    all_settled = True
+    for alpha, feasible, settled in walk_supports(inst.A, inst.q, budget.multistarts):
+        all_settled = all_settled and settled
+        for u_a, _ in feasible:
+            x = np.zeros(n)
+            x[[i - 1 for i in alpha.members]] = u_a
+            if is_solution(inst, x, _SUPPORT_TOL):
+                sols.append(x)
     deduped: list[np.ndarray] = []
     for x in sorted(sols, key=lambda v: tuple(v)):
         if all(np.linalg.norm(x - y) > _DEDUP_DIST for y in deduped):
             deduped.append(x)
     found = tuple(_make_solution(inst, x) for x in deduped)
-    return EnumerationOutcome(found, unknown and not found)
+    return EnumerationOutcome(found, not all_settled and not found)
 
 
 def refine(inst: TcpInstance, x0, iters: int = 80) -> TcpSolution:
@@ -187,38 +171,11 @@ def refine(inst: TcpInstance, x0, iters: int = 80) -> TcpSolution:
     def phi(v):
         return np.minimum(v, inst.w_of(v))
 
-    p = phi(x)
-    merit = float(np.linalg.norm(p))
-    for _ in range(iters):
-        if merit <= 1e-12:
-            break
-        Jf = jacobian_m1(inst.A, x)
-        w = inst.w_of(x)
-        J = np.empty((n, n))
-        for i in range(n):
-            if x[i] <= w[i]:
-                J[i] = np.eye(n)[i]
-            else:
-                J[i] = Jf[i]
-        try:
-            d = np.linalg.solve(J, -p)
-        except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(J, -p, rcond=None)[0]
-        if not np.all(np.isfinite(d)):
-            break
-        t = 1.0
-        moved = False
-        while t > 1e-14:
-            xn = x + t * d
-            pn = phi(xn)
-            mn = float(np.linalg.norm(pn))
-            if mn < merit * (1.0 - 1e-4 * t) or mn <= 1e-12:
-                x, p, merit = xn, pn, mn
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            break
+    def jac(v):
+        # row i of the generalized Jacobian: e_i where x_i is the active branch
+        return np.where((v <= inst.w_of(v))[:, None], np.eye(n), jacobian_m1(inst.A, v))
+
+    x, _ = damped_newton(phi, jac, x, iters, 1e-12)
     x = np.maximum(x, 0.0)
     ok = is_solution(inst, x, 1e-9)
     return _make_solution(inst, x, converged=ok)

@@ -9,8 +9,9 @@ never claim exact values.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from ._rng import SplitMix64
 from .classify import (
     SearchBudget,
     Verdict,
-    _project_simplex,
     _simplex_lattice,
+    descend_on_simplex,
     is_copositive,
     is_K_nonsingular,
     is_K_regular,
@@ -136,45 +137,18 @@ def local_uniqueness_certificate(inst: TcpInstance, xbar,
     def rayleigh(lam):
         v = R @ lam
         nv = float(np.dot(v, v))
-        if nv <= 1e-20:
-            return math.inf, v
-        return float(v @ Msym @ v) / nv, v
+        return math.inf if nv <= 1e-20 else float(v @ Msym @ v) / nv
+
+    def grad(lam):
+        v = R @ lam
+        return R.T @ (2.0 * (Msym @ v - rayleigh(lam) * v) / float(np.dot(v, v)))
 
     k = R.shape[1]
-    res = budget.resolution_for(k)
-    lattice = _simplex_lattice(k, res)
-    best_val, best_v, best_lam = math.inf, None, None
-    for lam in lattice:
-        val, v = rayleigh(lam)
-        if val < best_val:
-            best_val, best_v, best_lam = val, v, lam
-    evals = len(lattice)
-
-    lam = np.asarray(best_lam, dtype=float)
-    step = 1.0
-    f, v = rayleigh(lam)
-    for _ in range(budget.polish_iters):
-        nv = float(np.dot(v, v))
-        g = R.T @ (2.0 * (Msym @ v - f * v) / nv)
-        gn = float(np.linalg.norm(g))
-        if gn <= 1e-14:
-            break
-        t = step
-        moved = False
-        for _ in range(30):
-            cand = _project_simplex(lam - t * g)
-            fc, vc = rayleigh(cand)
-            evals += 1
-            if fc < f:
-                lam, f, v = cand, fc, vc
-                step = min(2 * t, 1e6)
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            break
-    if f < best_val:
-        best_val, best_v = f, v
+    lattice = _simplex_lattice(k, budget.resolution_for(k))
+    start = min(lattice, key=rayleigh)  # first lattice minimizer
+    lam, best_val, used = descend_on_simplex(rayleigh, grad, start, budget.polish_iters)
+    evals = len(lattice) + used - 1  # the start was already scored on the lattice
+    best_v = R @ lam
 
     witness = best_v / np.linalg.norm(best_v)
     if best_val > budget.margin:
@@ -363,9 +337,7 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
         raise ValueError("probe requires a q certified as a non-member")
     warn = ""
     for r in range(1, A.dim + 1):
-        import itertools as _it
-
-        for alpha in _it.combinations(range(1, A.dim + 1), r):
+        for alpha in itertools.combinations(range(1, A.dim + 1), r):
             comp = complementary_tensor(A, IndexSet(alpha, A.dim))
             if is_K_nonsingular(comp, orthant(A.dim), budget).status != "holds":
                 warn = ("closedness sufficient condition unverified for some "

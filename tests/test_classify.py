@@ -142,7 +142,7 @@ class TestPrincipalSweep:
 
 class TestSCone:
     def test_e1_samples_on_axes(self, e1):
-        pts = s_cone_samples(e1, 10, seed=0)
+        pts = s_cone_samples(e1, 10)
         assert pts
         for p in pts:
             assert min(p) == pytest.approx(0.0, abs=1e-6)  # axis points only

@@ -1,10 +1,12 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from tcpkit.cli import main
-from tcpkit.tensor import tensor_from_json, tensor_to_json
+from tcpkit.tensor import tensor_from_dense, tensor_from_json, tensor_to_json
 from tcpkit import fixtures as fx
 
 
@@ -69,6 +71,17 @@ class TestSolve:
         assert code == 0
         assert rep["solutions"] == []
         assert "certified" in rep["note"]
+
+    def test_uncertified_slack_failure_is_unknown(self, capsys, tmp_path):
+        # support {1,3} has a root failing the slack test and an unproved
+        # root list: solve must not claim a certified "no solution"
+        M = [[1.325, -1.749, 1.302], [-1.342, -0.499, -0.733], [0.765, -1.286, -0.415]]
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(tensor_to_json(tensor_from_dense(np.array(M)))))
+        code, rep = run_json(capsys, "solve", "--tensor", str(p), "--q=-1.977,-0.950,-0.315")
+        assert code == 3
+        assert rep["unknown"] is True and rep["solutions"] == []
+        assert "note" not in rep
 
     def test_instance_file(self, capsys, tmp_path):
         from tcpkit.cones import orthant
@@ -164,6 +177,26 @@ class TestErrors:
         code = main(["solve", "--fixture", "E1", "--q", "1,zebra"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["membership", "--fixture", "E1", "--q=nan,1"],
+        ["membership", "--fixture", "E1", "--q=inf,1"],
+        ["solve", "--fixture", "E1", "--q=nan,1"],
+        ["membership", "--fixture", "E1", "--q=-1"],
+    ])
+    def test_bad_q_is_parse_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:")
+
+
+def test_import_skips_scipy_optimize():
+    code = "import sys, tcpkit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestDeterminism:

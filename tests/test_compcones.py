@@ -15,6 +15,7 @@ from tcpkit.cones import orthant
 from tcpkit.solver import TcpInstance, is_solution
 from tcpkit.tensor import (
     IndexSet,
+    ShapeError,
     apply_m1,
     apply_off,
     power_vec,
@@ -141,6 +142,15 @@ class TestQMembership:
     def test_dim_cap(self):
         with pytest.raises(ValueError):
             q_membership(unit_tensor(2, 13), np.zeros(13))
+
+    def test_rejects_wrong_length_q(self, e1):
+        with pytest.raises(ShapeError):
+            q_membership(e1, [-1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_q(self, e1, bad):
+        with pytest.raises(ValueError):
+            q_membership(e1, [bad, 1.0])
 
     def test_non_member_reconstruction_rejected(self, e1):
         res = q_membership(e1, [1.0, -1.0])

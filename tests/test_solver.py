@@ -15,7 +15,7 @@ from tcpkit.solver import (
     solution_set_probe,
     solve_enumerate,
 )
-from tcpkit.tensor import ShapeError
+from tcpkit.tensor import ShapeError, tensor_from_dense
 
 from oracle import MEMBER, NON_MEMBER, grid_tcp_oracle
 
@@ -41,6 +41,11 @@ class TestResidual:
         inst = TcpInstance(orthant(2), np.zeros(2), e1)
         with pytest.raises(ShapeError):
             residual(inst, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_instance_rejects_non_finite_q(self, e1, bad):
+        with pytest.raises(ValueError):
+            TcpInstance(orthant(2), np.array([bad, 1.0]), e1)
 
     def test_general_cone_verification(self):
         K = from_generators([[2.0, 1.0], [1.0, 2.0]])
@@ -97,14 +102,19 @@ class TestEnumerate:
             solve_enumerate(TcpInstance(K, np.zeros(2), identity32))
 
     def test_matches_membership(self, e1, e4):
+        # member True <=> solutions; None <=> none found and unknown;
+        # False <=> none found and not unknown
         rng = np.random.default_rng(17)
-        for A in (e1, e4):
-            for _ in range(15):
-                q = rng.uniform(-2, 2, 2)
-                out = solve_enumerate(TcpInstance(orthant(2), q, A))
-                res = q_membership(A, q)
-                if res.member is not None and not out.unknown:
-                    assert bool(out.solutions) == res.member
+        cases = [(A, rng.uniform(-2, 2, 2)) for A in (e1, e4) for _ in range(15)]
+        # m=2, n=3: support {1,3} has a root failing the slack test and a
+        # root list not proved complete, so both must answer unknown
+        M = [[1.325, -1.749, 1.302], [-1.342, -0.499, -0.733], [0.765, -1.286, -0.415]]
+        cases.append((tensor_from_dense(np.array(M)), np.array([-1.977, -0.950, -0.315])))
+        for A, q in cases:
+            out = solve_enumerate(TcpInstance(orthant(A.dim), q, A))
+            res = q_membership(A, q)
+            assert bool(out.solutions) == (res.member is True)
+            assert out.unknown == (res.member is None)
 
     def test_matches_grid_oracle(self, e1):
         dense = e1.to_dense()
