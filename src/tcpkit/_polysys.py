@@ -53,15 +53,9 @@ class SystemScan:
 
 def _sign_infeasible(dense: np.ndarray, q: np.ndarray) -> bool:
     """True when some component cannot vanish for any u >= 0."""
-    k = dense.shape[0]
-    flat = dense.reshape(k, -1)
-    for i in range(k):
-        row = flat[i]
-        if np.all(row >= 0) and q[i] > 1e-12:
-            return True
-        if np.all(row <= 0) and q[i] < -1e-12:
-            return True
-    return False
+    flat = dense.reshape(dense.shape[0], -1)
+    return bool(np.any((np.all(flat >= 0, axis=1) & (q > 1e-12))
+                       | (np.all(flat <= 0, axis=1) & (q < -1e-12))))
 
 
 def _sphere_grid(k: int, res: int) -> np.ndarray:
@@ -85,19 +79,18 @@ def _row_abs_sum(dense: np.ndarray) -> float:
     return float(np.max(np.abs(dense.reshape(k, -1)).sum(axis=1)))
 
 
-def min_sphere_norm(A: Tensor, dense: np.ndarray | None = None) -> float:
+def min_sphere_norm(A: Tensor) -> float:
     """Grid estimate of min ||A v^{m-1}|| over unit v >= 0, with a Lipschitz
     correction subtracted so the result lower-bounds the true minimum
     (clipped at 0)."""
-    dense = A.to_dense() if dense is None else dense
     k = A.dim
     res = 4096 if k <= 2 else (48 if k == 3 else 12)
     V = _sphere_grid(k, res)
-    norms = np.linalg.norm(batch_apply_m1(dense, V), axis=1)
+    norms = np.linalg.norm(batch_apply_m1(A, V), axis=1)
     est = float(norms.min())
     if k == 1:
         return est
-    lip = (A.order - 1) * _row_abs_sum(dense)
+    lip = (A.order - 1) * _row_abs_sum(A.to_dense())
     h = (math.pi / 2) / (res - 1) if k == 2 else 2.0 / res
     return max(est - lip * h, 0.0)
 
@@ -206,7 +199,7 @@ def scan_system(A: Tensor, q, multistarts: int = 24,
         scan.grid_min_residual = qn
         return scan
 
-    c = min_sphere_norm(A, dense)
+    c = min_sphere_norm(A)
     bounded = c > _C_MIN
     if bounded:
         R = (qn / (0.5 * c)) ** (1.0 / (m - 1))
@@ -216,7 +209,7 @@ def scan_system(A: Tensor, q, multistarts: int = 24,
 
     if k <= 3:
         U = _box_grid(k, R)
-        resid = np.abs(batch_apply_m1(dense, U) + q).max(axis=1)
+        resid = np.abs(batch_apply_m1(A, U) + q).max(axis=1)
         scan.grid_min_residual = float(resid.min())
         n_starts = multistarts * (4 if want_all else 1)
         order = np.argsort(resid, kind="stable")[: max(n_starts, 8)]

@@ -132,10 +132,9 @@ class _Objective:
             raise ValueError(f"unknown objective {kind!r}")
         self.kind = kind
         self.A = A
-        self.dense = A.to_dense()
 
     def batch_report(self, X: np.ndarray) -> np.ndarray:
-        F = batch_apply_m1(self.dense, X)
+        F = batch_apply_m1(self.A, X)
         if self.kind == "norm_m1":
             return np.linalg.norm(F, axis=1)
         xm = np.einsum("pi,pi->p", X, F)
@@ -336,10 +335,9 @@ def s_cone_samples(A: Tensor, N: int,
     A x^{m-1} >= -margin componentwise and |A x^m| <= margin."""
     budget = budget or SearchBudget()
     n = A.dim
-    dense = A.to_dense()
     res = budget.resolution_for(n)
     lattice = _simplex_lattice(n, res)
-    F = batch_apply_m1(dense, lattice)
+    F = batch_apply_m1(A, lattice)
     xm = np.einsum("pi,pi->p", lattice, F)
     loose = 1e-2
     mask = (F.min(axis=1) >= -loose) & (np.abs(xm) <= loose)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -96,7 +97,10 @@ def _get_tensor(args):
 
 
 def _get_budget(args) -> SearchBudget:
-    return SearchBudget(grid_resolution=getattr(args, "budget", 0) or 0)
+    budget = getattr(args, "budget", 0) or 0
+    if budget < 0:
+        raise _ParseFailure(f"--budget must be >= 0, got {budget}")
+    return SearchBudget(grid_resolution=budget)
 
 
 def _emit(args, report: dict) -> None:
@@ -195,6 +199,12 @@ def cmd_membership(args) -> int:
 def cmd_perturb(args) -> int:
     A = _get_tensor(args)
     budget = _get_budget(args)
+    if not (math.isfinite(args.eps) and args.eps >= 0):
+        raise _ParseFailure(f"--eps must be finite and >= 0, got {args.eps}")
+    if not (math.isfinite(args.radius) and args.radius > 0):
+        raise _ParseFailure(f"--radius must be finite and > 0, got {args.radius}")
+    if args.trials < 1:
+        raise _ParseFailure(f"--trials must be >= 1, got {args.trials}")
     try:
         if args.mode in ("existence", "error-bound", "usc"):
             if args.q is None:

@@ -95,8 +95,7 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     res = max(budget.resolution_for(k), 256) if k <= 2 else budget.resolution_for(k)
     lattice = _simplex_lattice(k, res)
     X = lattice @ G.T
-    dense = A.to_dense()
-    Z = batch_apply_m1(dense, X)
+    Z = batch_apply_m1(A, X)
     zn = np.linalg.norm(Z, axis=1)
     used += len(zn)
     ok = zn > 1e-12

@@ -89,6 +89,11 @@ def _draw_perturbation(rng: SplitMix64, n: int, shape: tuple, eps: float):
     return dq * scale, dA * scale
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def _perturbed_tensor(A: Tensor, dA: np.ndarray) -> Tensor:
     return tensor_from_dense(A.to_dense() + dA)
 
@@ -124,8 +129,7 @@ def local_uniqueness_certificate(inst: TcpInstance, xbar,
         cert = float(vals[0])
         witness = vecs[:, 0]
         status = "holds" if cert > budget.margin else ("fails" if cert <= 0 else "unknown")
-        return Verdict("local-uniqueness", status, cert,
-                       witness if status == "fails" else witness, 1, note=note)
+        return Verdict("local-uniqueness", status, cert, witness, 1, note=note)
 
     rays = extreme_rays(rows, n)
     if not rays:
@@ -166,6 +170,7 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     Perturbations that break copositivity are redrawn (up to 100 times per
     trial, then shifted by eps times the unit tensor, which adds the sum of
     m-th powers to the polynomial)."""
+    _require_trials(trials)
     budget = budget or SearchBudget()
     if not inst.cone.is_orthant:
         raise ValueError("perturb_existence requires the orthant")
@@ -209,7 +214,7 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
             failures.append(t)
     return PerturbationReport(
         trials=trials, eps=eps, seed=seed,
-        solvable_fraction=solvable / trials if trials else 1.0,
+        solvable_fraction=solvable / trials,
         max_solution_norm=max_norm,
         error_ratio_max=0.0,
         failures=tuple(failures),
@@ -221,6 +226,7 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
                       eps: float, trials: int, seed: int,
                       budget: SearchBudget | None = None) -> PerturbationReport:
     """Estimate the local error-bound constant at an isolated solution."""
+    _require_trials(trials)
     budget = budget or SearchBudget()
     xbar = np.asarray(xbar, dtype=float)
     cert = local_uniqueness_certificate(inst, xbar, budget)
@@ -261,7 +267,7 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
         ratio_max = max(ratio_max, ratio)
     return PerturbationReport(
         trials=trials, eps=eps, seed=seed,
-        solvable_fraction=solvable / trials if trials else 1.0,
+        solvable_fraction=solvable / trials,
         max_solution_norm=max_norm,
         error_ratio_max=ratio_max,
         failures=tuple(failures),
@@ -273,6 +279,7 @@ def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int,
               budget: SearchBudget | None = None) -> dict:
     """Upper-semicontinuity probe: how far can perturbed solutions drift
     from the base solution set."""
+    _require_trials(trials)
     budget = budget or SearchBudget()
     reg = is_K_regular(inst.A, inst.cone, budget)
     if reg.status != "holds":
@@ -330,6 +337,7 @@ def graph_closedness_probe(sequence, limit) -> bool:
 def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: int,
                                   budget: SearchBudget | None = None) -> dict:
     """Persistence of unsolvability under small right-hand-side changes."""
+    _require_trials(trials)
     budget = budget or SearchBudget()
     q = np.asarray(q, dtype=float)
     base = q_membership(A, q, budget)
@@ -361,7 +369,7 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
         elif res.member is None:
             unknowns += 1
     return {
-        "fraction_unsolvable": unsolvable / trials if trials else 1.0,
+        "fraction_unsolvable": unsolvable / trials,
         "unknown_trials": unknowns,
         "eps": eps,
         "trials": trials,
@@ -374,6 +382,7 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
                                   trials: int, seed: int,
                                   budget: SearchBudget | None = None) -> dict:
     """Persistence of K-nonsingularity under tensor (and cone) jitter."""
+    _require_trials(trials)
     budget = budget or SearchBudget()
     base = is_K_nonsingular(A, K, budget)
     if base.status != "holds":
@@ -399,7 +408,7 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
         if is_K_nonsingular(_perturbed_tensor(A, dA), Kp, budget).status == "holds":
             nonsingular += 1
     return {
-        "fraction_nonsingular": nonsingular / trials if trials else 1.0,
+        "fraction_nonsingular": nonsingular / trials,
         "eps": eps,
         "trials": trials,
         "seed": seed,

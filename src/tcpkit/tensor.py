@@ -3,15 +3,25 @@
 Indices are 1-based throughout, matching the JSON interchange format
 ``{"order": m, "dim": n, "entries": [{"idx": [i1, ..., im], "val": v}]}``.
 A zero stored value is equivalent to an absent entry.
+
+Each ``Tensor`` freezes one contraction form when it is built: the distinct
+trailing index tuples (j2, ..., jm) as a (T, m-1) array ``_tails`` and the
+(T, n) matrix ``_coef[t, i] = a_{i, tails[t]}``.  One kernel, ``_monomials``,
+forms the T monomials x_{j2}...x_{jm} (optionally without tail position p)
+at one point or a batch of points; then A x^{m-1} = monomials(x) @ coef, and
+the derivative through position p is coef.T @ D_p with
+D_p[t, tails[t, p]] = monomials(x, skip=p)[t].  A x^{m-2} is the p = 0
+derivative and the Jacobian is the sum over p.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -35,9 +45,6 @@ __all__ = [
     "tensor_from_json",
     "batch_apply_m1",
 ]
-
-# Above this entry count, contractions switch to compensated summation.
-_FSUM_THRESHOLD = 10_000
 
 
 class ShapeError(ValueError):
@@ -75,6 +82,16 @@ class Tensor:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         clean = _validate_entries(self.order, self.dim, self.entries)
         object.__setattr__(self, "entries", MappingProxyType(clean))
+        tails = sorted({idx[1:] for idx in clean})
+        row = {tail: t for t, tail in enumerate(tails)}
+        coef = np.zeros((len(tails), self.dim))
+        heads = [idx[0] - 1 for idx in clean]
+        coef[[row[idx[1:]] for idx in clean], heads] = list(clean.values())
+        tails = np.array(tails, dtype=np.intp).reshape(-1, self.order - 1) - 1
+        tails.setflags(write=False)
+        coef.setflags(write=False)
+        object.__setattr__(self, "_tails", tails)
+        object.__setattr__(self, "_coef", coef)
 
     @property
     def nnz(self) -> int:
@@ -83,8 +100,7 @@ class Tensor:
     def to_dense(self) -> np.ndarray:
         """Dense ndarray of shape (n,) * m (0-based axes)."""
         out = np.zeros((self.dim,) * self.order)
-        for idx, val in self.entries.items():
-            out[tuple(i - 1 for i in idx)] = val
+        out[(slice(None),) + tuple(self._tails.T)] = self._coef.T
         return out
 
     def scale(self, t: float) -> "Tensor":
@@ -137,30 +153,29 @@ def _check_vec(A: Tensor, x) -> np.ndarray:
     return x
 
 
-def _accumulate(dim: int, terms: Iterable[tuple[int, float]], compensated: bool) -> np.ndarray:
-    if not compensated:
-        out = np.zeros(dim)
-        for i, t in terms:
-            out[i] += t
-        return out
-    buckets: list[list[float]] = [[] for _ in range(dim)]
-    for i, t in terms:
-        buckets[i].append(t)
-    return np.array([math.fsum(b) for b in buckets])
+def _monomials(A: Tensor, X: np.ndarray, skip: int | None = None) -> np.ndarray:
+    """prod_{p != skip} x_{tails[t, p]} for every tail t: shape (T,) for one
+    point x, (T, S) for the S rows of X."""
+    XT = X.T
+    factors = [XT[col] for p, col in enumerate(A._tails.T) if p != skip]
+    if not factors:  # order 2 with its one tail position skipped
+        return np.ones((len(A._tails),) + XT.shape[1:])
+    return functools.reduce(np.multiply, factors)
+
+
+def _derivative(A: Tensor, x: np.ndarray, positions) -> np.ndarray:
+    """Sum over p in positions of the derivative of x -> A x^{m-1} through
+    tail position p: (i, j) adds a_{i j2..jm} prod_{q != p} x_{jq} if j_p = j."""
+    D = np.zeros(A._coef.shape)
+    rows = np.arange(len(A._tails))
+    for p in positions:
+        D[rows, A._tails[:, p]] += _monomials(A, x, p)
+    return A._coef.T @ D
 
 
 def apply_m1(A: Tensor, x) -> np.ndarray:
     """F(x) = A x^{m-1}, component i = sum a_{i i2...im} x_{i2}...x_{im}."""
-    x = _check_vec(A, x)
-
-    def terms():
-        for idx, val in A.entries.items():
-            t = val
-            for j in idx[1:]:
-                t *= x[j - 1]
-            yield idx[0] - 1, t
-
-    return _accumulate(A.dim, terms(), A.nnz > _FSUM_THRESHOLD)
+    return _monomials(A, _check_vec(A, x)) @ A._coef
 
 
 def apply_m(A: Tensor, x) -> float:
@@ -171,34 +186,16 @@ def apply_m(A: Tensor, x) -> float:
 
 def apply_m2(A: Tensor, x) -> np.ndarray:
     """The n x n matrix (A x^{m-2})_{ij} = sum a_{i j i3...im} x_{i3}...x_{im}."""
-    x = _check_vec(A, x)
-    out = np.zeros((A.dim, A.dim))
-    for idx, val in A.entries.items():
-        t = val
-        for j in idx[2:]:
-            t *= x[j - 1]
-        out[idx[0] - 1, idx[1] - 1] += t
-    return out
+    return _derivative(A, _check_vec(A, x), [0])
 
 
 def jacobian_m1(A: Tensor, x) -> np.ndarray:
     """Exact Jacobian of x -> A x^{m-1}.
 
-    Coincides with (m-1) * apply_m2(A, x) when A is sub-symmetric; computed
-    entrywise so that Newton steps stay correct for tensors that are not.
+    Coincides with (m-1) * apply_m2(A, x) when A is sub-symmetric; summed
+    over every tail position so that Newton steps stay correct otherwise.
     """
-    x = _check_vec(A, x)
-    J = np.zeros((A.dim, A.dim))
-    for idx, val in A.entries.items():
-        i = idx[0] - 1
-        tail = idx[1:]
-        for pos, j in enumerate(tail):
-            t = val
-            for k, other in enumerate(tail):
-                if k != pos:
-                    t *= x[other - 1]
-            J[i, j - 1] += t
-    return J
+    return _derivative(A, _check_vec(A, x), range(A.order - 1))
 
 
 def unit_tensor(m: int, n: int) -> Tensor:
@@ -223,7 +220,8 @@ def principal_subtensor(A: Tensor, alpha: IndexSet) -> Tensor:
 
 
 def apply_off(A: Tensor, alpha: IndexSet, u_alpha) -> np.ndarray:
-    """A_{comp,alpha} (u_alpha)^{m-1}: rows outside alpha, columns inside."""
+    """A_{comp,alpha} (u_alpha)^{m-1}: rows outside alpha, columns inside,
+    i.e. the rows outside alpha of A x^{m-1} at x = (u_alpha, 0)."""
     if len(alpha) == 0 or len(alpha) == A.dim:
         raise ValueError("alpha must be a nonempty proper subset")
     if alpha.n != A.dim:
@@ -231,17 +229,9 @@ def apply_off(A: Tensor, alpha: IndexSet, u_alpha) -> np.ndarray:
     u = np.asarray(u_alpha, dtype=float)
     if u.shape != (len(alpha),):
         raise ShapeError(f"u_alpha of shape {u.shape}, expected ({len(alpha)},)")
-    col = {i: k for k, i in enumerate(alpha.members)}
-    comp = alpha.complement
-    row = {i: k for k, i in enumerate(comp)}
-    out = np.zeros(len(comp))
-    for idx, val in A.entries.items():
-        if idx[0] in row and all(i in col for i in idx[1:]):
-            t = val
-            for j in idx[1:]:
-                t *= u[col[j]]
-            out[row[idx[0]]] += t
-    return out
+    x = np.zeros(A.dim)
+    x[[i - 1 for i in alpha.members]] = u
+    return apply_m1(A, x)[[i - 1 for i in alpha.complement]]
 
 
 def power_vec(x, p: float) -> np.ndarray:
@@ -320,19 +310,17 @@ def tensor_from_json(obj: dict) -> Tensor:
     return Tensor(order, dim, entries)
 
 
-def batch_apply_m1(dense: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A x^{m-1} for every row of X, using a dense coefficient array.
+def batch_apply_m1(A: Tensor, X) -> np.ndarray:
+    """A x^{m-1} for every row x of the (S, n) array X.
 
-    Vectorized fast path for grid searches; m in {2, 3, 4} gets an einsum,
-    anything larger falls back to a per-point loop.
+    Works through the rows in blocks of about 2**16 monomial entries, so the
+    temporaries stay small on large grids.
     """
     X = np.asarray(X, dtype=float)
-    m = dense.ndim
-    if m == 2:
-        return X @ dense.T
-    if m == 3:
-        return np.einsum("ijk,pj,pk->pi", dense, X, X, optimize=True)
-    if m == 4:
-        return np.einsum("ijkl,pj,pk,pl->pi", dense, X, X, X, optimize=True)
-    A = tensor_from_dense(dense)
-    return np.array([apply_m1(A, x) for x in X])
+    if X.ndim != 2 or X.shape[1] != A.dim:
+        raise ShapeError(f"points of shape {X.shape} incompatible with dim {A.dim}")
+    out = np.empty((len(X), A.dim))
+    step = max(1, 2**16 // max(len(A._tails), 1))
+    for s in range(0, len(X), step):
+        out[s:s + step] = _monomials(A, X[s:s + step]).T @ A._coef
+    return out

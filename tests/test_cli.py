@@ -192,6 +192,26 @@ class TestErrors:
         assert captured.err.startswith("parse error:")
 
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--fixture", "E1", "--budget", "-1"],
+        ["perturb", "existence", "--fixture", "identity32", "--q=-1,-1",
+         "--eps", "nan"],
+        ["perturb", "existence", "--fixture", "identity32", "--q=-1,-1",
+         "--eps", "-1"],
+        ["perturb", "existence", "--fixture", "identity32", "--q=-1,-1",
+         "--trials", "0"],
+        ["perturb", "error-bound", "--fixture", "identity32", "--q=-1,-1",
+         "--xbar=1,1", "--radius", "nan"],
+        ["perturb", "openness", "--fixture", "E4", "--trials", "-3"],
+    ])
+    def test_bad_numeric_option_is_parse_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:")
+
+
 def test_import_skips_scipy_optimize():
     code = "import sys, tcpkit.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

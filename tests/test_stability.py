@@ -202,3 +202,20 @@ class TestNonsingularityOpenness:
     def test_e2_rejected(self, e2):
         with pytest.raises(ValueError):
             nonsingularity_openness_probe(orthant(2), e2, 1e-3, 5, seed=0)
+
+
+@pytest.mark.parametrize("probe", [
+    lambda inst, e1, trials: perturb_existence(inst, 1e-3, trials, seed=7),
+    lambda inst, e1, trials: error_bound_probe(inst, np.array([1.0, 1.0]), 0.1,
+                                               1e-3, trials, 7),
+    lambda inst, e1, trials: usc_probe(inst, 1e-3, trials, seed=7),
+    lambda inst, e1, trials: unsolvable_neighborhood_probe(
+        e1, np.array([1.0, -1.0]), 1e-4, trials, seed=3),
+    lambda inst, e1, trials: nonsingularity_openness_probe(orthant(2), e1, 1e-3,
+                                                           trials, seed=3),
+], ids=["existence", "error-bound", "usc", "unsolvable", "openness"])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_probes_reject_no_trials(probe, trials, id_inst, e1):
+    # a fraction over no trials measures nothing; the base inputs are valid
+    with pytest.raises(ValueError, match="trials"):
+        probe(id_inst, e1, trials)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcpkit import fixtures as fx
@@ -218,11 +218,14 @@ class TestJson:
 
 
 class TestBatch:
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_batch_matches_single(self, m):
         A = fx.random_tensor("general", m, 3, seed=m)
-        X = np.array([[0.1, 0.5, 2.0], [1.0, 0.0, 0.3], [0.0, 0.0, 0.0]])
-        batch = batch_apply_m1(A.to_dense(), X)
+        # 1203 rows span more than one block of 2**16 monomials at m = 5
+        # (81 tails), so the block boundary is crossed there
+        X = np.vstack([[[0.1, 0.5, 2.0], [1.0, 0.0, 0.3], [0.0, 0.0, 0.0]],
+                       np.random.default_rng(m).uniform(-1.0, 1.0, (1200, 3))])
+        batch = batch_apply_m1(A, X)
         for i, x in enumerate(X):
             assert np.allclose(batch[i], apply_m1(A, x), atol=1e-12)
 
@@ -246,3 +249,66 @@ def test_contraction_consistency(A, coords):
     F = apply_m1(A, x)
     assert apply_m(A, x) == float(np.dot(x, F))  # identical summation order
     assert np.allclose(apply_m2(A, x) @ x, F, rtol=1e-12, atol=1e-9)
+
+
+@st.composite
+def sparse_tensors(draw):
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 4))
+    idx = st.tuples(*[st.integers(1, n)] * m)
+    return Tensor(m, n, draw(st.dictionaries(idx, st.floats(-2, 2), max_size=12)))
+
+
+def reference_products(A, x):
+    """A x^{m-1}, A x^{m-2} and the Jacobian from their defining sums over
+    A.entries, with a bound on the size of every term (for round-off)."""
+    n = A.dim
+    F, M, J = np.zeros(n), np.zeros((n, n)), np.zeros((n, n))
+    mag = 1.0
+    for idx, val in A.entries.items():
+        i, tail = idx[0] - 1, [j - 1 for j in idx[1:]]
+        F[i] += val * math.prod(x[j] for j in tail)
+        M[i, tail[0]] += val * math.prod(x[j] for j in tail[1:])
+        for p, j in enumerate(tail):
+            J[i, j] += val * math.prod(x[k] for q, k in enumerate(tail) if q != p)
+        mag += abs(val) * math.prod(max(abs(x[j]), 1.0) for j in tail)
+    return F, M, J, mag
+
+
+def reference_off(A, alpha, u):
+    """sum a_{i j2...jm} u_{j2}...u_{jm} over rows i outside alpha and
+    trailing indices inside alpha."""
+    pos = {j: k for k, j in enumerate(alpha)}
+    comp = [i for i in range(1, A.dim + 1) if i not in pos]
+    out = np.zeros(len(comp))
+    for idx, val in A.entries.items():
+        if idx[0] not in pos and all(j in pos for j in idx[1:]):
+            out[comp.index(idx[0])] += val * math.prod(u[pos[j]] for j in idx[1:])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=sparse_tensors(),
+       coords=st.lists(st.floats(-3, 3), min_size=20, max_size=20),
+       alpha_bits=st.integers(0, 15))
+@example(A=Tensor(3, 2, {}), coords=[0.5] * 20, alpha_bits=1)
+@example(A=Tensor(4, 1, {(1, 1, 1, 1): 2.5}), coords=[-1.5] * 20, alpha_bits=1)
+def test_products_match_reference(A, coords, alpha_bits):
+    n = A.dim
+    x = np.array(coords[:n])
+    F, M, J, mag = reference_products(A, x)
+    tol = 1e-12 * mag
+    assert np.allclose(apply_m1(A, x), F, rtol=0, atol=tol)
+    assert np.allclose(apply_m2(A, x), M, rtol=0, atol=tol)
+    assert np.allclose(jacobian_m1(A, x), J, rtol=0, atol=tol)
+
+    X = np.array(coords[4:4 + 4 * n]).reshape(4, n)
+    refs = [reference_products(A, row) for row in X]
+    assert np.allclose(batch_apply_m1(A, X), [r[0] for r in refs], rtol=0,
+                       atol=1e-12 * max(r[3] for r in refs))
+
+    alpha = [i + 1 for i in range(n) if alpha_bits >> i & 1]
+    if 0 < len(alpha) < n:
+        u = x[[i - 1 for i in alpha]]
+        assert np.allclose(apply_off(A, IndexSet(alpha, n), u),
+                           reference_off(A, alpha, u), rtol=0, atol=tol)
