@@ -7,7 +7,8 @@ enumeration solver.  It combines
     coefficients of a component share a sign),
   * a norm lower bound on the unit sphere that confines roots to a box,
   * a vectorized residual grid over that box, and
-  * damped projected Newton refinement from the best grid cells.
+  * one row-batched damped projected Newton refinement from the best grid
+    cells.
 
 Infeasibility is only certified when the box bound is valid and the grid
 minimum clears a Lipschitz slack; otherwise the scan is inconclusive.
@@ -18,6 +19,7 @@ applies the slack test; membership and the enumeration solver both read it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -38,6 +40,7 @@ SYS_TOL = 1e-9  # residual at which a refined point counts as a root
 SLACK_TOL = 1e-8  # a support root counts when its slack is >= -SLACK_TOL
 
 _C_MIN = 0.05  # sphere-norm level below which no box bound is claimed
+_GRID_CELLS = 300_000  # points of the residual grid over the root box
 
 
 @dataclass
@@ -95,59 +98,96 @@ def min_sphere_norm(A: Tensor) -> float:
     return max(est - lip * h, 0.0)
 
 
-def _box_grid(k: int, R: float, budget_cells: int = 300_000) -> np.ndarray:
-    if k == 1:
-        g = min(4096, budget_cells)
-        return np.linspace(0.0, R, g).reshape(-1, 1)
-    g = int(budget_cells ** (1.0 / k))
-    g = max(min(g, 512), 8)
+def _box_grid(k: int, R: float) -> np.ndarray:
+    """A uniform grid on [0, R]^k, k >= 2 (k = 1 is solved in closed form)."""
+    g = max(min(int(_GRID_CELLS ** (1.0 / k)), 512), 8)
     axes = [np.linspace(0.0, R, g)] * k
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def damped_newton(F, J, x, iters: int, tol: float, project=lambda v: v):
-    """Newton on F(x) = 0 with backtracking on ||F||.
+def _smallest(values: np.ndarray, N: int) -> np.ndarray:
+    """Indices of the N smallest values, ties by index: exactly
+    np.argsort(values, kind="stable")[:N], without sorting all of them."""
+    if N >= len(values):
+        return np.argsort(values, kind="stable")
+    kth = values[np.argpartition(values, N - 1)[N - 1]]
+    cand = np.flatnonzero(~(values > kth))  # also keeps NaN if kth is NaN
+    return cand[np.argsort(values[cand], kind="stable")[:N]]
 
-    Each step solves J(x) d = -F(x) (least squares when J is singular) and
-    halves t until ||F(project(x + t d))|| < (1 - 1e-4 t) ||F(x)|| or drops
-    to tol; the loop stops at tol, after iters steps, or when no halving
-    down to t = 1e-14 helps.  Returns (x, ||F(x)||).
+
+def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve J[s] d[s] = b[s] for every row s, by least squares where J[s]
+    is singular."""
+    try:
+        return np.linalg.solve(J, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(b)
+        for s in range(len(b)):
+            try:
+                out[s] = np.linalg.solve(J[s], b[s])
+            except np.linalg.LinAlgError:
+                out[s] = np.linalg.lstsq(J[s], b[s], rcond=None)[0]
+        return out
+
+
+def damped_newton(F, J, X, iters: int, tol: float, project=lambda v: v):
+    """Newton on F(x) = 0 with backtracking on ||F||, for every row x of the
+    (S, k) array X at once; F maps (S, k) rows to (S, k), J to (S, k, k).
+
+    Each row steps on its own: it solves J(x) d = -F(x) (least squares when
+    J is singular) and halves t until ||F(project(x + t d))|| <
+    (1 - 1e-4 t) ||F(x)|| or drops to tol; it stops at tol, after iters
+    steps, when d is not finite, or when no halving down to t = 1e-14 helps.
+    Returns (X, ||F|| of every row).
     """
-    Fx = F(x)
-    r = float(np.linalg.norm(Fx))
+    X = np.array(X, dtype=float)
+    FX = F(X)
+    r = np.sqrt(np.vecdot(FX, FX))  # np.linalg.norm of each row, bit for bit
+    rows = np.flatnonzero(~(r <= tol))  # only r <= tol stops; a NaN residual steps on
     for _ in range(iters):
-        if r <= tol:
+        if not len(rows):
             break
-        Jx = J(x)
-        try:
-            d = np.linalg.solve(Jx, -Fx)
-        except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(Jx, -Fx, rcond=None)[0]
-        if not np.all(np.isfinite(d)):
-            break
-        t = 1.0
-        while t > 1e-14:
-            xn = project(x + t * d)
-            Fn = F(xn)
-            rn = float(np.linalg.norm(Fn))
-            if rn < r * (1.0 - 1e-4 * t) or rn <= tol:
-                x, Fx, r = xn, Fn, rn
+        D = _solve_rows(J(X[rows]), -FX[rows])
+        if not np.isfinite(D).all():  # a non-finite step stops its row
+            finite = np.isfinite(D).all(axis=1)
+            rows, D = rows[finite], D[finite]
+        t = np.ones(len(rows))
+        stepped = np.zeros(len(X), dtype=bool)
+        while len(rows):
+            Xn = project(X[rows] + t[:, None] * D)
+            Fn = F(Xn)
+            rn = np.sqrt(np.vecdot(Fn, Fn))
+            ok = (rn < r[rows] * (1.0 - 1e-4 * t)) | (rn <= tol)
+            if ok.all():
+                X[rows], FX[rows], r[rows] = Xn, Fn, rn
+                stepped[rows] = True
                 break
-            t *= 0.5
-        else:
-            break
-    return x, r
+            done = rows[ok]
+            X[done], FX[done], r[done] = Xn[ok], Fn[ok], rn[ok]
+            stepped[done] = True
+            t = 0.5 * t
+            left = ~ok & (t > 1e-14)  # a row whose t halves to 1e-14 stops
+            rows, D, t = rows[left], D[left], t[left]
+        rows = np.flatnonzero(stepped & ~(r <= tol))
+    return X, r
+
+
+def _refine_rows(A: Tensor, q: np.ndarray, U0, iters: int = 60):
+    """Damped Newton with nonnegativity clamping on F(u) = A u^{m-1} + q,
+    from every row of U0 at once."""
+    return damped_newton(lambda U: apply_m1(A, U) + q,
+                         lambda U: jacobian_m1(A, U),
+                         np.maximum(np.asarray(U0, dtype=float), 0.0),
+                         iters, SYS_TOL * 1e-2,
+                         project=lambda V: np.maximum(V, 0.0))
 
 
 def newton_refine(A: Tensor, q: np.ndarray, u0: np.ndarray,
                   iters: int = 60) -> tuple[np.ndarray, float]:
     """Damped Newton with nonnegativity clamping on F(u) = A u^{m-1} + q."""
-    return damped_newton(lambda u: apply_m1(A, u) + q,
-                         lambda u: jacobian_m1(A, u),
-                         np.maximum(np.asarray(u0, dtype=float), 0.0),
-                         iters, SYS_TOL * 1e-2,
-                         project=lambda v: np.maximum(v, 0.0))
+    U, r = _refine_rows(A, q, np.asarray(u0, dtype=float)[None], iters)
+    return U[0], float(r[0])
 
 
 def _dedup(roots: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarray]:
@@ -158,9 +198,8 @@ def _dedup(roots: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarray]:
     return kept
 
 
-def scan_system(A: Tensor, q, multistarts: int = 24,
-                want_all: bool = False) -> SystemScan:
-    """Search for nonnegative roots of A u^{m-1} + q = 0."""
+def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
+    """Search for all nonnegative roots of A u^{m-1} + q = 0."""
     q = np.asarray(q, dtype=float)
     k = A.dim
     m = A.order
@@ -209,27 +248,23 @@ def scan_system(A: Tensor, q, multistarts: int = 24,
 
     if k <= 3:
         U = _box_grid(k, R)
-        resid = np.abs(batch_apply_m1(A, U) + q).max(axis=1)
+        G = batch_apply_m1(A, U)
+        G += q
+        np.abs(G, out=G)
+        resid = functools.reduce(np.maximum, G.T)  # row max, one column at a time
+        del G  # free it before the selection's index arrays are allocated
         scan.grid_min_residual = float(resid.min())
-        n_starts = multistarts * (4 if want_all else 1)
-        order = np.argsort(resid, kind="stable")[: max(n_starts, 8)]
-        starts = [U[int(i)] for i in order]
-        step = R / (len(U) ** (1.0 / k) - 1) if len(U) > 1 else R
+        starts = U[_smallest(resid, max(4 * multistarts, 8))]
+        step = R / (len(U) ** (1.0 / k) - 1)
     else:
         # dimension too high for a dense grid: multistart only, never certify
         rng = np.random.default_rng(0)
-        starts = [np.zeros(k)] + [R * rng.random(k) for _ in range(4 * multistarts)]
+        starts = np.vstack([np.zeros(k), R * rng.random((4 * multistarts, k))])
         scan.grid_min_residual = math.inf
         step = None
 
-    roots = []
-    for u0 in starts:
-        u, r = newton_refine(A, q, u0)
-        if r <= SYS_TOL:
-            roots.append(u)
-            if not want_all:
-                break
-    scan.roots = _dedup(roots)
+    X, r = _refine_rows(A, q, starts)
+    scan.roots = _dedup(list(X[r <= SYS_TOL]))
 
     if not scan.roots:
         if bounded and step is not None:
@@ -266,7 +301,7 @@ def walk_supports(A: Tensor, q: np.ndarray, multistarts: int):
                 yield alpha, ([(np.zeros(0), q)] if np.all(q >= -SLACK_TOL) else []), True
                 continue
             scan = scan_system(principal_subtensor(A, alpha), q[[i - 1 for i in members]],
-                               multistarts=multistarts, want_all=True)
+                               multistarts=multistarts)
             comp = [i - 1 for i in alpha.complement]
             feasible = []
             for u_a in scan.roots:

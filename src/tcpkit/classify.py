@@ -20,7 +20,6 @@ from .cones import PolyhedralCone, orthant
 from .tensor import (
     IndexSet,
     Tensor,
-    apply_m,
     apply_m1,
     batch_apply_m1,
     jacobian_m1,
@@ -109,22 +108,22 @@ def _simplex_lattice(k: int, res: int) -> np.ndarray:
     return np.asarray(pts, dtype=float) / res
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1}."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, len(v) + 1)
-    cond = u - css / ind > 0
-    rho = ind[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.maximum(v - theta, 0.0)
+def _project_simplex(V: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row of V onto {x >= 0, sum x = 1}."""
+    U = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - 1.0
+    cond = U - css / np.arange(1, V.shape[1] + 1) > 0
+    last = V.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)  # last index with cond
+    theta = css[np.arange(len(V)), last] / (last + 1)
+    return np.maximum(V - theta[:, None], 0.0)
 
 
 class _Objective:
-    """Smooth surrogate for the three basis objectives.
+    """Smooth surrogates of the three basis objectives on the rows of X.
 
-    internal(x) is what the polish minimizes; report(x) is the contract
-    value (A x^m, ||A x^{m-1}|| or |A x^m|).
+    value(X) is what the polish minimizes (A x^m, ||A x^{m-1}||^2 or
+    (A x^m)^2); from_internal maps it to the contract value (A x^m,
+    ||A x^{m-1}|| or |A x^m|).
     """
 
     def __init__(self, kind: str, A: Tensor):
@@ -133,71 +132,65 @@ class _Objective:
         self.kind = kind
         self.A = A
 
-    def batch_report(self, X: np.ndarray) -> np.ndarray:
-        F = batch_apply_m1(self.A, X)
+    def value(self, X: np.ndarray) -> np.ndarray:
+        F = apply_m1(self.A, X)
         if self.kind == "norm_m1":
-            return np.linalg.norm(F, axis=1)
-        xm = np.einsum("pi,pi->p", X, F)
-        return np.abs(xm) if self.kind == "abs_xm" else xm
+            return np.vecdot(F, F)
+        xm = np.vecdot(X, F)
+        return xm * xm if self.kind == "abs_xm" else xm
 
-    def report(self, x: np.ndarray) -> float:
+    def grad(self, X: np.ndarray) -> np.ndarray:
+        F = apply_m1(self.A, X)
+        J = jacobian_m1(self.A, X)
         if self.kind == "norm_m1":
-            return float(np.linalg.norm(apply_m1(self.A, x)))
-        v = apply_m(self.A, x)
-        return abs(v) if self.kind == "abs_xm" else v
-
-    def internal(self, x: np.ndarray) -> float:
+            return 2.0 * (F[:, None, :] @ J)[:, 0]
+        dxm = F + (X[:, None, :] @ J)[:, 0]
         if self.kind == "xm":
-            return apply_m(self.A, x)
-        if self.kind == "norm_m1":
-            return float(np.dot(apply_m1(self.A, x), apply_m1(self.A, x)))
-        return apply_m(self.A, x) ** 2
+            return dxm
+        return 2.0 * np.vecdot(X, F)[:, None] * dxm
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        F = apply_m1(self.A, x)
-        J = jacobian_m1(self.A, x)
-        if self.kind == "xm":
-            return F + J.T @ x
-        if self.kind == "norm_m1":
-            return 2.0 * (J.T @ F)
-        v = float(np.dot(x, F))
-        return 2.0 * v * (F + J.T @ x)
-
-    def from_internal(self, v: float) -> float:
+    def from_internal(self, v: np.ndarray) -> np.ndarray:
         if self.kind == "xm":
             return v
-        return math.sqrt(max(v, 0.0))
+        return np.sqrt(np.maximum(v, 0.0))
 
 
-def descend_on_simplex(f, grad, lam0: np.ndarray, iters: int):
-    """Projected gradient descent of f on the standard simplex.
+def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
+    """Projected gradient descent of f on the standard simplex, from every
+    row of the (S, k) array Lam0 at once; f maps (S, k) rows to (S,) values
+    and grad to (S, k) gradients.
 
-    Each step backtracks from the last accepted step length, halving at
-    most 30 times, and accepts the first strict decrease of f; an accepted
-    step length doubles for the next step (capped at 1e6).  Stops when
-    ||grad|| <= 1e-14 or no halving decreases f.  Returns
-    (lam, f(lam), evaluations of f).
+    Each row steps on its own: it backtracks from its last accepted step
+    length, halving at most 30 times, and accepts the first strict decrease
+    of f; an accepted step length doubles for the next step (capped at 1e6).
+    A row stops when ||grad|| <= 1e-14 (or is NaN) or no halving decreases
+    f.  Returns (rows, their f values, evaluations of f per row).
     """
-    lam = np.asarray(lam0, dtype=float).copy()
+    lam = np.array(Lam0, dtype=float)
     val = f(lam)
-    evals = 1
-    step = 1.0
+    evals = np.ones(len(lam), dtype=int)
+    step = np.ones(len(lam))
+    active = np.ones(len(lam), dtype=bool)
     for _ in range(iters):
-        g = grad(lam)
-        if float(np.linalg.norm(g)) <= 1e-14:
+        rows = np.flatnonzero(active)
+        if not len(rows):
             break
-        t = step
+        g = grad(lam[rows])
+        moving = np.sqrt(np.vecdot(g, g)) > 1e-14
+        active[rows[~moving]] = False
+        rows, g = rows[moving], g[moving]
+        t = step[rows]
         for _ in range(30):
-            cand = _project_simplex(lam - t * g)
-            fc = f(cand)
-            evals += 1
-            if fc < val:
-                lam, val = cand, fc
-                step = min(2.0 * t, 1e6)
+            if not len(rows):
                 break
-            t *= 0.5
-        else:
-            break
+            cand = _project_simplex(lam[rows] - t[:, None] * g)
+            fc = f(cand)
+            evals[rows] += 1
+            ok = fc < val[rows]
+            done = rows[ok]
+            lam[done], val[done], step[done] = cand[ok], fc[ok], np.minimum(2.0 * t[ok], 1e6)
+            rows, g, t = rows[~ok], g[~ok], 0.5 * t[~ok]
+        active[rows] = False
     return lam, val, evals
 
 
@@ -207,7 +200,9 @@ def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchB
 
     Returns (value, argmin, evaluations).  The value is an upper bound on
     the true minimum; ties on the grid break toward the lexicographically
-    smallest lattice point.
+    smallest lattice point.  The best budget.multistarts lattice points are
+    polished together; the lowest polished value replaces the lattice
+    minimum when it is lower by more than 1e-15.
     """
     gens = [np.asarray(g, float) / np.linalg.norm(g) for g in K.generators]
     if not gens:
@@ -216,26 +211,22 @@ def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchB
     k = len(gens)
     obj = _Objective(objective, A)
 
-    res = budget.resolution_for(k)
-    lattice = _simplex_lattice(k, res)
+    lattice = _simplex_lattice(k, budget.resolution_for(k))
     X = lattice @ G.T
-    vals = obj.batch_report(X)
-    evals = len(vals)
+    vals = obj.from_internal(obj.value(X))
     order = np.argsort(vals, kind="stable")
-    best_i = int(order[0])
-    best_val = float(vals[best_i])
-    best_x = X[best_i]
+    best_val = float(vals[order[0]])
+    best_x = X[order[0]]
 
-    starts = [lattice[int(i)] for i in order[: budget.multistarts]]
-    for lam0 in starts:
-        lam, f, used = descend_on_simplex(lambda lam: obj.internal(G @ lam),
-                                          lambda lam: G.T @ obj.grad(G @ lam),
-                                          lam0, budget.polish_iters)
-        evals += used
-        v = obj.from_internal(f)
-        if v < best_val - 1e-15:
-            best_val, best_x = v, G @ lam
-    return best_val, best_x, evals
+    lam, f, used = descend_on_simplex(lambda L: obj.value(L @ G.T),
+                                      lambda L: obj.grad(L @ G.T) @ G,
+                                      lattice[order[: budget.multistarts]],
+                                      budget.polish_iters)
+    v = obj.from_internal(f)
+    i = int(np.argmin(v))
+    if v[i] < best_val - 1e-15:
+        best_val, best_x = float(v[i]), G @ lam[i]
+    return best_val, best_x, len(vals) + int(used.sum())
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -343,21 +334,21 @@ def s_cone_samples(A: Tensor, N: int,
     mask = (F.min(axis=1) >= -loose) & (np.abs(xm) <= loose)
     candidates = [lattice[i] for i in np.flatnonzero(mask)]
 
-    def merit(x):
-        Fx = apply_m1(A, x)
-        return float(np.sum(np.minimum(Fx, 0.0) ** 2) + np.dot(x, Fx) ** 2)
+    def merit(X):
+        F = apply_m1(A, X)
+        return np.sum(np.minimum(F, 0.0) ** 2, axis=1) + np.vecdot(X, F) ** 2
 
-    def merit_grad(x):
-        Fx = apply_m1(A, x)
-        J = jacobian_m1(A, x)
-        g = 2.0 * (J.T @ np.minimum(Fx, 0.0))
-        g += 2.0 * float(np.dot(x, Fx)) * (Fx + J.T @ x)
+    def merit_grad(X):
+        F = apply_m1(A, X)
+        J = jacobian_m1(A, X)
+        g = 2.0 * (np.minimum(F, 0.0)[:, None, :] @ J)[:, 0]
+        g += 2.0 * np.vecdot(X, F)[:, None] * (F + (X[:, None, :] @ J)[:, 0])
         return g
 
     out: list[np.ndarray] = []
     for lam in candidates:
-        x, _, _ = descend_on_simplex(merit, merit_grad, lam, budget.polish_iters)
-        u = _unit(x)
+        x, _, _ = descend_on_simplex(merit, merit_grad, lam[None], budget.polish_iters)
+        u = _unit(x[0])
         Fu = apply_m1(A, u)
         if np.all(Fu >= -budget.margin) and abs(float(np.dot(u, Fu))) <= budget.margin:
             if all(np.linalg.norm(u - p) > 1e-6 for p in out):

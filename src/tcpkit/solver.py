@@ -164,19 +164,19 @@ def refine(inst: TcpInstance, x0, iters: int = 80) -> TcpSolution:
     if not inst.cone.is_orthant:
         raise ValueError("min-map refinement requires the nonnegative orthant")
     n = inst.A.dim
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     if x.shape != (n,):
         raise ShapeError("starting point has wrong dimension")
 
-    def phi(v):
-        return np.minimum(v, inst.w_of(v))
+    def phi(V):
+        return np.minimum(V, inst.w_of(V))
 
-    def jac(v):
+    def jac(V):
         # row i of the generalized Jacobian: e_i where x_i is the active branch
-        return np.where((v <= inst.w_of(v))[:, None], np.eye(n), jacobian_m1(inst.A, v))
+        return np.where((V <= inst.w_of(V))[:, :, None], np.eye(n), jacobian_m1(inst.A, V))
 
-    x, _ = damped_newton(phi, jac, x, iters, 1e-12)
-    x = np.maximum(x, 0.0)
+    X, _ = damped_newton(phi, jac, x[None], iters, 1e-12)
+    x = np.maximum(X[0], 0.0)
     ok = is_solution(inst, x, 1e-9)
     return _make_solution(inst, x, converged=ok)
 

@@ -138,21 +138,24 @@ def local_uniqueness_certificate(inst: TcpInstance, xbar,
 
     R = np.column_stack(rays)
 
-    def rayleigh(lam):
-        v = R @ lam
-        nv = float(np.dot(v, v))
-        return math.inf if nv <= 1e-20 else float(v @ Msym @ v) / nv
+    def rayleigh(L):
+        V = L @ R.T
+        nv = np.vecdot(V, V)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(nv <= 1e-20, math.inf, np.vecdot((V[:, None, :] @ Msym)[:, 0], V) / nv)
 
-    def grad(lam):
-        v = R @ lam
-        return R.T @ (2.0 * (Msym @ v - rayleigh(lam) * v) / float(np.dot(v, v)))
+    def grad(L):
+        V = L @ R.T
+        MV = (V[:, None, :] @ Msym)[:, 0]
+        return (2.0 * (MV - rayleigh(L)[:, None] * V) / np.vecdot(V, V)[:, None]) @ R
 
     k = R.shape[1]
     lattice = _simplex_lattice(k, budget.resolution_for(k))
-    start = min(lattice, key=rayleigh)  # first lattice minimizer
-    lam, best_val, used = descend_on_simplex(rayleigh, grad, start, budget.polish_iters)
-    evals = len(lattice) + used - 1  # the start was already scored on the lattice
-    best_v = R @ lam
+    start = lattice[np.argmin(rayleigh(lattice))]  # first lattice minimizer
+    lam, val, used = descend_on_simplex(rayleigh, grad, start[None], budget.polish_iters)
+    best_val = float(val[0])
+    evals = len(lattice) + int(used[0]) - 1  # the start was already scored on the lattice
+    best_v = R @ lam[0]
 
     witness = best_v / np.linalg.norm(best_v)
     if best_val > budget.margin:

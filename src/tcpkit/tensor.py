@@ -146,9 +146,10 @@ class IndexSet:
         return i in self.members
 
 
-def _check_vec(A: Tensor, x) -> np.ndarray:
+def _check_vec(A: Tensor, x, stack: bool = False) -> np.ndarray:
+    """x as one point (n,) or, if stack, also as the rows of an (S, n) array."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (A.dim,):
+    if x.shape[-1:] != (A.dim,) or x.ndim > 1 + stack:
         raise ShapeError(f"vector of shape {x.shape} incompatible with dim {A.dim}")
     return x
 
@@ -163,19 +164,29 @@ def _monomials(A: Tensor, X: np.ndarray, skip: int | None = None) -> np.ndarray:
     return functools.reduce(np.multiply, factors)
 
 
-def _derivative(A: Tensor, x: np.ndarray, positions) -> np.ndarray:
+def _derivative(A: Tensor, X: np.ndarray, positions) -> np.ndarray:
     """Sum over p in positions of the derivative of x -> A x^{m-1} through
-    tail position p: (i, j) adds a_{i j2..jm} prod_{q != p} x_{jq} if j_p = j."""
-    D = np.zeros(A._coef.shape)
+    tail position p: (i, j) adds a_{i j2..jm} prod_{q != p} x_{jq} if j_p = j.
+    Shape (n, n) for one point x, (S, n, n) for the S rows of X."""
+    D = np.zeros(X.shape[:-1] + A._coef.shape)
     rows = np.arange(len(A._tails))
     for p in positions:
-        D[rows, A._tails[:, p]] += _monomials(A, x, p)
+        D.T[A._tails[:, p], rows] += _monomials(A, X, p)
     return A._coef.T @ D
 
 
 def apply_m1(A: Tensor, x) -> np.ndarray:
-    """F(x) = A x^{m-1}, component i = sum a_{i i2...im} x_{i2}...x_{im}."""
-    return _monomials(A, _check_vec(A, x)) @ A._coef
+    """F(x) = A x^{m-1}, component i = sum a_{i i2...im} x_{i2}...x_{im}.
+
+    x is one point or the rows of an (S, n) array; every row gets the bits
+    it gets alone (one vector-matrix product per row), so a batch of
+    iterates moves as each would on its own.  On large grids
+    batch_apply_m1 is faster, but its rows can differ in the last bit.
+    """
+    M = _monomials(A, _check_vec(A, x, stack=True))
+    if M.ndim == 1:
+        return M @ A._coef
+    return (np.ascontiguousarray(M.T)[:, None, :] @ A._coef)[:, 0]
 
 
 def apply_m(A: Tensor, x) -> float:
@@ -190,12 +201,13 @@ def apply_m2(A: Tensor, x) -> np.ndarray:
 
 
 def jacobian_m1(A: Tensor, x) -> np.ndarray:
-    """Exact Jacobian of x -> A x^{m-1}.
+    """Exact Jacobian of x -> A x^{m-1}: (n, n) at one point, (S, n, n) at
+    the rows of an (S, n) array, each row as it would be alone.
 
     Coincides with (m-1) * apply_m2(A, x) when A is sub-symmetric; summed
     over every tail position so that Newton steps stay correct otherwise.
     """
-    return _derivative(A, _check_vec(A, x), range(A.order - 1))
+    return _derivative(A, _check_vec(A, x, stack=True), range(A.order - 1))
 
 
 def unit_tensor(m: int, n: int) -> Tensor:
@@ -211,12 +223,14 @@ def principal_subtensor(A: Tensor, alpha: IndexSet) -> Tensor:
         raise ValueError("principal sub-tensor needs a nonempty index set")
     if alpha.n != A.dim:
         raise ShapeError("index set ambient dimension differs from tensor dim")
-    pos = {i: k + 1 for k, i in enumerate(alpha.members)}
-    sub = {}
-    for idx, val in A.entries.items():
-        if all(i in pos for i in idx):
-            sub[tuple(pos[i] for i in idx)] = val
-    return Tensor(A.order, len(alpha), sub)
+    pos = np.full(A.dim, -1)
+    pos[[i - 1 for i in alpha.members]] = np.arange(len(alpha))
+    tails = pos[A._tails]
+    keep = np.all(tails >= 0, axis=1)
+    coef = A._coef[keep][:, pos >= 0]
+    t, head = np.nonzero(coef)
+    idx = np.column_stack([head, tails[keep][t]]) + 1
+    return Tensor(A.order, len(alpha), dict(zip(map(tuple, idx.tolist()), coef[t, head].tolist())))
 
 
 def apply_off(A: Tensor, alpha: IndexSet, u_alpha) -> np.ndarray:

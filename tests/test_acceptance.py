@@ -119,13 +119,18 @@ def test_criterion_3_decomposition_equivalence():
     f = []
     rng = SplitMix64(2024)
     agree = disagree = unknown = 0
+    lib_s = oracle_s = 0.0
     for t in range(200):
         tr = rng.spawn(t + 1)
         dense = np.array([tr.uniform(-2.0, 2.0)
                           for _ in range(8)]).reshape(2, 2, 2)
         q = np.array([tr.uniform(-2.0, 2.0) for _ in range(2)])
+        t1 = time.perf_counter()
         res = tk.q_membership(tensor_from_dense(dense), q)
+        t2 = time.perf_counter()
         verdict, _ = grid_tcp_oracle(dense, q)
+        lib_s += t2 - t1
+        oracle_s += time.perf_counter() - t2
         if res.member is None or verdict == UNKNOWN:
             unknown += 1
         elif res.member == (verdict == MEMBER):
@@ -138,7 +143,7 @@ def test_criterion_3_decomposition_equivalence():
     check(f, elapsed < 300.0, f"runtime {elapsed:.0f}s >= 5min")
     CRITERIA_RESULTS.append(
         f"CRITERION 3 [detail]: agree={agree} unknown={unknown} "
-        f"time={elapsed:.0f}s")
+        f"time={elapsed:.0f}s lib={lib_s:.1f}s oracle={oracle_s:.1f}s")
     record(3, "decomposition equivalence vs grid oracle", f)
 
 

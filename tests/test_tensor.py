@@ -252,8 +252,8 @@ def test_contraction_consistency(A, coords):
 
 
 @st.composite
-def sparse_tensors(draw):
-    m = draw(st.integers(2, 5))
+def sparse_tensors(draw, max_order=5):
+    m = draw(st.integers(2, max_order))
     n = draw(st.integers(1, 4))
     idx = st.tuples(*[st.integers(1, n)] * m)
     return Tensor(m, n, draw(st.dictionaries(idx, st.floats(-2, 2), max_size=12)))
@@ -312,3 +312,44 @@ def test_products_match_reference(A, coords, alpha_bits):
         u = x[[i - 1 for i in alpha]]
         assert np.allclose(apply_off(A, IndexSet(alpha, n), u),
                            reference_off(A, alpha, u), rtol=0, atol=tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(A=sparse_tensors(),
+       coords=st.lists(st.floats(-3, 3), min_size=64, max_size=64),
+       S=st.integers(1, 16))
+def test_stacked_products_are_rowwise_exact(A, coords, S):
+    # every row of a stack gets exactly the bits it gets alone
+    n = A.dim
+    X = np.array(coords[: S * n]).reshape(S, n)
+    F, J = apply_m1(A, X), jacobian_m1(A, X)
+    assert F.shape == (S, n) and J.shape == (S, n, n)
+    for s in range(S):
+        assert np.array_equal(F[s], apply_m1(A, X[s]))
+        assert np.array_equal(J[s], jacobian_m1(A, X[s]))
+        Fr, _, Jr, mag = reference_products(A, X[s])
+        assert np.allclose(F[s], Fr, rtol=0, atol=1e-12 * mag)
+        assert np.allclose(J[s], Jr, rtol=0, atol=1e-12 * mag)
+
+
+def test_stacked_products_reject_bad_shapes(e1):
+    for bad in (np.zeros((2, 3)), np.zeros((1, 2, 2)), 1.0):
+        with pytest.raises(ShapeError):
+            apply_m1(e1, bad)
+        with pytest.raises(ShapeError):
+            jacobian_m1(e1, bad)
+    with pytest.raises(ShapeError):
+        apply_m(e1, np.zeros((3, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=sparse_tensors(max_order=4), alpha_bits=st.integers(1, 15))
+def test_principal_subtensor_matches_definition(A, alpha_bits):
+    members = [i + 1 for i in range(A.dim) if alpha_bits >> i & 1] or [1]
+    # the defining rule: keep the entries with every index in alpha, renumbered
+    pos = {i: k + 1 for k, i in enumerate(members)}
+    expected = {tuple(pos[i] for i in idx): val for idx, val in A.entries.items()
+                if all(i in pos for i in idx)}
+    sub = principal_subtensor(A, IndexSet(members, A.dim))
+    assert (sub.order, sub.dim) == (A.order, len(members))
+    assert dict(sub.entries) == expected
