@@ -155,16 +155,30 @@ class _Objective:
         return np.sqrt(np.maximum(v, 0.0))
 
 
+def _combine(L: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The rows of L @ G.T, as a fixed-order sum over the columns of G: each
+    row gets the bits it gets alone, which a matrix product does not promise
+    once the stack height changes."""
+    return sum(L[:, j, None] * G[:, j] for j in range(G.shape[1]))
+
+
+_RUNGS = 30  # backtracking steps tried per descent step
+
+
 def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
     """Projected gradient descent of f on the standard simplex, from every
     row of the (S, k) array Lam0 at once; f maps (S, k) rows to (S,) values
     and grad to (S, k) gradients.
 
     Each row steps on its own: it backtracks from its last accepted step
-    length, halving at most 30 times, and accepts the first strict decrease
-    of f; an accepted step length doubles for the next step (capped at 1e6).
-    A row stops when ||grad|| <= 1e-14 (or is NaN) or no halving decreases
-    f.  Returns (rows, their f values, evaluations of f per row).
+    length t through the 30 rungs t, t/2, t/4, ... and accepts the first
+    strict decrease of f; an accepted step length doubles for the next step
+    (capped at 1e6).  A row stops when ||grad|| <= 1e-14 (or is NaN) or no
+    rung decreases f.  All 30 rungs of every moving row are projected and
+    evaluated in one call each, but a row is charged the evaluations the
+    one-rung-at-a-time rule makes: its accepted rung + 1, or 30.  f must
+    give each row the value it gets alone.  Returns (rows, their f values,
+    evaluations of f per row).
     """
     lam = np.array(Lam0, dtype=float)
     val = f(lam)
@@ -179,18 +193,24 @@ def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
         moving = np.sqrt(np.vecdot(g, g)) > 1e-14
         active[rows[~moving]] = False
         rows, g = rows[moving], g[moving]
-        t = step[rows]
-        for _ in range(30):
-            if not len(rows):
-                break
-            cand = _project_simplex(lam[rows] - t[:, None] * g)
-            fc = f(cand)
-            evals[rows] += 1
-            ok = fc < val[rows]
-            done = rows[ok]
-            lam[done], val[done], step[done] = cand[ok], fc[ok], np.minimum(2.0 * t[ok], 1e6)
-            rows, g, t = rows[~ok], g[~ok], 0.5 * t[~ok]
-        active[rows] = False
+        if not len(rows):
+            break
+        R = len(rows)
+        T = np.full((R, _RUNGS), 0.5)
+        T[:, 0] = step[rows]
+        T = np.cumprod(T, axis=1)  # repeated halving: each rung has the one-rung rule's bits
+        V = lam[rows, None] - T[:, :, None] * g[:, None]
+        cand = _project_simplex(V.reshape(R * _RUNGS, -1))
+        fc = f(cand).reshape(R, _RUNGS)
+        ok = fc < val[rows, None]
+        first = np.argmax(ok, axis=1)  # the first accepted rung, or 0 when there is none
+        took = ok[np.arange(R), first]
+        evals[rows] += np.where(took, first + 1, _RUNGS)
+        pick = (np.arange(R) * _RUNGS + first)[took]
+        done = rows[took]
+        lam[done], val[done] = cand[pick], fc.ravel()[pick]
+        step[done] = np.minimum(2.0 * T.ravel()[pick], 1e6)
+        active[rows[~took]] = False
     return lam, val, evals
 
 
@@ -212,20 +232,20 @@ def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchB
     obj = _Objective(objective, A)
 
     lattice = _simplex_lattice(k, budget.resolution_for(k))
-    X = lattice @ G.T
+    X = _combine(lattice, G)
     vals = obj.from_internal(obj.value(X))
     order = np.argsort(vals, kind="stable")
     best_val = float(vals[order[0]])
     best_x = X[order[0]]
 
-    lam, f, used = descend_on_simplex(lambda L: obj.value(L @ G.T),
-                                      lambda L: obj.grad(L @ G.T) @ G,
+    lam, f, used = descend_on_simplex(lambda L: obj.value(_combine(L, G)),
+                                      lambda L: _combine(obj.grad(_combine(L, G)), G.T),
                                       lattice[order[: budget.multistarts]],
                                       budget.polish_iters)
     v = obj.from_internal(f)
     i = int(np.argmin(v))
     if v[i] < best_val - 1e-15:
-        best_val, best_x = float(v[i]), G @ lam[i]
+        best_val, best_x = float(v[i]), _combine(lam[i:i + 1], G)[0]
     return best_val, best_x, len(vals) + int(used.sum())
 
 

@@ -155,18 +155,13 @@ def solve_enumerate(inst: TcpInstance, budget: SearchBudget | None = None) -> En
     return EnumerationOutcome(found, not all_settled and not found)
 
 
-def refine(inst: TcpInstance, x0, iters: int = 80) -> TcpSolution:
-    """Semismooth Newton on the min-map Phi(x) = min(x, A x^{m-1} + q).
-
-    Returns a TcpSolution with converged=False (never a false success) when
-    the iteration stalls above residual 1e-9.
-    """
+def _min_map_newton(inst: TcpInstance, X0: np.ndarray, iters: int = 80) -> np.ndarray:
+    """Semismooth Newton on the min-map Phi(x) = min(x, A x^{m-1} + q) from
+    every row of the (S, n) array X0 at once; returns the end points clamped
+    to x >= 0, each row as its start would end alone."""
     if not inst.cone.is_orthant:
         raise ValueError("min-map refinement requires the nonnegative orthant")
     n = inst.A.dim
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (n,):
-        raise ShapeError("starting point has wrong dimension")
 
     def phi(V):
         return np.minimum(V, inst.w_of(V))
@@ -175,10 +170,21 @@ def refine(inst: TcpInstance, x0, iters: int = 80) -> TcpSolution:
         # row i of the generalized Jacobian: e_i where x_i is the active branch
         return np.where((V <= inst.w_of(V))[:, :, None], np.eye(n), jacobian_m1(inst.A, V))
 
-    X, _ = damped_newton(phi, jac, x[None], iters, 1e-12)
-    x = np.maximum(X[0], 0.0)
-    ok = is_solution(inst, x, 1e-9)
-    return _make_solution(inst, x, converged=ok)
+    X, _ = damped_newton(phi, jac, X0, iters, 1e-12)
+    return np.maximum(X, 0.0)
+
+
+def refine(inst: TcpInstance, x0, iters: int = 80) -> TcpSolution:
+    """Semismooth Newton on the min-map Phi(x) = min(x, A x^{m-1} + q).
+
+    Returns a TcpSolution with converged=False (never a false success) when
+    the iteration stalls above residual 1e-9.
+    """
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (inst.A.dim,):
+        raise ShapeError("starting point has wrong dimension")
+    x = _min_map_newton(inst, x[None], iters)[0]
+    return _make_solution(inst, x, converged=is_solution(inst, x, 1e-9))
 
 
 def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int,
@@ -189,11 +195,10 @@ def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int
     found = [s.x for s in outcome.solutions]
     rng = SplitMix64(seed)
     n = inst.A.dim
-    for _ in range(samples):
-        x0 = np.array([rng.uniform(0.0, radius) for _ in range(n)])
-        sol = refine(inst, x0)
-        if sol.converged and all(np.linalg.norm(sol.x - y) > _DEDUP_DIST for y in found):
-            found.append(sol.x)
+    starts = np.array([[rng.uniform(0.0, radius) for _ in range(n)] for _ in range(samples)])
+    for x in _min_map_newton(inst, starts.reshape(-1, n)):
+        if is_solution(inst, x, 1e-9) and all(np.linalg.norm(x - y) > _DEDUP_DIST for y in found):
+            found.append(x)
     max_norm = max((float(np.linalg.norm(x)) for x in found), default=0.0)
     return {
         "count": len(found),

@@ -19,6 +19,7 @@ from ._rng import SplitMix64
 from .classify import (
     SearchBudget,
     Verdict,
+    _combine,
     _simplex_lattice,
     descend_on_simplex,
     is_copositive,
@@ -28,7 +29,7 @@ from .classify import (
 )
 from .compcones import complementary_tensor, q_membership
 from .cones import PolyhedralCone, extreme_rays, from_generators, orthant, tangent_cone
-from .solver import TcpInstance, is_solution, refine, residual, solve_enumerate
+from .solver import TcpInstance, _min_map_newton, is_solution, refine, residual, solve_enumerate
 from .tensor import (
     IndexSet,
     Tensor,
@@ -139,15 +140,15 @@ def local_uniqueness_certificate(inst: TcpInstance, xbar,
     R = np.column_stack(rays)
 
     def rayleigh(L):
-        V = L @ R.T
+        V = _combine(L, R)
         nv = np.vecdot(V, V)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(nv <= 1e-20, math.inf, np.vecdot((V[:, None, :] @ Msym)[:, 0], V) / nv)
 
     def grad(L):
-        V = L @ R.T
+        V = _combine(L, R)
         MV = (V[:, None, :] @ Msym)[:, 0]
-        return (2.0 * (MV - rayleigh(L)[:, None] * V) / np.vecdot(V, V)[:, None]) @ R
+        return _combine(2.0 * (MV - rayleigh(L)[:, None] * V) / np.vecdot(V, V)[:, None], R.T)
 
     k = R.shape[1]
     lattice = _simplex_lattice(k, budget.resolution_for(k))
@@ -249,15 +250,13 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
         dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
         denom = float(np.linalg.norm(dq) + np.linalg.norm(dA))
         pert = TcpInstance(inst.cone, inst.q + dq, _perturbed_tensor(inst.A, dA))
-        sols = []
         starts = [xbar] + [
             xbar + 0.1 * neighborhood_radius * np.array(trial_rng.on_sphere(n))
             for _ in range(4)
         ]
-        for x0 in starts:
-            s = refine(pert, x0)
-            if s.converged and float(np.linalg.norm(s.x - xbar)) <= neighborhood_radius:
-                sols.append(s.x)
+        sols = [x for x in _min_map_newton(pert, np.array(starts))
+                if is_solution(pert, x, 1e-9)
+                and float(np.linalg.norm(x - xbar)) <= neighborhood_radius]
         if not sols:
             failures.append(t)
             continue

@@ -3,20 +3,28 @@
 damped_newton and descend_on_simplex take every start as one row of an
 array.  Each row must follow the documented one-start rule on its own: the
 tests run it alone, and through a plain per-start loop written here from the
-docstrings, and compare bit for bit.  The maps fed to the routines are dense
-cubic forms evaluated with elementwise products and sums over trailing axes,
-so a row's value never depends on the other rows of its batch.
+docstrings, and compare bit for bit.  The maps written here (dense cubic
+forms, a linear form, a rescaled quadratic) are evaluated with elementwise
+products and sums over trailing axes, so a row's value never depends on the
+other rows of its batch.  The maps that min_over_basis and
+local_uniqueness_certificate build must keep that property too, and are
+checked the same way.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tcpkit import classify
 from tcpkit import fixtures as fx
+from tcpkit import stability
 from tcpkit._polysys import _smallest, damped_newton, scan_system
-from tcpkit.classify import descend_on_simplex
+from tcpkit.classify import SearchBudget, descend_on_simplex, min_over_basis
+from tcpkit.cones import from_generators
+from tcpkit.solver import TcpInstance
 
 
 def cubic(D):
@@ -76,7 +84,8 @@ def simplex_projection(v):
 
 
 def descent_one_start(f, grad, lam, iters):
-    """The one-start rule of descend_on_simplex, as a plain loop."""
+    """The one-start rule of descend_on_simplex, as a plain loop; returns the
+    step length a next step would start from as well."""
     val = f(lam[None])[0]
     evals, step = 1, 1.0
     for _ in range(iters):
@@ -94,7 +103,7 @@ def descent_one_start(f, grad, lam, iters):
             t *= 0.5
         else:
             break
-    return lam, val, evals
+    return lam, val, evals, step
 
 
 def clamp(V):
@@ -146,14 +155,84 @@ def test_descent_rows_end_where_each_start_ends_alone(k, S, seed):
     _, _, xF, grad_xF = cubic(rng.uniform(-2.0, 2.0, (k, k, k)))
     L0 = rng.dirichlet(np.ones(k), S)
     L0[0] = np.eye(k)[0]  # a vertex start
-    lam, val, evals = descend_on_simplex(xF, grad_xF, L0, 60)
+    lam, val, evals = assert_rows_follow_one_start_rule(xF, grad_xF, L0, 60)
     assert lam.shape == (S, k) and val.shape == (S,) and evals.shape == (S,)
-    for s in range(S):
-        l1, v1, e1 = descend_on_simplex(xF, grad_xF, L0[s:s + 1], 60)
-        assert np.array_equal(lam[s], l1[0]) and val[s] == v1[0] and evals[s] == e1[0]
-        lr, vr, er = descent_one_start(xF, grad_xF, L0[s], 60)
-        assert np.array_equal(lam[s], lr) and val[s] == vr and evals[s] == er
     assert np.allclose(lam.sum(axis=1), 1.0) and np.all(lam >= 0.0)
+
+
+def assert_rows_follow_one_start_rule(f, grad, L0, iters):
+    """Every row of one descend_on_simplex call ends as its start does alone
+    and as the plain loop does, with the same number of evaluations."""
+    lam, val, evals = descend_on_simplex(f, grad, L0, iters)
+    for s in range(len(L0)):
+        l1, v1, e1 = descend_on_simplex(f, grad, L0[s:s + 1], iters)
+        assert np.array_equal(lam[s], l1[0]) and val[s] == v1[0] and evals[s] == e1[0]
+        lr, vr, er, _ = descent_one_start(f, grad, L0[s], iters)
+        assert np.array_equal(lam[s], lr) and val[s] == vr and evals[s] == er
+    return lam, val, evals
+
+
+def test_descent_row_out_of_rungs_beside_row_taking_first_rung():
+    # f(x) = c.x is smallest at the vertex e_1, and every rung from there
+    # projects back onto it: that row spends all 30 rungs in its first step
+    # and stops, while the row from (0, 1/2, 1/2) takes its first rung, t = 1,
+    # in the same step, then t = 2 onto e_1, then runs out of rungs there
+    c = np.array([0.0, 1.0, 2.0])
+    f = lambda X: (X * c).sum(axis=1)
+    grad = lambda X: np.broadcast_to(c, X.shape).copy()
+    L0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])
+    _, _, evals = assert_rows_follow_one_start_rule(f, grad, L0, 20)
+    assert evals[0] == 1 + 30 and evals[1] == 1 + 1 + 1 + 30
+
+
+def test_descent_row_with_step_shrunk_over_many_iterations():
+    # the search direction of ||x - p||^2, scaled by ||x - p||^-4: only
+    # steps of about ||x - p||^4 decrease f, so the accepted step length
+    # falls by many orders of magnitude, a few halvings per iteration
+    p = np.array([0.3, 0.7])
+    f = lambda X: ((X - p) ** 2).sum(axis=1)
+
+    def grad(X):
+        D = X - p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return D / ((D * D).sum(axis=1)[:, None] ** 2)
+
+    L0 = np.array([[0.9, 0.1], [0.6, 0.4], [0.0, 1.0], [0.3, 0.7]])
+    assert_rows_follow_one_start_rule(f, grad, L0, 200)
+    _, _, evals, step = descent_one_start(f, grad, L0[0], 200)
+    assert step < 1e-40 and evals > 200
+
+
+@pytest.mark.parametrize("n, k, seed", [(2, 3, 1), (3, 4, 2), (4, 5, 3), (3, 6, 4)])
+def test_min_over_basis_polishes_each_start_as_alone(monkeypatch, n, k, seed):
+    # on a generated cone the map from the simplex into the cone mixes the
+    # generators; it must still give each start the bits it gets alone
+    calls = []
+    monkeypatch.setattr(classify, "descend_on_simplex",
+                        lambda *args: calls.append(args) or descend_on_simplex(*args))
+    rng = np.random.default_rng(seed)
+    K = from_generators(list(np.abs(rng.normal(size=(k, n))) + 0.1))
+    A = fx.random_tensor("general", 3, n, seed)
+    for objective in ("xm", "norm_m1", "abs_xm"):
+        min_over_basis(objective, A, K, SearchBudget(multistarts=16, polish_iters=60))
+    for f, grad, L0, iters in calls:
+        assert_rows_follow_one_start_rule(f, grad, L0, iters)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_local_uniqueness_descent_follows_one_start_rule(monkeypatch, seed):
+    # a matrix on a generated cone at xbar = 0, q = 0: the slice is the cone
+    # itself, so the Rayleigh quotient mixes all its generators
+    calls = []
+    monkeypatch.setattr(stability, "descend_on_simplex",
+                        lambda *args: calls.append(args) or descend_on_simplex(*args))
+    rng = np.random.default_rng(seed)
+    K = from_generators(list(np.abs(rng.normal(size=(3, 2))) + 0.1))
+    A = fx.random_tensor("general", 2, 2, seed)
+    stability.local_uniqueness_certificate(TcpInstance(K, np.zeros(2), A), np.zeros(2))
+    (f, grad, L0, iters), = calls
+    _, _, evals = assert_rows_follow_one_start_rule(f, grad, L0, iters)
+    assert evals[0] > 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from tcpkit import fixtures as fx
+from tcpkit._rng import SplitMix64
 from tcpkit.classify import q_in_dual_SA
 from tcpkit.compcones import q_membership
 from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import (
     TcpInstance,
+    _min_map_newton,
     instance_from_json,
     instance_to_json,
     is_solution,
@@ -164,6 +166,20 @@ class TestRefine:
         s = refine(inst, [1.0, 1.0])
         assert not s.converged
 
+    def test_singular_row_takes_least_squares_alone(self, identity32):
+        # at x_1 = 0 with w_1 = -1 < 0 the generalized Jacobian row of x_1 is
+        # the zero row of A's Jacobian, so that start's Newton system is singular
+        inst = TcpInstance(orthant(2), np.array([-1.0, -4.0]), identity32)
+        X0 = np.array([[1.5, 1.0], [0.0, 1.0], [1.5, 2.5]])
+        X = _min_map_newton(inst, X0)
+        assert np.array_equal(X[[0, 2]], _min_map_newton(inst, X0[[0, 2]]))
+        for x, x0 in zip(X, X0):
+            s = refine(inst, x0)
+            assert np.array_equal(x, s.x)
+        assert np.allclose(X[[0, 2]], [[1.0, 2.0], [1.0, 2.0]])
+        # the minimum-norm step leaves the zero coordinate where it is
+        assert X[1, 0] == 0.0 and not refine(inst, X0[1]).converged
+
 
 class TestProbeAndJson:
     def test_probe_identity(self, identity32):
@@ -176,6 +192,21 @@ class TestProbeAndJson:
         inst = TcpInstance(orthant(2), np.array([1.0, 1.0]), e1)
         rep = solution_set_probe(inst, radius=5.0, samples=40, seed=2)
         assert rep["count"] == 1  # only the origin
+
+    @pytest.mark.parametrize("q", [[-1.0, -4.0], [1.0, 1.0], [-1.0, 0.5]])
+    @pytest.mark.parametrize("name", ["E1", "E4", "identity32"])
+    def test_probe_matches_per_start_refines(self, name, q):
+        inst = TcpInstance(orthant(2), np.array(q), fx.fixture(name))
+        rep = solution_set_probe(inst, radius=5.0, samples=30, seed=11)
+        # the probe's loop, refining one start at a time with refine
+        found = [s.x for s in solve_enumerate(inst).solutions]
+        rng = SplitMix64(11)
+        for _ in range(30):
+            sol = refine(inst, np.array([rng.uniform(0.0, 5.0) for _ in range(2)]))
+            if sol.converged and all(np.linalg.norm(sol.x - y) > 1e-6 for y in found):
+                found.append(sol.x)
+        assert rep["count"] == len(found)
+        assert rep["bounded_within"] == max((float(np.linalg.norm(x)) for x in found), default=0.0)
 
     def test_instance_round_trip(self, e1):
         inst = TcpInstance(orthant(2), np.array([-1.0, 2.0]), e1)

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from tcpkit import fixtures as fx
+from tcpkit._rng import SplitMix64
 from tcpkit.classify import SearchBudget
 from tcpkit.cones import orthant
-from tcpkit.solver import TcpInstance
+from tcpkit.solver import TcpInstance, refine, solve_enumerate
 from tcpkit.stability import (
+    PerturbationReport,
+    _draw_perturbation,
+    _perturbed_tensor,
     error_bound_probe,
     graph_closedness_probe,
     local_uniqueness_certificate,
@@ -113,6 +117,57 @@ class TestErrorBound:
         inst = TcpInstance(orthant(2), np.zeros(2), e2)
         with pytest.raises(ValueError):
             error_bound_probe(inst, np.array([1.0, 0.0]), 0.1, 1e-3, 3, 0)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    @pytest.mark.parametrize("seed", [7, 2024, 90210])
+    @pytest.mark.parametrize("radius", [0.1, 10.0])
+    @pytest.mark.parametrize("case", ["identity", "two-solutions"])
+    def test_matches_per_start_refines(self, case, radius, seed, eps, identity32):
+        if case == "identity":
+            inst = TcpInstance(orthant(2), np.array([-1.0, -1.0]), identity32)
+            xbar = np.array([1.0, 1.0])
+        else:
+            # solutions near (0.750, 0.603) and (0.352, 1.312)
+            inst = TcpInstance(orthant(2), np.array([-0.8631953450048342, 0.5941888283193002]),
+                               fx.random_tensor("general", 3, 2, 8))
+            xbar = next(s.x for s in solve_enumerate(inst).solutions if s.x[0] > 0.7)
+        # at radius 10 the starts lie 1.0 from xbar: some refines fail, and
+        # on two-solutions some end at the other solution
+        got = error_bound_probe(inst, xbar, radius, eps, 12, seed)
+        assert got == error_bound_reference(inst, xbar, radius, eps, 12, seed)
+
+
+def error_bound_reference(inst, xbar, radius, eps, trials, seed):
+    """error_bound_probe's report, refining one start at a time with refine."""
+    rng = SplitMix64(seed)
+    n = inst.A.dim
+    shape = (n,) * inst.A.order
+    ratio_max, solvable, max_norm, failures, skipped = 0.0, 0, 0.0, [], 0
+    for t in range(trials):
+        trial_rng = rng.spawn(t + 1)
+        dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
+        denom = float(np.linalg.norm(dq) + np.linalg.norm(dA))
+        pert = TcpInstance(inst.cone, inst.q + dq, _perturbed_tensor(inst.A, dA))
+        starts = [xbar] + [xbar + 0.1 * radius * np.array(trial_rng.on_sphere(n))
+                           for _ in range(4)]
+        sols = []
+        for x0 in starts:
+            s = refine(pert, x0)
+            if s.converged and float(np.linalg.norm(s.x - xbar)) <= radius:
+                sols.append(s.x)
+        if not sols:
+            failures.append(t)
+            continue
+        solvable += 1
+        max_norm = max(max_norm, max(float(np.linalg.norm(x)) for x in sols))
+        if denom < 1e-12:
+            skipped += 1
+            continue
+        ratio_max = max(ratio_max, max(float(np.linalg.norm(x - xbar)) for x in sols) / denom)
+    return PerturbationReport(
+        trials=trials, eps=eps, seed=seed, solvable_fraction=solvable / trials,
+        max_solution_norm=max_norm, error_ratio_max=ratio_max, failures=tuple(failures),
+        note=f"skipped {skipped} zero-perturbation trials" if skipped else "")
 
 
 class TestUsc:
