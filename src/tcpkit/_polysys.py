@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .classify import _compositions
 from .tensor import (
     IndexSet,
     Tensor,
@@ -63,16 +64,10 @@ def _sign_infeasible(dense: np.ndarray, q: np.ndarray) -> bool:
 
 def _sphere_grid(k: int, res: int) -> np.ndarray:
     """Unit-norm nonnegative directions from a barycentric lattice."""
-    if k == 1:
-        return np.array([[1.0]])
     if k == 2:
         t = np.linspace(0.0, math.pi / 2, res)
         return np.column_stack([np.cos(t), np.sin(t)])
-    pts = []
-    for comp in itertools.product(range(res + 1), repeat=k):
-        if sum(comp) == res:
-            pts.append(comp)
-    X = np.asarray(pts, dtype=float)
+    X = _compositions(k, res).astype(float)
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     return X
 

@@ -92,20 +92,20 @@ class SearchBudget:
         )
 
 
+def _compositions(k: int, res: int) -> np.ndarray:
+    """Every composition of res into k nonnegative integer parts, as the
+    rows of an int array in lexicographic order (from the k-1 cut points of
+    res + k - 1 slots, stars and bars)."""
+    cuts = list(itertools.combinations(range(res + k - 1), k - 1))
+    C = np.array(cuts, dtype=np.intp).reshape(len(cuts), k - 1)
+    ends = np.full((len(cuts), 1), -1)
+    return np.diff(np.hstack([ends, C, ends + res + k]), axis=1) - 1
+
+
 def _simplex_lattice(k: int, res: int) -> np.ndarray:
     """All barycentric lattice points (c/res) with c a composition of res
     into k nonnegative parts, in lexicographic order."""
-    combos = itertools.combinations(range(res + k - 1), k - 1)
-    pts = []
-    for cut in combos:
-        prev = -1
-        comp = []
-        for c in cut:
-            comp.append(c - prev - 1)
-            prev = c
-        comp.append(res + k - 2 - prev)
-        pts.append(comp)
-    return np.asarray(pts, dtype=float) / res
+    return _compositions(k, res) / res
 
 
 def _project_simplex(V: np.ndarray) -> np.ndarray:

@@ -344,10 +344,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _ParseFailure as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ShapeError as e:
+    except (_ParseFailure, ShapeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -60,18 +60,15 @@ def complementary_tensor(A: Tensor, alpha: IndexSet | tuple) -> Tensor:
     on indices entirely outside alpha; zero otherwise."""
     if not isinstance(alpha, IndexSet):
         alpha = IndexSet(tuple(alpha), A.dim)
-    inside = set(alpha.members)
-    m = A.order
-    entries: dict[tuple, float] = {}
-    if inside:
-        for idx, val in A.entries.items():
-            if all(i in inside for i in idx[1:]):
-                entries[idx] = -val
-    for i in range(1, A.dim + 1):
-        if i not in inside:
-            key = (i,) * m
-            entries[key] = entries.get(key, 0.0) + 1.0
-    return Tensor(m, A.dim, entries)
+    if alpha.n != A.dim:
+        raise ShapeError("index set ambient dimension differs from tensor dim")
+    inside = np.zeros(A.dim, dtype=bool)
+    inside[[i - 1 for i in alpha.members]] = True
+    keep = np.all(inside[A._tails], axis=1)
+    out = np.flatnonzero(~inside)
+    tails = np.vstack([A._tails[keep], np.repeat(out[:, None], A.order - 1, axis=1)])
+    coef = np.vstack([-A._coef[keep], np.eye(A.dim)[out]])
+    return Tensor._from_form(A.order, A.dim, tails, coef, merge=True)
 
 
 def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None = None) -> Verdict:
@@ -212,13 +209,9 @@ def solution_from_membership(result: MembershipResult, A: Tensor, q) -> np.ndarr
         raise ValueError("no solution to reconstruct: result is not a member")
     q = np.asarray(q, dtype=float)
     x = np.zeros(A.dim)
-    for i in result.alpha.members:
-        x[i - 1] = result.u[i - 1]
+    a = [i - 1 for i in result.alpha.members]
+    x[a] = result.u[a]
     # one Newton touch-up keeps the reconstruction at solver tolerance
-    if len(result.alpha) > 0:
-        sub = principal_subtensor(A, result.alpha)
-        u_a = np.array([result.u[i - 1] for i in result.alpha.members])
-        u_ref, _ = newton_refine(sub, q[[i - 1 for i in result.alpha.members]], u_a)
-        for kpos, i in enumerate(result.alpha.members):
-            x[i - 1] = u_ref[kpos]
+    if a:
+        x[a] = newton_refine(principal_subtensor(A, result.alpha), q[a], result.u[a])[0]
     return x

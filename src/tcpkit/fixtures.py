@@ -137,17 +137,14 @@ def random_tensor(kind: str, m: int, n: int, seed: int) -> Tensor:
         raise ValueError(f"unknown random tensor kind {kind!r}")
     rng = SplitMix64(seed)
     entries: dict[tuple, float] = {}
-    if kind == "symmetric":
-        for idx in itertools.combinations_with_replacement(range(1, n + 1), m):
-            v = rng.uniform(-2.0, 2.0)
-            for perm in set(itertools.permutations(idx)):
-                entries[perm] = v
-    elif kind == "subsymmetric":
-        for i in range(1, n + 1):
-            for tail in itertools.combinations_with_replacement(range(1, n + 1), m - 1):
+    if kind in ("symmetric", "subsymmetric"):
+        # one draw per orbit of the permuted positions, every head before the next
+        heads = [()] if kind == "symmetric" else [(i,) for i in range(1, n + 1)]
+        for head in heads:
+            for tail in itertools.combinations_with_replacement(range(1, n + 1), m - len(head)):
                 v = rng.uniform(-2.0, 2.0)
                 for perm in set(itertools.permutations(tail)):
-                    entries[(i,) + perm] = v
+                    entries[head + perm] = v
     else:
         for idx in itertools.product(range(1, n + 1), repeat=m):
             entries[idx] = rng.uniform(-2.0, 2.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,17 +64,7 @@ class PerturbationReport:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "eps": self.eps,
-            "seed": self.seed,
-            "solvable_fraction": self.solvable_fraction,
-            "max_solution_norm": self.max_solution_norm,
-            "error_ratio_max": self.error_ratio_max,
-            "failures": list(self.failures),
-            "resamples": self.resamples,
-            "note": self.note,
-        }
+        return {**asdict(self), "failures": list(self.failures)}
 
 
 def _draw_perturbation(rng: SplitMix64, n: int, shape: tuple, eps: float):

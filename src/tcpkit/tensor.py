@@ -4,22 +4,26 @@ Indices are 1-based throughout, matching the JSON interchange format
 ``{"order": m, "dim": n, "entries": [{"idx": [i1, ..., im], "val": v}]}``.
 A zero stored value is equivalent to an absent entry.
 
-Each ``Tensor`` freezes one contraction form when it is built: the distinct
-trailing index tuples (j2, ..., jm) as a (T, m-1) array ``_tails`` and the
-(T, n) matrix ``_coef[t, i] = a_{i, tails[t]}``.  One kernel, ``_monomials``,
-forms the T monomials x_{j2}...x_{jm} (optionally without tail position p)
-at one point or a batch of points; then A x^{m-1} = monomials(x) @ coef, and
-the derivative through position p is coef.T @ D_p with
-D_p[t, tails[t, p]] = monomials(x, skip=p)[t].  A x^{m-2} is the p = 0
-derivative and the Jacobian is the sum over p.
+A ``Tensor`` has one representation, its contraction form: the distinct
+trailing index tuples (j2, ..., jm), 0-based and sorted, as a (T, m-1)
+array ``_tails``, and the (T, n) matrix ``_coef[t, i] = a_{i, tails[t]}``
+with no all-zero row.  One constructor, ``Tensor._from_form``, builds every
+tensor: ``Tensor(order, dim, entries)`` validates its dict once, with numpy,
+and derived tensors are cut from their parents' forms.  ``entries`` is a
+read-only view of the form.
+
+One kernel, ``_monomials``, forms the T monomials x_{j2}...x_{jm}
+(optionally without tail position p) at one point or a batch of points;
+then A x^{m-1} = monomials(x) @ coef, and the derivative through position p
+is coef.T @ D_p with D_p[t, tails[t, p]] = monomials(x, skip=p)[t].
+A x^{m-2} is the p = 0 derivative and the Jacobian is the sum over p.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -51,51 +55,71 @@ class ShapeError(ValueError):
     """Dimension or order mismatch between tensors/vectors."""
 
 
-def _validate_entries(order: int, dim: int, entries: Mapping[tuple, float]) -> dict:
-    clean: dict[tuple, float] = {}
-    for idx, val in entries.items():
-        idx = tuple(int(i) for i in idx)
-        if len(idx) != order:
-            raise ShapeError(f"index {idx} has length {len(idx)}, expected {order}")
-        if any(i < 1 or i > dim for i in idx):
-            raise ShapeError(f"index {idx} out of range 1..{dim}")
-        val = float(val)
-        if not math.isfinite(val):
-            raise ValueError(f"non-finite entry at {idx}: {val}")
-        if val != 0.0:
-            clean[idx] = val
-    return clean
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Tensor:
     """Immutable m-th order, n-dimensional real square tensor."""
 
     order: int
     dim: int
-    entries: Mapping[tuple, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.order < 2:
-            raise ValueError(f"order must be >= 2, got {self.order}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        clean = _validate_entries(self.order, self.dim, self.entries)
-        object.__setattr__(self, "entries", MappingProxyType(clean))
-        tails = sorted({idx[1:] for idx in clean})
-        row = {tail: t for t, tail in enumerate(tails)}
-        coef = np.zeros((len(tails), self.dim))
-        heads = [idx[0] - 1 for idx in clean]
-        coef[[row[idx[1:]] for idx in clean], heads] = list(clean.values())
-        tails = np.array(tails, dtype=np.intp).reshape(-1, self.order - 1) - 1
+    def __init__(self, order, dim, entries: Mapping[tuple, float] | None = None):
+        if not (float(order).is_integer() and float(dim).is_integer() and order >= 2 and dim >= 1):
+            raise ValueError(f"need whole numbers order >= 2, dim >= 1; got {order!r}, {dim!r}")
+        order, dim = int(order), int(dim)
+        entries = entries or {}
+        keys = list(entries.keys())
+        try:
+            idx = np.array(keys or np.empty((0, order)), dtype=float)
+        except ValueError as e:  # index tuples of unequal lengths
+            raise ShapeError(f"indices must be {order}-tuples: {e}") from e
+        if idx.shape[1:] != (order,):
+            raise ShapeError(f"index {keys[0]} is not a {order}-tuple")
+        for bad, why in ((np.trunc(idx) != idx, "is not integral"),
+                         ((idx < 1) | (idx > dim), f"out of range 1..{dim}")):
+            bad = np.any(bad, axis=1)
+            if bad.any():
+                raise ShapeError(f"index {keys[np.argmax(bad)]} {why}")
+        idx = idx.astype(np.intp) - 1
+        coef = np.zeros((len(keys), dim))
+        coef[np.arange(len(keys)), idx[:, 0]] = np.array(list(entries.values()), dtype=float)
+        self.__dict__.update(Tensor._from_form(order, dim, idx[:, 1:], coef, True).__dict__)
+
+    @classmethod
+    def _from_form(cls, order: int, dim: int, tails, coef, merge: bool = False) -> "Tensor":
+        """The tensor with entry (i + 1, *(tails[t] + 1)) = coef[t, i].  The rows
+        of tails must be sorted and distinct unless merge, which sorts them and
+        sums the coef rows of equal tails, in row order."""
+        tails = np.asarray(tails, dtype=np.intp).reshape(-1, order - 1)
+        coef = np.asarray(coef, dtype=float)
+        if merge and len(tails):
+            perm = np.lexsort(tails.T[::-1])
+            tails, coef = tails[perm], coef[perm]
+            new = np.r_[True, np.any(tails[1:] != tails[:-1], axis=1)]
+            summed = np.zeros((np.count_nonzero(new), dim))
+            np.add.at(summed, np.cumsum(new) - 1, coef)
+            tails, coef = tails[new], summed
+        if not np.all(np.isfinite(coef)):  # scale and + can overflow
+            t, i = np.argwhere(~np.isfinite(coef))[0]
+            idx = (np.r_[i, tails[t]] + 1).tolist()
+            raise ValueError(f"non-finite entry at {idx}: {coef[t, i]}")
+        keep = np.any(coef != 0.0, axis=1)
+        tails = tails[keep]
+        coef = coef[keep] + 0.0  # a -0.0 coefficient is an absent entry
         tails.setflags(write=False)
         coef.setflags(write=False)
-        object.__setattr__(self, "_tails", tails)
-        object.__setattr__(self, "_coef", coef)
+        self = object.__new__(cls)
+        self.__dict__.update(order=order, dim=dim, _tails=tails, _coef=coef)
+        return self
+
+    @functools.cached_property
+    def entries(self) -> Mapping[tuple, float]:
+        """Read-only {index tuple: value} view of the nonzero entries, sorted."""
+        idx, vals = _entry_arrays(self)
+        return MappingProxyType(dict(zip(map(tuple, idx.tolist()), vals.tolist())))
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return int(np.count_nonzero(self._coef))
 
     def to_dense(self) -> np.ndarray:
         """Dense ndarray of shape (n,) * m (0-based axes)."""
@@ -104,18 +128,30 @@ class Tensor:
         return out
 
     def scale(self, t: float) -> "Tensor":
-        return Tensor(self.order, self.dim, {k: t * v for k, v in self.entries.items()})
+        return Tensor._from_form(self.order, self.dim, self._tails, t * self._coef)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if (self.order, self.dim) != (other.order, other.dim):
             raise ShapeError("tensor shapes differ")
-        merged = dict(self.entries)
-        for k, v in other.entries.items():
-            merged[k] = merged.get(k, 0.0) + v
-        return Tensor(self.order, self.dim, merged)
+        return Tensor._from_form(self.order, self.dim,
+                                 np.vstack([self._tails, other._tails]),
+                                 np.vstack([self._coef, other._coef]), merge=True)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return ((self.order, self.dim) == (other.order, other.dim)
+                and np.array_equal(self._tails, other._tails)
+                and np.array_equal(self._coef, other._coef))
 
     def __repr__(self) -> str:
         return f"Tensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
+
+
+def _entry_arrays(A: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries: 1-based index rows, sorted, and their values."""
+    heads, t = np.nonzero(A._coef.T)
+    return np.column_stack([heads, A._tails[t]]) + 1, A._coef[t, heads]
 
 
 @dataclass(frozen=True)
@@ -214,7 +250,7 @@ def unit_tensor(m: int, n: int) -> Tensor:
     """Tensor of Kronecker deltas: entry 1 iff all indices coincide."""
     if m < 2 or n < 1:
         raise ValueError("unit tensor needs m >= 2, n >= 1")
-    return Tensor(m, n, {(i,) * m: 1.0 for i in range(1, n + 1)})
+    return Tensor._from_form(m, n, np.repeat(np.arange(n)[:, None], m - 1, axis=1), np.eye(n))
 
 
 def principal_subtensor(A: Tensor, alpha: IndexSet) -> Tensor:
@@ -225,12 +261,9 @@ def principal_subtensor(A: Tensor, alpha: IndexSet) -> Tensor:
         raise ShapeError("index set ambient dimension differs from tensor dim")
     pos = np.full(A.dim, -1)
     pos[[i - 1 for i in alpha.members]] = np.arange(len(alpha))
-    tails = pos[A._tails]
+    tails = pos[A._tails]  # pos is increasing on alpha, so kept rows stay sorted
     keep = np.all(tails >= 0, axis=1)
-    coef = A._coef[keep][:, pos >= 0]
-    t, head = np.nonzero(coef)
-    idx = np.column_stack([head, tails[keep][t]]) + 1
-    return Tensor(A.order, len(alpha), dict(zip(map(tuple, idx.tolist()), coef[t, head].tolist())))
+    return Tensor._from_form(A.order, len(alpha), tails[keep], A._coef[keep][:, pos >= 0])
 
 
 def apply_off(A: Tensor, alpha: IndexSet, u_alpha) -> np.ndarray:
@@ -259,69 +292,61 @@ def power_vec(x, p: float) -> np.ndarray:
     return x**p
 
 
+def _invariant(A: Tensor, first: int) -> bool:
+    """Are the entries unchanged by every permutation of the index positions
+    first, ..., m-1?  A transposition and a full cycle generate the
+    permutation group, so checking those two is enough."""
+    p = list(range(A.order))  # one position left to permute gives identities
+    idx, vals = _entry_arrays(A)
+    for perm in (p[:first] + p[first:first + 2][::-1] + p[first + 2:],
+                 p[:first] + p[first + 1:] + p[first:first + 1]):
+        image = idx[:, perm]
+        order = np.lexsort(image.T[::-1])
+        if not (np.array_equal(image[order], idx) and np.array_equal(vals[order], vals)):
+            return False
+    return True
+
+
 def is_symmetric(A: Tensor) -> bool:
     """Invariance of entries under every permutation of the m indices."""
-    for idx, val in A.entries.items():
-        for perm in set(itertools.permutations(idx)):
-            if A.entries.get(perm, 0.0) != val:
-                return False
-    return True
+    return _invariant(A, 0)
 
 
 def is_subsymmetric(A: Tensor) -> bool:
     """Each slice A_i symmetric in the trailing m-1 indices."""
-    for idx, val in A.entries.items():
-        head, tail = idx[0], idx[1:]
-        for perm in set(itertools.permutations(tail)):
-            if A.entries.get((head,) + perm, 0.0) != val:
-                return False
-    return True
+    return _invariant(A, 1)
 
 
 def frobenius_distance(A: Tensor, B: Tensor) -> float:
-    if (A.order, A.dim) != (B.order, B.dim):
-        raise ShapeError("tensor shapes differ")
-    keys = set(A.entries) | set(B.entries)
-    return math.sqrt(
-        math.fsum((A.entries.get(k, 0.0) - B.entries.get(k, 0.0)) ** 2 for k in keys)
-    )
+    diff = A + B.scale(-1.0)
+    return math.sqrt(math.fsum((diff._coef ** 2).ravel()))
 
 
 def tensor_from_dense(arr, tol: float = 0.0) -> Tensor:
     """Build a Tensor from a dense (n,)*m array, dropping |a| <= tol."""
     arr = np.asarray(arr, dtype=float)
-    m = arr.ndim
-    if m < 2:
-        raise ShapeError("dense tensor must have at least 2 axes")
-    n = arr.shape[0]
-    if arr.shape != (n,) * m:
-        raise ShapeError(f"array of shape {arr.shape} is not square")
-    entries = {}
-    for idx in zip(*np.nonzero(arr)):
-        v = float(arr[idx])
-        if abs(v) > tol:
-            entries[tuple(int(i) + 1 for i in idx)] = v
-    return Tensor(m, n, entries)
+    m, n = arr.ndim, (arr.shape or (0,))[0]
+    if m < 2 or n < 1 or arr.shape != (n,) * m:
+        raise ShapeError(f"array of shape {arr.shape} is not a nonempty square tensor")
+    if not (np.all(np.isfinite(arr)) and math.isfinite(tol)):
+        raise ValueError("dense tensor entries and tol must be finite")
+    coef = arr.reshape(n, -1).T  # row t is the slice at the t-th tail in C order
+    tails = np.indices((n,) * (m - 1)).reshape(m - 1, -1).T
+    return Tensor._from_form(m, n, tails, np.where(np.abs(coef) > tol, coef, 0.0))
 
 
 def tensor_to_json(A: Tensor) -> dict:
-    ents = [
-        {"idx": list(idx), "val": val}
-        for idx, val in sorted(A.entries.items())
-    ]
+    idx, vals = _entry_arrays(A)
+    ents = [{"idx": i, "val": v} for i, v in zip(idx.tolist(), vals.tolist())]
     return {"order": A.order, "dim": A.dim, "entries": ents}
 
 
 def tensor_from_json(obj: dict) -> Tensor:
-    order = int(obj["order"])
-    dim = int(obj["dim"])
-    entries: dict[tuple, float] = {}
-    for ent in obj.get("entries", []):
-        idx = tuple(int(i) for i in ent["idx"])
-        if idx in entries:
-            raise ValueError(f"duplicate index {list(idx)} in tensor JSON")
-        entries[idx] = float(ent["val"])
-    return Tensor(order, dim, entries)
+    ents = obj.get("entries", [])
+    entries = {tuple(ent["idx"]): ent["val"] for ent in ents}
+    if len(entries) < len(ents):
+        raise ValueError("duplicate index in tensor JSON")
+    return Tensor(obj["order"], obj["dim"], entries)
 
 
 def batch_apply_m1(A: Tensor, X) -> np.ndarray:

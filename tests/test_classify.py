@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from tcpkit import fixtures as fx
+from tcpkit._polysys import _sphere_grid
 from tcpkit.classify import (
     SearchBudget,
     all_principal_nonsingular,
@@ -13,6 +15,7 @@ from tcpkit.classify import (
     is_K_regular,
     is_strictly_copositive,
     min_over_basis,
+    _simplex_lattice,
     q_in_dual_SA,
     s_cone_samples,
 )
@@ -168,3 +171,15 @@ class TestVerdictPlumbing:
             SearchBudget(multistarts=0)
         with pytest.raises(ValueError):
             SearchBudget(margin=0.0)
+
+
+@pytest.mark.parametrize("k, res", [(1, 5), (2, 7), (3, 48), (4, 12), (5, 12), (3, 7)])
+def test_lattices_match_product_filter(k, res):
+    # the defining rule: every k-tuple over 0..res summing to res, in
+    # lexicographic order, scaled onto the simplex or onto the unit sphere
+    comps = np.array([c for c in itertools.product(range(res + 1), repeat=k)
+                      if sum(c) == res], dtype=float)
+    assert np.array_equal(_simplex_lattice(k, res), comps / res)
+    if k >= 3:  # k <= 2 sphere grids are angle grids
+        sphere = comps / np.linalg.norm(comps, axis=1, keepdims=True)
+        assert np.array_equal(_sphere_grid(k, res), sphere)

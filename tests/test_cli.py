@@ -168,6 +168,15 @@ class TestErrors:
         assert code == 2
         assert "line" in err and "column" in err
 
+    def test_non_integral_tensor_file_is_parse_error(self, capsys, tmp_path):
+        obj = tensor_to_json(fx.E1())
+        obj["order"] = 2.7
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(obj))
+        code = main(["classify", "--tensor", str(p)])
+        assert code == 2
+        assert "parse error: bad tensor file" in capsys.readouterr().err
+
     def test_unknown_fixture(self, capsys):
         code = main(["classify", "--fixture", "E99"])
         capsys.readouterr()

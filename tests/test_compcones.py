@@ -37,6 +37,10 @@ class TestComplementaryTensor:
         C = complementary_tensor(e1, (1,))
         assert dict(C.entries) == {(2, 1, 1): -1.0, (2, 2, 2): 1.0}
 
+    def test_index_set_of_other_dim_rejected(self):
+        with pytest.raises(ShapeError):
+            complementary_tensor(fx.E1(), IndexSet((1,), 5))
+
     def test_block_formula(self):
         # C_A(alpha) u^{m-1} = (-A_a u_a^{m-1}, -A_off u_a^{m-1} + u_c^[m-1])
         for seed in range(10):

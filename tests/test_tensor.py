@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcpkit import fixtures as fx
+from tcpkit.compcones import complementary_tensor
 from tcpkit.tensor import (
     IndexSet,
     ShapeError,
@@ -69,6 +71,19 @@ class TestConstruction:
         A = Tensor(2, 2, {(1, 1): 1.0})
         with pytest.raises(TypeError):
             A.entries[(1, 2)] = 5.0
+
+    @pytest.mark.parametrize("idx", [(1.5, 1), (1, 2.0000001), (math.nan, 1)])
+    def test_non_integral_index_rejected(self, idx):
+        with pytest.raises(ShapeError):
+            Tensor(2, 2, {idx: 1.0})
+
+    def test_integral_float_index_accepted(self):
+        assert dict(Tensor(2, 2, {(1.0, 2.0): 3.0}).entries) == {(1, 2): 3.0}
+
+    @pytest.mark.parametrize("order, dim", [(2.7, 2), (2, 2.5), (math.inf, 2)])
+    def test_non_integral_order_or_dim_rejected(self, order, dim):
+        with pytest.raises(ValueError):
+            Tensor(order, dim, {})
 
 
 class TestContractions:
@@ -216,6 +231,29 @@ class TestJson:
     def test_dense_round_trip(self, e4):
         assert dict(tensor_from_dense(e4.to_dense()).entries) == dict(e4.entries)
 
+    @pytest.mark.parametrize("key, value", [
+        ("order", 2.7), ("dim", 2.5), ("order", "2.5"),
+        ("idx", [1.5, 1]), ("idx", [1, 2.25]),
+    ])
+    def test_non_integral_rejected(self, key, value):
+        obj = {"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "val": 1.0}]}
+        if key == "idx":
+            obj["entries"][0]["idx"] = value
+        else:
+            obj[key] = value
+        with pytest.raises(ValueError):
+            tensor_from_json(obj)
+
+    @pytest.mark.parametrize("arr, tol", [
+        ([[math.nan, 1.0], [1.0, 1.0]], 0.0),
+        ([[math.inf, 1.0], [1.0, 1.0]], 0.0),
+        ([[1.0, 1.0], [1.0, 1.0]], math.nan),
+        ([[1.0, 1.0], [1.0, 1.0]], math.inf),
+    ])
+    def test_dense_non_finite_rejected(self, arr, tol):
+        with pytest.raises(ValueError):
+            tensor_from_dense(np.array(arr), tol=tol)
+
 
 class TestBatch:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -353,3 +391,99 @@ def test_principal_subtensor_matches_definition(A, alpha_bits):
     sub = principal_subtensor(A, IndexSet(members, A.dim))
     assert (sub.order, sub.dim) == (A.order, len(members))
     assert dict(sub.entries) == expected
+
+
+def is_sorted_form(T):
+    """Sorted, distinct _tails rows, no all-zero _coef row, and no -0.0
+    (which would leak into the signs of zero products)."""
+    rows = [tuple(r) for r in T._tails.tolist()]
+    return (all(a < b for a, b in zip(rows, rows[1:]))
+            and bool(np.all(np.any(T._coef != 0.0, axis=1)))
+            and not np.any(np.signbit(T._coef[T._coef == 0.0])))
+
+
+def nonzero(entries):
+    return {k: v for k, v in entries.items() if v != 0.0}
+
+
+def reference_invariant(A, first):
+    """Every entry equals the entries at all permutations of its index
+    positions first, ..., m-1."""
+    for idx, val in A.entries.items():
+        for perm in itertools.permutations(idx[first:]):
+            if A.entries.get(idx[:first] + perm, 0.0) != val:
+                return False
+    return True
+
+
+@st.composite
+def nearly_symmetric_tensors(draw):
+    """Tensors symmetric in every index position from `first` on, with
+    sometimes one entry of an orbit deleted."""
+    m, n, first = draw(st.integers(2, 5)), draw(st.integers(1, 4)), draw(st.integers(0, 1))
+    entries = {}
+    for idx in draw(st.lists(st.tuples(*[st.integers(1, n)] * m), max_size=5)):
+        val = draw(st.floats(-2, 2).filter(bool))
+        for perm in itertools.permutations(idx[first:]):
+            entries[idx[:first] + perm] = val
+    if entries and draw(st.booleans()):
+        del entries[draw(st.sampled_from(sorted(entries)))]
+    return Tensor(m, n, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=sparse_tensors(), B=sparse_tensors(), alpha_bits=st.integers(0, 15),
+       t=st.floats(-3, 3), tol=st.floats(0, 2), S=nearly_symmetric_tensors())
+def test_derived_tensors_match_definitions(A, B, alpha_bits, t, tol, S):
+    m, n = A.order, A.dim
+    ents = dict(A.entries)
+    members = [i + 1 for i in range(n) if alpha_bits >> i & 1]
+    derived = []
+
+    if members:
+        pos = {i: k + 1 for k, i in enumerate(members)}
+        sub = principal_subtensor(A, IndexSet(members, n))
+        assert dict(sub.entries) == {tuple(pos[i] for i in idx): v
+                                     for idx, v in ents.items() if all(i in pos for i in idx)}
+        derived.append(sub)
+
+    comp = complementary_tensor(A, IndexSet(members, n))
+    expected = {idx: -v for idx, v in ents.items() if all(i in members for i in idx[1:])}
+    expected.update({(i,) * m: 1.0 for i in range(1, n + 1) if i not in members})
+    assert dict(comp.entries) == expected
+    derived.append(comp)
+
+    dense = np.zeros((n,) * m)
+    for idx, v in ents.items():
+        dense[tuple(i - 1 for i in idx)] = v
+    from_dense = tensor_from_dense(dense, tol=tol)
+    assert dict(from_dense.entries) == {k: v for k, v in ents.items() if abs(v) > tol}
+    derived.append(from_dense)
+
+    scaled = A.scale(t)
+    assert dict(scaled.entries) == nonzero({k: t * v for k, v in ents.items()})
+    derived.append(scaled)
+
+    if (B.order, B.dim) == (m, n):
+        total = dict(ents)
+        for k, v in B.entries.items():
+            total[k] = total.get(k, 0.0) + v
+        added = A + B
+        assert dict(added.entries) == nonzero(total)
+        derived.append(added)
+
+    for T in derived + [A]:
+        assert is_sorted_form(T)
+        assert T == Tensor(T.order, T.dim, dict(T.entries))
+        assert T.nnz == len(T.entries)
+
+    # scale and + can overflow, and still refuse to build a non-finite tensor
+    big = A + unit_tensor(m, n).scale(1e308)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        big.scale(10.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        big + big
+
+    for T in (A, S):
+        assert is_symmetric(T) == reference_invariant(T, 0)
+        assert is_subsymmetric(T) == reference_invariant(T, 1)
