@@ -6,9 +6,10 @@ enumeration solver.  It combines
   * componentwise sign analysis (exact infeasibility certificates when all
     coefficients of a component share a sign),
   * a norm lower bound on the unit sphere that confines roots to a box,
-  * a vectorized residual grid over that box, and
+  * a residual grid over that box, scored from its one axis in the power
+    basis without building a grid point, and
   * one row-batched damped projected Newton refinement from the best grid
-    cells.
+    points.
 
 Infeasibility is only certified when the box bound is valid and the grid
 minimum clears a Lipschitz slack; otherwise the scan is inconclusive.
@@ -19,7 +20,6 @@ applies the slack test; membership and the enumeration solver both read it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,6 +30,7 @@ from .classify import _compositions
 from .tensor import (
     IndexSet,
     Tensor,
+    _power_coefficients,
     apply_m1,
     apply_off,
     batch_apply_m1,
@@ -93,12 +94,22 @@ def min_sphere_norm(A: Tensor) -> float:
     return max(est - lip * h, 0.0)
 
 
-def _box_grid(k: int, R: float) -> np.ndarray:
-    """A uniform grid on [0, R]^k, k >= 2 (k = 1 is solved in closed form)."""
-    g = max(min(int(_GRID_CELLS ** (1.0 / k)), 512), 8)
-    axes = [np.linspace(0.0, R, g)] * k
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+def _grid_residual(A: Tensor, q: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """max_i |(A u^{m-1} + q)_i| at every point u of the grid axis^k, as a
+    (g,) * k array: each component, in the power basis, is contracted with
+    the powers of the axis one variable at a time; no grid point is built."""
+    k, m = A.dim, A.order
+    C, P = _power_coefficients(A), axis[:, None] ** np.arange(m)
+    resid = None
+    for i in range(k):
+        F = C[..., i]
+        for j in reversed(range(k)):  # e_{j+1}, the last exponent axis left, becomes a_{j+1}
+            F = P @ F.reshape(m ** j, m, -1)
+        F = F.reshape((len(axis),) * k)
+        F += q[i]
+        np.abs(F, out=F)
+        resid = F if resid is None else np.maximum(resid, F, out=resid)
+    return resid
 
 
 def _smallest(values: np.ndarray, N: int) -> np.ndarray:
@@ -185,11 +196,14 @@ def newton_refine(A: Tensor, q: np.ndarray, u0: np.ndarray,
     return U[0], float(r[0])
 
 
-def _dedup(roots: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarray]:
-    kept: list[np.ndarray] = []
-    for u in sorted(roots, key=lambda v: tuple(v)):
-        if all(np.linalg.norm(u - w) > tol for w in kept):
-            kept.append(u)
+def _dedup(roots: np.ndarray, tol: float = 1e-6) -> list[np.ndarray]:
+    """The rows of roots in lexicographic order, each kept when it is more
+    than tol from every row kept before it."""
+    kept, left = [], roots[np.lexsort(roots.T[::-1])]
+    while len(left):  # the first row left is kept, and drops the rows near it
+        kept.append(left[0])
+        d = left - left[0]
+        left = left[np.sqrt(np.vecdot(d, d)) > tol]  # np.linalg.norm, bit for bit
     return kept
 
 
@@ -241,16 +255,14 @@ def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
     else:
         R = (1.0 + qn) ** (1.0 / (m - 1)) * 10.0
 
-    if k <= 3:
-        U = _box_grid(k, R)
-        G = batch_apply_m1(A, U)
-        G += q
-        np.abs(G, out=G)
-        resid = functools.reduce(np.maximum, G.T)  # row max, one column at a time
-        del G  # free it before the selection's index arrays are allocated
+    if k <= 3:  # a uniform grid on [0, R]^k
+        g = max(min(int(_GRID_CELLS ** (1.0 / k)), 512), 8)
+        axis = np.linspace(0.0, R, g)
+        resid = _grid_residual(A, q, axis)
         scan.grid_min_residual = float(resid.min())
-        starts = U[_smallest(resid, max(4 * multistarts, 8))]
-        step = R / (len(U) ** (1.0 / k) - 1)
+        best = _smallest(resid.ravel(), max(4 * multistarts, 8))
+        starts = axis[np.column_stack(np.unravel_index(best, resid.shape))]
+        step = R / (g - 1)
     else:
         # dimension too high for a dense grid: multistart only, never certify
         rng = np.random.default_rng(0)
@@ -259,7 +271,7 @@ def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
         step = None
 
     X, r = _refine_rows(A, q, starts)
-    scan.roots = _dedup(list(X[r <= SYS_TOL]))
+    scan.roots = _dedup(X[r <= SYS_TOL])
 
     if not scan.roots:
         if bounded and step is not None:

@@ -163,6 +163,7 @@ def _combine(L: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 _RUNGS = 30  # backtracking steps tried per descent step
+_FIRST_RUNGS = 3  # rungs scored for every moving row; the rest only for rows that took none
 
 
 def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
@@ -174,11 +175,11 @@ def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
     length t through the 30 rungs t, t/2, t/4, ... and accepts the first
     strict decrease of f; an accepted step length doubles for the next step
     (capped at 1e6).  A row stops when ||grad|| <= 1e-14 (or is NaN) or no
-    rung decreases f.  All 30 rungs of every moving row are projected and
-    evaluated in one call each, but a row is charged the evaluations the
-    one-rung-at-a-time rule makes: its accepted rung + 1, or 30.  f must
-    give each row the value it gets alone.  Returns (rows, their f values,
-    evaluations of f per row).
+    rung decreases f.  The first 3 rungs of every moving row, then the
+    other 27 of the rows that took none, are scored in one call each; a row
+    is charged the evaluations the one-rung-at-a-time rule makes: its
+    accepted rung + 1, or 30.  f must give each row the value it gets
+    alone.  Returns (rows, their f values, evaluations of f per row).
     """
     lam = np.array(Lam0, dtype=float)
     val = f(lam)
@@ -199,16 +200,22 @@ def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
         T = np.full((R, _RUNGS), 0.5)
         T[:, 0] = step[rows]
         T = np.cumprod(T, axis=1)  # repeated halving: each rung has the one-rung rule's bits
-        V = lam[rows, None] - T[:, :, None] * g[:, None]
-        cand = _project_simplex(V.reshape(R * _RUNGS, -1))
-        fc = f(cand).reshape(R, _RUNGS)
+        k = lam.shape[1]
+        cand = np.empty((R, _RUNGS, k))
+        fc = np.full((R, _RUNGS), np.inf)  # an unscored rung is never accepted
+        for lo, hi in ((0, _FIRST_RUNGS), (_FIRST_RUNGS, _RUNGS)):
+            r = np.flatnonzero(~np.any(fc < val[rows, None], axis=1))  # no rung taken yet
+            if len(r):
+                V = lam[rows[r], None] - T[r, lo:hi, None] * g[r, None]
+                cand[r, lo:hi] = _project_simplex(V.reshape(-1, k)).reshape(V.shape)
+                fc[r, lo:hi] = f(cand[r, lo:hi].reshape(-1, k)).reshape(len(r), -1)
         ok = fc < val[rows, None]
         first = np.argmax(ok, axis=1)  # the first accepted rung, or 0 when there is none
         took = ok[np.arange(R), first]
         evals[rows] += np.where(took, first + 1, _RUNGS)
         pick = (np.arange(R) * _RUNGS + first)[took]
         done = rows[took]
-        lam[done], val[done] = cand[pick], fc.ravel()[pick]
+        lam[done], val[done] = cand.reshape(R * _RUNGS, k)[pick], fc.ravel()[pick]
         step[done] = np.minimum(2.0 * T.ravel()[pick], 1e6)
         active[rows[~took]] = False
     return lam, val, evals

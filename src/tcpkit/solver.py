@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._polysys import damped_newton, walk_supports
+from ._polysys import _dedup, damped_newton, walk_supports
 from ._rng import SplitMix64
 from .classify import SearchBudget
 from .cones import PolyhedralCone, cone_from_json, cone_to_json, dist, dual
@@ -147,11 +147,8 @@ def solve_enumerate(inst: TcpInstance, budget: SearchBudget | None = None) -> En
             x[[i - 1 for i in alpha.members]] = u_a
             if is_solution(inst, x, _SUPPORT_TOL):
                 sols.append(x)
-    deduped: list[np.ndarray] = []
-    for x in sorted(sols, key=lambda v: tuple(v)):
-        if all(np.linalg.norm(x - y) > _DEDUP_DIST for y in deduped):
-            deduped.append(x)
-    found = tuple(_make_solution(inst, x) for x in deduped)
+    found = tuple(_make_solution(inst, x)
+                  for x in _dedup(np.reshape(sols, (-1, n)), _DEDUP_DIST))
     return EnumerationOutcome(found, not all_settled and not found)
 
 

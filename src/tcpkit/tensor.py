@@ -128,14 +128,16 @@ class Tensor:
         return out
 
     def scale(self, t: float) -> "Tensor":
-        return Tensor._from_form(self.order, self.dim, self._tails, t * self._coef)
+        with np.errstate(over="ignore", invalid="ignore"):  # _from_form refuses inf and NaN
+            return Tensor._from_form(self.order, self.dim, self._tails, t * self._coef)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         if (self.order, self.dim) != (other.order, other.dim):
             raise ShapeError("tensor shapes differ")
-        return Tensor._from_form(self.order, self.dim,
-                                 np.vstack([self._tails, other._tails]),
-                                 np.vstack([self._coef, other._coef]), merge=True)
+        with np.errstate(over="ignore"):
+            return Tensor._from_form(self.order, self.dim,
+                                     np.vstack([self._tails, other._tails]),
+                                     np.vstack([self._coef, other._coef]), merge=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -162,10 +164,13 @@ class IndexSet:
     n: int
 
     def __post_init__(self):
+        if not all(float(i).is_integer() for i in (*self.members, self.n)):
+            raise ValueError(f"members {self.members} and n {self.n!r} must be whole numbers")
         mem = tuple(sorted(set(int(i) for i in self.members)))
         if any(i < 1 or i > self.n for i in mem):
             raise ValueError(f"members {mem} not within 1..{self.n}")
         object.__setattr__(self, "members", mem)
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def complement(self) -> tuple:
@@ -198,6 +203,16 @@ def _monomials(A: Tensor, X: np.ndarray, skip: int | None = None) -> np.ndarray:
     if not factors:  # order 2 with its one tail position skipped
         return np.ones((len(A._tails),) + XT.shape[1:])
     return functools.reduce(np.multiply, factors)
+
+
+def _power_coefficients(A: Tensor) -> np.ndarray:
+    """A x^{m-1} in the power basis: C[e, i], of shape (m,) * n + (n,), sums
+    a_{i, tails[t]} over the tails t that hold each j exactly e_j times, so
+    (A x^{m-1})_i = sum_e C[e, i] x_1^{e_1} ... x_n^{e_n}."""
+    powers = np.sum(A._tails[:, :, None] == np.arange(A.dim), axis=1)
+    C = np.zeros((A.order,) * A.dim + (A.dim,))
+    np.add.at(C, tuple(powers.T), A._coef)
+    return C
 
 
 def _derivative(A: Tensor, X: np.ndarray, positions) -> np.ndarray:

@@ -9,8 +9,13 @@ products and sums over trailing axes, so a row's value never depends on the
 other rows of its batch.  The maps that min_over_basis and
 local_uniqueness_certificate build must keep that property too, and are
 checked the same way.
+
+The root-box grid of scan_system, its start selection and its root dedup
+are checked against references written here the same way.
 """
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,10 +26,12 @@ from hypothesis import strategies as st
 from tcpkit import classify
 from tcpkit import fixtures as fx
 from tcpkit import stability
-from tcpkit._polysys import _smallest, damped_newton, scan_system
+from tcpkit import _polysys
+from tcpkit._polysys import _dedup, _grid_residual, _smallest, damped_newton, scan_system
 from tcpkit.classify import SearchBudget, descend_on_simplex, min_over_basis
 from tcpkit.cones import from_generators
 from tcpkit.solver import TcpInstance
+from tcpkit.tensor import Tensor
 
 
 def cubic(D):
@@ -245,10 +252,103 @@ def test_smallest_matches_stable_argsort(values, N, nan_at):
     assert np.array_equal(_smallest(v, N), np.argsort(v, kind="stable")[:N])
 
 
+def sparse_system(k, m, seed):
+    """A random k-dimensional tensor of order m with about half its entries
+    stored, some of them stored as exact zeros, and a random q."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for idx in itertools.product(range(1, k + 1), repeat=m):
+        u = rng.random()
+        if u < 0.5:
+            entries[idx] = 0.0 if u < 0.1 else rng.uniform(-2.0, 2.0)
+    return Tensor(m, k, entries), rng.uniform(-2.0, 2.0, k)
+
+
+def reference_grid_residual(A, q, axis):
+    """max_i |(A u^{m-1} + q)_i| at every point u of the grid axis^k, as its
+    defining sum over A.entries, one point at a time; and a bound on the size
+    of its terms (for round-off)."""
+    out = np.empty((len(axis),) * A.dim)
+    for a in itertools.product(range(len(axis)), repeat=A.dim):
+        u = axis[list(a)]
+        F = list(q)
+        for idx, val in A.entries.items():
+            F[idx[0] - 1] += val * math.prod(u[j - 1] for j in idx[1:])
+        out[a] = max(abs(f) for f in F)
+    mag = sum(abs(v) for v in A.entries.values()) * axis[-1] ** (A.order - 1)
+    return out, mag + np.abs(q).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 3), m=st.integers(2, 5), g=st.integers(2, 7),
+       R=st.floats(0.01, 20.0), seed=st.integers(0, 2**32 - 1))
+def test_grid_residual_matches_its_defining_sum(k, m, g, R, seed):
+    A, q = sparse_system(k, m, seed)
+    axis = np.linspace(0.0, R, g)
+    resid = _grid_residual(A, q, axis)
+    ref, mag = reference_grid_residual(A, q, axis)
+    assert resid.shape == (g,) * k
+    assert np.all(np.abs(resid - ref) <= 1e-12 * mag)
+
+
+@settings(max_examples=16, deadline=None)
+@given(k=st.integers(2, 3), m=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+       multistarts=st.integers(1, 30))
+def test_scan_starts_are_the_best_grid_points(k, m, seed, multistarts):
+    # the starts scan_system refines are the N grid points of smallest
+    # residual, ties by index, and every coordinate is a point of the axis
+    A, q = sparse_system(k, m, seed)
+    seen = {}
+    refine = _polysys._refine_rows
+
+    def spy_grid(A, q, axis):
+        seen["grid"] = axis, _grid_residual(A, q, axis)
+        return seen["grid"][1]
+
+    def spy_refine(A, q, U0):
+        seen["starts"] = U0
+        return refine(A, q, U0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_polysys, "_grid_residual", spy_grid)
+        mp.setattr(_polysys, "_refine_rows", spy_refine)
+        scan = scan_system(A, q, multistarts=multistarts)
+    if "grid" not in seen:  # settled before the grid: sign analysis
+        return
+    axis, resid = seen["grid"]
+    best = np.argsort(resid.ravel(), kind="stable")[:max(4 * multistarts, 8)]
+    starts = np.column_stack([axis[a] for a in np.unravel_index(best, resid.shape)])
+    assert np.array_equal(seen["starts"], starts)
+    assert np.isin(seen["starts"], axis).all()
+    assert scan.grid_min_residual == resid.min()
+
+
+def dedup_loop(roots, tol=1e-6):
+    """The dedup rule as a plain loop: in lexicographic order, keep a root
+    when it is more than tol from every root kept before it."""
+    kept = []
+    for u in sorted(roots, key=tuple):
+        if all(np.linalg.norm(u - w) > tol for w in kept):
+            kept.append(u)
+    return kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 4), S=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_dedup_keeps_the_roots_of_the_plain_loop(k, S, seed):
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, 2.0, (3, k))
+    roots = centers[rng.integers(0, 3, S)] + rng.normal(0.0, 1e-6, (S, k))
+    roots[rng.random(S) < 0.2, 0] = 1.0  # some ties in the first coordinate
+    kept, ref = _dedup(roots), dedup_loop(list(roots))
+    assert len(kept) == len(ref)
+    assert all(np.array_equal(a, b) for a, b in zip(kept, ref))
+
+
 def test_scan_system_memory_stays_blocked():
-    # the residual grid is 262 144 x 2 floats (4 MiB) and the peak about
-    # 10 MiB; unblocked contraction temporaries, or a second whole-grid copy
-    # of the residuals, push it past 11 MiB
+    # the residual grid is 512 x 512 floats (2 MiB), and the peak is two
+    # such blocks (about 4 MiB): the running maximum and one component.
+    # The point mesh, or an (S, k) residual array, would add 4 MiB more.
     A, q = fx.identity(3, 2), np.array([-1.0, -1.0])
     scan_system(A, q)
     tracemalloc.start()
@@ -258,4 +358,4 @@ def test_scan_system_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert len(scan.roots) == 1 and np.allclose(scan.roots[0], [1.0, 1.0])
-    assert peak <= 11 * 2**20
+    assert peak <= 5 * 2**20

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,17 @@ class TestSubtensors:
     def test_empty_subset_rejected(self, e1):
         with pytest.raises(ValueError):
             principal_subtensor(e1, IndexSet((), 2))
+
+    @pytest.mark.parametrize("members, n", [((1.5, 2.9), 3), ((1, 2.0000001), 3),
+                                            ((math.nan,), 2), ((1,), 2.5), ((1,), math.inf)])
+    def test_non_integral_index_set_rejected(self, members, n):
+        # int() would truncate them: (1.5, 2.9) would become (1, 2)
+        with pytest.raises(ValueError):
+            IndexSet(members, n)
+
+    def test_integral_float_index_set_accepted(self):
+        iset = IndexSet((3.0, 1, np.int64(2)), 3.0)
+        assert iset == IndexSet((1, 2, 3), 3) and iset.n == 3 and iset.complement == ()
 
     def test_apply_off_e1(self, e1):
         out = apply_off(e1, IndexSet((1,), 2), np.array([1.0]))
@@ -477,12 +489,17 @@ def test_derived_tensors_match_definitions(A, B, alpha_bits, t, tol, S):
         assert T == Tensor(T.order, T.dim, dict(T.entries))
         assert T.nnz == len(T.entries)
 
-    # scale and + can overflow, and still refuse to build a non-finite tensor
+    # scale and + can overflow, and still refuse to build a non-finite
+    # tensor, with the ValueError alone: a numpy warning first fails here
     big = A + unit_tensor(m, n).scale(1e308)
-    with np.errstate(over="ignore"), pytest.raises(ValueError):
-        big.scale(10.0)
-    with np.errstate(over="ignore"), pytest.raises(ValueError):
-        big + big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            big.scale(10.0)
+        with pytest.raises(ValueError):
+            big + big
+        with pytest.raises(ValueError):
+            big.scale(math.inf)
 
     for T in (A, S):
         assert is_symmetric(T) == reference_invariant(T, 0)
