@@ -11,8 +11,11 @@ enumeration solver.  It combines
   * one row-batched damped projected Newton refinement from the best grid
     points.
 
+Every test reads the tensor's frozen form; none calls ``to_dense``.
 Infeasibility is only certified when the box bound is valid and the grid
 minimum clears a Lipschitz slack; otherwise the scan is inconclusive.
+``damped_newton`` also serves ``compcones.tpos_contains``, whose Jacobian
+in generator coordinates need not be square.
 
 ``walk_supports`` runs these scans over the complementary supports and
 applies the slack test; membership and the enumeration solver both read it.
@@ -49,18 +52,17 @@ _GRID_CELLS = 300_000  # points of the residual grid over the root box
 class SystemScan:
     roots: list = field(default_factory=list)
     certified_infeasible: bool = False
-    inconclusive: bool = False
     grid_min_residual: float = math.inf
-    box_radius: float | None = None
     reason: str = ""
     roots_complete: bool = False  # the root list is provably exhaustive
 
 
-def _sign_infeasible(dense: np.ndarray, q: np.ndarray) -> bool:
-    """True when some component cannot vanish for any u >= 0."""
-    flat = dense.reshape(dense.shape[0], -1)
-    return bool(np.any((np.all(flat >= 0, axis=1) & (q > 1e-12))
-                       | (np.all(flat <= 0, axis=1) & (q < -1e-12))))
+def _sign_infeasible(A: Tensor, q: np.ndarray) -> bool:
+    """True when some component cannot vanish for any u >= 0: the stored
+    coefficients of a component (its unstored ones are zero) share a sign
+    that q's does not cancel."""
+    return bool(np.any((np.all(A._coef >= 0, axis=0) & (q > 1e-12))
+                       | (np.all(A._coef <= 0, axis=0) & (q < -1e-12))))
 
 
 def _sphere_grid(k: int, res: int) -> np.ndarray:
@@ -73,9 +75,15 @@ def _sphere_grid(k: int, res: int) -> np.ndarray:
     return X
 
 
-def _row_abs_sum(dense: np.ndarray) -> float:
-    k = dense.shape[0]
-    return float(np.max(np.abs(dense.reshape(k, -1)).sum(axis=1)))
+def _row_abs_sum(A: Tensor) -> float:
+    """max_i sum |a_{i, ...}|, summed over each component's k^{m-1} entries
+    in index order, its unstored zeros included: numpy's pairwise sum then
+    has the bits of the dense row sum, which it loses on sparse rows once
+    the zeros are dropped."""
+    k = A.dim
+    rows = np.zeros((k, k ** (A.order - 1)))
+    rows[:, np.ravel_multi_index(tuple(A._tails.T), (k,) * (A.order - 1))] = np.abs(A._coef.T)
+    return float(np.max(rows.sum(axis=1)))
 
 
 def min_sphere_norm(A: Tensor) -> float:
@@ -89,7 +97,7 @@ def min_sphere_norm(A: Tensor) -> float:
     est = float(norms.min())
     if k == 1:
         return est
-    lip = (A.order - 1) * _row_abs_sum(A.to_dense())
+    lip = (A.order - 1) * _row_abs_sum(A)
     h = (math.pi / 2) / (res - 1) if k == 2 else 2.0 / res
     return max(est - lip * h, 0.0)
 
@@ -124,11 +132,11 @@ def _smallest(values: np.ndarray, N: int) -> np.ndarray:
 
 def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve J[s] d[s] = b[s] for every row s, by least squares where J[s]
-    is singular."""
+    is singular or not square."""
     try:
         return np.linalg.solve(J, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        out = np.empty_like(b)
+        out = np.empty(b.shape[:-1] + J.shape[-1:])
         for s in range(len(b)):
             try:
                 out[s] = np.linalg.solve(J[s], b[s])
@@ -139,12 +147,13 @@ def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def damped_newton(F, J, X, iters: int, tol: float, project=lambda v: v):
     """Newton on F(x) = 0 with backtracking on ||F||, for every row x of the
-    (S, k) array X at once; F maps (S, k) rows to (S, k), J to (S, k, k).
+    (S, k) array X at once; F maps (S, k) rows to (S, n), J to (S, n, k).
 
     Each row steps on its own: it solves J(x) d = -F(x) (least squares when
-    J is singular) and halves t until ||F(project(x + t d))|| <
-    (1 - 1e-4 t) ||F(x)|| or drops to tol; it stops at tol, after iters
-    steps, when d is not finite, or when no halving down to t = 1e-14 helps.
+    J is singular, or a Gauss-Newton step when n != k) and halves t until
+    ||F(project(x + t d))|| < (1 - 1e-4 t) ||F(x)|| or drops to tol; it
+    stops at tol, after iters steps, when d is not finite, or when no
+    halving down to t = 1e-14 helps.
     Returns (X, ||F|| of every row).
     """
     X = np.array(X, dtype=float)
@@ -212,17 +221,16 @@ def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
     q = np.asarray(q, dtype=float)
     k = A.dim
     m = A.order
-    dense = A.to_dense()
     scan = SystemScan()
 
-    if _sign_infeasible(dense, q):
+    if _sign_infeasible(A, q):
         scan.certified_infeasible = True
         scan.reason = "sign analysis"
         return scan
 
     if k == 1:
         # scalar a u^{m-1} = -q solves in closed form; root list is complete
-        a = float(dense.reshape(-1)[0])
+        a = float(A._coef.sum())  # the one coefficient, or 0 when none is stored
         q0 = float(q[0])
         if abs(a) > 1e-12:
             t = -q0 / a
@@ -251,7 +259,6 @@ def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
     bounded = c > _C_MIN
     if bounded:
         R = (qn / (0.5 * c)) ** (1.0 / (m - 1))
-        scan.box_radius = R
     else:
         R = (1.0 + qn) ** (1.0 / (m - 1)) * 10.0
 
@@ -275,16 +282,14 @@ def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
 
     if not scan.roots:
         if bounded and step is not None:
-            lip = (m - 1) * _row_abs_sum(dense) * max(R, 1.0) ** (m - 2)
+            lip = (m - 1) * _row_abs_sum(A) * max(R, 1.0) ** (m - 2)
             slack = lip * step * math.sqrt(k) / 2.0
             if scan.grid_min_residual > slack + 1e-9:
                 scan.certified_infeasible = True
                 scan.reason = "bounded box grid"
             else:
-                scan.inconclusive = True
                 scan.reason = "grid minimum within Lipschitz slack"
         else:
-            scan.inconclusive = True
             scan.reason = "no box bound (near-singular on the orthant)"
     return scan
 
@@ -315,5 +320,4 @@ def walk_supports(A: Tensor, q: np.ndarray, multistarts: int):
                 slack = apply_off(A, alpha, u_a) + q[comp] if comp else np.zeros(0)
                 if np.all(slack >= -SLACK_TOL):
                     feasible.append((u_a, slack))
-            yield alpha, feasible, (scan.certified_infeasible
-                                    or (scan.roots_complete and not scan.inconclusive))
+            yield alpha, feasible, scan.certified_infeasible or scan.roots_complete

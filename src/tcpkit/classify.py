@@ -275,16 +275,22 @@ def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
     return is_K_psd(A, orthant(A.dim), budget, property_name="copositive")
 
 
+def _three_valued(name: str, v: float, x: np.ndarray, used: int,
+                  holds_above: float, fails_at_most: float) -> Verdict:
+    """holds when the basis minimum v > holds_above, fails (witness x) when
+    v <= fails_at_most, unknown in between."""
+    if v > holds_above:
+        return Verdict(name, "holds", v, None, used, note="holds at sampling resolution")
+    if v <= fails_at_most:
+        return Verdict(name, "fails", v, _unit(x), used)
+    return Verdict(name, "unknown", v, None, used)
+
+
 def is_K_pd(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None,
             property_name: str = "K-positive-definite") -> Verdict:
     budget = budget or SearchBudget()
     v, x, used = min_over_basis("xm", A, K, budget)
-    if v > budget.margin:
-        return Verdict(property_name, "holds", v, None, used,
-                       note="holds at sampling resolution")
-    if v <= 0.0:
-        return Verdict(property_name, "fails", v, _unit(x), used)
-    return Verdict(property_name, "unknown", v, None, used)
+    return _three_valued(property_name, v, x, used, budget.margin, 0.0)
 
 
 def is_strictly_copositive(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
@@ -294,12 +300,7 @@ def is_strictly_copositive(A: Tensor, budget: SearchBudget | None = None) -> Ver
 def is_K_regular(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None) -> Verdict:
     budget = budget or SearchBudget()
     v, x, used = min_over_basis("abs_xm", A, K, budget)
-    if v > budget.margin:
-        return Verdict("K-regular", "holds", v, None, used,
-                       note="holds at sampling resolution")
-    if v <= budget.margin * 1e-3:
-        return Verdict("K-regular", "fails", v, _unit(x), used)
-    return Verdict("K-regular", "unknown", v, None, used)
+    return _three_valued("K-regular", v, x, used, budget.margin, budget.margin * 1e-3)
 
 
 def is_K_nonsingular(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None) -> Verdict:
@@ -307,12 +308,7 @@ def is_K_nonsingular(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None =
     x on which ||A x^{m-1}|| vanishes to a thousandth of the margin."""
     budget = budget or SearchBudget()
     v, x, used = min_over_basis("norm_m1", A, K, budget)
-    if v > budget.margin:
-        return Verdict("K-nonsingular", "holds", v, None, used,
-                       note="holds at sampling resolution")
-    if v <= budget.margin * 1e-3:
-        return Verdict("K-nonsingular", "fails", v, _unit(x), used)
-    return Verdict("K-nonsingular", "unknown", v, None, used)
+    return _three_valued("K-nonsingular", v, x, used, budget.margin, budget.margin * 1e-3)
 
 
 def all_principal_nonsingular(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
@@ -359,7 +355,6 @@ def s_cone_samples(A: Tensor, N: int,
     xm = np.einsum("pi,pi->p", lattice, F)
     loose = 1e-2
     mask = (F.min(axis=1) >= -loose) & (np.abs(xm) <= loose)
-    candidates = [lattice[i] for i in np.flatnonzero(mask)]
 
     def merit(X):
         F = apply_m1(A, X)
@@ -372,10 +367,10 @@ def s_cone_samples(A: Tensor, N: int,
         g += 2.0 * np.vecdot(X, F)[:, None] * (F + (X[:, None, :] @ J)[:, 0])
         return g
 
+    X, _, _ = descend_on_simplex(merit, merit_grad, lattice[mask], budget.polish_iters)
     out: list[np.ndarray] = []
-    for lam in candidates:
-        x, _, _ = descend_on_simplex(merit, merit_grad, lam[None], budget.polish_iters)
-        u = _unit(x[0])
+    for x in X:
+        u = _unit(x)
         Fu = apply_m1(A, u)
         if np.all(Fu >= -budget.margin) and abs(float(np.dot(u, Fu))) <= budget.margin:
             if all(np.linalg.norm(u - p) > 1e-6 for p in out):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._polysys import SYS_TOL, newton_refine, walk_supports
-from .classify import SearchBudget, Verdict, _simplex_lattice
+from ._polysys import SYS_TOL, damped_newton, newton_refine, walk_supports
+from .classify import SearchBudget, Verdict, _combine, _simplex_lattice
 from .cones import PolyhedralCone
 from .tensor import (
     IndexSet,
@@ -74,9 +74,12 @@ def complementary_tensor(A: Tensor, alpha: IndexSet | tuple) -> Tensor:
 def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None = None) -> Verdict:
     """Does y lie in {A x^{m-1} : x in K}?
 
-    holds: a witness x with small relative residual was found by multistart
-    Gauss-Newton.  fails: the dense normalized-image grid stays separated
-    from y-hat by more than the margin.  unknown otherwise.
+    holds: a witness x = G lam, lam >= 0 over the normalized generators G,
+    with residual within the margin, found by one batched damped Newton
+    (Gauss-Newton when G is not square) on A (G lam)^{m-1} = y from the
+    scaled best lattice points.  fails: the normalized images of the
+    lattice and of the polished points stay separated from y-hat by more
+    than the margin.  unknown otherwise.
     """
     budget = budget or SearchBudget()
     y = np.asarray(y, dtype=float)
@@ -95,71 +98,38 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     Z = batch_apply_m1(A, X)
     zn = np.linalg.norm(Z, axis=1)
     used += len(zn)
-    ok = zn > 1e-12
-    sep = math.inf
-    if np.any(ok):
-        D = np.linalg.norm(Z[ok] / zn[ok, None] - yhat, axis=1)
-        sep = float(D.min())
+    sep = _separation(Z, zn, yhat)
 
-    # polish the most promising directions into exact preimages
-    m = A.order
-    order = np.argsort(np.linalg.norm(Z - yhat * zn[:, None], axis=1), kind="stable")
-    tol = budget.margin * max(1.0, yn)
-    for i in order[: budget.multistarts]:
-        if zn[i] <= 1e-12:
-            continue
-        t = (yn / zn[i]) ** (1.0 / (m - 1))
-        x0 = t * X[int(i)]
-        x, r = _gauss_newton_preimage(A, y, G, x0, budget.polish_iters)
-        used += budget.polish_iters
-        if r <= tol:
-            return Verdict("tpos-contains", "holds", r, x, used)
-        z = apply_m1(A, x)
-        znorm = float(np.linalg.norm(z))
-        if znorm > 1e-12:
-            sep = min(sep, float(np.linalg.norm(z / znorm - yhat)))
+    # polish the most promising directions, scaled onto |y|, into exact preimages
+    best = np.argsort(np.linalg.norm(Z - yhat * zn[:, None], axis=1), kind="stable")
+    best = best[: budget.multistarts]
+    best = best[zn[best] > 1e-12]
+    t = (yn / zn[best]) ** (1.0 / (A.order - 1))
+    lam, r = damped_newton(lambda L: apply_m1(A, _combine(L, G)) - y,
+                           lambda L: jacobian_m1(A, _combine(L, G)) @ G,
+                           t[:, None] * lattice[best], budget.polish_iters, 1e-14,
+                           project=lambda L: np.maximum(L, 0.0))
+    X = _combine(lam, G)
+    hit = np.flatnonzero(r <= budget.margin * max(1.0, yn))
+    if len(hit):
+        i = int(hit[0])
+        return Verdict("tpos-contains", "holds", float(r[i]), X[i],
+                       used + (i + 1) * budget.polish_iters)
+    used += len(best) * budget.polish_iters
+    Z = apply_m1(A, X)
+    sep = min(sep, _separation(Z, np.linalg.norm(Z, axis=1), yhat))
     if sep > budget.margin:
         return Verdict("tpos-contains", "fails", sep, None, used,
                        note="separation on the normalized image grid")
     return Verdict("tpos-contains", "unknown", sep, None, used)
 
 
-def _gauss_newton_preimage(A: Tensor, y: np.ndarray, G: np.ndarray,
-                           x0: np.ndarray, iters: int):
-    """Levenberg-style Gauss-Newton on ||A x^{m-1} - y||, x = G lam, lam >= 0."""
-    # solve in lam-space so general cones reduce to a clamp
-    lam = np.maximum(np.linalg.lstsq(G, x0, rcond=None)[0], 0.0)
-    x = G @ lam
-    r = apply_m1(A, x) - y
-    rn = float(np.linalg.norm(r))
-    mu = 1e-8
-    for _ in range(iters):
-        if rn <= 1e-14:
-            break
-        J = jacobian_m1(A, x) @ G
-        H = J.T @ J + mu * np.eye(J.shape[1])
-        try:
-            d = np.linalg.solve(H, -J.T @ r)
-        except np.linalg.LinAlgError:
-            break
-        moved = False
-        t = 1.0
-        while t > 1e-14:
-            ln = np.maximum(lam + t * d, 0.0)
-            xn = G @ ln
-            rnew = apply_m1(A, xn) - y
-            rnn = float(np.linalg.norm(rnew))
-            if rnn < rn:
-                lam, x, r, rn = ln, xn, rnew, rnn
-                mu = max(mu * 0.3, 1e-12)
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            mu *= 10.0
-            if mu > 1e6:
-                break
-    return x, rn
+def _separation(Z: np.ndarray, zn: np.ndarray, yhat: np.ndarray) -> float:
+    """min ||z / ||z|| - yhat|| over the rows z of Z with ||z|| > 1e-12."""
+    ok = zn > 1e-12
+    if not np.any(ok):
+        return math.inf
+    return float(np.linalg.norm(Z[ok] / zn[ok, None] - yhat, axis=1).min())
 
 
 def q_membership(A: Tensor, q, budget: SearchBudget | None = None) -> MembershipResult:

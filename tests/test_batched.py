@@ -156,6 +156,27 @@ def test_singular_row_takes_least_squares_alone():
 
 
 @settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), k=st.integers(1, 4), S=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_non_square_rows_take_least_squares_steps_alone(n, k, S, seed):
+    # F maps R^k to R^n: with n > k each step is a Gauss-Newton step, with
+    # n < k the minimum-norm solution; the plain loop takes np.linalg.lstsq
+    # at every step, since np.linalg.solve rejects a non-square J
+    if n == k:
+        n = k + 1
+    rng = np.random.default_rng(seed)
+    F, J, _, _ = cubic(rng.uniform(-2.0, 2.0, (n, k, k)))
+    y = F(rng.uniform(0.0, 1.0, (1, k)))[0]  # reachable, so some rows converge
+    Fy = lambda X: F(X) - y
+    X0 = rng.uniform(0.0, 2.0, (S, k))
+    X, r = damped_newton(Fy, J, X0, 30, 1e-12, project=clamp)
+    assert X.shape == (S, k) and r.shape == (S,)
+    for s in range(S):
+        xr, rr = newton_one_start(Fy, J, X0[s], 30, 1e-12, clamp)
+        assert np.array_equal(X[s], xr) and r[s] == rr
+
+
+@settings(max_examples=40, deadline=None)
 @given(k=st.integers(1, 4), S=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
 def test_descent_rows_end_where_each_start_ends_alone(k, S, seed):
     rng = np.random.default_rng(seed)
@@ -240,6 +261,47 @@ def test_local_uniqueness_descent_follows_one_start_rule(monkeypatch, seed):
     (f, grad, L0, iters), = calls
     _, _, evals = assert_rows_follow_one_start_rule(f, grad, L0, iters)
     assert evals[0] > 1
+
+
+def with_axis_zeros(A):
+    """A with e_1 and e_2 in its homogeneous solution set: a_{j j..j} = 0 and
+    a_{i j..j} >= 0, so A e_j^{m-1} >= 0 and A e_j^m = 0."""
+    e = dict(A.entries)
+    for j in (1, 2):
+        for i in range(1, A.dim + 1):
+            idx = (i,) + (j,) * (A.order - 1)
+            e[idx] = 0.0 if i == j else abs(e.get(idx, 1.0))
+    return Tensor(A.order, A.dim, e)
+
+
+@pytest.mark.parametrize("kind, m, n, seed", [("general", 3, 2, 0), ("general", 3, 3, 1),
+                                              ("symmetric", 4, 3, 2), ("copositive", 2, 4, 3)])
+@pytest.mark.parametrize("N", [1, 8, 16])
+def test_s_cone_samples_polish_each_candidate_as_alone(monkeypatch, kind, m, n, seed, N):
+    # one descent from every candidate, then the keep rule, in candidate
+    # order: the same samples as one descent per candidate, stopping at N
+    calls = []
+    monkeypatch.setattr(classify, "descend_on_simplex",
+                        lambda *args: calls.append(args) or descend_on_simplex(*args))
+    A = with_axis_zeros(fx.random_tensor(kind, m, n, seed))
+    budget = SearchBudget()
+    samples = classify.s_cone_samples(A, N, budget)
+    (f, grad, L0, iters), = calls
+    assert iters == budget.polish_iters and len(L0) >= 2
+    ref = []
+    for lam in L0:
+        x = descend_on_simplex(f, grad, lam[None], iters)[0][0]
+        u = x / np.linalg.norm(x)
+        Fu = A.to_dense()
+        for _ in range(m - 1):  # contract the last index with u
+            Fu = Fu @ u
+        if Fu.min() >= -budget.margin and abs(u @ Fu) <= budget.margin:
+            if all(np.linalg.norm(u - p) > 1e-6 for p in ref):
+                ref.append(u)
+        if len(ref) >= N:
+            break
+    assert 1 <= len(samples) == len(ref) <= N
+    assert all(np.array_equal(a, b) for a, b in zip(samples, ref))
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from tcpkit import fixtures as fx
 from tcpkit.classify import SearchBudget, is_K_nonsingular
@@ -11,7 +12,7 @@ from tcpkit.compcones import (
     solution_from_membership,
     tpos_contains,
 )
-from tcpkit.cones import orthant
+from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance, is_solution
 from tcpkit.tensor import (
     IndexSet,
@@ -96,6 +97,48 @@ class TestTposContains:
             x = t ** (1.0 / (m - 1)) * base.witness
             assert np.allclose(apply_m1(e2, x), t * np.array([5.0, 5.0]),
                                atol=1e-5)
+
+
+def dense_m1(A, x):
+    """A x^{m-1} from the dense array, by one einsum over all its indices."""
+    m = A.order
+    args = [A.to_dense(), list(range(m))]
+    for j in range(1, m):
+        args += [x, [j]]
+    return np.einsum(*args, [0])
+
+
+def random_cone(n, seed):
+    """n + 1 positive generators in R^n."""
+    rng = np.random.default_rng(seed)
+    return from_generators(list(np.abs(rng.normal(size=(n + 1, n))) + 0.1))
+
+
+class TestTposContainsOnGeneratedCones:
+    """A target built in the image, y = A (G lam)^{m-1} with lam >= 0, must
+    be found: the witness is re-evaluated densely and checked to lie in K
+    by a nonnegative least-squares fit to the generators."""
+
+    @pytest.mark.parametrize("kind, n, seed, cone, lam_seed", [
+        ("general", 2, 1, "ice2", 0), ("copositive", 2, 2, "ice2", 1),
+        ("symmetric", 2, 3, "ice2", 2), ("general", 2, 4, "random", 3),
+        ("copositive", 2, 5, "random", 4), ("general", 3, 6, "random", 5),
+        ("symmetric", 3, 7, "random", 6), ("copositive", 3, 52, "random", 152),
+        # a Levenberg-Marquardt polish from the same starts stalls 9e-4 from
+        # y-hat here, which reads as a separation
+        ("copositive", 3, 52, "random", 112),
+    ])
+    def test_image_point_holds(self, kind, n, seed, cone, lam_seed):
+        A = fx.random_tensor(kind, 3, n, seed)
+        K = fx.cone_fixture("ice2") if cone == "ice2" else random_cone(n, seed)
+        G = np.column_stack(K.generators)
+        lam = np.random.default_rng(lam_seed).uniform(0.0, 1.0, G.shape[1])
+        y = dense_m1(A, G @ lam)
+        v = tpos_contains(K, A, y)
+        assert v.status == "holds"
+        w = v.witness
+        assert np.linalg.norm(dense_m1(A, w) - y) <= 1e-6 * max(1.0, np.linalg.norm(y))
+        assert nnls(G, w)[1] <= 1e-9 * max(1.0, np.linalg.norm(w))
 
 
 class TestQMembership:
