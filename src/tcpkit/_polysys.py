@@ -6,10 +6,12 @@ enumeration solver.  It combines
   * componentwise sign analysis (exact infeasibility certificates when all
     coefficients of a component share a sign),
   * a norm lower bound on the unit sphere that confines roots to a box,
-  * a residual grid over that box, scored from its one axis in the power
-    basis without building a grid point, and
+  * a residual grid over that box, scored in the power basis from its one
+    axis, only in the blocks of the grid that can hold one of the best
+    points: a monotone enclosure of each component over each block bounds
+    the residual there, and
   * one row-batched damped projected Newton refinement from the best grid
-    points.
+    points, the same points a full scoring of the grid would pick.
 
 Every test reads the tensor's frozen form; none calls ``to_dense``.
 Infeasibility is only certified when the box bound is valid and the grid
@@ -102,32 +104,84 @@ def min_sphere_norm(A: Tensor) -> float:
     return max(est - lip * h, 0.0)
 
 
-def _grid_residual(A: Tensor, q: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """max_i |(A u^{m-1} + q)_i| at every point u of the grid axis^k, as a
-    (g,) * k array: each component, in the power basis, is contracted with
-    the powers of the axis one variable at a time; no grid point is built."""
-    k, m = A.dim, A.order
-    C, P = _power_coefficients(A), axis[:, None] ** np.arange(m)
-    resid = None
-    for i in range(k):
-        F = C[..., i]
-        for j in reversed(range(k)):  # e_{j+1}, the last exponent axis left, becomes a_{j+1}
-            F = P @ F.reshape(m ** j, m, -1)
-        F = F.reshape((len(axis),) * k)
-        F += q[i]
-        np.abs(F, out=F)
-        resid = F if resid is None else np.maximum(resid, F, out=resid)
-    return resid
+def _contract(C: np.ndarray, P: list) -> np.ndarray:
+    """sum_e C[:, e] prod_d P[d][:, :, e_d] at every point of S boxes at once.
+
+    C holds power-basis coefficients component first, shape (n,) + (m,) * k,
+    and P[d], of shape (S, b, m), the powers 0..m-1 of box s's points on axis
+    d; the result has shape (n, S) + (b,) * k.  Each axis is contracted by
+    elementwise products summed over its exponent in order, so a point gets
+    the same bits in every box that holds it (a matrix product would not)."""
+    k, m = len(P), C.shape[1]
+    T = C[:, None]
+    for d in reversed(range(k)):  # T is (n, S, e_0..e_d, a_{d+1}..a_{k-1})
+        S, b, _ = P[d].shape
+        Pd = np.moveaxis(P[d], 2, 0).reshape((m, 1, S) + (1,) * d + (b,) + (1,) * (k - 1 - d))
+        at = (slice(None),) * (2 + d)
+        F = T[at + (slice(0, 1),)] * Pd[0]
+        for e in range(1, m):
+            F += T[at + (slice(e, e + 1),)] * Pd[e]
+        T = F
+    return T
 
 
-def _smallest(values: np.ndarray, N: int) -> np.ndarray:
-    """Indices of the N smallest values, ties by index: exactly
-    np.argsort(values, kind="stable")[:N], without sorting all of them."""
-    if N >= len(values):
-        return np.argsort(values, kind="stable")
-    kth = values[np.argpartition(values, N - 1)[N - 1]]
-    cand = np.flatnonzero(~(values > kth))  # also keeps NaN if kth is NaN
-    return cand[np.argsort(values[cand], kind="stable")[:N]]
+def _block_bounds(C: np.ndarray, q: np.ndarray, P: np.ndarray):
+    """Lower and upper bounds on the residual max_i |(A u^{m-1} + q)_i| over
+    each block of a grid, as two arrays of shape (nb,) * k: P (nb, b, m) holds
+    the powers of the points of the nb blocks of its axis, sorted, and C the
+    power-basis coefficients component first.
+
+    On u >= 0 every monomial is monotone, so over a block [l, h]^k component
+    i lies in [C+_i(l) + C-_i(h) + q_i, C+_i(h) + C-_i(l) + q_i], C+ and C-
+    being the sign parts of C; both ends are widened by 1e-12 (|C_i|(h) +
+    |q_i|), far above the rounding error of either bound or of a point
+    value from _contract.  An overflow gives NaN or infinite bounds."""
+    k = C.ndim - 1
+    qk = q.reshape((k,) + (1,) * k)
+    signed = np.concatenate([np.maximum(C, 0.0), np.minimum(C, 0.0)])
+    at_l = _contract(signed, [P[None, :, 0]] * k)[:, 0]
+    at_h = _contract(signed, [P[None, :, -1]] * k)[:, 0]
+    err = 1e-12 * (at_h[:k] - at_h[k:] + np.abs(qk))
+    lo = at_l[:k] + at_h[k:] + qk - err
+    hi = at_h[:k] + at_l[k:] + qk + err
+    return np.maximum(np.maximum(lo, -hi), 0.0).max(axis=0), np.maximum(-lo, hi).max(axis=0)
+
+
+def _grid_starts(A: Tensor, q: np.ndarray, axis: np.ndarray, N: int):
+    """The raveled indices in the grid axis^k of its N points of least
+    residual, ties by index, and the least residual: exactly
+    np.argsort(r, kind="stable")[:N] and r.min() of the residuals r that
+    _contract gives on the full axis.
+
+    The axis is cut into blocks, and only the points of the blocks that can
+    hold one of the N are scored: with tau the least upper bound at which
+    the blocks at or below it hold N points, a block whose lower bound
+    exceeds tau holds only points past the N-th.  A NaN bound keeps its
+    block, so after an overflow every block is scored."""
+    k, g = A.dim, len(axis)
+    C = np.moveaxis(_power_coefficients(A), -1, 0)
+    b = math.isqrt(g // 2)  # 32 blocks per axis at g = 512, 14 at g = 66
+    nb = -(-g // b)
+    pos = np.arange(nb * b).reshape(nb, b)  # the last block is padded with the last point
+    P = axis[np.minimum(pos, g - 1)][..., None] ** np.arange(C.shape[1])
+    low, up = _block_bounds(C, q, P)
+
+    up = up.ravel()
+    counts = math.prod(np.ix_(*[np.minimum(b, g - b * np.arange(nb))] * k)).ravel()
+    order = np.argsort(up)  # NaN last
+    reach = np.cumsum(counts[order]) >= N
+    tau = up[order[np.argmax(reach)]] if reach[-1] else np.inf
+    J = np.argwhere(~(low > tau))
+
+    r = _contract(C, [P[J[:, d]] for d in range(k)])
+    r += q.reshape((k, 1) + (1,) * k)
+    r = np.abs(r, out=r).max(axis=0)
+    flat, valid = 0, True
+    for d in range(k):
+        c = pos[J[:, d]].reshape((-1,) + (1,) * d + (b,) + (1,) * (k - 1 - d))
+        flat, valid = flat * g + c, valid & (c < g)
+    flat, r = np.broadcast_to(flat, r.shape)[valid], r[valid]
+    return flat[np.lexsort((flat, r))[:N]], float(r.min())
 
 
 def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,10 +319,8 @@ def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
     if k <= 3:  # a uniform grid on [0, R]^k
         g = max(min(int(_GRID_CELLS ** (1.0 / k)), 512), 8)
         axis = np.linspace(0.0, R, g)
-        resid = _grid_residual(A, q, axis)
-        scan.grid_min_residual = float(resid.min())
-        best = _smallest(resid.ravel(), max(4 * multistarts, 8))
-        starts = axis[np.column_stack(np.unravel_index(best, resid.shape))]
+        best, scan.grid_min_residual = _grid_starts(A, q, axis, max(4 * multistarts, 8))
+        starts = axis[np.column_stack(np.unravel_index(best, (g,) * k))]
         step = R / (g - 1)
     else:
         # dimension too high for a dense grid: multistart only, never certify

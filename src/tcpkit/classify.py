@@ -238,21 +238,26 @@ def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchB
     k = len(gens)
     obj = _Objective(objective, A)
 
+    if K.is_orthant:  # G is the identity; + 0.0 turns -0.0 into +0.0 as _combine does
+        to_x = to_lam = lambda L: L + 0.0
+    else:
+        to_x, to_lam = (lambda L: _combine(L, G)), (lambda X: _combine(X, G.T))
+
     lattice = _simplex_lattice(k, budget.resolution_for(k))
-    X = _combine(lattice, G)
+    X = to_x(lattice)
     vals = obj.from_internal(obj.value(X))
     order = np.argsort(vals, kind="stable")
     best_val = float(vals[order[0]])
     best_x = X[order[0]]
 
-    lam, f, used = descend_on_simplex(lambda L: obj.value(_combine(L, G)),
-                                      lambda L: _combine(obj.grad(_combine(L, G)), G.T),
+    lam, f, used = descend_on_simplex(lambda L: obj.value(to_x(L)),
+                                      lambda L: to_lam(obj.grad(to_x(L))),
                                       lattice[order[: budget.multistarts]],
                                       budget.polish_iters)
     v = obj.from_internal(f)
     i = int(np.argmin(v))
     if v[i] < best_val - 1e-15:
-        best_val, best_x = float(v[i]), _combine(lam[i:i + 1], G)[0]
+        best_val, best_x = float(v[i]), to_x(lam[i:i + 1])[0]
     return best_val, best_x, len(vals) + int(used.sum())
 
 

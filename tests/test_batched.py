@@ -11,7 +11,9 @@ local_uniqueness_certificate build must keep that property too, and are
 checked the same way.
 
 The root-box grid of scan_system, its start selection and its root dedup
-are checked against references written here the same way.
+are checked against references written here the same way; the pruned
+start selection is checked against the full grid, scored point by point
+with the same formula.
 """
 
 import itertools
@@ -27,11 +29,12 @@ from tcpkit import classify
 from tcpkit import fixtures as fx
 from tcpkit import stability
 from tcpkit import _polysys
-from tcpkit._polysys import _dedup, _grid_residual, _smallest, damped_newton, scan_system
+from tcpkit._polysys import (_block_bounds, _contract, _dedup, _grid_starts, damped_newton,
+                             scan_system)
 from tcpkit.classify import SearchBudget, descend_on_simplex, min_over_basis
 from tcpkit.cones import from_generators
 from tcpkit.solver import TcpInstance
-from tcpkit.tensor import Tensor
+from tcpkit.tensor import Tensor, _power_coefficients
 
 
 def cubic(D):
@@ -304,16 +307,6 @@ def test_s_cone_samples_polish_each_candidate_as_alone(monkeypatch, kind, m, n, 
     assert all(np.array_equal(a, b) for a, b in zip(samples, ref))
 
 
-@settings(max_examples=200, deadline=None)
-@given(values=st.lists(st.integers(0, 4), min_size=1, max_size=60),
-       N=st.integers(1, 80), nan_at=st.integers(0, 100))
-def test_smallest_matches_stable_argsort(values, N, nan_at):
-    v = np.array(values, dtype=float)
-    if nan_at < len(v):
-        v[nan_at] = np.nan
-    assert np.array_equal(_smallest(v, N), np.argsort(v, kind="stable")[:N])
-
-
 def sparse_system(k, m, seed):
     """A random k-dimensional tensor of order m with about half its entries
     stored, some of them stored as exact zeros, and a random q."""
@@ -341,16 +334,69 @@ def reference_grid_residual(A, q, axis):
     return out, mag + np.abs(q).max()
 
 
+def full_grid_residual(A, q, axis):
+    """max_i |(A u^{m-1} + q)_i| at every point of the grid axis^k, as a
+    (g,) * k array: the formula scan_system scores its blocks with, applied
+    to the whole axis as one block."""
+    k = A.dim
+    C = np.moveaxis(_power_coefficients(A), -1, 0)
+    P = axis[:, None] ** np.arange(A.order)
+    F = _contract(C, [P[None]] * k)[:, 0] + q.reshape((k,) + (1,) * k)
+    return np.abs(F).max(axis=0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(2, 3), m=st.integers(2, 5), g=st.integers(2, 7),
        R=st.floats(0.01, 20.0), seed=st.integers(0, 2**32 - 1))
 def test_grid_residual_matches_its_defining_sum(k, m, g, R, seed):
     A, q = sparse_system(k, m, seed)
     axis = np.linspace(0.0, R, g)
-    resid = _grid_residual(A, q, axis)
+    resid = full_grid_residual(A, q, axis)
     ref, mag = reference_grid_residual(A, q, axis)
     assert resid.shape == (g,) * k
     assert np.all(np.abs(resid - ref) <= 1e-12 * mag)
+
+
+@st.composite
+def grid_systems(draw):
+    """A sparse system on a grid, with heavy ties drawn in: some q_i set to
+    0, some components with every coefficient 0, R down to 1e-9."""
+    k, m = draw(st.integers(2, 3)), draw(st.integers(2, 5))
+    A, q = sparse_system(k, m, draw(st.integers(0, 2**32 - 1)))
+    zero_q = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    zero_rows = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    q[zero_q] = 0.0
+    A = Tensor(m, k, {idx: v for idx, v in A.entries.items() if not zero_rows[idx[0] - 1]})
+    g = draw(st.integers(2, 40 if k == 2 else 12))
+    R = draw(st.sampled_from([1e-9, 1e-3]) | st.floats(0.01, 20.0))
+    return A, q, np.linspace(0.0, R, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=grid_systems(), cut=st.integers(1, 8))
+def test_block_bounds_bracket_every_point(system, cut):
+    # any cut of the axis into runs of points: every point value of the full
+    # grid lies within the bounds of its block
+    A, q, axis = system
+    k, g = A.dim, len(axis)
+    C = np.moveaxis(_power_coefficients(A), -1, 0)
+    starts = np.arange(0, g, cut)
+    pos = np.minimum(starts[:, None] + np.arange(cut), g - 1)  # the last block padded
+    low, up = _block_bounds(C, q, axis[pos][..., None] ** np.arange(A.order))
+    resid = full_grid_residual(A, q, axis)
+    of_point = np.ix_(*[np.arange(g) // cut] * k)
+    assert np.all(low[of_point] <= resid) and np.all(resid <= up[of_point])
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=grid_systems(), N=st.integers(1, 100) | st.just(2000))
+def test_pruned_selection_is_the_full_stable_argsort(system, N):
+    # N = 2000 >= g^k selects every point
+    A, q, axis = system
+    resid = full_grid_residual(A, q, axis).ravel()
+    best, least = _grid_starts(A, q, axis, N)
+    assert np.array_equal(best, np.argsort(resid, kind="stable")[:N])
+    assert least == resid.min()
 
 
 @settings(max_examples=16, deadline=None)
@@ -358,27 +404,30 @@ def test_grid_residual_matches_its_defining_sum(k, m, g, R, seed):
        multistarts=st.integers(1, 30))
 def test_scan_starts_are_the_best_grid_points(k, m, seed, multistarts):
     # the starts scan_system refines are the N grid points of smallest
-    # residual, ties by index, and every coordinate is a point of the axis
+    # residual on the full grid, ties by index, and every coordinate is a
+    # point of the axis
     A, q = sparse_system(k, m, seed)
     seen = {}
-    refine = _polysys._refine_rows
+    select, refine = _polysys._grid_starts, _polysys._refine_rows
 
-    def spy_grid(A, q, axis):
-        seen["grid"] = axis, _grid_residual(A, q, axis)
-        return seen["grid"][1]
+    def spy_select(A, q, axis, N):
+        seen["grid"] = axis, N
+        return select(A, q, axis, N)
 
     def spy_refine(A, q, U0):
         seen["starts"] = U0
         return refine(A, q, U0)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_polysys, "_grid_residual", spy_grid)
+        mp.setattr(_polysys, "_grid_starts", spy_select)
         mp.setattr(_polysys, "_refine_rows", spy_refine)
         scan = scan_system(A, q, multistarts=multistarts)
     if "grid" not in seen:  # settled before the grid: sign analysis
         return
-    axis, resid = seen["grid"]
-    best = np.argsort(resid.ravel(), kind="stable")[:max(4 * multistarts, 8)]
+    axis, N = seen["grid"]
+    assert N == max(4 * multistarts, 8)
+    resid = full_grid_residual(A, q, axis)
+    best = np.argsort(resid.ravel(), kind="stable")[:N]
     starts = np.column_stack([axis[a] for a in np.unravel_index(best, resid.shape)])
     assert np.array_equal(seen["starts"], starts)
     assert np.isin(seen["starts"], axis).all()
@@ -408,9 +457,9 @@ def test_dedup_keeps_the_roots_of_the_plain_loop(k, S, seed):
 
 
 def test_scan_system_memory_stays_blocked():
-    # the residual grid is 512 x 512 floats (2 MiB), and the peak is two
-    # such blocks (about 4 MiB): the running maximum and one component.
-    # The point mesh, or an (S, k) residual array, would add 4 MiB more.
+    # the 512 x 512 residual grid alone would be 2 MiB; only the blocks that
+    # can hold a start are scored (about 1 000 points here), so the peak is
+    # the block bounds, the Newton rows and the sphere grid, about 0.3 MiB
     A, q = fx.identity(3, 2), np.array([-1.0, -1.0])
     scan_system(A, q)
     tracemalloc.start()
@@ -420,4 +469,4 @@ def test_scan_system_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert len(scan.roots) == 1 and np.allclose(scan.roots[0], [1.0, 1.0])
-    assert peak <= 5 * 2**20
+    assert peak <= 2**20
