@@ -25,6 +25,7 @@ applies the slack test; membership and the enumeration solver both read it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -67,13 +68,16 @@ def _sign_infeasible(A: Tensor, q: np.ndarray) -> bool:
                        | (np.all(A._coef <= 0, axis=0) & (q < -1e-12))))
 
 
+@functools.cache  # one grid per (k, res); min_sphere_norm asks for one res per k
 def _sphere_grid(k: int, res: int) -> np.ndarray:
-    """Unit-norm nonnegative directions from a barycentric lattice."""
+    """Unit-norm nonnegative directions from a barycentric lattice, read-only."""
     if k == 2:
         t = np.linspace(0.0, math.pi / 2, res)
-        return np.column_stack([np.cos(t), np.sin(t)])
-    X = _compositions(k, res).astype(float)
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
+        X = np.column_stack([np.cos(t), np.sin(t)])
+    else:
+        X = _compositions(k, res).astype(float)
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+    X.setflags(write=False)
     return X
 
 

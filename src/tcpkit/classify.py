@@ -20,6 +20,9 @@ from .cones import PolyhedralCone, orthant
 from .tensor import (
     IndexSet,
     Tensor,
+    _derivative,
+    _rows_m1,
+    _stack_m1,
     apply_m1,
     batch_apply_m1,
     jacobian_m1,
@@ -119,29 +122,32 @@ def _project_simplex(V: np.ndarray) -> np.ndarray:
 
 
 class _Objective:
-    """Smooth surrogates of the three basis objectives on the rows of X.
+    """Smooth surrogates of the three basis objectives for a stack of tensors
+    that share _tails: row r of X is scored with the tensor tensors[own[r]].
 
-    value(X) is what the polish minimizes (A x^m, ||A x^{m-1}||^2 or
+    value(X, own) is what the polish minimizes (A x^m, ||A x^{m-1}||^2 or
     (A x^m)^2); from_internal maps it to the contract value (A x^m,
     ||A x^{m-1}|| or |A x^m|).
     """
 
-    def __init__(self, kind: str, A: Tensor):
+    def __init__(self, kind: str, tensors):
         if kind not in ("xm", "norm_m1", "abs_xm"):
             raise ValueError(f"unknown objective {kind!r}")
         self.kind = kind
-        self.A = A
+        self.A = tensors[0]
+        self.coef = np.stack([A._coef for A in tensors])
 
-    def value(self, X: np.ndarray) -> np.ndarray:
-        F = apply_m1(self.A, X)
+    def value(self, X: np.ndarray, own: np.ndarray) -> np.ndarray:
+        F = _stack_m1(self.A, X, self.coef, own)
         if self.kind == "norm_m1":
             return np.vecdot(F, F)
         xm = np.vecdot(X, F)
         return xm * xm if self.kind == "abs_xm" else xm
 
-    def grad(self, X: np.ndarray) -> np.ndarray:
-        F = apply_m1(self.A, X)
-        J = jacobian_m1(self.A, X)
+    def grad(self, X: np.ndarray, own: np.ndarray) -> np.ndarray:
+        C = self.coef[own]
+        F = _rows_m1(self.A, X, C)
+        J = _derivative(self.A, X, range(self.A.order - 1), C)
         if self.kind == "norm_m1":
             return 2.0 * (F[:, None, :] @ J)[:, 0]
         dxm = F + (X[:, None, :] @ J)[:, 0]
@@ -168,8 +174,11 @@ _FIRST_RUNGS = 3  # rungs scored for every moving row; the rest only for rows th
 
 def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
     """Projected gradient descent of f on the standard simplex, from every
-    row of the (S, k) array Lam0 at once; f maps (S, k) rows to (S,) values
-    and grad to (S, k) gradients.
+    row of the (S, k) array Lam0 at once.  f(X, rows) maps (R, k) points to
+    (R,) values and grad(X, rows) to (R, k) gradients, where rows holds the
+    index in Lam0 of the start each point descends from, so one call can
+    descend rows of different objectives (the stacked basis minimisation
+    scores each row with its own tensor).
 
     Each row steps on its own: it backtracks from its last accepted step
     length t through the 30 rungs t, t/2, t/4, ... and accepts the first
@@ -182,7 +191,7 @@ def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
     alone.  Returns (rows, their f values, evaluations of f per row).
     """
     lam = np.array(Lam0, dtype=float)
-    val = f(lam)
+    val = f(lam, np.arange(len(lam)))
     evals = np.ones(len(lam), dtype=int)
     step = np.ones(len(lam))
     active = np.ones(len(lam), dtype=bool)
@@ -190,7 +199,7 @@ def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
         rows = np.flatnonzero(active)
         if not len(rows):
             break
-        g = grad(lam[rows])
+        g = grad(lam[rows], rows)
         moving = np.sqrt(np.vecdot(g, g)) > 1e-14
         active[rows[~moving]] = False
         rows, g = rows[moving], g[moving]
@@ -208,7 +217,8 @@ def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
             if len(r):
                 V = lam[rows[r], None] - T[r, lo:hi, None] * g[r, None]
                 cand[r, lo:hi] = _project_simplex(V.reshape(-1, k)).reshape(V.shape)
-                fc[r, lo:hi] = f(cand[r, lo:hi].reshape(-1, k)).reshape(len(r), -1)
+                fc[r, lo:hi] = f(cand[r, lo:hi].reshape(-1, k),
+                                 np.repeat(rows[r], hi - lo)).reshape(len(r), -1)
         ok = fc < val[rows, None]
         first = np.argmax(ok, axis=1)  # the first accepted rung, or 0 when there is none
         took = ok[np.arange(R), first]
@@ -231,34 +241,54 @@ def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchB
     polished together; the lowest polished value replaces the lattice
     minimum when it is lower by more than 1e-15.
     """
+    return _min_over_stack(objective, [A], K, budget)[0]
+
+
+_STACK_ROWS = 240  # descent rows (tensors x starts) of one stacked block
+
+
+def _min_over_stack(objective: str, tensors, K: PolyhedralCone, budget: SearchBudget):
+    """[min_over_basis(objective, A, K, budget) for A in tensors], tensors of
+    one order and dimension.  Each tensor scores the lattice on its own; the
+    tensors that share _tails then polish their starts in one descent per
+    block of about _STACK_ROWS rows, each row scored with its own tensor's
+    coefficients, so every tensor gets the bits it gets alone."""
     gens = [np.asarray(g, float) / np.linalg.norm(g) for g in K.generators]
     if not gens:
         raise ValueError("cone has no generators")
     G = np.column_stack(gens)
-    k = len(gens)
-    obj = _Objective(objective, A)
-
     if K.is_orthant:  # G is the identity; + 0.0 turns -0.0 into +0.0 as _combine does
         to_x = to_lam = lambda L: L + 0.0
     else:
         to_x, to_lam = (lambda L: _combine(L, G)), (lambda X: _combine(X, G.T))
 
-    lattice = _simplex_lattice(k, budget.resolution_for(k))
+    lattice = _simplex_lattice(len(gens), budget.resolution_for(len(gens)))
     X = to_x(lattice)
-    vals = obj.from_internal(obj.value(X))
-    order = np.argsort(vals, kind="stable")
-    best_val = float(vals[order[0]])
-    best_x = X[order[0]]
-
-    lam, f, used = descend_on_simplex(lambda L: obj.value(to_x(L)),
-                                      lambda L: to_lam(obj.grad(to_x(L))),
-                                      lattice[order[: budget.multistarts]],
-                                      budget.polish_iters)
-    v = obj.from_internal(f)
-    i = int(np.argmin(v))
-    if v[i] < best_val - 1e-15:
-        best_val, best_x = float(v[i]), to_x(lam[i:i + 1])[0]
-    return best_val, best_x, len(vals) + int(used.sum())
+    c = min(budget.multistarts, len(X))  # starts per tensor
+    groups = {}
+    for i, A in enumerate(tensors):
+        groups.setdefault(A._tails.tobytes(), []).append(i)
+    size = max(1, _STACK_ROWS // c)  # tensors per block
+    out = [None] * len(tensors)
+    for block in (m[b:b + size] for m in groups.values() for b in range(0, len(m), size)):
+        obj = _Objective(objective, [tensors[i] for i in block])
+        best, starts = [], []
+        for s in range(len(block)):
+            vals = obj.from_internal(obj.value(X, np.full(len(X), s)))
+            order = np.argsort(vals, kind="stable")
+            best.append((float(vals[order[0]]), X[order[0]]))
+            starts.append(lattice[order[:c]])
+        owner = np.repeat(np.arange(len(block)), c)
+        lam, f, used = descend_on_simplex(lambda L, rows: obj.value(to_x(L), owner[rows]),
+                                          lambda L, rows: to_lam(obj.grad(to_x(L), owner[rows])),
+                                          np.concatenate(starts), budget.polish_iters)
+        v = obj.from_internal(f).reshape(len(block), c)
+        for s, i in enumerate(block):
+            j = int(np.argmin(v[s]))
+            if v[s, j] < best[s][0] - 1e-15:
+                best[s] = float(v[s, j]), to_x(lam[s * c + j:s * c + j + 1])[0]
+            out[i] = (*best[s], len(X) + int(used[s * c:(s + 1) * c].sum()))
+    return out
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
@@ -269,11 +299,15 @@ def _unit(x: np.ndarray) -> np.ndarray:
 def is_K_psd(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None,
              property_name: str = "K-positive-semidefinite") -> Verdict:
     budget = budget or SearchBudget()
-    v, x, used = min_over_basis("xm", A, K, budget)
+    return _psd_verdict(property_name, budget, *min_over_basis("xm", A, K, budget))
+
+
+def _psd_verdict(name: str, budget: SearchBudget, v: float, x: np.ndarray, used: int) -> Verdict:
+    """holds unless the basis minimum v of A x^m is below -margin, which
+    fails with witness x."""
     if v < -budget.margin:
-        return Verdict(property_name, "fails", v, _unit(x), used)
-    return Verdict(property_name, "holds", v, None, used,
-                   note="holds at sampling resolution")
+        return Verdict(name, "fails", v, _unit(x), used)
+    return Verdict(name, "holds", v, None, used, note="holds at sampling resolution")
 
 
 def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
@@ -312,7 +346,10 @@ def is_K_nonsingular(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None =
     """'holds' means K-nonsingular; 'fails' means K-singular with a witness
     x on which ||A x^{m-1}|| vanishes to a thousandth of the margin."""
     budget = budget or SearchBudget()
-    v, x, used = min_over_basis("norm_m1", A, K, budget)
+    return _nonsingular_verdict(budget, *min_over_basis("norm_m1", A, K, budget))
+
+
+def _nonsingular_verdict(budget: SearchBudget, v: float, x: np.ndarray, used: int) -> Verdict:
     return _three_valued("K-nonsingular", v, x, used, budget.margin, budget.margin * 1e-3)
 
 
@@ -361,11 +398,11 @@ def s_cone_samples(A: Tensor, N: int,
     loose = 1e-2
     mask = (F.min(axis=1) >= -loose) & (np.abs(xm) <= loose)
 
-    def merit(X):
+    def merit(X, _rows):
         F = apply_m1(A, X)
         return np.sum(np.minimum(F, 0.0) ** 2, axis=1) + np.vecdot(X, F) ** 2
 
-    def merit_grad(X):
+    def merit_grad(X, _rows):
         F = apply_m1(A, X)
         J = jacobian_m1(A, X)
         g = 2.0 * (np.minimum(F, 0.0)[:, None, :] @ J)[:, 0]

@@ -79,7 +79,9 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     (Gauss-Newton when G is not square) on A (G lam)^{m-1} = y from the
     scaled best lattice points.  fails: the normalized images of the
     lattice and of the polished points stay separated from y-hat by more
-    than the margin.  unknown otherwise.
+    than the margin; that sampled separation bounds the true distance from
+    above only, so fails is a claim at sampling resolution, and its note
+    says so.  unknown otherwise.
     """
     budget = budget or SearchBudget()
     y = np.asarray(y, dtype=float)
@@ -120,7 +122,8 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     sep = min(sep, _separation(Z, np.linalg.norm(Z, axis=1), yhat))
     if sep > budget.margin:
         return Verdict("tpos-contains", "fails", sep, None, used,
-                       note="separation on the normalized image grid")
+                       note="sampled separation on the normalized image grid: an upper "
+                            "bound on the distance from y-hat, with no lower bound behind it")
     return Verdict("tpos-contains", "unknown", sep, None, used)
 
 

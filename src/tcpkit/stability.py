@@ -20,6 +20,9 @@ from .classify import (
     SearchBudget,
     Verdict,
     _combine,
+    _min_over_stack,
+    _nonsingular_verdict,
+    _psd_verdict,
     _simplex_lattice,
     descend_on_simplex,
     is_copositive,
@@ -143,7 +146,8 @@ def local_uniqueness_certificate(inst: TcpInstance, xbar,
     k = R.shape[1]
     lattice = _simplex_lattice(k, budget.resolution_for(k))
     start = lattice[np.argmin(rayleigh(lattice))]  # first lattice minimizer
-    lam, val, used = descend_on_simplex(rayleigh, grad, start[None], budget.polish_iters)
+    lam, val, used = descend_on_simplex(lambda L, _: rayleigh(L), lambda L, _: grad(L),
+                                        start[None], budget.polish_iters)
     best_val = float(val[0])
     evals = len(lattice) + int(used[0]) - 1  # the start was already scored on the lattice
     best_v = R @ lam[0]
@@ -163,7 +167,12 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
 
     Perturbations that break copositivity are redrawn (up to 100 times per
     trial, then shifted by eps times the unit tensor, which adds the sum of
-    m-th powers to the polynomial)."""
+    m-th powers to the polynomial).  Trial t draws from its own stream
+    SplitMix64(seed).spawn(t + 1), so the trials are gated together: one
+    stacked copositivity check of every trial's tensor, then of the redraws
+    of the trials that failed, each from its own stream; the verdicts are
+    those of one is_copositive call per tensor.  Then each trial is solved,
+    in order."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     if not inst.cone.is_orthant:
@@ -178,23 +187,32 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     rng = SplitMix64(seed)
     n = inst.A.dim
     shape = (n,) * inst.A.order
+    streams = [rng.spawn(t + 1) for t in range(trials)]
+    dqs, tensors = [], []
+    for trial_rng in streams:
+        dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
+        dqs.append(dq)
+        tensors.append(_perturbed_tensor(inst.A, dA))
+    redraws = [0] * trials
+    pending = list(range(trials))
+    while pending:
+        gates = _min_over_stack("xm", [tensors[t] for t in pending], inst.cone, budget)
+        pending = [t for t, r in zip(pending, gates)
+                   if _psd_verdict("copositive", budget, *r).status != "holds"]
+        for t in pending:
+            dqs[t], dA = _draw_perturbation(streams[t], n, shape, eps)
+            tensors[t] = _perturbed_tensor(inst.A, dA)
+            redraws[t] += 1
+        pending = [t for t in pending if redraws[t] < 100]
+
     solvable = 0
     max_norm = 0.0
     failures: list[int] = []
-    resamples = 0
     for t in range(trials):
-        trial_rng = rng.spawn(t + 1)
-        dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
-        At = _perturbed_tensor(inst.A, dA)
-        redraws = 0
-        while is_copositive(At, budget).status != "holds" and redraws < 100:
-            dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
-            At = _perturbed_tensor(inst.A, dA)
-            redraws += 1
-        if redraws >= 100:
+        At = tensors[t]
+        if redraws[t] >= 100:
             At = At + unit_tensor(inst.A.order, n).scale(eps)
-        resamples += redraws
-        pert = TcpInstance(inst.cone, inst.q + dq, At)
+        pert = TcpInstance(inst.cone, inst.q + dqs[t], At)
         outcome = solve_enumerate(pert, budget)
         norms = [float(np.linalg.norm(s.x)) for s in outcome.solutions]
         if not norms and xbar is not None:
@@ -212,7 +230,7 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
         max_solution_norm=max_norm,
         error_ratio_max=0.0,
         failures=tuple(failures),
-        resamples=resamples,
+        resamples=sum(redraws),
     )
 
 
@@ -373,7 +391,13 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
 def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
                                   trials: int, seed: int,
                                   budget: SearchBudget | None = None) -> dict:
-    """Persistence of K-nonsingularity under tensor (and cone) jitter."""
+    """Persistence of K-nonsingularity under tensor (and cone) jitter.
+
+    Trial t draws from its own stream SplitMix64(seed).spawn(t + 1).  The
+    trials that share a cone (all of them on the orthant or at eps = 0; on a
+    jittered generated cone each trial has its own) are checked in one
+    stacked minimisation, with the verdicts of one is_K_nonsingular call
+    per trial."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     base = is_K_nonsingular(A, K, budget)
@@ -382,7 +406,7 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
     rng = SplitMix64(seed)
     n = A.dim
     shape = (n,) * A.order
-    nonsingular = 0
+    tensors, cones = [], []
     for t in range(trials):
         trial_rng = rng.spawn(t + 1)
         if eps == 0.0:
@@ -397,8 +421,15 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
                 gens = [g + eps * trial_rng.uniform(-1.0, 1.0) *
                         np.array(trial_rng.on_sphere(n)) for g in K.generators]
                 Kp = from_generators(gens)
-        if is_K_nonsingular(_perturbed_tensor(A, dA), Kp, budget).status == "holds":
-            nonsingular += 1
+        tensors.append(_perturbed_tensor(A, dA))
+        cones.append(Kp)
+    by_cone: dict[int, list[int]] = {}
+    for t, Kp in enumerate(cones):
+        by_cone.setdefault(id(Kp), []).append(t)
+    nonsingular = 0
+    for group in by_cone.values():
+        for r in _min_over_stack("norm_m1", [tensors[t] for t in group], cones[group[0]], budget):
+            nonsingular += _nonsingular_verdict(budget, *r).status == "holds"
     return {
         "fraction_nonsingular": nonsingular / trials,
         "eps": eps,

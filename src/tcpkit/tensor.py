@@ -17,6 +17,9 @@ One kernel, ``_monomials``, forms the T monomials x_{j2}...x_{jm}
 then A x^{m-1} = monomials(x) @ coef, and the derivative through position p
 is coef.T @ D_p with D_p[t, tails[t, p]] = monomials(x, skip=p)[t].
 A x^{m-2} is the p = 0 derivative and the Jacobian is the sum over p.
+Tensors that share _tails are evaluated as a stack through the same two
+steps, row s of a batch with its own tensor's coefficients (_rows_m1,
+_stack_m1 and the coef argument of _derivative).
 """
 
 from __future__ import annotations
@@ -215,15 +218,42 @@ def _power_coefficients(A: Tensor) -> np.ndarray:
     return C
 
 
-def _derivative(A: Tensor, X: np.ndarray, positions) -> np.ndarray:
+def _derivative(A: Tensor, X: np.ndarray, positions, coef=None) -> np.ndarray:
     """Sum over p in positions of the derivative of x -> A x^{m-1} through
     tail position p: (i, j) adds a_{i j2..jm} prod_{q != p} x_{jq} if j_p = j.
-    Shape (n, n) for one point x, (S, n, n) for the S rows of X."""
+    Shape (n, n) for one point x, (S, n, n) for the S rows of X.  coef, an
+    (S, T, n) array, gives row s the coefficients coef[s] of a tensor with
+    A's tails in place of A._coef."""
     D = np.zeros(X.shape[:-1] + A._coef.shape)
     rows = np.arange(len(A._tails))
     for p in positions:
         D.T[A._tails[:, p], rows] += _monomials(A, X, p)
-    return A._coef.T @ D
+    return np.swapaxes(A._coef if coef is None else coef, -1, -2) @ D
+
+
+def _rows_m1(A: Tensor, X: np.ndarray, coef) -> np.ndarray:
+    """A x^{m-1} at the S rows of X, one vector-matrix product per row with
+    coef: A._coef, or an (S, T, n) array giving row s the coefficients
+    coef[s] of a tensor with A's tails.  Every row gets the bits it gets
+    alone, whichever tensor it belongs to."""
+    return (np.ascontiguousarray(_monomials(A, X).T)[:, None, :] @ coef)[:, 0]
+
+
+_STACK_ENTRIES = 2**13  # gathered coefficients (rows x T x n) per block of _stack_m1
+
+
+def _stack_m1(A: Tensor, X: np.ndarray, coef: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """_rows_m1 with row r's coefficients coef[own[r]], coef an (S, T, n)
+    stack of tensors with A's tails, gathered in blocks of about
+    _STACK_ENTRIES entries; a stack of one is broadcast instead, the same
+    bits without a gather."""
+    if len(coef) == 1:
+        return _rows_m1(A, X, coef[0])
+    F = np.empty(X.shape)
+    step = max(1, _STACK_ENTRIES // max(coef[0].size, 1))
+    for s in range(0, len(X), step):
+        F[s:s + step] = _rows_m1(A, X[s:s + step], coef[own[s:s + step]])
+    return F
 
 
 def apply_m1(A: Tensor, x) -> np.ndarray:
@@ -234,10 +264,10 @@ def apply_m1(A: Tensor, x) -> np.ndarray:
     iterates moves as each would on its own.  On large grids
     batch_apply_m1 is faster, but its rows can differ in the last bit.
     """
-    M = _monomials(A, _check_vec(A, x, stack=True))
-    if M.ndim == 1:
-        return M @ A._coef
-    return (np.ascontiguousarray(M.T)[:, None, :] @ A._coef)[:, 0]
+    x = _check_vec(A, x, stack=True)
+    if x.ndim == 1:
+        return _monomials(A, x) @ A._coef
+    return _rows_m1(A, x, A._coef)
 
 
 def apply_m(A: Tensor, x) -> float:

@@ -8,7 +8,10 @@ forms, a linear form, a rescaled quadratic) are evaluated with elementwise
 products and sums over trailing axes, so a row's value never depends on the
 other rows of its batch.  The maps that min_over_basis and
 local_uniqueness_certificate build must keep that property too, and are
-checked the same way.
+checked the same way.  descend_on_simplex tells its maps which start each
+row descends from, so one call can carry rows of different objectives: the
+stacked basis minimisation scores each row with its own tensor, and must
+give every tensor what min_over_basis gives it alone.
 
 The root-box grid of scan_system, its start selection and its root dedup
 are checked against references written here the same way; the pruned
@@ -27,14 +30,15 @@ from hypothesis import strategies as st
 
 from tcpkit import classify
 from tcpkit import fixtures as fx
-from tcpkit import stability
+from tcpkit import stability, tensor
 from tcpkit import _polysys
 from tcpkit._polysys import (_block_bounds, _contract, _dedup, _grid_starts, damped_newton,
                              scan_system)
-from tcpkit.classify import SearchBudget, descend_on_simplex, min_over_basis
-from tcpkit.cones import from_generators
+from tcpkit.classify import SearchBudget, _min_over_stack, descend_on_simplex, min_over_basis
+from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance
-from tcpkit.tensor import Tensor, _power_coefficients
+from tcpkit.tensor import (Tensor, _derivative, _power_coefficients, _rows_m1, apply_m1,
+                           jacobian_m1)
 
 
 def cubic(D):
@@ -93,19 +97,21 @@ def simplex_projection(v):
     return np.maximum(v - css[cond][-1] / ind[cond][-1], 0.0)
 
 
-def descent_one_start(f, grad, lam, iters):
-    """The one-start rule of descend_on_simplex, as a plain loop; returns the
-    step length a next step would start from as well."""
-    val = f(lam[None])[0]
+def descent_one_start(f, grad, lam, iters, row=0):
+    """The one-start rule of descend_on_simplex, as a plain loop, for the
+    start at index row of its Lam0; returns the step length a next step
+    would start from as well."""
+    at = np.array([row])
+    val = f(lam[None], at)[0]
     evals, step = 1, 1.0
     for _ in range(iters):
-        g = grad(lam[None])[0]
+        g = grad(lam[None], at)[0]
         if not np.linalg.norm(g) > 1e-14:
             break
         t = step
         for _ in range(30):
             cand = simplex_projection(lam - t * g)
-            fc = f(cand[None])[0]
+            fc = f(cand[None], at)[0]
             evals += 1
             if fc < val:
                 lam, val, step = cand, fc, min(2.0 * t, 1e6)
@@ -186,19 +192,22 @@ def test_descent_rows_end_where_each_start_ends_alone(k, S, seed):
     _, _, xF, grad_xF = cubic(rng.uniform(-2.0, 2.0, (k, k, k)))
     L0 = rng.dirichlet(np.ones(k), S)
     L0[0] = np.eye(k)[0]  # a vertex start
-    lam, val, evals = assert_rows_follow_one_start_rule(xF, grad_xF, L0, 60)
+    lam, val, evals = assert_rows_follow_one_start_rule(lambda X, _: xF(X),
+                                                        lambda X, _: grad_xF(X), L0, 60)
     assert lam.shape == (S, k) and val.shape == (S,) and evals.shape == (S,)
     assert np.allclose(lam.sum(axis=1), 1.0) and np.all(lam >= 0.0)
 
 
 def assert_rows_follow_one_start_rule(f, grad, L0, iters):
     """Every row of one descend_on_simplex call ends as its start does alone
-    and as the plain loop does, with the same number of evaluations."""
+    (still known to f and grad as start s) and as the plain loop does, with
+    the same number of evaluations."""
     lam, val, evals = descend_on_simplex(f, grad, L0, iters)
     for s in range(len(L0)):
-        l1, v1, e1 = descend_on_simplex(f, grad, L0[s:s + 1], iters)
+        l1, v1, e1 = descend_on_simplex(lambda X, r: f(X, r + s), lambda X, r: grad(X, r + s),
+                                        L0[s:s + 1], iters)
         assert np.array_equal(lam[s], l1[0]) and val[s] == v1[0] and evals[s] == e1[0]
-        lr, vr, er, _ = descent_one_start(f, grad, L0[s], iters)
+        lr, vr, er, _ = descent_one_start(f, grad, L0[s], iters, s)
         assert np.array_equal(lam[s], lr) and val[s] == vr and evals[s] == er
     return lam, val, evals
 
@@ -209,8 +218,8 @@ def test_descent_row_out_of_rungs_beside_row_taking_first_rung():
     # and stops, while the row from (0, 1/2, 1/2) takes its first rung, t = 1,
     # in the same step, then t = 2 onto e_1, then runs out of rungs there
     c = np.array([0.0, 1.0, 2.0])
-    f = lambda X: (X * c).sum(axis=1)
-    grad = lambda X: np.broadcast_to(c, X.shape).copy()
+    f = lambda X, _: (X * c).sum(axis=1)
+    grad = lambda X, _: np.broadcast_to(c, X.shape).copy()
     L0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])
     _, _, evals = assert_rows_follow_one_start_rule(f, grad, L0, 20)
     assert evals[0] == 1 + 30 and evals[1] == 1 + 1 + 1 + 30
@@ -221,9 +230,9 @@ def test_descent_row_with_step_shrunk_over_many_iterations():
     # steps of about ||x - p||^4 decrease f, so the accepted step length
     # falls by many orders of magnitude, a few halvings per iteration
     p = np.array([0.3, 0.7])
-    f = lambda X: ((X - p) ** 2).sum(axis=1)
+    f = lambda X, _: ((X - p) ** 2).sum(axis=1)
 
-    def grad(X):
+    def grad(X, _):
         D = X - p
         with np.errstate(divide="ignore", invalid="ignore"):
             return D / ((D * D).sum(axis=1)[:, None] ** 2)
@@ -232,6 +241,97 @@ def test_descent_row_with_step_shrunk_over_many_iterations():
     assert_rows_follow_one_start_rule(f, grad, L0, 200)
     _, _, evals, step = descent_one_start(f, grad, L0[0], 200)
     assert step < 1e-40 and evals > 200
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), S=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_descent_rows_of_different_objectives_end_as_alone(k, S, seed):
+    # start s descends objective s % 3 (a cubic form, a linear form, a
+    # squared distance), all in one call: each row ends as the descent of its
+    # own objective from its start alone
+    rng = np.random.default_rng(seed)
+    _, _, xF, grad_xF = cubic(rng.uniform(-2.0, 2.0, (k, k, k)))
+    c, p = rng.uniform(-1.0, 1.0, k), rng.dirichlet(np.ones(k))
+    objectives = [(xF, grad_xF),
+                  (lambda X: (X * c).sum(axis=1), lambda X: np.broadcast_to(c, X.shape).copy()),
+                  (lambda X: ((X - p) ** 2).sum(axis=1), lambda X: 2.0 * (X - p))]
+
+    def by_row(i):
+        def h(X, rows):
+            out = np.empty(X.shape[:1] + X.shape[1:] * i)  # values, or gradients
+            for j, obj in enumerate(objectives):
+                mine = rows % 3 == j
+                out[mine] = obj[i](X[mine])
+            return out
+        return h
+
+    L0 = rng.dirichlet(np.ones(k), S)
+    lam, val, evals = assert_rows_follow_one_start_rule(by_row(0), by_row(1), L0, 60)
+    for s in range(S):
+        f, grad = objectives[s % 3]
+        l1, v1, e1 = descend_on_simplex(lambda X, _: f(X), lambda X, _: grad(X), L0[s:s + 1], 60)
+        assert np.array_equal(lam[s], l1[0]) and val[s] == v1[0] and evals[s] == e1[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(2, 5), n=st.integers(1, 4), S=st.integers(1, 8), R=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_rows_get_their_own_tensors_bits(m, n, S, R, seed):
+    # tensors on one support with different values: row r, scored with the
+    # coefficients of tensor own[r], gets the bits apply_m1 and jacobian_m1
+    # give it with that tensor
+    rng = np.random.default_rng(seed)
+    base, _ = sparse_system(n, m, seed)
+    tensors = [Tensor._from_form(m, n, base._tails, rng.uniform(-2.0, 2.0, base._coef.shape))
+               for _ in range(S)]
+    X = rng.uniform(0.0, 2.0, (R, n))
+    own = rng.integers(0, S, R)
+    C = np.stack([A._coef for A in tensors])[own]
+    F, J = _rows_m1(base, X, C), _derivative(base, X, range(m - 1), C)
+    for r in range(R):
+        A = tensors[own[r]]
+        assert np.array_equal(F[r], apply_m1(A, X)[r])
+        assert np.array_equal(J[r], jacobian_m1(A, X)[r])
+
+
+@st.composite
+def tensor_stacks(draw):
+    """1..8 tensors of one order m in 2..4 and dimension n in 1..4, on one to
+    three random supports (stored zeros included), so a stack mixes tensors
+    that share _tails with tensors that do not; and the orthant or a cone of
+    1..4 generators."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    supports = [sparse_system(n, m, int(rng.integers(2**32)))[0]
+                for _ in range(draw(st.integers(1, 3)))]
+    picks = rng.integers(0, len(supports), draw(st.integers(1, 8)))
+    tensors = [Tensor._from_form(m, n, supports[i]._tails,
+                                 rng.uniform(-2.0, 2.0, supports[i]._coef.shape)) for i in picks]
+    k = draw(st.integers(0, 4))  # 0: the orthant
+    K = orthant(n) if k == 0 else from_generators(list(np.abs(rng.normal(size=(k, n))) + 0.1))
+    return tensors, K
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=tensor_stacks(), res=st.sampled_from([4, 8, 16]), multistarts=st.integers(1, 8),
+       iters=st.integers(5, 60), stack_rows=st.integers(1, 40), stack_entries=st.integers(1, 200))
+def test_stacked_minimiser_gives_each_tensor_its_own_minimum(stack, res, multistarts, iters,
+                                                             stack_rows, stack_entries):
+    # value, witness bytes and evaluations of every tensor equal those of
+    # min_over_basis on it alone, for any cut into stacked blocks and
+    # scoring blocks
+    tensors, K = stack
+    budget = SearchBudget(grid_resolution=res, multistarts=multistarts, polish_iters=iters)
+    for objective in ("xm", "norm_m1", "abs_xm"):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classify, "_STACK_ROWS", stack_rows)
+            mp.setattr(tensor, "_STACK_ENTRIES", stack_entries)
+            got = _min_over_stack(objective, tensors, K, budget)
+        assert len(got) == len(tensors)
+        for A, (v, x, used) in zip(tensors, got):
+            v1, x1, used1 = min_over_basis(objective, A, K, budget)
+            assert np.array_equal(v, v1, equal_nan=True)
+            assert x.tobytes() == x1.tobytes() and used == used1
 
 
 @pytest.mark.parametrize("n, k, seed", [(2, 3, 1), (3, 4, 2), (4, 5, 3), (3, 6, 4)])
@@ -469,4 +569,21 @@ def test_scan_system_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert len(scan.roots) == 1 and np.allclose(scan.roots[0], [1.0, 1.0])
+    assert peak <= 2**20
+
+
+def test_perturb_existence_gates_stay_blocked():
+    # the 50 trial tensors are gated in stacked blocks of 15 (240 descent
+    # rows), their coefficients gathered 1 024 rows at a time: about
+    # 0.66 MiB, against 1.6 MiB for one stack of all 50 and 0.52 MiB for 50
+    # separate gates
+    inst = TcpInstance(orthant(2), np.array([-1.0, -1.0]), fx.identity(3, 2))
+    stability.perturb_existence(inst, 1e-3, 50, seed=7)
+    tracemalloc.start()
+    try:
+        report = stability.perturb_existence(inst, 1e-3, 50, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.solvable_fraction == 1.0
     assert peak <= 2**20

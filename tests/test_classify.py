@@ -180,6 +180,8 @@ def test_lattices_match_product_filter(k, res):
     comps = np.array([c for c in itertools.product(range(res + 1), repeat=k)
                       if sum(c) == res], dtype=float)
     assert np.array_equal(_simplex_lattice(k, res), comps / res)
+    grid = _sphere_grid(k, res)
+    assert grid is _sphere_grid(k, res) and not grid.flags.writeable  # cached, read-only
     if k >= 3:  # k <= 2 sphere grids are angle grids
         sphere = comps / np.linalg.norm(comps, axis=1, keepdims=True)
         assert np.array_equal(_sphere_grid(k, res), sphere)

@@ -76,6 +76,7 @@ class TestTposContains:
         v = tpos_contains(orthant(2), e3bar, [1.0, 2.0])
         assert v.status == "fails"
         assert v.certificate >= 0.3  # dist of (1,2)/sqrt5 to the (1,1) ray
+        assert "no lower bound" in v.note  # the separation is sampled, not proved
 
     def test_e3bar_on_ray(self, e3bar):
         v = tpos_contains(orthant(2), e3bar, [3.0, 3.0])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from tcpkit import fixtures as fx
+from tcpkit import stability
 from tcpkit._rng import SplitMix64
-from tcpkit.classify import SearchBudget
-from tcpkit.cones import orthant
+from tcpkit.classify import SearchBudget, is_copositive, is_K_nonsingular
+from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance, refine, solve_enumerate
 from tcpkit.stability import (
     PerturbationReport,
@@ -18,7 +19,7 @@ from tcpkit.stability import (
     unsolvable_neighborhood_probe,
     usc_probe,
 )
-from tcpkit.tensor import apply_m1, frobenius_distance
+from tcpkit.tensor import apply_m1, frobenius_distance, unit_tensor
 
 
 @pytest.fixture
@@ -93,6 +94,110 @@ class TestPerturbExistence:
         a = perturb_existence(id_inst, 1e-3, 10, seed=11)
         b = perturb_existence(id_inst, 1e-3, 10, seed=11)
         assert a == b
+
+
+def per_trial_existence(inst, eps, trials, seed, gate=None):
+    """perturb_existence as one loop over the trials: each draw is gated by
+    its own is_copositive call (or by gate) and redrawn from the trial's own
+    stream until it holds, at most 100 times, then shifted by eps times the
+    unit tensor; then the trial is solved."""
+    budget = SearchBudget()
+    gate = gate or (lambda A: is_copositive(A, budget).status == "holds")
+    rng = SplitMix64(seed)
+    n, shape = inst.A.dim, (inst.A.dim,) * inst.A.order
+    solvable, max_norm, failures, resamples = 0, 0.0, [], 0
+    for t in range(trials):
+        trial_rng = rng.spawn(t + 1)
+        dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
+        At = _perturbed_tensor(inst.A, dA)
+        redraws = 0
+        while not gate(At) and redraws < 100:
+            dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
+            At = _perturbed_tensor(inst.A, dA)
+            redraws += 1
+        if redraws >= 100:
+            At = At + unit_tensor(inst.A.order, n).scale(eps)
+        resamples += redraws
+        outcome = solve_enumerate(TcpInstance(inst.cone, inst.q + dq, At), budget)
+        norms = [float(np.linalg.norm(s.x)) for s in outcome.solutions]
+        if norms:
+            solvable += 1
+            max_norm = max(max_norm, max(norms))
+        else:
+            failures.append(t)
+    return PerturbationReport(trials=trials, eps=eps, seed=seed,
+                              solvable_fraction=solvable / trials,
+                              max_solution_norm=max_norm, error_ratio_max=0.0,
+                              failures=tuple(failures), resamples=resamples)
+
+
+def per_trial_openness(K, A, eps, trials, seed):
+    """nonsingularity_openness_probe as one is_K_nonsingular call per trial."""
+    rng = SplitMix64(seed)
+    n, shape = A.dim, (A.dim,) * A.order
+    nonsingular = 0
+    for t in range(trials):
+        trial_rng = rng.spawn(t + 1)
+        Kp, dA = K, np.zeros(shape)
+        if eps != 0.0:
+            flat = np.array(trial_rng.on_sphere(int(np.prod(shape))))
+            dA = (eps * trial_rng.uniform()) * flat.reshape(shape)
+            if not K.is_orthant:
+                Kp = from_generators([g + eps * trial_rng.uniform(-1.0, 1.0) *
+                                      np.array(trial_rng.on_sphere(n)) for g in K.generators])
+        if is_K_nonsingular(_perturbed_tensor(A, dA), Kp).status == "holds":
+            nonsingular += 1
+    return {"fraction_nonsingular": nonsingular / trials, "eps": eps, "trials": trials,
+            "seed": seed}
+
+
+def suite_seeds(p, seed=2024):
+    """The probe seeds of pass p of the benchmark's stability suite."""
+    stream = SplitMix64(seed).spawn(p + 1)
+    return [int(stream.next_u64() % 10**6) for _ in range(5)]
+
+
+class TestBatchedGates:
+    """The probes gate all their trials in one stacked minimisation; their
+    reports must be those of the per-trial loops above, bit for bit."""
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_suite_passes(self, p, id_inst, e4):
+        s_exist, *_, s_open = suite_seeds(p)
+        assert perturb_existence(id_inst, 1e-3, 50, seed=s_exist) == \
+            per_trial_existence(id_inst, 1e-3, 50, s_exist)
+        assert nonsingularity_openness_probe(orthant(2), e4, 1e-3, 5, seed=s_open) == \
+            per_trial_openness(orthant(2), e4, 1e-3, 5, s_open)
+
+    def test_e4_resamples(self, e4):
+        inst = TcpInstance(orthant(2), np.array([1.0, 1.0]), e4)
+        report = perturb_existence(inst, 1e-2, 5, seed=11)
+        assert report.resamples == 6
+        assert report == per_trial_existence(inst, 1e-2, 5, 11)
+
+    @pytest.mark.parametrize("rule", ["never", "a111 above 1"])
+    def test_redraw_cap(self, rule, monkeypatch, id_inst):
+        # a gate that never holds sends every trial through 100 redraws and
+        # the unit-tensor shift; one that holds on about half the draws mixes
+        # trials that stop early with ones that redraw again
+        def gate(A):
+            return rule != "never" and A.entries.get((1, 1, 1), 0.0) > 1.0
+
+        # the basis minimum of A x^m that the gate reads: 1 holds, -1 fails
+        monkeypatch.setattr(stability, "_min_over_stack", lambda objective, tensors, K, budget: [
+            (1.0 if gate(A) else -1.0, np.ones(2), 1) for A in tensors])
+        report = perturb_existence(id_inst, 1e-3, 4, seed=3)
+        assert report == per_trial_existence(id_inst, 1e-3, 4, 3, gate)
+        if rule == "never":
+            assert report.resamples == 400
+        else:
+            assert 0 < report.resamples < 400
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-2])
+    def test_openness_on_a_generated_cone(self, eps, identity32):
+        K = from_generators([[1.0, 0.2], [0.3, 1.0], [1.0, 1.0]])
+        assert nonsingularity_openness_probe(K, identity32, eps, 4, seed=5) == \
+            per_trial_openness(K, identity32, eps, 4, 5)
 
 
 class TestErrorBound:
