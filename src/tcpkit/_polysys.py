@@ -21,6 +21,9 @@ in generator coordinates need not be square.
 
 ``walk_supports`` runs these scans over the complementary supports and
 applies the slack test; membership and the enumeration solver both read it.
+It walks a stack of instances at once: each runs its sign test and start
+phase alone, then one Newton run refines the starts of all of them, every
+row with its own instance's coefficients.
 """
 
 from __future__ import annotations
@@ -32,15 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import _compositions
+from ._forms import _Forms
+from ._simplex import _compositions
 from .tensor import (
     IndexSet,
     Tensor,
     _power_coefficients,
-    apply_m1,
     apply_off,
     batch_apply_m1,
-    jacobian_m1,
     principal_subtensor,
 )
 
@@ -190,67 +192,87 @@ def _grid_starts(A: Tensor, q: np.ndarray, axis: np.ndarray, N: int):
 
 def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve J[s] d[s] = b[s] for every row s, by least squares where J[s]
-    is singular or not square."""
+    is singular or not square.  When np.linalg.solve rejects the batch, a
+    batched LU test (slogdet sign 0: an exact zero pivot, the test solve
+    raises on) finds the singular rows; the others are solved in one batch
+    and only the singular ones one by one."""
     try:
         return np.linalg.solve(J, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
+        square = J.shape[-1] == J.shape[-2]
+        lone = np.linalg.slogdet(J)[0] == 0 if square else np.ones(len(b), dtype=bool)
         out = np.empty(b.shape[:-1] + J.shape[-1:])
-        for s in range(len(b)):
-            try:
-                out[s] = np.linalg.solve(J[s], b[s])
-            except np.linalg.LinAlgError:
-                out[s] = np.linalg.lstsq(J[s], b[s], rcond=None)[0]
+        if not lone.all():
+            out[~lone] = np.linalg.solve(J[~lone], b[~lone][..., None])[..., 0]
+        for s in np.flatnonzero(lone):
+            out[s] = np.linalg.lstsq(J[s], b[s], rcond=None)[0]
         return out
 
 
 def damped_newton(F, J, X, iters: int, tol: float, project=lambda v: v):
     """Newton on F(x) = 0 with backtracking on ||F||, for every row x of the
-    (S, k) array X at once; F maps (S, k) rows to (S, n), J to (S, n, k).
+    (S, k) array X at once.  F(X, rows) maps (R, k) points to (R, n) values
+    and J(X, rows) to (R, n, k) Jacobians, where rows holds the index in X
+    of the start each point comes from, so one call can solve rows of
+    different systems (a stacked support walk gives each row its own
+    tensor's coefficients).
 
     Each row steps on its own: it solves J(x) d = -F(x) (least squares when
     J is singular, or a Gauss-Newton step when n != k) and halves t until
     ||F(project(x + t d))|| < (1 - 1e-4 t) ||F(x)|| or drops to tol; it
     stops at tol, after iters steps, when d is not finite, or when no
-    halving down to t = 1e-14 helps.
+    halving down to t = 1e-14 helps.  F and J must give each row the value
+    they give it alone.
     Returns (X, ||F|| of every row).
     """
     X = np.array(X, dtype=float)
-    FX = F(X)
+    FX = F(X, np.arange(len(X)))
     r = np.sqrt(np.vecdot(FX, FX))  # np.linalg.norm of each row, bit for bit
     rows = np.flatnonzero(~(r <= tol))  # only r <= tol stops; a NaN residual steps on
     for _ in range(iters):
         if not len(rows):
             break
-        D = _solve_rows(J(X[rows]), -FX[rows])
-        if not np.isfinite(D).all():  # a non-finite step stops its row
-            finite = np.isfinite(D).all(axis=1)
-            rows, D = rows[finite], D[finite]
-        t = np.ones(len(rows))
-        stepped = np.zeros(len(X), dtype=bool)
-        while len(rows):
-            Xn = project(X[rows] + t[:, None] * D)
-            Fn = F(Xn)
-            rn = np.sqrt(np.vecdot(Fn, Fn))
-            ok = (rn < r[rows] * (1.0 - 1e-4 * t)) | (rn <= tol)
-            if ok.all():
-                X[rows], FX[rows], r[rows] = Xn, Fn, rn
-                stepped[rows] = True
-                break
-            done = rows[ok]
-            X[done], FX[done], r[done] = Xn[ok], Fn[ok], rn[ok]
-            stepped[done] = True
-            t = 0.5 * t
-            left = ~ok & (t > 1e-14)  # a row whose t halves to 1e-14 stops
-            rows, D, t = rows[left], D[left], t[left]
-        rows = np.flatnonzero(stepped & ~(r <= tol))
+        rows = _newton_step(F, J, project, X, FX, r, rows, tol)
     return X, r
 
 
-def _refine_rows(A: Tensor, q: np.ndarray, U0, iters: int = 60):
+def _newton_step(F, J, project, X, FX, r, rows, tol):
+    """One damped Newton step of the given rows of X, updating X, FX and r
+    in place; returns the rows that step on.  Its temporaries die with it,
+    so a long run holds only X, FX and r."""
+    D = _solve_rows(J(X[rows], rows), -FX[rows])
+    if not np.isfinite(D).all():  # a non-finite step stops its row
+        finite = np.isfinite(D).all(axis=1)
+        rows, D = rows[finite], D[finite]
+    t = np.ones(len(rows))
+    stepped = np.zeros(len(X), dtype=bool)
+    while len(rows):
+        Xn = project(X[rows] + t[:, None] * D)
+        Fn = F(Xn, rows)
+        rn = np.sqrt(np.vecdot(Fn, Fn))
+        ok = (rn < r[rows] * (1.0 - 1e-4 * t)) | (rn <= tol)
+        if ok.all():
+            X[rows], FX[rows], r[rows] = Xn, Fn, rn
+            stepped[rows] = True
+            break
+        done = rows[ok]
+        X[done], FX[done], r[done] = Xn[ok], Fn[ok], rn[ok]
+        stepped[done] = True
+        t = 0.5 * t
+        left = ~ok & (t > 1e-14)  # a row whose t halves to 1e-14 stops
+        rows, D, t = rows[left], D[left], t[left]
+    return np.flatnonzero(stepped & ~(r <= tol))
+
+
+def _refine_rows(forms: _Forms, Q: np.ndarray, U0, own: np.ndarray, iters: int = 60):
     """Damped Newton with nonnegativity clamping on F(u) = A u^{m-1} + q,
-    from every row of U0 at once."""
-    return damped_newton(lambda U: apply_m1(A, U) + q,
-                         lambda U: jacobian_m1(A, U),
+    from every row r of U0 at once, with A the tensor own[r] of forms and q
+    the row own[r] of Q."""
+    def F(U, rows):
+        o = own[rows]
+        return forms.m1(U, o) + Q.take(o, axis=0)
+
+    return damped_newton(F, lambda U, rows: forms.eval(U, own[rows], m1=False, jac=True)[1],
                          np.maximum(np.asarray(U0, dtype=float), 0.0),
                          iters, SYS_TOL * 1e-2,
                          project=lambda V: np.maximum(V, 0.0))
@@ -259,7 +281,8 @@ def _refine_rows(A: Tensor, q: np.ndarray, U0, iters: int = 60):
 def newton_refine(A: Tensor, q: np.ndarray, u0: np.ndarray,
                   iters: int = 60) -> tuple[np.ndarray, float]:
     """Damped Newton with nonnegativity clamping on F(u) = A u^{m-1} + q."""
-    U, r = _refine_rows(A, q, np.asarray(u0, dtype=float)[None], iters)
+    U, r = _refine_rows(_Forms([A]), np.asarray(q, dtype=float)[None],
+                        np.asarray(u0, dtype=float)[None], np.zeros(1, dtype=np.intp), iters)
     return U[0], float(r[0])
 
 
@@ -274,106 +297,132 @@ def _dedup(roots: np.ndarray, tol: float = 1e-6) -> list[np.ndarray]:
     return kept
 
 
-def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
-    """Search for all nonnegative roots of A u^{m-1} + q = 0."""
-    q = np.asarray(q, dtype=float)
-    k = A.dim
-    m = A.order
+def _scan_head(A: Tensor, q: np.ndarray, multistarts: int):
+    """The part of scan_system before its Newton stage: (scan, None) when
+    the sign test, the scalar closed form or q = 0 settles the scan, else
+    (scan, _box_starts(...)) with the grid minimum in the scan."""
     scan = SystemScan()
-
     if _sign_infeasible(A, q):
         scan.certified_infeasible = True
         scan.reason = "sign analysis"
-        return scan
+        return scan, None
 
-    if k == 1:
+    if A.dim == 1:
         # scalar a u^{m-1} = -q solves in closed form; root list is complete
         a = float(A._coef.sum())  # the one coefficient, or 0 when none is stored
         q0 = float(q[0])
         if abs(a) > 1e-12:
             t = -q0 / a
             if t >= 0.0:
-                scan.roots = [np.array([t ** (1.0 / (m - 1))])]
+                scan.roots = [np.array([t ** (1.0 / (A.order - 1))])]
                 scan.roots_complete = True
             else:
                 scan.certified_infeasible = True
             scan.reason = "scalar closed form"
-            return scan
-        if abs(q0) <= SYS_TOL:
+        elif abs(q0) <= SYS_TOL:
             scan.roots = [np.zeros(1)]  # every u solves; not exhaustive
             scan.reason = "scalar degenerate"
-            return scan
-        scan.certified_infeasible = True
-        scan.reason = "scalar zero coefficient"
-        return scan
+        else:
+            scan.certified_infeasible = True
+            scan.reason = "scalar zero coefficient"
+        return scan, None
 
     qn = float(np.linalg.norm(q))
     if qn <= SYS_TOL:
-        scan.roots = [np.zeros(k)]
+        scan.roots = [np.zeros(A.dim)]
         scan.grid_min_residual = qn
-        return scan
+        return scan, None
+    starts, scan.grid_min_residual, slack = _box_starts(A, q, qn, multistarts)
+    return scan, (starts, slack)
 
+
+def _box_starts(A: Tensor, q: np.ndarray, qn: float, multistarts: int):
+    """The start phase of a scan, per tensor: (Newton starts, least residual
+    on the root-box grid, slack), where a scan that finds no root is
+    certified infeasible when the grid minimum exceeds slack + 1e-9; slack
+    is None when no box bound holds or there is no grid (k >= 4)."""
+    k, m = A.dim, A.order
     c = min_sphere_norm(A)
     bounded = c > _C_MIN
-    if bounded:
-        R = (qn / (0.5 * c)) ** (1.0 / (m - 1))
-    else:
-        R = (1.0 + qn) ** (1.0 / (m - 1)) * 10.0
-
-    if k <= 3:  # a uniform grid on [0, R]^k
-        g = max(min(int(_GRID_CELLS ** (1.0 / k)), 512), 8)
-        axis = np.linspace(0.0, R, g)
-        best, scan.grid_min_residual = _grid_starts(A, q, axis, max(4 * multistarts, 8))
-        starts = axis[np.column_stack(np.unravel_index(best, (g,) * k))]
-        step = R / (g - 1)
-    else:
-        # dimension too high for a dense grid: multistart only, never certify
+    R = (qn / (0.5 * c)) ** (1.0 / (m - 1)) if bounded else (1.0 + qn) ** (1.0 / (m - 1)) * 10.0
+    if k > 3:  # dimension too high for a dense grid: multistart only, never certify
         rng = np.random.default_rng(0)
-        starts = np.vstack([np.zeros(k), R * rng.random((4 * multistarts, k))])
-        scan.grid_min_residual = math.inf
-        step = None
+        return np.vstack([np.zeros(k), R * rng.random((4 * multistarts, k))]), math.inf, None
 
-    X, r = _refine_rows(A, q, starts)
-    scan.roots = _dedup(X[r <= SYS_TOL])
+    g = max(min(int(_GRID_CELLS ** (1.0 / k)), 512), 8)  # a uniform grid on [0, R]^k
+    axis = np.linspace(0.0, R, g)
+    best, least = _grid_starts(A, q, axis, max(4 * multistarts, 8))
+    starts = axis[np.column_stack(np.unravel_index(best, (g,) * k))]
+    if not bounded:
+        return starts, least, None
+    lip = (m - 1) * _row_abs_sum(A) * max(R, 1.0) ** (m - 2)
+    return starts, least, lip * (R / (g - 1)) * math.sqrt(k) / 2.0
 
-    if not scan.roots:
-        if bounded and step is not None:
-            lip = (m - 1) * _row_abs_sum(A) * max(R, 1.0) ** (m - 2)
-            slack = lip * step * math.sqrt(k) / 2.0
-            if scan.grid_min_residual > slack + 1e-9:
-                scan.certified_infeasible = True
-                scan.reason = "bounded box grid"
-            else:
-                scan.reason = "grid minimum within Lipschitz slack"
-        else:
+
+def _scan_stack(tensors, qs, multistarts: int) -> list[SystemScan]:
+    """[scan_system(A, q, multistarts) for A, q in zip(tensors, qs)], for
+    tensors of one order and dimension.  Each system runs its sign test,
+    closed form and start phase alone; then the starts of every system are
+    refined in one damped Newton, each row with its own system's
+    coefficients, so every scan gets the bits it gets alone."""
+    scans, heads = zip(*(_scan_head(A, q, multistarts) for A, q in zip(tensors, qs)))
+    open_ = [i for i, head in enumerate(heads) if head is not None]
+    if open_:
+        own = np.repeat(np.arange(len(open_)), [len(heads[i][0]) for i in open_])
+        X, r = _refine_rows(_Forms([tensors[i] for i in open_]), np.array([qs[i] for i in open_]),
+                            np.concatenate([heads[i][0] for i in open_]), own)
+    for j, i in enumerate(open_):
+        scan, slack = scans[i], heads[i][1]
+        mine = own == j
+        scan.roots = _dedup(X[mine][r[mine] <= SYS_TOL])
+        if scan.roots:
+            continue
+        if slack is None:
             scan.reason = "no box bound (near-singular on the orthant)"
-    return scan
+        elif scan.grid_min_residual > slack + 1e-9:
+            scan.certified_infeasible = True
+            scan.reason = "bounded box grid"
+        else:
+            scan.reason = "grid minimum within Lipschitz slack"
+    return list(scans)
 
 
-def walk_supports(A: Tensor, q: np.ndarray, multistarts: int):
-    """Scan every complementary support alpha of {1..n}, by increasing size
-    and lexicographically within a size, yielding (alpha, feasible, settled).
+def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
+    """Search for all nonnegative roots of A u^{m-1} + q = 0."""
+    return _scan_stack([A], [np.asarray(q, dtype=float)], multistarts)[0]
+
+
+def walk_supports(tensors, qs, multistarts: int):
+    """Scan every complementary support alpha of {1..n} for every instance
+    (A, q) of a stack at once (tensors of one order and dimension n), by
+    increasing size and lexicographically within a size, yielding (alpha,
+    feasible, settled) with one entry per instance in each list.
 
     feasible lists the (u_alpha, slack) pairs with u_alpha >= 0 a root of
     A_aa u^{m-1} + q_a = 0 whose slack A_{comp,a} u^{m-1} + q_comp is
     >= -SLACK_TOL; each one gives a solution (u_alpha, 0) of TCP(q, A).
     settled is True when the scan proves no other feasible root exists:
     the system is certified infeasible, or its root list is complete.
-    The generator is lazy, so a caller may stop at the first feasible root.
+    Each support cuts every instance's sub-form and scans them as one stack
+    (_scan_stack), so every instance gets what it gets alone.  The
+    generator is lazy, so a caller may stop at the first feasible root.
     """
-    n = A.dim
+    n = tensors[0].dim
     for r in range(n + 1):
         for members in itertools.combinations(range(1, n + 1), r):
             alpha = IndexSet(members, n)
             if r == 0:
-                yield alpha, ([(np.zeros(0), q)] if np.all(q >= -SLACK_TOL) else []), True
+                yield alpha, [[(np.zeros(0), q)] if np.all(q >= -SLACK_TOL) else []
+                              for q in qs], [True] * len(qs)
                 continue
-            scan = scan_system(principal_subtensor(A, alpha), q[[i - 1 for i in members]],
-                               multistarts=multistarts)
-            comp = [i - 1 for i in alpha.complement]
+            a, comp = [i - 1 for i in members], [i - 1 for i in alpha.complement]
+            scans = _scan_stack([principal_subtensor(A, alpha) for A in tensors],
+                                [q[a] for q in qs], multistarts)
             feasible = []
-            for u_a in scan.roots:
-                slack = apply_off(A, alpha, u_a) + q[comp] if comp else np.zeros(0)
-                if np.all(slack >= -SLACK_TOL):
-                    feasible.append((u_a, slack))
-            yield alpha, feasible, scan.certified_infeasible or scan.roots_complete
+            for A, q, scan in zip(tensors, qs, scans):
+                feasible.append([])
+                for u_a in scan.roots:
+                    slack = apply_off(A, alpha, u_a) + q[comp] if comp else np.zeros(0)
+                    if np.all(slack >= -SLACK_TOL):
+                        feasible[-1].append((u_a, slack))
+            yield alpha, feasible, [s.certified_infeasible or s.roots_complete for s in scans]

@@ -1,0 +1,196 @@
+"""Minimisation over the standard simplex, for one objective or a stack.
+
+The barycentric lattice, the Euclidean projection onto the simplex, the
+row-batched projected gradient descent every basis search polishes with,
+and the stacked basis minimisation: tensors of one order and dimension
+score the lattice each on its own, then all their starts descend together,
+each row scored with its own tensor's coefficients, so every tensor gets
+the bits it gets alone.  ``classify`` builds its verdicts on these.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from ._forms import _Forms
+
+
+def _compositions(k: int, res: int) -> np.ndarray:
+    """Every composition of res into k nonnegative integer parts, as the
+    rows of an int array in lexicographic order (from the k-1 cut points of
+    res + k - 1 slots, stars and bars)."""
+    cuts = list(itertools.combinations(range(res + k - 1), k - 1))
+    C = np.array(cuts, dtype=np.intp).reshape(len(cuts), k - 1)
+    ends = np.full((len(cuts), 1), -1)
+    return np.diff(np.hstack([ends, C, ends + res + k]), axis=1) - 1
+
+
+def _simplex_lattice(k: int, res: int) -> np.ndarray:
+    """All barycentric lattice points (c/res) with c a composition of res
+    into k nonnegative parts, in lexicographic order."""
+    return _compositions(k, res) / res
+
+
+def _project_simplex(V: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row of V onto {x >= 0, sum x = 1}."""
+    U = np.sort(V, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1) - 1.0
+    cond = U - css / np.arange(1, V.shape[1] + 1) > 0
+    last = V.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)  # last index with cond
+    theta = css[np.arange(len(V)), last] / (last + 1)
+    return np.maximum(V - theta[:, None], 0.0)
+
+
+def _combine(L: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The rows of L @ G.T, as a fixed-order sum over the columns of G: each
+    row gets the bits it gets alone, which a matrix product does not promise
+    once the stack height changes."""
+    return sum(L[:, j, None] * G[:, j] for j in range(G.shape[1]))
+
+
+_RUNGS = 30  # backtracking steps tried per descent step
+_FIRST_RUNGS = 3  # rungs scored for every moving row
+_RUNG_POINTS = 1024  # candidate points scored per call past the first rungs
+
+
+def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
+    """Projected gradient descent of f on the standard simplex, from every
+    row of the (S, k) array Lam0 at once.  f(X, rows) maps (R, k) points to
+    (R,) values and grad(X, rows) to (R, k) gradients, where rows holds the
+    index in Lam0 of the start each point descends from, so one call can
+    descend rows of different objectives (the stacked basis minimisation
+    scores each row with its own tensor).
+
+    Each row steps on its own: it backtracks from its last accepted step
+    length t through the 30 rungs t, t/2, t/4, ... and accepts the first
+    strict decrease of f; an accepted step length doubles for the next step
+    (capped at 1e6).  A row stops when ||grad|| <= 1e-14 (or is NaN) or no
+    rung decreases f.  The first 3 rungs of every moving row are scored in
+    one call, then the next rungs of the rows that took none, in pieces of
+    about 1 024 points, until every row took one or ran out; a row is
+    charged the evaluations the one-rung-at-a-time rule makes: its accepted
+    rung + 1, or 30.  f must give each row the value it gets alone.
+    Returns (rows, their f values, evaluations of f per row).
+    """
+    lam = np.array(Lam0, dtype=float)
+    val = f(lam, np.arange(len(lam)))
+    evals = np.ones(len(lam), dtype=int)
+    step = np.ones(len(lam))
+    active = np.ones(len(lam), dtype=bool)
+    k = lam.shape[1]
+    for _ in range(iters):
+        rows = np.flatnonzero(active)
+        if not len(rows):
+            break
+        g = grad(lam[rows], rows)
+        moving = np.sqrt(np.vecdot(g, g)) > 1e-14
+        active[rows[~moving]] = False
+        rows, g = rows[moving], g[moving]
+        if not len(rows):
+            break
+        R = len(rows)
+        first = np.full(R, _RUNGS)  # the first accepted rung; _RUNGS when none is
+        new_lam, new_val, new_t = np.empty((R, k)), np.empty(R), np.empty(R)
+        t = step[rows]  # the first rung not scored yet, of every row
+        left, lo = np.arange(R), 0  # the rows that took no rung yet
+        while len(left) and lo < _RUNGS:
+            hi = _FIRST_RUNGS if lo == 0 else min(_RUNGS, lo + max(1, _RUNG_POINTS // len(left)))
+            T = np.full((len(left), hi - lo), 0.5)
+            T[:, 0] = t[left]
+            T = np.cumprod(T, axis=1)  # repeated halving: each rung has the one-rung rule's bits
+            V = lam[rows[left], None] - T[:, :, None] * g[left, None]
+            cand = _project_simplex(V.reshape(-1, k)).reshape(V.shape)
+            fc = f(cand.reshape(-1, k), np.repeat(rows[left], hi - lo)).reshape(len(left), -1)
+            ok = fc < val[rows[left], None]
+            took = ok.any(axis=1)
+            j, hit = np.argmax(ok, axis=1)[took], left[took]
+            first[hit] = lo + j
+            new_lam[hit], new_val[hit], new_t[hit] = cand[took, j], fc[took, j], T[took, j]
+            t[left] = 0.5 * T[:, -1]
+            left, lo = left[~took], hi
+        took = first < _RUNGS
+        evals[rows] += np.where(took, first + 1, _RUNGS)
+        done = rows[took]
+        lam[done], val[done] = new_lam[took], new_val[took]
+        step[done] = np.minimum(2.0 * new_t[took], 1e6)
+        active[rows[~took]] = False
+    return lam, val, evals
+
+
+class _Objective:
+    """Smooth surrogates of the three basis objectives for a stack of tensors
+    of one order and dimension: row r of X is scored with the tensor
+    tensors[own[r]].
+
+    value(X, own) is what the polish minimizes (A x^m, ||A x^{m-1}||^2 or
+    (A x^m)^2); from_internal maps it to the contract value (A x^m,
+    ||A x^{m-1}|| or |A x^m|).
+    """
+
+    def __init__(self, kind: str, tensors):
+        if kind not in ("xm", "norm_m1", "abs_xm"):
+            raise ValueError(f"unknown objective {kind!r}")
+        self.kind = kind
+        self.forms = _Forms(tensors)
+
+    def value(self, X: np.ndarray, own: np.ndarray) -> np.ndarray:
+        F = self.forms.m1(X, own)
+        if self.kind == "norm_m1":
+            return np.vecdot(F, F)
+        xm = np.vecdot(X, F)
+        return xm * xm if self.kind == "abs_xm" else xm
+
+    def grad(self, X: np.ndarray, own: np.ndarray) -> np.ndarray:
+        F, J = self.forms.eval(X, own, jac=True)
+        if self.kind == "norm_m1":
+            return 2.0 * (F[:, None, :] @ J)[:, 0]
+        dxm = F + (X[:, None, :] @ J)[:, 0]
+        if self.kind == "xm":
+            return dxm
+        return 2.0 * np.vecdot(X, F)[:, None] * dxm
+
+    def from_internal(self, v: np.ndarray) -> np.ndarray:
+        if self.kind == "xm":
+            return v
+        return np.sqrt(np.maximum(v, 0.0))
+
+
+def _min_over_stack(objective: str, tensors, K, budget):
+    """[min_over_basis(objective, A, K, budget) for A in tensors], tensors of
+    one order and dimension.  Each tensor scores the lattice on its own; then
+    the starts of every tensor are polished in one descent, each row scored
+    with its own tensor's coefficients, so every tensor gets the bits it
+    gets alone."""
+    gens = [np.asarray(g, float) / np.linalg.norm(g) for g in K.generators]
+    if not gens:
+        raise ValueError("cone has no generators")
+    G = np.column_stack(gens)
+    if K.is_orthant:  # G is the identity; + 0.0 turns -0.0 into +0.0 as _combine does
+        to_x = to_lam = lambda L: L + 0.0
+    else:
+        to_x, to_lam = (lambda L: _combine(L, G)), (lambda X: _combine(X, G.T))
+
+    lattice = _simplex_lattice(len(gens), budget.resolution_for(len(gens)))
+    X = to_x(lattice)
+    c = min(budget.multistarts, len(X))  # starts per tensor
+    obj = _Objective(objective, tensors)
+    best, starts = [], []
+    for s in range(len(tensors)):
+        vals = obj.from_internal(obj.value(X, np.full(len(X), s)))
+        order = np.argsort(vals, kind="stable")
+        best.append((float(vals[order[0]]), X[order[0]]))
+        starts.append(lattice[order[:c]])
+    owner = np.repeat(np.arange(len(tensors)), c)
+    lam, f, used = descend_on_simplex(lambda L, rows: obj.value(to_x(L), owner[rows]),
+                                      lambda L, rows: to_lam(obj.grad(to_x(L), owner[rows])),
+                                      np.concatenate(starts), budget.polish_iters)
+    v = obj.from_internal(f).reshape(len(tensors), c)
+    out = []
+    for s in range(len(tensors)):
+        j = int(np.argmin(v[s]))
+        if v[s, j] < best[s][0] - 1e-15:
+            best[s] = float(v[s, j]), to_x(lam[s * c + j:s * c + j + 1])[0]
+        out.append((*best[s], len(X) + int(used[s * c:(s + 1) * c].sum())))
+    return out

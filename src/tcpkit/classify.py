@@ -5,7 +5,7 @@ violates the defining inequality under a direct re-evaluation; "holds" is a
 claim at the search resolution, with an explicit decision margin.  The
 search minimizes over the compact basis of the cone given by the convex
 hull of its normalized generators (the standard simplex for the orthant),
-using a barycentric lattice plus projected-gradient polish.
+using a barycentric lattice plus projected-gradient polish (``_simplex``).
 """
 
 from __future__ import annotations
@@ -16,18 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._simplex import _min_over_stack, _simplex_lattice, descend_on_simplex
 from .cones import PolyhedralCone, orthant
-from .tensor import (
-    IndexSet,
-    Tensor,
-    _derivative,
-    _rows_m1,
-    _stack_m1,
-    apply_m1,
-    batch_apply_m1,
-    jacobian_m1,
-    principal_subtensor,
-)
+from .tensor import IndexSet, Tensor, apply_m1, batch_apply_m1, jacobian_m1, principal_subtensor
 
 __all__ = [
     "Verdict",
@@ -95,142 +86,6 @@ class SearchBudget:
         )
 
 
-def _compositions(k: int, res: int) -> np.ndarray:
-    """Every composition of res into k nonnegative integer parts, as the
-    rows of an int array in lexicographic order (from the k-1 cut points of
-    res + k - 1 slots, stars and bars)."""
-    cuts = list(itertools.combinations(range(res + k - 1), k - 1))
-    C = np.array(cuts, dtype=np.intp).reshape(len(cuts), k - 1)
-    ends = np.full((len(cuts), 1), -1)
-    return np.diff(np.hstack([ends, C, ends + res + k]), axis=1) - 1
-
-
-def _simplex_lattice(k: int, res: int) -> np.ndarray:
-    """All barycentric lattice points (c/res) with c a composition of res
-    into k nonnegative parts, in lexicographic order."""
-    return _compositions(k, res) / res
-
-
-def _project_simplex(V: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every row of V onto {x >= 0, sum x = 1}."""
-    U = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - 1.0
-    cond = U - css / np.arange(1, V.shape[1] + 1) > 0
-    last = V.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)  # last index with cond
-    theta = css[np.arange(len(V)), last] / (last + 1)
-    return np.maximum(V - theta[:, None], 0.0)
-
-
-class _Objective:
-    """Smooth surrogates of the three basis objectives for a stack of tensors
-    that share _tails: row r of X is scored with the tensor tensors[own[r]].
-
-    value(X, own) is what the polish minimizes (A x^m, ||A x^{m-1}||^2 or
-    (A x^m)^2); from_internal maps it to the contract value (A x^m,
-    ||A x^{m-1}|| or |A x^m|).
-    """
-
-    def __init__(self, kind: str, tensors):
-        if kind not in ("xm", "norm_m1", "abs_xm"):
-            raise ValueError(f"unknown objective {kind!r}")
-        self.kind = kind
-        self.A = tensors[0]
-        self.coef = np.stack([A._coef for A in tensors])
-
-    def value(self, X: np.ndarray, own: np.ndarray) -> np.ndarray:
-        F = _stack_m1(self.A, X, self.coef, own)
-        if self.kind == "norm_m1":
-            return np.vecdot(F, F)
-        xm = np.vecdot(X, F)
-        return xm * xm if self.kind == "abs_xm" else xm
-
-    def grad(self, X: np.ndarray, own: np.ndarray) -> np.ndarray:
-        C = self.coef[own]
-        F = _rows_m1(self.A, X, C)
-        J = _derivative(self.A, X, range(self.A.order - 1), C)
-        if self.kind == "norm_m1":
-            return 2.0 * (F[:, None, :] @ J)[:, 0]
-        dxm = F + (X[:, None, :] @ J)[:, 0]
-        if self.kind == "xm":
-            return dxm
-        return 2.0 * np.vecdot(X, F)[:, None] * dxm
-
-    def from_internal(self, v: np.ndarray) -> np.ndarray:
-        if self.kind == "xm":
-            return v
-        return np.sqrt(np.maximum(v, 0.0))
-
-
-def _combine(L: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """The rows of L @ G.T, as a fixed-order sum over the columns of G: each
-    row gets the bits it gets alone, which a matrix product does not promise
-    once the stack height changes."""
-    return sum(L[:, j, None] * G[:, j] for j in range(G.shape[1]))
-
-
-_RUNGS = 30  # backtracking steps tried per descent step
-_FIRST_RUNGS = 3  # rungs scored for every moving row; the rest only for rows that took none
-
-
-def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
-    """Projected gradient descent of f on the standard simplex, from every
-    row of the (S, k) array Lam0 at once.  f(X, rows) maps (R, k) points to
-    (R,) values and grad(X, rows) to (R, k) gradients, where rows holds the
-    index in Lam0 of the start each point descends from, so one call can
-    descend rows of different objectives (the stacked basis minimisation
-    scores each row with its own tensor).
-
-    Each row steps on its own: it backtracks from its last accepted step
-    length t through the 30 rungs t, t/2, t/4, ... and accepts the first
-    strict decrease of f; an accepted step length doubles for the next step
-    (capped at 1e6).  A row stops when ||grad|| <= 1e-14 (or is NaN) or no
-    rung decreases f.  The first 3 rungs of every moving row, then the
-    other 27 of the rows that took none, are scored in one call each; a row
-    is charged the evaluations the one-rung-at-a-time rule makes: its
-    accepted rung + 1, or 30.  f must give each row the value it gets
-    alone.  Returns (rows, their f values, evaluations of f per row).
-    """
-    lam = np.array(Lam0, dtype=float)
-    val = f(lam, np.arange(len(lam)))
-    evals = np.ones(len(lam), dtype=int)
-    step = np.ones(len(lam))
-    active = np.ones(len(lam), dtype=bool)
-    for _ in range(iters):
-        rows = np.flatnonzero(active)
-        if not len(rows):
-            break
-        g = grad(lam[rows], rows)
-        moving = np.sqrt(np.vecdot(g, g)) > 1e-14
-        active[rows[~moving]] = False
-        rows, g = rows[moving], g[moving]
-        if not len(rows):
-            break
-        R = len(rows)
-        T = np.full((R, _RUNGS), 0.5)
-        T[:, 0] = step[rows]
-        T = np.cumprod(T, axis=1)  # repeated halving: each rung has the one-rung rule's bits
-        k = lam.shape[1]
-        cand = np.empty((R, _RUNGS, k))
-        fc = np.full((R, _RUNGS), np.inf)  # an unscored rung is never accepted
-        for lo, hi in ((0, _FIRST_RUNGS), (_FIRST_RUNGS, _RUNGS)):
-            r = np.flatnonzero(~np.any(fc < val[rows, None], axis=1))  # no rung taken yet
-            if len(r):
-                V = lam[rows[r], None] - T[r, lo:hi, None] * g[r, None]
-                cand[r, lo:hi] = _project_simplex(V.reshape(-1, k)).reshape(V.shape)
-                fc[r, lo:hi] = f(cand[r, lo:hi].reshape(-1, k),
-                                 np.repeat(rows[r], hi - lo)).reshape(len(r), -1)
-        ok = fc < val[rows, None]
-        first = np.argmax(ok, axis=1)  # the first accepted rung, or 0 when there is none
-        took = ok[np.arange(R), first]
-        evals[rows] += np.where(took, first + 1, _RUNGS)
-        pick = (np.arange(R) * _RUNGS + first)[took]
-        done = rows[took]
-        lam[done], val[done] = cand.reshape(R * _RUNGS, k)[pick], fc.ravel()[pick]
-        step[done] = np.minimum(2.0 * T.ravel()[pick], 1e6)
-        active[rows[~took]] = False
-    return lam, val, evals
-
-
 def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchBudget):
     """Minimize one of {A x^m, ||A x^{m-1}||, |A x^m|} over the compact basis
     of K (convex hull of normalized generators).
@@ -242,53 +97,6 @@ def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchB
     minimum when it is lower by more than 1e-15.
     """
     return _min_over_stack(objective, [A], K, budget)[0]
-
-
-_STACK_ROWS = 240  # descent rows (tensors x starts) of one stacked block
-
-
-def _min_over_stack(objective: str, tensors, K: PolyhedralCone, budget: SearchBudget):
-    """[min_over_basis(objective, A, K, budget) for A in tensors], tensors of
-    one order and dimension.  Each tensor scores the lattice on its own; the
-    tensors that share _tails then polish their starts in one descent per
-    block of about _STACK_ROWS rows, each row scored with its own tensor's
-    coefficients, so every tensor gets the bits it gets alone."""
-    gens = [np.asarray(g, float) / np.linalg.norm(g) for g in K.generators]
-    if not gens:
-        raise ValueError("cone has no generators")
-    G = np.column_stack(gens)
-    if K.is_orthant:  # G is the identity; + 0.0 turns -0.0 into +0.0 as _combine does
-        to_x = to_lam = lambda L: L + 0.0
-    else:
-        to_x, to_lam = (lambda L: _combine(L, G)), (lambda X: _combine(X, G.T))
-
-    lattice = _simplex_lattice(len(gens), budget.resolution_for(len(gens)))
-    X = to_x(lattice)
-    c = min(budget.multistarts, len(X))  # starts per tensor
-    groups = {}
-    for i, A in enumerate(tensors):
-        groups.setdefault(A._tails.tobytes(), []).append(i)
-    size = max(1, _STACK_ROWS // c)  # tensors per block
-    out = [None] * len(tensors)
-    for block in (m[b:b + size] for m in groups.values() for b in range(0, len(m), size)):
-        obj = _Objective(objective, [tensors[i] for i in block])
-        best, starts = [], []
-        for s in range(len(block)):
-            vals = obj.from_internal(obj.value(X, np.full(len(X), s)))
-            order = np.argsort(vals, kind="stable")
-            best.append((float(vals[order[0]]), X[order[0]]))
-            starts.append(lattice[order[:c]])
-        owner = np.repeat(np.arange(len(block)), c)
-        lam, f, used = descend_on_simplex(lambda L, rows: obj.value(to_x(L), owner[rows]),
-                                          lambda L, rows: to_lam(obj.grad(to_x(L), owner[rows])),
-                                          np.concatenate(starts), budget.polish_iters)
-        v = obj.from_internal(f).reshape(len(block), c)
-        for s, i in enumerate(block):
-            j = int(np.argmin(v[s]))
-            if v[s, j] < best[s][0] - 1e-15:
-                best[s] = float(v[s, j]), to_x(lam[s * c + j:s * c + j + 1])[0]
-            out[i] = (*best[s], len(X) + int(used[s * c:(s + 1) * c].sum()))
-    return out
 
 
 def _unit(x: np.ndarray) -> np.ndarray:

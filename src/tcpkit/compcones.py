@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._polysys import SYS_TOL, damped_newton, newton_refine, walk_supports
-from .classify import SearchBudget, Verdict, _combine, _simplex_lattice
+from ._simplex import _combine, _simplex_lattice
+from .classify import SearchBudget, Verdict
 from .cones import PolyhedralCone
 from .tensor import (
     IndexSet,
@@ -107,8 +108,8 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     best = best[: budget.multistarts]
     best = best[zn[best] > 1e-12]
     t = (yn / zn[best]) ** (1.0 / (A.order - 1))
-    lam, r = damped_newton(lambda L: apply_m1(A, _combine(L, G)) - y,
-                           lambda L: jacobian_m1(A, _combine(L, G)) @ G,
+    lam, r = damped_newton(lambda L, _: apply_m1(A, _combine(L, G)) - y,
+                           lambda L, _: jacobian_m1(A, _combine(L, G)) @ G,
                            t[:, None] * lattice[best], budget.polish_iters, 1e-14,
                            project=lambda L: np.maximum(L, 0.0))
     X = _combine(lam, G)
@@ -154,16 +155,16 @@ def q_membership(A: Tensor, q, budget: SearchBudget | None = None) -> Membership
         raise ValueError("membership scan limited to dim <= 12")
     examined = 0
     all_settled = True
-    for alpha, feasible, settled in walk_supports(A, q, budget.multistarts):
+    for alpha, feasible, settled in walk_supports([A], [q], budget.multistarts):
         examined += 1
-        if feasible:
-            u_a, slack = feasible[0]
+        if feasible[0]:
+            u_a, slack = feasible[0][0]
             u = np.zeros(n)
             u[[i - 1 for i in alpha.members]] = u_a
             u[[i - 1 for i in alpha.complement]] = np.maximum(slack, 0.0) ** (1.0 / (A.order - 1))
             resid = _system_residual(A, alpha, u_a, q)
             return MembershipResult(True, alpha, u, resid, examined)
-        all_settled = all_settled and settled
+        all_settled = all_settled and settled[0]
     if all_settled:
         return MembershipResult(False, None, None, math.inf, examined)
     return MembershipResult(None, None, None, math.inf, examined)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._forms import _Forms
 from ._polysys import _dedup, damped_newton, walk_supports
 from ._rng import SplitMix64
 from .classify import SearchBudget
@@ -21,7 +22,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     apply_m1,
-    jacobian_m1,
     tensor_from_json,
     tensor_to_json,
 )
@@ -132,40 +132,58 @@ def solve_enumerate(inst: TcpInstance, budget: SearchBudget | None = None) -> En
     support could not be settled (see ``walk_supports``), the rule
     ``q_membership`` uses for its unknown verdict.
     """
-    if not inst.cone.is_orthant:
+    return _solve_stack([inst], budget)[0]
+
+
+def _solve_stack(insts, budget: SearchBudget | None = None) -> list[EnumerationOutcome]:
+    """[solve_enumerate(inst, budget) for inst in insts], instances of one
+    dimension and order, in one stacked support walk: every instance gets
+    the outcome it gets alone."""
+    if not all(inst.cone.is_orthant for inst in insts):
         raise ValueError("enumeration solver requires the nonnegative orthant")
-    n = inst.A.dim
+    n = insts[0].A.dim
     if n > 12:
         raise ValueError("enumeration limited to dim <= 12")
     budget = budget or SearchBudget()
-    sols: list[np.ndarray] = []
-    all_settled = True
-    for alpha, feasible, settled in walk_supports(inst.A, inst.q, budget.multistarts):
-        all_settled = all_settled and settled
-        for u_a, _ in feasible:
-            x = np.zeros(n)
-            x[[i - 1 for i in alpha.members]] = u_a
-            if is_solution(inst, x, _SUPPORT_TOL):
-                sols.append(x)
-    found = tuple(_make_solution(inst, x)
-                  for x in _dedup(np.reshape(sols, (-1, n)), _DEDUP_DIST))
-    return EnumerationOutcome(found, not all_settled and not found)
+    sols = [[] for _ in insts]
+    all_settled = [True] * len(insts)
+    for alpha, feasible, settled in walk_supports([inst.A for inst in insts],
+                                                  [inst.q for inst in insts], budget.multistarts):
+        for t, inst in enumerate(insts):
+            all_settled[t] = all_settled[t] and settled[t]
+            for u_a, _ in feasible[t]:
+                x = np.zeros(n)
+                x[[i - 1 for i in alpha.members]] = u_a
+                if is_solution(inst, x, _SUPPORT_TOL):
+                    sols[t].append(x)
+    out = []
+    for inst, xs, done in zip(insts, sols, all_settled):
+        found = tuple(_make_solution(inst, x)
+                      for x in _dedup(np.reshape(xs, (-1, n)), _DEDUP_DIST))
+        out.append(EnumerationOutcome(found, not done and not found))
+    return out
 
 
-def _min_map_newton(inst: TcpInstance, X0: np.ndarray, iters: int = 80) -> np.ndarray:
+def _min_map_newton(insts, X0: np.ndarray, own: np.ndarray, iters: int = 80) -> np.ndarray:
     """Semismooth Newton on the min-map Phi(x) = min(x, A x^{m-1} + q) from
-    every row of the (S, n) array X0 at once; returns the end points clamped
-    to x >= 0, each row as its start would end alone."""
-    if not inst.cone.is_orthant:
+    every row r of the (S, n) array X0 at once, on the instance insts[own[r]]
+    (instances of one dimension and order); returns the end points clamped
+    to x >= 0, each row as its start would end alone on its instance."""
+    if not all(inst.cone.is_orthant for inst in insts):
         raise ValueError("min-map refinement requires the nonnegative orthant")
-    n = inst.A.dim
+    forms = _Forms([inst.A for inst in insts])
+    Q = np.array([inst.q for inst in insts])
+    eye = np.eye(insts[0].A.dim)
 
-    def phi(V):
-        return np.minimum(V, inst.w_of(V))
+    def phi(V, rows):
+        o = own[rows]
+        return np.minimum(V, forms.m1(V, o) + Q.take(o, axis=0))
 
-    def jac(V):
+    def jac(V, rows):
         # row i of the generalized Jacobian: e_i where x_i is the active branch
-        return np.where((V <= inst.w_of(V))[:, :, None], np.eye(n), jacobian_m1(inst.A, V))
+        o = own[rows]
+        F, J = forms.eval(V, o, jac=True)
+        return np.where((V <= F + Q.take(o, axis=0))[:, :, None], eye, J)
 
     X, _ = damped_newton(phi, jac, X0, iters, 1e-12)
     return np.maximum(X, 0.0)
@@ -180,7 +198,7 @@ def refine(inst: TcpInstance, x0, iters: int = 80) -> TcpSolution:
     x = np.asarray(x0, dtype=float)
     if x.shape != (inst.A.dim,):
         raise ShapeError("starting point has wrong dimension")
-    x = _min_map_newton(inst, x[None], iters)[0]
+    x = _min_map_newton([inst], x[None], np.zeros(1, dtype=np.intp), iters)[0]
     return _make_solution(inst, x, converged=is_solution(inst, x, 1e-9))
 
 
@@ -193,7 +211,7 @@ def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int
     rng = SplitMix64(seed)
     n = inst.A.dim
     starts = np.array([[rng.uniform(0.0, radius) for _ in range(n)] for _ in range(samples)])
-    for x in _min_map_newton(inst, starts.reshape(-1, n)):
+    for x in _min_map_newton([inst], starts.reshape(-1, n), np.zeros(samples, dtype=np.intp)):
         if is_solution(inst, x, 1e-9) and all(np.linalg.norm(x - y) > _DEDUP_DIST for y in found):
             found.append(x)
     max_norm = max((float(np.linalg.norm(x)) for x in found), default=0.0)

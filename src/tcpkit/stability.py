@@ -16,15 +16,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._rng import SplitMix64
+from ._simplex import _combine, _min_over_stack, _simplex_lattice, descend_on_simplex
 from .classify import (
     SearchBudget,
     Verdict,
-    _combine,
-    _min_over_stack,
     _nonsingular_verdict,
     _psd_verdict,
-    _simplex_lattice,
-    descend_on_simplex,
     is_copositive,
     is_K_nonsingular,
     is_K_regular,
@@ -32,7 +29,7 @@ from .classify import (
 )
 from .compcones import complementary_tensor, q_membership
 from .cones import PolyhedralCone, extreme_rays, from_generators, orthant, tangent_cone
-from .solver import TcpInstance, _min_map_newton, is_solution, refine, residual, solve_enumerate
+from .solver import TcpInstance, _min_map_newton, _solve_stack, is_solution, refine, residual
 from .tensor import (
     IndexSet,
     Tensor,
@@ -90,6 +87,20 @@ def _require_trials(trials: int) -> None:
 
 def _perturbed_tensor(A: Tensor, dA: np.ndarray) -> Tensor:
     return tensor_from_dense(A.to_dense() + dA)
+
+
+def _trial_instances(inst: TcpInstance, eps: float, trials: int, seed: int) -> list:
+    """(stream, dq, dA, perturbed instance) of every trial t: its stream
+    SplitMix64(seed).spawn(t + 1) and the perturbation drawn first from it."""
+    rng = SplitMix64(seed)
+    n = inst.A.dim
+    out = []
+    for t in range(trials):
+        stream = rng.spawn(t + 1)
+        dq, dA = _draw_perturbation(stream, n, (n,) * inst.A.order, eps)
+        out.append((stream, dq, dA, TcpInstance(inst.cone, inst.q + dq,
+                                                _perturbed_tensor(inst.A, dA))))
+    return out
 
 
 def local_uniqueness_certificate(inst: TcpInstance, xbar,
@@ -171,8 +182,9 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     SplitMix64(seed).spawn(t + 1), so the trials are gated together: one
     stacked copositivity check of every trial's tensor, then of the redraws
     of the trials that failed, each from its own stream; the verdicts are
-    those of one is_copositive call per tensor.  Then each trial is solved,
-    in order."""
+    those of one is_copositive call per tensor.  Then all trials are solved
+    in one stacked support walk, each with the outcome of its own
+    solve_enumerate call."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     if not inst.cone.is_orthant:
@@ -205,15 +217,14 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
             redraws[t] += 1
         pending = [t for t in pending if redraws[t] < 100]
 
+    shift = unit_tensor(inst.A.order, n).scale(eps)
+    perts = [TcpInstance(inst.cone, inst.q + dqs[t],
+                         tensors[t] + shift if redraws[t] >= 100 else tensors[t])
+             for t in range(trials)]
     solvable = 0
     max_norm = 0.0
     failures: list[int] = []
-    for t in range(trials):
-        At = tensors[t]
-        if redraws[t] >= 100:
-            At = At + unit_tensor(inst.A.order, n).scale(eps)
-        pert = TcpInstance(inst.cone, inst.q + dqs[t], At)
-        outcome = solve_enumerate(pert, budget)
+    for t, (pert, outcome) in enumerate(zip(perts, _solve_stack(perts, budget))):
         norms = [float(np.linalg.norm(s.x)) for s in outcome.solutions]
         if not norms and xbar is not None:
             s = refine(pert, np.asarray(xbar, dtype=float))
@@ -237,7 +248,12 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
 def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
                       eps: float, trials: int, seed: int,
                       budget: SearchBudget | None = None) -> PerturbationReport:
-    """Estimate the local error-bound constant at an isolated solution."""
+    """Estimate the local error-bound constant at an isolated solution.
+
+    Trial t draws its perturbation and 4 starts around xbar from its own
+    stream SplitMix64(seed).spawn(t + 1); the 5 starts of every trial (xbar
+    first) are refined in one stacked min-map Newton, each row on its own
+    trial's instance, with the end points of one refine call per start."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     xbar = np.asarray(xbar, dtype=float)
@@ -245,24 +261,21 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
     if cert.status != "holds":
         raise ValueError("local uniqueness certificate does not hold at xbar")
 
-    rng = SplitMix64(seed)
-    n = inst.A.dim
-    shape = (n,) * inst.A.order
+    draws = _trial_instances(inst, eps, trials, seed)
+    starts = []
+    for stream, *_ in draws:
+        starts += [xbar] + [xbar + 0.1 * neighborhood_radius * np.array(stream.on_sphere(inst.A.dim))
+                            for _ in range(4)]
+    ends = _min_map_newton([pert for *_, pert in draws], np.array(starts),
+                          np.repeat(np.arange(trials), 5))
     ratio_max = 0.0
     solvable = 0
     max_norm = 0.0
     failures: list[int] = []
     skipped = 0
-    for t in range(trials):
-        trial_rng = rng.spawn(t + 1)
-        dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
+    for t, (_, dq, dA, pert) in enumerate(draws):
         denom = float(np.linalg.norm(dq) + np.linalg.norm(dA))
-        pert = TcpInstance(inst.cone, inst.q + dq, _perturbed_tensor(inst.A, dA))
-        starts = [xbar] + [
-            xbar + 0.1 * neighborhood_radius * np.array(trial_rng.on_sphere(n))
-            for _ in range(4)
-        ]
-        sols = [x for x in _min_map_newton(pert, np.array(starts))
+        sols = [x for x in ends[5 * t:5 * t + 5]
                 if is_solution(pert, x, 1e-9)
                 and float(np.linalg.norm(x - xbar)) <= neighborhood_radius]
         if not sols:
@@ -288,24 +301,22 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
 def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int,
               budget: SearchBudget | None = None) -> dict:
     """Upper-semicontinuity probe: how far can perturbed solutions drift
-    from the base solution set."""
+    from the base solution set.
+
+    Trial t draws from its own stream SplitMix64(seed).spawn(t + 1); the
+    base instance and every trial are solved in one stacked support walk,
+    each with the outcome of its own solve_enumerate call."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     reg = is_K_regular(inst.A, inst.cone, budget)
     if reg.status != "holds":
         raise ValueError("base tensor is not certified K-regular")
-    base = solve_enumerate(inst, budget)
+    perts = [pert for *_, pert in _trial_instances(inst, eps, trials, seed)]
+    base, *outcomes = _solve_stack([inst] + perts, budget)
     base_pts = [s.x for s in base.solutions]
-    rng = SplitMix64(seed)
-    n = inst.A.dim
-    shape = (n,) * inst.A.order
     max_exc = 0.0
     unsolved = 0
-    for t in range(trials):
-        trial_rng = rng.spawn(t + 1)
-        dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
-        pert = TcpInstance(inst.cone, inst.q + dq, _perturbed_tensor(inst.A, dA))
-        outcome = solve_enumerate(pert, budget)
+    for outcome in outcomes:
         if not outcome.solutions:
             unsolved += 1
             continue

@@ -18,8 +18,9 @@ then A x^{m-1} = monomials(x) @ coef, and the derivative through position p
 is coef.T @ D_p with D_p[t, tails[t, p]] = monomials(x, skip=p)[t].
 A x^{m-2} is the p = 0 derivative and the Jacobian is the sum over p.
 Tensors that share _tails are evaluated as a stack through the same two
-steps, row s of a batch with its own tensor's coefficients (_rows_m1,
-_stack_m1 and the coef argument of _derivative).
+steps, row s of a batch with its own tensor's coefficients (_rows_m1 and
+the coef argument of _derivative); ``_forms._Forms`` groups a stack of
+tensors by _tails and evaluates each row with its own.
 """
 
 from __future__ import annotations
@@ -237,23 +238,6 @@ def _rows_m1(A: Tensor, X: np.ndarray, coef) -> np.ndarray:
     coef[s] of a tensor with A's tails.  Every row gets the bits it gets
     alone, whichever tensor it belongs to."""
     return (np.ascontiguousarray(_monomials(A, X).T)[:, None, :] @ coef)[:, 0]
-
-
-_STACK_ENTRIES = 2**13  # gathered coefficients (rows x T x n) per block of _stack_m1
-
-
-def _stack_m1(A: Tensor, X: np.ndarray, coef: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """_rows_m1 with row r's coefficients coef[own[r]], coef an (S, T, n)
-    stack of tensors with A's tails, gathered in blocks of about
-    _STACK_ENTRIES entries; a stack of one is broadcast instead, the same
-    bits without a gather."""
-    if len(coef) == 1:
-        return _rows_m1(A, X, coef[0])
-    F = np.empty(X.shape)
-    step = max(1, _STACK_ENTRIES // max(coef[0].size, 1))
-    for s in range(0, len(X), step):
-        F[s:s + step] = _rows_m1(A, X[s:s + step], coef[own[s:s + step]])
-    return F
 
 
 def apply_m1(A: Tensor, x) -> np.ndarray:

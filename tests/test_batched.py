@@ -11,7 +11,11 @@ local_uniqueness_certificate build must keep that property too, and are
 checked the same way.  descend_on_simplex tells its maps which start each
 row descends from, so one call can carry rows of different objectives: the
 stacked basis minimisation scores each row with its own tensor, and must
-give every tensor what min_over_basis gives it alone.
+give every tensor what min_over_basis gives it alone.  damped_newton tells
+its maps the same, so the stacked support walk refines the starts of many
+instances in one call, and must give every instance what its own walk and
+solve_enumerate give it; its row solve keeps the regular rows batched when
+some are singular, with the bits of a plain per-row loop.
 
 The root-box grid of scan_system, its start selection and its root dedup
 are checked against references written here the same way; the pruned
@@ -30,13 +34,13 @@ from hypothesis import strategies as st
 
 from tcpkit import classify
 from tcpkit import fixtures as fx
-from tcpkit import stability, tensor
-from tcpkit import _polysys
+from tcpkit import stability
+from tcpkit import _forms, _polysys, _simplex
 from tcpkit._polysys import (_block_bounds, _contract, _dedup, _grid_starts, damped_newton,
-                             scan_system)
+                             scan_system, walk_supports)
 from tcpkit.classify import SearchBudget, _min_over_stack, descend_on_simplex, min_over_basis
 from tcpkit.cones import from_generators, orthant
-from tcpkit.solver import TcpInstance
+from tcpkit.solver import TcpInstance, _solve_stack, solve_enumerate
 from tcpkit.tensor import (Tensor, _derivative, _power_coefficients, _rows_m1, apply_m1,
                            jacobian_m1)
 
@@ -60,14 +64,16 @@ def cubic(D):
     return F, J, xF, grad_xF
 
 
-def newton_one_start(F, J, x, iters, tol, project):
-    """The one-start rule of damped_newton, as a plain loop."""
-    Fx = F(x[None])[0]
+def newton_one_start(F, J, x, iters, tol, project, row=0):
+    """The one-start rule of damped_newton, as a plain loop, for the start
+    at index row of its X."""
+    at = np.array([row])
+    Fx = F(x[None], at)[0]
     r = np.linalg.norm(Fx)
     for _ in range(iters):
         if r <= tol:
             break
-        Jx = J(x[None])[0]
+        Jx = J(x[None], at)[0]
         try:
             d = np.linalg.solve(Jx, -Fx)
         except np.linalg.LinAlgError:
@@ -77,7 +83,7 @@ def newton_one_start(F, J, x, iters, tol, project):
         t = 1.0
         while t > 1e-14:
             xn = project(x + t * d)
-            Fn = F(xn[None])[0]
+            Fn = F(xn[None], at)[0]
             rn = np.linalg.norm(Fn)
             if rn < r * (1.0 - 1e-4 * t) or rn <= tol:
                 x, Fx, r = xn, Fn, rn
@@ -133,25 +139,25 @@ def test_newton_rows_end_where_each_start_ends_alone(k, S, seed):
     D = rng.uniform(-2.0, 2.0, (k, k, k))
     q = rng.uniform(-2.0, 2.0, k)
     F, J, _, _ = cubic(D)
-    Fq = lambda X: F(X) + q
+    Fq, Jr = (lambda X, _: F(X) + q), (lambda X, _: J(X))
     X0 = rng.uniform(0.0, 2.0, (S, k))
     X0[rng.random((S, k)) < 0.2] = 0.0  # some starts on the boundary
     kept = X0.copy()
-    X, r = damped_newton(Fq, J, X0, 40, 1e-11, project=clamp)
+    X, r = damped_newton(Fq, Jr, X0, 40, 1e-11, project=clamp)
     assert X.shape == (S, k) and r.shape == (S,)
     assert np.array_equal(X0, kept)  # the starts are not modified
     for s in range(S):
-        x1, r1 = damped_newton(Fq, J, X0[s:s + 1], 40, 1e-11, project=clamp)
+        x1, r1 = damped_newton(Fq, Jr, X0[s:s + 1], 40, 1e-11, project=clamp)
         assert np.array_equal(X[s], x1[0]) and r[s] == r1[0]
-        xr, rr = newton_one_start(Fq, J, X0[s], 40, 1e-11, clamp)
+        xr, rr = newton_one_start(Fq, Jr, X0[s], 40, 1e-11, clamp)
         assert np.array_equal(X[s], xr) and r[s] == rr
 
 
 def test_singular_row_takes_least_squares_alone():
     # F(x) = x * x - c: the Jacobian diag(2 x) is singular on a zero coordinate
     c = np.array([1.0, 4.0])
-    F = lambda X: X * X - c
-    J = lambda X: 2.0 * X[:, :, None] * np.eye(2)
+    F = lambda X, _: X * X - c
+    J = lambda X, _: 2.0 * X[:, :, None] * np.eye(2)
     X0 = np.array([[0.5, 3.0], [0.0, 1.0], [2.0, 0.7]])
     X, r = damped_newton(F, J, X0, 50, 1e-12)
     regular = damped_newton(F, J, X0[[0, 2]], 50, 1e-12)
@@ -176,13 +182,103 @@ def test_non_square_rows_take_least_squares_steps_alone(n, k, S, seed):
     rng = np.random.default_rng(seed)
     F, J, _, _ = cubic(rng.uniform(-2.0, 2.0, (n, k, k)))
     y = F(rng.uniform(0.0, 1.0, (1, k)))[0]  # reachable, so some rows converge
-    Fy = lambda X: F(X) - y
+    Fy, Jr = (lambda X, _: F(X) - y), (lambda X, _: J(X))
     X0 = rng.uniform(0.0, 2.0, (S, k))
-    X, r = damped_newton(Fy, J, X0, 30, 1e-12, project=clamp)
+    X, r = damped_newton(Fy, Jr, X0, 30, 1e-12, project=clamp)
     assert X.shape == (S, k) and r.shape == (S,)
     for s in range(S):
-        xr, rr = newton_one_start(Fy, J, X0[s], 30, 1e-12, clamp)
+        xr, rr = newton_one_start(Fy, Jr, X0[s], 30, 1e-12, clamp)
         assert np.array_equal(X[s], xr) and r[s] == rr
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), S=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_newton_rows_of_different_systems_end_as_alone(k, S, seed):
+    # start s solves system s % 3 (two cubic systems, and x * x = c, whose
+    # Jacobian is singular on a zero coordinate), all in one call: each row
+    # ends as the Newton run of its own system from its start alone
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(2):
+        F, J, _, _ = cubic(rng.uniform(-2.0, 2.0, (k, k, k)))
+        q = rng.uniform(-2.0, 2.0, k)
+        systems.append((lambda X, F=F, q=q: F(X) + q, J))
+    c = rng.uniform(0.5, 2.0, k)
+    systems.append((lambda X: X * X - c, lambda X: 2.0 * X[:, :, None] * np.eye(k)))
+
+    def by_row(i):
+        def h(X, rows):
+            out = np.empty(X.shape + X.shape[1:] * i)  # values, or Jacobians
+            for j, system in enumerate(systems):
+                mine = rows % 3 == j
+                out[mine] = system[i](X[mine])
+            return out
+        return h
+
+    X0 = rng.uniform(0.0, 2.0, (S, k))
+    X0[rng.random((S, k)) < 0.2] = 0.0  # some starts on the boundary
+    X, r = damped_newton(by_row(0), by_row(1), X0, 40, 1e-11, project=clamp)
+    for s in range(S):
+        F, J = systems[s % 3]
+        x1, r1 = damped_newton(lambda X, _: F(X), lambda X, _: J(X), X0[s:s + 1], 40, 1e-11,
+                               project=clamp)
+        assert np.array_equal(X[s], x1[0]) and r[s] == r1[0]
+        xr, rr = newton_one_start(by_row(0), by_row(1), X0[s], 40, 1e-11, clamp, row=s)
+        assert np.array_equal(X[s], xr) and r[s] == rr
+
+
+def solve_rows_loop(J, b):
+    """The row solve as a plain loop: np.linalg.solve, or least squares
+    where it raises; and the rows solved by least squares."""
+    out, lone = np.empty(b.shape), []
+    for s in range(len(b)):
+        try:
+            out[s] = np.linalg.solve(J[s], b[s])
+        except np.linalg.LinAlgError:
+            out[s] = np.linalg.lstsq(J[s], b[s], rcond=None)[0]
+            lone.append(s)
+    return out, lone
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 4), S=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       singular=st.integers(0, 3))
+def test_solve_rows_keeps_the_regular_rows_batched(k, S, seed, singular):
+    # up to 3 singular rows (a zero row, which gives an exact zero pivot, or
+    # two equal rows, which may not): every row gets the bits of the plain
+    # loop, and only the rows it solves by least squares are solved alone
+    rng = np.random.default_rng(seed)
+    J, b = rng.uniform(-2.0, 2.0, (S, k, k)), rng.uniform(-2.0, 2.0, (S, k))
+    bad = rng.choice(S, min(singular, S), replace=False)
+    for s in bad:
+        if k > 1 and rng.random() < 0.5:
+            J[s, 1] = J[s, 0]
+        else:
+            J[s, rng.integers(k)] = 0.0
+    calls = []
+    lstsq = np.linalg.lstsq
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
+        got = _polysys._solve_rows(J, b)
+    ref, lone = solve_rows_loop(J, b)
+    assert got.tobytes() == ref.tobytes()
+    assert len(calls) == len(lone)
+    assert all(s in lone for s in bad if not J[s].any(axis=1).all())  # the zero rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 4), S=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       rung_points=st.integers(1, 12))
+def test_descent_rung_pieces_keep_the_one_start_rule(k, S, seed, rung_points):
+    # the rungs past the first 3 are scored in pieces of about rung_points
+    # points, only for the rows that took none yet: any cut gives every row
+    # the first accepted rung, bits and evaluations of the one-rung rule
+    rng = np.random.default_rng(seed)
+    _, _, xF, grad_xF = cubic(rng.uniform(-2.0, 2.0, (k, k, k)))
+    L0 = rng.dirichlet(np.ones(k), S)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_simplex, "_RUNG_POINTS", rung_points)
+        assert_rows_follow_one_start_rule(lambda X, _: xF(X), lambda X, _: grad_xF(X), L0, 40)
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,18 +410,19 @@ def tensor_stacks(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(stack=tensor_stacks(), res=st.sampled_from([4, 8, 16]), multistarts=st.integers(1, 8),
-       iters=st.integers(5, 60), stack_rows=st.integers(1, 40), stack_entries=st.integers(1, 200))
+       iters=st.integers(5, 60), rung_points=st.integers(1, 40),
+       stack_entries=st.integers(1, 200))
 def test_stacked_minimiser_gives_each_tensor_its_own_minimum(stack, res, multistarts, iters,
-                                                             stack_rows, stack_entries):
+                                                             rung_points, stack_entries):
     # value, witness bytes and evaluations of every tensor equal those of
-    # min_over_basis on it alone, for any cut into stacked blocks and
-    # scoring blocks
+    # min_over_basis on it alone, for any cut of the rungs into scored
+    # pieces and of the rows into gathered blocks
     tensors, K = stack
     budget = SearchBudget(grid_resolution=res, multistarts=multistarts, polish_iters=iters)
     for objective in ("xm", "norm_m1", "abs_xm"):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(classify, "_STACK_ROWS", stack_rows)
-            mp.setattr(tensor, "_STACK_ENTRIES", stack_entries)
+            mp.setattr(_simplex, "_RUNG_POINTS", rung_points)
+            mp.setattr(_forms, "_STACK_ENTRIES", stack_entries)
             got = _min_over_stack(objective, tensors, K, budget)
         assert len(got) == len(tensors)
         for A, (v, x, used) in zip(tensors, got):
@@ -339,7 +436,7 @@ def test_min_over_basis_polishes_each_start_as_alone(monkeypatch, n, k, seed):
     # on a generated cone the map from the simplex into the cone mixes the
     # generators; it must still give each start the bits it gets alone
     calls = []
-    monkeypatch.setattr(classify, "descend_on_simplex",
+    monkeypatch.setattr(_simplex, "descend_on_simplex",
                         lambda *args: calls.append(args) or descend_on_simplex(*args))
     rng = np.random.default_rng(seed)
     K = from_generators(list(np.abs(rng.normal(size=(k, n))) + 0.1))
@@ -514,9 +611,9 @@ def test_scan_starts_are_the_best_grid_points(k, m, seed, multistarts):
         seen["grid"] = axis, N
         return select(A, q, axis, N)
 
-    def spy_refine(A, q, U0):
+    def spy_refine(forms, Q, U0, own):
         seen["starts"] = U0
-        return refine(A, q, U0)
+        return refine(forms, Q, U0, own)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_polysys, "_grid_starts", spy_select)
@@ -532,6 +629,53 @@ def test_scan_starts_are_the_best_grid_points(k, m, seed, multistarts):
     assert np.array_equal(seen["starts"], starts)
     assert np.isin(seen["starts"], axis).all()
     assert scan.grid_min_residual == resid.min()
+
+
+@st.composite
+def instance_stacks(draw):
+    """1..8 orthant TCPs of one order m in 2..4 and dimension n in 1..3: the
+    tensors perturb one random support (shared _tails), copy it exactly
+    (eps = 0) or take another support (mixed _tails); q has zero entries."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base, _ = sparse_system(n, m, int(rng.integers(2**32)))
+    insts = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = rng.integers(3)
+        if kind == 0:
+            A = Tensor._from_form(m, n, base._tails,
+                                  base._coef + rng.uniform(-1e-3, 1e-3, base._coef.shape))
+        else:
+            A = base if kind == 1 else sparse_system(n, m, int(rng.integers(2**32)))[0]
+        q = rng.uniform(-2.0, 2.0, n)
+        q[rng.random(n) < 0.3] = 0.0
+        insts.append(TcpInstance(orthant(n), q, A))
+    return insts
+
+
+def outcome_bytes(outcome):
+    return (outcome.unknown, [(s.x.tobytes(), s.w.tobytes(), s.primal_dist, s.dual_dist,
+                               s.comp_gap, s.alpha, s.converged) for s in outcome.solutions])
+
+
+@settings(max_examples=30, deadline=None)
+@given(insts=instance_stacks())
+def test_stacked_walk_gives_each_instance_its_own_outcome(insts):
+    # every support of the stacked walk gives each instance the feasible
+    # roots, slacks and settled flag of its own walk, and the stacked solve
+    # the outcome of its own solve_enumerate, bit for bit
+    walks = [list(walk_supports([i.A], [i.q], 16)) for i in insts]
+    stacked = list(walk_supports([i.A for i in insts], [i.q for i in insts], 16))
+    assert len(stacked) == 2 ** insts[0].A.dim
+    for step, (alpha, feasible, settled) in enumerate(stacked):
+        assert len(feasible) == len(settled) == len(insts)
+        for t, walk in enumerate(walks):
+            alpha1, (feasible1,), (settled1,) = walk[step]
+            assert alpha == alpha1 and settled[t] == settled1
+            assert [(u.tobytes(), w.tobytes()) for u, w in feasible[t]] == \
+                [(u.tobytes(), w.tobytes()) for u, w in feasible1]
+    for inst, outcome in zip(insts, _solve_stack(insts)):
+        assert outcome_bytes(outcome) == outcome_bytes(solve_enumerate(inst))
 
 
 def dedup_loop(roots, tol=1e-6):
@@ -573,10 +717,11 @@ def test_scan_system_memory_stays_blocked():
 
 
 def test_perturb_existence_gates_stay_blocked():
-    # the 50 trial tensors are gated in stacked blocks of 15 (240 descent
-    # rows), their coefficients gathered 1 024 rows at a time: about
-    # 0.66 MiB, against 1.6 MiB for one stack of all 50 and 0.52 MiB for 50
-    # separate gates
+    # the 50 trial tensors are gated in one stacked descent (800 rows) whose
+    # rungs past the third are scored in pieces of about 1 024 points, and
+    # solved in one stacked walk whose Newton stage refines 3 200 rows in
+    # place, the coefficients of both gathered 512 rows at a time: about
+    # 0.8 MiB in all, the solve's Newton rows the largest part
     inst = TcpInstance(orthant(2), np.array([-1.0, -1.0]), fx.identity(3, 2))
     stability.perturb_existence(inst, 1e-3, 50, seed=7)
     tracemalloc.start()

@@ -171,8 +171,8 @@ class TestRefine:
         # the zero row of A's Jacobian, so that start's Newton system is singular
         inst = TcpInstance(orthant(2), np.array([-1.0, -4.0]), identity32)
         X0 = np.array([[1.5, 1.0], [0.0, 1.0], [1.5, 2.5]])
-        X = _min_map_newton(inst, X0)
-        assert np.array_equal(X[[0, 2]], _min_map_newton(inst, X0[[0, 2]]))
+        X = _min_map_newton([inst], X0, np.zeros(3, dtype=int))
+        assert np.array_equal(X[[0, 2]], _min_map_newton([inst], X0[[0, 2]], np.zeros(2, dtype=int)))
         for x, x0 in zip(X, X0):
             s = refine(inst, x0)
             assert np.array_equal(x, s.x)

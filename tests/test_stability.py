@@ -200,6 +200,48 @@ class TestBatchedGates:
             per_trial_openness(K, identity32, eps, 4, 5)
 
 
+def per_trial_usc(inst, eps, trials, seed):
+    """usc_probe as one solve_enumerate call for the base and per trial."""
+    budget = SearchBudget()
+    base_pts = [s.x for s in solve_enumerate(inst, budget).solutions]
+    rng = SplitMix64(seed)
+    n, shape = inst.A.dim, (inst.A.dim,) * inst.A.order
+    max_exc, unsolved = 0.0, 0
+    for t in range(trials):
+        dq, dA = _draw_perturbation(rng.spawn(t + 1), n, shape, eps)
+        pert = TcpInstance(inst.cone, inst.q + dq, _perturbed_tensor(inst.A, dA))
+        outcome = solve_enumerate(pert, budget)
+        if not outcome.solutions:
+            unsolved += 1
+        for s in outcome.solutions:
+            d = min((float(np.linalg.norm(s.x - b)) for b in base_pts), default=np.inf)
+            max_exc = max(max_exc, d)
+    return {"max_excursion": max_exc, "eps": eps, "trials": trials, "seed": seed,
+            "base_solution_count": len(base_pts), "unsolved_trials": unsolved}
+
+
+class TestStackedSolves:
+    """usc_probe solves the base and all its trials in one stacked support
+    walk; its report must be that of the per-trial loop above, bit for bit
+    (perturb_existence is checked against per_trial_existence above, and
+    error_bound_probe against error_bound_reference below)."""
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_usc_suite_passes(self, p, id_inst):
+        s_usc = suite_seeds(p)[2]
+        assert usc_probe(id_inst, 1e-3, 50, seed=s_usc) == \
+            per_trial_usc(id_inst, 1e-3, 50, s_usc)
+
+    def test_usc_with_three_base_solutions(self, e1):
+        # E1 plus half the unit tensor has three solutions at q = (-1, -1);
+        # its sparse tensor and the dense trial tensors are two groups of
+        # _tails in one stack
+        inst = TcpInstance(orthant(2), np.array([-1.0, -1.0]), e1 + unit_tensor(3, 2).scale(0.5))
+        report = usc_probe(inst, 1e-2, 6, seed=4)
+        assert report["base_solution_count"] == 3
+        assert report == per_trial_usc(inst, 1e-2, 6, 4)
+
+
 class TestErrorBound:
     def test_identity_ratio(self, id_inst):
         r = error_bound_probe(id_inst, np.array([1.0, 1.0]), 0.1, 1e-3, 50, 7)
