@@ -103,8 +103,6 @@ def min_sphere_norm(A: Tensor) -> float:
     V = _sphere_grid(k, res)
     norms = np.linalg.norm(batch_apply_m1(A, V), axis=1)
     est = float(norms.min())
-    if k == 1:
-        return est
     lip = (A.order - 1) * _row_abs_sum(A)
     h = (math.pi / 2) / (res - 1) if k == 2 else 2.0 / res
     return max(est - lip * h, 0.0)
@@ -286,13 +284,13 @@ def newton_refine(A: Tensor, q: np.ndarray, u0: np.ndarray,
     return U[0], float(r[0])
 
 
-def _dedup(roots: np.ndarray, tol: float = 1e-6) -> list[np.ndarray]:
-    """The rows of roots in lexicographic order, each kept when it is more
-    than tol from every row kept before it."""
-    kept, left = [], roots[np.lexsort(roots.T[::-1])]
+def _dedup(roots: np.ndarray, tol: float = 1e-6) -> list[int]:
+    """The indices of the rows of roots in lexicographic order, each row
+    kept when it is more than tol from every row kept before it."""
+    kept, left = [], np.lexsort(roots.T[::-1])
     while len(left):  # the first row left is kept, and drops the rows near it
         kept.append(left[0])
-        d = left - left[0]
+        d = roots[left] - roots[left[0]]
         left = left[np.sqrt(np.vecdot(d, d)) > tol]  # np.linalg.norm, bit for bit
     return kept
 
@@ -374,7 +372,8 @@ def _scan_stack(tensors, qs, multistarts: int) -> list[SystemScan]:
     for j, i in enumerate(open_):
         scan, slack = scans[i], heads[i][1]
         mine = own == j
-        scan.roots = _dedup(X[mine][r[mine] <= SYS_TOL])
+        roots = X[mine][r[mine] <= SYS_TOL]
+        scan.roots = list(roots[_dedup(roots)])
         if scan.roots:
             continue
         if slack is None:

@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 
 from ._forms import _Forms
+from .tensor import ShapeError
 
 
 def _compositions(k: int, res: int) -> np.ndarray:
@@ -163,6 +164,8 @@ def _min_over_stack(objective: str, tensors, K, budget):
     the starts of every tensor are polished in one descent, each row scored
     with its own tensor's coefficients, so every tensor gets the bits it
     gets alone."""
+    if K.dim != tensors[0].dim:
+        raise ShapeError(f"cone of dimension {K.dim}, tensor of dimension {tensors[0].dim}")
     gens = [np.asarray(g, float) / np.linalg.norm(g) for g in K.generators]
     if not gens:
         raise ValueError("cone has no generators")

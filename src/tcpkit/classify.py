@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,13 +77,6 @@ class SearchBudget:
         if self.grid_resolution:
             return self.grid_resolution
         return 64 if k <= 3 else 16
-
-    def scaled(self, factor: int) -> "SearchBudget":
-        return replace(
-            self,
-            grid_resolution=self.resolution_for(2) * factor if self.grid_resolution else 0,
-            multistarts=self.multistarts * factor,
-        )
 
 
 def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchBudget):

@@ -96,6 +96,19 @@ def _get_tensor(args):
     raise _ParseFailure("one of --fixture or --tensor is required")
 
 
+def _get_cone(name, n: int):
+    """The cone fixture name (the orthant when None), which must live in R^n."""
+    if not name:
+        return orthant(n)
+    try:
+        K = cone_fixture(name)
+    except KeyError as e:
+        raise _ParseFailure(str(e)) from e
+    if K.dim != n:
+        raise _ParseFailure(f"cone {name} has dimension {K.dim}, the tensor {n}")
+    return K
+
+
 def _get_budget(args) -> SearchBudget:
     budget = getattr(args, "budget", 0) or 0
     if budget < 0:
@@ -119,21 +132,12 @@ def _config_echo(args, keys) -> dict:
 def cmd_classify(args) -> int:
     A = _get_tensor(args)
     budget = _get_budget(args)
-    if args.cone and not args.cone.startswith("orthant"):
-        K = cone_fixture(args.cone)
-        verdicts = [
-            is_K_psd(A, K, budget),
-            is_K_pd(A, K, budget),
-            is_K_regular(A, K, budget),
-            is_K_nonsingular(A, K, budget),
-        ]
+    K = _get_cone(args.cone, A.dim)
+    if K.is_orthant:
+        verdicts = [is_copositive(A, budget), is_strictly_copositive(A, budget)]
     else:
-        verdicts = [
-            is_copositive(A, budget),
-            is_strictly_copositive(A, budget),
-            is_K_regular(A, orthant(A.dim), budget),
-            is_K_nonsingular(A, orthant(A.dim), budget),
-        ]
+        verdicts = [is_K_psd(A, K, budget), is_K_pd(A, K, budget)]
+    verdicts += [is_K_regular(A, K, budget), is_K_nonsingular(A, K, budget)]
     if args.principal:
         verdicts.append(all_principal_nonsingular(A, budget))
     report = {
@@ -157,7 +161,12 @@ def cmd_solve(args) -> int:
             raise _ParseFailure("--q is required without --instance")
         inst = TcpInstance(orthant(A.dim), _parse_q(args.q, A.dim), A)
     budget = _get_budget(args)
-    outcome = solve_enumerate(inst, budget)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise _ParseFailure(f"--tol must be finite and >= 0, got {args.tol}")
+    try:
+        outcome = solve_enumerate(inst, budget)
+    except ValueError as e:
+        raise _ParseFailure(str(e)) from e
     sols = list(outcome.solutions)
     if sols and not args.all:
         sols = sols[:1]
@@ -228,19 +237,15 @@ def cmd_perturb(args) -> int:
                                                    args.eps, args.trials,
                                                    args.seed, budget)
         elif args.mode == "openness":
-            K = cone_fixture(args.cone) if args.cone else orthant(A.dim)
+            K = _get_cone(args.cone, A.dim)
             result = nonsingularity_openness_probe(K, A, args.eps, args.trials,
                                                    args.seed, budget)
-        elif args.mode == "uniqueness":
+        else:  # uniqueness, the last of argparse's choices
             if args.q is None or args.xbar is None:
                 raise _ParseFailure("--q and --xbar are required for uniqueness")
             inst = TcpInstance(orthant(A.dim), _parse_q(args.q, A.dim), A)
             result = local_uniqueness_certificate(
                 inst, _parse_vector(args.xbar), budget).to_json()
-        else:  # unreachable: argparse restricts choices
-            raise _ParseFailure(f"unknown perturb mode {args.mode!r}")
-    except _ParseFailure:
-        raise
     except ValueError as e:
         print(f"perturb error: {e}", file=sys.stderr)
         return EXIT_PERTURB

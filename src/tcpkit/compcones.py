@@ -84,8 +84,11 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     above only, so fails is a claim at sampling resolution, and its note
     says so.  unknown otherwise.
     """
-    budget = budget or SearchBudget()
     y = np.asarray(y, dtype=float)
+    if K.dim != A.dim or y.shape != (A.dim,):
+        raise ShapeError(f"cone of dimension {K.dim} and target of shape {y.shape}, "
+                         f"tensor of dimension {A.dim}")
+    budget = budget or SearchBudget()
     yn = float(np.linalg.norm(y))
     used = 0
     if yn <= SYS_TOL:

@@ -92,29 +92,32 @@ def residual(inst: TcpInstance, x) -> tuple[float, float, float]:
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.A.dim,):
         raise ShapeError("candidate point has wrong dimension")
-    w = inst.w_of(x)
-    return (
-        dist(inst.cone, x),
-        dist(dual(inst.cone), w),
-        abs(float(np.dot(x, w))),
-    )
+    return _residual_at(inst, x, inst.w_of(x))
+
+
+def _residual_at(inst: TcpInstance, x: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
+    return dist(inst.cone, x), dist(dual(inst.cone), w), abs(float(np.dot(x, w)))
 
 
 def is_solution(inst: TcpInstance, x, tol: float) -> bool:
     return all(r <= tol for r in residual(inst, x))
 
 
-def _make_solution(inst: TcpInstance, x: np.ndarray, converged: bool = True) -> TcpSolution:
-    p, d, c = residual(inst, x)
+def _make_solution(inst: TcpInstance, x: np.ndarray, tol: float) -> TcpSolution:
+    """The one check of a candidate point x (float, of the right shape): w
+    and the residual triple are evaluated once, and converged says whether
+    every residual is within tol, as is_solution(inst, x, tol) would."""
+    w = inst.w_of(x)
+    p, d, c = _residual_at(inst, x, w)
     support = tuple(i + 1 for i in range(len(x)) if x[i] > _SUPPORT_TOL)
     return TcpSolution(
-        x=np.asarray(x, dtype=float),
-        w=inst.w_of(x),
+        x=x,
+        w=w,
         primal_dist=p,
         dual_dist=d,
         comp_gap=c,
         alpha=IndexSet(support, inst.A.dim),
-        converged=converged,
+        converged=p <= tol and d <= tol and c <= tol,
     )
 
 
@@ -154,13 +157,13 @@ def _solve_stack(insts, budget: SearchBudget | None = None) -> list[EnumerationO
             for u_a, _ in feasible[t]:
                 x = np.zeros(n)
                 x[[i - 1 for i in alpha.members]] = u_a
-                if is_solution(inst, x, _SUPPORT_TOL):
-                    sols[t].append(x)
+                s = _make_solution(inst, x, _SUPPORT_TOL)
+                if s.converged:
+                    sols[t].append(s)
     out = []
-    for inst, xs, done in zip(insts, sols, all_settled):
-        found = tuple(_make_solution(inst, x)
-                      for x in _dedup(np.reshape(xs, (-1, n)), _DEDUP_DIST))
-        out.append(EnumerationOutcome(found, not done and not found))
+    for found, done in zip(sols, all_settled):
+        keep = _dedup(np.reshape([s.x for s in found], (-1, n)), _DEDUP_DIST)
+        out.append(EnumerationOutcome(tuple(found[i] for i in keep), not done and not found))
     return out
 
 
@@ -199,7 +202,7 @@ def refine(inst: TcpInstance, x0, iters: int = 80) -> TcpSolution:
     if x.shape != (inst.A.dim,):
         raise ShapeError("starting point has wrong dimension")
     x = _min_map_newton([inst], x[None], np.zeros(1, dtype=np.intp), iters)[0]
-    return _make_solution(inst, x, converged=is_solution(inst, x, 1e-9))
+    return _make_solution(inst, x, 1e-9)
 
 
 def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int,

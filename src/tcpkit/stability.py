@@ -29,7 +29,7 @@ from .classify import (
 )
 from .compcones import complementary_tensor, q_membership
 from .cones import PolyhedralCone, extreme_rays, from_generators, orthant, tangent_cone
-from .solver import TcpInstance, _min_map_newton, _solve_stack, is_solution, refine, residual
+from .solver import TcpInstance, _min_map_newton, _solve_stack, is_solution, residual
 from .tensor import (
     IndexSet,
     Tensor,
@@ -89,18 +89,19 @@ def _perturbed_tensor(A: Tensor, dA: np.ndarray) -> Tensor:
     return tensor_from_dense(A.to_dense() + dA)
 
 
+def _draw_instance(inst: TcpInstance, stream: SplitMix64, eps: float):
+    """(dq, dA, perturbed instance) from the next draw of stream."""
+    n = inst.A.dim
+    dq, dA = _draw_perturbation(stream, n, (n,) * inst.A.order, eps)
+    return dq, dA, TcpInstance(inst.cone, inst.q + dq, _perturbed_tensor(inst.A, dA))
+
+
 def _trial_instances(inst: TcpInstance, eps: float, trials: int, seed: int) -> list:
     """(stream, dq, dA, perturbed instance) of every trial t: its stream
     SplitMix64(seed).spawn(t + 1) and the perturbation drawn first from it."""
     rng = SplitMix64(seed)
-    n = inst.A.dim
-    out = []
-    for t in range(trials):
-        stream = rng.spawn(t + 1)
-        dq, dA = _draw_perturbation(stream, n, (n,) * inst.A.order, eps)
-        out.append((stream, dq, dA, TcpInstance(inst.cone, inst.q + dq,
-                                                _perturbed_tensor(inst.A, dA))))
-    return out
+    return [(stream, *_draw_instance(inst, stream, eps))
+            for stream in (rng.spawn(t + 1) for t in range(trials))]
 
 
 def local_uniqueness_certificate(inst: TcpInstance, xbar,
@@ -172,8 +173,7 @@ def local_uniqueness_certificate(inst: TcpInstance, xbar,
 
 
 def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
-                      budget: SearchBudget | None = None,
-                      xbar=None) -> PerturbationReport:
+                      budget: SearchBudget | None = None) -> PerturbationReport:
     """Solvability of TCPs near a copositive base instance.
 
     Perturbations that break copositivity are redrawn (up to 100 times per
@@ -196,43 +196,29 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     if dual_chk.status != "holds":
         raise ValueError("base q fails the dual-of-S_A necessary condition")
 
-    rng = SplitMix64(seed)
-    n = inst.A.dim
-    shape = (n,) * inst.A.order
-    streams = [rng.spawn(t + 1) for t in range(trials)]
-    dqs, tensors = [], []
-    for trial_rng in streams:
-        dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
-        dqs.append(dq)
-        tensors.append(_perturbed_tensor(inst.A, dA))
+    draws = _trial_instances(inst, eps, trials, seed)
+    perts = [pert for *_, pert in draws]
     redraws = [0] * trials
     pending = list(range(trials))
     while pending:
-        gates = _min_over_stack("xm", [tensors[t] for t in pending], inst.cone, budget)
+        gates = _min_over_stack("xm", [perts[t].A for t in pending], inst.cone, budget)
         pending = [t for t, r in zip(pending, gates)
                    if _psd_verdict("copositive", budget, *r).status != "holds"]
         for t in pending:
-            dqs[t], dA = _draw_perturbation(streams[t], n, shape, eps)
-            tensors[t] = _perturbed_tensor(inst.A, dA)
+            perts[t] = _draw_instance(inst, draws[t][0], eps)[2]
             redraws[t] += 1
         pending = [t for t in pending if redraws[t] < 100]
 
-    shift = unit_tensor(inst.A.order, n).scale(eps)
-    perts = [TcpInstance(inst.cone, inst.q + dqs[t],
-                         tensors[t] + shift if redraws[t] >= 100 else tensors[t])
-             for t in range(trials)]
+    shift = unit_tensor(inst.A.order, inst.A.dim).scale(eps)
+    perts = [TcpInstance(p.cone, p.q, p.A + shift) if r >= 100 else p
+             for p, r in zip(perts, redraws)]
     solvable = 0
     max_norm = 0.0
     failures: list[int] = []
-    for t, (pert, outcome) in enumerate(zip(perts, _solve_stack(perts, budget))):
-        norms = [float(np.linalg.norm(s.x)) for s in outcome.solutions]
-        if not norms and xbar is not None:
-            s = refine(pert, np.asarray(xbar, dtype=float))
-            if s.converged:
-                norms.append(float(np.linalg.norm(s.x)))
-        if norms:
+    for t, outcome in enumerate(_solve_stack(perts, budget)):
+        if outcome.solutions:
             solvable += 1
-            max_norm = max(max_norm, max(norms))
+            max_norm = max(max_norm, max(float(np.linalg.norm(s.x)) for s in outcome.solutions))
         else:
             failures.append(t)
     return PerturbationReport(
@@ -364,16 +350,12 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
     base = q_membership(A, q, budget)
     if base.member is not False:
         raise ValueError("probe requires a q certified as a non-member")
-    warn = ""
-    for r in range(1, A.dim + 1):
-        for alpha in itertools.combinations(range(1, A.dim + 1), r):
-            comp = complementary_tensor(A, IndexSet(alpha, A.dim))
-            if is_K_nonsingular(comp, orthant(A.dim), budget).status != "holds":
-                warn = ("closedness sufficient condition unverified for some "
-                        "complementary tensors; result is empirical only")
-                break
-        if warn:
-            break
+    unverified = any(
+        is_K_nonsingular(complementary_tensor(A, IndexSet(alpha, A.dim)), orthant(A.dim),
+                         budget).status != "holds"
+        for r in range(1, A.dim + 1) for alpha in itertools.combinations(range(1, A.dim + 1), r))
+    warn = ("closedness sufficient condition unverified for some complementary tensors; "
+            "result is empirical only") if unverified else ""
     rng = SplitMix64(seed)
     n = A.dim
     unsolvable = 0

@@ -695,7 +695,7 @@ def test_dedup_keeps_the_roots_of_the_plain_loop(k, S, seed):
     centers = rng.uniform(0.0, 2.0, (3, k))
     roots = centers[rng.integers(0, 3, S)] + rng.normal(0.0, 1e-6, (S, k))
     roots[rng.random(S) < 0.2, 0] = 1.0  # some ties in the first coordinate
-    kept, ref = _dedup(roots), dedup_loop(list(roots))
+    kept, ref = roots[_dedup(roots)], dedup_loop(list(roots))
     assert len(kept) == len(ref)
     assert all(np.array_equal(a, b) for a, b in zip(kept, ref))
 

@@ -12,6 +12,7 @@ from tcpkit.classify import (
     is_copositive,
     is_K_nonsingular,
     is_K_pd,
+    is_K_psd,
     is_K_regular,
     is_strictly_copositive,
     min_over_basis,
@@ -20,7 +21,7 @@ from tcpkit.classify import (
     s_cone_samples,
 )
 from tcpkit.cones import from_generators, orthant
-from tcpkit.tensor import Tensor, apply_m, apply_m1, unit_tensor
+from tcpkit.tensor import ShapeError, Tensor, apply_m, apply_m1, unit_tensor
 
 
 class TestMinOverBasis:
@@ -88,7 +89,7 @@ class TestStrictCopositivity:
             A = fx.random_tensor("copositive", 3, 2, seed=seed)
             if is_K_pd(A, orthant(2)).status == "holds":
                 assert is_K_nonsingular(A, orthant(2),
-                                        SearchBudget().scaled(4)).status == "holds"
+                                        SearchBudget(multistarts=64)).status == "holds"
 
 
 class TestRegularity:
@@ -126,6 +127,21 @@ class TestNonsingularity:
         # E3bar's kernel direction (2,1) lies in K, so it is K-singular
         A = Tensor(2, 2, {(1, 1): 1.0, (1, 2): -2.0, (2, 1): 1.0, (2, 2): -2.0})
         assert is_K_nonsingular(A, K).status == "fails"
+
+
+class TestConeDimension:
+    # every basis search serves one cone and tensor of one dimension
+    def test_orthant_of_other_dimension(self, e4):
+        with pytest.raises(ShapeError):
+            is_K_nonsingular(e4, orthant(3))
+
+    def test_generated_cone_of_other_dimension(self, e1):
+        K = from_generators([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        for check in (is_K_psd, is_K_regular, is_K_nonsingular):
+            with pytest.raises(ShapeError):
+                check(e1, K)
+        with pytest.raises(ShapeError):
+            min_over_basis("xm", e1, K, SearchBudget())
 
 
 class TestPrincipalSweep:

@@ -221,6 +221,43 @@ class TestErrors:
         assert captured.err.startswith("parse error:")
 
 
+class TestRefusals:
+    """Input the library refuses ends in one parse-error line and exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--fixture", "identity33", "--cone", "ice2"],
+        ["classify", "--fixture", "E1", "--cone", "nosuch"],
+        ["classify", "--fixture", "E1", "--cone", "orthant7"],
+        ["classify", "--fixture", "E1", "--cone", "orthantfoo"],
+        ["perturb", "openness", "--fixture", "E4", "--cone", "nosuch", "--trials", "2"],
+        ["perturb", "openness", "--fixture", "E4", "--cone", "orthant3", "--trials", "2"],
+        ["solve", "--fixture", "identity213", "--q=" + ",".join(["-1"] * 13)],
+        ["solve", "--fixture", "E1", "--q=-1,-1", "--tol", "nan"],
+        ["solve", "--fixture", "E1", "--q=-1,-1", "--tol", "inf"],
+        ["solve", "--fixture", "E1", "--q=-1,-1", "--tol=-1e-7"],
+    ])
+    def test_one_line_parse_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:")
+        assert captured.err.count("\n") == 1
+
+    def test_non_orthant_instance_is_parse_error(self, tmp_path):
+        from tcpkit.fixtures import cone_fixture
+        from tcpkit.solver import TcpInstance, instance_to_json
+        inst = TcpInstance(cone_fixture("ice2"), np.array([-1.0, -1.0]), fx.E1())
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(instance_to_json(inst)))
+        proc = subprocess.run([sys.executable, "-m", "tcpkit.cli", "solve", "--instance", str(p)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("parse error:")
+        assert proc.stderr.count("\n") == 1
+
+
 def test_import_skips_scipy_optimize():
     code = "import sys, tcpkit.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -91,6 +91,18 @@ class TestTposContains:
         assert v.status == "holds"
         assert np.allclose(v.witness, 0.0)
 
+    @pytest.mark.parametrize("K", [orthant(3), from_generators([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                                [1.0, 1.0, 1.0]])])
+    def test_cone_of_other_dimension(self, e2, K):
+        # the zero target is answered before any point of K is evaluated
+        with pytest.raises(ShapeError):
+            tpos_contains(K, e2, [0.0, 0.0])
+
+    @pytest.mark.parametrize("y", [[1.0], [1.0, 1.0, 1.0]])
+    def test_target_of_other_dimension(self, e2, y):
+        with pytest.raises(ShapeError):
+            tpos_contains(orthant(2), e2, y)
+
     def test_cone_property_scaling(self, e2):
         base = tpos_contains(orthant(2), e2, [5.0, 5.0])
         m = e2.order
