@@ -206,6 +206,11 @@ def cmd_membership(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    reads = {"openness": ("cone",), "error-bound": ("q", "xbar"),
+             "uniqueness": ("q", "xbar")}.get(args.mode, ("q",))
+    for flag in ("q", "xbar", "cone"):  # refuse a flag this mode would ignore
+        if getattr(args, flag) is not None and flag not in reads:
+            raise _ParseFailure(f"perturb {args.mode} does not read --{flag}")
     A = _get_tensor(args)
     budget = _get_budget(args)
     if not (math.isfinite(args.eps) and args.eps >= 0):

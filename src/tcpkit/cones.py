@@ -84,24 +84,56 @@ def _dedup_rays(rays) -> list[np.ndarray]:
     return kept
 
 
-def _in_conic_hull(rays: list[np.ndarray], v: np.ndarray) -> bool:
-    if not rays:
-        return np.linalg.norm(v) <= 1e-9
-    from scipy.optimize import nnls  # scipy.optimize is slow to import; orthants never need it
+def _nnls(G: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
+    """(lam, ||G lam - z||) for the least ||G lam - z|| over lam >= 0.
 
-    G = np.column_stack(rays)
-    _, resid = nnls(G, v)
-    return resid <= 1e-9
+    Lawson and Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23).  Passive-set subproblems go through lstsq, so +-column
+    pairs, duplicate and zero columns are safe.  After 50 k of them it
+    returns its current feasible point.  The norm is that of the lam returned.
+    """
+    k = G.shape[1]
+    lam, passive, skip = np.zeros(k), np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+    tol = 10 * np.finfo(float).eps * max(G.shape) * np.linalg.norm(z)
+    tol *= np.linalg.norm(G, axis=0).max(initial=0.0)
+    w, stepping = G.T @ z, False
+    for _ in range(50 * k):
+        if not stepping:
+            free = ~passive & ~skip & (w > tol)
+            if not free.any():
+                break
+            j = np.argmax(np.where(free, w, -np.inf))
+            passive[j] = True
+        s = np.zeros(k)
+        s[passive] = np.linalg.lstsq(G[:, passive], z, rcond=None)[0]
+        if not stepping and s[j] <= 0:
+            # exact arithmetic makes the entering entry positive, so w_j > tol
+            # was round-off: leave column j out until lam moves
+            passive[j], skip[j] = False, True
+        elif np.all(s[passive] > 0):
+            lam, stepping, skip[:] = s, False, False
+            w = G.T @ (z - G @ lam)
+        else:
+            # step from lam toward s until a passive entry hits 0; there
+            # s <= 0 < lam, so lam - s >= lam > 0: no 0 / 0
+            block = passive & (s <= 0)
+            ratio = np.full(k, np.inf)
+            ratio[block] = lam[block] / (lam[block] - s[block])
+            i = np.argmin(ratio)
+            lam = lam + ratio[i] * (s - lam)
+            lam[i], stepping = 0.0, True
+            passive &= lam > 0
+            lam[~passive] = 0.0
+    return lam, float(np.linalg.norm(G @ lam - z))
 
 
 def _prune_rays(rays: list[np.ndarray]) -> list[np.ndarray]:
     """Greedy removal of rays generated by the remaining ones."""
-    rays = _dedup_rays(rays)
-    kept = list(rays)
+    kept = _dedup_rays(rays)
     i = 0
     while i < len(kept):
         rest = kept[:i] + kept[i + 1 :]
-        if rest and _in_conic_hull(rest, kept[i]):
+        if rest and _nnls(np.column_stack(rest), kept[i])[1] <= 1e-9:
             kept.pop(i)
         else:
             i += 1
@@ -161,16 +193,11 @@ def from_generators(vs) -> PolyhedralCone:
 
 
 def _is_pointed(gens) -> bool:
-    # Non-pointed iff 0 is a nonzero nonnegative combination of generators,
-    # i.e. 0 lies in the convex hull of the normalized generators.
-    from scipy.optimize import nnls
-
+    # Non-pointed iff 0 is a nonzero nonnegative combination of generators, i.e.
+    # 0 = G lam with lam >= 0, sum lam = 1 for the normalized generators G.
     G = np.column_stack(_normalize_rows(gens))
-    aug = np.vstack([G, np.ones((1, G.shape[1]))])
-    rhs = np.zeros(G.shape[0] + 1)
-    rhs[-1] = 1.0
-    _, resid = nnls(aug, rhs)
-    return resid > 1e-9
+    aug = np.vstack([G, np.ones(G.shape[1])])
+    return _nnls(aug, np.eye(len(aug))[-1])[1] > 1e-9
 
 
 def dual(K: PolyhedralCone) -> PolyhedralCone:
@@ -200,11 +227,8 @@ def project(K: PolyhedralCone, z) -> np.ndarray:
         return np.maximum(z, 0.0)
     if not K.generators:
         return np.zeros(K.dim)
-    from scipy.optimize import nnls
-
     G = np.column_stack(K.generators)
-    lam, _ = nnls(G, z, maxiter=50 * G.shape[1])
-    return G @ lam
+    return G @ _nnls(G, z)[0]
 
 def dist(K: PolyhedralCone, z) -> float:
     """dist(z, K) = || z - proj_K(z) ||."""

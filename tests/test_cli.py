@@ -123,6 +123,29 @@ class TestPerturb:
         assert code == 5
 
 
+class TestPerturbUnreadFlags:
+    """A perturb mode refuses a flag it does not read instead of echoing it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["existence", "--fixture", "identity32", "--q=-1,-1", "--trials", "2",
+         "--cone", "ice2"],
+        ["error-bound", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1",
+         "--cone", "orthant2"],
+        ["uniqueness", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1",
+         "--cone", "orthant2"],
+        ["usc", "--fixture", "identity32", "--q=-1,-4", "--xbar=1,1"],
+        ["unsolvable", "--fixture", "identity32", "--q=1,1", "--xbar=1,1"],
+        ["openness", "--fixture", "E4", "--trials", "2", "--xbar=1,1"],
+        ["openness", "--fixture", "E4", "--trials", "2", "--q=-1,-1"],
+    ])
+    def test_parse_error(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "tcpkit.cli", "perturb", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("parse error:")
+
+
 class TestDistance:
     def test_ray_vs_orthant(self, capsys):
         code, rep = run_json(capsys, "distance", "--cone1", "orthant2",
@@ -263,6 +286,15 @@ def test_import_skips_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_distance_command_skips_scipy():
+    code = ("import sys; from tcpkit.cli import main; "
+            "main(['distance', '--cone1', 'orthant2', '--cone2', 'ray10', "
+            "'--samples', '50']); print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 class TestDeterminism:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog, nnls
 
 from tcpkit.cones import (
     NotPointedError,
+    _nnls,
     basis_samples,
     cone_from_json,
     cone_to_json,
@@ -200,3 +202,100 @@ def test_projection_optimality(z, name):
     for s in basis_samples(K, 8, seed=0):
         for t in (0.0, 0.5, 1.0, 3.0):
             assert d <= np.linalg.norm(z - t * s) + 1e-9
+
+
+def lp_member(G, x) -> bool:
+    """x in cone(columns of G), by an LP independent of tcpkit:
+    min sum(s+ + s-) over G lam + s+ - s- = x with lam, s+, s- >= 0."""
+    n, k = G.shape
+    cost = np.r_[np.zeros(k), np.ones(2 * n)]
+    res = linprog(cost, A_eq=np.hstack([G, np.eye(n), -np.eye(n)]), b_eq=x,
+                  bounds=(0, None), method="highs")
+    assert res.status == 0
+    return res.fun <= 1e-9 * max(1.0, np.linalg.norm(x))
+
+
+class TestHRepresentation:
+    """from_generators must keep every true ray of the dual: pruning a ray
+    whose real residual is far above the membership tolerance loses a facet
+    of K."""
+
+    GENS = np.array([[1.12695, 1.24268, 0.12751, 0.54713, 0.38086],
+                     [0.88325, 0.23216, 1.44558, 2.09567, 1.39214],
+                     [0.58469, 0.07931, 0.11301, 1.54568, 0.36095],
+                     [0.33708, 1.21397, 0.02123, 1.65327, 0.64785],
+                     [0.57436, 0.25508, 0.13601, 0.4987, 0.01075]])
+
+    def test_reproducer_has_five_facets(self):
+        H = np.array(from_generators(self.GENS).inequalities)
+        assert H.shape == (5, 5)
+        assert np.linalg.matrix_rank(H) == 5
+
+    def test_reproducer_dual_holds_the_orthant(self):
+        D = dual(from_generators(self.GENS))
+        for e in np.eye(5):
+            assert dist(D, e) == 0.0
+
+    def test_reproducer_outside_point(self):
+        g1, g2, g3, g4, g5 = self.GENS
+        assert not contains(from_generators(self.GENS), g1 + g2 - g3 + g4 + g5, 1e-9)
+
+    def test_nonnegative_generator_sets(self):
+        # K lies in the orthant, so dual(K) holds every e_i; each point
+        # G c with one coefficient -1 is checked against the LP
+        rng = np.random.default_rng(3)
+        failures = []
+        for case in range(80):
+            n = int(rng.integers(4, 6))
+            k = int(rng.integers(n, 2 * n + 1))
+            gens = rng.uniform(0.0, 1.0, (k, n))
+            K = from_generators(gens)
+            G = gens.T
+            for i in range(k):
+                c = np.ones(k)
+                c[i] = -1.0
+                if contains(K, G @ c, 1e-9) != lp_member(G, G @ c):
+                    failures.append((case, "contains", i))
+            D = np.array(dual(K).generators).T
+            failures += [(case, "e_i", i) for i in range(n) if not lp_member(D, np.eye(n)[i])]
+        assert failures == []
+
+
+def _nnls_problems(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, k = int(rng.integers(1, 7)), int(rng.integers(1, 13))
+        G = rng.standard_normal((n, k))
+        kind = rng.integers(0, 4)
+        if kind == 1 and k >= 2:
+            G[:, 1] = -G[:, 0]  # a +- pair: a line through the origin
+        elif kind == 2 and k >= 2:
+            G[:, 1] = G[:, 0]
+        elif kind == 3:
+            G[:, rng.integers(0, k)] = 0.0
+        G *= 10.0 ** rng.uniform(-3, 3)
+        if rng.random() < 0.3:  # z in the cone
+            z = G @ rng.uniform(0.0, 1.0, k)
+        else:
+            z = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        yield G, z
+
+
+class TestNnls:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_against_scipy(self):
+        for G, z in _nnls_problems(600, seed=11):
+            lam, rnorm = _nnls(G, z)
+            assert np.all(np.isfinite(lam)) and np.all(lam >= 0)
+            assert rnorm == np.linalg.norm(G @ lam - z)
+            x, _ = nnls(G, z, maxiter=50 * G.shape[1])
+            # scipy's reported rnorm is not trusted: recompute its residual
+            assert rnorm <= np.linalg.norm(G @ x - z) + 1e-9 * max(1.0, np.linalg.norm(z))
+
+    def test_degenerate_columns(self):
+        G = np.array([[1.0, -1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        lam, rnorm = _nnls(G, np.array([-2.0, 3.0]))
+        assert rnorm == pytest.approx(3.0)
+        assert G[0] @ lam == pytest.approx(-2.0)
+        lam, rnorm = _nnls(G, np.zeros(2))
+        assert np.all(lam == 0.0) and rnorm == 0.0
