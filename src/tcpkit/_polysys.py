@@ -6,10 +6,10 @@ enumeration solver.  It combines
   * componentwise sign analysis (exact infeasibility certificates when all
     coefficients of a component share a sign),
   * a norm lower bound on the unit sphere that confines roots to a box,
-  * a residual grid over that box, scored in the power basis from its one
-    axis, only in the blocks of the grid that can hold one of the best
-    points: a monotone enclosure of each component over each block bounds
-    the residual there, and
+  * a residual grid over that box (``_grid``), scored in the power basis
+    from its one axis, only in the blocks of the grid that can hold one of
+    the best points: a monotone enclosure of each component over each
+    block bounds the residual there, and
   * one row-batched damped projected Newton refinement from the best grid
     points, the same points a full scoring of the grid would pick.
 
@@ -21,9 +21,13 @@ in generator coordinates need not be square.
 
 ``walk_supports`` runs these scans over the complementary supports and
 applies the slack test; membership and the enumeration solver both read it.
-It walks a stack of instances at once: each runs its sign test and start
-phase alone, then one Newton run refines the starts of all of them, every
-row with its own instance's coefficients.
+It walks a stack of instances at once.  The instances whose tensors share
+``_tails`` (the groups of ``_Forms``) run their sign test as one test on
+the stacked coefficients and their start phase in blocks of tensors: one
+sphere bound, one block enclosure and one scoring of the kept blocks per
+block, each block tagged with its instance.  Then one Newton run refines
+the starts of all of them, every row with its own instance's
+coefficients.  Every instance gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -36,21 +40,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._forms import _Forms
+from ._grid import _grid_picks
 from ._simplex import _compositions
-from .tensor import (
-    IndexSet,
-    Tensor,
-    _power_coefficients,
-    apply_off,
-    batch_apply_m1,
-    principal_subtensor,
-)
+from .tensor import IndexSet, Tensor, _monomials, apply_off, principal_subtensor
 
 SYS_TOL = 1e-9  # residual at which a refined point counts as a root
 SLACK_TOL = 1e-8  # a support root counts when its slack is >= -SLACK_TOL
 
 _C_MIN = 0.05  # sphere-norm level below which no box bound is claimed
 _GRID_CELLS = 300_000  # points of the residual grid over the root box
+_HEAD_TENSORS = 4  # tensors per block of a stacked start phase
 
 
 @dataclass
@@ -62,15 +61,16 @@ class SystemScan:
     roots_complete: bool = False  # the root list is provably exhaustive
 
 
-def _sign_infeasible(A: Tensor, q: np.ndarray) -> bool:
-    """True when some component cannot vanish for any u >= 0: the stored
-    coefficients of a component (its unstored ones are zero) share a sign
-    that q's does not cancel."""
-    return bool(np.any((np.all(A._coef >= 0, axis=0) & (q > 1e-12))
-                       | (np.all(A._coef <= 0, axis=0) & (q < -1e-12))))
+def _sign_infeasible(coef: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """For every system s of a stack (the coefficients coef[s], of shape (T,
+    k), and Q[s]): True when some component cannot vanish for any u >= 0:
+    its stored coefficients (its unstored ones are zero) share a sign that
+    q's does not cancel."""
+    return (((coef.min(axis=1, initial=0.0) >= 0) & (Q > 1e-12))
+            | ((coef.max(axis=1, initial=0.0) <= 0) & (Q < -1e-12))).any(axis=1)
 
 
-@functools.cache  # one grid per (k, res); min_sphere_norm asks for one res per k
+@functools.cache  # one grid per (k, res); _sphere_bounds asks for one res per k
 def _sphere_grid(k: int, res: int) -> np.ndarray:
     """Unit-norm nonnegative directions from a barycentric lattice, read-only."""
     if k == 2:
@@ -83,109 +83,43 @@ def _sphere_grid(k: int, res: int) -> np.ndarray:
     return X
 
 
-def _row_abs_sum(A: Tensor) -> float:
-    """max_i sum |a_{i, ...}|, summed over each component's k^{m-1} entries
-    in index order, its unstored zeros included: numpy's pairwise sum then
-    has the bits of the dense row sum, which it loses on sparse rows once
-    the zeros are dropped."""
+def _row_abs_sums(A: Tensor, coef: np.ndarray) -> np.ndarray:
+    """max_i sum |a_{i, ...}| of every tensor coef[s] with A's tails, summed
+    over each component's k^{m-1} entries in index order, its unstored zeros
+    included: numpy's pairwise sum then has the bits of the dense row sum,
+    which it loses on sparse rows once the zeros are dropped."""
     k = A.dim
-    rows = np.zeros((k, k ** (A.order - 1)))
-    rows[:, np.ravel_multi_index(tuple(A._tails.T), (k,) * (A.order - 1))] = np.abs(A._coef.T)
-    return float(np.max(rows.sum(axis=1)))
+    rows = np.zeros((len(coef), k, k ** (A.order - 1)))
+    at = np.ravel_multi_index(tuple(A._tails.T), (k,) * (A.order - 1))
+    rows[:, :, at] = np.abs(np.swapaxes(coef, 1, 2))
+    return rows.sum(axis=2).max(axis=1)
+
+
+def _sphere_bounds(A: Tensor, coef: np.ndarray, abs_sums: list) -> list:
+    """min_sphere_norm of every tensor coef[s] with A's tails, abs_sums its
+    _row_abs_sums.  The sphere grid is contracted with every tensor in the
+    row blocks of batch_apply_m1, one product per tensor and block, so each
+    tensor gets the bits it gets alone; a NaN anywhere gives a NaN bound."""
+    k = A.dim
+    res = 4096 if k <= 2 else (48 if k == 3 else 12)
+    V = _sphere_grid(k, res)
+    least = np.inf
+    step = max(1, 2**16 // max(len(A._tails), 1))
+    for s in range(0, len(V), step):
+        F = _monomials(A, V[s:s + step]).T @ coef
+        F *= F  # np.linalg.norm's squares; the least norm is the root of the least square
+        least = np.minimum(least, np.add.reduce(F, axis=2).min(axis=1))
+    h = (math.pi / 2) / (res - 1) if k == 2 else 2.0 / res
+    return [max(est - (A.order - 1) * a * h, 0.0)
+            for est, a in zip(np.sqrt(least).tolist(), abs_sums)]
 
 
 def min_sphere_norm(A: Tensor) -> float:
     """Grid estimate of min ||A v^{m-1}|| over unit v >= 0, with a Lipschitz
     correction subtracted so the result lower-bounds the true minimum
     (clipped at 0)."""
-    k = A.dim
-    res = 4096 if k <= 2 else (48 if k == 3 else 12)
-    V = _sphere_grid(k, res)
-    norms = np.linalg.norm(batch_apply_m1(A, V), axis=1)
-    est = float(norms.min())
-    lip = (A.order - 1) * _row_abs_sum(A)
-    h = (math.pi / 2) / (res - 1) if k == 2 else 2.0 / res
-    return max(est - lip * h, 0.0)
-
-
-def _contract(C: np.ndarray, P: list) -> np.ndarray:
-    """sum_e C[:, e] prod_d P[d][:, :, e_d] at every point of S boxes at once.
-
-    C holds power-basis coefficients component first, shape (n,) + (m,) * k,
-    and P[d], of shape (S, b, m), the powers 0..m-1 of box s's points on axis
-    d; the result has shape (n, S) + (b,) * k.  Each axis is contracted by
-    elementwise products summed over its exponent in order, so a point gets
-    the same bits in every box that holds it (a matrix product would not)."""
-    k, m = len(P), C.shape[1]
-    T = C[:, None]
-    for d in reversed(range(k)):  # T is (n, S, e_0..e_d, a_{d+1}..a_{k-1})
-        S, b, _ = P[d].shape
-        Pd = np.moveaxis(P[d], 2, 0).reshape((m, 1, S) + (1,) * d + (b,) + (1,) * (k - 1 - d))
-        at = (slice(None),) * (2 + d)
-        F = T[at + (slice(0, 1),)] * Pd[0]
-        for e in range(1, m):
-            F += T[at + (slice(e, e + 1),)] * Pd[e]
-        T = F
-    return T
-
-
-def _block_bounds(C: np.ndarray, q: np.ndarray, P: np.ndarray):
-    """Lower and upper bounds on the residual max_i |(A u^{m-1} + q)_i| over
-    each block of a grid, as two arrays of shape (nb,) * k: P (nb, b, m) holds
-    the powers of the points of the nb blocks of its axis, sorted, and C the
-    power-basis coefficients component first.
-
-    On u >= 0 every monomial is monotone, so over a block [l, h]^k component
-    i lies in [C+_i(l) + C-_i(h) + q_i, C+_i(h) + C-_i(l) + q_i], C+ and C-
-    being the sign parts of C; both ends are widened by 1e-12 (|C_i|(h) +
-    |q_i|), far above the rounding error of either bound or of a point
-    value from _contract.  An overflow gives NaN or infinite bounds."""
-    k = C.ndim - 1
-    qk = q.reshape((k,) + (1,) * k)
-    signed = np.concatenate([np.maximum(C, 0.0), np.minimum(C, 0.0)])
-    at_l = _contract(signed, [P[None, :, 0]] * k)[:, 0]
-    at_h = _contract(signed, [P[None, :, -1]] * k)[:, 0]
-    err = 1e-12 * (at_h[:k] - at_h[k:] + np.abs(qk))
-    lo = at_l[:k] + at_h[k:] + qk - err
-    hi = at_h[:k] + at_l[k:] + qk + err
-    return np.maximum(np.maximum(lo, -hi), 0.0).max(axis=0), np.maximum(-lo, hi).max(axis=0)
-
-
-def _grid_starts(A: Tensor, q: np.ndarray, axis: np.ndarray, N: int):
-    """The raveled indices in the grid axis^k of its N points of least
-    residual, ties by index, and the least residual: exactly
-    np.argsort(r, kind="stable")[:N] and r.min() of the residuals r that
-    _contract gives on the full axis.
-
-    The axis is cut into blocks, and only the points of the blocks that can
-    hold one of the N are scored: with tau the least upper bound at which
-    the blocks at or below it hold N points, a block whose lower bound
-    exceeds tau holds only points past the N-th.  A NaN bound keeps its
-    block, so after an overflow every block is scored."""
-    k, g = A.dim, len(axis)
-    C = np.moveaxis(_power_coefficients(A), -1, 0)
-    b = math.isqrt(g // 2)  # 32 blocks per axis at g = 512, 14 at g = 66
-    nb = -(-g // b)
-    pos = np.arange(nb * b).reshape(nb, b)  # the last block is padded with the last point
-    P = axis[np.minimum(pos, g - 1)][..., None] ** np.arange(C.shape[1])
-    low, up = _block_bounds(C, q, P)
-
-    up = up.ravel()
-    counts = math.prod(np.ix_(*[np.minimum(b, g - b * np.arange(nb))] * k)).ravel()
-    order = np.argsort(up)  # NaN last
-    reach = np.cumsum(counts[order]) >= N
-    tau = up[order[np.argmax(reach)]] if reach[-1] else np.inf
-    J = np.argwhere(~(low > tau))
-
-    r = _contract(C, [P[J[:, d]] for d in range(k)])
-    r += q.reshape((k, 1) + (1,) * k)
-    r = np.abs(r, out=r).max(axis=0)
-    flat, valid = 0, True
-    for d in range(k):
-        c = pos[J[:, d]].reshape((-1,) + (1,) * d + (b,) + (1,) * (k - 1 - d))
-        flat, valid = flat * g + c, valid & (c < g)
-    flat, r = np.broadcast_to(flat, r.shape)[valid], r[valid]
-    return flat[np.lexsort((flat, r))[:N]], float(r.min())
+    coef = A._coef[None]
+    return _sphere_bounds(A, coef, _row_abs_sums(A, coef).tolist())[0]
 
 
 def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -295,83 +229,113 @@ def _dedup(roots: np.ndarray, tol: float = 1e-6) -> list[int]:
     return kept
 
 
-def _scan_head(A: Tensor, q: np.ndarray, multistarts: int):
-    """The part of scan_system before its Newton stage: (scan, None) when
-    the sign test, the scalar closed form or q = 0 settles the scan, else
-    (scan, _box_starts(...)) with the grid minimum in the scan."""
-    scan = SystemScan()
-    if _sign_infeasible(A, q):
-        scan.certified_infeasible = True
-        scan.reason = "sign analysis"
-        return scan, None
-
-    if A.dim == 1:
-        # scalar a u^{m-1} = -q solves in closed form; root list is complete
-        a = float(A._coef.sum())  # the one coefficient, or 0 when none is stored
-        q0 = float(q[0])
-        if abs(a) > 1e-12:
-            t = -q0 / a
-            if t >= 0.0:
-                scan.roots = [np.array([t ** (1.0 / (A.order - 1))])]
-                scan.roots_complete = True
+def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, scans: list):
+    """The part of the scans of one group (the tensors coef[s] with A's
+    tails, q = Q[s]) that needs no grid: the sign test, the scalar closed
+    form and q = 0 settle scans[s] in place.  Returns the positions of the
+    scans left open and their ||q||."""
+    sign = _sign_infeasible(coef, Q)
+    left, norms = [], []
+    for s, scan in enumerate(scans):
+        if sign[s]:
+            scan.certified_infeasible = True
+            scan.reason = "sign analysis"
+        elif A.dim == 1:
+            # scalar a u^{m-1} = -q solves in closed form; root list is complete
+            a = float(coef[s].sum())  # the one coefficient, or 0 when none is stored
+            q0 = float(Q[s, 0])
+            if abs(a) > 1e-12:
+                t = -q0 / a
+                if t >= 0.0:
+                    scan.roots = [np.array([t ** (1.0 / (A.order - 1))])]
+                    scan.roots_complete = True
+                else:
+                    scan.certified_infeasible = True
+                scan.reason = "scalar closed form"
+            elif abs(q0) <= SYS_TOL:
+                scan.roots = [np.zeros(1)]  # every u solves; not exhaustive
+                scan.reason = "scalar degenerate"
             else:
                 scan.certified_infeasible = True
-            scan.reason = "scalar closed form"
-        elif abs(q0) <= SYS_TOL:
-            scan.roots = [np.zeros(1)]  # every u solves; not exhaustive
-            scan.reason = "scalar degenerate"
+                scan.reason = "scalar zero coefficient"
+        elif (qn := float(np.linalg.norm(Q[s]))) <= SYS_TOL:
+            scan.roots = [np.zeros(A.dim)]
+            scan.grid_min_residual = qn
         else:
-            scan.certified_infeasible = True
-            scan.reason = "scalar zero coefficient"
-        return scan, None
-
-    qn = float(np.linalg.norm(q))
-    if qn <= SYS_TOL:
-        scan.roots = [np.zeros(A.dim)]
-        scan.grid_min_residual = qn
-        return scan, None
-    starts, scan.grid_min_residual, slack = _box_starts(A, q, qn, multistarts)
-    return scan, (starts, slack)
+            left.append(s)
+            norms.append(qn)
+    return left, norms
 
 
-def _box_starts(A: Tensor, q: np.ndarray, qn: float, multistarts: int):
-    """The start phase of a scan, per tensor: (Newton starts, least residual
-    on the root-box grid, slack), where a scan that finds no root is
-    certified infeasible when the grid minimum exceeds slack + 1e-9; slack
-    is None when no box bound holds or there is no grid (k >= 4)."""
+def _start_phase(A: Tensor, coef: np.ndarray, Q: np.ndarray, norms: list, multistarts: int):
+    """The start phase of the open scans of a block of one group (the
+    tensors coef[s] with A's tails, q = Q[s] of norm norms[s]): for each,
+    (Newton starts, least residual on its root-box grid, slack), where a
+    scan that finds no root is certified infeasible when the grid minimum
+    exceeds slack + 1e-9; slack is None when no box bound holds or there is
+    no grid (k >= 4).  The sphere bounds, the block bounds and the scoring
+    of the kept blocks each run once for the whole block."""
     k, m = A.dim, A.order
-    c = min_sphere_norm(A)
-    bounded = c > _C_MIN
-    R = (qn / (0.5 * c)) ** (1.0 / (m - 1)) if bounded else (1.0 + qn) ** (1.0 / (m - 1)) * 10.0
+    abs_sums = _row_abs_sums(A, coef).tolist()
+    c = _sphere_bounds(A, coef, abs_sums)
+    R = [(qn / (0.5 * cs)) ** (1.0 / (m - 1)) if cs > _C_MIN
+         else (1.0 + qn) ** (1.0 / (m - 1)) * 10.0 for cs, qn in zip(c, norms)]
     if k > 3:  # dimension too high for a dense grid: multistart only, never certify
-        rng = np.random.default_rng(0)
-        return np.vstack([np.zeros(k), R * rng.random((4 * multistarts, k))]), math.inf, None
+        U = np.random.default_rng(0).random((4 * multistarts, k))
+        return [(np.vstack([np.zeros(k), Rs * U]), math.inf, None) for Rs in R]
 
     g = max(min(int(_GRID_CELLS ** (1.0 / k)), 512), 8)  # a uniform grid on [0, R]^k
-    axis = np.linspace(0.0, R, g)
-    best, least = _grid_starts(A, q, axis, max(4 * multistarts, 8))
-    starts = axis[np.column_stack(np.unravel_index(best, (g,) * k))]
-    if not bounded:
-        return starts, least, None
-    lip = (m - 1) * _row_abs_sum(A) * max(R, 1.0) ** (m - 2)
-    return starts, least, lip * (R / (g - 1)) * math.sqrt(k) / 2.0
+    axes = np.array([np.linspace(0.0, Rs, g) for Rs in R])
+    best, least = _grid_picks(A, coef, Q, axes, max(4 * multistarts, 8))
+    heads = []
+    for s, Rs in enumerate(R):
+        starts = axes[s][np.column_stack(np.unravel_index(best[s], (g,) * k))]
+        slack = None
+        if c[s] > _C_MIN:
+            lip = (m - 1) * abs_sums[s] * max(Rs, 1.0) ** (m - 2)
+            slack = lip * (Rs / (g - 1)) * math.sqrt(k) / 2.0
+        heads.append((starts, float(least[s]), slack))
+    return heads
+
+
+def _scan_heads(forms: _Forms, Q: np.ndarray, multistarts: int):
+    """The part of scan_system(A, q, multistarts) before its Newton stage,
+    for every system of a stack (the tensors of forms, q = Q[i]): (scans,
+    heads), heads[i] being (starts, slack) when scans[i] is left open, else
+    None.  The scans of each group of tensors that share _tails settle what
+    needs no grid in one pass, then run their start phase together,
+    _HEAD_TENSORS tensors at a time; every scan gets the bits it gets
+    alone."""
+    scans = [SystemScan() for _ in Q]
+    heads = [None] * len(Q)
+    for g, (A, coef) in enumerate(forms.groups):
+        members = np.flatnonzero(forms.group == g)
+        left, norms = _settle(A, coef, Q[members], [scans[i] for i in members])
+        for b in range(0, len(left), _HEAD_TENSORS):
+            block = left[b:b + _HEAD_TENSORS]
+            phase = _start_phase(A, coef[block], Q[members[block]], norms[b:b + _HEAD_TENSORS],
+                                 multistarts)
+            for i, (starts, least, slack) in zip(members[block], phase):
+                scans[i].grid_min_residual = least
+                heads[i] = starts, slack
+    return scans, heads
 
 
 def _scan_stack(tensors, qs, multistarts: int) -> list[SystemScan]:
     """[scan_system(A, q, multistarts) for A, q in zip(tensors, qs)], for
-    tensors of one order and dimension.  Each system runs its sign test,
-    closed form and start phase alone; then the starts of every system are
-    refined in one damped Newton, each row with its own system's
-    coefficients, so every scan gets the bits it gets alone."""
-    scans, heads = zip(*(_scan_head(A, q, multistarts) for A, q in zip(tensors, qs)))
+    tensors of one order and dimension: the heads of all scans (_scan_heads),
+    then the starts of every open scan refined in one damped Newton, each
+    row with its own system's coefficients, so every scan gets the bits it
+    gets alone."""
+    forms, Q = _Forms(tensors), np.array(qs, dtype=float)
+    scans, heads = _scan_heads(forms, Q, multistarts)
     open_ = [i for i, head in enumerate(heads) if head is not None]
     if open_:
-        own = np.repeat(np.arange(len(open_)), [len(heads[i][0]) for i in open_])
-        X, r = _refine_rows(_Forms([tensors[i] for i in open_]), np.array([qs[i] for i in open_]),
-                            np.concatenate([heads[i][0] for i in open_]), own)
-    for j, i in enumerate(open_):
+        own = np.repeat(open_, [len(heads[i][0]) for i in open_])
+        X, r = _refine_rows(forms, Q, np.concatenate([heads[i][0] for i in open_]), own)
+    for i in open_:
         scan, slack = scans[i], heads[i][1]
-        mine = own == j
+        mine = own == i
         roots = X[mine][r[mine] <= SYS_TOL]
         scan.roots = list(roots[_dedup(roots)])
         if scan.roots:
@@ -383,7 +347,7 @@ def _scan_stack(tensors, qs, multistarts: int) -> list[SystemScan]:
             scan.reason = "bounded box grid"
         else:
             scan.reason = "grid minimum within Lipschitz slack"
-    return list(scans)
+    return scans
 
 
 def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:

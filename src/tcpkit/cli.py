@@ -205,19 +205,32 @@ def cmd_membership(args) -> int:
     return 0
 
 
+_PERTURB_DEFAULTS = {"eps": 1e-3, "trials": 50, "radius": 0.1}
+_PERTURB_READS = {
+    "existence": ("q", "eps", "trials"),
+    "error-bound": ("q", "xbar", "eps", "trials", "radius"),
+    "usc": ("q", "eps", "trials"),
+    "unsolvable": ("q", "eps", "trials"),
+    "openness": ("cone", "eps", "trials"),
+    "uniqueness": ("q", "xbar"),
+}
+
+
 def cmd_perturb(args) -> int:
-    reads = {"openness": ("cone",), "error-bound": ("q", "xbar"),
-             "uniqueness": ("q", "xbar")}.get(args.mode, ("q",))
-    for flag in ("q", "xbar", "cone"):  # refuse a flag this mode would ignore
+    reads = _PERTURB_READS[args.mode]
+    for flag in ("q", "xbar", "cone", *_PERTURB_DEFAULTS):  # refuse a flag this mode would ignore
         if getattr(args, flag) is not None and flag not in reads:
             raise _ParseFailure(f"perturb {args.mode} does not read --{flag}")
+    for flag, default in _PERTURB_DEFAULTS.items():  # unread flags stay None and are not echoed
+        if flag in reads and getattr(args, flag) is None:
+            setattr(args, flag, default)
     A = _get_tensor(args)
     budget = _get_budget(args)
-    if not (math.isfinite(args.eps) and args.eps >= 0):
+    if args.eps is not None and not (math.isfinite(args.eps) and args.eps >= 0):
         raise _ParseFailure(f"--eps must be finite and >= 0, got {args.eps}")
-    if not (math.isfinite(args.radius) and args.radius > 0):
+    if args.radius is not None and not (math.isfinite(args.radius) and args.radius > 0):
         raise _ParseFailure(f"--radius must be finite and > 0, got {args.radius}")
-    if args.trials < 1:
+    if args.trials is not None and args.trials < 1:
         raise _ParseFailure(f"--trials must be >= 1, got {args.trials}")
     try:
         if args.mode in ("existence", "error-bound", "usc"):
@@ -332,9 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q")
     sp.add_argument("--xbar")
     sp.add_argument("--cone")
-    sp.add_argument("--eps", type=float, default=1e-3)
-    sp.add_argument("--trials", type=int, default=50)
-    sp.add_argument("--radius", type=float, default=0.1)
+    sp.add_argument("--eps", type=float, help="perturbation size (default 1e-3)")
+    sp.add_argument("--trials", type=int, help="number of trials (default 50)")
+    sp.add_argument("--radius", type=float,
+                    help="error-bound neighbourhood radius (default 0.1)")
     sp.set_defaults(fn=cmd_perturb)
 
     sp = sub.add_parser("distance", help="delta metric between cone fixtures")

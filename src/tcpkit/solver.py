@@ -167,6 +167,25 @@ def _solve_stack(insts, budget: SearchBudget | None = None) -> list[EnumerationO
     return out
 
 
+def _orthant_dist(Z: np.ndarray) -> np.ndarray:
+    """cones.dist(orthant, z) at every row z of Z, bit for bit: the norm of
+    z - max(z, 0), snapped to 0 at or below 1e-12 max(1, ||z||)."""
+    D = Z - np.maximum(Z, 0.0)
+    d = np.sqrt(np.vecdot(D, D))  # np.linalg.norm of each row, bit for bit
+    nz = np.sqrt(np.vecdot(Z, Z))
+    return np.where(d <= 1e-12 * np.where(nz > 1.0, nz, 1.0), 0.0, d)  # max(1.0, nz) keeps 1 at NaN
+
+
+def _solved_rows(insts, X: np.ndarray, own: np.ndarray, tol: float) -> np.ndarray:
+    """is_solution(insts[own[r]], x, tol) at every row r, x of the (S, n)
+    array X in one check, for orthant instances of one dimension and order:
+    each w = A x^{m-1} + q has the bits of inst.w_of(x), and each residual
+    triple those of residual(inst, x)."""
+    W = _Forms([inst.A for inst in insts]).m1(X, own) + np.array([inst.q for inst in insts])[own]
+    return ((_orthant_dist(X) <= tol) & (_orthant_dist(W) <= tol)
+            & (np.abs(np.vecdot(X, W)) <= tol))
+
+
 def _min_map_newton(insts, X0: np.ndarray, own: np.ndarray, iters: int = 80) -> np.ndarray:
     """Semismooth Newton on the min-map Phi(x) = min(x, A x^{m-1} + q) from
     every row r of the (S, n) array X0 at once, on the instance insts[own[r]]
@@ -214,8 +233,10 @@ def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int
     rng = SplitMix64(seed)
     n = inst.A.dim
     starts = np.array([[rng.uniform(0.0, radius) for _ in range(n)] for _ in range(samples)])
-    for x in _min_map_newton([inst], starts.reshape(-1, n), np.zeros(samples, dtype=np.intp)):
-        if is_solution(inst, x, 1e-9) and all(np.linalg.norm(x - y) > _DEDUP_DIST for y in found):
+    own = np.zeros(samples, dtype=np.intp)
+    ends = _min_map_newton([inst], starts.reshape(-1, n), own)
+    for x in ends[_solved_rows([inst], ends, own, 1e-9)]:
+        if all(np.linalg.norm(x - y) > _DEDUP_DIST for y in found):
             found.append(x)
     max_norm = max((float(np.linalg.norm(x)) for x in found), default=0.0)
     return {

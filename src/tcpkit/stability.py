@@ -29,7 +29,7 @@ from .classify import (
 )
 from .compcones import complementary_tensor, q_membership
 from .cones import PolyhedralCone, extreme_rays, from_generators, orthant, tangent_cone
-from .solver import TcpInstance, _min_map_newton, _solve_stack, is_solution, residual
+from .solver import TcpInstance, _min_map_newton, _solve_stack, _solved_rows, is_solution, residual
 from .tensor import (
     IndexSet,
     Tensor,
@@ -239,7 +239,10 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
     Trial t draws its perturbation and 4 starts around xbar from its own
     stream SplitMix64(seed).spawn(t + 1); the 5 starts of every trial (xbar
     first) are refined in one stacked min-map Newton, each row on its own
-    trial's instance, with the end points of one refine call per start."""
+    trial's instance, with the end points of one refine call per start.
+    All 5 x trials end points are then checked in one stacked orthant
+    residual check, each with the verdict of is_solution(pert, x, 1e-9) on
+    its own trial's instance."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     xbar = np.asarray(xbar, dtype=float)
@@ -252,18 +255,18 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
     for stream, *_ in draws:
         starts += [xbar] + [xbar + 0.1 * neighborhood_radius * np.array(stream.on_sphere(inst.A.dim))
                             for _ in range(4)]
-    ends = _min_map_newton([pert for *_, pert in draws], np.array(starts),
-                          np.repeat(np.arange(trials), 5))
+    perts, own = [pert for *_, pert in draws], np.repeat(np.arange(trials), 5)
+    ends = _min_map_newton(perts, np.array(starts), own)
+    solved = _solved_rows(perts, ends, own, 1e-9)
     ratio_max = 0.0
     solvable = 0
     max_norm = 0.0
     failures: list[int] = []
     skipped = 0
-    for t, (_, dq, dA, pert) in enumerate(draws):
+    for t, (_, dq, dA, _) in enumerate(draws):
         denom = float(np.linalg.norm(dq) + np.linalg.norm(dA))
-        sols = [x for x in ends[5 * t:5 * t + 5]
-                if is_solution(pert, x, 1e-9)
-                and float(np.linalg.norm(x - xbar)) <= neighborhood_radius]
+        sols = [x for x in ends[5 * t:5 * t + 5][solved[5 * t:5 * t + 5]]
+                if float(np.linalg.norm(x - xbar)) <= neighborhood_radius]
         if not sols:
             failures.append(t)
             continue

@@ -29,20 +29,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tcpkit import classify
 from tcpkit import fixtures as fx
-from tcpkit import stability
+from tcpkit import solver, stability
 from tcpkit import _forms, _polysys, _simplex
-from tcpkit._polysys import (_block_bounds, _contract, _dedup, _grid_starts, damped_newton,
-                             scan_system, walk_supports)
+from tcpkit._grid import _block_bounds, _contract, _grid_picks
+from tcpkit._polysys import _dedup, damped_newton, scan_system, walk_supports
 from tcpkit.classify import SearchBudget, _min_over_stack, descend_on_simplex, min_over_basis
 from tcpkit.cones import from_generators, orthant
-from tcpkit.solver import TcpInstance, _solve_stack, solve_enumerate
+from tcpkit.solver import TcpInstance, _solve_stack, is_solution, residual, solve_enumerate
 from tcpkit.tensor import (Tensor, _derivative, _power_coefficients, _rows_m1, apply_m1,
-                           jacobian_m1)
+                           batch_apply_m1, jacobian_m1)
 
 
 def cubic(D):
@@ -538,7 +538,7 @@ def full_grid_residual(A, q, axis):
     k = A.dim
     C = np.moveaxis(_power_coefficients(A), -1, 0)
     P = axis[:, None] ** np.arange(A.order)
-    F = _contract(C, [P[None]] * k)[:, 0] + q.reshape((k,) + (1,) * k)
+    F = _contract(C[:, None], [P[None]] * k)[:, 0] + q.reshape((k,) + (1,) * k)
     return np.abs(F).max(axis=0)
 
 
@@ -579,7 +579,8 @@ def test_block_bounds_bracket_every_point(system, cut):
     C = np.moveaxis(_power_coefficients(A), -1, 0)
     starts = np.arange(0, g, cut)
     pos = np.minimum(starts[:, None] + np.arange(cut), g - 1)  # the last block padded
-    low, up = _block_bounds(C, q, axis[pos][..., None] ** np.arange(A.order))
+    low, up = _block_bounds(C[:, None], q[None], axis[pos][None, ..., None] ** np.arange(A.order))
+    low, up = low[0], up[0]
     resid = full_grid_residual(A, q, axis)
     of_point = np.ix_(*[np.arange(g) // cut] * k)
     assert np.all(low[of_point] <= resid) and np.all(resid <= up[of_point])
@@ -591,7 +592,7 @@ def test_pruned_selection_is_the_full_stable_argsort(system, N):
     # N = 2000 >= g^k selects every point
     A, q, axis = system
     resid = full_grid_residual(A, q, axis).ravel()
-    best, least = _grid_starts(A, q, axis, N)
+    (best,), (least,) = _grid_picks(A, A._coef[None], q[None], axis[None], N)
     assert np.array_equal(best, np.argsort(resid, kind="stable")[:N])
     assert least == resid.min()
 
@@ -605,18 +606,18 @@ def test_scan_starts_are_the_best_grid_points(k, m, seed, multistarts):
     # point of the axis
     A, q = sparse_system(k, m, seed)
     seen = {}
-    select, refine = _polysys._grid_starts, _polysys._refine_rows
+    select, refine = _polysys._grid_picks, _polysys._refine_rows
 
-    def spy_select(A, q, axis, N):
-        seen["grid"] = axis, N
-        return select(A, q, axis, N)
+    def spy_select(A, coef, Q, axes, N):
+        seen["grid"] = axes[0], N
+        return select(A, coef, Q, axes, N)
 
     def spy_refine(forms, Q, U0, own):
         seen["starts"] = U0
         return refine(forms, Q, U0, own)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_polysys, "_grid_starts", spy_select)
+        mp.setattr(_polysys, "_grid_picks", spy_select)
         mp.setattr(_polysys, "_refine_rows", spy_refine)
         scan = scan_system(A, q, multistarts=multistarts)
     if "grid" not in seen:  # settled before the grid: sign analysis
@@ -632,23 +633,37 @@ def test_scan_starts_are_the_best_grid_points(k, m, seed, multistarts):
 
 
 @st.composite
-def instance_stacks(draw):
-    """1..8 orthant TCPs of one order m in 2..4 and dimension n in 1..3: the
-    tensors perturb one random support (shared _tails), copy it exactly
-    (eps = 0) or take another support (mixed _tails); q has zero entries."""
-    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+def instance_stacks(draw, max_n=3, extremes=False):
+    """1..8 orthant TCPs of one order m in 2..4 and dimension n in 1..max_n:
+    the tensors perturb one random support (shared _tails), copy it exactly
+    (eps = 0) or take another support (mixed _tails); q has zero entries.
+    With extremes a tensor may also be the shared support scaled by 1e-3 (a
+    sphere bound at or below _C_MIN), made nonnegative with q > 0 (the sign
+    test settles it) or scaled to entries of 1e306 (bounds that overflow),
+    and q may be 0."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base, _ = sparse_system(n, m, int(rng.integers(2**32)))
     insts = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = rng.integers(3)
+        kind = rng.integers(6 if extremes else 3)
         if kind == 0:
             A = Tensor._from_form(m, n, base._tails,
                                   base._coef + rng.uniform(-1e-3, 1e-3, base._coef.shape))
-        else:
+        elif kind < 3:
             A = base if kind == 1 else sparse_system(n, m, int(rng.integers(2**32)))[0]
+        elif kind == 3:
+            A = base.scale(1e-3)
+        elif kind == 4:
+            A = Tensor._from_form(m, n, base._tails, np.abs(base._coef))
+        else:
+            A = base.scale(1e306 / np.abs(base._coef).max(initial=1.0))
         q = rng.uniform(-2.0, 2.0, n)
         q[rng.random(n) < 0.3] = 0.0
+        if kind == 4:
+            q = np.abs(q) + 0.5
+        if extremes and rng.random() < 0.15:
+            q = np.zeros(n)
         insts.append(TcpInstance(orthant(n), q, A))
     return insts
 
@@ -676,6 +691,139 @@ def test_stacked_walk_gives_each_instance_its_own_outcome(insts):
                 [(u.tobytes(), w.tobytes()) for u, w in feasible1]
     for inst, outcome in zip(insts, _solve_stack(insts)):
         assert outcome_bytes(outcome) == outcome_bytes(solve_enumerate(inst))
+
+
+def head_alone(A, q, multistarts):
+    """The head of scan_system(A, q, multistarts) by its per-tensor rules,
+    written out: the fields of the scan it settles or leaves open, and
+    (starts, slack) of an open scan, else None."""
+    k, m = A.dim, A.order
+    rows = A.to_dense().reshape(k, -1)  # component i's entries in index order
+    if np.any((np.all(rows >= 0, axis=1) & (q > 1e-12))
+              | (np.all(rows <= 0, axis=1) & (q < -1e-12))):
+        return (True, "sign analysis", [], False, math.inf), None
+    if k == 1:
+        a, q0 = float(rows[0, 0]), float(q[0])
+        if abs(a) > 1e-12:
+            t = -q0 / a
+            roots = [np.array([t ** (1.0 / (m - 1))])] if t >= 0.0 else []
+            return (t < 0.0, "scalar closed form", roots, t >= 0.0, math.inf), None
+        if abs(q0) <= 1e-9:
+            return (False, "scalar degenerate", [np.zeros(1)], False, math.inf), None
+        return (True, "scalar zero coefficient", [], False, math.inf), None
+    qn = float(np.linalg.norm(q))
+    if qn <= 1e-9:
+        return (False, "", [np.zeros(k)], False, qn), None
+    # the sphere bound: least norm on the sphere grid less a Lipschitz term
+    res = 4096 if k <= 2 else (48 if k == 3 else 12)
+    est = float(np.linalg.norm(batch_apply_m1(A, _polysys._sphere_grid(k, res)), axis=1).min())
+    lip = (m - 1) * float(np.max(np.abs(rows).sum(axis=1)))
+    c = max(est - lip * ((math.pi / 2) / (res - 1) if k == 2 else 2.0 / res), 0.0)
+    bounded = c > 0.05
+    R = (qn / (0.5 * c)) ** (1.0 / (m - 1)) if bounded else (1.0 + qn) ** (1.0 / (m - 1)) * 10.0
+    if k > 3:
+        U = np.random.default_rng(0).random((4 * multistarts, k))
+        return (False, "", [], False, math.inf), (np.vstack([np.zeros(k), R * U]), None)
+    g = max(min(int(300_000 ** (1.0 / k)), 512), 8)
+    axis = np.linspace(0.0, R, g)
+    resid = full_grid_residual(A, q, axis)
+    best = np.argsort(resid.ravel(), kind="stable")[:max(4 * multistarts, 8)]
+    starts = np.column_stack([axis[a] for a in np.unravel_index(best, resid.shape)])
+    slack = lip * max(R, 1.0) ** (m - 2) * (R / (g - 1)) * math.sqrt(k) / 2.0 if bounded else None
+    return (False, "", [], False, float(resid.min())), (starts, slack)
+
+
+def overflow_stack():
+    """Two systems of order 4: 1e153 (u_1 - u_2)^3 in both components, whose
+    sphere bound is 0, so its root box is unbounded and its block bounds
+    overflow to NaN; and identity(4, 2) beside it."""
+    cube = {(i,) + t: 1e153 * math.prod(1 if a == 1 else -1 for a in t)
+            for i in (1, 2) for t in itertools.product((1, 2), repeat=3)}
+    return [TcpInstance(orthant(2), np.array([-1e152, 5e151]), Tensor(4, 2, cube)),
+            TcpInstance(orthant(2), np.array([-1.0, -1.0]), fx.identity(4, 2))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(insts=instance_stacks(max_n=4, extremes=True), multistarts=st.integers(1, 30))
+@example(insts=overflow_stack(), multistarts=24)
+def test_stacked_head_is_the_per_instance_head(insts, multistarts):
+    # the sign test and start phase of a stack, grouped by _tails and run in
+    # blocks of tensors, give every system the scan fields, starts and slack
+    # of its own head, bit for bit (NaN included)
+    tensors, qs = [i.A for i in insts], [i.q for i in insts]
+    with np.errstate(all="ignore"):
+        scans, heads = _polysys._scan_heads(_forms._Forms(tensors), np.array(qs), multistarts)
+        for A, q, scan, head in zip(tensors, qs, scans, heads):
+            fields, ref = head_alone(A, q, multistarts)
+            got = (scan.certified_infeasible, scan.reason, scan.roots, scan.roots_complete,
+                   scan.grid_min_residual)
+            assert repr(got[:2] + got[3:]) == repr(fields[:2] + fields[3:])
+            assert [u.tobytes() for u in got[2]] == [u.tobytes() for u in fields[2]]
+            assert (head is None) == (ref is None)
+            if head is not None:
+                assert head[0].tobytes() == ref[0].tobytes() and head[0].shape == ref[0].shape
+                assert repr(head[1]) == repr(ref[1])
+
+
+def test_overflow_stack_has_a_nan_grid_minimum():
+    # the example above reaches the NaN branch: no box bound, block bounds
+    # that overflow, so every block is scored and the grid minimum is NaN,
+    # beside a finite system
+    (A, q), _ = [(i.A, i.q) for i in overflow_stack()]
+    with np.errstate(all="ignore"):
+        scans, heads = _polysys._scan_heads(_forms._Forms([A, fx.identity(4, 2)]),
+                                            np.array([q, [-1.0, -1.0]]), 24)
+        _, up = _block_bounds(np.moveaxis(_power_coefficients(A), -1, 0)[:, None], q[None],
+                              np.linspace(0.0, 1e52, 4)[None, :, None, None] ** np.arange(4))
+    assert heads[0][1] is None and np.isnan(up).any()
+    assert math.isnan(scans[0].grid_min_residual) and math.isfinite(scans[1].grid_min_residual)
+
+
+@settings(max_examples=40, deadline=None)
+@given(insts=instance_stacks(), seed=st.integers(0, 2**32 - 1))
+def test_solved_rows_is_is_solution_row_by_row(insts, seed):
+    # random rows, some just outside the orthant, checked at 1e-9 and at
+    # tolerances equal to (and one ulp below) residuals of the rows
+    rng = np.random.default_rng(seed)
+    n = insts[0].A.dim
+    own = rng.integers(0, len(insts), 16)
+    X = rng.uniform(-1e-8, 2.0, (16, n))
+    X[rng.random((16, n)) < 0.4] = 0.0
+    triples = [residual(insts[o], x) for o, x in zip(own, X)]
+    tols = [1e-9] + [t for r in triples[:4] for v in r for t in (v, np.nextafter(v, 0.0))]
+    for tol in tols:
+        got = solver._solved_rows(insts, X, own, tol)
+        assert got.tolist() == [is_solution(insts[o], x, tol) for o, x in zip(own, X)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_solved_rows_at_the_tolerance_and_the_snap(n):
+    # rows whose verdict turns on one ulp: a primal, a dual and a gap residual
+    # of exactly 1e-9, and a primal distance at dist's snap boundary
+    # 1e-12 max(1, ||x||) (above 1e-9 here); each with its next float out
+    A, zero = fx.random_tensor("general", 3, n, 5), Tensor(3, n, {})
+
+    def out(v):  # the next float away from 0
+        return np.nextafter(v, 2 * v)
+
+    e0, en = np.eye(n)[0], np.eye(n)[-1]
+    snap = 1e-12 * 1e4
+    rows = []  # (x, tensor, q)
+    for v in (-1e-9, out(-1e-9)):
+        x = v * e0
+        rows.append((x, A, -apply_m1(A, x)))  # w = 0
+    for v in (-1e-9, out(-1e-9)):
+        rows.append((np.zeros(n), A, v * e0))  # w = q at x = 0
+    for v in (1e-9, out(1e-9)):
+        rows.append((e0, zero, v * e0))  # x.w = v
+    for v in (snap, out(snap)):
+        x = 1e4 * e0 - v * en
+        rows.append((x, A, -apply_m1(A, x)))
+    insts = [TcpInstance(orthant(n), q, T) for _, T, q in rows]
+    X = np.array([x for x, _, _ in rows])
+    got = solver._solved_rows(insts, X, np.arange(len(rows)), 1e-9)
+    assert got.tolist() == [is_solution(i, x, 1e-9) for i, x in zip(insts, X)]
+    assert got.tolist() == [True, False] * 4
 
 
 def dedup_loop(roots, tol=1e-6):
@@ -731,4 +879,20 @@ def test_perturb_existence_gates_stay_blocked():
     finally:
         tracemalloc.stop()
     assert report.solvable_fraction == 1.0
+    assert peak <= 2**20
+
+
+def test_usc_probe_stays_blocked():
+    # the 51 instances are the sparse base, a _tails group of its own, and
+    # the 50 dense trials; the trials' start phase runs a few tensors at a
+    # time, and the Newton stage refines their rows in place: about 0.9 MiB
+    inst = TcpInstance(orthant(2), np.array([-1.0, -1.0]), fx.identity(3, 2))
+    stability.usc_probe(inst, 1e-3, 50, seed=7)
+    tracemalloc.start()
+    try:
+        report = stability.usc_probe(inst, 1e-3, 50, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["unsolved_trials"] == 0 and report["base_solution_count"] == 1
     assert peak <= 2**20

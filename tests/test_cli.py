@@ -137,6 +137,13 @@ class TestPerturbUnreadFlags:
         ["unsolvable", "--fixture", "identity32", "--q=1,1", "--xbar=1,1"],
         ["openness", "--fixture", "E4", "--trials", "2", "--xbar=1,1"],
         ["openness", "--fixture", "E4", "--trials", "2", "--q=-1,-1"],
+        ["uniqueness", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1", "--eps", "1e-3"],
+        ["uniqueness", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1", "--trials", "5"],
+        ["uniqueness", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1", "--radius", "0.1"],
+        ["existence", "--fixture", "identity32", "--q=-1,-1", "--trials", "2", "--radius", "0.1"],
+        ["usc", "--fixture", "identity32", "--q=-1,-4", "--trials", "2", "--radius", "0.2"],
+        ["unsolvable", "--fixture", "identity32", "--q=1,1", "--radius", "0.1"],
+        ["openness", "--fixture", "E4", "--trials", "2", "--radius", "0.1"],
     ])
     def test_parse_error(self, argv):
         proc = subprocess.run([sys.executable, "-m", "tcpkit.cli", "perturb", *argv],
@@ -144,6 +151,23 @@ class TestPerturbUnreadFlags:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("parse error:")
+
+    @pytest.mark.parametrize("argv, echoed", [
+        (["uniqueness", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1"], {}),
+        (["existence", "--fixture", "identity32", "--q=-1,-1", "--trials", "2"],
+         {"eps": 1e-3, "trials": 2}),
+        (["error-bound", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1", "--trials", "2"],
+         {"eps": 1e-3, "trials": 2, "radius": 0.1}),
+        (["openness", "--fixture", "E4", "--eps", "1e-4", "--trials", "2"],
+         {"eps": 1e-4, "trials": 2}),
+    ])
+    def test_config_echoes_what_the_mode_read(self, capsys, argv, echoed):
+        # a read flag is echoed with its default when not given; an unread
+        # one is not echoed at all
+        code, rep = run_json(capsys, "perturb", *argv)
+        assert code == 0
+        assert {k: rep["config"][k] for k in ("eps", "trials", "radius")
+                if k in rep["config"]} == echoed
 
 
 class TestDistance:

@@ -181,6 +181,30 @@ class TestRefine:
         assert X[1, 0] == 0.0 and not refine(inst, X0[1]).converged
 
 
+def probe_reference(inst, radius, samples, seed):
+    """solution_set_probe's count and bound, checking the end point of each
+    start with its own is_solution call."""
+    found = [s.x for s in solve_enumerate(inst).solutions]
+    rng = SplitMix64(seed)
+    n = inst.A.dim
+    starts = np.array([[rng.uniform(0.0, radius) for _ in range(n)] for _ in range(samples)])
+    for x in _min_map_newton([inst], starts, np.zeros(samples, dtype=int)):
+        if is_solution(inst, x, 1e-9) and all(np.linalg.norm(x - y) > 1e-6 for y in found):
+            found.append(x)
+    return len(found), max((float(np.linalg.norm(x)) for x in found), default=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_probe_stacked_check_matches_per_start_checks(n, seed):
+    # the probe checks its end points in one stacked row check; the count
+    # and bound are those of one is_solution call per end point
+    q = np.array([SplitMix64(100 + seed).uniform(-2.0, 1.0) for _ in range(n)])
+    inst = TcpInstance(orthant(n), q, fx.random_tensor("general", 3, n, seed))
+    rep = solution_set_probe(inst, radius=3.0, samples=24, seed=seed)
+    assert (rep["count"], rep["bounded_within"]) == probe_reference(inst, 3.0, 24, seed)
+
+
 class TestProbeAndJson:
     def test_probe_identity(self, identity32):
         inst = TcpInstance(orthant(2), np.array([-1.0, -4.0]), identity32)
