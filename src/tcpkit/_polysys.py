@@ -50,6 +50,8 @@ SLACK_TOL = 1e-8  # a support root counts when its slack is >= -SLACK_TOL
 _C_MIN = 0.05  # sphere-norm level below which no box bound is claimed
 _GRID_CELLS = 300_000  # points of the residual grid over the root box
 _HEAD_TENSORS = 4  # tensors per block of a stacked start phase
+_NEWTON_ITERS = 60  # damped Newton steps from each start
+_DEDUP_DIST = 1e-6  # roots (and solutions) closer than this are one
 
 
 @dataclass
@@ -196,36 +198,35 @@ def _newton_step(F, J, project, X, FX, r, rows, tol):
     return np.flatnonzero(stepped & ~(r <= tol))
 
 
-def _refine_rows(forms: _Forms, Q: np.ndarray, U0, own: np.ndarray, iters: int = 60):
+def _refine_rows(forms: _Forms, Q: np.ndarray, U0, own: np.ndarray):
     """Damped Newton with nonnegativity clamping on F(u) = A u^{m-1} + q,
-    from every row r of U0 at once, with A the tensor own[r] of forms and q
-    the row own[r] of Q."""
+    for at most 60 steps, from every row r of U0 at once, with A the tensor
+    own[r] of forms and q the row own[r] of Q."""
     def F(U, rows):
         o = own[rows]
         return forms.m1(U, o) + Q.take(o, axis=0)
 
     return damped_newton(F, lambda U, rows: forms.eval(U, own[rows], m1=False, jac=True)[1],
                          np.maximum(np.asarray(U0, dtype=float), 0.0),
-                         iters, SYS_TOL * 1e-2,
+                         _NEWTON_ITERS, SYS_TOL * 1e-2,
                          project=lambda V: np.maximum(V, 0.0))
 
 
-def newton_refine(A: Tensor, q: np.ndarray, u0: np.ndarray,
-                  iters: int = 60) -> tuple[np.ndarray, float]:
+def newton_refine(A: Tensor, q: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, float]:
     """Damped Newton with nonnegativity clamping on F(u) = A u^{m-1} + q."""
     U, r = _refine_rows(_Forms([A]), np.asarray(q, dtype=float)[None],
-                        np.asarray(u0, dtype=float)[None], np.zeros(1, dtype=np.intp), iters)
+                        np.asarray(u0, dtype=float)[None], np.zeros(1, dtype=np.intp))
     return U[0], float(r[0])
 
 
-def _dedup(roots: np.ndarray, tol: float = 1e-6) -> list[int]:
+def _dedup(roots: np.ndarray) -> list[int]:
     """The indices of the rows of roots in lexicographic order, each row
-    kept when it is more than tol from every row kept before it."""
+    kept when it is more than _DEDUP_DIST from every row kept before it."""
     kept, left = [], np.lexsort(roots.T[::-1])
     while len(left):  # the first row left is kept, and drops the rows near it
         kept.append(left[0])
         d = roots[left] - roots[left[0]]
-        left = left[np.sqrt(np.vecdot(d, d)) > tol]  # np.linalg.norm, bit for bit
+        left = left[np.sqrt(np.vecdot(d, d)) > _DEDUP_DIST]  # np.linalg.norm, bit for bit
     return kept
 
 
@@ -272,14 +273,16 @@ def _start_phase(A: Tensor, coef: np.ndarray, Q: np.ndarray, norms: list, multis
     tensors coef[s] with A's tails, q = Q[s] of norm norms[s]): for each,
     (Newton starts, least residual on its root-box grid, slack), where a
     scan that finds no root is certified infeasible when the grid minimum
-    exceeds slack + 1e-9; slack is None when no box bound holds or there is
-    no grid (k >= 4).  The sphere bounds, the block bounds and the scoring
-    of the kept blocks each run once for the whole block."""
+    exceeds slack + 1e-9; slack is None when no box bound holds (the sphere
+    bound is at most 0.05, NaN or inf) or there is no grid (k >= 4).  The
+    sphere bounds, the block bounds and the scoring of the kept blocks each
+    run once for the whole block."""
     k, m = A.dim, A.order
     abs_sums = _row_abs_sums(A, coef).tolist()
     c = _sphere_bounds(A, coef, abs_sums)
-    R = [(qn / (0.5 * cs)) ** (1.0 / (m - 1)) if cs > _C_MIN
-         else (1.0 + qn) ** (1.0 / (m - 1)) * 10.0 for cs, qn in zip(c, norms)]
+    bounded = [_C_MIN < cs < math.inf for cs in c]  # a NaN or overflowed bound bounds no box
+    R = [(qn / (0.5 * cs)) ** (1.0 / (m - 1)) if ok
+         else (1.0 + qn) ** (1.0 / (m - 1)) * 10.0 for cs, qn, ok in zip(c, norms, bounded)]
     if k > 3:  # dimension too high for a dense grid: multistart only, never certify
         U = np.random.default_rng(0).random((4 * multistarts, k))
         return [(np.vstack([np.zeros(k), Rs * U]), math.inf, None) for Rs in R]
@@ -291,7 +294,7 @@ def _start_phase(A: Tensor, coef: np.ndarray, Q: np.ndarray, norms: list, multis
     for s, Rs in enumerate(R):
         starts = axes[s][np.column_stack(np.unravel_index(best[s], (g,) * k))]
         slack = None
-        if c[s] > _C_MIN:
+        if bounded[s]:
             lip = (m - 1) * abs_sums[s] * max(Rs, 1.0) ** (m - 2)
             slack = lip * (Rs / (g - 1)) * math.sqrt(k) / 2.0
         heads.append((starts, float(least[s]), slack))

@@ -155,7 +155,10 @@ def _nonsingular_verdict(budget: SearchBudget, v: float, x: np.ndarray, used: in
 
 
 def all_principal_nonsingular(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
-    """Orthant-nonsingularity of every principal sub-tensor (2^n - 1 subsets)."""
+    """Orthant-nonsingularity of every principal sub-tensor (2^n - 1 subsets).
+
+    The sub-tensors of each size are checked in one stacked minimisation,
+    with the verdicts of one is_K_nonsingular call per sub-tensor."""
     if A.dim > 12:
         raise ValueError("principal sweep limited to dim <= 12")
     budget = budget or SearchBudget()
@@ -165,22 +168,17 @@ def all_principal_nonsingular(A: Tensor, budget: SearchBudget | None = None) -> 
     status = "holds"
     witness = None
     for r in range(1, A.dim + 1):
-        for alpha in itertools.combinations(range(1, A.dim + 1), r):
-            iset = IndexSet(alpha, A.dim)
-            sub = principal_subtensor(A, iset)
-            vd = is_K_nonsingular(sub, orthant(r), budget)
+        alphas = list(itertools.combinations(range(1, A.dim + 1), r))
+        subs = [principal_subtensor(A, IndexSet(alpha, A.dim)) for alpha in alphas]
+        for alpha, res in zip(alphas, _min_over_stack("norm_m1", subs, orthant(r), budget)):
+            vd = _nonsingular_verdict(budget, *res)
             used += vd.budget_used
             table[",".join(map(str, alpha))] = vd.status
             if vd.status == "fails" and status != "fails":
-                status = "fails"
-                worst = vd
-                w = np.zeros(A.dim)
-                for k, i in enumerate(alpha):
-                    w[i - 1] = vd.witness[k]
-                witness = w
+                status, worst, witness = "fails", vd, np.zeros(A.dim)
+                witness[[i - 1 for i in alpha]] = vd.witness
             elif vd.status == "unknown" and status == "holds":
-                status = "unknown"
-                worst = vd
+                status, worst = "unknown", vd
     cert = worst.certificate if worst is not None else None
     return Verdict("all-principal-nonsingular", status, cert, witness, used,
                    per_alpha=table)

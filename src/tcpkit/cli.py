@@ -221,9 +221,11 @@ def cmd_perturb(args) -> int:
     for flag in ("q", "xbar", "cone", *_PERTURB_DEFAULTS):  # refuse a flag this mode would ignore
         if getattr(args, flag) is not None and flag not in reads:
             raise _ParseFailure(f"perturb {args.mode} does not read --{flag}")
-    for flag, default in _PERTURB_DEFAULTS.items():  # unread flags stay None and are not echoed
-        if flag in reads and getattr(args, flag) is None:
-            setattr(args, flag, default)
+    for flag in reads:  # a read flag left out takes its default; unread flags stay None
+        if getattr(args, flag) is None:
+            if flag in ("q", "xbar"):
+                raise _ParseFailure(f"perturb {args.mode} requires --{flag}")
+            setattr(args, flag, _PERTURB_DEFAULTS.get(flag))
     A = _get_tensor(args)
     budget = _get_budget(args)
     if args.eps is not None and not (math.isfinite(args.eps) and args.eps >= 0):
@@ -232,36 +234,26 @@ def cmd_perturb(args) -> int:
         raise _ParseFailure(f"--radius must be finite and > 0, got {args.radius}")
     if args.trials is not None and args.trials < 1:
         raise _ParseFailure(f"--trials must be >= 1, got {args.trials}")
+    q = None if args.q is None else _parse_q(args.q, A.dim)
     try:
-        if args.mode in ("existence", "error-bound", "usc"):
-            if args.q is None:
-                raise _ParseFailure("--q is required for this probe")
-            inst = TcpInstance(orthant(A.dim), _parse_q(args.q, A.dim), A)
+        inst = None if q is None else TcpInstance(orthant(A.dim), q, A)
         if args.mode == "existence":
             result = perturb_existence(inst, args.eps, args.trials, args.seed,
                                        budget).to_json()
         elif args.mode == "error-bound":
-            if args.xbar is None:
-                raise _ParseFailure("--xbar is required for error-bound")
             result = error_bound_probe(inst, _parse_vector(args.xbar),
                                        args.radius, args.eps, args.trials,
                                        args.seed, budget).to_json()
         elif args.mode == "usc":
             result = usc_probe(inst, args.eps, args.trials, args.seed, budget)
         elif args.mode == "unsolvable":
-            if args.q is None:
-                raise _ParseFailure("--q is required for unsolvable")
-            result = unsolvable_neighborhood_probe(A, _parse_q(args.q, A.dim),
-                                                   args.eps, args.trials,
+            result = unsolvable_neighborhood_probe(A, q, args.eps, args.trials,
                                                    args.seed, budget)
         elif args.mode == "openness":
             K = _get_cone(args.cone, A.dim)
             result = nonsingularity_openness_probe(K, A, args.eps, args.trials,
                                                    args.seed, budget)
         else:  # uniqueness, the last of argparse's choices
-            if args.q is None or args.xbar is None:
-                raise _ParseFailure("--q and --xbar are required for uniqueness")
-            inst = TcpInstance(orthant(A.dim), _parse_q(args.q, A.dim), A)
             result = local_uniqueness_certificate(
                 inst, _parse_vector(args.xbar), budget).to_json()
     except ValueError as e:

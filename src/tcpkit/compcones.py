@@ -5,7 +5,9 @@ sign of every entry whose trailing indices all lie in alpha and keeps unit
 diagonal entries outside alpha.  The union of the images of the orthant
 under all 2^n complementary tensors is exactly the set of right-hand sides
 q for which the orthant TCP is solvable; membership is decided by scanning
-the per-alpha polynomial systems.
+the per-alpha polynomial systems.  Many right-hand sides of one tensor are
+decided in one stacked support walk, each with the result it gets alone;
+q_membership is the stack of one.
 """
 
 from __future__ import annotations
@@ -147,37 +149,40 @@ def q_membership(A: Tensor, q, budget: SearchBudget | None = None) -> Membership
     infeasible, or its complete root list failing the slack test);
     otherwise unknown.
     """
+    return _memberships(A, [q], budget)[0]
+
+
+def _memberships(A: Tensor, qs, budget: SearchBudget | None = None) -> list[MembershipResult]:
+    """[q_membership(A, q, budget) for q in qs], qs not empty, in one stacked
+    support walk over [A] * len(qs) that stops once every q has its verdict:
+    every q gets the result it gets alone, subsets_examined included."""
     budget = budget or SearchBudget()
-    q = np.asarray(q, dtype=float)
     n = A.dim
-    if q.shape != (n,):
-        raise ShapeError(f"q of shape {q.shape}, expected ({n},)")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("q has a non-finite entry")
+    qs = [np.asarray(q, dtype=float) for q in qs]
+    for q in qs:
+        if q.shape != (n,):
+            raise ShapeError(f"q of shape {q.shape}, expected ({n},)")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("q has a non-finite entry")
     if n > 12:
         raise ValueError("membership scan limited to dim <= 12")
-    examined = 0
-    all_settled = True
-    for alpha, feasible, settled in walk_supports([A], [q], budget.multistarts):
+    out, all_settled, examined = [None] * len(qs), [True] * len(qs), 0
+    for alpha, feasible, settled in walk_supports([A] * len(qs), qs, budget.multistarts):
         examined += 1
-        if feasible[0]:
-            u_a, slack = feasible[0][0]
-            u = np.zeros(n)
-            u[[i - 1 for i in alpha.members]] = u_a
-            u[[i - 1 for i in alpha.complement]] = np.maximum(slack, 0.0) ** (1.0 / (A.order - 1))
-            resid = _system_residual(A, alpha, u_a, q)
-            return MembershipResult(True, alpha, u, resid, examined)
-        all_settled = all_settled and settled[0]
-    if all_settled:
-        return MembershipResult(False, None, None, math.inf, examined)
-    return MembershipResult(None, None, None, math.inf, examined)
-
-
-def _system_residual(A: Tensor, alpha: IndexSet, u_a: np.ndarray, q: np.ndarray) -> float:
-    if len(alpha) == 0:
-        return 0.0  # the empty support's system has no equations
-    sub = principal_subtensor(A, alpha)
-    return float(np.linalg.norm(apply_m1(sub, u_a) + q[[i - 1 for i in alpha.members]]))
+        a, comp = [i - 1 for i in alpha.members], [i - 1 for i in alpha.complement]
+        for t in [t for t, res in enumerate(out) if res is None]:
+            all_settled[t] = all_settled[t] and settled[t]
+            if feasible[t]:
+                (u_a, slack), q = feasible[t][0], qs[t]
+                u = np.zeros(n)
+                u[a], u[comp] = u_a, np.maximum(slack, 0.0) ** (1.0 / (A.order - 1))
+                resid = (float(np.linalg.norm(apply_m1(principal_subtensor(A, alpha), u_a) + q[a]))
+                         if a else 0.0)  # the empty support's system has no equations
+                out[t] = MembershipResult(True, alpha, u, resid, examined)
+        if None not in out:
+            return out
+    return [res or MembershipResult(False if done else None, None, None, math.inf, examined)
+            for res, done in zip(out, all_settled)]
 
 
 def solution_from_membership(result: MembershipResult, A: Tensor, q) -> np.ndarray:

@@ -3,7 +3,10 @@
 Verification (residual triple, is_solution) works for any polyhedral cone;
 the enumeration solver is orthant-only, walking the 2^n complementarity
 supports and collecting every root the per-support search finds.  Local
-refinement is a semismooth Newton method on the componentwise min-map.
+refinement is a semismooth Newton method on the componentwise min-map.  On
+the orthant, the candidate points of a stacked walk, of refine and of the
+probes' end points are checked in one row check (``_residual_rows``) with
+the bits residual() gives each point alone.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._forms import _Forms
-from ._polysys import _dedup, damped_newton, walk_supports
+from ._polysys import _DEDUP_DIST, _dedup, damped_newton, walk_supports
 from ._rng import SplitMix64
 from .classify import SearchBudget
 from .cones import PolyhedralCone, cone_from_json, cone_to_json, dist, dual
@@ -39,8 +42,8 @@ __all__ = [
     "instance_from_json",
 ]
 
-_DEDUP_DIST = 1e-6
 _SUPPORT_TOL = 1e-7
+_MIN_MAP_ITERS = 80
 
 
 @dataclass(frozen=True)
@@ -92,33 +95,12 @@ def residual(inst: TcpInstance, x) -> tuple[float, float, float]:
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.A.dim,):
         raise ShapeError("candidate point has wrong dimension")
-    return _residual_at(inst, x, inst.w_of(x))
-
-
-def _residual_at(inst: TcpInstance, x: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
+    w = inst.w_of(x)
     return dist(inst.cone, x), dist(dual(inst.cone), w), abs(float(np.dot(x, w)))
 
 
 def is_solution(inst: TcpInstance, x, tol: float) -> bool:
     return all(r <= tol for r in residual(inst, x))
-
-
-def _make_solution(inst: TcpInstance, x: np.ndarray, tol: float) -> TcpSolution:
-    """The one check of a candidate point x (float, of the right shape): w
-    and the residual triple are evaluated once, and converged says whether
-    every residual is within tol, as is_solution(inst, x, tol) would."""
-    w = inst.w_of(x)
-    p, d, c = _residual_at(inst, x, w)
-    support = tuple(i + 1 for i in range(len(x)) if x[i] > _SUPPORT_TOL)
-    return TcpSolution(
-        x=x,
-        w=w,
-        primal_dist=p,
-        dual_dist=d,
-        comp_gap=c,
-        alpha=IndexSet(support, inst.A.dim),
-        converged=p <= tol and d <= tol and c <= tol,
-    )
 
 
 @dataclass(frozen=True)
@@ -140,30 +122,36 @@ def solve_enumerate(inst: TcpInstance, budget: SearchBudget | None = None) -> En
 
 def _solve_stack(insts, budget: SearchBudget | None = None) -> list[EnumerationOutcome]:
     """[solve_enumerate(inst, budget) for inst in insts], instances of one
-    dimension and order, in one stacked support walk: every instance gets
-    the outcome it gets alone."""
+    dimension and order, in one stacked support walk and one check of every
+    candidate point (_solutions): every instance gets the outcome it gets
+    alone."""
     if not all(inst.cone.is_orthant for inst in insts):
         raise ValueError("enumeration solver requires the nonnegative orthant")
     n = insts[0].A.dim
     if n > 12:
         raise ValueError("enumeration limited to dim <= 12")
     budget = budget or SearchBudget()
-    sols = [[] for _ in insts]
+    points, owner = [], []
     all_settled = [True] * len(insts)
     for alpha, feasible, settled in walk_supports([inst.A for inst in insts],
                                                   [inst.q for inst in insts], budget.multistarts):
-        for t, inst in enumerate(insts):
+        a = [i - 1 for i in alpha.members]
+        for t, roots in enumerate(feasible):
             all_settled[t] = all_settled[t] and settled[t]
-            for u_a, _ in feasible[t]:
+            for u_a, _ in roots:
                 x = np.zeros(n)
-                x[[i - 1 for i in alpha.members]] = u_a
-                s = _make_solution(inst, x, _SUPPORT_TOL)
-                if s.converged:
-                    sols[t].append(s)
+                x[a] = u_a
+                points.append(x)
+                owner.append(t)
+    found = [[] for _ in insts]
+    for t, s in zip(owner, _solutions(insts, np.reshape(points, (-1, n)),
+                                      np.array(owner, dtype=np.intp), _SUPPORT_TOL)):
+        if s.converged:
+            found[t].append(s)
     out = []
-    for found, done in zip(sols, all_settled):
-        keep = _dedup(np.reshape([s.x for s in found], (-1, n)), _DEDUP_DIST)
-        out.append(EnumerationOutcome(tuple(found[i] for i in keep), not done and not found))
+    for sols, done in zip(found, all_settled):
+        keep = _dedup(np.reshape([s.x for s in sols], (-1, n)))
+        out.append(EnumerationOutcome(tuple(sols[i] for i in keep), not done and not sols))
     return out
 
 
@@ -176,21 +164,38 @@ def _orthant_dist(Z: np.ndarray) -> np.ndarray:
     return np.where(d <= 1e-12 * np.where(nz > 1.0, nz, 1.0), 0.0, d)  # max(1.0, nz) keeps 1 at NaN
 
 
-def _solved_rows(insts, X: np.ndarray, own: np.ndarray, tol: float) -> np.ndarray:
-    """is_solution(insts[own[r]], x, tol) at every row r, x of the (S, n)
-    array X in one check, for orthant instances of one dimension and order:
-    each w = A x^{m-1} + q has the bits of inst.w_of(x), and each residual
-    triple those of residual(inst, x)."""
+def _residual_rows(insts, X: np.ndarray, own: np.ndarray):
+    """(W, R) at every row r, x of the (S, n) array X, on the orthant
+    instance insts[own[r]] (instances of one dimension and order): W[r] =
+    A x^{m-1} + q has the bits of inst.w_of(x), and R[r] the residual triple
+    of residual(inst, x)."""
     W = _Forms([inst.A for inst in insts]).m1(X, own) + np.array([inst.q for inst in insts])[own]
-    return ((_orthant_dist(X) <= tol) & (_orthant_dist(W) <= tol)
-            & (np.abs(np.vecdot(X, W)) <= tol))
+    return W, np.column_stack([_orthant_dist(X), _orthant_dist(W), np.abs(np.vecdot(X, W))])
 
 
-def _min_map_newton(insts, X0: np.ndarray, own: np.ndarray, iters: int = 80) -> np.ndarray:
+def _solved_rows(insts, X: np.ndarray, own: np.ndarray, tol: float) -> np.ndarray:
+    """is_solution(insts[own[r]], x, tol) at every row r, x of X, in one
+    check (_residual_rows)."""
+    return (_residual_rows(insts, X, own)[1] <= tol).all(axis=1)
+
+
+def _solutions(insts, X: np.ndarray, own: np.ndarray, tol: float) -> list[TcpSolution]:
+    """The TcpSolution of every row r, x of X on insts[own[r]], in one check
+    (_residual_rows): w and the residual triple as residual(inst, x) gives
+    them, alpha the coordinates of x above 1e-7, and converged when every
+    residual is within tol, as is_solution(inst, x, tol) says."""
+    (W, R), n = _residual_rows(insts, X, own), X.shape[1]
+    return [TcpSolution(x, w, p, d, c, IndexSet(tuple(np.flatnonzero(x > _SUPPORT_TOL) + 1), n),
+                        p <= tol and d <= tol and c <= tol)
+            for x, w, (p, d, c) in zip(X, W, R.tolist())]
+
+
+def _min_map_newton(insts, X0: np.ndarray, own: np.ndarray) -> np.ndarray:
     """Semismooth Newton on the min-map Phi(x) = min(x, A x^{m-1} + q) from
     every row r of the (S, n) array X0 at once, on the instance insts[own[r]]
-    (instances of one dimension and order); returns the end points clamped
-    to x >= 0, each row as its start would end alone on its instance."""
+    (instances of one dimension and order), for at most 80 steps; returns
+    the end points clamped to x >= 0, each row as its start would end alone
+    on its instance."""
     if not all(inst.cone.is_orthant for inst in insts):
         raise ValueError("min-map refinement requires the nonnegative orthant")
     forms = _Forms([inst.A for inst in insts])
@@ -207,11 +212,11 @@ def _min_map_newton(insts, X0: np.ndarray, own: np.ndarray, iters: int = 80) -> 
         F, J = forms.eval(V, o, jac=True)
         return np.where((V <= F + Q.take(o, axis=0))[:, :, None], eye, J)
 
-    X, _ = damped_newton(phi, jac, X0, iters, 1e-12)
+    X, _ = damped_newton(phi, jac, X0, _MIN_MAP_ITERS, 1e-12)
     return np.maximum(X, 0.0)
 
 
-def refine(inst: TcpInstance, x0, iters: int = 80) -> TcpSolution:
+def refine(inst: TcpInstance, x0) -> TcpSolution:
     """Semismooth Newton on the min-map Phi(x) = min(x, A x^{m-1} + q).
 
     Returns a TcpSolution with converged=False (never a false success) when
@@ -220,8 +225,8 @@ def refine(inst: TcpInstance, x0, iters: int = 80) -> TcpSolution:
     x = np.asarray(x0, dtype=float)
     if x.shape != (inst.A.dim,):
         raise ShapeError("starting point has wrong dimension")
-    x = _min_map_newton([inst], x[None], np.zeros(1, dtype=np.intp), iters)[0]
-    return _make_solution(inst, x, 1e-9)
+    own = np.zeros(1, dtype=np.intp)
+    return _solutions([inst], _min_map_newton([inst], x[None], own), own, 1e-9)[0]
 
 
 def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int,

@@ -27,7 +27,7 @@ from .classify import (
     is_K_regular,
     q_in_dual_SA,
 )
-from .compcones import complementary_tensor, q_membership
+from .compcones import _memberships, complementary_tensor, q_membership
 from .cones import PolyhedralCone, extreme_rays, from_generators, orthant, tangent_cone
 from .solver import TcpInstance, _min_map_newton, _solve_stack, _solved_rows, is_solution, residual
 from .tensor import (
@@ -96,12 +96,17 @@ def _draw_instance(inst: TcpInstance, stream: SplitMix64, eps: float):
     return dq, dA, TcpInstance(inst.cone, inst.q + dq, _perturbed_tensor(inst.A, dA))
 
 
+def _trial_streams(seed: int, trials: int) -> list:
+    """The stream SplitMix64(seed).spawn(t + 1) of every trial t."""
+    rng = SplitMix64(seed)
+    return [rng.spawn(t + 1) for t in range(trials)]
+
+
 def _trial_instances(inst: TcpInstance, eps: float, trials: int, seed: int) -> list:
     """(stream, dq, dA, perturbed instance) of every trial t: its stream
-    SplitMix64(seed).spawn(t + 1) and the perturbation drawn first from it."""
-    rng = SplitMix64(seed)
+    (_trial_streams) and the perturbation drawn first from it."""
     return [(stream, *_draw_instance(inst, stream, eps))
-            for stream in (rng.spawn(t + 1) for t in range(trials))]
+            for stream in _trial_streams(seed, trials)]
 
 
 def local_uniqueness_certificate(inst: TcpInstance, xbar,
@@ -346,37 +351,32 @@ def graph_closedness_probe(sequence, limit) -> bool:
 
 def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: int,
                                   budget: SearchBudget | None = None) -> dict:
-    """Persistence of unsolvability under small right-hand-side changes."""
+    """Persistence of unsolvability under small right-hand-side changes.
+
+    The closedness condition is checked on every complementary tensor in
+    one stacked minimisation.  Trial t draws dq from its own stream
+    SplitMix64(seed).spawn(t + 1), and all trials are decided in one stacked
+    membership walk.  Every verdict is that of its own is_K_nonsingular or
+    q_membership call."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     q = np.asarray(q, dtype=float)
     base = q_membership(A, q, budget)
     if base.member is not False:
         raise ValueError("probe requires a q certified as a non-member")
-    unverified = any(
-        is_K_nonsingular(complementary_tensor(A, IndexSet(alpha, A.dim)), orthant(A.dim),
-                         budget).status != "holds"
-        for r in range(1, A.dim + 1) for alpha in itertools.combinations(range(1, A.dim + 1), r))
+    n = A.dim
+    comps = [complementary_tensor(A, IndexSet(alpha, n))
+             for r in range(1, n + 1) for alpha in itertools.combinations(range(1, n + 1), r)]
+    unverified = any(_nonsingular_verdict(budget, *r).status != "holds"
+                     for r in _min_over_stack("norm_m1", comps, orthant(n), budget))
     warn = ("closedness sufficient condition unverified for some complementary tensors; "
             "result is empirical only") if unverified else ""
-    rng = SplitMix64(seed)
-    n = A.dim
-    unsolvable = 0
-    unknowns = 0
-    for t in range(trials):
-        trial_rng = rng.spawn(t + 1)
-        if eps == 0.0:
-            dq = np.zeros(n)
-        else:
-            dq = eps * trial_rng.uniform() * np.array(trial_rng.on_sphere(n))
-        res = q_membership(A, q + dq, budget)
-        if res.member is False:
-            unsolvable += 1
-        elif res.member is None:
-            unknowns += 1
+    qs = [q + (np.zeros(n) if eps == 0.0 else eps * s.uniform() * np.array(s.on_sphere(n)))
+          for s in _trial_streams(seed, trials)]
+    verdicts = [res.member for res in _memberships(A, qs, budget)]
     return {
-        "fraction_unsolvable": unsolvable / trials,
-        "unknown_trials": unknowns,
+        "fraction_unsolvable": verdicts.count(False) / trials,
+        "unknown_trials": verdicts.count(None),
         "eps": eps,
         "trials": trials,
         "seed": seed,
@@ -399,24 +399,18 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
     base = is_K_nonsingular(A, K, budget)
     if base.status != "holds":
         raise ValueError("base tensor is not certified K-nonsingular")
-    rng = SplitMix64(seed)
     n = A.dim
     shape = (n,) * A.order
     tensors, cones = [], []
-    for t in range(trials):
-        trial_rng = rng.spawn(t + 1)
+    for trial_rng in _trial_streams(seed, trials):
         if eps == 0.0:
-            dA = np.zeros(shape)
-            Kp = K
+            dA, Kp = np.zeros(shape), K
         else:
             flat = np.array(trial_rng.on_sphere(int(np.prod(shape))))
             dA = (eps * trial_rng.uniform()) * flat.reshape(shape)
-            if K.is_orthant:
-                Kp = K
-            else:
-                gens = [g + eps * trial_rng.uniform(-1.0, 1.0) *
-                        np.array(trial_rng.on_sphere(n)) for g in K.generators]
-                Kp = from_generators(gens)
+            Kp = K if K.is_orthant else from_generators(
+                [g + eps * trial_rng.uniform(-1.0, 1.0) * np.array(trial_rng.on_sphere(n))
+                 for g in K.generators])
         tensors.append(_perturbed_tensor(A, dA))
         cones.append(Kp)
     by_cone: dict[int, list[int]] = {}

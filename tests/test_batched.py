@@ -719,7 +719,7 @@ def head_alone(A, q, multistarts):
     est = float(np.linalg.norm(batch_apply_m1(A, _polysys._sphere_grid(k, res)), axis=1).min())
     lip = (m - 1) * float(np.max(np.abs(rows).sum(axis=1)))
     c = max(est - lip * ((math.pi / 2) / (res - 1) if k == 2 else 2.0 / res), 0.0)
-    bounded = c > 0.05
+    bounded = 0.05 < c < math.inf  # an overflowed (inf) or NaN bound bounds no box
     R = (qn / (0.5 * c)) ** (1.0 / (m - 1)) if bounded else (1.0 + qn) ** (1.0 / (m - 1)) * 10.0
     if k > 3:
         U = np.random.default_rng(0).random((4 * multistarts, k))
@@ -743,9 +743,20 @@ def overflow_stack():
             TcpInstance(orthant(2), np.array([-1.0, -1.0]), fx.identity(4, 2))]
 
 
+def overflow_square():
+    """Order 3, n = 2, both components 1e306 (u_1 - u_2)^2 and q = (-1, -1):
+    the squared norms of its sphere bound overflow, so the bound is inf,
+    though u = (1e-153, 0) is a root."""
+    square = {(i, j, k): 1e306 * (1 if j == k else -1)
+              for i in (1, 2) for j in (1, 2) for k in (1, 2)}
+    return TcpInstance(orthant(2), np.array([-1.0, -1.0]), Tensor(3, 2, square))
+
+
 @settings(max_examples=100, deadline=None)
 @given(insts=instance_stacks(max_n=4, extremes=True), multistarts=st.integers(1, 30))
 @example(insts=overflow_stack(), multistarts=24)
+@example(insts=[overflow_square(), TcpInstance(orthant(2), -np.ones(2), fx.identity(3, 2))],
+         multistarts=24)
 def test_stacked_head_is_the_per_instance_head(insts, multistarts):
     # the sign test and start phase of a stack, grouped by _tails and run in
     # blocks of tensors, give every system the scan fields, starts and slack
@@ -777,6 +788,20 @@ def test_overflow_stack_has_a_nan_grid_minimum():
                               np.linspace(0.0, 1e52, 4)[None, :, None, None] ** np.arange(4))
     assert heads[0][1] is None and np.isnan(up).any()
     assert math.isnan(scans[0].grid_min_residual) and math.isfinite(scans[1].grid_min_residual)
+
+
+def test_overflowed_sphere_bound_certifies_nothing():
+    # an inf sphere bound gave R = 0, and the box [0, 0] certified the
+    # system infeasible; it now bounds no box, so the scan is inconclusive
+    inst = overflow_square()
+    assert np.array_equal(apply_m1(inst.A, np.array([1e-153, 0.0])) + inst.q, [0.0, 0.0])
+    with np.errstate(all="ignore"):
+        assert _polysys.min_sphere_norm(inst.A) == math.inf
+        scan = scan_system(inst.A, inst.q)
+        (alpha, _, settled), = [s for s in walk_supports([inst.A], [inst.q], 24)
+                                if len(s[0]) == 2]
+    assert not scan.certified_infeasible and scan.reason.startswith("no box bound")
+    assert settled == [False]
 
 
 @settings(max_examples=40, deadline=None)

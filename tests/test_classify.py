@@ -21,7 +21,8 @@ from tcpkit.classify import (
     s_cone_samples,
 )
 from tcpkit.cones import from_generators, orthant
-from tcpkit.tensor import ShapeError, Tensor, apply_m, apply_m1, unit_tensor
+from tcpkit.tensor import (IndexSet, ShapeError, Tensor, apply_m, apply_m1, principal_subtensor,
+                           tensor_from_dense, unit_tensor)
 
 
 class TestMinOverBasis:
@@ -157,6 +158,48 @@ class TestPrincipalSweep:
 
     def test_unit_tensor_holds(self):
         assert all_principal_nonsingular(unit_tensor(3, 3)).status == "holds"
+
+
+def per_subset_sweep(A):
+    """all_principal_nonsingular as one is_K_nonsingular call per subset:
+    (status, certificate, witness, per_alpha, budget_used)."""
+    table, worst, used, status, witness = {}, None, 0, "holds", None
+    for r in range(1, A.dim + 1):
+        for alpha in itertools.combinations(range(1, A.dim + 1), r):
+            vd = is_K_nonsingular(principal_subtensor(A, IndexSet(alpha, A.dim)), orthant(r))
+            used += vd.budget_used
+            table[",".join(map(str, alpha))] = vd.status
+            if vd.status == "fails" and status != "fails":
+                status, worst, witness = "fails", vd, np.zeros(A.dim)
+                for k, i in enumerate(alpha):
+                    witness[i - 1] = vd.witness[k]
+            elif vd.status == "unknown" and status == "holds":
+                status, worst = "unknown", vd
+    return status, None if worst is None else worst.certificate, witness, table, used
+
+
+def singular_first_slice(seed):
+    """A random m=3, n=3 tensor with a_1jk = a_j1k = 0 for every j, k: its
+    sub-tensor on (1,) is zero, so the sweep fails there."""
+    D = fx.random_tensor("general", 3, 3, seed).to_dense()
+    D[0, 0, :] = D[0, :, 0] = 0.0
+    return tensor_from_dense(D)
+
+
+@pytest.mark.parametrize("A", [fx.E1(), fx.E2(), fx.E4(), fx.E2() + unit_tensor(3, 2).scale(1e-7),
+                               singular_first_slice(1)]
+                         + [fx.random_tensor("general", 3, 3, s) for s in range(3)],
+                         ids=["E1", "E2", "E4", "E2-shifted", "m3n3-singular"]
+                         + [f"m3n3-{s}" for s in range(3)])
+def test_principal_sweep_is_the_per_subset_loop(A):
+    # the sub-tensors of each size are checked in one stack; every field of
+    # the verdict is that of one is_K_nonsingular call per subset, bit for bit
+    # (E2 shifted by 1e-7 times the unit tensor is unknown on every subset)
+    v = all_principal_nonsingular(A)
+    status, cert, witness, table, used = per_subset_sweep(A)
+    assert (v.status, repr(v.certificate), v.per_alpha, v.budget_used) == \
+        (status, repr(cert), table, used)
+    assert (v.witness is None and witness is None) or v.witness.tobytes() == witness.tobytes()
 
 
 class TestSCone:

@@ -282,6 +282,14 @@ class TestRefusals:
         ["solve", "--fixture", "E1", "--q=-1,-1", "--tol", "nan"],
         ["solve", "--fixture", "E1", "--q=-1,-1", "--tol", "inf"],
         ["solve", "--fixture", "E1", "--q=-1,-1", "--tol=-1e-7"],
+        # each perturb mode missing a flag it reads
+        ["perturb", "existence", "--fixture", "identity32"],
+        ["perturb", "error-bound", "--fixture", "identity32", "--xbar=1,1"],
+        ["perturb", "error-bound", "--fixture", "identity32", "--q=-1,-1"],
+        ["perturb", "usc", "--fixture", "identity32"],
+        ["perturb", "unsolvable", "--fixture", "E1"],
+        ["perturb", "uniqueness", "--fixture", "identity32", "--xbar=1,1"],
+        ["perturb", "uniqueness", "--fixture", "identity32", "--q=-1,-1"],
     ])
     def test_one_line_parse_error(self, capsys, argv):
         code = main(argv)

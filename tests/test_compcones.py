@@ -6,7 +6,9 @@ from scipy.optimize import nnls
 
 from tcpkit import fixtures as fx
 from tcpkit.classify import SearchBudget, is_K_nonsingular
+from tcpkit import compcones
 from tcpkit.compcones import (
+    _memberships,
     complementary_tensor,
     q_membership,
     solution_from_membership,
@@ -227,3 +229,74 @@ class TestQMembership:
         a = q_membership(e1, [-1.0, -1.0], SearchBudget())
         b = q_membership(e1, [-1.0, -1.0], SearchBudget())
         assert np.array_equal(a.u, b.u)
+
+
+def membership_fields(res):
+    """Every field of a MembershipResult, arrays by bytes and floats by repr."""
+    return (res.member, res.alpha, None if res.u is None else res.u.tobytes(),
+            repr(res.residual), res.subsets_examined)
+
+
+def support_qs(A, rng, sizes):
+    """One q per support alpha of {1..n} with |alpha| in sizes: q = w - A x^{m-1}
+    for x > 0 on alpha and w > 0 off it, so x solves TCP(q, A); the walk may
+    still find a solution on an earlier support."""
+    n, out = A.dim, []
+    for alpha in (a for r in sizes for a in itertools.combinations(range(n), r)):
+        x, w = np.zeros(n), rng.uniform(0.1, 1.0, n)
+        x[list(alpha)], w[list(alpha)] = rng.uniform(0.2, 1.5, len(alpha)), 0.0
+        out.append(w - apply_m1(A, x))
+    return out
+
+
+class TestStackedMemberships:
+    """_memberships decides many q of one tensor in one stacked support walk;
+    every q must get the result of its own q_membership call, bit for bit."""
+
+    @staticmethod
+    def check(A, qs):
+        got = _memberships(A, qs)
+        assert [membership_fields(r) for r in got] == \
+            [membership_fields(q_membership(A, q)) for q in qs]
+        return got
+
+    def test_m3n2(self):
+        rng = np.random.default_rng(0)
+        verdicts = set()
+        for A in [fx.E1(), fx.E2()] + [fx.random_tensor("general", 3, 2, s) for s in range(4)]:
+            got = self.check(A, support_qs(A, rng, range(3)) + list(rng.uniform(-2, 2, (8, 2))))
+            verdicts |= {(r.member, r.subsets_examined) for r in got}
+        assert {(True, 1), (True, 2), (True, 3), (True, 4), (False, 4)} <= verdicts
+
+    def test_m3n3_members_non_members_and_unknowns(self):
+        A = fx.random_tensor("general", 3, 3, 19)
+        rng = np.random.default_rng(3)
+        non_members = [np.array([0.51, 0.54, -1.26]), np.array([1.26, 0.92, -1.55])]
+        qs = support_qs(A, rng, (1, 3)) + non_members + list(rng.uniform(-2, 2, (2, 3)))
+        got = self.check(A, qs)
+        assert {r.member for r in got} == {True, False, None}
+        assert len({r.subsets_examined for r in got if r.member}) >= 2
+
+    def test_walk_stops_once_every_q_is_a_member(self, monkeypatch):
+        # q = (1, 1), (-1, 1), (1, -1) are members of identity(3, 2) at the
+        # supports (), (1,) and (2,): the stacked walk stops after the third
+        # support and never scans (1, 2)
+        scanned, walk_supports = [], compcones.walk_supports
+
+        def walk(*args):
+            for step in walk_supports(*args):
+                scanned.append(step[0].members)
+                yield step
+
+        monkeypatch.setattr(compcones, "walk_supports", walk)
+        qs = [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]]
+        _memberships(fx.identity(3, 2), qs)
+        assert scanned == [(), (1,), (2,)]
+        got = self.check(fx.identity(3, 2), qs)
+        assert [(r.member, r.subsets_examined) for r in got] == [(True, 1), (True, 2), (True, 3)]
+
+    def test_rejects_any_bad_q(self, e1):
+        with pytest.raises(ShapeError):
+            _memberships(e1, [[-1.0, -1.0], [-1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            _memberships(e1, [[-1.0, -1.0], [np.nan, 1.0]])

@@ -181,6 +181,41 @@ class TestRefine:
         assert X[1, 0] == 0.0 and not refine(inst, X0[1]).converged
 
 
+def fields(s):
+    """The TcpSolution fields of s, floats by repr."""
+    return (s.x.tobytes(), s.w.tobytes(), repr(s.primal_dist), repr(s.dual_dist),
+            repr(s.comp_gap), s.alpha.members, s.converged)
+
+
+def fields_alone(inst, x, tol):
+    """The fields a solution at x must carry, from residual() at x alone:
+    w = A x^{m-1} + q, the residual triple, the coordinates above 1e-7 and
+    whether every residual is within tol."""
+    p, d, c = residual(inst, x)
+    support = tuple(i + 1 for i in range(len(x)) if x[i] > 1e-7)
+    return (x.tobytes(), inst.w_of(x).tobytes(), repr(p), repr(d), repr(c), support,
+            max(p, d, c) <= tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_solutions_carry_residual_of_each_point(n):
+    # -x_i^2 + 1 (slightly coupled) has the 2^n solutions x in {0, 1}^n; with
+    # q = -1 there is none.  solve_enumerate and refine check their points
+    # in one row check, which must give each point the residual triple of
+    # its own residual() call, bit for bit
+    rng = np.random.default_rng(n)
+    A = tensor_from_dense(-fx.identity(3, n).to_dense() + 0.02 * rng.uniform(-1, 1, (n,) * 3))
+    solvable, unsolvable = (TcpInstance(orthant(n), s * np.ones(n), A) for s in (1.0, -1.0))
+    sols = solve_enumerate(solvable).solutions
+    assert len(sols) == 2 ** n and not solve_enumerate(unsolvable).solutions
+    assert all(fields(s) == fields_alone(solvable, s.x, 1e-7) for s in sols)
+    refined = [refine(inst, x0) for inst in (solvable, unsolvable)
+               for x0 in rng.uniform(0.0, 2.0, (4, n))]
+    assert [s.converged for s in refined] == [True] * 4 + [False] * 4
+    assert all(fields(s) == fields_alone(inst, s.x, 1e-9)
+               for s, inst in zip(refined, [solvable] * 4 + [unsolvable] * 4))
+
+
 def probe_reference(inst, radius, samples, seed):
     """solution_set_probe's count and bound, checking the end point of each
     start with its own is_solution call."""

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from tcpkit import fixtures as fx
 from tcpkit import stability
 from tcpkit._rng import SplitMix64
 from tcpkit.classify import SearchBudget, is_copositive, is_K_nonsingular
+from tcpkit.compcones import complementary_tensor, q_membership
 from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance, refine, solve_enumerate
 from tcpkit.stability import (
@@ -19,7 +22,7 @@ from tcpkit.stability import (
     unsolvable_neighborhood_probe,
     usc_probe,
 )
-from tcpkit.tensor import apply_m1, frobenius_distance, unit_tensor
+from tcpkit.tensor import apply_m1, frobenius_distance, tensor_from_dense, unit_tensor
 
 
 @pytest.fixture
@@ -151,6 +154,30 @@ def per_trial_openness(K, A, eps, trials, seed):
             "seed": seed}
 
 
+def per_trial_unsolvable(A, q, eps, trials, seed):
+    """unsolvable_neighborhood_probe as one is_K_nonsingular call per
+    complementary tensor and one q_membership call per trial."""
+    n = A.dim
+    assert q_membership(A, q).member is False
+    alphas = [a for r in range(1, n + 1) for a in itertools.combinations(range(1, n + 1), r)]
+    unverified = any(is_K_nonsingular(complementary_tensor(A, a), orthant(n)).status != "holds"
+                     for a in alphas)
+    rng = SplitMix64(seed)
+    unsolvable = unknowns = 0
+    for t in range(trials):
+        trial_rng = rng.spawn(t + 1)
+        dq = np.zeros(n)
+        if eps != 0.0:
+            dq = eps * trial_rng.uniform() * np.array(trial_rng.on_sphere(n))
+        member = q_membership(A, q + dq).member
+        unsolvable += member is False
+        unknowns += member is None
+    note = ("closedness sufficient condition unverified for some complementary tensors; "
+            "result is empirical only") if unverified else ""
+    return {"fraction_unsolvable": unsolvable / trials, "unknown_trials": unknowns, "eps": eps,
+            "trials": trials, "seed": seed, "note": note}
+
+
 def suite_seeds(p, seed=2024):
     """The probe seeds of pass p of the benchmark's stability suite."""
     stream = SplitMix64(seed).spawn(p + 1)
@@ -158,7 +185,7 @@ def suite_seeds(p, seed=2024):
 
 
 class TestBatchedGates:
-    """The probes gate all their trials in one stacked minimisation; their
+    """The probes gate or decide all their trials in one stack; their
     reports must be those of the per-trial loops above, bit for bit."""
 
     @pytest.mark.parametrize("p", [0, 1])
@@ -168,6 +195,19 @@ class TestBatchedGates:
             per_trial_existence(id_inst, 1e-3, 50, s_exist)
         assert nonsingularity_openness_probe(orthant(2), e4, 1e-3, 5, seed=s_open) == \
             per_trial_openness(orthant(2), e4, 1e-3, 5, s_open)
+
+    @pytest.mark.parametrize("A, q, eps, trials, seed", [
+        (fx.E1(), [1.0, -1.0], 1e-4, 30, suite_seeds(0)[3]),  # the benchmark's op
+        (fx.E1(), [1.0, -1.0], 0.0, 5, 3),
+        (fx.E2(), [1.0, -1.0], 1.5, 8, 4),  # closedness unverified, one unknown trial
+        (tensor_from_dense(np.array([1.096, -1.289, -1.349, -1.757,
+                                     -1.751, -0.597, 1.598, 0.402]).reshape(2, 2, 2)),
+         [-1.02, 1.49], 0.2, 12, 1),  # members, non-members and unknowns
+    ])
+    def test_unsolvable_probe(self, A, q, eps, trials, seed):
+        # the closedness check and the trials are each decided in one stack
+        rep = unsolvable_neighborhood_probe(A, np.array(q), eps, trials, seed)
+        assert rep == per_trial_unsolvable(A, np.array(q), eps, trials, seed)
 
     def test_e4_resamples(self, e4):
         inst = TcpInstance(orthant(2), np.array([1.0, 1.0]), e4)
