@@ -18,6 +18,7 @@ import numpy as np
 from .tensor import Tensor, _power_coefficients
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _contract(C: np.ndarray, P: list) -> np.ndarray:
     """sum_e C[:, s, e] prod_d P[d][s, :, e_d] at every point of S boxes at once.
 
@@ -40,6 +41,7 @@ def _contract(C: np.ndarray, P: list) -> np.ndarray:
     return T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _block_bounds(C: np.ndarray, Q: np.ndarray, P: np.ndarray):
     """Lower and upper bounds on the residual max_i |(A u^{m-1} + q)_i| over
     each block of the grid of every system s of a stack, as two arrays of

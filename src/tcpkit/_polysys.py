@@ -97,6 +97,7 @@ def _row_abs_sums(A: Tensor, coef: np.ndarray) -> np.ndarray:
     return rows.sum(axis=2).max(axis=1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sphere_bounds(A: Tensor, coef: np.ndarray, abs_sums: list) -> list:
     """min_sphere_norm of every tensor coef[s] with A's tails, abs_sums its
     _row_abs_sums.  The sphere grid is contracted with every tensor in the

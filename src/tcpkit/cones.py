@@ -2,13 +2,14 @@
 
 A cone carries both a V-representation (generators) and an H-representation
 (inequality normals g with membership <g, x> >= 0).  The H-rep is derived
-from the generators by double description and never serialized.  Only the
-nonnegative orthant is supported above dimension 6; the double description
-step is combinatorial and deliberately capped.
+from the generators by enumerating tight halfspace sets (extreme_rays) and
+never serialized.  Only the nonnegative orthant is supported above dimension
+6; the enumeration is combinatorial and deliberately capped.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,9 @@ __all__ = [
     "cone_from_json",
 ]
 
-_DD_MAX_DIM = 6
+_MAX_DIM = 6
 _RAY_TOL = 1e-9
+_SLICE = 4096  # halfspace subsets per batched SVD
 
 
 class NotPointedError(ValueError):
@@ -74,14 +76,6 @@ def _normalize_rows(rows) -> list[np.ndarray]:
         if nrm > _RAY_TOL:
             out.append(r / nrm)
     return out
-
-
-def _dedup_rays(rays) -> list[np.ndarray]:
-    kept: list[np.ndarray] = []
-    for r in rays:
-        if all(np.linalg.norm(r - k) > 1e-8 for k in kept):
-            kept.append(r)
-    return kept
 
 
 def _nnls(G: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
@@ -127,47 +121,34 @@ def _nnls(G: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
     return lam, float(np.linalg.norm(G @ lam - z))
 
 
-def _prune_rays(rays: list[np.ndarray]) -> list[np.ndarray]:
-    """Greedy removal of rays generated by the remaining ones."""
-    kept = _dedup_rays(rays)
-    i = 0
-    while i < len(kept):
-        rest = kept[:i] + kept[i + 1 :]
-        if rest and _nnls(np.column_stack(rest), kept[i])[1] <= 1e-9:
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
-
-
 def extreme_rays(halfspaces, n: int) -> list[np.ndarray]:
     """Generating rays of {y : <a, y> >= 0 for every a in halfspaces}.
 
-    Double description starting from +-e_i (which generate all of R^n);
-    redundant rays are pruned by nonnegative least squares at the end.
+    An SVD of the normalized halfspaces gives their rank d and an orthonormal
+    basis of the lineality space; both signs of each basis vector are rays.
+    Each extreme ray of the rest is, in coordinates of the row space, the unit
+    null vector of d - 1 halfspaces of rank d - 1 that meets every halfspace.
+    All such subsets are solved by batched SVDs, _SLICE at a time, and the
+    rays found are deduplicated at 1e-8.
     """
-    if n > _DD_MAX_DIM:
-        raise ValueError(f"double description capped at dim {_DD_MAX_DIM}, got {n}")
-    rays: list[np.ndarray] = []
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        rays.append(e.copy())
-        rays.append(-e)
-    for a in _normalize_rows(halfspaces):
-        vals = [float(np.dot(a, r)) for r in rays]
-        pos = [r for r, v in zip(rays, vals) if v > _RAY_TOL]
-        zero = [r for r, v in zip(rays, vals) if abs(v) <= _RAY_TOL]
-        neg = [(r, v) for r, v in zip(rays, vals) if v < -_RAY_TOL]
-        combos = []
-        for rp, vp in [(r, v) for r, v in zip(rays, vals) if v > _RAY_TOL]:
-            for rn, vn in neg:
-                c = vp * rn - vn * rp
-                nrm = np.linalg.norm(c)
-                if nrm > _RAY_TOL:
-                    combos.append(c / nrm)
-        rays = _prune_rays(pos + zero + combos)
-    return rays
+    if n > _MAX_DIM:
+        raise ValueError(f"ray enumeration capped at dim {_MAX_DIM}, got {n}")
+    A = np.reshape(_normalize_rows(halfspaces), (-1, n))
+    s, Vt = np.linalg.svd(A)[1:]
+    d = int(np.sum(s > _RAY_TOL))
+    B = A @ Vt[:d].T
+    subsets = itertools.combinations(range(len(B)), d - 1) if d else ()
+    rays = np.empty((0, d))
+    while len(S := np.array(list(itertools.islice(subsets, _SLICE)), dtype=np.intp)):
+        s, V = np.linalg.svd(B[S])[1:]
+        Z = V[:, -1][np.min(s, axis=1, initial=np.inf) > _RAY_TOL]
+        vals = Z @ B.T
+        sign = np.where(np.all(vals >= -_RAY_TOL, axis=1), 1.0,
+                        np.where(np.all(vals <= _RAY_TOL, axis=1), -1.0, 0.0))
+        for z in Z[sign != 0] * sign[sign != 0, None]:
+            if not (np.linalg.norm(rays - z, axis=1) <= 1e-8).any():
+                rays = np.vstack([rays, z])
+    return list(np.vstack([rays @ Vt[:d], Vt[d:], -Vt[d:]]))
 
 
 def orthant(n: int) -> PolyhedralCone:
@@ -293,10 +274,6 @@ def tangent_cone(K: PolyhedralCone, xbar, tol: float = 1e-8) -> PolyhedralCone:
     if np.linalg.norm(xbar) <= tol:
         return K  # apex: the tangent cone is K itself
     active = tuple(g for g in K.inequalities if abs(float(np.dot(g, xbar))) <= tol)
-    if not active:
-        n = K.dim
-        gens = tuple(np.vstack([np.eye(n), -np.eye(n)]))
-        return PolyhedralCone(n, "general", gens, ())
     gens = tuple(extreme_rays(active, K.dim))
     return PolyhedralCone(K.dim, "general", gens, active)
 

@@ -32,6 +32,7 @@ from tcpkit.tensor import (
 )
 
 from conftest import CRITERIA_RESULTS, fd_jacobian
+from exact_oracle import exact_membership
 from oracle import MEMBER, UNKNOWN, grid_tcp_oracle
 
 
@@ -119,6 +120,7 @@ def test_criterion_3_decomposition_equivalence():
     f = []
     rng = SplitMix64(2024)
     agree = disagree = unknown = 0
+    exact, exact_disagree = {True: 0, False: 0, None: 0}, 0
     lib_s = oracle_s = 0.0
     for t in range(200):
         tr = rng.spawn(t + 1)
@@ -131,6 +133,11 @@ def test_criterion_3_decomposition_equivalence():
         verdict, _ = grid_tcp_oracle(dense, q)
         lib_s += t2 - t1
         oracle_s += time.perf_counter() - t2
+        truth = exact_membership(dense, q)
+        exact[truth] += 1
+        if truth is not None:
+            exact_disagree += res.member not in (None, truth)
+            exact_disagree += verdict != UNKNOWN and (verdict == MEMBER) != truth
         if res.member is None or verdict == UNKNOWN:
             unknown += 1
         elif res.member == (verdict == MEMBER):
@@ -141,8 +148,11 @@ def test_criterion_3_decomposition_equivalence():
     check(f, disagree == 0, f"{disagree} disagreements")
     check(f, unknown <= 20, f"unknown rate {unknown}/200 > 10%")
     check(f, elapsed < 300.0, f"runtime {elapsed:.0f}s >= 5min")
+    check(f, exact_disagree == 0, f"{exact_disagree} disagreements with the exact oracle")
+    check(f, exact[None] == 0, f"exact oracle left {exact[None]} cases undecided")
     CRITERIA_RESULTS.append(
         f"CRITERION 3 [detail]: agree={agree} unknown={unknown} "
+        f"exact={exact[True]}/{exact[False]}/{exact[None]} exact_disagree={exact_disagree} "
         f"time={elapsed:.0f}s lib={lib_s:.1f}s oracle={oracle_s:.1f}s")
     record(3, "decomposition equivalence vs grid oracle", f)
 

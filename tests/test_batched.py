@@ -26,6 +26,7 @@ with the same formula.
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from tcpkit import _forms, _polysys, _simplex
 from tcpkit._grid import _block_bounds, _contract, _grid_picks
 from tcpkit._polysys import _dedup, damped_newton, scan_system, walk_supports
 from tcpkit.classify import SearchBudget, _min_over_stack, descend_on_simplex, min_over_basis
+from tcpkit.compcones import q_membership
 from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance, _solve_stack, is_solution, residual, solve_enumerate
 from tcpkit.tensor import (Tensor, _derivative, _power_coefficients, _rows_m1, apply_m1,
@@ -802,6 +804,22 @@ def test_overflowed_sphere_bound_certifies_nothing():
                                 if len(s[0]) == 2]
     assert not scan.certified_infeasible and scan.reason.startswith("no box bound")
     assert settled == [False]
+
+
+def test_overflowed_bounds_raise_no_warning():
+    # the start phase's bounds may overflow to inf or NaN, as their docstrings
+    # say; that is no fault, so under warnings as errors the scan, the sphere
+    # bound and the membership still return what they return
+    inst = overflow_square()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = scan_system(inst.A, inst.q)
+        bound = _polysys.min_sphere_norm(inst.A)
+        res = q_membership(inst.A, inst.q)
+    assert scan.reason == "no box bound (near-singular on the orthant)"
+    assert scan.roots == [] and not scan.certified_infeasible and not scan.roots_complete
+    assert math.isnan(scan.grid_min_residual) and bound == math.inf
+    assert res.member and res.alpha.members == (1,) and np.array_equal(res.u, [1e-153, 0.0])
 
 
 @settings(max_examples=40, deadline=None)

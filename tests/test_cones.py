@@ -14,6 +14,7 @@ from tcpkit.cones import (
     delta_metric,
     dist,
     dual,
+    extreme_rays,
     from_generators,
     orthant,
     project,
@@ -259,6 +260,46 @@ class TestHRepresentation:
             D = np.array(dual(K).generators).T
             failures += [(case, "e_i", i) for i in range(n) if not lp_member(D, np.eye(n)[i])]
         assert failures == []
+
+
+def _halfspace_sets(count: int, seed: int):
+    """(rows, n) at n = 1..6: general rows, rows in a proper subspace (a
+    lineality space), rows with their negatives (often the cone {0}), and no
+    rows; some get repeated, scaled and zero rows appended."""
+    rng = np.random.default_rng(seed)
+    for case in range(count):
+        n, kind = case % 6 + 1, rng.integers(0, 4)
+        m = int(rng.integers(1, 2 * n + 3))
+        rows = rng.standard_normal((m, n))
+        if kind == 1:
+            Q = np.linalg.qr(rng.standard_normal((n, n)))[0][:, :rng.integers(0, n)]
+            rows = rows @ Q @ Q.T
+        elif kind == 2:
+            rows = np.vstack([rows, -rows[rng.random(m) < 0.8]])
+        elif kind == 3:
+            rows = rows[:0]
+        if len(rows) and rng.random() < 0.5:
+            picked = rows[rng.integers(0, len(rows), 3)]
+            rows = np.vstack([rows, picked, picked * rng.uniform(0.1, 10.0, (3, 1)),
+                              np.zeros((1, n))])
+        yield rows, n
+
+
+def test_extreme_rays_generate_the_cone():
+    # every ray meets every halfspace, and the LP maxima of random objectives
+    # over the part of P in [-1, 1]^n lie in the cone of the rays
+    rng = np.random.default_rng(5)
+    for rows, n in _halfspace_sets(180, seed=16):
+        rays = extreme_rays(list(rows), n)
+        R = np.array(rays).reshape(-1, n).T
+        assert np.allclose(np.linalg.norm(R, axis=0), 1.0)
+        for a in rows:
+            assert np.all(a @ R >= -(1e-9 + 1e-12) * np.linalg.norm(a))
+        for _ in range(3):
+            res = linprog(-rng.standard_normal(n), A_ub=-rows,
+                          b_ub=np.zeros(len(rows)), bounds=(-1.0, 1.0), method="highs")
+            assert res.status == 0
+            assert lp_member(R, res.x)
 
 
 def _nnls_problems(count: int, seed: int):
