@@ -10,6 +10,7 @@ the bits it gets alone.  ``classify`` builds its verdicts on these.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -158,24 +159,30 @@ class _Objective:
         return np.sqrt(np.maximum(v, 0.0))
 
 
+def _basis(K, n: int) -> np.ndarray:
+    """The normalized generators of K, the vertices of its basis, as the
+    columns of an (n, k) array."""
+    if K.dim != n:
+        raise ShapeError(f"cone of dimension {K.dim}, tensor of dimension {n}")
+    gens = [np.asarray(g, float) / np.linalg.norm(g) for g in K.generators]
+    if not gens:
+        raise ValueError("cone has no generators")
+    return np.column_stack(gens)
+
+
 def _min_over_stack(objective: str, tensors, K, budget):
     """[min_over_basis(objective, A, K, budget) for A in tensors], tensors of
     one order and dimension.  Each tensor scores the lattice on its own; then
     the starts of every tensor are polished in one descent, each row scored
     with its own tensor's coefficients, so every tensor gets the bits it
     gets alone."""
-    if K.dim != tensors[0].dim:
-        raise ShapeError(f"cone of dimension {K.dim}, tensor of dimension {tensors[0].dim}")
-    gens = [np.asarray(g, float) / np.linalg.norm(g) for g in K.generators]
-    if not gens:
-        raise ValueError("cone has no generators")
-    G = np.column_stack(gens)
+    G = _basis(K, tensors[0].dim)
     if K.is_orthant:  # G is the identity; + 0.0 turns -0.0 into +0.0 as _combine does
         to_x = to_lam = lambda L: L + 0.0
     else:
         to_x, to_lam = (lambda L: _combine(L, G)), (lambda X: _combine(X, G.T))
 
-    lattice = _simplex_lattice(len(gens), budget.resolution_for(len(gens)))
+    lattice = _simplex_lattice(G.shape[1], budget.resolution_for(G.shape[1]))
     X = to_x(lattice)
     c = min(budget.multistarts, len(X))  # starts per tensor
     obj = _Objective(objective, tensors)
@@ -197,3 +204,121 @@ def _min_over_stack(objective: str, tensors, K, budget):
             best[s] = float(v[s, j]), to_x(lam[s * c + j:s * c + j + 1])[0]
         out.append((*best[s], len(X) + int(used[s * c:(s + 1) * c].sum())))
     return out
+
+
+_CLEAR_DEPTH = 30  # rounds of bounds and cuts, at most: every vertex stays dyadic
+_CLEAR_LEAVES = 64  # open leaves per tensor, at most
+_CLEAR_ENTRIES = 2**8  # dense entries (n^m and k^m) of a tensor the enclosure takes, at most
+_CLEAR_SCALE = 2.0**8  # sum of |entries| of a tensor the enclosure takes, at most
+_CLEAR_BLOCK = 2**14  # transformed-tensor entries per block of leaves
+
+
+@functools.cache
+def _class_means(k: int, r: int) -> np.ndarray:
+    """The (k^r, C) matrix that averages the entries of a k^r tensor over
+    each class of index tuples equal up to order: the product with it is
+    the symmetrised tensor, one column per multiset of indices."""
+    idx = np.sort(np.array(list(itertools.product(range(k), repeat=r))), axis=1)
+    _, cls = np.unique(idx, axis=0, return_inverse=True)
+    M = np.zeros((len(idx), cls.max() + 1))
+    M[np.arange(len(idx)), cls] = 1.0 / np.bincount(cls)[cls]
+    M.flags.writeable = False  # cached, so shared by every call
+    return M
+
+
+def _bernstein(dense: np.ndarray, V: np.ndarray, form: str):
+    """Bernstein coefficients on the leaves with vertices V[p] (columns):
+    of A x^m (form "xm", one component) or of every component of A x^{m-1}
+    ("m1"), A = dense[p].  A form of degree d is sum_alpha b_alpha
+    B_alpha(lam) at x = V lam, with B_alpha >= 0 summing to 1 on the
+    simplex and b_alpha the entries of the symmetrised tensor A x_1 V ...
+    x_d V.  Returns (min, max) of each component's coefficients and the
+    coefficients at the vertices, shapes (P, c) and (P, c, k)."""
+    P, n, k = V.shape
+    m = dense.ndim - 1
+    Vb = V.reshape((P,) + (1,) * (m - 2) + (n, k))
+    T = dense
+    for _ in range(m - 1):  # contract every index but the first
+        T = np.moveaxis(T @ Vb, -1, 2)
+    r = m - 1
+    if form == "xm":
+        T, r = np.moveaxis(T, 1, -1) @ Vb, m
+    T = T.reshape(P, -1, k**r)
+    B = T @ _class_means(k, r)
+    vertices = np.ravel_multi_index((np.arange(k),) * r, (k,) * r)  # the tuples (j, ..., j)
+    return B.min(axis=2), B.max(axis=2), T[:, :, vertices]
+
+
+def _bisect(W: np.ndarray) -> np.ndarray:
+    """Both halves of every leaf W[p] (vertices as columns, in simplex
+    coordinates) cut at the midpoint of its longest edge (the first in
+    order among equals), the halves of W[p] at rows 2p and 2p + 1."""
+    P, k, _ = W.shape
+    D = W[:, :, :, None] - W[:, :, None, :]
+    a, b = np.divmod(np.argmax((D * D).sum(axis=1).reshape(P, k * k), axis=1), k)
+    mid = 0.5 * (W[np.arange(P), :, a] + W[np.arange(P), :, b])
+    halves = np.stack([W, W], axis=1)
+    halves[np.arange(P), 0, :, a] = mid
+    halves[np.arange(P), 1, :, b] = mid
+    return halves.reshape(2 * P, k, k)
+
+
+def _bernstein_clears(objective: str, tensors, K, margin: float) -> np.ndarray:
+    """Which tensors of the stack provably hold under the basis objective's
+    verdict rule, one bool per tensor, from Bernstein coefficients on
+    sub-simplices of the basis simplex (Bundfuss and Duer, Linear Algebra
+    Appl. 428, 2008).
+
+    A leaf clears when, each coefficient moved against the rule by rho =
+    2^-30 sum|a|,
+      xm: every coefficient of A x^m is >= -margin/2;
+      abs_xm: every coefficient of A x^m is >= 2 margin, or every one is
+        <= -2 margin;
+      norm_m1: for some i, every coefficient of (A x^{m-1})_i is >= 2
+        margin, or every one is <= -2 margin.
+    rho bounds the rounding of the coefficients and of the descent's
+    evaluations, sums of at most _CLEAR_ENTRIES products of coordinates of
+    modulus <= 1; the slack to the verdicts' thresholds (-margin, and
+    margin) covers the descent's points summing to 1 only up to rounding,
+    which scales a value by (sum x)^m.  So a cleared tensor also holds by
+    _min_over_stack.  A leaf that does not clear is cut in two at the
+    midpoint of its longest edge, in simplex coordinates.  A tensor clears
+    when every leaf does; it is left open when some vertex clears under no
+    component (no leaf around it can clear), past _CLEAR_LEAVES open leaves
+    or _CLEAR_DEPTH cuts, past _CLEAR_ENTRIES dense entries, or past a sum
+    of |entries| of _CLEAR_SCALE, where the descent's steps may leave the
+    simplex by more than rounding (and its squares overflow)."""
+    G = _basis(K, tensors[0].dim)
+    (n, k), m = G.shape, tensors[0].order
+    alive = np.zeros(len(tensors), dtype=bool)
+    if max(n, k) ** m > _CLEAR_ENTRIES:
+        return alive
+    dense = np.array([A.to_dense() for A in tensors])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.abs(dense).reshape(len(tensors), -1).sum(axis=1)
+    alive = scale <= _CLEAR_SCALE  # False at NaN
+    rho = 2.0**-30 * np.where(alive, scale, 0.0)
+    form = "m1" if objective == "norm_m1" else "xm"
+    c = -0.5 * margin if objective == "xm" else 2.0 * margin
+
+    def clears(lo, hi, r):  # per component: its coefficients lo..hi clear c
+        up = lo - r >= c
+        return up if objective == "xm" else up | (hi + r <= -c)
+
+    owner = np.flatnonzero(alive)  # the tensor of every open leaf
+    W = np.repeat(np.eye(k)[None], len(owner), axis=0)
+    step = max(1, _CLEAR_BLOCK // max(n, k) ** m)
+    for _ in range(_CLEAR_DEPTH):
+        done, dead = np.empty(len(owner), dtype=bool), np.empty(len(owner), dtype=bool)
+        for s in range(0, len(owner), step):
+            lo, hi, vert = _bernstein(dense[owner[s:s + step]], G @ W[s:s + step], form)
+            r = rho[owner[s:s + step], None]
+            done[s:s + step] = clears(lo, hi, r).any(axis=1)
+            dead[s:s + step] = ~clears(vert, vert, r[:, :, None]).any(axis=1).all(axis=1)
+        alive[owner[dead]] = False
+        keep = ~done & alive[owner]
+        alive[np.bincount(owner[keep], minlength=len(tensors)) > _CLEAR_LEAVES // 2] = False
+        keep &= alive[owner]
+        owner, W = np.repeat(owner[keep], 2), _bisect(W[keep])
+    alive[owner] = False  # leaves still open after _CLEAR_DEPTH rounds
+    return alive

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._simplex import _min_over_stack, _simplex_lattice, descend_on_simplex
+from ._simplex import _bernstein_clears, _min_over_stack, _simplex_lattice, descend_on_simplex
 from .cones import PolyhedralCone, orthant
 from .tensor import IndexSet, Tensor, apply_m1, batch_apply_m1, jacobian_m1, principal_subtensor
 
@@ -152,6 +152,22 @@ def is_K_nonsingular(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None =
 
 def _nonsingular_verdict(budget: SearchBudget, v: float, x: np.ndarray, used: int) -> Verdict:
     return _three_valued("K-nonsingular", v, x, used, budget.margin, budget.margin * 1e-3)
+
+
+def _holds(objective: str, tensors, K: PolyhedralCone, budget: SearchBudget) -> list[bool]:
+    """Whether min_over_basis(objective, A, K, budget), read by its verdict
+    rule (_psd_verdict for xm; for abs_xm and norm_m1 the rule of
+    is_K_regular and is_K_nonsingular), holds, for every A in tensors (of
+    one order and dimension).  The tensors a Bernstein enclosure clears
+    (_bernstein_clears) hold with no descent; the rest are minimised in one
+    stack (_min_over_stack) and read by the rule."""
+    out = _bernstein_clears(objective, tensors, K, budget.margin).tolist()
+    rest = [t for t, cleared in enumerate(out) if not cleared]
+    if rest:
+        for t, r in zip(rest, _min_over_stack(objective, [tensors[t] for t in rest], K, budget)):
+            vd = _psd_verdict("", budget, *r) if objective == "xm" else _nonsingular_verdict(budget, *r)
+            out[t] = vd.status == "holds"
+    return out
 
 
 def all_principal_nonsingular(A: Tensor, budget: SearchBudget | None = None) -> Verdict:

@@ -75,11 +75,12 @@ def _parse_vector(text: str) -> np.ndarray:
     return v
 
 
-def _parse_q(text: str, n: int) -> np.ndarray:
-    q = _parse_vector(text)
-    if q.shape != (n,):
-        raise _ParseFailure(f"--q has {len(q)} entries, expected {n}")
-    return q
+def _parse_point(flag: str, text: str, n: int) -> np.ndarray:
+    """The vector --flag, which must have n entries."""
+    v = _parse_vector(text)
+    if v.shape != (n,):
+        raise _ParseFailure(f"--{flag} has {len(v)} entries, expected {n}")
+    return v
 
 
 def _get_tensor(args):
@@ -159,7 +160,7 @@ def cmd_solve(args) -> int:
         A = _get_tensor(args)
         if args.q is None:
             raise _ParseFailure("--q is required without --instance")
-        inst = TcpInstance(orthant(A.dim), _parse_q(args.q, A.dim), A)
+        inst = TcpInstance(orthant(A.dim), _parse_point("q", args.q, A.dim), A)
     budget = _get_budget(args)
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise _ParseFailure(f"--tol must be finite and >= 0, got {args.tol}")
@@ -189,7 +190,7 @@ def cmd_solve(args) -> int:
 
 def cmd_membership(args) -> int:
     A = _get_tensor(args)
-    q = _parse_q(args.q, A.dim)
+    q = _parse_point("q", args.q, A.dim)
     budget = _get_budget(args)
     try:
         res = q_membership(A, q, budget)
@@ -234,15 +235,15 @@ def cmd_perturb(args) -> int:
         raise _ParseFailure(f"--radius must be finite and > 0, got {args.radius}")
     if args.trials is not None and args.trials < 1:
         raise _ParseFailure(f"--trials must be >= 1, got {args.trials}")
-    q = None if args.q is None else _parse_q(args.q, A.dim)
+    q = None if args.q is None else _parse_point("q", args.q, A.dim)
+    xbar = None if args.xbar is None else _parse_point("xbar", args.xbar, A.dim)
     try:
         inst = None if q is None else TcpInstance(orthant(A.dim), q, A)
         if args.mode == "existence":
             result = perturb_existence(inst, args.eps, args.trials, args.seed,
                                        budget).to_json()
         elif args.mode == "error-bound":
-            result = error_bound_probe(inst, _parse_vector(args.xbar),
-                                       args.radius, args.eps, args.trials,
+            result = error_bound_probe(inst, xbar, args.radius, args.eps, args.trials,
                                        args.seed, budget).to_json()
         elif args.mode == "usc":
             result = usc_probe(inst, args.eps, args.trials, args.seed, budget)
@@ -254,8 +255,7 @@ def cmd_perturb(args) -> int:
             result = nonsingularity_openness_probe(K, A, args.eps, args.trials,
                                                    args.seed, budget)
         else:  # uniqueness, the last of argparse's choices
-            result = local_uniqueness_certificate(
-                inst, _parse_vector(args.xbar), budget).to_json()
+            result = local_uniqueness_certificate(inst, xbar, budget).to_json()
     except ValueError as e:
         print(f"perturb error: {e}", file=sys.stderr)
         return EXIT_PERTURB

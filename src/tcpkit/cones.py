@@ -211,15 +211,29 @@ def project(K: PolyhedralCone, z) -> np.ndarray:
     G = np.column_stack(K.generators)
     return G @ _nnls(G, z)[0]
 
+
+def _row_norms(Z: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row of Z, with np.linalg.norm's bits
+    wherever the plain sum of squares is finite; a finite row whose sum of
+    squares overflows is divided by its largest |entry| first."""
+    with np.errstate(over="ignore"):
+        d = np.sqrt(np.vecdot(Z, Z))
+    big = np.isinf(d) & np.isfinite(Z).all(axis=-1)
+    if big.any():
+        s = np.abs(Z[big]).max(axis=-1, keepdims=True)
+        d[big] = s[:, 0] * np.sqrt(np.vecdot(Z[big] / s, Z[big] / s))
+    return d
+
+
 def dist(K: PolyhedralCone, z) -> float:
     """dist(z, K) = || z - proj_K(z) ||."""
     z = np.asarray(z, dtype=float)
-    d = float(np.linalg.norm(z - project(K, z)))
+    d, nz = _row_norms(np.array([z - project(K, z), z]))
     # the nnls projection leaves a round-off residual even for members;
     # snap it to an exact zero so dist(x, K) = 0 for x in K
-    if d <= 1e-12 * max(1.0, float(np.linalg.norm(z))):
+    if d <= 1e-12 * max(1.0, float(nz)):
         return 0.0
-    return d
+    return float(d)
 
 
 def basis_samples(K: PolyhedralCone, N: int, seed: int) -> list[np.ndarray]:

@@ -19,7 +19,7 @@ from ._forms import _Forms
 from ._polysys import _DEDUP_DIST, _dedup, damped_newton, walk_supports
 from ._rng import SplitMix64
 from .classify import SearchBudget
-from .cones import PolyhedralCone, cone_from_json, cone_to_json, dist, dual
+from .cones import PolyhedralCone, _row_norms, cone_from_json, cone_to_json, dist, dual
 from .tensor import (
     IndexSet,
     ShapeError,
@@ -158,9 +158,7 @@ def _solve_stack(insts, budget: SearchBudget | None = None) -> list[EnumerationO
 def _orthant_dist(Z: np.ndarray) -> np.ndarray:
     """cones.dist(orthant, z) at every row z of Z, bit for bit: the norm of
     z - max(z, 0), snapped to 0 at or below 1e-12 max(1, ||z||)."""
-    D = Z - np.maximum(Z, 0.0)
-    d = np.sqrt(np.vecdot(D, D))  # np.linalg.norm of each row, bit for bit
-    nz = np.sqrt(np.vecdot(Z, Z))
+    d, nz = _row_norms(Z - np.maximum(Z, 0.0)), _row_norms(Z)
     return np.where(d <= 1e-12 * np.where(nz > 1.0, nz, 1.0), 0.0, d)  # max(1.0, nz) keeps 1 at NaN
 
 

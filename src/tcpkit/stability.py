@@ -16,17 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._rng import SplitMix64
-from ._simplex import _combine, _min_over_stack, _simplex_lattice, descend_on_simplex
-from .classify import (
-    SearchBudget,
-    Verdict,
-    _nonsingular_verdict,
-    _psd_verdict,
-    is_copositive,
-    is_K_nonsingular,
-    is_K_regular,
-    q_in_dual_SA,
-)
+from ._simplex import _combine, _simplex_lattice, descend_on_simplex
+from .classify import SearchBudget, Verdict, _holds, q_in_dual_SA
 from .compcones import _memberships, complementary_tensor, q_membership
 from .cones import PolyhedralCone, extreme_rays, from_generators, orthant, tangent_cone
 from .solver import TcpInstance, _min_map_newton, _solve_stack, _solved_rows, is_solution, residual
@@ -185,17 +176,17 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     trial, then shifted by eps times the unit tensor, which adds the sum of
     m-th powers to the polynomial).  Trial t draws from its own stream
     SplitMix64(seed).spawn(t + 1), so the trials are gated together: one
-    stacked copositivity check of every trial's tensor, then of the redraws
-    of the trials that failed, each from its own stream; the verdicts are
-    those of one is_copositive call per tensor.  Then all trials are solved
-    in one stacked support walk, each with the outcome of its own
-    solve_enumerate call."""
+    stacked copositivity check (_holds) of every trial's tensor, then of
+    the redraws of the trials that failed, each from its own stream.  The
+    base check and every gate read the status is_copositive gives, decided
+    by a Bernstein enclosure first and by the basis search only for the
+    tensors it leaves open.  Then all trials are solved in one stacked
+    support walk, each with the outcome of its own solve_enumerate call."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     if not inst.cone.is_orthant:
         raise ValueError("perturb_existence requires the orthant")
-    base_cop = is_copositive(inst.A, budget)
-    if base_cop.status != "holds":
+    if not _holds("xm", [inst.A], inst.cone, budget)[0]:
         raise ValueError("base tensor is not certified copositive")
     dual_chk = q_in_dual_SA(inst.A, inst.q, budget)
     if dual_chk.status != "holds":
@@ -206,9 +197,8 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     redraws = [0] * trials
     pending = list(range(trials))
     while pending:
-        gates = _min_over_stack("xm", [perts[t].A for t in pending], inst.cone, budget)
-        pending = [t for t, r in zip(pending, gates)
-                   if _psd_verdict("copositive", budget, *r).status != "holds"]
+        gates = _holds("xm", [perts[t].A for t in pending], inst.cone, budget)
+        pending = [t for t, holds in zip(pending, gates) if not holds]
         for t in pending:
             perts[t] = _draw_instance(inst, draws[t][0], eps)[2]
             redraws[t] += 1
@@ -297,13 +287,14 @@ def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int,
     """Upper-semicontinuity probe: how far can perturbed solutions drift
     from the base solution set.
 
-    Trial t draws from its own stream SplitMix64(seed).spawn(t + 1); the
-    base instance and every trial are solved in one stacked support walk,
-    each with the outcome of its own solve_enumerate call."""
+    The base tensor must be K-regular, with the status is_K_regular gives,
+    decided by a Bernstein enclosure first (_holds).  Trial t draws from its
+    own stream SplitMix64(seed).spawn(t + 1); the base instance and every
+    trial are solved in one stacked support walk, each with the outcome of
+    its own solve_enumerate call."""
     _require_trials(trials)
     budget = budget or SearchBudget()
-    reg = is_K_regular(inst.A, inst.cone, budget)
-    if reg.status != "holds":
+    if not _holds("abs_xm", [inst.A], inst.cone, budget)[0]:
         raise ValueError("base tensor is not certified K-regular")
     perts = [pert for *_, pert in _trial_instances(inst, eps, trials, seed)]
     base, *outcomes = _solve_stack([inst] + perts, budget)
@@ -354,10 +345,11 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
     """Persistence of unsolvability under small right-hand-side changes.
 
     The closedness condition is checked on every complementary tensor in
-    one stacked minimisation.  Trial t draws dq from its own stream
-    SplitMix64(seed).spawn(t + 1), and all trials are decided in one stacked
-    membership walk.  Every verdict is that of its own is_K_nonsingular or
-    q_membership call."""
+    one stacked check (_holds): a Bernstein enclosure first, the basis
+    search only for the tensors it leaves open.  Trial t draws dq from its
+    own stream SplitMix64(seed).spawn(t + 1), and all trials are decided in
+    one stacked membership walk.  Every verdict is that of its own
+    is_K_nonsingular or q_membership call."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     q = np.asarray(q, dtype=float)
@@ -367,8 +359,7 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
     n = A.dim
     comps = [complementary_tensor(A, IndexSet(alpha, n))
              for r in range(1, n + 1) for alpha in itertools.combinations(range(1, n + 1), r)]
-    unverified = any(_nonsingular_verdict(budget, *r).status != "holds"
-                     for r in _min_over_stack("norm_m1", comps, orthant(n), budget))
+    unverified = not all(_holds("norm_m1", comps, orthant(n), budget))
     warn = ("closedness sufficient condition unverified for some complementary tensors; "
             "result is empirical only") if unverified else ""
     qs = [q + (np.zeros(n) if eps == 0.0 else eps * s.uniform() * np.array(s.on_sphere(n)))
@@ -392,12 +383,12 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
     Trial t draws from its own stream SplitMix64(seed).spawn(t + 1).  The
     trials that share a cone (all of them on the orthant or at eps = 0; on a
     jittered generated cone each trial has its own) are checked in one
-    stacked minimisation, with the verdicts of one is_K_nonsingular call
-    per trial."""
+    stacked check (_holds), with the status of one is_K_nonsingular call
+    per trial, as the base check is: a Bernstein enclosure decides first,
+    and the basis search runs only on the tensors it leaves open."""
     _require_trials(trials)
     budget = budget or SearchBudget()
-    base = is_K_nonsingular(A, K, budget)
-    if base.status != "holds":
+    if not _holds("norm_m1", [A], K, budget)[0]:
         raise ValueError("base tensor is not certified K-nonsingular")
     n = A.dim
     shape = (n,) * A.order
@@ -418,8 +409,7 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
         by_cone.setdefault(id(Kp), []).append(t)
     nonsingular = 0
     for group in by_cone.values():
-        for r in _min_over_stack("norm_m1", [tensors[t] for t in group], cones[group[0]], budget):
-            nonsingular += _nonsingular_verdict(budget, *r).status == "holds"
+        nonsingular += sum(_holds("norm_m1", [tensors[t] for t in group], cones[group[0]], budget))
     return {
         "fraction_nonsingular": nonsingular / trials,
         "eps": eps,

@@ -21,6 +21,11 @@ The root-box grid of scan_system, its start selection and its root dedup
 are checked against references written here the same way; the pruned
 start selection is checked against the full grid, scored point by point
 with the same formula.
+
+The Bernstein enclosure that decides the probes' gates before any descent
+must clear only tensors the stacked descent says hold, and only tensors
+whose objective clears the enclosure's threshold on a dense einsum grid
+written here.
 """
 
 import itertools
@@ -44,7 +49,7 @@ from tcpkit.compcones import q_membership
 from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance, _solve_stack, is_solution, residual, solve_enumerate
 from tcpkit.tensor import (Tensor, _derivative, _power_coefficients, _rows_m1, apply_m1,
-                           batch_apply_m1, jacobian_m1)
+                           batch_apply_m1, jacobian_m1, tensor_from_dense)
 
 
 def cubic(D):
@@ -908,11 +913,12 @@ def test_scan_system_memory_stays_blocked():
 
 
 def test_perturb_existence_gates_stay_blocked():
-    # the 50 trial tensors are gated in one stacked descent (800 rows) whose
-    # rungs past the third are scored in pieces of about 1 024 points, and
-    # solved in one stacked walk whose Newton stage refines 3 200 rows in
-    # place, the coefficients of both gathered 512 rows at a time: about
-    # 0.8 MiB in all, the solve's Newton rows the largest part
+    # the 50 trial tensors are gated by the Bernstein enclosure, its leaves
+    # bounded in blocks (a tensor it left open would go to one stacked
+    # descent, its rungs past the third scored in pieces of about 1 024
+    # points), and solved in one stacked walk whose Newton stage refines
+    # 3 200 rows in place, the coefficients gathered 512 rows at a time:
+    # about 0.8 MiB in all, the solve's Newton rows the largest part
     inst = TcpInstance(orthant(2), np.array([-1.0, -1.0]), fx.identity(3, 2))
     stability.perturb_existence(inst, 1e-3, 50, seed=7)
     tracemalloc.start()
@@ -939,3 +945,91 @@ def test_usc_probe_stays_blocked():
         tracemalloc.stop()
     assert report["unsolved_trials"] == 0 and report["base_solution_count"] == 1
     assert peak <= 2**20
+
+
+# --- the Bernstein enclosure of the probes' gates ---------------------------
+
+MARGIN = SearchBudget().margin
+CLEAR_AT = {"xm": -0.5 * MARGIN, "abs_xm": 2.0 * MARGIN, "norm_m1": 2.0 * MARGIN}
+
+
+def basis_grid(K, res):
+    """The points x = G lam of the basis, lam on the lattice of step 1/res
+    of the simplex, G the normalized generators of K."""
+    G = np.column_stack([np.asarray(g, float) / np.linalg.norm(g) for g in K.generators])
+    k = G.shape[1]
+    lam = np.array([c for c in itertools.product(range(res + 1), repeat=k) if sum(c) == res]) / res
+    return lam @ G.T
+
+
+def grid_objective(objective, D, X):
+    """The basis objective of the dense tensor D at every row of X, by einsum."""
+    m = D.ndim
+    F = np.einsum(D, list(range(m)), *[a for j in range(1, m) for a in (X, [m, j])], [m, 0])
+    if objective == "norm_m1":
+        return np.sqrt((F * F).sum(axis=1))
+    xm = (X * F).sum(axis=1)
+    return np.abs(xm) if objective == "abs_xm" else xm
+
+
+def enclosure_stack(n, m, K, seed):
+    """Dense tensors around every verdict threshold: random ones, near-unit
+    ones perturbed at eps 1e-2..1e-5, the negative unit tensor, a
+    copositive form with a zero inside the basis (like E4's), and two
+    families scaled across +-margin that are constant on the basis: the
+    form s (1'lam)^m, and s (1'lam)^{m-1} in row 1 only."""
+    rng = np.random.default_rng(seed)
+    G = np.column_stack([np.asarray(g, float) / np.linalg.norm(g) for g in K.generators])
+    c = np.linalg.solve(G.T, np.ones(n))  # c'G = 1', so c'x = 1'lam
+    power = c
+    for _ in range(m - 2):
+        power = np.multiply.outer(power, c)
+    flat, row = np.multiply.outer(c, power), np.zeros((n,) * m)
+    row[0] = power
+    unit = np.zeros((n,) * m)
+    unit[(np.arange(n),) * m] = 1.0
+    out = [rng.normal(size=(n,) * m) for _ in range(4)]
+    out += [unit + eps * rng.normal(size=(n,) * m) for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
+    out += [-unit, unit - flat / n ** (m - 1)]  # on the orthant the second is 0 at the barycentre
+    out += [s * MARGIN * T for T in (flat, row)
+            for s in (-3.0, -1.0, -0.75, -0.5, -0.25, 0.0, 0.5, 1.0, 1.5, 1.9, 2.1, 3.0)]
+    return out
+
+
+@pytest.mark.parametrize("generated", [False, True])
+@pytest.mark.parametrize("n, m", [(n, m) for n in (2, 3, 4) for m in (2, 3, 4)])
+def test_bernstein_clears_only_what_holds(n, m, generated):
+    # every cleared tensor holds by the stacked descent and clears its
+    # threshold on a dense grid of the basis; the unit tensor (and its
+    # negative, under the two-sided rules) is cleared, which takes cuts
+    rng = np.random.default_rng(10 * n + m)
+    K = from_generators(list(np.eye(n) + 0.3 * rng.random((n, n)))) if generated else orthant(n)
+    dense = enclosure_stack(n, m, K, seed=n * m)
+    tensors = [tensor_from_dense(D) for D in dense]
+    X = basis_grid(K, {2: 512, 3: 48, 4: 16}[n])
+    budget = SearchBudget()
+    for objective in ("xm", "abs_xm", "norm_m1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cleared = _simplex._bernstein_clears(objective, tensors, K, budget.margin)
+        assert cleared[4] and (objective == "xm" or cleared[8])  # unit + 1e-2 noise, -unit
+        if not generated:
+            assert cleared[7] and (objective != "xm" or cleared[9])  # eps 1e-5; a zero inside
+        picked = np.flatnonzero(cleared)
+        for t, (v, x, used) in zip(picked, _min_over_stack(objective, [tensors[t] for t in picked],
+                                                           K, budget)):
+            vd = (classify._psd_verdict("", budget, v, x, used) if objective == "xm"
+                  else classify._nonsingular_verdict(budget, v, x, used))
+            assert vd.status == "holds", (objective, t, v)
+            assert grid_objective(objective, dense[t], X).min() >= CLEAR_AT[objective], (objective, t)
+
+
+def test_bernstein_clears_nothing_that_overflows():
+    # entries of 1e306: the descent's squares overflow, so nothing is
+    # cleared, and the enclosure raises no warning
+    A = tensor_from_dense(np.full((2, 2, 2), 1e306))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for objective in ("xm", "abs_xm", "norm_m1"):
+            assert not _simplex._bernstein_clears(objective, [A, fx.identity(3, 2)], orthant(2),
+                                                  MARGIN)[0]

@@ -290,6 +290,10 @@ class TestRefusals:
         ["perturb", "unsolvable", "--fixture", "E1"],
         ["perturb", "uniqueness", "--fixture", "identity32", "--xbar=1,1"],
         ["perturb", "uniqueness", "--fixture", "identity32", "--q=-1,-1"],
+        # an --xbar of the wrong length, as a --q of the wrong length
+        ["perturb", "error-bound", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1,1"],
+        ["perturb", "uniqueness", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1,1"],
+        ["perturb", "uniqueness", "--fixture", "identity32", "--q=-1,-1", "--xbar=1"],
     ])
     def test_one_line_parse_error(self, capsys, argv):
         code = main(argv)

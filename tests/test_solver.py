@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ from tcpkit import fixtures as fx
 from tcpkit._rng import SplitMix64
 from tcpkit.classify import q_in_dual_SA
 from tcpkit.compcones import q_membership
-from tcpkit.cones import from_generators, orthant
+from tcpkit.cones import dist, from_generators, orthant
 from tcpkit.solver import (
     TcpInstance,
     _min_map_newton,
+    _residual_rows,
     instance_from_json,
     instance_to_json,
     is_solution,
@@ -23,6 +26,21 @@ from oracle import MEMBER, NON_MEMBER, grid_tcp_oracle
 
 
 class TestResidual:
+    def test_overflowed_norm_keeps_its_distance(self, identity32):
+        # ||w||^2 overflows at w = (0, -1e200); the distance is still 1e200,
+        # not snapped to 0, and the row check agrees, with no warning
+        inst = TcpInstance(orthant(2), np.array([-1e200, -1e200]), identity32)
+        x = np.array([1e100, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = dist(orthant(2), np.array([0.0, -1e200]))
+            res = residual(inst, x)
+            rows = _residual_rows([inst], x[None], np.zeros(1, dtype=np.intp))[1]
+            solved = is_solution(inst, x, 1e-6)
+        assert d == pytest.approx(1e200, rel=1e-15)
+        assert res[1] == pytest.approx(1e200, rel=1e-15) and not solved
+        assert rows.tolist() == [list(res)]
+
     def test_trivial_zero_solution(self, identity32):
         inst = TcpInstance(orthant(2), np.array([1.0, 1.0]), identity32)
         assert residual(inst, np.zeros(2)) == (0.0, 0.0, 0.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tcpkit import fixtures as fx
-from tcpkit import stability
+from tcpkit import classify, stability
 from tcpkit._rng import SplitMix64
 from tcpkit.classify import SearchBudget, is_copositive, is_K_nonsingular
 from tcpkit.compcones import complementary_tensor, q_membership
@@ -223,15 +223,37 @@ class TestBatchedGates:
         def gate(A):
             return rule != "never" and A.entries.get((1, 1, 1), 0.0) > 1.0
 
-        # the basis minimum of A x^m that the gate reads: 1 holds, -1 fails
-        monkeypatch.setattr(stability, "_min_over_stack", lambda objective, tensors, K, budget: [
-            (1.0 if gate(A) else -1.0, np.ones(2), 1) for A in tensors])
+        # the copositivity status the gates read; the base tensor keeps its own
+        monkeypatch.setattr(stability, "_holds", lambda objective, tensors, K, budget: [
+            A is id_inst.A or gate(A) for A in tensors])
         report = perturb_existence(id_inst, 1e-3, 4, seed=3)
         assert report == per_trial_existence(id_inst, 1e-3, 4, 3, gate)
         if rule == "never":
             assert report.resamples == 400
         else:
             assert 0 < report.resamples < 400
+
+    def test_enclosure_leaves_only_e1_complements_to_the_search(self, monkeypatch, id_inst, e4):
+        # on pass 0 of the suite the basis search sees no identity32 or E4
+        # tensor, base or trial: only E1's complementary tensors of the
+        # closedness check that the enclosure leaves open, {1} and {2}
+        seen = []
+
+        def spy(objective, tensors, K, budget):
+            seen.extend(tensors)
+            return min_over_stack(objective, tensors, K, budget)
+
+        min_over_stack = classify._min_over_stack
+        monkeypatch.setattr(classify, "_min_over_stack", spy)
+        s_exist, s_eb, s_usc, s_unsolv, s_open = suite_seeds(0)
+        xbar = np.array([1.0, 1.0])
+        local_uniqueness_certificate(id_inst, xbar)
+        perturb_existence(id_inst, 1e-3, 50, seed=s_exist)
+        error_bound_probe(id_inst, xbar, 0.1, 1e-3, 50, s_eb)
+        usc_probe(id_inst, 1e-3, 50, seed=s_usc)
+        unsolvable_neighborhood_probe(fx.E1(), np.array([1.0, -1.0]), 1e-4, 30, seed=s_unsolv)
+        nonsingularity_openness_probe(orthant(2), e4, 1e-3, 5, seed=s_open)
+        assert seen == [complementary_tensor(fx.E1(), a) for a in ((1,), (2,))]
 
     @pytest.mark.parametrize("eps", [0.0, 1e-2])
     def test_openness_on_a_generated_cone(self, eps, identity32):
