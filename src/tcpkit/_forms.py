@@ -28,11 +28,43 @@ class _Forms:
         groups = {}
         for i, A in enumerate(tensors):
             groups.setdefault(A._tails.tobytes(), []).append(i)
-        self.groups = [(tensors[m[0]], np.stack([tensors[i]._coef for i in m]))
-                       for m in groups.values()]
-        self.group, self.slot = np.empty((2, len(tensors)), dtype=np.intp)
-        for g, m in enumerate(groups.values()):
+        self._set([(tensors[m[0]], np.stack([tensors[i]._coef for i in m]), m)
+                   for m in groups.values()])
+
+    def _set(self, parts):
+        """The groups (A, coef, members), members the instances whose
+        coefficients are the rows of coef, in instance order."""
+        self.groups = [(A, coef) for A, coef, _ in parts]
+        self.group, self.slot = np.empty((2, sum(len(m) for *_, m in parts)), dtype=np.intp)
+        for g, (*_, m) in enumerate(parts):
             self.group[m], self.slot[m] = g, np.arange(len(m))
+
+    def cut(self, a) -> "_Forms":
+        """The forms of the principal sub-tensors on the sorted 0-based
+        indices a: every instance gets the tails and coefficients
+        principal_subtensor gives it.  Each group's stacked coefficients are
+        cut once (the tails and columns inside a); an instance then drops
+        the rows it holds all zero, so the group splits by its instances'
+        nonzero-row patterns, each part keeping its instances in order."""
+        pos = np.full(self.groups[0][0].dim, -1)
+        pos[a] = np.arange(len(a))
+        parts = []
+        for g, (A, coef) in enumerate(self.groups):
+            tails = pos[A._tails]  # pos is increasing on a, so kept rows stay sorted
+            inside = np.all(tails >= 0, axis=1)
+            tails, sub = tails[inside], coef[:, inside][:, :, a]
+            nonzero = np.any(sub != 0.0, axis=2)
+            split = {}
+            for s, row in enumerate(nonzero):
+                split.setdefault(row.tobytes(), []).append(s)
+            members = np.flatnonzero(self.group == g)
+            for at in split.values():
+                keep = nonzero[at[0]]
+                parts.append((Tensor._from_form(A.order, len(a), tails[keep], sub[at[0]][keep]),
+                              sub[at][:, keep], members[at]))
+        forms = object.__new__(_Forms)
+        forms._set(parts)
+        return forms
 
     def m1(self, X: np.ndarray, own: np.ndarray) -> np.ndarray:
         """A x^{m-1} at every row x of X, A its own tensor."""

@@ -22,11 +22,12 @@ in generator coordinates need not be square.
 ``walk_supports`` runs these scans over the complementary supports and
 applies the slack test; membership and the enumeration solver both read it.
 It walks a stack of instances at once.  The instances whose tensors share
-``_tails`` (the groups of ``_Forms``) run their sign test as one test on
-the stacked coefficients and their start phase in blocks of tensors: one
-sphere bound, one block enclosure and one scoring of the kept blocks per
-block, each block tagged with its instance.  Then one Newton run refines
-the starts of all of them, every row with its own instance's
+``_tails`` (the groups of ``_Forms``) cut their sub-systems once per
+support (``_Forms.cut``), run their sign test as one test on the stacked
+coefficients and their start phase in blocks of tensors: one sphere
+bound, one block enclosure per level and one scoring of the kept blocks
+per block, each block tagged with its instance.  Then one Newton run
+refines the starts of all of them, every row with its own instance's
 coefficients.  Every instance gets the bits it gets alone.
 """
 
@@ -42,14 +43,14 @@ import numpy as np
 from ._forms import _Forms
 from ._grid import _grid_picks
 from ._simplex import _compositions
-from .tensor import IndexSet, Tensor, _monomials, apply_off, principal_subtensor
+from .tensor import IndexSet, Tensor, _monomials, apply_off
 
 SYS_TOL = 1e-9  # residual at which a refined point counts as a root
 SLACK_TOL = 1e-8  # a support root counts when its slack is >= -SLACK_TOL
 
 _C_MIN = 0.05  # sphere-norm level below which no box bound is claimed
 _GRID_CELLS = 300_000  # points of the residual grid over the root box
-_HEAD_TENSORS = 4  # tensors per block of a stacked start phase
+_HEAD_TENSORS = 8  # tensors per block of a stacked start phase
 _NEWTON_ITERS = 60  # damped Newton steps from each start
 _DEDUP_DIST = 1e-6  # roots (and solutions) closer than this are one
 
@@ -102,16 +103,22 @@ def _sphere_bounds(A: Tensor, coef: np.ndarray, abs_sums: list) -> list:
     """min_sphere_norm of every tensor coef[s] with A's tails, abs_sums its
     _row_abs_sums.  The sphere grid is contracted with every tensor in the
     row blocks of batch_apply_m1, one product per tensor and block, so each
-    tensor gets the bits it gets alone; a NaN anywhere gives a NaN bound."""
+    tensor gets the bits it gets alone; a NaN anywhere gives a NaN bound.
+    The products are component first, (S, k, rows): numpy adds fewer than 8
+    terms in order, so the sum over the leading axis has the bits of a sum
+    over each row's k components; from 8 on it sums them pairwise, so the
+    squares are copied row first, contiguous, for that sum."""
     k = A.dim
     res = 4096 if k <= 2 else (48 if k == 3 else 12)
     V = _sphere_grid(k, res)
     least = np.inf
-    step = max(1, 2**16 // max(len(A._tails), 1))
+    step = max(1, 2**16 // max(len(A._tails) * len(coef), 1))  # rows x T x S per block
     for s in range(0, len(V), step):
-        F = _monomials(A, V[s:s + step]).T @ coef
+        F = np.swapaxes(coef, 1, 2) @ _monomials(A, V[s:s + step])
         F *= F  # np.linalg.norm's squares; the least norm is the root of the least square
-        least = np.minimum(least, np.add.reduce(F, axis=2).min(axis=1))
+        sq = (np.add.reduce(F, axis=1) if k < 8
+              else np.ascontiguousarray(np.swapaxes(F, 1, 2)).sum(axis=2))
+        least = np.minimum(least, sq.min(axis=1))
     h = (math.pi / 2) / (res - 1) if k == 2 else 2.0 / res
     return [max(est - (A.order - 1) * a * h, 0.0)
             for est, a in zip(np.sqrt(least).tolist(), abs_sums)]
@@ -325,13 +332,12 @@ def _scan_heads(forms: _Forms, Q: np.ndarray, multistarts: int):
     return scans, heads
 
 
-def _scan_stack(tensors, qs, multistarts: int) -> list[SystemScan]:
-    """[scan_system(A, q, multistarts) for A, q in zip(tensors, qs)], for
-    tensors of one order and dimension: the heads of all scans (_scan_heads),
-    then the starts of every open scan refined in one damped Newton, each
-    row with its own system's coefficients, so every scan gets the bits it
-    gets alone."""
-    forms, Q = _Forms(tensors), np.array(qs, dtype=float)
+def _scan_stack(forms: _Forms, Q: np.ndarray, multistarts: int) -> list[SystemScan]:
+    """[scan_system(A, q, multistarts) for A, q in zip(tensors, Q)], for
+    the tensors of forms (of one order and dimension): the heads of all
+    scans (_scan_heads), then the starts of every open scan refined in one
+    damped Newton, each row with its own system's coefficients, so every
+    scan gets the bits it gets alone."""
     scans, heads = _scan_heads(forms, Q, multistarts)
     open_ = [i for i, head in enumerate(heads) if head is not None]
     if open_:
@@ -356,7 +362,7 @@ def _scan_stack(tensors, qs, multistarts: int) -> list[SystemScan]:
 
 def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
     """Search for all nonnegative roots of A u^{m-1} + q = 0."""
-    return _scan_stack([A], [np.asarray(q, dtype=float)], multistarts)[0]
+    return _scan_stack(_Forms([A]), np.asarray(q, dtype=float)[None], multistarts)[0]
 
 
 def walk_supports(tensors, qs, multistarts: int):
@@ -370,11 +376,13 @@ def walk_supports(tensors, qs, multistarts: int):
     >= -SLACK_TOL; each one gives a solution (u_alpha, 0) of TCP(q, A).
     settled is True when the scan proves no other feasible root exists:
     the system is certified infeasible, or its root list is complete.
-    Each support cuts every instance's sub-form and scans them as one stack
-    (_scan_stack), so every instance gets what it gets alone.  The
-    generator is lazy, so a caller may stop at the first feasible root.
+    Each support cuts the sub-forms of each group of instances that share
+    _tails once (_Forms.cut) and scans them as one stack (_scan_stack), so
+    every instance gets what it gets alone.  The generator is lazy, so a
+    caller may stop at the first feasible root.
     """
     n = tensors[0].dim
+    forms, Q = _Forms(tensors), np.array(qs, dtype=float)
     for r in range(n + 1):
         for members in itertools.combinations(range(1, n + 1), r):
             alpha = IndexSet(members, n)
@@ -383,8 +391,7 @@ def walk_supports(tensors, qs, multistarts: int):
                               for q in qs], [True] * len(qs)
                 continue
             a, comp = [i - 1 for i in members], [i - 1 for i in alpha.complement]
-            scans = _scan_stack([principal_subtensor(A, alpha) for A in tensors],
-                                [q[a] for q in qs], multistarts)
+            scans = _scan_stack(forms.cut(a), Q[:, a], multistarts)
             feasible = []
             for A, q, scan in zip(tensors, qs, scans):
                 feasible.append([])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -67,13 +68,15 @@ def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
 
     Each row steps on its own: it backtracks from its last accepted step
     length t through the 30 rungs t, t/2, t/4, ... and accepts the first
-    strict decrease of f; an accepted step length doubles for the next step
-    (capped at 1e6).  A row stops when ||grad|| <= 1e-14 (or is NaN) or no
-    rung decreases f.  The first 3 rungs of every moving row are scored in
-    one call, then the next rungs of the rows that took none, in pieces of
-    about 1 024 points, until every row took one or ran out; a row is
-    charged the evaluations the one-rung-at-a-time rule makes: its accepted
-    rung + 1, or 30.  f must give each row the value it gets alone.
+    strict decrease of f at a point on the simplex (its sum within 1e-9 of
+    1, which the projection of a huge step misses); an accepted step length
+    doubles for the next step (capped at 1e6).  A row stops when ||grad||
+    <= 1e-14 (or is NaN) or no rung decreases f.  The first 3 rungs of
+    every moving row are scored in one call, then the next rungs of the
+    rows that took none, in pieces of about 1 024 points, until every row
+    took one or ran out; a row is charged the evaluations the
+    one-rung-at-a-time rule makes: its accepted rung + 1, or 30.  f must
+    give each row the value it gets alone.
     Returns (rows, their f values, evaluations of f per row).
     """
     lam = np.array(Lam0, dtype=float)
@@ -105,7 +108,8 @@ def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
             V = lam[rows[left], None] - T[:, :, None] * g[left, None]
             cand = _project_simplex(V.reshape(-1, k)).reshape(V.shape)
             fc = f(cand.reshape(-1, k), np.repeat(rows[left], hi - lo)).reshape(len(left), -1)
-            ok = fc < val[rows[left], None]
+            # a huge step cancels in the projection and leaves the simplex: no decrease
+            ok = (fc < val[rows[left], None]) & (np.abs(cand.sum(axis=2) - 1.0) <= 1e-9)
             took = ok.any(axis=1)
             j, hit = np.argmax(ok, axis=1)[took], left[took]
             first[hit] = lo + j
@@ -175,7 +179,9 @@ def _min_over_stack(objective: str, tensors, K, budget):
     one order and dimension.  Each tensor scores the lattice on its own; then
     the starts of every tensor are polished in one descent, each row scored
     with its own tensor's coefficients, so every tensor gets the bits it
-    gets alone."""
+    gets alone.  A tensor with an entry of 2^64 or more is searched scaled
+    by a power of two to entries below 1, so no square or step overflows,
+    and its value is scaled back."""
     G = _basis(K, tensors[0].dim)
     if K.is_orthant:  # G is the identity; + 0.0 turns -0.0 into +0.0 as _combine does
         to_x = to_lam = lambda L: L + 0.0
@@ -185,7 +191,9 @@ def _min_over_stack(objective: str, tensors, K, budget):
     lattice = _simplex_lattice(G.shape[1], budget.resolution_for(G.shape[1]))
     X = to_x(lattice)
     c = min(budget.multistarts, len(X))  # starts per tensor
-    obj = _Objective(objective, tensors)
+    top = [math.frexp(np.abs(A._coef).max(initial=0.0))[1] for A in tensors]
+    shift = [e if e > 64 else 0 for e in top]  # an entry of 2^64 or more has exponent 65
+    obj = _Objective(objective, [A.scale(2.0 ** -e) if e else A for A, e in zip(tensors, shift)])
     best, starts = [], []
     for s in range(len(tensors)):
         vals = obj.from_internal(obj.value(X, np.full(len(X), s)))
@@ -202,7 +210,9 @@ def _min_over_stack(objective: str, tensors, K, budget):
         j = int(np.argmin(v[s]))
         if v[s, j] < best[s][0] - 1e-15:
             best[s] = float(v[s, j]), to_x(lam[s * c + j:s * c + j + 1])[0]
-        out.append((*best[s], len(X) + int(used[s * c:(s + 1) * c].sum())))
+        with np.errstate(over="ignore"):  # a value past the largest float is inf
+            value = float(np.ldexp(best[s][0], shift[s]))
+        out.append((value, best[s][1], len(X) + int(used[s * c:(s + 1) * c].sum())))
     return out
 
 

@@ -118,10 +118,10 @@ def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
 def _three_valued(name: str, v: float, x: np.ndarray, used: int,
                   holds_above: float, fails_at_most: float) -> Verdict:
     """holds when the basis minimum v > holds_above, fails (witness x) when
-    v <= fails_at_most, unknown in between."""
+    v <= fails_at_most and x is not 0, unknown otherwise."""
     if v > holds_above:
         return Verdict(name, "holds", v, None, used, note="holds at sampling resolution")
-    if v <= fails_at_most:
+    if v <= fails_at_most and np.any(x):
         return Verdict(name, "fails", v, _unit(x), used)
     return Verdict(name, "unknown", v, None, used)
 

@@ -20,7 +20,9 @@ some are singular, with the bits of a plain per-row loop.
 The root-box grid of scan_system, its start selection and its root dedup
 are checked against references written here the same way; the pruned
 start selection is checked against the full grid, scored point by point
-with the same formula.
+with the same formula, and the sphere bound against its row-first
+expression.  The walk's one cut of each group's sub-forms per support
+must give every instance what principal_subtensor gives it.
 
 The Bernstein enclosure that decides the probes' gates before any descent
 must clear only tensors the stacked descent says hold, and only tensors
@@ -48,8 +50,9 @@ from tcpkit.classify import SearchBudget, _min_over_stack, descend_on_simplex, m
 from tcpkit.compcones import q_membership
 from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance, _solve_stack, is_solution, residual, solve_enumerate
-from tcpkit.tensor import (Tensor, _derivative, _power_coefficients, _rows_m1, apply_m1,
-                           batch_apply_m1, jacobian_m1, tensor_from_dense)
+from tcpkit.tensor import (IndexSet, Tensor, _derivative, _monomials, _power_coefficients,
+                           _rows_m1, apply_m1, batch_apply_m1, jacobian_m1, principal_subtensor,
+                           tensor_from_dense)
 
 
 def cubic(D):
@@ -126,7 +129,7 @@ def descent_one_start(f, grad, lam, iters, row=0):
             cand = simplex_projection(lam - t * g)
             fc = f(cand[None], at)[0]
             evals += 1
-            if fc < val:
+            if fc < val and abs(cand.sum() - 1.0) <= 1e-9:
                 lam, val, step = cand, fc, min(2.0 * t, 1e6)
                 break
             t *= 0.5
@@ -398,6 +401,63 @@ def test_stacked_rows_get_their_own_tensors_bits(m, n, S, R, seed):
 
 
 @st.composite
+def cut_stacks(draw):
+    """1..8 tensors of one order m in 2..4 and dimension n in 1..4, all cut
+    from the full support: each keeps the rows of one of three random
+    patterns of rows (rows dropped outside a support make tensors whose
+    cuts share tails though their _tails differ) and zeroes entries of its
+    own, so one group's instances drop different rows on a cut; some
+    entries are given as -0.0, and a pattern may keep no row inside a
+    cut."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tails = np.indices((n,) * (m - 1)).reshape(m - 1, -1).T
+    patterns = rng.random((3, len(tails), 1)) < rng.uniform(0.2, 1.0, (3, 1, 1))
+    tensors = []
+    for p in rng.integers(0, 3, draw(st.integers(1, 8))):
+        coef = np.round(rng.uniform(-2.0, 2.0, (len(tails), n)), 1)  # 0.0 and -0.0 among them
+        coef[rng.random(coef.shape) < draw(st.sampled_from([0.0, 0.3, 0.8]))] = -0.0
+        tensors.append(Tensor._from_form(m, n, tails, coef * patterns[p]))
+    return tensors
+
+
+def shared_cut_stack():
+    """Two tensors whose _tails differ only in a tail that holds index 3 and
+    a third with an all-zero component: cut to {1, 2}, the first two give
+    equal tails from two groups, and the third has no entry left in
+    component 1 of the cut."""
+    A = Tensor(3, 3, {(1, 1, 1): 1.0, (2, 1, 2): -0.0, (2, 2, 2): 2.0})
+    B = Tensor(3, 3, {(1, 1, 1): 3.0, (2, 2, 2): -1.0, (1, 3, 3): 5.0})
+    C = Tensor(3, 3, {(3, 1, 1): 1.0, (2, 2, 2): 4.0})
+    return [A, B, C, A]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors=cut_stacks())
+@example(tensors=shared_cut_stack())
+def test_cut_gives_each_instance_its_principal_subtensor(tensors):
+    # on every support, each instance reads from its group of the cut the
+    # tails and coefficient bits principal_subtensor gives it, its row in
+    # instance order within the group
+    n = tensors[0].dim
+    forms = _forms._Forms(tensors)
+    for r in range(1, n + 1):
+        for a in itertools.combinations(range(n), r):
+            cut = forms.cut(list(a))
+            for i, A in enumerate(tensors):
+                sub = principal_subtensor(A, IndexSet([j + 1 for j in a], n))
+                B, coef = cut.groups[cut.group[i]]
+                row = coef[cut.slot[i]]
+                assert (B.order, B.dim) == (sub.order, sub.dim)
+                assert B._tails.shape == sub._tails.shape and np.array_equal(B._tails, sub._tails)
+                assert row.shape == sub._coef.shape and row.tobytes() == sub._coef.tobytes()
+            for g in range(len(cut.groups)):
+                members = np.flatnonzero(cut.group == g)
+                assert np.array_equal(cut.slot[members], np.arange(len(members)))
+                assert len(cut.groups[g][1]) == len(members)
+
+
+@st.composite
 def tensor_stacks(draw):
     """1..8 tensors of one order m in 2..4 and dimension n in 1..4, on one to
     three random supports (stored zeros included), so a stack mixes tensors
@@ -538,12 +598,13 @@ def reference_grid_residual(A, q, axis):
     return out, mag + np.abs(q).max()
 
 
-def full_grid_residual(A, q, axis):
+def full_grid_residual(A, q, axis, coef=None):
     """max_i |(A u^{m-1} + q)_i| at every point of the grid axis^k, as a
     (g,) * k array: the formula scan_system scores its blocks with, applied
-    to the whole axis as one block."""
+    to the whole axis as one block.  coef, of A._coef's shape, stands for
+    A's coefficients."""
     k = A.dim
-    C = np.moveaxis(_power_coefficients(A), -1, 0)
+    C = np.moveaxis(_power_coefficients(A, coef), -1, 0)
     P = axis[:, None] ** np.arange(A.order)
     F = _contract(C[:, None], [P[None]] * k)[:, 0] + q.reshape((k,) + (1,) * k)
     return np.abs(F).max(axis=0)
@@ -559,6 +620,50 @@ def test_grid_residual_matches_its_defining_sum(k, m, g, R, seed):
     ref, mag = reference_grid_residual(A, q, axis)
     assert resid.shape == (g,) * k
     assert np.all(np.abs(resid - ref) <= 1e-12 * mag)
+
+
+def sphere_bounds_alone(A, coef, abs_sums, V, h):
+    """_sphere_bounds written row first: the products (S, rows, k), and the
+    squares of each row's k components summed by np.add.reduce over the
+    trailing axis."""
+    least = np.inf
+    step = max(1, 2**16 // max(len(A._tails), 1))
+    for s in range(0, len(V), step):
+        F = _monomials(A, V[s:s + step]).T @ coef
+        F *= F
+        least = np.minimum(least, np.add.reduce(F, axis=2).min(axis=1))
+    return [max(est - (A.order - 1) * a * h, 0.0)
+            for est, a in zip(np.sqrt(least).tolist(), abs_sums)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 12), m=st.integers(2, 3), S=st.integers(1, 8),
+       rows=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+def test_sphere_bounds_keep_the_row_first_bits(k, m, S, rows, seed, bad):
+    # the component-first products give every tensor of the stack the bits
+    # of the row-first sum, for k below 8 (summed in order) and from 8 on
+    # (pairwise); a NaN or infinite coefficient poisons only its tensor.
+    # The sphere grid is replaced by random directions, so k = 12 stays
+    # small, and abs_sums by 0, so no Lipschitz term clips a bound to 0
+    rng = np.random.default_rng(seed)
+    A = sparse_system(k, m, seed)[0] if k <= 4 else Tensor._from_form(
+        m, k, np.indices((k,) * (m - 1)).reshape(m - 1, -1).T,
+        rng.uniform(-2.0, 2.0, (k ** (m - 1), k)) * (rng.random((k ** (m - 1), 1)) < 0.5))
+    coef = A._coef[None] * 10.0 ** rng.integers(-3, 4, (S, 1, k))
+    if bad is not None and coef.shape[1]:  # one tail row of one tensor
+        coef[rng.integers(S), rng.integers(coef.shape[1])] = bad
+    V = np.abs(rng.normal(size=(rows, k)))
+    V /= np.linalg.norm(V, axis=1, keepdims=True)
+    with np.errstate(all="ignore"):
+        abs_sums = [0.0] * S
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_polysys, "_sphere_grid", lambda k, res: V)
+            got = _polysys._sphere_bounds(A, coef, abs_sums)
+        res = 4096 if k <= 2 else (48 if k == 3 else 12)
+        ref = sphere_bounds_alone(A, coef, abs_sums, V,
+                                  (math.pi / 2) / (res - 1) if k == 2 else 2.0 / res)
+    assert repr(got) == repr(ref)
 
 
 @st.composite
@@ -586,22 +691,61 @@ def test_block_bounds_bracket_every_point(system, cut):
     C = np.moveaxis(_power_coefficients(A), -1, 0)
     starts = np.arange(0, g, cut)
     pos = np.minimum(starts[:, None] + np.arange(cut), g - 1)  # the last block padded
-    low, up = _block_bounds(C[:, None], q[None], axis[pos][None, ..., None] ** np.arange(A.order))
+    lows, highs = (axis[pos[:, end]][None, :, None] ** np.arange(A.order) for end in (0, -1))
+    low, up = _block_bounds(C[:, None], q[None], [lows] * k, [highs] * k)
     low, up = low[0], up[0]
     resid = full_grid_residual(A, q, axis)
     of_point = np.ix_(*[np.arange(g) // cut] * k)
     assert np.all(low[of_point] <= resid) and np.all(resid <= up[of_point])
 
 
+@st.composite
+def grid_stacks(draw):
+    """1..8 systems of one grid_systems tensor's tails, each with its own
+    coefficients (the tensor's, perturbed or not), q and axis; the grid
+    sizes include ragged last coarse blocks (g = 40 and 130 at k = 2: 10
+    and 17 fine blocks; g = 66 at k = 3: 14), and R = 1e160 makes the
+    powers overflow at m >= 3, so bounds and residuals are NaN."""
+    A, q, _ = draw(grid_systems())
+    k, m = A.dim, A.order
+    g = draw(st.integers(2, 40) | st.sampled_from([130]) if k == 2
+             else st.integers(2, 12) | st.just(66))
+    S = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coef = np.repeat(A._coef[None], S, axis=0)
+    coef[1:] += rng.uniform(-1.0, 1.0, coef[1:].shape) * draw(st.sampled_from([0.0, 1e-3, 1.0]))
+    Q = np.repeat(q[None], S, axis=0)
+    Q[1:] += rng.uniform(-0.5, 0.5, Q[1:].shape) * draw(st.sampled_from([0.0, 1.0]))
+    R = [draw(st.sampled_from([1e-9, 1e-3, 1e160]) | st.floats(0.01, 20.0)) for _ in range(S)]
+    return A, coef, Q, np.array([np.linspace(0.0, r, g) for r in R])
+
+
+def nan_block_stack():
+    """1e-8 u_i^4 - 1e300 on g = 130 points up to 1.29e77: the root is at
+    point 100 of each axis, u^4 overflows from point 116 on, so the coarse
+    block [96, 127]^2 that holds the best points has NaN bounds, while the
+    blocks below it hold more than 96 points with finite bounds."""
+    A = Tensor(5, 2, {(1, 1, 1, 1, 1): 1e-8, (2, 2, 2, 2, 2): 1e-8})
+    return A, A._coef[None], np.array([[-1e300, -1e300]]), np.linspace(0.0, 1.29e77, 130)[None]
+
+
 @settings(max_examples=80, deadline=None)
-@given(system=grid_systems(), N=st.integers(1, 100) | st.just(2000))
-def test_pruned_selection_is_the_full_stable_argsort(system, N):
-    # N = 2000 >= g^k selects every point
-    A, q, axis = system
-    resid = full_grid_residual(A, q, axis).ravel()
-    (best,), (least,) = _grid_picks(A, A._coef[None], q[None], axis[None], N)
-    assert np.array_equal(best, np.argsort(resid, kind="stable")[:N])
-    assert least == resid.min()
+@given(stack=grid_stacks(), N=st.integers(1, 100) | st.sampled_from([2000, 10000]))
+@example(stack=(fx.identity(3, 3), fx.identity(3, 3)._coef[None],
+                np.array([[-1.0, -0.5, -1.0]]), np.linspace(0.0, 2.0, 66)[None]), N=10000)
+@example(stack=nan_block_stack(), N=96)
+def test_pruned_selection_is_the_full_stable_argsort(stack, N):
+    # every system of the stack gets the picks and least residual of the
+    # full grid: a coarse block holds 4 x 4 (x 4) fine blocks, 16 points on
+    # an axis at g = 130 and 20 at g = 66, so N = 10000 (and N = 2000 at
+    # k = 3) needs more than one coarse block; N >= g^k selects every point
+    A, coef, Q, axes = stack
+    with np.errstate(all="ignore"):
+        best, least = _grid_picks(A, coef, Q, axes, N)
+        resid = [full_grid_residual(A, q, axis, c).ravel() for c, q, axis in zip(coef, Q, axes)]
+    for b, lo, r in zip(best, least, resid):
+        assert np.array_equal(b, np.argsort(r, kind="stable")[:N])
+        assert repr(lo) == repr(r.min())
 
 
 @settings(max_examples=16, deadline=None)
@@ -791,8 +935,9 @@ def test_overflow_stack_has_a_nan_grid_minimum():
     with np.errstate(all="ignore"):
         scans, heads = _polysys._scan_heads(_forms._Forms([A, fx.identity(4, 2)]),
                                             np.array([q, [-1.0, -1.0]]), 24)
+        points = np.linspace(0.0, 1e52, 4)[None, :, None] ** np.arange(4)  # blocks of one point
         _, up = _block_bounds(np.moveaxis(_power_coefficients(A), -1, 0)[:, None], q[None],
-                              np.linspace(0.0, 1e52, 4)[None, :, None, None] ** np.arange(4))
+                              [points] * 2, [points] * 2)
     assert heads[0][1] is None and np.isnan(up).any()
     assert math.isnan(scans[0].grid_min_residual) and math.isfinite(scans[1].grid_min_residual)
 
@@ -897,9 +1042,11 @@ def test_dedup_keeps_the_roots_of_the_plain_loop(k, S, seed):
 
 
 def test_scan_system_memory_stays_blocked():
-    # the 512 x 512 residual grid alone would be 2 MiB; only the blocks that
-    # can hold a start are scored (about 1 000 points here), so the peak is
-    # the block bounds, the Newton rows and the sphere grid, about 0.3 MiB
+    # the 512 x 512 residual grid alone would be 2 MiB; its 64 coarse blocks
+    # are bounded, then the 16 blocks inside each of the 4 coarse ones that
+    # can hold a start, and only the blocks that can hold one are scored
+    # (1 024 points here), so the peak is the sphere bound, the Newton rows
+    # and the block bounds, about 0.2 MiB
     A, q = fx.identity(3, 2), np.array([-1.0, -1.0])
     scan_system(A, q)
     tracemalloc.start()
@@ -916,9 +1063,12 @@ def test_perturb_existence_gates_stay_blocked():
     # the 50 trial tensors are gated by the Bernstein enclosure, its leaves
     # bounded in blocks (a tensor it left open would go to one stacked
     # descent, its rungs past the third scored in pieces of about 1 024
-    # points), and solved in one stacked walk whose Newton stage refines
+    # points), and solved in one stacked walk that cuts the trials'
+    # coefficients once per support, runs their start phase 8 tensors at a
+    # time (the sphere bound in blocks of about 2^16 products), and refines
     # 3 200 rows in place, the coefficients gathered 512 rows at a time:
-    # about 0.8 MiB in all, the solve's Newton rows the largest part
+    # about 0.85 MiB in all, the start phase and the Newton rows the
+    # largest parts
     inst = TcpInstance(orthant(2), np.array([-1.0, -1.0]), fx.identity(3, 2))
     stability.perturb_existence(inst, 1e-3, 50, seed=7)
     tracemalloc.start()
@@ -933,8 +1083,9 @@ def test_perturb_existence_gates_stay_blocked():
 
 def test_usc_probe_stays_blocked():
     # the 51 instances are the sparse base, a _tails group of its own, and
-    # the 50 dense trials; the trials' start phase runs a few tensors at a
-    # time, and the Newton stage refines their rows in place: about 0.9 MiB
+    # the 50 dense trials, cut once per support; the trials' start phase
+    # runs 8 tensors at a time, and the Newton stage refines their rows in
+    # place: about 0.85 MiB
     inst = TcpInstance(orthant(2), np.array([-1.0, -1.0]), fx.identity(3, 2))
     stability.usc_probe(inst, 1e-3, 50, seed=7)
     tracemalloc.start()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tcpkit import classify
 from tcpkit import fixtures as fx
 from tcpkit._polysys import _sphere_grid
 from tcpkit.classify import (
@@ -225,6 +226,11 @@ class TestVerdictPlumbing:
         assert obj["status"] == "holds"
         assert set(obj) >= {"property", "status", "certificate", "witness"}
 
+    def test_zero_witness_is_no_failure(self):
+        # a minimum at x = 0 is no point of the basis: unknown, not fails
+        vd = classify._three_valued("K-regular", 0.0, np.zeros(2), 1, 1e-6, 1e-9)
+        assert vd.status == "unknown" and vd.witness is None
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             SearchBudget(multistarts=0)
@@ -244,3 +250,48 @@ def test_lattices_match_product_filter(k, res):
     if k >= 3:  # k <= 2 sphere grids are angle grids
         sphere = comps / np.linalg.norm(comps, axis=1, keepdims=True)
         assert np.array_equal(_sphere_grid(k, res), sphere)
+
+
+def scaled_cases(c):
+    """m = 3, n = 2 tensors of entries of size c, with their statuses under
+    (K-regular, K-nonsingular, strictly copositive, copositive) on the
+    orthant and the basis minima of the verdicts that hold: every entry c
+    (A x^2 = c (x1 + x2)^2 (1, 1)); c times the unit tensor (minima at
+    (1/2, 1/2)); and c (x1^3 - x2^3), which is zero at x1 = x2 and negative
+    at e2."""
+    full = Tensor(3, 2, {idx: c for idx in itertools.product((1, 2), repeat=3)})
+    diff = Tensor(3, 2, {(1, 1, 1): c, (2, 2, 2): -c})
+    return [(full, ("holds",) * 4, (c, c * math.sqrt(2.0), c, c)),
+            (unit_tensor(3, 2).scale(c), ("holds",) * 4,
+             (c / 4, c * math.sqrt(2.0) / 4, c / 4, c / 4)),
+            (diff, ("fails", "holds", "fails", "fails"), (None, c * math.sqrt(2.0) / 4, None, None))]
+
+
+@pytest.mark.parametrize("exponent", [0, 9, 16, 20, 50, 100, 154, 200, 250, 300, 306])
+def test_basis_search_is_right_on_large_tensors(exponent):
+    # on such tensors a huge step cancels in the simplex projection and can
+    # land on x = 0, where every objective is 0, and past about 1e154 the
+    # objectives' squares overflow (a RuntimeWarning, an error under this
+    # suite's settings).  Every status is right, every certificate is
+    # finite and near the true minimum, and every fails witness is a
+    # nonzero point of the orthant that violates its inequality by a dense
+    # einsum of its own
+    c = 10.0 ** exponent
+    margin = SearchBudget().margin
+    for A, statuses, minima in scaled_cases(c):
+        D = A.to_dense()
+        verdicts = (is_K_regular(A, orthant(2)), is_K_nonsingular(A, orthant(2)),
+                    is_strictly_copositive(A), is_copositive(A))
+        assert tuple(v.status for v in verdicts) == statuses
+        for v, least in zip(verdicts, minima):
+            if v.status == "holds":
+                assert math.isfinite(v.certificate)
+                assert v.certificate == pytest.approx(least, rel=1e-9)
+                continue
+            w = v.witness
+            assert np.all(w >= 0.0) and np.linalg.norm(w) == pytest.approx(1.0)
+            xm = np.einsum("ijk,i,j,k->", D, w, w, w)
+            if v.property == "K-regular":  # |A x^3| <= margin / 1000 on the simplex
+                assert abs(xm) <= 2.0 ** 1.5 * 1e-3 * margin
+            else:
+                assert xm < 0.0
