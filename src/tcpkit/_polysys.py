@@ -365,7 +365,7 @@ def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
     return _scan_stack(_Forms([A]), np.asarray(q, dtype=float)[None], multistarts)[0]
 
 
-def walk_supports(tensors, qs, multistarts: int):
+def walk_supports(tensors, qs, multistarts: int, live=None):
     """Scan every complementary support alpha of {1..n} for every instance
     (A, q) of a stack at once (tensors of one order and dimension n), by
     increasing size and lexicographically within a size, yielding (alpha,
@@ -379,24 +379,32 @@ def walk_supports(tensors, qs, multistarts: int):
     Each support cuts the sub-forms of each group of instances that share
     _tails once (_Forms.cut) and scans them as one stack (_scan_stack), so
     every instance gets what it gets alone.  The generator is lazy, so a
-    caller may stop at the first feasible root.
+    caller may stop at the first feasible root.  live, a boolean array over
+    the instances that the caller may clear between yields, drops instances:
+    from the next support on only the live ones are scanned (a dropped one
+    gets no root and settled False), and the walk ends when none is live.
     """
     n = tensors[0].dim
-    forms, Q = _Forms(tensors), np.array(qs, dtype=float)
+    live = np.ones(len(tensors), dtype=bool) if live is None else live
+    Q, rows = np.array(qs, dtype=float), None
     for r in range(n + 1):
         for members in itertools.combinations(range(1, n + 1), r):
+            if not live.any():
+                return
             alpha = IndexSet(members, n)
             if r == 0:
                 yield alpha, [[(np.zeros(0), q)] if np.all(q >= -SLACK_TOL) else []
                               for q in qs], [True] * len(qs)
                 continue
+            if rows is None or not np.array_equal(rows, np.flatnonzero(live)):
+                rows = np.flatnonzero(live)
+                forms = _Forms([tensors[i] for i in rows])
             a, comp = [i - 1 for i in members], [i - 1 for i in alpha.complement]
-            scans = _scan_stack(forms.cut(a), Q[:, a], multistarts)
-            feasible = []
-            for A, q, scan in zip(tensors, qs, scans):
-                feasible.append([])
+            feasible, settled = [[] for _ in qs], [False] * len(qs)
+            for i, scan in zip(rows, _scan_stack(forms.cut(a), Q[rows][:, a], multistarts)):
                 for u_a in scan.roots:
-                    slack = apply_off(A, alpha, u_a) + q[comp] if comp else np.zeros(0)
+                    slack = apply_off(tensors[i], alpha, u_a) + qs[i][comp] if comp else np.zeros(0)
                     if np.all(slack >= -SLACK_TOL):
-                        feasible[-1].append((u_a, slack))
-            yield alpha, feasible, [s.certified_infeasible or s.roots_complete for s in scans]
+                        feasible[i].append((u_a, slack))
+                settled[i] = scan.certified_infeasible or scan.roots_complete
+            yield alpha, feasible, settled

@@ -154,8 +154,9 @@ def q_membership(A: Tensor, q, budget: SearchBudget | None = None) -> Membership
 
 def _memberships(A: Tensor, qs, budget: SearchBudget | None = None) -> list[MembershipResult]:
     """[q_membership(A, q, budget) for q in qs], qs not empty, in one stacked
-    support walk over [A] * len(qs) that stops once every q has its verdict:
-    every q gets the result it gets alone, subsets_examined included."""
+    support walk over [A] * len(qs) that drops each q once it is a member
+    and stops once every q has its verdict: every q gets the result it gets
+    alone, subsets_examined included."""
     budget = budget or SearchBudget()
     n = A.dim
     qs = [np.asarray(q, dtype=float) for q in qs]
@@ -167,10 +168,11 @@ def _memberships(A: Tensor, qs, budget: SearchBudget | None = None) -> list[Memb
     if n > 12:
         raise ValueError("membership scan limited to dim <= 12")
     out, all_settled, examined = [None] * len(qs), [True] * len(qs), 0
-    for alpha, feasible, settled in walk_supports([A] * len(qs), qs, budget.multistarts):
+    live = np.ones(len(qs), dtype=bool)
+    for alpha, feasible, settled in walk_supports([A] * len(qs), qs, budget.multistarts, live):
         examined += 1
         a, comp = [i - 1 for i in alpha.members], [i - 1 for i in alpha.complement]
-        for t in [t for t, res in enumerate(out) if res is None]:
+        for t in np.flatnonzero(live):
             all_settled[t] = all_settled[t] and settled[t]
             if feasible[t]:
                 (u_a, slack), q = feasible[t][0], qs[t]
@@ -178,9 +180,7 @@ def _memberships(A: Tensor, qs, budget: SearchBudget | None = None) -> list[Memb
                 u[a], u[comp] = u_a, np.maximum(slack, 0.0) ** (1.0 / (A.order - 1))
                 resid = (float(np.linalg.norm(apply_m1(principal_subtensor(A, alpha), u_a) + q[a]))
                          if a else 0.0)  # the empty support's system has no equations
-                out[t] = MembershipResult(True, alpha, u, resid, examined)
-        if None not in out:
-            return out
+                out[t], live[t] = MembershipResult(True, alpha, u, resid, examined), False
     return [res or MembershipResult(False if done else None, None, None, math.inf, examined)
             for res, done in zip(out, all_settled)]
 

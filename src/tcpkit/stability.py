@@ -15,20 +15,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._rng import SplitMix64
+from ._rng import SplitMix64, _sphere_stack, _uniform_stack
 from ._simplex import _combine, _simplex_lattice, descend_on_simplex
 from .classify import SearchBudget, Verdict, _holds, q_in_dual_SA
 from .compcones import _memberships, complementary_tensor, q_membership
-from .cones import PolyhedralCone, extreme_rays, from_generators, orthant, tangent_cone
+from .cones import PolyhedralCone, _row_norms, extreme_rays, from_generators, orthant, tangent_cone
 from .solver import TcpInstance, _min_map_newton, _solve_stack, _solved_rows, is_solution, residual
-from .tensor import (
-    IndexSet,
-    Tensor,
-    apply_m2,
-    is_subsymmetric,
-    tensor_from_dense,
-    unit_tensor,
-)
+from .tensor import IndexSet, Tensor, _dense_stack, apply_m2, is_subsymmetric, unit_tensor
 
 __all__ = [
     "PerturbationReport",
@@ -58,33 +51,9 @@ class PerturbationReport:
         return {**asdict(self), "failures": list(self.failures)}
 
 
-def _draw_perturbation(rng: SplitMix64, n: int, shape: tuple, eps: float):
-    """(dq, dA) on a random ray, with ||dq|| + ||dA||_F = eps * U(0,1)."""
-    size = n + int(np.prod(shape))
-    if eps == 0.0:
-        return np.zeros(n), np.zeros(shape)
-    direction = np.array(rng.on_sphere(size))
-    dq = direction[:n]
-    dA = direction[n:].reshape(shape)
-    total = float(np.linalg.norm(dq) + np.linalg.norm(dA))
-    scale = eps * rng.uniform() / total
-    return dq * scale, dA * scale
-
-
 def _require_trials(trials: int) -> None:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-
-
-def _perturbed_tensor(A: Tensor, dA: np.ndarray) -> Tensor:
-    return tensor_from_dense(A.to_dense() + dA)
-
-
-def _draw_instance(inst: TcpInstance, stream: SplitMix64, eps: float):
-    """(dq, dA, perturbed instance) from the next draw of stream."""
-    n = inst.A.dim
-    dq, dA = _draw_perturbation(stream, n, (n,) * inst.A.order, eps)
-    return dq, dA, TcpInstance(inst.cone, inst.q + dq, _perturbed_tensor(inst.A, dA))
 
 
 def _trial_streams(seed: int, trials: int) -> list:
@@ -93,11 +62,28 @@ def _trial_streams(seed: int, trials: int) -> list:
     return [rng.spawn(t + 1) for t in range(trials)]
 
 
-def _trial_instances(inst: TcpInstance, eps: float, trials: int, seed: int) -> list:
-    """(stream, dq, dA, perturbed instance) of every trial t: its stream
+def _perturbations(inst: TcpInstance, streams, eps: float):
+    """(dq, dA, perturbed instances) of the next draw of every stream, in one
+    stacked draw: dq (T, n) and the flat dA (T, n^m) on a random ray (a
+    point on the unit sphere in R^(n + n^m)), scaled so that ||dq|| +
+    ||dA||_F = eps * U(0, 1); eps = 0 draws nothing."""
+    n, T = inst.A.dim, len(streams)
+    size = n ** inst.A.order
+    if eps == 0.0:
+        dq, dA = np.zeros((T, n)), np.zeros((T, size))
+    else:
+        D = _sphere_stack(streams, 1, n + size)[:, 0]
+        scale = eps * _uniform_stack(streams, 1)[:, 0] / (_row_norms(D[:, :n]) + _row_norms(D[:, n:]))
+        dq, dA = D[:, :n] * scale[:, None], D[:, n:] * scale[:, None]
+    tensors = _dense_stack(inst.A.to_dense() + dA.reshape((T,) + (n,) * inst.A.order))
+    return dq, dA, [TcpInstance(inst.cone, inst.q + d, A) for d, A in zip(dq, tensors)]
+
+
+def _trial_instances(inst: TcpInstance, eps: float, trials: int, seed: int):
+    """(streams, dq, dA, perturbed instances): the stream of every trial t
     (_trial_streams) and the perturbation drawn first from it."""
-    return [(stream, *_draw_instance(inst, stream, eps))
-            for stream in _trial_streams(seed, trials)]
+    streams = _trial_streams(seed, trials)
+    return (streams, *_perturbations(inst, streams, eps))
 
 
 def local_uniqueness_certificate(inst: TcpInstance, xbar,
@@ -177,11 +163,12 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     m-th powers to the polynomial).  Trial t draws from its own stream
     SplitMix64(seed).spawn(t + 1), so the trials are gated together: one
     stacked copositivity check (_holds) of every trial's tensor, then of
-    the redraws of the trials that failed, each from its own stream.  The
-    base check and every gate read the status is_copositive gives, decided
-    by a Bernstein enclosure first and by the basis search only for the
-    tensors it leaves open.  Then all trials are solved in one stacked
-    support walk, each with the outcome of its own solve_enumerate call."""
+    the redraws of the trials that failed, each round drawn in one stacked
+    draw from their own streams.  The base check and every gate read the
+    status is_copositive gives, decided by a Bernstein enclosure first and
+    by the basis search only for the tensors it leaves open.  Then all
+    trials are solved in one stacked support walk, each with the outcome of
+    its own solve_enumerate call."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     if not inst.cone.is_orthant:
@@ -192,15 +179,15 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     if dual_chk.status != "holds":
         raise ValueError("base q fails the dual-of-S_A necessary condition")
 
-    draws = _trial_instances(inst, eps, trials, seed)
-    perts = [pert for *_, pert in draws]
+    streams, _, _, perts = _trial_instances(inst, eps, trials, seed)
     redraws = [0] * trials
     pending = list(range(trials))
     while pending:
         gates = _holds("xm", [perts[t].A for t in pending], inst.cone, budget)
         pending = [t for t, holds in zip(pending, gates) if not holds]
-        for t in pending:
-            perts[t] = _draw_instance(inst, draws[t][0], eps)[2]
+        redrawn = _perturbations(inst, [streams[t] for t in pending], eps)[2] if pending else []
+        for t, pert in zip(pending, redrawn):
+            perts[t] = pert
             redraws[t] += 1
         pending = [t for t in pending if redraws[t] < 100]
 
@@ -245,39 +232,26 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
     if cert.status != "holds":
         raise ValueError("local uniqueness certificate does not hold at xbar")
 
-    draws = _trial_instances(inst, eps, trials, seed)
-    starts = []
-    for stream, *_ in draws:
-        starts += [xbar] + [xbar + 0.1 * neighborhood_radius * np.array(stream.on_sphere(inst.A.dim))
-                            for _ in range(4)]
-    perts, own = [pert for *_, pert in draws], np.repeat(np.arange(trials), 5)
-    ends = _min_map_newton(perts, np.array(starts), own)
-    solved = _solved_rows(perts, ends, own, 1e-9)
-    ratio_max = 0.0
-    solvable = 0
-    max_norm = 0.0
-    failures: list[int] = []
-    skipped = 0
-    for t, (_, dq, dA, _) in enumerate(draws):
-        denom = float(np.linalg.norm(dq) + np.linalg.norm(dA))
-        sols = [x for x in ends[5 * t:5 * t + 5][solved[5 * t:5 * t + 5]]
-                if float(np.linalg.norm(x - xbar)) <= neighborhood_radius]
-        if not sols:
-            failures.append(t)
-            continue
-        solvable += 1
-        max_norm = max(max_norm, max(float(np.linalg.norm(x)) for x in sols))
-        if denom < 1e-12:
-            skipped += 1
-            continue
-        ratio = max(float(np.linalg.norm(x - xbar)) for x in sols) / denom
-        ratio_max = max(ratio_max, ratio)
+    streams, dq, dA, perts = _trial_instances(inst, eps, trials, seed)
+    n = inst.A.dim
+    starts = np.empty((trials, 5, n))
+    starts[:, 0] = xbar
+    starts[:, 1:] = xbar + 0.1 * neighborhood_radius * _sphere_stack(streams, 4, n)
+    own = np.repeat(np.arange(trials), 5)
+    ends = _min_map_newton(perts, starts.reshape(-1, n), own)
+    dist = _row_norms(ends - xbar)
+    kept = (_solved_rows(perts, ends, own, 1e-9) & (dist <= neighborhood_radius)).reshape(trials, 5)
+    solvable = kept.any(axis=1)
+    denom = _row_norms(dq) + _row_norms(dA)
+    rated = solvable & (denom >= 1e-12)
+    worst = np.max(dist.reshape(trials, 5), axis=1, initial=0.0, where=kept)
+    skipped = int(np.count_nonzero(solvable & ~rated))
     return PerturbationReport(
         trials=trials, eps=eps, seed=seed,
-        solvable_fraction=solvable / trials,
-        max_solution_norm=max_norm,
-        error_ratio_max=ratio_max,
-        failures=tuple(failures),
+        solvable_fraction=int(np.count_nonzero(solvable)) / trials,
+        max_solution_norm=float(np.max(_row_norms(ends)[kept.ravel()], initial=0.0)),
+        error_ratio_max=float(np.max(worst[rated] / denom[rated], initial=0.0)),
+        failures=tuple(np.flatnonzero(~solvable).tolist()),
         note=f"skipped {skipped} zero-perturbation trials" if skipped else "",
     )
 
@@ -296,26 +270,19 @@ def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int,
     budget = budget or SearchBudget()
     if not _holds("abs_xm", [inst.A], inst.cone, budget)[0]:
         raise ValueError("base tensor is not certified K-regular")
-    perts = [pert for *_, pert in _trial_instances(inst, eps, trials, seed)]
+    perts = _trial_instances(inst, eps, trials, seed)[3]
     base, *outcomes = _solve_stack([inst] + perts, budget)
-    base_pts = [s.x for s in base.solutions]
-    max_exc = 0.0
-    unsolved = 0
-    for outcome in outcomes:
-        if not outcome.solutions:
-            unsolved += 1
-            continue
-        for s in outcome.solutions:
-            d = min((float(np.linalg.norm(s.x - b)) for b in base_pts),
-                    default=math.inf)
-            max_exc = max(max_exc, d)
+    n = inst.A.dim
+    B = np.array([s.x for s in base.solutions]).reshape(-1, n)
+    X = np.array([s.x for outcome in outcomes for s in outcome.solutions]).reshape(-1, n)
+    nearest = np.min(_row_norms(X[:, None] - B), axis=1, initial=math.inf)
     return {
-        "max_excursion": max_exc,
+        "max_excursion": float(np.max(nearest, initial=0.0)),
         "eps": eps,
         "trials": trials,
         "seed": seed,
-        "base_solution_count": len(base_pts),
-        "unsolved_trials": unsolved,
+        "base_solution_count": len(B),
+        "unsolved_trials": sum(not outcome.solutions for outcome in outcomes),
     }
 
 
@@ -362,9 +329,11 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
     unverified = not all(_holds("norm_m1", comps, orthant(n), budget))
     warn = ("closedness sufficient condition unverified for some complementary tensors; "
             "result is empirical only") if unverified else ""
-    qs = [q + (np.zeros(n) if eps == 0.0 else eps * s.uniform() * np.array(s.on_sphere(n)))
-          for s in _trial_streams(seed, trials)]
-    verdicts = [res.member for res in _memberships(A, qs, budget)]
+    streams, dq = _trial_streams(seed, trials), np.zeros((trials, n))
+    if eps != 0.0:
+        scale = eps * _uniform_stack(streams, 1)
+        dq = scale * _sphere_stack(streams, 1, n)[:, 0]
+    verdicts = [res.member for res in _memberships(A, q + dq, budget)]
     return {
         "fraction_unsolvable": verdicts.count(False) / trials,
         "unknown_trials": verdicts.count(None),
@@ -390,20 +359,18 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
     budget = budget or SearchBudget()
     if not _holds("norm_m1", [A], K, budget)[0]:
         raise ValueError("base tensor is not certified K-nonsingular")
-    n = A.dim
-    shape = (n,) * A.order
-    tensors, cones = [], []
-    for trial_rng in _trial_streams(seed, trials):
-        if eps == 0.0:
-            dA, Kp = np.zeros(shape), K
-        else:
-            flat = np.array(trial_rng.on_sphere(int(np.prod(shape))))
-            dA = (eps * trial_rng.uniform()) * flat.reshape(shape)
-            Kp = K if K.is_orthant else from_generators(
-                [g + eps * trial_rng.uniform(-1.0, 1.0) * np.array(trial_rng.on_sphere(n))
-                 for g in K.generators])
-        tensors.append(_perturbed_tensor(A, dA))
-        cones.append(Kp)
+    n, shape = A.dim, (trials,) + (A.dim,) * A.order
+    streams, dA, cones = _trial_streams(seed, trials), np.zeros(shape), [K] * trials
+    if eps != 0.0:
+        flat = _sphere_stack(streams, 1, n ** A.order)[:, 0]
+        dA = (eps * _uniform_stack(streams, 1)) * flat
+        if not K.is_orthant:
+            jittered = []
+            for g in K.generators:  # a uniform, then a sphere point, per generator
+                scale = eps * _uniform_stack(streams, 1, -1.0, 1.0)
+                jittered.append(g + scale * _sphere_stack(streams, 1, n)[:, 0])
+            cones = [from_generators(list(G)) for G in np.stack(jittered, axis=1)]
+    tensors = _dense_stack(A.to_dense() + dA.reshape(shape))
     by_cone: dict[int, list[int]] = {}
     for t, Kp in enumerate(cones):
         by_cone.setdefault(id(Kp), []).append(t)

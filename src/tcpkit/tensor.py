@@ -7,10 +7,12 @@ A zero stored value is equivalent to an absent entry.
 A ``Tensor`` has one representation, its contraction form: the distinct
 trailing index tuples (j2, ..., jm), 0-based and sorted, as a (T, m-1)
 array ``_tails``, and the (T, n) matrix ``_coef[t, i] = a_{i, tails[t]}``
-with no all-zero row.  One constructor, ``Tensor._from_form``, builds every
-tensor: ``Tensor(order, dim, entries)`` validates its dict once, with numpy,
-and derived tensors are cut from their parents' forms.  ``entries`` is a
-read-only view of the form.
+with no all-zero row.  One constructor, ``Tensor._from_forms``, builds every
+tensor, a stack of tensors with shared tails at a time (``_from_form`` is
+its one-tensor case): ``Tensor(order, dim, entries)`` validates its dict
+once, with numpy, a stack of dense arrays is checked once, and derived
+tensors are cut from their parents' forms.  ``entries`` is a read-only view
+of the form.
 
 One kernel, ``_monomials``, forms the T monomials x_{j2}...x_{jm}
 (optionally without tail position p) at one point or a batch of points;
@@ -102,18 +104,25 @@ class Tensor:
             summed = np.zeros((np.count_nonzero(new), dim))
             np.add.at(summed, np.cumsum(new) - 1, coef)
             tails, coef = tails[new], summed
-        if not np.all(np.isfinite(coef)):  # scale and + can overflow
-            t, i = np.argwhere(~np.isfinite(coef))[0]
+        return cls._from_forms(order, dim, tails, coef[None])[0]
+
+    @classmethod
+    def _from_forms(cls, order: int, dim: int, tails, coefs) -> list:
+        """The tensors _from_form(order, dim, tails, coefs[s]), one per s, with
+        one finiteness check and one zero-row scan for the stack."""
+        if not np.all(np.isfinite(coefs)):  # scale and + can overflow
+            s, t, i = np.argwhere(~np.isfinite(coefs))[0]
             idx = (np.r_[i, tails[t]] + 1).tolist()
-            raise ValueError(f"non-finite entry at {idx}: {coef[t, i]}")
-        keep = np.any(coef != 0.0, axis=1)
-        tails = tails[keep]
-        coef = coef[keep] + 0.0  # a -0.0 coefficient is an absent entry
-        tails.setflags(write=False)
-        coef.setflags(write=False)
-        self = object.__new__(cls)
-        self.__dict__.update(order=order, dim=dim, _tails=tails, _coef=coef)
-        return self
+            raise ValueError(f"non-finite entry at {idx}: {coefs[s, t, i]}")
+        out = []
+        for coef, keep in zip(coefs, np.any(coefs != 0.0, axis=2)):
+            self = object.__new__(cls)
+            self.__dict__.update(order=order, dim=dim, _tails=tails[keep],
+                                 _coef=coef[keep] + 0.0)  # a -0.0 coefficient is an absent entry
+            self._tails.setflags(write=False)
+            self._coef.setflags(write=False)
+            out.append(self)
+        return out
 
     @functools.cached_property
     def entries(self) -> Mapping[tuple, float]:
@@ -356,15 +365,22 @@ def frobenius_distance(A: Tensor, B: Tensor) -> float:
 
 def tensor_from_dense(arr, tol: float = 0.0) -> Tensor:
     """Build a Tensor from a dense (n,)*m array, dropping |a| <= tol."""
-    arr = np.asarray(arr, dtype=float)
-    m, n = arr.ndim, (arr.shape or (0,))[0]
-    if m < 2 or n < 1 or arr.shape != (n,) * m:
-        raise ShapeError(f"array of shape {arr.shape} is not a nonempty square tensor")
-    if not (np.all(np.isfinite(arr)) and math.isfinite(tol)):
+    return _dense_stack(np.asarray(arr, dtype=float)[None], tol)[0]
+
+
+def _dense_stack(arrs, tol: float = 0.0) -> list:
+    """[tensor_from_dense(arr, tol) for arr in arrs], arrs an (S, n, ..., n)
+    stack, checked once."""
+    arrs = np.asarray(arrs, dtype=float)
+    shape = arrs.shape[1:]
+    m, n = len(shape), (shape or (0,))[0]
+    if m < 2 or n < 1 or shape != (n,) * m:
+        raise ShapeError(f"array of shape {shape} is not a nonempty square tensor")
+    if not (np.all(np.isfinite(arrs)) and math.isfinite(tol)):
         raise ValueError("dense tensor entries and tol must be finite")
-    coef = arr.reshape(n, -1).T  # row t is the slice at the t-th tail in C order
+    coefs = arrs.reshape(len(arrs), n, n ** (m - 1)).transpose(0, 2, 1)  # row t: the t-th tail
     tails = np.indices((n,) * (m - 1)).reshape(m - 1, -1).T
-    return Tensor._from_form(m, n, tails, np.where(np.abs(coef) > tol, coef, 0.0))
+    return Tensor._from_forms(m, n, tails, np.where(np.abs(coefs) > tol, coefs, 0.0))
 
 
 def tensor_to_json(A: Tensor) -> dict:

@@ -12,8 +12,6 @@ from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance, refine, solve_enumerate
 from tcpkit.stability import (
     PerturbationReport,
-    _draw_perturbation,
-    _perturbed_tensor,
     error_bound_probe,
     graph_closedness_probe,
     local_uniqueness_certificate,
@@ -23,6 +21,8 @@ from tcpkit.stability import (
     usc_probe,
 )
 from tcpkit.tensor import apply_m1, frobenius_distance, tensor_from_dense, unit_tensor
+
+from splitmix_reference import draw_perturbation, perturbed_tensor, trial_streams
 
 
 @pytest.fixture
@@ -106,17 +106,15 @@ def per_trial_existence(inst, eps, trials, seed, gate=None):
     unit tensor; then the trial is solved."""
     budget = SearchBudget()
     gate = gate or (lambda A: is_copositive(A, budget).status == "holds")
-    rng = SplitMix64(seed)
     n, shape = inst.A.dim, (inst.A.dim,) * inst.A.order
     solvable, max_norm, failures, resamples = 0, 0.0, [], 0
-    for t in range(trials):
-        trial_rng = rng.spawn(t + 1)
-        dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
-        At = _perturbed_tensor(inst.A, dA)
+    for t, trial_rng in enumerate(trial_streams(seed, trials)):
+        dq, dA = draw_perturbation(trial_rng, n, shape, eps)
+        At = perturbed_tensor(inst.A, dA)
         redraws = 0
         while not gate(At) and redraws < 100:
-            dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
-            At = _perturbed_tensor(inst.A, dA)
+            dq, dA = draw_perturbation(trial_rng, n, shape, eps)
+            At = perturbed_tensor(inst.A, dA)
             redraws += 1
         if redraws >= 100:
             At = At + unit_tensor(inst.A.order, n).scale(eps)
@@ -136,11 +134,9 @@ def per_trial_existence(inst, eps, trials, seed, gate=None):
 
 def per_trial_openness(K, A, eps, trials, seed):
     """nonsingularity_openness_probe as one is_K_nonsingular call per trial."""
-    rng = SplitMix64(seed)
     n, shape = A.dim, (A.dim,) * A.order
     nonsingular = 0
-    for t in range(trials):
-        trial_rng = rng.spawn(t + 1)
+    for trial_rng in trial_streams(seed, trials):
         Kp, dA = K, np.zeros(shape)
         if eps != 0.0:
             flat = np.array(trial_rng.on_sphere(int(np.prod(shape))))
@@ -148,7 +144,7 @@ def per_trial_openness(K, A, eps, trials, seed):
             if not K.is_orthant:
                 Kp = from_generators([g + eps * trial_rng.uniform(-1.0, 1.0) *
                                       np.array(trial_rng.on_sphere(n)) for g in K.generators])
-        if is_K_nonsingular(_perturbed_tensor(A, dA), Kp).status == "holds":
+        if is_K_nonsingular(perturbed_tensor(A, dA), Kp).status == "holds":
             nonsingular += 1
     return {"fraction_nonsingular": nonsingular / trials, "eps": eps, "trials": trials,
             "seed": seed}
@@ -162,10 +158,8 @@ def per_trial_unsolvable(A, q, eps, trials, seed):
     alphas = [a for r in range(1, n + 1) for a in itertools.combinations(range(1, n + 1), r)]
     unverified = any(is_K_nonsingular(complementary_tensor(A, a), orthant(n)).status != "holds"
                      for a in alphas)
-    rng = SplitMix64(seed)
     unsolvable = unknowns = 0
-    for t in range(trials):
-        trial_rng = rng.spawn(t + 1)
+    for trial_rng in trial_streams(seed, trials):
         dq = np.zeros(n)
         if eps != 0.0:
             dq = eps * trial_rng.uniform() * np.array(trial_rng.on_sphere(n))
@@ -203,6 +197,7 @@ class TestBatchedGates:
         (tensor_from_dense(np.array([1.096, -1.289, -1.349, -1.757,
                                      -1.751, -0.597, 1.598, 0.402]).reshape(2, 2, 2)),
          [-1.02, 1.49], 0.2, 12, 1),  # members, non-members and unknowns
+        (unit_tensor(3, 3).scale(-1.0), [-0.02, -0.02, 0.3], 0.3, 12, 1),  # the same at n = 3
     ])
     def test_unsolvable_probe(self, A, q, eps, trials, seed):
         # the closedness check and the trials are each decided in one stack
@@ -261,17 +256,24 @@ class TestBatchedGates:
         assert nonsingularity_openness_probe(K, identity32, eps, 4, seed=5) == \
             per_trial_openness(K, identity32, eps, 4, 5)
 
+    def test_openness_at_m3_n3_on_a_generated_cone(self):
+        # 27 normals leave a cached deviate; each generator's jitter draws a
+        # uniform and then 3 normals, the first of them the cached one
+        K = from_generators([[1.0, 0.2, 0.1], [0.1, 1.0, 0.3], [0.2, 0.1, 1.0], [1.0, 1.0, 1.0]])
+        A = unit_tensor(3, 3)
+        assert nonsingularity_openness_probe(K, A, 0.2, 6, seed=5) == \
+            per_trial_openness(K, A, 0.2, 6, 5)
+
 
 def per_trial_usc(inst, eps, trials, seed):
     """usc_probe as one solve_enumerate call for the base and per trial."""
     budget = SearchBudget()
     base_pts = [s.x for s in solve_enumerate(inst, budget).solutions]
-    rng = SplitMix64(seed)
     n, shape = inst.A.dim, (inst.A.dim,) * inst.A.order
     max_exc, unsolved = 0.0, 0
-    for t in range(trials):
-        dq, dA = _draw_perturbation(rng.spawn(t + 1), n, shape, eps)
-        pert = TcpInstance(inst.cone, inst.q + dq, _perturbed_tensor(inst.A, dA))
+    for trial_rng in trial_streams(seed, trials):
+        dq, dA = draw_perturbation(trial_rng, n, shape, eps)
+        pert = TcpInstance(inst.cone, inst.q + dq, perturbed_tensor(inst.A, dA))
         outcome = solve_enumerate(pert, budget)
         if not outcome.solutions:
             unsolved += 1
@@ -348,15 +350,13 @@ class TestErrorBound:
 
 def error_bound_reference(inst, xbar, radius, eps, trials, seed):
     """error_bound_probe's report, refining one start at a time with refine."""
-    rng = SplitMix64(seed)
     n = inst.A.dim
     shape = (n,) * inst.A.order
     ratio_max, solvable, max_norm, failures, skipped = 0.0, 0, 0.0, [], 0
-    for t in range(trials):
-        trial_rng = rng.spawn(t + 1)
-        dq, dA = _draw_perturbation(trial_rng, n, shape, eps)
+    for t, trial_rng in enumerate(trial_streams(seed, trials)):
+        dq, dA = draw_perturbation(trial_rng, n, shape, eps)
         denom = float(np.linalg.norm(dq) + np.linalg.norm(dA))
-        pert = TcpInstance(inst.cone, inst.q + dq, _perturbed_tensor(inst.A, dA))
+        pert = TcpInstance(inst.cone, inst.q + dq, perturbed_tensor(inst.A, dA))
         starts = [xbar] + [xbar + 0.1 * radius * np.array(trial_rng.on_sphere(n))
                            for _ in range(4)]
         sols = []

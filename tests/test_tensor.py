@@ -13,6 +13,7 @@ from tcpkit.tensor import (
     IndexSet,
     ShapeError,
     Tensor,
+    _dense_stack,
     apply_m,
     apply_m1,
     apply_m2,
@@ -265,6 +266,23 @@ class TestJson:
     def test_dense_non_finite_rejected(self, arr, tol):
         with pytest.raises(ValueError):
             tensor_from_dense(np.array(arr), tol=tol)
+        with pytest.raises(ValueError):  # one bad tensor fails its whole stack
+            _dense_stack(np.array([np.ones((2, 2)), arr]), tol=tol)
+
+    def test_dense_stack_builds_each_tensor_alone(self, e4):
+        # each tensor keeps its own nonzero rows: a zero, a -0.0 and a sub-tol
+        # entry in one tensor change nothing in the others
+        rng = np.random.default_rng(5)
+        sparse = np.zeros((3, 3, 3))
+        sparse[1, 0, 2], sparse[2, 2, 2], sparse[0, 1, 1] = -0.0, 0.3, 1e-3
+        stack = [np.pad(e4.to_dense(), ((0, 1),) * 3), np.zeros((3, 3, 3)), sparse,
+                 rng.normal(size=(3, 3, 3))]
+        for tol in (0.0, 1e-2):
+            got = _dense_stack(np.array(stack), tol)
+            assert got == [tensor_from_dense(arr, tol) for arr in stack]
+            for T, arr in zip(got, stack):
+                assert dict(T.entries) == {tuple(i + 1 for i in idx): float(arr[idx])
+                                           for idx in np.ndindex(arr.shape) if abs(arr[idx]) > tol}
 
 
 class TestBatch:
