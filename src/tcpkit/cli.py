@@ -16,28 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .classify import (
-    SearchBudget,
-    all_principal_nonsingular,
-    is_copositive,
-    is_K_nonsingular,
-    is_K_psd,
-    is_K_pd,
-    is_K_regular,
-    is_strictly_copositive,
-)
-from .compcones import q_membership
-from .cones import delta_metric, orthant
 from .fixtures import cone_fixture, fixture, fixture_names
-from .solver import TcpInstance, instance_from_json, solve_enumerate
-from .stability import (
-    error_bound_probe,
-    local_uniqueness_certificate,
-    nonsingularity_openness_probe,
-    perturb_existence,
-    unsolvable_neighborhood_probe,
-    usc_probe,
-)
 from .tensor import ShapeError, tensor_from_json, tensor_to_json
 
 __all__ = ["main"]
@@ -99,6 +78,8 @@ def _get_tensor(args):
 
 def _get_cone(name, n: int):
     """The cone fixture name (the orthant when None), which must live in R^n."""
+    from .cones import orthant
+
     if not name:
         return orthant(n)
     try:
@@ -110,7 +91,10 @@ def _get_cone(name, n: int):
     return K
 
 
-def _get_budget(args) -> SearchBudget:
+def _get_budget(args):
+    """The SearchBudget of --budget."""
+    from .classify import SearchBudget
+
     budget = getattr(args, "budget", 0) or 0
     if budget < 0:
         raise _ParseFailure(f"--budget must be >= 0, got {budget}")
@@ -131,6 +115,16 @@ def _config_echo(args, keys) -> dict:
 
 
 def cmd_classify(args) -> int:
+    from .classify import (
+        all_principal_nonsingular,
+        is_copositive,
+        is_K_nonsingular,
+        is_K_pd,
+        is_K_psd,
+        is_K_regular,
+        is_strictly_copositive,
+    )
+
     A = _get_tensor(args)
     budget = _get_budget(args)
     K = _get_cone(args.cone, A.dim)
@@ -151,6 +145,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .cones import orthant
+    from .solver import TcpInstance, instance_from_json, solve_enumerate
+
     if args.instance:
         try:
             inst = instance_from_json(_load_json_file(args.instance))
@@ -189,6 +186,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_membership(args) -> int:
+    from .compcones import q_membership
+
     A = _get_tensor(args)
     q = _parse_point("q", args.q, A.dim)
     budget = _get_budget(args)
@@ -218,6 +217,17 @@ _PERTURB_READS = {
 
 
 def cmd_perturb(args) -> int:
+    from .cones import orthant
+    from .solver import TcpInstance
+    from .stability import (
+        error_bound_probe,
+        local_uniqueness_certificate,
+        nonsingularity_openness_probe,
+        perturb_existence,
+        unsolvable_neighborhood_probe,
+        usc_probe,
+    )
+
     reads = _PERTURB_READS[args.mode]
     for flag in ("q", "xbar", "cone", *_PERTURB_DEFAULTS):  # refuse a flag this mode would ignore
         if getattr(args, flag) is not None and flag not in reads:
@@ -270,6 +280,10 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from .cones import delta_metric
+
+    if args.samples < 1:
+        raise _ParseFailure(f"--samples must be >= 1, got {args.samples}")
     try:
         K1 = cone_fixture(args.cone1)
         K2 = cone_fixture(args.cone2)

@@ -5,6 +5,11 @@ A cone carries both a V-representation (generators) and an H-representation
 from the generators by enumerating tight halfspace sets (extreme_rays) and
 never serialized.  Only the nonnegative orthant is supported above dimension
 6; the enumeration is combinatorial and deliberately capped.
+
+Distances are row-wise (_dists): on the orthant a clamp, elsewhere one
+Lawson-Hanson NNLS (_nnls) run over all rows at once, every row with the
+bits it gets alone.  dist is the one-row case, and delta_metric draws and
+measures its samples _BLOCK at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import SplitMix64
+from ._rng import SplitMix64, _uniform_stack
 from .tensor import ShapeError
 
 __all__ = [
@@ -36,6 +41,7 @@ __all__ = [
 _MAX_DIM = 6
 _RAY_TOL = 1e-9
 _SLICE = 4096  # halfspace subsets per batched SVD
+_BLOCK = 2048  # delta_metric samples per block
 
 
 class NotPointedError(ValueError):
@@ -78,47 +84,89 @@ def _normalize_rows(rows) -> list[np.ndarray]:
     return out
 
 
-def _nnls(G: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, float]:
-    """(lam, ||G lam - z||) for the least ||G lam - z|| over lam >= 0.
+def _mv(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ x for every row x of X, one matrix-vector product per row (the
+    bits of M @ x alone, whatever else is in X); M may be a stack."""
+    return np.matmul(M, X[..., None])[..., 0]
+
+
+def _nnls(G: np.ndarray, Z: np.ndarray):
+    """(lam, ||G lam - z||) for the least ||G lam - z|| over lam >= 0, at a
+    1-D z or at every row z of Z ((T, k) and (T,) arrays).
 
     Lawson and Hanson's active-set method (Solving Least Squares Problems,
-    1974, ch. 23).  Passive-set subproblems go through lstsq, so +-column
-    pairs, duplicate and zero columns are safe.  After 50 k of them it
-    returns its current feasible point.  The norm is that of the lam returned.
+    1974, ch. 23), run in lockstep over the rows: each row keeps its own
+    passive set, skip mask and step, and drops out when it is done.  The
+    passive-set subproblems are minimum-norm least squares through an SVD
+    at lstsq's cutoff (_passive_solve), so +-column pairs, duplicate and
+    zero columns are safe.  After 50 k of them a row keeps its current
+    feasible point.  The norm is that of the lam returned.  Every product
+    is taken row by row (_mv), so each row gets the bits it gets alone.
     """
-    k = G.shape[1]
-    lam, passive, skip = np.zeros(k), np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
-    tol = 10 * np.finfo(float).eps * max(G.shape) * np.linalg.norm(z)
+    if Z.ndim == 1:
+        lam, rnorm = _nnls(G, Z[None])
+        return lam[0], float(rnorm[0])
+    T, k = len(Z), G.shape[1]
+    out = np.zeros((T, k))
+    # the state of the rows still running, which are Z[rows]
+    rows, X, lam = np.arange(T), Z, np.zeros((T, k))
+    passive, skip = np.zeros((T, k), dtype=bool), np.zeros((T, k), dtype=bool)
+    tol = 10 * np.finfo(float).eps * max(G.shape) * _row_norms(Z)
     tol *= np.linalg.norm(G, axis=0).max(initial=0.0)
-    w, stepping = G.T @ z, False
+    w, j, stepping = _mv(G.T, Z), np.zeros(T, dtype=np.intp), np.zeros(T, dtype=bool)
     for _ in range(50 * k):
-        if not stepping:
-            free = ~passive & ~skip & (w > tol)
-            if not free.any():
+        free = ~passive & ~skip & (w > tol[:, None]) & ~stepping[:, None]
+        if (end := ~stepping & ~free.any(axis=1)).any():
+            out[rows[end]] = lam[end]
+            keep = ~end
+            rows, X, lam, passive, skip = rows[keep], X[keep], lam[keep], passive[keep], skip[keep]
+            tol, w, j, stepping, free = tol[keep], w[keep], j[keep], stepping[keep], free[keep]
+            if not len(rows):
                 break
-            j = np.argmax(np.where(free, w, -np.inf))
-            passive[j] = True
-        s = np.zeros(k)
-        s[passive] = np.linalg.lstsq(G[:, passive], z, rcond=None)[0]
-        if not stepping and s[j] <= 0:
-            # exact arithmetic makes the entering entry positive, so w_j > tol
-            # was round-off: leave column j out until lam moves
-            passive[j], skip[j] = False, True
-        elif np.all(s[passive] > 0):
-            lam, stepping, skip[:] = s, False, False
-            w = G.T @ (z - G @ lam)
-        else:
+        at = np.arange(len(rows))
+        j = np.where(stepping, j, np.argmax(np.where(free, w, -np.inf), axis=1))
+        passive[at, j] |= ~stepping
+        s = _passive_solve(G, passive, X)
+        # exact arithmetic makes an entering entry positive, so w_j > tol was
+        # round-off: leave column j out until lam moves
+        drop = ~stepping & (s[at, j] <= 0)
+        passive[at, j] &= ~drop
+        skip[at, j] |= drop
+        done = ~drop & np.all(s > 0, axis=1, where=passive)
+        if done.any():
+            lam[done], skip[done] = s[done], False
+            w[done] = _mv(G.T, X[done] - _mv(G, lam[done]))
+        if (stepping := ~drop & ~done).any():
             # step from lam toward s until a passive entry hits 0; there
             # s <= 0 < lam, so lam - s >= lam > 0: no 0 / 0
-            block = passive & (s <= 0)
-            ratio = np.full(k, np.inf)
-            ratio[block] = lam[block] / (lam[block] - s[block])
-            i = np.argmin(ratio)
-            lam = lam + ratio[i] * (s - lam)
-            lam[i], stepping = 0.0, True
-            passive &= lam > 0
-            lam[~passive] = 0.0
-    return lam, float(np.linalg.norm(G @ lam - z))
+            S, L, P = s[stepping], lam[stepping], passive[stepping]
+            block, ratio = P & (S <= 0), np.full(L.shape, np.inf)
+            ratio[block] = L[block] / (L[block] - S[block])
+            i = (np.arange(len(L)), np.argmin(ratio, axis=1))
+            L = L + ratio[i][:, None] * (S - L)
+            L[i] = 0.0
+            P &= L > 0
+            L[~P] = 0.0
+            lam[stepping], passive[stepping] = L, P
+    out[rows] = lam
+    return out, _row_norms(_mv(G, out) - Z)
+
+
+def _passive_solve(G: np.ndarray, P: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """s at every row p, z of (P, Z): the minimum-norm least-squares solution
+    of G[:, p] s_p = z, 0 off p.  One SVD per distinct p, singular values at
+    or below eps max(n, |p|) times the largest dropped (lstsq's cutoff);
+    then U^T z, scaled, and V times that, row by row."""
+    B = np.packbits(P, axis=1)  # each passive set as one byte string
+    first, inv = np.unique(B.view(np.dtype((np.void, B.shape[1])))[:, 0], return_index=True,
+                           return_inverse=True)[1:]
+    pats = P[first]
+    U, sv, Vt = np.linalg.svd(G * pats[:, None, :], full_matrices=False)
+    cut = np.finfo(float).eps * np.maximum(G.shape[0], pats.sum(axis=1)) * sv[:, 0]
+    sv = sv[inv]
+    c = _mv(U.transpose(0, 2, 1)[inv], Z)
+    c = np.divide(c, sv, out=np.zeros_like(c), where=sv > cut[inv, None])
+    return np.where(P, _mv(Vt.transpose(0, 2, 1)[inv], c), 0.0)
 
 
 def extreme_rays(halfspaces, n: int) -> list[np.ndarray]:
@@ -225,15 +273,52 @@ def _row_norms(Z: np.ndarray) -> np.ndarray:
     return d
 
 
+def _dists(K: PolyhedralCone, Z: np.ndarray) -> np.ndarray:
+    """dist(z, K) at every row z of Z, each row with the bits it gets alone.
+
+    On the orthant it is the norm of z - max(z, 0); on any other cone the
+    nnls residual, which leaves a round-off distance even for members, so
+    every distance at or below 1e-12 max(1, ||z||) snaps to an exact 0.
+    """
+    if K.is_orthant:
+        d = _row_norms(Z - np.maximum(Z, 0.0))
+    elif K.generators:
+        d = _nnls(np.column_stack(K.generators), Z)[1]
+    else:
+        d = _row_norms(Z)
+    nz = _row_norms(Z)
+    return np.where(d <= 1e-12 * np.where(nz > 1.0, nz, 1.0), 0.0, d)  # max(1.0, nz) keeps 1 at NaN
+
+
 def dist(K: PolyhedralCone, z) -> float:
-    """dist(z, K) = || z - proj_K(z) ||."""
+    """dist(z, K) = || z - proj_K(z) || (_dists of one row)."""
     z = np.asarray(z, dtype=float)
-    d, nz = _row_norms(np.array([z - project(K, z), z]))
-    # the nnls projection leaves a round-off residual even for members;
-    # snap it to an exact zero so dist(x, K) = 0 for x in K
-    if d <= 1e-12 * max(1.0, float(nz)):
-        return 0.0
-    return float(d)
+    if z.shape != (K.dim,):
+        raise ShapeError(f"point of shape {z.shape} in cone of dim {K.dim}")
+    return float(_dists(K, z[None])[0])
+
+
+def _sample_blocks(K: PolyhedralCone, N: int, seed: int, block: int):
+    """basis_samples(K, N, seed) as arrays: the normalized generators, then
+    the other samples at most block rows at a time.
+
+    The weights of a block are one stacked draw (_uniform_stack); a row whose
+    norm is <= 1e-12 is dropped, and the stream goes on where the scalar loop
+    would, so the rows kept are those of drawing one row at a time.
+    """
+    gens = _normalize_rows(K.generators)
+    if not gens:
+        return
+    G, k = np.column_stack(gens), len(gens)
+    yield np.array(gens)
+    rng, need = SplitMix64(seed), max(N, k) - k
+    while need:
+        V = _mv(G, _uniform_stack([rng], min(need, block) * k).reshape(-1, k))
+        nrm = _row_norms(V)
+        V = V[nrm > 1e-12] / nrm[nrm > 1e-12, None]
+        need -= len(V)
+        if len(V):
+            yield V
 
 
 def basis_samples(K: PolyhedralCone, N: int, seed: int) -> list[np.ndarray]:
@@ -244,20 +329,7 @@ def basis_samples(K: PolyhedralCone, N: int, seed: int) -> list[np.ndarray]:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    gens = _normalize_rows(K.generators)
-    out = list(gens)
-    if not gens:
-        return out
-    rng = SplitMix64(seed)
-    k = len(gens)
-    G = np.column_stack(gens)
-    while len(out) < max(N, k):
-        w = np.array([rng.uniform() for _ in range(k)])
-        v = G @ w
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-12:
-            out.append(v / nrm)
-    return out
+    return [v for V in _sample_blocks(K, N, seed, _BLOCK) for v in V]
 
 
 def delta_metric(K1: PolyhedralCone, K2: PolyhedralCone, samples: int) -> float:
@@ -265,7 +337,7 @@ def delta_metric(K1: PolyhedralCone, K2: PolyhedralCone, samples: int) -> float:
 
     dist(., K) is positively homogeneous along rays, so sampling the unit
     sphere sections suffices; one-sided error is O(covering radius of the
-    sample).
+    sample).  The samples are taken _BLOCK at a time.
     """
     if K1.dim != K2.dim:
         raise ShapeError("cones of different dimension")
@@ -273,8 +345,8 @@ def delta_metric(K1: PolyhedralCone, K2: PolyhedralCone, samples: int) -> float:
         raise ValueError("samples must be >= 1")
     best = 0.0
     for a, b in ((K1, K2), (K2, K1)):
-        for s in basis_samples(a, samples, seed=0):
-            d = dist(b, s)
+        for V in _sample_blocks(a, samples, 0, _BLOCK):
+            d = float(_dists(b, V).max())
             if d > best:
                 best = d
     return best

@@ -19,7 +19,7 @@ from ._forms import _Forms
 from ._polysys import _DEDUP_DIST, _dedup, damped_newton, walk_supports
 from ._rng import SplitMix64
 from .classify import SearchBudget
-from .cones import PolyhedralCone, _row_norms, cone_from_json, cone_to_json, dist, dual
+from .cones import PolyhedralCone, _dists, cone_from_json, cone_to_json, dist, dual
 from .tensor import (
     IndexSet,
     ShapeError,
@@ -62,6 +62,22 @@ class TcpInstance:
 
     def w_of(self, x) -> np.ndarray:
         return apply_m1(self.A, x) + self.q
+
+
+def _instance_stack(cone: PolyhedralCone, Q: np.ndarray, tensors) -> list[TcpInstance]:
+    """[TcpInstance(cone, q, A) for q, A in zip(Q, tensors)], tensors of the
+    cone's dimension, with __post_init__'s checks made once on the stacked
+    (T, n) array Q."""
+    if Q.shape != (len(tensors), cone.dim):
+        raise ShapeError("cone, q and tensor dimensions disagree")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("q has a non-finite entry")
+    out = []
+    for q, A in zip(Q, tensors):
+        inst = object.__new__(TcpInstance)
+        inst.__dict__.update(cone=cone, q=q, A=A)
+        out.append(inst)
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,20 +171,14 @@ def _solve_stack(insts, budget: SearchBudget | None = None) -> list[EnumerationO
     return out
 
 
-def _orthant_dist(Z: np.ndarray) -> np.ndarray:
-    """cones.dist(orthant, z) at every row z of Z, bit for bit: the norm of
-    z - max(z, 0), snapped to 0 at or below 1e-12 max(1, ||z||)."""
-    d, nz = _row_norms(Z - np.maximum(Z, 0.0)), _row_norms(Z)
-    return np.where(d <= 1e-12 * np.where(nz > 1.0, nz, 1.0), 0.0, d)  # max(1.0, nz) keeps 1 at NaN
-
-
 def _residual_rows(insts, X: np.ndarray, own: np.ndarray):
     """(W, R) at every row r, x of the (S, n) array X, on the orthant
     instance insts[own[r]] (instances of one dimension and order): W[r] =
     A x^{m-1} + q has the bits of inst.w_of(x), and R[r] the residual triple
     of residual(inst, x)."""
+    K = insts[0].cone
     W = _Forms([inst.A for inst in insts]).m1(X, own) + np.array([inst.q for inst in insts])[own]
-    return W, np.column_stack([_orthant_dist(X), _orthant_dist(W), np.abs(np.vecdot(X, W))])
+    return W, np.column_stack([_dists(K, X), _dists(dual(K), W), np.abs(np.vecdot(X, W))])
 
 
 def _solved_rows(insts, X: np.ndarray, own: np.ndarray, tol: float) -> np.ndarray:

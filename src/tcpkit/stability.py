@@ -20,7 +20,8 @@ from ._simplex import _combine, _simplex_lattice, descend_on_simplex
 from .classify import SearchBudget, Verdict, _holds, q_in_dual_SA
 from .compcones import _memberships, complementary_tensor, q_membership
 from .cones import PolyhedralCone, _row_norms, extreme_rays, from_generators, orthant, tangent_cone
-from .solver import TcpInstance, _min_map_newton, _solve_stack, _solved_rows, is_solution, residual
+from .solver import (TcpInstance, _instance_stack, _min_map_newton, _solve_stack, _solved_rows,
+                     is_solution, residual)
 from .tensor import IndexSet, Tensor, _dense_stack, apply_m2, is_subsymmetric, unit_tensor
 
 __all__ = [
@@ -76,7 +77,7 @@ def _perturbations(inst: TcpInstance, streams, eps: float):
         scale = eps * _uniform_stack(streams, 1)[:, 0] / (_row_norms(D[:, :n]) + _row_norms(D[:, n:]))
         dq, dA = D[:, :n] * scale[:, None], D[:, n:] * scale[:, None]
     tensors = _dense_stack(inst.A.to_dense() + dA.reshape((T,) + (n,) * inst.A.order))
-    return dq, dA, [TcpInstance(inst.cone, inst.q + d, A) for d, A in zip(dq, tensors)]
+    return dq, dA, _instance_stack(inst.cone, inst.q + dq, tensors)
 
 
 def _trial_instances(inst: TcpInstance, eps: float, trials: int, seed: int):

@@ -259,6 +259,8 @@ class TestErrors:
         ["perturb", "error-bound", "--fixture", "identity32", "--q=-1,-1",
          "--xbar=1,1", "--radius", "nan"],
         ["perturb", "openness", "--fixture", "E4", "--trials", "-3"],
+        ["distance", "--cone1", "orthant2", "--cone2", "ray10", "--samples", "0"],
+        ["distance", "--cone1", "orthant2", "--cone2", "ray10", "--samples", "-5"],
     ])
     def test_bad_numeric_option_is_parse_error(self, capsys, argv):
         code = main(argv)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from scipy.optimize import linprog, nnls
 
 from tcpkit.cones import (
     NotPointedError,
+    _dists,
     _nnls,
+    _sample_blocks,
     basis_samples,
     cone_from_json,
     cone_to_json,
@@ -22,6 +26,8 @@ from tcpkit.cones import (
 )
 from tcpkit.fixtures import cone_fixture
 from tcpkit.tensor import ShapeError
+
+from splitmix_reference import INC, MASK, Stream, unmix
 
 
 def ray10():
@@ -108,6 +114,26 @@ class TestDistances:
             assert dist(K, s) <= 1e-9
             assert contains(K, s, 1e-9)
 
+    @pytest.mark.parametrize("K", FIXTURE_CONES + [dual(K) for K in FIXTURE_CONES[2:]])
+    def test_rows_match_single_calls(self, K):
+        rng = np.random.default_rng(K.dim)
+        Z = np.vstack([rng.standard_normal((40, K.dim)) * 10.0 ** rng.uniform(-3, 3, (40, 1)),
+                       np.array(basis_samples(K, 10, seed=1)), np.zeros(K.dim)])
+        d = _dists(K, Z)
+        assert all(d[t] == dist(K, z) for t, z in enumerate(Z))
+        assert np.all(d[40:] == 0.0)
+
+
+def scalar_samples(K, N: int, seed: int) -> np.ndarray:
+    """basis_samples drawn one weight at a time from the reference stream."""
+    gens = [g / np.linalg.norm(g) for g in K.generators if np.linalg.norm(g) > 1e-9]
+    G, out, s = np.column_stack(gens), list(gens), Stream(seed)
+    while len(out) < max(N, len(gens)):
+        v = G @ np.array([s.uniform() for _ in gens])
+        if (nrm := np.linalg.norm(v)) > 1e-12:
+            out.append(v / nrm)
+    return np.array(out)
+
 
 class TestBasisSamples:
     def test_generators_included(self):
@@ -129,6 +155,25 @@ class TestBasisSamples:
         b = basis_samples(orthant(3), 50, seed=9)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
+    @pytest.mark.parametrize("K", FIXTURE_CONES)
+    def test_matches_scalar_reference(self, K):
+        for seed in (0, 9, 2**64 - 1):
+            ref = scalar_samples(K, 300, seed)
+            assert np.array_equal(np.array(basis_samples(K, 300, seed)), ref)
+            for block in (1, 7, 64):
+                assert np.array_equal(np.vstack(list(_sample_blocks(K, 300, seed, block))), ref)
+
+    def test_rejected_draw_matches_scalar_reference(self):
+        # ray10 draws one weight per sample; a state whose 5th output is 0
+        # gives a zero weight, a norm of 0 and a rejected sample
+        seed = (unmix(0) - 5 * INC) & MASK
+        s = Stream(seed)
+        assert [s.uniform() for _ in range(5)][-1] == 0.0
+        ref = scalar_samples(ray10(), 20, seed)
+        assert np.array_equal(np.array(basis_samples(ray10(), 20, seed)), ref)
+        for block in (1, 3, 4, 5, 19):
+            assert np.array_equal(np.vstack(list(_sample_blocks(ray10(), 20, seed, block))), ref)
+
 
 class TestDeltaMetric:
     def test_identical_cones(self):
@@ -141,6 +186,21 @@ class TestDeltaMetric:
     def test_symmetry(self):
         K1, K2 = orthant(2), from_generators([[2.0, 1.0], [1.0, 2.0]])
         assert delta_metric(K1, K2, 500) == delta_metric(K2, K1, 500)
+
+    def test_memory_stays_blocked(self):
+        # 2 x 200 000 samples; the stack of either side alone would be
+        # 4.6 MiB, and its weights as much again.  Taken 2 048 at a time, the
+        # peak is one block's samples, weights and nnls state: about 0.8 MiB
+        K = from_generators([[1.0, 0.2, 0.1], [0.1, 1.0, 0.3], [0.2, 0.1, 1.0], [1.0, 1.0, 0.1]])
+        delta_metric(orthant(3), K, 100)
+        tracemalloc.start()
+        try:
+            d = delta_metric(orthant(3), K, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < d < 1.0
+        assert peak <= 2 * 2**20
 
     def test_dual_isometry(self):
         pairs = [(orthant(2), ray10()),
@@ -322,6 +382,40 @@ def _nnls_problems(count: int, seed: int):
         yield G, z
 
 
+def lawson_hanson(G: np.ndarray, z: np.ndarray) -> float:
+    """||G lam - z|| at the lam of a scalar Lawson-Hanson loop whose
+    passive-set subproblems go through lstsq, one vector at a time."""
+    k = G.shape[1]
+    lam, passive, skip = np.zeros(k), np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+    tol = 10 * np.finfo(float).eps * max(G.shape) * np.linalg.norm(z)
+    tol *= np.linalg.norm(G, axis=0).max(initial=0.0)
+    w, stepping = G.T @ z, False
+    for _ in range(50 * k):
+        if not stepping:
+            free = ~passive & ~skip & (w > tol)
+            if not free.any():
+                break
+            j = np.argmax(np.where(free, w, -np.inf))
+            passive[j] = True
+        s = np.zeros(k)
+        s[passive] = np.linalg.lstsq(G[:, passive], z, rcond=None)[0]
+        if not stepping and s[j] <= 0:
+            passive[j], skip[j] = False, True
+        elif np.all(s[passive] > 0):
+            lam, stepping, skip[:] = s, False, False
+            w = G.T @ (z - G @ lam)
+        else:
+            block = passive & (s <= 0)
+            ratio = np.full(k, np.inf)
+            ratio[block] = lam[block] / (lam[block] - s[block])
+            i = np.argmin(ratio)
+            lam = lam + ratio[i] * (s - lam)
+            lam[i], stepping = 0.0, True
+            passive &= lam > 0
+            lam[~passive] = 0.0
+    return float(np.linalg.norm(G @ lam - z))
+
+
 class TestNnls:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_against_scipy(self):
@@ -332,6 +426,26 @@ class TestNnls:
             x, _ = nnls(G, z, maxiter=50 * G.shape[1])
             # scipy's reported rnorm is not trusted: recompute its residual
             assert rnorm <= np.linalg.norm(G @ x - z) + 1e-9 * max(1.0, np.linalg.norm(z))
+
+    def test_rows_match_single_calls(self):
+        # each row keeps its own passive set, steps and cap: its lam and
+        # residual are those of the same row run alone, bit for bit
+        rng = np.random.default_rng(5)
+        for G, z in _nnls_problems(300, seed=12):
+            n, k = G.shape
+            Z = np.vstack([z, -z, np.zeros(n), G @ rng.uniform(0.0, 1.0, k),
+                           rng.standard_normal((4, n)) * np.linalg.norm(z), z])
+            lam, rnorm = _nnls(G, Z)
+            for t in range(len(Z)):
+                lam1, rnorm1 = _nnls(G, Z[t])
+                assert np.array_equal(lam[t], lam1) and rnorm[t] == rnorm1
+
+    def test_against_scalar_lstsq_loop(self):
+        # the passive solves go through one SVD per passive set instead of
+        # lstsq: the residuals move by round-off only
+        for G, z in _nnls_problems(400, seed=13):
+            rnorm = _nnls(G, z)[1]
+            assert abs(rnorm - lawson_hanson(G, z)) <= 1e-12 * np.linalg.norm(z)
 
     def test_degenerate_columns(self):
         G = np.array([[1.0, -1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0]])

@@ -93,6 +93,16 @@ class TestPerturbExistence:
         assert (r.solvable_fraction * r.trials) == pytest.approx(
             round(r.solvable_fraction * r.trials))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_perturbed_q_is_checked(self, identity32):
+        # q + dq overflows in some trial: the stacked q is checked once, with
+        # the error TcpInstance raises for a non-finite q
+        inst = TcpInstance(orthant(2), np.array([1.79e308, 1.79e308]), identity32)
+        with pytest.raises(ValueError, match="q has a non-finite entry"):
+            perturb_existence(inst, 1e307, 50, seed=3)
+        with pytest.raises(ValueError, match="q has a non-finite entry"):
+            usc_probe(inst, 1e307, 5, seed=3)
+
     def test_deterministic(self, id_inst):
         a = perturb_existence(id_inst, 1e-3, 10, seed=11)
         b = perturb_existence(id_inst, 1e-3, 10, seed=11)
