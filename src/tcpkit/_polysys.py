@@ -20,7 +20,9 @@ minimum clears a Lipschitz slack; otherwise the scan is inconclusive.
 in generator coordinates need not be square.
 
 ``walk_supports`` runs these scans over the complementary supports and
-applies the slack test; membership and the enumeration solver both read it.
+applies the slack test, and a sign test of the slack rows settles a
+support no root of which can be feasible; membership and the enumeration
+solver both read it.
 It walks a stack of instances at once.  The instances whose tensors share
 ``_tails`` (the groups of ``_Forms``) cut their sub-systems once per
 support (``_Forms.cut``), run their sign test as one test on the stacked
@@ -71,6 +73,20 @@ def _sign_infeasible(coef: np.ndarray, Q: np.ndarray) -> np.ndarray:
     q's does not cancel."""
     return (((coef.min(axis=1, initial=0.0) >= 0) & (Q > 1e-12))
             | ((coef.max(axis=1, initial=0.0) <= 0) & (Q < -1e-12))).any(axis=1)
+
+
+def _slack_infeasible(forms: _Forms, a: list, comp: list, Q: np.ndarray) -> np.ndarray:
+    """For every instance of forms (q = Q[i]) on the support a: True when
+    some complement row j has no positive coefficient on the support's
+    monomials (the tails inside a) and q_j < -SLACK_TOL, so its slack is
+    below -SLACK_TOL at every u >= 0 and no root is feasible.  One test
+    per group of forms, on its stacked coefficients."""
+    out = np.zeros(len(Q), dtype=bool)
+    for g, (A, coef) in enumerate(forms.groups):
+        pos = (coef[:, np.isin(A._tails, a).all(axis=1)][:, :, comp] > 0).any(axis=1)
+        members = np.flatnonzero(forms.group == g)
+        out[members] = (~pos[forms.slot[members]] & (Q[members][:, comp] < -SLACK_TOL)).any(axis=1)
+    return out
 
 
 @functools.cache  # one grid per (k, res); _sphere_bounds asks for one res per k
@@ -375,7 +391,8 @@ def walk_supports(tensors, qs, multistarts: int, live=None):
     A_aa u^{m-1} + q_a = 0 whose slack A_{comp,a} u^{m-1} + q_comp is
     >= -SLACK_TOL; each one gives a solution (u_alpha, 0) of TCP(q, A).
     settled is True when the scan proves no other feasible root exists:
-    the system is certified infeasible, or its root list is complete.
+    the system is certified infeasible, its root list is complete, or a
+    slack row is negative at every u >= 0 (_slack_infeasible).
     Each support cuts the sub-forms of each group of instances that share
     _tails once (_Forms.cut) and scans them as one stack (_scan_stack), so
     every instance gets what it gets alone.  The generator is lazy, so a
@@ -401,10 +418,12 @@ def walk_supports(tensors, qs, multistarts: int, live=None):
                 forms = _Forms([tensors[i] for i in rows])
             a, comp = [i - 1 for i in members], [i - 1 for i in alpha.complement]
             feasible, settled = [[] for _ in qs], [False] * len(qs)
-            for i, scan in zip(rows, _scan_stack(forms.cut(a), Q[rows][:, a], multistarts)):
+            ruled_out = _slack_infeasible(forms, a, comp, Q[rows])
+            for i, out, scan in zip(rows, ruled_out, _scan_stack(forms.cut(a), Q[rows][:, a],
+                                                                 multistarts)):
                 for u_a in scan.roots:
                     slack = apply_off(tensors[i], alpha, u_a) + qs[i][comp] if comp else np.zeros(0)
                     if np.all(slack >= -SLACK_TOL):
                         feasible[i].append((u_a, slack))
-                settled[i] = scan.certified_infeasible or scan.roots_complete
+                settled[i] = bool(out) or scan.certified_infeasible or scan.roots_complete
             yield alpha, feasible, settled

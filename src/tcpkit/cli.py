@@ -247,26 +247,27 @@ def cmd_perturb(args) -> int:
         raise _ParseFailure(f"--trials must be >= 1, got {args.trials}")
     q = None if args.q is None else _parse_point("q", args.q, A.dim)
     xbar = None if args.xbar is None else _parse_point("xbar", args.xbar, A.dim)
-    try:
+    try:  # an overflow or a NaN in the probe's numpy arithmetic is a perturb error
         inst = None if q is None else TcpInstance(orthant(A.dim), q, A)
-        if args.mode == "existence":
-            result = perturb_existence(inst, args.eps, args.trials, args.seed,
-                                       budget).to_json()
-        elif args.mode == "error-bound":
-            result = error_bound_probe(inst, xbar, args.radius, args.eps, args.trials,
-                                       args.seed, budget).to_json()
-        elif args.mode == "usc":
-            result = usc_probe(inst, args.eps, args.trials, args.seed, budget)
-        elif args.mode == "unsolvable":
-            result = unsolvable_neighborhood_probe(A, q, args.eps, args.trials,
-                                                   args.seed, budget)
-        elif args.mode == "openness":
-            K = _get_cone(args.cone, A.dim)
-            result = nonsingularity_openness_probe(K, A, args.eps, args.trials,
-                                                   args.seed, budget)
-        else:  # uniqueness, the last of argparse's choices
-            result = local_uniqueness_certificate(inst, xbar, budget).to_json()
-    except ValueError as e:
+        with np.errstate(over="raise", invalid="raise"):
+            if args.mode == "existence":
+                result = perturb_existence(inst, args.eps, args.trials, args.seed,
+                                           budget).to_json()
+            elif args.mode == "error-bound":
+                result = error_bound_probe(inst, xbar, args.radius, args.eps, args.trials,
+                                           args.seed, budget).to_json()
+            elif args.mode == "usc":
+                result = usc_probe(inst, args.eps, args.trials, args.seed, budget)
+            elif args.mode == "unsolvable":
+                result = unsolvable_neighborhood_probe(A, q, args.eps, args.trials,
+                                                       args.seed, budget)
+            elif args.mode == "openness":
+                K = _get_cone(args.cone, A.dim)
+                result = nonsingularity_openness_probe(K, A, args.eps, args.trials,
+                                                       args.seed, budget)
+            else:  # uniqueness, the last of argparse's choices
+                result = local_uniqueness_certificate(inst, xbar, budget).to_json()
+    except (ValueError, FloatingPointError) as e:
         print(f"perturb error: {e}", file=sys.stderr)
         return EXIT_PERTURB
     report = {
@@ -322,7 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tensor", help="tensor JSON file")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--budget", type=int, default=0,
-                        help="grid resolution override (0 = auto)")
+                        help="lattice resolution of the basis search (0 = by dimension); "
+                             "solve, membership and perturb uniqueness and error-bound "
+                             "echo it and do not read it")
 
     sp = sub.add_parser("classify", help="three-valued tensor classification")
     add_tensor_opts(sp)

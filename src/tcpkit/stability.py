@@ -3,8 +3,9 @@
 Everything here is a seeded experiment: perturbations are drawn from a
 splitmix64 stream, reports echo their full configuration, and repeated runs
 with the same seed are bit-identical.  The probes estimate the existential
-constants (solvability radius, error-bound constant) empirically; they
-never claim exact values.
+constants (solvability radius, error-bound constant) empirically and claim
+no exact value for them.  The local-uniqueness certificate is no estimate:
+it is the least Rayleigh quotient over the slice, exact up to rounding.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._rng import SplitMix64, _sphere_stack, _uniform_stack
-from ._simplex import _combine, _simplex_lattice, descend_on_simplex
 from .classify import SearchBudget, Verdict, _holds, q_in_dual_SA
 from .compcones import _memberships, complementary_tensor, q_membership
-from .cones import PolyhedralCone, _row_norms, extreme_rays, from_generators, orthant, tangent_cone
+from .cones import (_RAY_TOL, _SLICE, PolyhedralCone, _row_norms, extreme_rays, from_generators,
+                    orthant, tangent_cone)
 from .solver import (TcpInstance, _instance_stack, _min_map_newton, _solve_stack, _solved_rows,
                      is_solution, residual)
 from .tensor import IndexSet, Tensor, _dense_stack, apply_m2, is_subsymmetric, unit_tensor
@@ -87,13 +88,46 @@ def _trial_instances(inst: TcpInstance, eps: float, trials: int, seed: int):
     return (streams, *_perturbations(inst, streams, eps))
 
 
+def _least_rayleigh(M: np.ndarray, R: np.ndarray):
+    """(least v^T M v / v^T v, its v, candidates scored) over the cone of the
+    unit columns of R, M symmetric.  A minimiser is v = R_S lam, lam > 0,
+    on linearly independent columns S (Caratheodory), so lam is a generalized
+    eigenvector of (R_S^T M R_S, R_S^T R_S) (Seeger, Linear Algebra Appl.
+    292, 1999).  Every S, |S| <= n, is solved, cones._SLICE sets per batched
+    call: a thin SVD R_S = U diag(s) W^T (rank |S| at _RAY_TOL), eigh of
+    U^T M U, weights W diag(1/s) times its eigenvectors.  Each candidate
+    v = R_S |lam| is in the cone, so the least quotient computed from them is
+    the minimum, up to rounding, with no sign filter on the eigenvectors."""
+    n, k = R.shape
+    best, witness, scored = math.inf, None, 0
+    for r in range(1, min(n, k) + 1):
+        sets = itertools.combinations(range(k), r)
+        while len(S := np.array(list(itertools.islice(sets, _SLICE)), dtype=np.intp)):
+            U, s, Wt = np.linalg.svd(R.T[S].transpose(0, 2, 1), full_matrices=False)
+            keep = s[:, -1] > _RAY_TOL
+            S, U, s, Wt = S[keep], U[keep], s[keep], Wt[keep]
+            Z = np.linalg.eigh(U.transpose(0, 2, 1) @ M @ U)[1] / s[:, :, None]
+            V = R.T[S].transpose(0, 2, 1) @ np.abs(Wt.transpose(0, 2, 1) @ Z)  # (sets, n, r)
+            quot = np.sum(V * (M @ V), axis=1) / np.sum(V * V, axis=1)  # (sets, r)
+            scored += quot.size
+            # the first batch sets the witness, even at a NaN quotient
+            if quot.size and (witness is None or quot.min() < best):
+                b, j = np.unravel_index(np.argmin(quot), quot.shape)
+                best, witness = float(quot[b, j]), V[b, :, j].copy()
+            del U, Wt, Z, V  # one batch's arrays alive at a time
+    return best, witness, scored
+
+
 def local_uniqueness_certificate(inst: TcpInstance, xbar,
                                  budget: SearchBudget | None = None) -> Verdict:
     """Second-order sufficient condition for local uniqueness of xbar.
 
-    Minimizes v^T (A xbar^{m-2}) v over unit directions in the tangent cone
-    of K at xbar that annihilate w.  A strictly positive minimum certifies
-    local uniqueness; an empty feasible slice certifies it vacuously.
+    The least v^T (A xbar^{m-2}) v over unit directions v in the tangent
+    cone of K at xbar that annihilate w (_least_rayleigh over the extreme
+    rays of that slice; R^n is the cone of the +-basis vectors).  A minimum
+    above budget.margin certifies local uniqueness, one at or below 0
+    fails with a witness that re-checks, and an empty feasible slice
+    certifies it vacuously.  The minimum is exact up to rounding.
     """
     budget = budget or SearchBudget()
     xbar = np.asarray(xbar, dtype=float)
@@ -104,55 +138,17 @@ def local_uniqueness_certificate(inst: TcpInstance, xbar,
         note = "tensor is not sub-symmetric; the sufficient condition assumes it"
 
     M = apply_m2(inst.A, xbar)
-    Msym = 0.5 * (M + M.T)
-    n = inst.A.dim
-    T = tangent_cone(inst.cone, xbar, tol=1e-8)
-    rows = list(T.inequalities)
+    rows = list(tangent_cone(inst.cone, xbar, tol=1e-8).inequalities)
     w = inst.w_of(xbar)
     if float(np.linalg.norm(w)) > 1e-10:
         rows.extend([w, -w])
-
-    if not rows:
-        # feasible slice is the whole unit sphere: exact eigen-solve
-        vals, vecs = np.linalg.eigh(Msym)
-        cert = float(vals[0])
-        witness = vecs[:, 0]
-        status = "holds" if cert > budget.margin else ("fails" if cert <= 0 else "unknown")
-        return Verdict("local-uniqueness", status, cert, witness, 1, note=note)
-
-    rays = extreme_rays(rows, n)
+    rays = extreme_rays(rows, inst.A.dim)
     if not rays:
         return Verdict("local-uniqueness", "holds", None, None, 1,
                        note=(note + "; " if note else "") + "empty unit slice")
-
-    R = np.column_stack(rays)
-
-    def rayleigh(L):
-        V = _combine(L, R)
-        nv = np.vecdot(V, V)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(nv <= 1e-20, math.inf, np.vecdot((V[:, None, :] @ Msym)[:, 0], V) / nv)
-
-    def grad(L):
-        V = _combine(L, R)
-        MV = (V[:, None, :] @ Msym)[:, 0]
-        return _combine(2.0 * (MV - rayleigh(L)[:, None] * V) / np.vecdot(V, V)[:, None], R.T)
-
-    k = R.shape[1]
-    lattice = _simplex_lattice(k, budget.resolution_for(k))
-    start = lattice[np.argmin(rayleigh(lattice))]  # first lattice minimizer
-    lam, val, used = descend_on_simplex(lambda L, _: rayleigh(L), lambda L, _: grad(L),
-                                        start[None], budget.polish_iters)
-    best_val = float(val[0])
-    evals = len(lattice) + int(used[0]) - 1  # the start was already scored on the lattice
-    best_v = R @ lam[0]
-
-    witness = best_v / np.linalg.norm(best_v)
-    if best_val > budget.margin:
-        return Verdict("local-uniqueness", "holds", best_val, witness, evals, note=note)
-    if best_val <= 0.0:
-        return Verdict("local-uniqueness", "fails", best_val, witness, evals, note=note)
-    return Verdict("local-uniqueness", "unknown", best_val, witness, evals, note=note)
+    cert, v, scored = _least_rayleigh(0.5 * (M + M.T), np.column_stack(rays))
+    status = "holds" if cert > budget.margin else ("fails" if cert <= 0.0 else "unknown")
+    return Verdict("local-uniqueness", status, cert, v / np.linalg.norm(v), scored, note=note)
 
 
 def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,

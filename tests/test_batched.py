@@ -6,9 +6,8 @@ tests run it alone, and through a plain per-start loop written here from the
 docstrings, and compare bit for bit.  The maps written here (dense cubic
 forms, a linear form, a rescaled quadratic) are evaluated with elementwise
 products and sums over trailing axes, so a row's value never depends on the
-other rows of its batch.  The maps that min_over_basis and
-local_uniqueness_certificate build must keep that property too, and are
-checked the same way.  descend_on_simplex tells its maps which start each
+other rows of its batch.  The maps that min_over_basis builds must keep
+that property too, and are checked the same way.  descend_on_simplex tells its maps which start each
 row descends from, so one call can carry rows of different objectives: the
 stacked basis minimisation scores each row with its own tensor, and must
 give every tensor what min_over_basis gives it alone.  damped_newton tells
@@ -512,22 +511,6 @@ def test_min_over_basis_polishes_each_start_as_alone(monkeypatch, n, k, seed):
         min_over_basis(objective, A, K, SearchBudget(multistarts=16, polish_iters=60))
     for f, grad, L0, iters in calls:
         assert_rows_follow_one_start_rule(f, grad, L0, iters)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_local_uniqueness_descent_follows_one_start_rule(monkeypatch, seed):
-    # a matrix on a generated cone at xbar = 0, q = 0: the slice is the cone
-    # itself, so the Rayleigh quotient mixes all its generators
-    calls = []
-    monkeypatch.setattr(stability, "descend_on_simplex",
-                        lambda *args: calls.append(args) or descend_on_simplex(*args))
-    rng = np.random.default_rng(seed)
-    K = from_generators(list(np.abs(rng.normal(size=(3, 2))) + 0.1))
-    A = fx.random_tensor("general", 2, 2, seed)
-    stability.local_uniqueness_certificate(TcpInstance(K, np.zeros(2), A), np.zeros(2))
-    (f, grad, L0, iters), = calls
-    _, _, evals = assert_rows_follow_one_start_rule(f, grad, L0, iters)
-    assert evals[0] > 1
 
 
 def with_axis_zeros(A):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -19,6 +20,24 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     return code, json.loads(out) if out else None
+
+
+def lcp_solutions(M, q):
+    """Every solution of the LCP w = M x + q, x, w >= 0, x.w = 0, by exact
+    enumeration of the supports; every principal submatrix must be
+    nonsingular, so each support has one candidate."""
+    M, q = np.array(M), np.array(q)
+    n, sols = len(q), []
+    for r in range(n + 1):
+        for a in itertools.combinations(range(n), r):
+            a = list(a)
+            x = np.zeros(n)
+            if a:
+                assert abs(np.linalg.det(M[np.ix_(a, a)])) > 1e-3
+                x[a] = np.linalg.solve(M[np.ix_(a, a)], -q[a])
+            if np.all(x >= 0) and np.all(M @ x + q >= -1e-12):
+                sols.append(x.tolist())
+    return sols
 
 
 class TestClassify:
@@ -73,15 +92,32 @@ class TestSolve:
         assert "certified" in rep["note"]
 
     def test_uncertified_slack_failure_is_unknown(self, capsys, tmp_path):
-        # support {1,3} has a root failing the slack test and an unproved
-        # root list: solve must not claim a certified "no solution"
-        M = [[1.325, -1.749, 1.302], [-1.342, -0.499, -0.733], [0.765, -1.286, -0.415]]
+        # support {2,3} has a root failing the slack test and an unproved
+        # root list, and the failing slack row 1 has positive coefficients
+        # on u_2 and u_3, so no sign test settles it: solve must not claim a
+        # certified "no solution", though the LCP has none
+        M = [[-1.8, 0.025, 0.077], [-0.939, -1.483, -1.917], [-0.425, -0.479, -1.906]]
+        q = [-1.047, 1.152, 0.47]
+        assert lcp_solutions(M, q) == []
         p = tmp_path / "m.json"
         p.write_text(json.dumps(tensor_to_json(tensor_from_dense(np.array(M)))))
-        code, rep = run_json(capsys, "solve", "--tensor", str(p), "--q=-1.977,-0.950,-0.315")
+        code, rep = run_json(capsys, "solve", "--tensor", str(p), "--q=-1.047,1.152,0.47")
         assert code == 3
         assert rep["unknown"] is True and rep["solutions"] == []
         assert "note" not in rep
+
+    def test_negative_slack_row_certifies_no_solution(self, capsys, tmp_path):
+        # on support {1,3}, slack row 2 is -1.342 u_1 - 0.733 u_3 - 0.95 < 0
+        # for every u >= 0, which settles the support whatever its roots
+        M = [[1.325, -1.749, 1.302], [-1.342, -0.499, -0.733], [0.765, -1.286, -0.415]]
+        q = [-1.977, -0.950, -0.315]
+        assert lcp_solutions(M, q) == []
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(tensor_to_json(tensor_from_dense(np.array(M)))))
+        code, rep = run_json(capsys, "solve", "--tensor", str(p), "--q=-1.977,-0.950,-0.315")
+        assert code == 0
+        assert rep["unknown"] is False and rep["solutions"] == []
+        assert "certified" in rep["note"]
 
     def test_instance_file(self, capsys, tmp_path):
         from tcpkit.cones import orthant
@@ -121,6 +157,20 @@ class TestPerturb:
                      "--trials", "3"])
         capsys.readouterr()
         assert code == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["existence", "--fixture", "identity32", "--q=-1,-1", "--trials", "3"],
+        ["usc", "--fixture", "identity32", "--q=-1,-4", "--trials", "3"],
+        ["error-bound", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1", "--trials", "3"],
+        ["unsolvable", "--fixture", "E1", "--q=1,-1", "--trials", "10"],
+    ])
+    def test_overflowing_eps_is_a_perturb_error(self, capsys, argv):
+        # a perturbation of size 1e300 overflows the probe's arithmetic: no
+        # report from overflowed numbers, and no RuntimeWarning
+        code = main(["perturb", *argv, "--eps", "1e300", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 5
+        assert out == "" and err.startswith("perturb error: overflow")
 
 
 class TestPerturbUnreadFlags:

@@ -174,6 +174,16 @@ class TestQMembership:
         assert res.member is False
         assert res.subsets_examined == 4
 
+    def test_negative_slack_row_settles_a_support(self):
+        # w_1 = -x_1^2 - 0.02 < 0 for every x: on support {2, 3} slack row 1
+        # is q_1 with no coefficient on u_2, u_3, which settles the support
+        # though its root list is not proved complete
+        A = unit_tensor(3, 3).scale(-1.0)
+        res = q_membership(A, [-0.02, 0.1, 0.3])
+        assert res.member is False and res.subsets_examined == 8
+        # a slack within the tolerance settles nothing: the root is feasible
+        assert q_membership(A, [-1e-9, 0.1, 0.3]).member is True
+
     def test_identity_separable(self):
         I = fx.identity(3, 2)
         q = np.array([-1.0, -4.0])
@@ -276,6 +286,13 @@ class TestStackedMemberships:
         got = self.check(A, qs)
         assert {r.member for r in got} == {True, False, None}
         assert len({r.subsets_examined for r in got if r.member}) >= 2
+
+    def test_slack_row_rule_per_q(self):
+        # slack row 1 rules out support {2, 3} for q_1 < -1e-8 only; each q
+        # of the stack gets its own verdict
+        qs = [[-0.02, 0.1, 0.3], [-1e-9, 0.1, 0.3], [0.5, 0.1, 0.3], [-0.3, -0.2, 0.4]]
+        got = self.check(unit_tensor(3, 3).scale(-1.0), qs)
+        assert [r.member for r in got] == [False, True, True, False]
 
     def test_walk_stops_once_every_q_is_a_member(self, monkeypatch):
         # q = (1, 1), (-1, 1), (1, -1) are members of identity(3, 2) at the

@@ -11,6 +11,8 @@ import pytest
 import tcpkit
 
 HEAVY = ("_polysys", "_grid", "solver", "compcones", "stability", "classify")
+CLASSIFY = {"_forms", "_rng", "_simplex", "classify", "cli", "cones", "fixtures", "tensor"}
+ALL = CLASSIFY | {"_grid", "_polysys", "compcones", "solver", "stability"}  # all 13 modules
 
 
 def loaded_after(code: str) -> set:
@@ -35,8 +37,11 @@ def test_cli_import_loads_no_heavy_module():
     (["fixtures"], {"_rng", "cli", "cones", "fixtures", "tensor"}),
     (["distance", "--cone1", "orthant2", "--cone2", "ice2", "--samples", "50"],
      {"_rng", "cli", "cones", "fixtures", "tensor"}),
-    (["classify", "--fixture", "E1"],
-     {"_forms", "_rng", "_simplex", "classify", "cli", "cones", "fixtures", "tensor"}),
+    (["classify", "--fixture", "E1"], CLASSIFY),
+    (["solve", "--fixture", "E1", "--q=-1,-1"], CLASSIFY | {"_grid", "_polysys", "solver"}),
+    (["membership", "--fixture", "E1", "--q=1,-1"], CLASSIFY | {"_grid", "_polysys", "compcones"}),
+    (["perturb", "uniqueness", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1"], ALL),
+    (["perturb", "existence", "--fixture", "identity32", "--q=-1,-1", "--trials", "2"], ALL),
 ])
 def test_command_loads_only_what_it_runs(argv, expected):
     code = ("import contextlib, io\nfrom tcpkit.cli import main\n"

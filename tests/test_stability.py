@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from tcpkit import classify, stability
 from tcpkit._rng import SplitMix64
 from tcpkit.classify import SearchBudget, is_copositive, is_K_nonsingular
 from tcpkit.compcones import complementary_tensor, q_membership
-from tcpkit.cones import from_generators, orthant
+from tcpkit.cones import extreme_rays, from_generators, orthant
 from tcpkit.solver import TcpInstance, refine, solve_enumerate
 from tcpkit.stability import (
     PerturbationReport,
@@ -65,6 +66,147 @@ class TestLocalUniqueness:
         inst = TcpInstance(orthant(2), np.array([1.0, 1.0]), e4)
         v = local_uniqueness_certificate(inst, np.zeros(2))
         assert "sub-symmetric" in v.note
+
+    def test_verdict_reads_only_the_margin(self, e2):
+        inst = TcpInstance(orthant(2), np.zeros(2), e2)
+        lean = SearchBudget(grid_resolution=1, multistarts=1, polish_iters=1)
+        xbar = np.array([1.0, 0.0])
+        assert local_uniqueness_certificate(inst, xbar, lean).to_json() == \
+            local_uniqueness_certificate(inst, xbar).to_json()
+        wide = local_uniqueness_certificate(TcpInstance(orthant(2), np.array([-1.0, -1.0]),
+                                                        fx.identity(3, 2)),
+                                            np.array([1.0, 1.0]), SearchBudget(margin=2.0))
+        assert wide.status == "unknown" and wide.certificate == 1.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_exact_on_the_arc_of_a_plane_cone(self, seed):
+        # the slice at xbar = 0, q = 0 is the cone itself; on its arc, 10^5
+        # angles sample the quotient of a unit-norm M to within 5e-10
+        rng = np.random.default_rng(seed)
+        t1 = rng.uniform(-np.pi, np.pi)
+        t2 = t1 + rng.uniform(0.1, 3.0)
+        gens = [[np.cos(t), np.sin(t)] for t in (t1, t2, rng.uniform(t1, t2))]
+        M = rng.normal(size=(2, 2))
+        M = M + M.T
+        M /= np.linalg.norm(M, 2)
+        v = local_uniqueness_certificate(cone_matrix_instance(gens, M), np.zeros(2))
+        T = np.linspace(t1, t2, 10**5)
+        V = np.column_stack([np.cos(T), np.sin(T)])
+        sampled = np.min(np.einsum("si,ij,sj->s", V, M, V))
+        assert abs(v.certificate - sampled) <= 1e-9
+        assert v.certificate <= sampled + 1e-12
+
+    def test_exact_minimum_against_the_lattice_descent(self):
+        # 300 seeded (M, cone) pairs at n = 2..4: the status the sampled
+        # search gave, and a minimum never above its own
+        statuses = set()
+        for M, gens in corpus_pairs(300):
+            inst = cone_matrix_instance(gens, M)
+            v = local_uniqueness_certificate(inst, np.zeros(len(M)))
+            rays = extreme_rays(inst.cone.inequalities, len(M))  # the slice at xbar = 0
+            ref = lattice_descent_minimum(M, np.column_stack(rays))
+            ref_status = "holds" if ref > 1e-6 else ("fails" if ref <= 0.0 else "unknown")
+            assert v.status == ref_status
+            assert v.certificate <= ref + 1e-12 * max(1.0, np.linalg.norm(M))
+            statuses.add(v.status)
+        assert statuses == {"holds", "fails"}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_witness_lies_in_the_slice_and_rechecks(self, n):
+        # solutions with zero components and w > 0 on some of them: the
+        # slice is cut by the active inequalities and by w, -w
+        from tcpkit.cones import tangent_cone
+        from tcpkit.tensor import apply_m2
+        for seed in range(20):
+            rng = np.random.default_rng(100 * n + seed)
+            A = fx.random_tensor("symmetric", 3, n, seed)
+            x = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.5, 2.0, n))
+            w = np.where((x == 0) & (rng.random(n) < 0.5), rng.uniform(0.1, 1.0, n), 0.0)
+            inst = TcpInstance(orthant(n), w - apply_m1(A, x), A)
+            v = local_uniqueness_certificate(inst, x)
+            rows = list(tangent_cone(inst.cone, x).inequalities)
+            if np.linalg.norm(w) > 0:
+                rows += [w, -w]
+            if v.witness is None:
+                assert "empty unit slice" in v.note
+                continue
+            assert abs(np.linalg.norm(v.witness) - 1.0) <= 1e-12
+            assert all(float(g @ v.witness) >= -1e-9 for g in rows)
+            M = apply_m2(A, x)
+            assert float(v.witness @ (0.5 * (M + M.T)) @ v.witness) == pytest.approx(
+                v.certificate, abs=1e-10)
+
+    def test_twenty_rays_in_r5_stay_batched(self):
+        # 21 699 column sets; one batch of cones._SLICE sets at a time keeps
+        # the peak at about 5.5 MiB, all sets at once would take about 18
+        import tracemalloc
+        rng = np.random.default_rng(0)
+        R = rng.normal(size=(5, 20))
+        R /= np.linalg.norm(R, axis=0)
+        M = rng.normal(size=(5, 5))
+        M = M + M.T
+        tracemalloc.start()
+        try:
+            cert, v, scored = stability._least_rayleigh(M, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert scored == sum(math.comb(20, r) * r for r in range(1, 6))
+        assert cert == pytest.approx(float(v @ M @ v / (v @ v)), abs=1e-12)
+        assert cert <= np.min(np.einsum("ik,ij,jk->k", R, M, R))  # every ray is a candidate
+
+
+def cone_matrix_instance(gens, M):
+    """TCP(0, M) on the cone of gens, M as an order-2 tensor: at xbar = 0
+    the slice of the certificate is the whole cone."""
+    return TcpInstance(from_generators(gens), np.zeros(len(M)), tensor_from_dense(np.array(M)))
+
+
+def corpus_pairs(count):
+    """count seeded (M, generators) pairs, n = 2..4 with 2..5 generators,
+    half of them in the open orthant; generator sets that span a line are
+    skipped."""
+    from tcpkit.cones import NotPointedError
+    pairs, seed = [], 0
+    while len(pairs) < count:
+        rng = np.random.default_rng(seed)
+        seed += 1
+        n, k = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        G = rng.normal(size=(k, n))
+        if rng.random() < 0.5:
+            G = np.abs(G) + 0.1
+        try:
+            from_generators(list(G))
+        except NotPointedError:
+            continue
+        M = rng.normal(size=(n, n))
+        pairs.append((M + M.T + 2.0 * rng.normal() * np.eye(n), list(G)))
+    return pairs
+
+
+def lattice_descent_minimum(M, R, budget=SearchBudget()):
+    """The sampled minimum the certificate used to report: the Rayleigh
+    quotient of M over the cone of the columns of R, least on the
+    barycentric lattice of the rays, polished by projected gradient descent
+    from the first lattice minimiser."""
+    from tcpkit._simplex import _simplex_lattice, descend_on_simplex
+
+    def rayleigh(L, _rows=None):
+        V = L @ R.T
+        nv = np.einsum("si,si->s", V, V)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(nv <= 1e-20, np.inf, np.einsum("si,ij,sj->s", V, M, V) / nv)
+
+    def grad(L, _rows=None):
+        V = L @ R.T
+        nv = np.einsum("si,si->s", V, V)
+        return (2.0 * (V @ M - rayleigh(L)[:, None] * V) / nv[:, None]) @ R
+
+    k = R.shape[1]
+    lattice = _simplex_lattice(k, budget.resolution_for(k))
+    start = lattice[np.argmin(rayleigh(lattice))]
+    return float(descend_on_simplex(rayleigh, grad, start[None], budget.polish_iters)[1][0])
 
 
 class TestPerturbExistence:
