@@ -16,8 +16,9 @@ enumeration solver.  It combines
 Every test reads the tensor's frozen form; none calls ``to_dense``.
 Infeasibility is only certified when the box bound is valid and the grid
 minimum clears a Lipschitz slack; otherwise the scan is inconclusive.
-``damped_newton`` also serves ``compcones.tpos_contains``, whose Jacobian
-in generator coordinates need not be square.
+``_scan_stack`` is the package's one search for nonnegative roots: besides
+the support walk, ``compcones.tpos_contains`` scans with it the systems of
+its image-cone membership, lifted to the cone's generators.
 
 ``walk_supports`` runs these scans over the complementary supports and
 applies the slack test, and a sign test of the slack rows settles a
@@ -44,6 +45,7 @@ import numpy as np
 
 from ._forms import _Forms
 from ._grid import _grid_picks
+from ._rng import SplitMix64, _uniform_stack
 from ._simplex import _compositions
 from .tensor import IndexSet, Tensor, _monomials, apply_off
 
@@ -149,17 +151,16 @@ def min_sphere_norm(A: Tensor) -> float:
 
 
 def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve J[s] d[s] = b[s] for every row s, by least squares where J[s]
-    is singular or not square.  When np.linalg.solve rejects the batch, a
-    batched LU test (slogdet sign 0: an exact zero pivot, the test solve
-    raises on) finds the singular rows; the others are solved in one batch
-    and only the singular ones one by one."""
+    """Solve J[s] d[s] = b[s] for every row s of a stack of square J, by
+    least squares where J[s] is singular.  When np.linalg.solve rejects the
+    batch, a batched LU test (slogdet sign 0: an exact zero pivot, the test
+    solve raises on) finds the singular rows; the others are solved in one
+    batch and only the singular ones one by one."""
     try:
         return np.linalg.solve(J, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        square = J.shape[-1] == J.shape[-2]
-        lone = np.linalg.slogdet(J)[0] == 0 if square else np.ones(len(b), dtype=bool)
-        out = np.empty(b.shape[:-1] + J.shape[-1:])
+        lone = np.linalg.slogdet(J)[0] == 0
+        out = np.empty(b.shape)
         if not lone.all():
             out[~lone] = np.linalg.solve(J[~lone], b[~lone][..., None])[..., 0]
         for s in np.flatnonzero(lone):
@@ -169,14 +170,14 @@ def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def damped_newton(F, J, X, iters: int, tol: float, project=lambda v: v):
     """Newton on F(x) = 0 with backtracking on ||F||, for every row x of the
-    (S, k) array X at once.  F(X, rows) maps (R, k) points to (R, n) values
-    and J(X, rows) to (R, n, k) Jacobians, where rows holds the index in X
+    (S, k) array X at once.  F(X, rows) maps (R, k) points to (R, k) values
+    and J(X, rows) to (R, k, k) Jacobians, where rows holds the index in X
     of the start each point comes from, so one call can solve rows of
     different systems (a stacked support walk gives each row its own
     tensor's coefficients).
 
     Each row steps on its own: it solves J(x) d = -F(x) (least squares when
-    J is singular, or a Gauss-Newton step when n != k) and halves t until
+    J is singular) and halves t until
     ||F(project(x + t d))|| < (1 - 1e-4 t) ||F(x)|| or drops to tol; it
     stops at tol, after iters steps, when d is not finite, or when no
     halving down to t = 1e-14 helps.  F and J must give each row the value
@@ -308,7 +309,7 @@ def _start_phase(A: Tensor, coef: np.ndarray, Q: np.ndarray, norms: list, multis
     R = [(qn / (0.5 * cs)) ** (1.0 / (m - 1)) if ok
          else (1.0 + qn) ** (1.0 / (m - 1)) * 10.0 for cs, qn, ok in zip(c, norms, bounded)]
     if k > 3:  # dimension too high for a dense grid: multistart only, never certify
-        U = np.random.default_rng(0).random((4 * multistarts, k))
+        U = _uniform_stack([SplitMix64(0)], 4 * multistarts * k).reshape(4 * multistarts, k)
         return [(np.vstack([np.zeros(k), Rs * U]), math.inf, None) for Rs in R]
 
     g = max(min(int(_GRID_CELLS ** (1.0 / k)), 512), 8)  # a uniform grid on [0, R]^k

@@ -236,6 +236,19 @@ def _class_means(k: int, r: int) -> np.ndarray:
     return M
 
 
+def _lift(dense: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The tensors dense[p] (n^m, or one tensor broadcast as a stack of one)
+    with every trailing index contracted with V[p], an (n, k) matrix: the
+    (P, n, k, ..., k) stack B[p]_{i j...} = sum_l A_{i l...} V_{l j} ..., so
+    B[p] lam^{m-1} = A (V[p] lam)^{m-1}."""
+    P, n, k = V.shape
+    Vb = V.reshape((P,) + (1,) * (dense.ndim - 3) + (n, k))
+    T = dense
+    for _ in range(dense.ndim - 2):
+        T = np.moveaxis(T @ Vb, -1, 2)
+    return T
+
+
 def _bernstein(dense: np.ndarray, V: np.ndarray, form: str):
     """Bernstein coefficients on the leaves with vertices V[p] (columns):
     of A x^m (form "xm", one component) or of every component of A x^{m-1}
@@ -246,13 +259,9 @@ def _bernstein(dense: np.ndarray, V: np.ndarray, form: str):
     coefficients at the vertices, shapes (P, c) and (P, c, k)."""
     P, n, k = V.shape
     m = dense.ndim - 1
-    Vb = V.reshape((P,) + (1,) * (m - 2) + (n, k))
-    T = dense
-    for _ in range(m - 1):  # contract every index but the first
-        T = np.moveaxis(T @ Vb, -1, 2)
-    r = m - 1
-    if form == "xm":
-        T, r = np.moveaxis(T, 1, -1) @ Vb, m
+    T, r = _lift(dense, V), m - 1
+    if form == "xm":  # contract the first index too
+        T, r = np.moveaxis(T, 1, -1) @ V.reshape((P,) + (1,) * (m - 2) + (n, k)), m
     T = T.reshape(P, -1, k**r)
     B = T @ _class_means(k, r)
     vertices = np.ravel_multi_index((np.arange(k),) * r, (k,) * r)  # the tuples (j, ..., j)

@@ -178,7 +178,7 @@ def cmd_solve(args) -> int:
         "unknown": outcome.unknown,
     }
     if not outcome.solutions and not outcome.unknown:
-        report["note"] = "no solution (certified at grid resolution)"
+        report["note"] = "no solution: every support settled"
     if bad:
         report["note"] = f"{len(bad)} solution(s) exceed --tol {args.tol}"
     _emit(args, report)

@@ -7,29 +7,25 @@ under all 2^n complementary tensors is exactly the set of right-hand sides
 q for which the orthant TCP is solvable; membership is decided by scanning
 the per-alpha polynomial systems.  Many right-hand sides of one tensor are
 decided in one stacked support walk, each with the result it gets alone;
-q_membership is the stack of one.
+q_membership is the stack of one.  Image-cone membership (tpos_contains)
+scans the systems lifted to the cone's generators with the walk's root
+search, and for a matrix measures the exact NNLS distance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._polysys import SYS_TOL, damped_newton, newton_refine, walk_supports
-from ._simplex import _combine, _simplex_lattice
+from ._forms import _Forms
+from ._polysys import SYS_TOL, _scan_stack, walk_supports
+from ._simplex import _basis, _lift
 from .classify import SearchBudget, Verdict
-from .cones import PolyhedralCone
-from .tensor import (
-    IndexSet,
-    ShapeError,
-    Tensor,
-    apply_m1,
-    batch_apply_m1,
-    jacobian_m1,
-    principal_subtensor,
-)
+from .cones import PolyhedralCone, _nnls
+from .tensor import IndexSet, ShapeError, Tensor, _dense_stack, apply_m1, principal_subtensor
 
 __all__ = [
     "MembershipResult",
@@ -77,14 +73,16 @@ def complementary_tensor(A: Tensor, alpha: IndexSet | tuple) -> Tensor:
 def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None = None) -> Verdict:
     """Does y lie in {A x^{m-1} : x in K}?
 
-    holds: a witness x = G lam, lam >= 0 over the normalized generators G,
-    with residual within the margin, found by one batched damped Newton
-    (Gauss-Newton when G is not square) on A (G lam)^{m-1} = y from the
-    scaled best lattice points.  fails: the normalized images of the
-    lattice and of the polished points stay separated from y-hat by more
-    than the margin; that sampled separation bounds the true distance from
-    above only, so fails is a claim at sampling resolution, and its note
-    says so.  unknown otherwise.
+    For m = 2 the image is the cone of the columns of A G (G the normalized
+    generators of K), so one NNLS gives the exact distance of y / |y| from
+    it: the certificate, holds at or below budget.margin and fails above.
+    For m >= 3 every x in K is G_S lam, lam >= 0, on a linearly independent
+    set S of rank(G) generators (Caratheodory).  Every square row subsystem
+    of every lifted system B_S lam^{m-1} = y (_lift) is scanned in one stack
+    (_scan_stack): holds when a root's point G_S lam maps to y within
+    margin * max(1, |y|), that residual the certificate; fails when every S
+    has a subsystem certified infeasible or with a complete root list;
+    unknown otherwise.  per_alpha names each S (1-based) and its reasons.
     """
     y = np.asarray(y, dtype=float)
     if K.dim != A.dim or y.shape != (A.dim,):
@@ -92,53 +90,40 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
                          f"tensor of dimension {A.dim}")
     budget = budget or SearchBudget()
     yn = float(np.linalg.norm(y))
-    used = 0
     if yn <= SYS_TOL:
-        return Verdict("tpos-contains", "holds", 0.0, np.zeros(A.dim), used)
-    yhat = y / yn
+        return Verdict("tpos-contains", "holds", 0.0, np.zeros(A.dim), 0)
+    G = _basis(K, A.dim)
+    if A.order == 2:
+        lam, d = _nnls(A.to_dense() @ G, y / yn)
+        if d <= budget.margin:
+            return Verdict("tpos-contains", "holds", d, yn * (G @ lam), 1)
+        return Verdict("tpos-contains", "fails", d, None, 1,
+                       note="exact distance of y-hat from the image cone")
 
-    gens = [np.asarray(g, float) / np.linalg.norm(g) for g in K.generators]
-    G = np.column_stack(gens)
-    k = len(gens)
-    res = max(budget.resolution_for(k), 256) if k <= 2 else budget.resolution_for(k)
-    lattice = _simplex_lattice(k, res)
-    X = lattice @ G.T
-    Z = batch_apply_m1(A, X)
-    zn = np.linalg.norm(Z, axis=1)
-    used += len(zn)
-    sep = _separation(Z, zn, yhat)
-
-    # polish the most promising directions, scaled onto |y|, into exact preimages
-    best = np.argsort(np.linalg.norm(Z - yhat * zn[:, None], axis=1), kind="stable")
-    best = best[: budget.multistarts]
-    best = best[zn[best] > 1e-12]
-    t = (yn / zn[best]) ** (1.0 / (A.order - 1))
-    lam, r = damped_newton(lambda L, _: apply_m1(A, _combine(L, G)) - y,
-                           lambda L, _: jacobian_m1(A, _combine(L, G)) @ G,
-                           t[:, None] * lattice[best], budget.polish_iters, 1e-14,
-                           project=lambda L: np.maximum(L, 0.0))
-    X = _combine(lam, G)
-    hit = np.flatnonzero(r <= budget.margin * max(1.0, yn))
-    if len(hit):
-        i = int(hit[0])
-        return Verdict("tpos-contains", "holds", float(r[i]), X[i],
-                       used + (i + 1) * budget.polish_iters)
-    used += len(best) * budget.polish_iters
-    Z = apply_m1(A, X)
-    sep = min(sep, _separation(Z, np.linalg.norm(Z, axis=1), yhat))
-    if sep > budget.margin:
-        return Verdict("tpos-contains", "fails", sep, None, used,
-                       note="sampled separation on the normalized image grid: an upper "
-                            "bound on the distance from y-hat, with no lower bound behind it")
-    return Verdict("tpos-contains", "unknown", sep, None, used)
-
-
-def _separation(Z: np.ndarray, zn: np.ndarray, yhat: np.ndarray) -> float:
-    """min ||z / ||z|| - yhat|| over the rows z of Z with ||z|| > 1e-12."""
-    ok = zn > 1e-12
-    if not np.any(ok):
-        return math.inf
-    return float(np.linalg.norm(Z[ok] / zn[ok, None] - yhat, axis=1).min())
+    (n, k), r = G.shape, int(np.linalg.matrix_rank(G))
+    sets = np.array(list(itertools.combinations(range(k), r)), dtype=np.intp)
+    sets = sets[np.linalg.matrix_rank(np.moveaxis(G[:, sets], 1, 0)) == r]
+    rows = np.array(list(itertools.combinations(range(n), r)), dtype=np.intp)
+    B = _lift(A.to_dense()[None], np.moveaxis(G[:, sets], 1, 0))[:, rows]
+    scans = _scan_stack(_Forms(_dense_stack(B.reshape((-1,) + B.shape[2:]))),
+                        -np.tile(y[rows], (len(sets), 1)), budget.multistarts)
+    for i, scan in enumerate(scans):
+        for lam in scan.roots:
+            x = G[:, sets[i // len(rows)]] @ lam
+            res = float(np.linalg.norm(apply_m1(A, x) - y))
+            if res <= budget.margin * max(1.0, yn):
+                return Verdict("tpos-contains", "holds", res, x, len(scans))
+    per_alpha, refuted = {}, True
+    for p, S in enumerate(sets):
+        mine = list(zip(rows, scans[p * len(rows):(p + 1) * len(rows)]))
+        done = [(R, scan) for R, scan in mine if scan.certified_infeasible or scan.roots_complete]
+        refuted = refuted and bool(done)
+        per_alpha[",".join(map(str, S + 1))] = "; ".join(
+            f"rows {','.join(map(str, R + 1))}: {scan.reason or 'roots off y, not proved complete'}"
+            for R, scan in (done[:1] or mine))
+    return Verdict("tpos-contains", "fails" if refuted else "unknown", None, None, len(scans),
+                   note="every independent generator set refuted by a subsystem scan"
+                   if refuted else "", per_alpha=per_alpha)
 
 
 def q_membership(A: Tensor, q, budget: SearchBudget | None = None) -> MembershipResult:
@@ -186,14 +171,11 @@ def _memberships(A: Tensor, qs, budget: SearchBudget | None = None) -> list[Memb
 
 
 def solution_from_membership(result: MembershipResult, A: Tensor, q) -> np.ndarray:
-    """Reconstruct x = (u_alpha, 0) from a member result."""
+    """Reconstruct x = (u_alpha, 0) from a member result: u_alpha is the
+    walk's root, already refined to the solver's tolerance."""
     if result.member is not True:
         raise ValueError("no solution to reconstruct: result is not a member")
-    q = np.asarray(q, dtype=float)
     x = np.zeros(A.dim)
     a = [i - 1 for i in result.alpha.members]
     x[a] = result.u[a]
-    # one Newton touch-up keeps the reconstruction at solver tolerance
-    if a:
-        x[a] = newton_refine(principal_subtensor(A, result.alpha), q[a], result.u[a])[0]
     return x

@@ -194,8 +194,8 @@ def test_criterion_5_example3_nonclosedness():
             check(f, d == 1.0 / l, f"distance not exact at l={l}")
     v = tk.tpos_contains(orthant(2), abar, [1.0, 2.0])
     check(f, v.status == "fails", "tpos_contains must fail for (1,2)")
-    check(f, v.certificate >= 0.3,
-          f"separation certificate {v.certificate} < 0.3")
+    check(f, abs(v.certificate - 1.0 / np.sqrt(10.0)) <= 1e-12,
+          f"distance certificate {v.certificate} != 1/sqrt(10)")
     record(5, "example 3 non-closedness reproduction", f)
 
 

@@ -86,10 +86,11 @@ class TestSolve:
         assert np.allclose(rep["solutions"][0]["x"], 0.0)
 
     def test_certified_no_solution(self, capsys):
+        # sign tests settle every support of E1 at (1, -1); no grid runs
         code, rep = run_json(capsys, "solve", "--fixture", "E1", "--q=1,-1")
         assert code == 0
-        assert rep["solutions"] == []
-        assert "certified" in rep["note"]
+        assert rep["solutions"] == [] and rep["unknown"] is False
+        assert rep["note"] == "no solution: every support settled"
 
     def test_uncertified_slack_failure_is_unknown(self, capsys, tmp_path):
         # support {2,3} has a root failing the slack test and an unproved
@@ -117,7 +118,7 @@ class TestSolve:
         code, rep = run_json(capsys, "solve", "--tensor", str(p), "--q=-1.977,-0.950,-0.315")
         assert code == 0
         assert rep["unknown"] is False and rep["solutions"] == []
-        assert "certified" in rep["note"]
+        assert rep["note"] == "no solution: every support settled"
 
     def test_instance_file(self, capsys, tmp_path):
         from tcpkit.cones import orthant

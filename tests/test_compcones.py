@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from scipy.optimize import least_squares, nnls
 
 from tcpkit import fixtures as fx
 from tcpkit.classify import SearchBudget, is_K_nonsingular
@@ -23,6 +23,7 @@ from tcpkit.tensor import (
     apply_off,
     power_vec,
     principal_subtensor,
+    tensor_from_dense,
     unit_tensor,
 )
 
@@ -75,10 +76,10 @@ class TestComplementaryTensor:
 
 class TestTposContains:
     def test_e3bar_separated(self, e3bar):
+        # the image is the (1,1) ray; (1,2)/sqrt5 lies 1/sqrt10 from it
         v = tpos_contains(orthant(2), e3bar, [1.0, 2.0])
         assert v.status == "fails"
-        assert v.certificate >= 0.3  # dist of (1,2)/sqrt5 to the (1,1) ray
-        assert "no lower bound" in v.note  # the separation is sampled, not proved
+        assert abs(v.certificate - 1.0 / np.sqrt(10.0)) <= 1e-12
 
     def test_e3bar_on_ray(self, e3bar):
         v = tpos_contains(orthant(2), e3bar, [3.0, 3.0])
@@ -154,6 +155,111 @@ class TestTposContainsOnGeneratedCones:
         w = v.witness
         assert np.linalg.norm(dense_m1(A, w) - y) <= 1e-6 * max(1.0, np.linalg.norm(y))
         assert nnls(G, w)[1] <= 1e-9 * max(1.0, np.linalg.norm(w))
+
+
+def independent_sets(G):
+    """The sets of rank(G) linearly independent columns of G."""
+    r = np.linalg.matrix_rank(G)
+    return [list(S) for S in itertools.combinations(range(G.shape[1]), r)
+            if np.linalg.matrix_rank(G[:, list(S)]) == r]
+
+
+def unit_columns(K):
+    return np.column_stack([g / np.linalg.norm(g) for g in K.generators])
+
+
+class TestTposContainsMatrices:
+    """At m = 2 the image of K is the cone of the columns of A G, so the
+    certificate is the exact distance of y-hat from it, here by scipy."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_certificate_is_the_nnls_distance(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        M = rng.uniform(-2.0, 2.0, (n, n))
+        K = orthant(n) if seed % 4 == 0 else from_generators(
+            list(np.abs(rng.normal(size=(n + seed % 3, n))) + 0.05))
+        G = unit_columns(K)
+        y = M @ G @ rng.uniform(0.0, 1.0, G.shape[1]) if seed % 3 == 0 else rng.uniform(-2, 2, n)
+        v = tpos_contains(K, tensor_from_dense(M), y)
+        d = nnls(M @ G, y / np.linalg.norm(y))[1]
+        assert abs(v.certificate - d) <= 1e-12
+        assert v.status == ("holds" if d <= 1e-6 else "fails")
+        if v.status == "holds":
+            assert np.linalg.norm(M @ v.witness - y) <= 1e-6 * max(1.0, np.linalg.norm(y))
+            assert nnls(G, v.witness)[1] <= 1e-9 * max(1.0, np.linalg.norm(v.witness))
+
+
+def challenger_residual(A, G, y, starts, rng):
+    """The least ||A (G_S lam)^2 - y|| that scipy's bounded least_squares
+    finds from starts random lam >= 0, over every independent set S of
+    columns of G: a dense einsum model sharing no code with the scan."""
+    D, best = A.to_dense(), np.inf
+    for S in independent_sets(G):
+        GS = G[:, S]
+
+        def f(lam):
+            x = GS @ lam
+            return np.einsum("ijk,j,k->i", D, x, x) - y
+
+        def jac(lam):
+            x = GS @ lam
+            return (np.einsum("ijk,k->ij", D, x) + np.einsum("ijk,j->ik", D, x)) @ GS
+
+        scale = np.sqrt(np.linalg.norm(y))
+        for _ in range(starts):
+            lam0 = rng.uniform(0.0, 2.0 * scale, GS.shape[1])
+            fit = least_squares(f, lam0, jac=jac, bounds=(0.0, np.inf))
+            best = min(best, float(np.linalg.norm(fit.fun)))
+    return best
+
+
+class TestTposContainsCertified:
+    """At m = 3 a fails must survive a challenger that shares no code with
+    the scan, a holds witness must re-check densely and lie in K, and every
+    fails names one scan reason per independent generator set."""
+
+    def test_seeded_corpus(self):
+        rng = np.random.default_rng(2024)
+        counts = {"holds": 0, "fails": 0, "unknown": 0}
+        for i in range(40):
+            n = 2 + i % 2
+            kind = ("general", "copositive", "symmetric")[i // 2 % 3]
+            A = fx.random_tensor(kind, 3, n, 500 + i)
+            gens = (i // 6) % 3
+            K = orthant(n) if gens == 0 else from_generators(
+                list(np.abs(rng.normal(size=(n + gens, n))) + 0.05))
+            G = unit_columns(K)
+            y = rng.uniform(-2.0, 2.0, n)
+            v = tpos_contains(K, A, y)
+            counts[v.status] += 1
+            if v.status == "holds":
+                w = v.witness
+                assert np.linalg.norm(dense_m1(A, w) - y) <= 1e-6 * max(1.0, np.linalg.norm(y))
+                assert nnls(G, w)[1] <= 1e-9 * max(1.0, np.linalg.norm(w))
+            elif v.status == "fails":
+                assert sorted(v.per_alpha) == sorted(",".join(str(j + 1) for j in S)
+                                                     for S in independent_sets(G))
+                assert challenger_residual(A, G, y, 50, rng) > 1e-6 * max(1.0, np.linalg.norm(y))
+        assert counts["holds"] and counts["fails"]
+
+    @pytest.mark.parametrize("name", ["E1", "E4", "general-m3n2s5"])
+    def test_lower_rank_cone(self, name):
+        # on the ray of e1 the image is the ray of a = A e1 e1: its points
+        # hold, and a point off it, its negative and -a fail, each scalar
+        # subsystem settled by its sign test or its complete root list
+        A, K = fx.fixture(name), fx.cone_fixture("ray10")
+        a = A.to_dense()[:, 0, 0]
+        v = tpos_contains(K, A, 2.5 * a)
+        assert v.status == "holds"
+        assert np.allclose(dense_m1(A, v.witness), 2.5 * a, atol=1e-9)
+        off = np.array([[0.6, -0.8], [0.8, 0.6]]) @ a
+        for y in (off, -off, -a):
+            v = tpos_contains(K, A, y)
+            assert v.status == "fails"
+            assert list(v.per_alpha) == ["1"]
+            assert v.per_alpha["1"].split(": ")[1] in ("sign analysis", "scalar closed form",
+                                                       "scalar zero coefficient")
 
 
 class TestQMembership:

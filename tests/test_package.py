@@ -1,8 +1,10 @@
 """The package imports its modules lazily: `import tcpkit` loads none of
 them, and each CLI command loads only the modules it runs."""
 
+import ast
 import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -62,3 +64,27 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         tcpkit.no_such_name  # noqa: B018
     assert not hasattr(tcpkit, "cli_main")
+
+
+def numpy_random_names(source: str):
+    """The uses of numpy.random in source's code: np.random or
+    numpy.random attributes, and imports from numpy.random."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and getattr(node.value, "id", None) in ("np", "numpy")):
+            yield ast.unparse(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom)
+                        else alias.name)
+                if name.startswith("numpy.random"):
+                    yield name
+
+
+def test_no_module_names_numpy_random():
+    # every draw comes from _rng's splitmix64, whose stream no numpy version
+    # changes; numpy promises no Generator stream across versions
+    assert list(numpy_random_names("import numpy as np\nU = np.random.default_rng(0)")) == \
+        ["np.random"]
+    for path in pathlib.Path(tcpkit.__file__).parent.glob("*.py"):
+        assert not list(numpy_random_names(path.read_text())), path.name
