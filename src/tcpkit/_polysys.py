@@ -1,42 +1,40 @@
 """Root search for the per-support systems A u^{m-1} + q = 0, u >= 0.
 
 This is the workhorse behind complementary-cone membership and the
-enumeration solver.  It combines
+enumeration solver.  Every system is homogenized: G(u, t) = A u^{m-1} +
+q t^{m-1} vanishes on the standard simplex of R^{k+1}_+ exactly when the
+system has a root u >= 0 (at u / t), or a root at infinity on the orthant
+(on the face t = 0).  The scan of a stack of systems runs
 
   * componentwise sign analysis (exact infeasibility certificates when all
-    coefficients of a component share a sign),
-  * a norm lower bound on the unit sphere that confines roots to a box,
-  * a residual grid over that box (``_grid``), scored in the power basis
-    from its one axis, only in the blocks of the grid that can hold one of
-    the best points: a monotone enclosure of each component over each
-    block bounds the residual there, and
-  * one row-batched damped projected Newton refinement from the best grid
-    points, the same points a full scoring of the grid would pick.
+    coefficients of a component share a sign) and the scalar closed form,
+  * a shallow Bernstein subdivision of that simplex (_simplex._subdivide,
+    _SHALLOW cuts), whose open leaves' centroids, mapped to u = c_u / c_t,
+    are the starts of
+  * one row-batched damped projected Newton refinement of every open
+    system's starts, each row with its own system's coefficients, and
+  * for the systems Newton found no root of, the subdivision continued to
+    _simplex._CLEAR_DEPTH cuts: when every leaf clears, the system is
+    certified infeasible.
 
-Every test reads the tensor's frozen form; none calls ``to_dense``.
-Infeasibility is only certified when the box bound is valid and the grid
-minimum clears a Lipschitz slack; otherwise the scan is inconclusive.
-``_scan_stack`` is the package's one search for nonnegative roots: besides
-the support walk, ``compcones.tpos_contains`` scans with it the systems of
-its image-cone membership, lifted to the cone's generators.
+The sign test and Newton read the tensor's frozen form; the enclosure
+reads its homogenized dense array.  A scan left open names why (_OPEN and
+_AT_INFINITY).  ``_scan_stack`` is the package's one search for nonnegative
+roots: besides the support walk, ``compcones.tpos_contains`` scans with it
+the systems of its image-cone membership, lifted to the cone's generators.
 
 ``walk_supports`` runs these scans over the complementary supports and
 applies the slack test, and a sign test of the slack rows settles a
 support no root of which can be feasible; membership and the enumeration
-solver both read it.
-It walks a stack of instances at once.  The instances whose tensors share
-``_tails`` (the groups of ``_Forms``) cut their sub-systems once per
-support (``_Forms.cut``), run their sign test as one test on the stacked
-coefficients and their start phase in blocks of tensors: one sphere
-bound, one block enclosure per level and one scoring of the kept blocks
-per block, each block tagged with its instance.  Then one Newton run
-refines the starts of all of them, every row with its own instance's
-coefficients.  Every instance gets the bits it gets alone.
+solver both read it.  It walks a stack of instances at once: the
+instances whose tensors share ``_tails`` (the groups of ``_Forms``) cut
+their sub-systems once per support (``_Forms.cut``), and every system of
+the stack is scanned as one stack.  Every instance gets the bits it gets
+alone.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -44,26 +42,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._forms import _Forms
-from ._grid import _grid_picks
-from ._rng import SplitMix64, _uniform_stack
-from ._simplex import _compositions
-from .tensor import IndexSet, Tensor, _monomials, apply_off
+from ._simplex import _CLEAR_DEPTH, _subdivide
+from .tensor import IndexSet, Tensor, apply_off
 
 SYS_TOL = 1e-9  # residual at which a refined point counts as a root
 SLACK_TOL = 1e-8  # a support root counts when its slack is >= -SLACK_TOL
 
-_C_MIN = 0.05  # sphere-norm level below which no box bound is claimed
-_GRID_CELLS = 300_000  # points of the residual grid over the root box
-_HEAD_TENSORS = 8  # tensors per block of a stacked start phase
+_SHALLOW = 8  # cuts of the subdivision whose open leaves give the Newton starts
+_SCAN_ENTRIES = 2**14  # entries k (k+1)^{m-1} of a homogenized system the enclosure takes
 _NEWTON_ITERS = 60  # damped Newton steps from each start
 _DEDUP_DIST = 1e-6  # roots (and solutions) closer than this are one
+
+# why a scan is left open: the stop code of _subdivide, 3 past _SCAN_ENTRIES,
+# 4 for a slack that overflows
+_AT_INFINITY = ("a leaf on the t = 0 face stayed open: a root at infinity on the orthant, "
+                "a vertex where A u^{m-1} is 0 within the slack")
+_OPEN = {0: f"depth cap reached: leaves open after {_CLEAR_DEPTH} cuts",
+         1: "a vertex is a near-root Newton did not refine",
+         2: "leaf cap reached: too many open leaves",
+         3: "too large for the enclosure",
+         4: "the enclosure overflows: its rounding slack is not finite"}
 
 
 @dataclass
 class SystemScan:
     roots: list = field(default_factory=list)
     certified_infeasible: bool = False
-    grid_min_residual: float = math.inf
     reason: str = ""
     roots_complete: bool = False  # the root list is provably exhaustive
 
@@ -91,63 +95,40 @@ def _slack_infeasible(forms: _Forms, a: list, comp: list, Q: np.ndarray) -> np.n
     return out
 
 
-@functools.cache  # one grid per (k, res); _sphere_bounds asks for one res per k
-def _sphere_grid(k: int, res: int) -> np.ndarray:
-    """Unit-norm nonnegative directions from a barycentric lattice, read-only."""
-    if k == 2:
-        t = np.linspace(0.0, math.pi / 2, res)
-        X = np.column_stack([np.cos(t), np.sin(t)])
-    else:
-        X = _compositions(k, res).astype(float)
-        X /= np.linalg.norm(X, axis=1, keepdims=True)
-    X.setflags(write=False)
-    return X
-
-
-def _row_abs_sums(A: Tensor, coef: np.ndarray) -> np.ndarray:
-    """max_i sum |a_{i, ...}| of every tensor coef[s] with A's tails, summed
-    over each component's k^{m-1} entries in index order, its unstored zeros
-    included: numpy's pairwise sum then has the bits of the dense row sum,
-    which it loses on sparse rows once the zeros are dropped."""
+def _homogenized(A: Tensor, coef: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The dense arrays of G(u, t) = A u^{m-1} + q t^{m-1} for the tensors
+    coef[s] with A's tails and q = Q[s]: shape (S, k) + (k + 1,) * (m - 1),
+    the last index of each trailing axis standing for t."""
     k = A.dim
-    rows = np.zeros((len(coef), k, k ** (A.order - 1)))
-    at = np.ravel_multi_index(tuple(A._tails.T), (k,) * (A.order - 1))
-    rows[:, :, at] = np.abs(np.swapaxes(coef, 1, 2))
-    return rows.sum(axis=2).max(axis=1)
+    H = np.zeros((len(coef), k) + (k + 1,) * (A.order - 1))
+    H[(slice(None), slice(None)) + tuple(A._tails.T)] = np.swapaxes(coef, 1, 2)
+    H[(slice(None), slice(None)) + (k,) * (A.order - 1)] = Q
+    return H
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _sphere_bounds(A: Tensor, coef: np.ndarray, abs_sums: list) -> list:
-    """min_sphere_norm of every tensor coef[s] with A's tails, abs_sums its
-    _row_abs_sums.  The sphere grid is contracted with every tensor in the
-    row blocks of batch_apply_m1, one product per tensor and block, so each
-    tensor gets the bits it gets alone; a NaN anywhere gives a NaN bound.
-    The products are component first, (S, k, rows): numpy adds fewer than 8
-    terms in order, so the sum over the leading axis has the bits of a sum
-    over each row's k components; from 8 on it sums them pairwise, so the
-    squares are copied row first, contiguous, for that sum."""
-    k = A.dim
-    res = 4096 if k <= 2 else (48 if k == 3 else 12)
-    V = _sphere_grid(k, res)
-    least = np.inf
-    step = max(1, 2**16 // max(len(A._tails) * len(coef), 1))  # rows x T x S per block
-    for s in range(0, len(V), step):
-        F = np.swapaxes(coef, 1, 2) @ _monomials(A, V[s:s + step])
-        F *= F  # np.linalg.norm's squares; the least norm is the root of the least square
-        sq = (np.add.reduce(F, axis=1) if k < 8
-              else np.ascontiguousarray(np.swapaxes(F, 1, 2)).sum(axis=2))
-        least = np.minimum(least, sq.min(axis=1))
-    h = (math.pi / 2) / (res - 1) if k == 2 else 2.0 / res
-    return [max(est - (A.order - 1) * a * h, 0.0)
-            for est, a in zip(np.sqrt(least).tolist(), abs_sums)]
+def _clears(lo, hi, r):
+    """A component whose coefficients, moved by r, are all > 0 or all < 0."""
+    return (lo - r > 0) | (hi + r < 0)
 
 
 def min_sphere_norm(A: Tensor) -> float:
-    """Grid estimate of min ||A v^{m-1}|| over unit v >= 0, with a Lipschitz
-    correction subtracted so the result lower-bounds the true minimum
-    (clipped at 0)."""
-    coef = A._coef[None]
-    return _sphere_bounds(A, coef, _row_abs_sums(A, coef).tolist())[0]
+    """A lower bound on min ||A v^{m-1}|| over unit v >= 0, 0 when none is
+    shown.  On that sphere ||A v^{m-1}||_2 >= ||A s^{m-1}||_inf at s = v /
+    |v|_1, which the subdivision of the simplex (_subdivide) shows >= c when
+    every leaf has a component whose coefficients, moved by 2^-30 sum|a|,
+    are all >= c or all <= -c; c is the first of 2^(e-1), ..., 2^(e-40)
+    it shows, 2^e > sum|a|."""
+    dense = A.to_dense()[None]
+    with np.errstate(over="ignore"):
+        scale = np.abs(dense).sum()
+    if 0.0 < scale < math.inf:
+        top, rho, k = math.frexp(scale)[1], np.array([2.0**-30 * scale]), A.dim
+        for c in 2.0 ** np.arange(top - 1, top - 41, -1):
+            if not len(_subdivide(dense, np.eye(k), rho, "m1",
+                                  lambda lo, hi, r: (lo - r >= c) | (hi + r <= -c), _CLEAR_DEPTH,
+                                  np.zeros(1, dtype=np.intp), np.eye(k)[None])[0]):
+                return float(c)
+    return 0.0
 
 
 def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,13 +236,13 @@ def _dedup(roots: np.ndarray) -> list[int]:
     return kept
 
 
-def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, scans: list):
+def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, scans: list) -> list:
     """The part of the scans of one group (the tensors coef[s] with A's
-    tails, q = Q[s]) that needs no grid: the sign test, the scalar closed
-    form and q = 0 settle scans[s] in place.  Returns the positions of the
-    scans left open and their ||q||."""
+    tails, q = Q[s]) that needs no enclosure: the sign test, the scalar
+    closed form and q = 0 settle scans[s] in place.  Returns the positions
+    of the scans left open."""
     sign = _sign_infeasible(coef, Q)
-    left, norms = [], []
+    left = []
     for s, scan in enumerate(scans):
         if sign[s]:
             scan.certified_infeasible = True
@@ -284,123 +265,103 @@ def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, scans: list):
             else:
                 scan.certified_infeasible = True
                 scan.reason = "scalar zero coefficient"
-        elif (qn := float(np.linalg.norm(Q[s]))) <= SYS_TOL:
+        elif float(np.linalg.norm(Q[s])) <= SYS_TOL:
             scan.roots = [np.zeros(A.dim)]
-            scan.grid_min_residual = qn
         else:
             left.append(s)
-            norms.append(qn)
-    return left, norms
+    return left
 
 
-def _start_phase(A: Tensor, coef: np.ndarray, Q: np.ndarray, norms: list, multistarts: int):
-    """The start phase of the open scans of a block of one group (the
-    tensors coef[s] with A's tails, q = Q[s] of norm norms[s]): for each,
-    (Newton starts, least residual on its root-box grid, slack), where a
-    scan that finds no root is certified infeasible when the grid minimum
-    exceeds slack + 1e-9; slack is None when no box bound holds (the sphere
-    bound is at most 0.05, NaN or inf) or there is no grid (k >= 4).  The
-    sphere bounds, the block bounds and the scoring of the kept blocks each
-    run once for the whole block."""
-    k, m = A.dim, A.order
-    abs_sums = _row_abs_sums(A, coef).tolist()
-    c = _sphere_bounds(A, coef, abs_sums)
-    bounded = [_C_MIN < cs < math.inf for cs in c]  # a NaN or overflowed bound bounds no box
-    R = [(qn / (0.5 * cs)) ** (1.0 / (m - 1)) if ok
-         else (1.0 + qn) ** (1.0 / (m - 1)) * 10.0 for cs, qn, ok in zip(c, norms, bounded)]
-    if k > 3:  # dimension too high for a dense grid: multistart only, never certify
-        U = _uniform_stack([SplitMix64(0)], 4 * multistarts * k).reshape(4 * multistarts, k)
-        return [(np.vstack([np.zeros(k), Rs * U]), math.inf, None) for Rs in R]
-
-    g = max(min(int(_GRID_CELLS ** (1.0 / k)), 512), 8)  # a uniform grid on [0, R]^k
-    axes = np.array([np.linspace(0.0, Rs, g) for Rs in R])
-    best, least = _grid_picks(A, coef, Q, axes, max(4 * multistarts, 8))
-    heads = []
-    for s, Rs in enumerate(R):
-        starts = axes[s][np.column_stack(np.unravel_index(best[s], (g,) * k))]
-        slack = None
-        if bounded[s]:
-            lip = (m - 1) * abs_sums[s] * max(Rs, 1.0) ** (m - 2)
-            slack = lip * (Rs / (g - 1)) * math.sqrt(k) / 2.0
-        heads.append((starts, float(least[s]), slack))
-    return heads
-
-
-def _scan_heads(forms: _Forms, Q: np.ndarray, multistarts: int):
-    """The part of scan_system(A, q, multistarts) before its Newton stage,
-    for every system of a stack (the tensors of forms, q = Q[i]): (scans,
-    heads), heads[i] being (starts, slack) when scans[i] is left open, else
-    None.  The scans of each group of tensors that share _tails settle what
-    needs no grid in one pass, then run their start phase together,
-    _HEAD_TENSORS tensors at a time; every scan gets the bits it gets
-    alone."""
+def _scan_stack(forms: _Forms, Q: np.ndarray) -> list[SystemScan]:
+    """[scan_system(A, q) for A, q in zip(tensors, Q)], for the tensors of
+    forms (of one order and dimension k): each group settles what needs no
+    enclosure (_settle); the homogenized systems left open are subdivided
+    _SHALLOW cuts deep as one stack, and the centroids c of their open
+    leaves, at u = c_u / c_t, are refined in one damped Newton, each row
+    with its own system's coefficients.  The systems with no root are cut
+    on, to _CLEAR_DEPTH cuts in all, unless their subdivision stopped: a
+    system whose every leaf clears is certified infeasible, any other names
+    why it is open.  Every scan gets the bits it gets alone.  The enclosure
+    may overflow, which only leaves a scan open, so it raises no warning;
+    the Newton stage runs under the caller's np.errstate."""
     scans = [SystemScan() for _ in Q]
-    heads = [None] * len(Q)
+    own, H = [], []
     for g, (A, coef) in enumerate(forms.groups):
         members = np.flatnonzero(forms.group == g)
-        left, norms = _settle(A, coef, Q[members], [scans[i] for i in members])
-        for b in range(0, len(left), _HEAD_TENSORS):
-            block = left[b:b + _HEAD_TENSORS]
-            phase = _start_phase(A, coef[block], Q[members[block]], norms[b:b + _HEAD_TENSORS],
-                                 multistarts)
-            for i, (starts, least, slack) in zip(members[block], phase):
-                scans[i].grid_min_residual = least
-                heads[i] = starts, slack
-    return scans, heads
-
-
-def _scan_stack(forms: _Forms, Q: np.ndarray, multistarts: int) -> list[SystemScan]:
-    """[scan_system(A, q, multistarts) for A, q in zip(tensors, Q)], for
-    the tensors of forms (of one order and dimension): the heads of all
-    scans (_scan_heads), then the starts of every open scan refined in one
-    damped Newton, each row with its own system's coefficients, so every
-    scan gets the bits it gets alone."""
-    scans, heads = _scan_heads(forms, Q, multistarts)
-    open_ = [i for i, head in enumerate(heads) if head is not None]
-    if open_:
-        own = np.repeat(open_, [len(heads[i][0]) for i in open_])
-        X, r = _refine_rows(forms, Q, np.concatenate([heads[i][0] for i in open_]), own)
-    for i in open_:
-        scan, slack = scans[i], heads[i][1]
-        mine = own == i
+        left = _settle(A, coef, Q[members], [scans[i] for i in members])
+        own.extend(members[left])
+        H.append(_homogenized(A, coef[left], Q[members[left]]))
+    if not own:
+        return scans
+    own, H, k = np.array(own), np.concatenate(H), forms.groups[0][0].dim
+    with np.errstate(over="ignore"):  # an inf or NaN rho clears nothing
+        rho = 2.0**-30 * np.abs(H).reshape(len(H), -1).sum(axis=1)
+    # the systems the enclosure does not take keep one leaf, the simplex
+    stop = np.where(H[0].size > _SCAN_ENTRIES, 3, np.where(rho < math.inf, 0, 4)).astype(np.int8)
+    leaf, W = np.arange(len(H)), np.repeat(np.eye(k + 1)[None], len(H), axis=0)
+    go = stop == 0
+    if go.any():
+        cut, Wc, stop_c = _subdivide(H, np.eye(k + 1), rho, "m1", _clears, _SHALLOW,
+                                     leaf[go], W[go])
+        stop[go] = stop_c[go]
+        leaf, W = np.concatenate([leaf[~go], cut]), np.concatenate([W[~go], Wc])
+    c = W.mean(axis=2)  # a leaf is full-dimensional, so c_t > 0
+    X, r = _refine_rows(forms, Q, c[:, :k] / c[:, k:], own[leaf])
+    rootless = []
+    for j, i in enumerate(own):
+        mine = leaf == j
         roots = X[mine][r[mine] <= SYS_TOL]
-        scan.roots = list(roots[_dedup(roots)])
-        if scan.roots:
-            continue
-        if slack is None:
-            scan.reason = "no box bound (near-singular on the orthant)"
-        elif scan.grid_min_residual > slack + 1e-9:
+        scans[i].roots = list(roots[_dedup(roots)])
+        if not scans[i].roots:
+            rootless.append(j)
+    deep = np.isin(leaf, rootless) & (stop[leaf] == 0)
+    if deep.any():
+        more, Wd, stop_d = _subdivide(H, np.eye(k + 1), rho, "m1", _clears,
+                                      _CLEAR_DEPTH - _SHALLOW, leaf[deep], W[deep])
+        stop = np.maximum(stop, stop_d)
+        leaf, W = np.concatenate([leaf[~deep], more]), np.concatenate([W[~deep], Wd])
+    V = np.swapaxes(W, 1, 2)  # vertices as rows
+    p, v = np.nonzero((V[:, :, k] == 0) & np.isin(leaf, rootless)[:, None])  # on t = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        zero = np.abs(forms.m1(V[p, v, :k], own[leaf[p]])).max(axis=1) <= rho[leaf[p]]
+    at_infinity = np.isin(np.arange(len(H)), leaf[p][zero]) & (stop < 3)
+    for j in rootless:
+        scan = scans[own[j]]
+        if not (leaf == j).any():
             scan.certified_infeasible = True
-            scan.reason = "bounded box grid"
+            scan.reason = "Bernstein enclosure"
         else:
-            scan.reason = "grid minimum within Lipschitz slack"
+            scan.reason = _AT_INFINITY if at_infinity[j] else _OPEN[int(stop[j])]
     return scans
 
 
-def scan_system(A: Tensor, q, multistarts: int = 24) -> SystemScan:
+def scan_system(A: Tensor, q) -> SystemScan:
     """Search for all nonnegative roots of A u^{m-1} + q = 0."""
-    return _scan_stack(_Forms([A]), np.asarray(q, dtype=float)[None], multistarts)[0]
+    return _scan_stack(_Forms([A]), np.asarray(q, dtype=float)[None])[0]
 
 
-def walk_supports(tensors, qs, multistarts: int, live=None):
+def walk_supports(tensors, qs, live=None):
     """Scan every complementary support alpha of {1..n} for every instance
     (A, q) of a stack at once (tensors of one order and dimension n), by
     increasing size and lexicographically within a size, yielding (alpha,
-    feasible, settled) with one entry per instance in each list.
+    feasible, open_) with one entry per instance in each list.
 
     feasible lists the (u_alpha, slack) pairs with u_alpha >= 0 a root of
     A_aa u^{m-1} + q_a = 0 whose slack A_{comp,a} u^{m-1} + q_comp is
     >= -SLACK_TOL; each one gives a solution (u_alpha, 0) of TCP(q, A).
-    settled is True when the scan proves no other feasible root exists:
-    the system is certified infeasible, its root list is complete, or a
-    slack row is negative at every u >= 0 (_slack_infeasible).
+    open_ is "" when the scan proves no other feasible root exists (the
+    system is certified infeasible, its root list is complete, or a slack
+    row is negative at every u >= 0, _slack_infeasible), and otherwise says
+    why the support is open: the scan's reason, or that its roots were
+    found but the list is not proved complete.
     Each support cuts the sub-forms of each group of instances that share
     _tails once (_Forms.cut) and scans them as one stack (_scan_stack), so
     every instance gets what it gets alone.  The generator is lazy, so a
     caller may stop at the first feasible root.  live, a boolean array over
     the instances that the caller may clear between yields, drops instances:
     from the next support on only the live ones are scanned (a dropped one
-    gets no root and settled False), and the walk ends when none is live.
+    gets no root and the reason "not scanned"), and the walk ends when none
+    is live.
     """
     n = tensors[0].dim
     live = np.ones(len(tensors), dtype=bool) if live is None else live
@@ -412,19 +373,20 @@ def walk_supports(tensors, qs, multistarts: int, live=None):
             alpha = IndexSet(members, n)
             if r == 0:
                 yield alpha, [[(np.zeros(0), q)] if np.all(q >= -SLACK_TOL) else []
-                              for q in qs], [True] * len(qs)
+                              for q in qs], [""] * len(qs)
                 continue
             if rows is None or not np.array_equal(rows, np.flatnonzero(live)):
                 rows = np.flatnonzero(live)
                 forms = _Forms([tensors[i] for i in rows])
             a, comp = [i - 1 for i in members], [i - 1 for i in alpha.complement]
-            feasible, settled = [[] for _ in qs], [False] * len(qs)
+            feasible, open_ = [[] for _ in qs], ["not scanned"] * len(qs)
             ruled_out = _slack_infeasible(forms, a, comp, Q[rows])
-            for i, out, scan in zip(rows, ruled_out, _scan_stack(forms.cut(a), Q[rows][:, a],
-                                                                 multistarts)):
+            for i, out, scan in zip(rows, ruled_out, _scan_stack(forms.cut(a), Q[rows][:, a])):
                 for u_a in scan.roots:
                     slack = apply_off(tensors[i], alpha, u_a) + qs[i][comp] if comp else np.zeros(0)
                     if np.all(slack >= -SLACK_TOL):
                         feasible[i].append((u_a, slack))
-                settled[i] = bool(out) or scan.certified_infeasible or scan.roots_complete
-            yield alpha, feasible, settled
+                open_[i] = "" if out or scan.certified_infeasible or scan.roots_complete else (
+                    scan.reason or "roots found, " + ("" if feasible[i] else "none feasible, ")
+                    + "list not proved complete")
+            yield alpha, feasible, open_

@@ -5,7 +5,9 @@ row-batched projected gradient descent every basis search polishes with,
 and the stacked basis minimisation: tensors of one order and dimension
 score the lattice each on its own, then all their starts descend together,
 each row scored with its own tensor's coefficients, so every tensor gets
-the bits it gets alone.  ``classify`` builds its verdicts on these.
+the bits it gets alone.  ``classify`` builds its verdicts on these.  The
+Bernstein subdivision of sub-simplices (``_subdivide``) encloses forms on
+a simplex: it decides the probes' gates and the support scan's systems.
 """
 
 from __future__ import annotations
@@ -282,11 +284,53 @@ def _bisect(W: np.ndarray) -> np.ndarray:
     return halves.reshape(2 * P, k, k)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _subdivide(dense, G, rho, form: str, clears, depth: int, owner, W):
+    """Bernstein subdivision of the leaves W[p] (vertices as columns, in the
+    simplex coordinates of the basis G) of the tensors dense[owner[p]], for
+    at most depth rounds (Bundfuss and Duer, Linear Algebra Appl. 428, 2008;
+    Mourrain and Pavone, J. Symbolic Comput. 44, 2009).
+
+    Each round takes every leaf's Bernstein coefficients of form
+    (_bernstein), in blocks of about _CLEAR_BLOCK entries.  A leaf clears,
+    and is dropped, when clears(lo, hi, r) holds for some component, r =
+    rho[owner] moving each coefficient against the rule; an inf or NaN rho
+    clears nothing.  A tensor stops with code 1 when a vertex of one of its
+    leaves clears under no component (no leaf around it can clear), and
+    with code 2 when more than _CLEAR_LEAVES leaves would be open; its open
+    leaves are kept as they are.  The others are cut in two (_bisect).
+    Every leaf is bounded on its own, so a tensor gets the leaves it gets
+    alone.  Returns (owner, W) of the open leaves, each tensor's in one run,
+    and the stop code of every tensor (0 when it ran every round)."""
+    stop = np.zeros(len(dense), dtype=np.int8)
+    frozen = [(owner[:0], W[:0])]
+    step = max(1, _CLEAR_BLOCK // max(dense[0].size, W.shape[1] ** (dense.ndim - 1)))
+    for _ in range(depth):
+        if not len(owner):
+            break
+        done, dead = np.empty(len(owner), dtype=bool), np.empty(len(owner), dtype=bool)
+        for s in range(0, len(owner), step):
+            lo, hi, vert = _bernstein(dense[owner[s:s + step]], G @ W[s:s + step], form)
+            r = rho[owner[s:s + step], None]
+            done[s:s + step] = clears(lo, hi, r).any(axis=1)
+            dead[s:s + step] = ~clears(vert, vert, r[:, :, None]).any(axis=1).all(axis=1)
+        stop[owner[dead]] = 1
+        keep = ~done
+        stop[(np.bincount(owner[keep], minlength=len(dense)) > _CLEAR_LEAVES // 2) & (stop == 0)] = 2
+        held = keep & (stop[owner] > 0)
+        frozen.append((owner[held], W[held]))
+        keep &= ~held
+        owner, W = np.repeat(owner[keep], 2), _bisect(W[keep])
+    owner, W = (np.concatenate(a) for a in zip(*frozen, (owner, W)))
+    order = np.argsort(owner, kind="stable")
+    return owner[order], W[order], stop
+
+
 def _bernstein_clears(objective: str, tensors, K, margin: float) -> np.ndarray:
     """Which tensors of the stack provably hold under the basis objective's
-    verdict rule, one bool per tensor, from Bernstein coefficients on
-    sub-simplices of the basis simplex (Bundfuss and Duer, Linear Algebra
-    Appl. 428, 2008).
+    verdict rule, one bool per tensor: those whose every leaf clears in the
+    subdivision (_subdivide) of the basis simplex, for at most _CLEAR_DEPTH
+    rounds.
 
     A leaf clears when, each coefficient moved against the rule by rho =
     2^-30 sum|a|,
@@ -300,13 +344,10 @@ def _bernstein_clears(objective: str, tensors, K, margin: float) -> np.ndarray:
     modulus <= 1; the slack to the verdicts' thresholds (-margin, and
     margin) covers the descent's points summing to 1 only up to rounding,
     which scales a value by (sum x)^m.  So a cleared tensor also holds by
-    _min_over_stack.  A leaf that does not clear is cut in two at the
-    midpoint of its longest edge, in simplex coordinates.  A tensor clears
-    when every leaf does; it is left open when some vertex clears under no
-    component (no leaf around it can clear), past _CLEAR_LEAVES open leaves
-    or _CLEAR_DEPTH cuts, past _CLEAR_ENTRIES dense entries, or past a sum
-    of |entries| of _CLEAR_SCALE, where the descent's steps may leave the
-    simplex by more than rounding (and its squares overflow)."""
+    _min_over_stack.  A tensor past _CLEAR_ENTRIES dense entries, or past a
+    sum of |entries| of _CLEAR_SCALE, where the descent's steps may leave
+    the simplex by more than rounding (and its squares overflow), is left
+    open."""
     G = _basis(K, tensors[0].dim)
     (n, k), m = G.shape, tensors[0].order
     alive = np.zeros(len(tensors), dtype=bool)
@@ -316,28 +357,15 @@ def _bernstein_clears(objective: str, tensors, K, margin: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.abs(dense).reshape(len(tensors), -1).sum(axis=1)
     alive = scale <= _CLEAR_SCALE  # False at NaN
-    rho = 2.0**-30 * np.where(alive, scale, 0.0)
-    form = "m1" if objective == "norm_m1" else "xm"
     c = -0.5 * margin if objective == "xm" else 2.0 * margin
 
     def clears(lo, hi, r):  # per component: its coefficients lo..hi clear c
         up = lo - r >= c
         return up if objective == "xm" else up | (hi + r <= -c)
 
-    owner = np.flatnonzero(alive)  # the tensor of every open leaf
-    W = np.repeat(np.eye(k)[None], len(owner), axis=0)
-    step = max(1, _CLEAR_BLOCK // max(n, k) ** m)
-    for _ in range(_CLEAR_DEPTH):
-        done, dead = np.empty(len(owner), dtype=bool), np.empty(len(owner), dtype=bool)
-        for s in range(0, len(owner), step):
-            lo, hi, vert = _bernstein(dense[owner[s:s + step]], G @ W[s:s + step], form)
-            r = rho[owner[s:s + step], None]
-            done[s:s + step] = clears(lo, hi, r).any(axis=1)
-            dead[s:s + step] = ~clears(vert, vert, r[:, :, None]).any(axis=1).all(axis=1)
-        alive[owner[dead]] = False
-        keep = ~done & alive[owner]
-        alive[np.bincount(owner[keep], minlength=len(tensors)) > _CLEAR_LEAVES // 2] = False
-        keep &= alive[owner]
-        owner, W = np.repeat(owner[keep], 2), _bisect(W[keep])
-    alive[owner] = False  # leaves still open after _CLEAR_DEPTH rounds
+    owner = np.flatnonzero(alive)
+    owner = _subdivide(dense, G, 2.0**-30 * scale, "m1" if objective == "norm_m1" else "xm",
+                       clears, _CLEAR_DEPTH, owner,
+                       np.repeat(np.eye(k)[None], len(owner), axis=0))[0]
+    alive[owner] = False  # a tensor with a leaf left open
     return alive

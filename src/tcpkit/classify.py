@@ -62,6 +62,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """The basis search's lattice resolution, starts and descent steps, and
+    the verdicts' margin.  multistarts is the number of lattice points the
+    basis search polishes (and the samples s_cone_samples keeps); the
+    support scan takes its starts from its enclosure and reads no budget."""
+
     grid_resolution: int = 0  # 0 = pick by dimension (64 up to n=3, else 16)
     multistarts: int = 16
     polish_iters: int = 200

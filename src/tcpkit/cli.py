@@ -179,6 +179,9 @@ def cmd_solve(args) -> int:
     }
     if not outcome.solutions and not outcome.unknown:
         report["note"] = "no solution: every support settled"
+    if outcome.unknown:
+        report["note"] = "no solution found; open supports: " + "; ".join(
+            f"{{{','.join(map(str, alpha))}}} {why}" for alpha, why in outcome.open_supports)
     if bad:
         report["note"] = f"{len(bad)} solution(s) exceed --tol {args.tol}"
     _emit(args, report)

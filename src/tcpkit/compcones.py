@@ -73,6 +73,10 @@ def complementary_tensor(A: Tensor, alpha: IndexSet | tuple) -> Tensor:
 def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None = None) -> Verdict:
     """Does y lie in {A x^{m-1} : x in K}?
 
+    The image is a cone, so A is searched scaled by 2^-s (s a multiple of
+    m - 1) to entries below 1 when an entry is 2^64 or more, which the lift
+    would overflow; a point x of the scaled search is the point 2^(-s/(m-1))
+    x of A's, with the same residual.
     For m = 2 the image is the cone of the columns of A G (G the normalized
     generators of K), so one NNLS gives the exact distance of y / |y| from
     it: the certificate, holds at or below budget.margin and fails above.
@@ -82,7 +86,8 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     (_scan_stack): holds when a root's point G_S lam maps to y within
     margin * max(1, |y|), that residual the certificate; fails when every S
     has a subsystem certified infeasible or with a complete root list;
-    unknown otherwise.  per_alpha names each S (1-based) and its reasons.
+    unknown otherwise.  per_alpha names each S (1-based) and the reasons of
+    its scans: the one that refutes it, or why each is open.
     """
     y = np.asarray(y, dtype=float)
     if K.dim != A.dim or y.shape != (A.dim,):
@@ -92,12 +97,15 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     yn = float(np.linalg.norm(y))
     if yn <= SYS_TOL:
         return Verdict("tpos-contains", "holds", 0.0, np.zeros(A.dim), 0)
-    G = _basis(K, A.dim)
-    if A.order == 2:
-        lam, d = _nnls(A.to_dense() @ G, y / yn)
-        if d <= budget.margin:
-            return Verdict("tpos-contains", "holds", d, yn * (G @ lam), 1)
-        return Verdict("tpos-contains", "fails", d, None, 1,
+    G, d = _basis(K, A.dim), A.order - 1
+    top = math.frexp(float(np.abs(A._coef).max(initial=0.0)))[1]
+    shift = d * -(-top // d) if top > 64 else 0  # an entry of 2^64 or more has exponent 65
+    A, back = (A.scale(2.0**-shift), 2.0 ** (-shift // d)) if shift else (A, 1.0)
+    if d == 1:
+        lam, dist = _nnls(A.to_dense() @ G, y / yn)
+        if dist <= budget.margin:
+            return Verdict("tpos-contains", "holds", dist, yn * (G @ lam) * back, 1)
+        return Verdict("tpos-contains", "fails", dist, None, 1,
                        note="exact distance of y-hat from the image cone")
 
     (n, k), r = G.shape, int(np.linalg.matrix_rank(G))
@@ -106,13 +114,13 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     rows = np.array(list(itertools.combinations(range(n), r)), dtype=np.intp)
     B = _lift(A.to_dense()[None], np.moveaxis(G[:, sets], 1, 0))[:, rows]
     scans = _scan_stack(_Forms(_dense_stack(B.reshape((-1,) + B.shape[2:]))),
-                        -np.tile(y[rows], (len(sets), 1)), budget.multistarts)
+                        -np.tile(y[rows], (len(sets), 1)))
     for i, scan in enumerate(scans):
         for lam in scan.roots:
             x = G[:, sets[i // len(rows)]] @ lam
             res = float(np.linalg.norm(apply_m1(A, x) - y))
             if res <= budget.margin * max(1.0, yn):
-                return Verdict("tpos-contains", "holds", res, x, len(scans))
+                return Verdict("tpos-contains", "holds", res, x * back, len(scans))
     per_alpha, refuted = {}, True
     for p, S in enumerate(sets):
         mine = list(zip(rows, scans[p * len(rows):(p + 1) * len(rows)]))
@@ -130,19 +138,21 @@ def q_membership(A: Tensor, q, budget: SearchBudget | None = None) -> Membership
     """Decide q in Q(R^n_+, A) by scanning supports in increasing cardinality.
 
     member=True comes with (alpha, u) reconstructing a verified solution;
-    member=False only when every support is settled (its system certified
-    infeasible, or its complete root list failing the slack test);
-    otherwise unknown.
+    member=False only when every support is settled: its system certified
+    infeasible (sign analysis, the scalar closed form, or a Bernstein
+    enclosure of its homogenization that clears every leaf), its complete
+    root list failing the slack test, or a slack row negative at every
+    u >= 0; otherwise unknown.  The support scan takes no budget: budget is
+    accepted for the common signature of the searches.
     """
-    return _memberships(A, [q], budget)[0]
+    return _memberships(A, [q])[0]
 
 
-def _memberships(A: Tensor, qs, budget: SearchBudget | None = None) -> list[MembershipResult]:
-    """[q_membership(A, q, budget) for q in qs], qs not empty, in one stacked
+def _memberships(A: Tensor, qs) -> list[MembershipResult]:
+    """[q_membership(A, q) for q in qs], qs not empty, in one stacked
     support walk over [A] * len(qs) that drops each q once it is a member
     and stops once every q has its verdict: every q gets the result it gets
     alone, subsets_examined included."""
-    budget = budget or SearchBudget()
     n = A.dim
     qs = [np.asarray(q, dtype=float) for q in qs]
     for q in qs:
@@ -154,11 +164,11 @@ def _memberships(A: Tensor, qs, budget: SearchBudget | None = None) -> list[Memb
         raise ValueError("membership scan limited to dim <= 12")
     out, all_settled, examined = [None] * len(qs), [True] * len(qs), 0
     live = np.ones(len(qs), dtype=bool)
-    for alpha, feasible, settled in walk_supports([A] * len(qs), qs, budget.multistarts, live):
+    for alpha, feasible, open_ in walk_supports([A] * len(qs), qs, live):
         examined += 1
         a, comp = [i - 1 for i in alpha.members], [i - 1 for i in alpha.complement]
         for t in np.flatnonzero(live):
-            all_settled[t] = all_settled[t] and settled[t]
+            all_settled[t] = all_settled[t] and not open_[t]
             if feasible[t]:
                 (u_a, slack), q = feasible[t][0], qs[t]
                 u = np.zeros(n)

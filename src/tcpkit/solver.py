@@ -123,6 +123,7 @@ def is_solution(inst: TcpInstance, x, tol: float) -> bool:
 class EnumerationOutcome:
     solutions: tuple
     unknown: bool  # nothing was found and some support could not be settled
+    open_supports: tuple = ()  # (alpha members, why) of every support left open
 
 
 def solve_enumerate(inst: TcpInstance, budget: SearchBudget | None = None) -> EnumerationOutcome:
@@ -131,29 +132,30 @@ def solve_enumerate(inst: TcpInstance, budget: SearchBudget | None = None) -> En
     Solutions are deduplicated at distance 1e-6 and sorted lexicographically
     by x.  The unknown flag is set when nothing was found and at least one
     support could not be settled (see ``walk_supports``), the rule
-    ``q_membership`` uses for its unknown verdict.
+    ``q_membership`` uses for its unknown verdict; open_supports names each
+    support left open and why.  The support scan takes no budget: budget is
+    accepted for the common signature of the searches.
     """
-    return _solve_stack([inst], budget)[0]
+    return _solve_stack([inst])[0]
 
 
-def _solve_stack(insts, budget: SearchBudget | None = None) -> list[EnumerationOutcome]:
-    """[solve_enumerate(inst, budget) for inst in insts], instances of one
-    dimension and order, in one stacked support walk and one check of every
-    candidate point (_solutions): every instance gets the outcome it gets
-    alone."""
+def _solve_stack(insts) -> list[EnumerationOutcome]:
+    """[solve_enumerate(inst) for inst in insts], instances of one dimension
+    and order, in one stacked support walk and one check of every candidate
+    point (_solutions): every instance gets the outcome it gets alone."""
     if not all(inst.cone.is_orthant for inst in insts):
         raise ValueError("enumeration solver requires the nonnegative orthant")
     n = insts[0].A.dim
     if n > 12:
         raise ValueError("enumeration limited to dim <= 12")
-    budget = budget or SearchBudget()
     points, owner = [], []
-    all_settled = [True] * len(insts)
-    for alpha, feasible, settled in walk_supports([inst.A for inst in insts],
-                                                  [inst.q for inst in insts], budget.multistarts):
+    left_open = [[] for _ in insts]
+    for alpha, feasible, open_ in walk_supports([inst.A for inst in insts],
+                                                [inst.q for inst in insts]):
         a = [i - 1 for i in alpha.members]
         for t, roots in enumerate(feasible):
-            all_settled[t] = all_settled[t] and settled[t]
+            if open_[t]:
+                left_open[t].append((alpha.members, open_[t]))
             for u_a, _ in roots:
                 x = np.zeros(n)
                 x[a] = u_a
@@ -165,9 +167,10 @@ def _solve_stack(insts, budget: SearchBudget | None = None) -> list[EnumerationO
         if s.converged:
             found[t].append(s)
     out = []
-    for sols, done in zip(found, all_settled):
+    for sols, why in zip(found, left_open):
         keep = _dedup(np.reshape([s.x for s in sols], (-1, n)))
-        out.append(EnumerationOutcome(tuple(sols[i] for i in keep), not done and not sols))
+        out.append(EnumerationOutcome(tuple(sols[i] for i in keep), bool(why) and not sols,
+                                      tuple(why)))
     return out
 
 

@@ -194,7 +194,7 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     solvable = 0
     max_norm = 0.0
     failures: list[int] = []
-    for t, outcome in enumerate(_solve_stack(perts, budget)):
+    for t, outcome in enumerate(_solve_stack(perts)):
         if outcome.solutions:
             solvable += 1
             max_norm = max(max_norm, max(float(np.linalg.norm(s.x)) for s in outcome.solutions))
@@ -268,7 +268,7 @@ def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int,
     if not _holds("abs_xm", [inst.A], inst.cone, budget)[0]:
         raise ValueError("base tensor is not certified K-regular")
     perts = _trial_instances(inst, eps, trials, seed)[3]
-    base, *outcomes = _solve_stack([inst] + perts, budget)
+    base, *outcomes = _solve_stack([inst] + perts)
     n = inst.A.dim
     B = np.array([s.x for s in base.solutions]).reshape(-1, n)
     X = np.array([s.x for outcome in outcomes for s in outcome.solutions]).reshape(-1, n)
@@ -330,7 +330,7 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
     if eps != 0.0:
         scale = eps * _uniform_stack(streams, 1)
         dq = scale * _sphere_stack(streams, 1, n)[:, 0]
-    verdicts = [res.member for res in _memberships(A, q + dq, budget)]
+    verdicts = [res.member for res in _memberships(A, q + dq)]
     return {
         "fraction_unsolvable": verdicts.count(False) / trials,
         "unknown_trials": verdicts.count(None),

@@ -218,19 +218,6 @@ def _monomials(A: Tensor, X: np.ndarray, skip: int | None = None) -> np.ndarray:
     return functools.reduce(np.multiply, factors)
 
 
-def _power_coefficients(A: Tensor, coef=None) -> np.ndarray:
-    """A x^{m-1} in the power basis: C[e, i], of shape (m,) * n + (n,), sums
-    a_{i, tails[t]} over the tails t that hold each j exactly e_j times, so
-    (A x^{m-1})_i = sum_e C[e, i] x_1^{e_1} ... x_n^{e_n}.  coef, an (S, T,
-    n) array, gives the stack C[s] of the tensors coef[s] with A's tails in
-    one scatter, each summed in tail order as it is alone."""
-    coef = A._coef if coef is None else coef
-    powers = np.sum(A._tails[:, :, None] == np.arange(A.dim), axis=1)
-    C = np.zeros(coef.shape[:-2] + (A.order,) * A.dim + (A.dim,))
-    np.add.at(C, (slice(None),) * (coef.ndim - 2) + tuple(powers.T), coef)
-    return C
-
-
 def _derivative(A: Tensor, X: np.ndarray, positions, coef=None) -> np.ndarray:
     """Sum over p in positions of the derivative of x -> A x^{m-1} through
     tail position p: (i, j) adds a_{i j2..jm} prod_{q != p} x_{jq} if j_p = j.

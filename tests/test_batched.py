@@ -16,12 +16,11 @@ instances in one call, and must give every instance what its own walk and
 solve_enumerate give it; its row solve keeps the regular rows batched when
 some are singular, with the bits of a plain per-row loop.
 
-The root-box grid of scan_system, its start selection and its root dedup
-are checked against references written here the same way; the pruned
-start selection is checked against the full grid, scored point by point
-with the same formula, and the sphere bound against its row-first
-expression.  The walk's one cut of each group's sub-forms per support
-must give every instance what principal_subtensor gives it.
+The scan of a stack of systems must give every system the scan it gets
+alone, its starts must be the centroids of the leaves its shallow
+subdivision leaves open, and its root dedup must keep the roots of a
+plain loop written here.  The walk's one cut of each group's sub-forms per
+support must give every instance what principal_subtensor gives it.
 
 The Bernstein enclosure that decides the probes' gates before any descent
 must clear only tensors the stacked descent says hold, and only tensors
@@ -39,19 +38,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splitmix_reference import Stream
 from tcpkit import classify
 from tcpkit import fixtures as fx
 from tcpkit import solver, stability
 from tcpkit import _forms, _polysys, _simplex
-from tcpkit._grid import _block_bounds, _contract, _grid_picks
 from tcpkit._polysys import _dedup, damped_newton, scan_system, walk_supports
 from tcpkit.classify import SearchBudget, _min_over_stack, descend_on_simplex, min_over_basis
 from tcpkit.compcones import q_membership
 from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance, _solve_stack, is_solution, residual, solve_enumerate
-from tcpkit.tensor import (IndexSet, Tensor, _derivative, _monomials, _power_coefficients,
-                           _rows_m1, apply_m1, batch_apply_m1, jacobian_m1, principal_subtensor,
+from tcpkit.tensor import (IndexSet, Tensor, _derivative, _rows_m1, apply_m1, jacobian_m1,
+                           principal_subtensor,
                            tensor_from_dense)
 
 
@@ -546,204 +543,41 @@ def sparse_system(k, m, seed):
     return Tensor(m, k, entries), rng.uniform(-2.0, 2.0, k)
 
 
-def reference_grid_residual(A, q, axis):
-    """max_i |(A u^{m-1} + q)_i| at every point u of the grid axis^k, as its
-    defining sum over A.entries, one point at a time; and a bound on the size
-    of its terms (for round-off)."""
-    out = np.empty((len(axis),) * A.dim)
-    for a in itertools.product(range(len(axis)), repeat=A.dim):
-        u = axis[list(a)]
-        F = list(q)
-        for idx, val in A.entries.items():
-            F[idx[0] - 1] += val * math.prod(u[j - 1] for j in idx[1:])
-        out[a] = max(abs(f) for f in F)
-    mag = sum(abs(v) for v in A.entries.values()) * axis[-1] ** (A.order - 1)
-    return out, mag + np.abs(q).max()
-
-
-def full_grid_residual(A, q, axis, coef=None):
-    """max_i |(A u^{m-1} + q)_i| at every point of the grid axis^k, as a
-    (g,) * k array: the formula scan_system scores its blocks with, applied
-    to the whole axis as one block.  coef, of A._coef's shape, stands for
-    A's coefficients."""
-    k = A.dim
-    C = np.moveaxis(_power_coefficients(A, coef), -1, 0)
-    P = axis[:, None] ** np.arange(A.order)
-    F = _contract(C[:, None], [P[None]] * k)[:, 0] + q.reshape((k,) + (1,) * k)
-    return np.abs(F).max(axis=0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(k=st.integers(2, 3), m=st.integers(2, 5), g=st.integers(2, 7),
-       R=st.floats(0.01, 20.0), seed=st.integers(0, 2**32 - 1))
-def test_grid_residual_matches_its_defining_sum(k, m, g, R, seed):
-    A, q = sparse_system(k, m, seed)
-    axis = np.linspace(0.0, R, g)
-    resid = full_grid_residual(A, q, axis)
-    ref, mag = reference_grid_residual(A, q, axis)
-    assert resid.shape == (g,) * k
-    assert np.all(np.abs(resid - ref) <= 1e-12 * mag)
-
-
-def sphere_bounds_alone(A, coef, abs_sums, V, h):
-    """_sphere_bounds written row first: the products (S, rows, k), and the
-    squares of each row's k components summed by np.add.reduce over the
-    trailing axis."""
-    least = np.inf
-    step = max(1, 2**16 // max(len(A._tails), 1))
-    for s in range(0, len(V), step):
-        F = _monomials(A, V[s:s + step]).T @ coef
-        F *= F
-        least = np.minimum(least, np.add.reduce(F, axis=2).min(axis=1))
-    return [max(est - (A.order - 1) * a * h, 0.0)
-            for est, a in zip(np.sqrt(least).tolist(), abs_sums)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(k=st.integers(1, 12), m=st.integers(2, 3), S=st.integers(1, 8),
-       rows=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
-       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
-def test_sphere_bounds_keep_the_row_first_bits(k, m, S, rows, seed, bad):
-    # the component-first products give every tensor of the stack the bits
-    # of the row-first sum, for k below 8 (summed in order) and from 8 on
-    # (pairwise); a NaN or infinite coefficient poisons only its tensor.
-    # The sphere grid is replaced by random directions, so k = 12 stays
-    # small, and abs_sums by 0, so no Lipschitz term clips a bound to 0
-    rng = np.random.default_rng(seed)
-    A = sparse_system(k, m, seed)[0] if k <= 4 else Tensor._from_form(
-        m, k, np.indices((k,) * (m - 1)).reshape(m - 1, -1).T,
-        rng.uniform(-2.0, 2.0, (k ** (m - 1), k)) * (rng.random((k ** (m - 1), 1)) < 0.5))
-    coef = A._coef[None] * 10.0 ** rng.integers(-3, 4, (S, 1, k))
-    if bad is not None and coef.shape[1]:  # one tail row of one tensor
-        coef[rng.integers(S), rng.integers(coef.shape[1])] = bad
-    V = np.abs(rng.normal(size=(rows, k)))
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-    with np.errstate(all="ignore"):
-        abs_sums = [0.0] * S
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_polysys, "_sphere_grid", lambda k, res: V)
-            got = _polysys._sphere_bounds(A, coef, abs_sums)
-        res = 4096 if k <= 2 else (48 if k == 3 else 12)
-        ref = sphere_bounds_alone(A, coef, abs_sums, V,
-                                  (math.pi / 2) / (res - 1) if k == 2 else 2.0 / res)
-    assert repr(got) == repr(ref)
-
-
-@st.composite
-def grid_systems(draw):
-    """A sparse system on a grid, with heavy ties drawn in: some q_i set to
-    0, some components with every coefficient 0, R down to 1e-9."""
-    k, m = draw(st.integers(2, 3)), draw(st.integers(2, 5))
-    A, q = sparse_system(k, m, draw(st.integers(0, 2**32 - 1)))
-    zero_q = draw(st.lists(st.booleans(), min_size=k, max_size=k))
-    zero_rows = draw(st.lists(st.booleans(), min_size=k, max_size=k))
-    q[zero_q] = 0.0
-    A = Tensor(m, k, {idx: v for idx, v in A.entries.items() if not zero_rows[idx[0] - 1]})
-    g = draw(st.integers(2, 40 if k == 2 else 12))
-    R = draw(st.sampled_from([1e-9, 1e-3]) | st.floats(0.01, 20.0))
-    return A, q, np.linspace(0.0, R, g)
-
-
-@settings(max_examples=80, deadline=None)
-@given(system=grid_systems(), cut=st.integers(1, 8))
-def test_block_bounds_bracket_every_point(system, cut):
-    # any cut of the axis into runs of points: every point value of the full
-    # grid lies within the bounds of its block
-    A, q, axis = system
-    k, g = A.dim, len(axis)
-    C = np.moveaxis(_power_coefficients(A), -1, 0)
-    starts = np.arange(0, g, cut)
-    pos = np.minimum(starts[:, None] + np.arange(cut), g - 1)  # the last block padded
-    lows, highs = (axis[pos[:, end]][None, :, None] ** np.arange(A.order) for end in (0, -1))
-    low, up = _block_bounds(C[:, None], q[None], [lows] * k, [highs] * k)
-    low, up = low[0], up[0]
-    resid = full_grid_residual(A, q, axis)
-    of_point = np.ix_(*[np.arange(g) // cut] * k)
-    assert np.all(low[of_point] <= resid) and np.all(resid <= up[of_point])
-
-
-@st.composite
-def grid_stacks(draw):
-    """1..8 systems of one grid_systems tensor's tails, each with its own
-    coefficients (the tensor's, perturbed or not), q and axis; the grid
-    sizes include ragged last coarse blocks (g = 40 and 130 at k = 2: 10
-    and 17 fine blocks; g = 66 at k = 3: 14), and R = 1e160 makes the
-    powers overflow at m >= 3, so bounds and residuals are NaN."""
-    A, q, _ = draw(grid_systems())
-    k, m = A.dim, A.order
-    g = draw(st.integers(2, 40) | st.sampled_from([130]) if k == 2
-             else st.integers(2, 12) | st.just(66))
-    S = draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    coef = np.repeat(A._coef[None], S, axis=0)
-    coef[1:] += rng.uniform(-1.0, 1.0, coef[1:].shape) * draw(st.sampled_from([0.0, 1e-3, 1.0]))
-    Q = np.repeat(q[None], S, axis=0)
-    Q[1:] += rng.uniform(-0.5, 0.5, Q[1:].shape) * draw(st.sampled_from([0.0, 1.0]))
-    R = [draw(st.sampled_from([1e-9, 1e-3, 1e160]) | st.floats(0.01, 20.0)) for _ in range(S)]
-    return A, coef, Q, np.array([np.linspace(0.0, r, g) for r in R])
-
-
-def nan_block_stack():
-    """1e-8 u_i^4 - 1e300 on g = 130 points up to 1.29e77: the root is at
-    point 100 of each axis, u^4 overflows from point 116 on, so the coarse
-    block [96, 127]^2 that holds the best points has NaN bounds, while the
-    blocks below it hold more than 96 points with finite bounds."""
-    A = Tensor(5, 2, {(1, 1, 1, 1, 1): 1e-8, (2, 2, 2, 2, 2): 1e-8})
-    return A, A._coef[None], np.array([[-1e300, -1e300]]), np.linspace(0.0, 1.29e77, 130)[None]
-
-
-@settings(max_examples=80, deadline=None)
-@given(stack=grid_stacks(), N=st.integers(1, 100) | st.sampled_from([2000, 10000]))
-@example(stack=(fx.identity(3, 3), fx.identity(3, 3)._coef[None],
-                np.array([[-1.0, -0.5, -1.0]]), np.linspace(0.0, 2.0, 66)[None]), N=10000)
-@example(stack=nan_block_stack(), N=96)
-def test_pruned_selection_is_the_full_stable_argsort(stack, N):
-    # every system of the stack gets the picks and least residual of the
-    # full grid: a coarse block holds 4 x 4 (x 4) fine blocks, 16 points on
-    # an axis at g = 130 and 20 at g = 66, so N = 10000 (and N = 2000 at
-    # k = 3) needs more than one coarse block; N >= g^k selects every point
-    A, coef, Q, axes = stack
-    with np.errstate(all="ignore"):
-        best, least = _grid_picks(A, coef, Q, axes, N)
-        resid = [full_grid_residual(A, q, axis, c).ravel() for c, q, axis in zip(coef, Q, axes)]
-    for b, lo, r in zip(best, least, resid):
-        assert np.array_equal(b, np.argsort(r, kind="stable")[:N])
-        assert repr(lo) == repr(r.min())
-
-
 @settings(max_examples=16, deadline=None)
-@given(k=st.integers(2, 3), m=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
-       multistarts=st.integers(1, 30))
-def test_scan_starts_are_the_best_grid_points(k, m, seed, multistarts):
-    # the starts scan_system refines are the N grid points of smallest
-    # residual on the full grid, ties by index, and every coordinate is a
-    # point of the axis
+@given(k=st.integers(2, 4), m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_scan_starts_are_the_open_leaf_centroids(k, m, seed):
+    # the starts scan_system refines are the centroids c of the leaves its
+    # shallow subdivision leaves open, at u = c_u / c_t: at most 64 leaves,
+    # each a simplex in the standard simplex of R^{k+1} whose vertices are
+    # dyadic after at most 8 cuts
     A, q = sparse_system(k, m, seed)
     seen = {}
-    select, refine = _polysys._grid_picks, _polysys._refine_rows
+    subdivide, refine = _polysys._subdivide, _polysys._refine_rows
 
-    def spy_select(A, coef, Q, axes, N):
-        seen["grid"] = axes[0], N
-        return select(A, coef, Q, axes, N)
+    def spy_subdivide(*args):
+        out = subdivide(*args)
+        seen.setdefault("leaves", out[1])
+        return out
 
     def spy_refine(forms, Q, U0, own):
         seen["starts"] = U0
         return refine(forms, Q, U0, own)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_polysys, "_grid_picks", spy_select)
+        mp.setattr(_polysys, "_subdivide", spy_subdivide)
         mp.setattr(_polysys, "_refine_rows", spy_refine)
-        scan = scan_system(A, q, multistarts=multistarts)
-    if "grid" not in seen:  # settled before the grid: sign analysis
+        scan = scan_system(A, q)
+    if "starts" not in seen:  # settled before the enclosure: sign analysis or q = 0
         return
-    axis, N = seen["grid"]
-    assert N == max(4 * multistarts, 8)
-    resid = full_grid_residual(A, q, axis)
-    best = np.argsort(resid.ravel(), kind="stable")[:N]
-    starts = np.column_stack([axis[a] for a in np.unravel_index(best, resid.shape)])
-    assert np.array_equal(seen["starts"], starts)
-    assert np.isin(seen["starts"], axis).all()
-    assert scan.grid_min_residual == resid.min()
+    W = seen["leaves"]
+    c = W.mean(axis=2)
+    assert np.array_equal(seen["starts"], c[:, :k] / c[:, k:])
+    assert len(W) <= 64 and W.shape[1:] == (k + 1, k + 1)
+    assert np.all(W >= 0.0) and np.all(W.sum(axis=1) == 1.0)
+    assert np.array_equal(W * 2**8, np.round(W * 2**8))
+    if not len(W):  # every leaf cleared in the shallow pass
+        assert scan.certified_infeasible and not scan.roots
+
 
 
 @st.composite
@@ -751,10 +585,10 @@ def instance_stacks(draw, max_n=3, extremes=False):
     """1..8 orthant TCPs of one order m in 2..4 and dimension n in 1..max_n:
     the tensors perturb one random support (shared _tails), copy it exactly
     (eps = 0) or take another support (mixed _tails); q has zero entries.
-    With extremes a tensor may also be the shared support scaled by 1e-3 (a
-    sphere bound at or below _C_MIN), made nonnegative with q > 0 (the sign
-    test settles it) or scaled to entries of 1e306 (bounds that overflow),
-    and q may be 0."""
+    With extremes a tensor may also be the shared support scaled by 1e-3,
+    made nonnegative with q > 0 (the sign test settles it) or scaled to
+    entries of 1e306 (enclosures and Newton rows that overflow), and q may
+    be 0."""
     m, n = draw(st.integers(2, 4)), draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base, _ = sparse_system(n, m, int(rng.integers(2**32)))
@@ -793,8 +627,8 @@ def test_stacked_walk_gives_each_instance_its_own_outcome(insts):
     # every support of the stacked walk gives each instance the feasible
     # roots, slacks and settled flag of its own walk, and the stacked solve
     # the outcome of its own solve_enumerate, bit for bit
-    walks = [list(walk_supports([i.A], [i.q], 16)) for i in insts]
-    stacked = list(walk_supports([i.A for i in insts], [i.q for i in insts], 16))
+    walks = [list(walk_supports([i.A], [i.q])) for i in insts]
+    stacked = list(walk_supports([i.A for i in insts], [i.q for i in insts]))
     assert len(stacked) == 2 ** insts[0].A.dim
     for step, (alpha, feasible, settled) in enumerate(stacked):
         assert len(feasible) == len(settled) == len(insts)
@@ -807,51 +641,16 @@ def test_stacked_walk_gives_each_instance_its_own_outcome(insts):
         assert outcome_bytes(outcome) == outcome_bytes(solve_enumerate(inst))
 
 
-def head_alone(A, q, multistarts):
-    """The head of scan_system(A, q, multistarts) by its per-tensor rules,
-    written out: the fields of the scan it settles or leaves open, and
-    (starts, slack) of an open scan, else None."""
-    k, m = A.dim, A.order
-    rows = A.to_dense().reshape(k, -1)  # component i's entries in index order
-    if np.any((np.all(rows >= 0, axis=1) & (q > 1e-12))
-              | (np.all(rows <= 0, axis=1) & (q < -1e-12))):
-        return (True, "sign analysis", [], False, math.inf), None
-    if k == 1:
-        a, q0 = float(rows[0, 0]), float(q[0])
-        if abs(a) > 1e-12:
-            t = -q0 / a
-            roots = [np.array([t ** (1.0 / (m - 1))])] if t >= 0.0 else []
-            return (t < 0.0, "scalar closed form", roots, t >= 0.0, math.inf), None
-        if abs(q0) <= 1e-9:
-            return (False, "scalar degenerate", [np.zeros(1)], False, math.inf), None
-        return (True, "scalar zero coefficient", [], False, math.inf), None
-    qn = float(np.linalg.norm(q))
-    if qn <= 1e-9:
-        return (False, "", [np.zeros(k)], False, qn), None
-    # the sphere bound: least norm on the sphere grid less a Lipschitz term
-    res = 4096 if k <= 2 else (48 if k == 3 else 12)
-    est = float(np.linalg.norm(batch_apply_m1(A, _polysys._sphere_grid(k, res)), axis=1).min())
-    lip = (m - 1) * float(np.max(np.abs(rows).sum(axis=1)))
-    c = max(est - lip * ((math.pi / 2) / (res - 1) if k == 2 else 2.0 / res), 0.0)
-    bounded = 0.05 < c < math.inf  # an overflowed (inf) or NaN bound bounds no box
-    R = (qn / (0.5 * c)) ** (1.0 / (m - 1)) if bounded else (1.0 + qn) ** (1.0 / (m - 1)) * 10.0
-    if k > 3:
-        stream = Stream(0)  # row by row, k splitmix64 uniforms each
-        U = np.array([[stream.uniform() for _ in range(k)] for _ in range(4 * multistarts)])
-        return (False, "", [], False, math.inf), (np.vstack([np.zeros(k), R * U]), None)
-    g = max(min(int(300_000 ** (1.0 / k)), 512), 8)
-    axis = np.linspace(0.0, R, g)
-    resid = full_grid_residual(A, q, axis)
-    best = np.argsort(resid.ravel(), kind="stable")[:max(4 * multistarts, 8)]
-    starts = np.column_stack([axis[a] for a in np.unravel_index(best, resid.shape)])
-    slack = lip * max(R, 1.0) ** (m - 2) * (R / (g - 1)) * math.sqrt(k) / 2.0 if bounded else None
-    return (False, "", [], False, float(resid.min())), (starts, slack)
+def scan_fields(scan):
+    """Every field of a SystemScan, its roots by bytes."""
+    return (scan.certified_infeasible, scan.reason, [u.tobytes() for u in scan.roots],
+            scan.roots_complete)
 
 
 def overflow_stack():
-    """Two systems of order 4: 1e153 (u_1 - u_2)^3 in both components, whose
-    sphere bound is 0, so its root box is unbounded and its block bounds
-    overflow to NaN; and identity(4, 2) beside it."""
+    """Two systems of order 4: 1e153 (u_1 - u_2)^3 in both components, zero
+    on the line u_1 = u_2 up to its root at infinity, whose Newton rows
+    overflow; and identity(4, 2) beside it."""
     cube = {(i,) + t: 1e153 * math.prod(1 if a == 1 else -1 for a in t)
             for i in (1, 2) for t in itertools.product((1, 2), repeat=3)}
     return [TcpInstance(orthant(2), np.array([-1e152, 5e151]), Tensor(4, 2, cube)),
@@ -860,79 +659,65 @@ def overflow_stack():
 
 def overflow_square():
     """Order 3, n = 2, both components 1e306 (u_1 - u_2)^2 and q = (-1, -1):
-    the squared norms of its sphere bound overflow, so the bound is inf,
-    though u = (1e-153, 0) is a root."""
+    its roots u_1 - u_2 = +-1e-153, such as u = (1e-153, 0), and q itself
+    lie far below the rounding slack of its enclosure."""
     square = {(i, j, k): 1e306 * (1 if j == k else -1)
               for i in (1, 2) for j in (1, 2) for k in (1, 2)}
     return TcpInstance(orthant(2), np.array([-1.0, -1.0]), Tensor(3, 2, square))
 
 
+def overflow_slack():
+    """Order 3, n = 2, both components 1e308 (u_1^2 - u_1 u_2 + u_2^2) and
+    q = (1, 1), a system with no root: the sum of |entries| of its
+    homogenization overflows, so its rounding slack is inf."""
+    D = 1e308 * np.array([[1.0, -0.5], [-0.5, 1.0]])
+    return TcpInstance(orthant(2), np.ones(2), tensor_from_dense(np.array([D, D])))
+
+
 @settings(max_examples=100, deadline=None)
-@given(insts=instance_stacks(max_n=4, extremes=True), multistarts=st.integers(1, 30))
-@example(insts=overflow_stack(), multistarts=24)
-@example(insts=[overflow_square(), TcpInstance(orthant(2), -np.ones(2), fx.identity(3, 2))],
-         multistarts=24)
-def test_stacked_head_is_the_per_instance_head(insts, multistarts):
-    # the sign test and start phase of a stack, grouped by _tails and run in
-    # blocks of tensors, give every system the scan fields, starts and slack
-    # of its own head, bit for bit (NaN included)
+@given(insts=instance_stacks(max_n=4, extremes=True))
+@example(insts=overflow_stack())
+@example(insts=[overflow_square(), TcpInstance(orthant(2), -np.ones(2), fx.identity(3, 2))])
+@example(insts=[overflow_slack(), TcpInstance(orthant(2), np.array([1.0, -1.0]), fx.E1())])
+def test_stacked_scan_is_the_per_instance_scan(insts):
+    # the sign test, the subdivision and the Newton stage of a stack,
+    # grouped by _tails, give every system the scan it gets alone, bit for
+    # bit (NaN included)
     tensors, qs = [i.A for i in insts], [i.q for i in insts]
     with np.errstate(all="ignore"):
-        scans, heads = _polysys._scan_heads(_forms._Forms(tensors), np.array(qs), multistarts)
-        for A, q, scan, head in zip(tensors, qs, scans, heads):
-            fields, ref = head_alone(A, q, multistarts)
-            got = (scan.certified_infeasible, scan.reason, scan.roots, scan.roots_complete,
-                   scan.grid_min_residual)
-            assert repr(got[:2] + got[3:]) == repr(fields[:2] + fields[3:])
-            assert [u.tobytes() for u in got[2]] == [u.tobytes() for u in fields[2]]
-            assert (head is None) == (ref is None)
-            if head is not None:
-                assert head[0].tobytes() == ref[0].tobytes() and head[0].shape == ref[0].shape
-                assert repr(head[1]) == repr(ref[1])
-
-
-def test_overflow_stack_has_a_nan_grid_minimum():
-    # the example above reaches the NaN branch: no box bound, block bounds
-    # that overflow, so every block is scored and the grid minimum is NaN,
-    # beside a finite system
-    (A, q), _ = [(i.A, i.q) for i in overflow_stack()]
-    with np.errstate(all="ignore"):
-        scans, heads = _polysys._scan_heads(_forms._Forms([A, fx.identity(4, 2)]),
-                                            np.array([q, [-1.0, -1.0]]), 24)
-        points = np.linspace(0.0, 1e52, 4)[None, :, None] ** np.arange(4)  # blocks of one point
-        _, up = _block_bounds(np.moveaxis(_power_coefficients(A), -1, 0)[:, None], q[None],
-                              [points] * 2, [points] * 2)
-    assert heads[0][1] is None and np.isnan(up).any()
-    assert math.isnan(scans[0].grid_min_residual) and math.isfinite(scans[1].grid_min_residual)
+        scans = _polysys._scan_stack(_forms._Forms(tensors), np.array(qs))
+        alone = [scan_system(A, q) for A, q in zip(tensors, qs)]
+    assert [repr(scan_fields(s)) for s in scans] == [repr(scan_fields(s)) for s in alone]
 
 
 def test_overflowed_sphere_bound_certifies_nothing():
-    # an inf sphere bound gave R = 0, and the box [0, 0] certified the
-    # system infeasible; it now bounds no box, so the scan is inconclusive
-    inst = overflow_square()
-    assert np.array_equal(apply_m1(inst.A, np.array([1e-153, 0.0])) + inst.q, [0.0, 0.0])
+    # a rounding slack that overflows clears no leaf: the scan of a system
+    # with no root stays open and names the overflow, the walk leaves its
+    # support open for that reason, and the sphere bound shows nothing
+    inst = overflow_slack()
     with np.errstate(all="ignore"):
-        assert _polysys.min_sphere_norm(inst.A) == math.inf
+        assert _polysys.min_sphere_norm(inst.A) == 0.0
         scan = scan_system(inst.A, inst.q)
-        (alpha, _, settled), = [s for s in walk_supports([inst.A], [inst.q], 24)
-                                if len(s[0]) == 2]
-    assert not scan.certified_infeasible and scan.reason.startswith("no box bound")
-    assert settled == [False]
+        (alpha, _, open_), = [s for s in walk_supports([inst.A], [inst.q]) if len(s[0]) == 2]
+    assert not scan.certified_infeasible and scan.reason == _polysys._OPEN[4]
+    assert open_ == [scan.reason]
 
 
 def test_overflowed_bounds_raise_no_warning():
-    # the start phase's bounds may overflow to inf or NaN, as their docstrings
-    # say; that is no fault, so under warnings as errors the scan, the sphere
-    # bound and the membership still return what they return
+    # the enclosure of 1e306 (u_1 - u_2)^2 may overflow, as _subdivide's
+    # docstring says; that is no fault, so under warnings as errors the
+    # scan, the sphere bound and the membership still return what they
+    # return.  q = (-1, -1) lies far below the enclosure's rounding slack
+    # 2^-30 sum|a|, so the vertex u = 0 is a near-root the scan names
     inst = overflow_square()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scan = scan_system(inst.A, inst.q)
         bound = _polysys.min_sphere_norm(inst.A)
         res = q_membership(inst.A, inst.q)
-    assert scan.reason == "no box bound (near-singular on the orthant)"
+    assert scan.reason == _polysys._OPEN[1]
     assert scan.roots == [] and not scan.certified_infeasible and not scan.roots_complete
-    assert math.isnan(scan.grid_min_residual) and bound == math.inf
+    assert bound == 0.0
     assert res.member and res.alpha.members == (1,) and np.array_equal(res.u, [1e-153, 0.0])
 
 
@@ -1006,11 +791,9 @@ def test_dedup_keeps_the_roots_of_the_plain_loop(k, S, seed):
 
 
 def test_scan_system_memory_stays_blocked():
-    # the 512 x 512 residual grid alone would be 2 MiB; its 64 coarse blocks
-    # are bounded, then the 16 blocks inside each of the 4 coarse ones that
-    # can hold a start, and only the blocks that can hold one are scored
-    # (1 024 points here), so the peak is the sphere bound, the Newton rows
-    # and the block bounds, about 0.2 MiB
+    # the shallow subdivision bounds its leaves in blocks of about 2^14
+    # coefficients and keeps 16 open leaves here, whose centroids are the
+    # Newton rows: about 23 KiB
     A, q = fx.identity(3, 2), np.array([-1.0, -1.0])
     scan_system(A, q)
     tracemalloc.start()
@@ -1020,7 +803,7 @@ def test_scan_system_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert len(scan.roots) == 1 and np.allclose(scan.roots[0], [1.0, 1.0])
-    assert peak <= 2**20
+    assert peak <= 2**17
 
 
 def test_perturb_existence_gates_stay_blocked():
@@ -1028,11 +811,10 @@ def test_perturb_existence_gates_stay_blocked():
     # bounded in blocks (a tensor it left open would go to one stacked
     # descent, its rungs past the third scored in pieces of about 1 024
     # points), and solved in one stacked walk that cuts the trials'
-    # coefficients once per support, runs their start phase 8 tensors at a
-    # time (the sphere bound in blocks of about 2^16 products), and refines
-    # 3 200 rows in place, the coefficients gathered 512 rows at a time:
-    # about 0.85 MiB in all, the start phase and the Newton rows the
-    # largest parts
+    # coefficients once per support, subdivides their homogenized systems
+    # as one stack in blocks of leaves, and refines the open leaves'
+    # centroids in place, the coefficients gathered 512 rows at a time:
+    # about 0.45 MiB in all
     inst = TcpInstance(orthant(2), np.array([-1.0, -1.0]), fx.identity(3, 2))
     stability.perturb_existence(inst, 1e-3, 50, seed=7)
     tracemalloc.start()
@@ -1047,9 +829,9 @@ def test_perturb_existence_gates_stay_blocked():
 
 def test_usc_probe_stays_blocked():
     # the 51 instances are the sparse base, a _tails group of its own, and
-    # the 50 dense trials, cut once per support; the trials' start phase
-    # runs 8 tensors at a time, and the Newton stage refines their rows in
-    # place: about 0.85 MiB
+    # the 50 dense trials, cut once per support; their subdivision bounds
+    # leaves in blocks, and the Newton stage refines their rows in place:
+    # about 0.45 MiB
     inst = TcpInstance(orthant(2), np.array([-1.0, -1.0]), fx.identity(3, 2))
     stability.usc_probe(inst, 1e-3, 50, seed=7)
     tracemalloc.start()

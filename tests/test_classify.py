@@ -6,7 +6,6 @@ import pytest
 
 from tcpkit import classify
 from tcpkit import fixtures as fx
-from tcpkit._polysys import _sphere_grid
 from tcpkit.classify import (
     SearchBudget,
     all_principal_nonsingular,
@@ -241,15 +240,10 @@ class TestVerdictPlumbing:
 @pytest.mark.parametrize("k, res", [(1, 5), (2, 7), (3, 48), (4, 12), (5, 12), (3, 7)])
 def test_lattices_match_product_filter(k, res):
     # the defining rule: every k-tuple over 0..res summing to res, in
-    # lexicographic order, scaled onto the simplex or onto the unit sphere
+    # lexicographic order, scaled onto the simplex
     comps = np.array([c for c in itertools.product(range(res + 1), repeat=k)
                       if sum(c) == res], dtype=float)
     assert np.array_equal(_simplex_lattice(k, res), comps / res)
-    grid = _sphere_grid(k, res)
-    assert grid is _sphere_grid(k, res) and not grid.flags.writeable  # cached, read-only
-    if k >= 3:  # k <= 2 sphere grids are angle grids
-        sphere = comps / np.linalg.norm(comps, axis=1, keepdims=True)
-        assert np.array_equal(_sphere_grid(k, res), sphere)
 
 
 def scaled_cases(c):

@@ -19,6 +19,7 @@ from tcpkit.solver import TcpInstance, is_solution
 from tcpkit.tensor import (
     IndexSet,
     ShapeError,
+    Tensor,
     apply_m1,
     apply_off,
     power_vec,
@@ -390,6 +391,13 @@ class TestStackedMemberships:
         non_members = [np.array([0.51, 0.54, -1.26]), np.array([1.26, 0.92, -1.55])]
         qs = support_qs(A, rng, (1, 3)) + non_members + list(rng.uniform(-2, 2, (2, 3)))
         got = self.check(A, qs)
+        # unknown by construction: E2 on {1, 2} beside u_3^2, whose system
+        # on {1, 2, 3} has no root but the root at infinity x = e_1, and
+        # every other support is settled
+        e2 = Tensor(3, 3, {(1, 1, 2): 1.0, (1, 2, 1): 1.0, (2, 2, 1): 1.0, (2, 1, 2): 1.0,
+                           (3, 3, 3): 1.0})
+        got += self.check(e2, [np.array([-1.0, -2.0, -1.0])])
+        assert got[-1].member is None
         assert {r.member for r in got} == {True, False, None}
         assert len({r.subsets_examined for r in got if r.member}) >= 2
 

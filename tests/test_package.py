@@ -12,9 +12,9 @@ import pytest
 
 import tcpkit
 
-HEAVY = ("_polysys", "_grid", "solver", "compcones", "stability", "classify")
+HEAVY = ("_polysys", "solver", "compcones", "stability", "classify")
 CLASSIFY = {"_forms", "_rng", "_simplex", "classify", "cli", "cones", "fixtures", "tensor"}
-ALL = CLASSIFY | {"_grid", "_polysys", "compcones", "solver", "stability"}  # all 13 modules
+ALL = CLASSIFY | {"_polysys", "compcones", "solver", "stability"}  # all 12 modules
 
 
 def loaded_after(code: str) -> set:
@@ -40,8 +40,8 @@ def test_cli_import_loads_no_heavy_module():
     (["distance", "--cone1", "orthant2", "--cone2", "ice2", "--samples", "50"],
      {"_rng", "cli", "cones", "fixtures", "tensor"}),
     (["classify", "--fixture", "E1"], CLASSIFY),
-    (["solve", "--fixture", "E1", "--q=-1,-1"], CLASSIFY | {"_grid", "_polysys", "solver"}),
-    (["membership", "--fixture", "E1", "--q=1,-1"], CLASSIFY | {"_grid", "_polysys", "compcones"}),
+    (["solve", "--fixture", "E1", "--q=-1,-1"], CLASSIFY | {"_polysys", "solver"}),
+    (["membership", "--fixture", "E1", "--q=1,-1"], CLASSIFY | {"_polysys", "compcones"}),
     (["perturb", "uniqueness", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1"], ALL),
     (["perturb", "existence", "--fixture", "identity32", "--q=-1,-1", "--trials", "2"], ALL),
 ])
@@ -58,6 +58,23 @@ def test_every_export_resolves_to_its_module_object():
         assert getattr(tcpkit, name) is getattr(mod, name)
         assert name in mod.__all__
         assert name in dir(tcpkit)
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps these functions by name; deleting or
+    # renaming one must fail here, not only in a traced benchmark run
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        from tracing import LAYERS
+    finally:
+        sys.path.pop(0)
+    assert LAYERS
+    for module, names in LAYERS.values():
+        mod = importlib.import_module(module)
+        for name in names:
+            owner, _, attr = name.rpartition(".")
+            assert callable(getattr(getattr(mod, owner) if owner else mod, attr)), \
+                f"{module}.{name}"
 
 
 def test_unknown_name_raises_attribute_error():
