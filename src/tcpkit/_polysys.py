@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._forms import _Forms
-from ._simplex import _CLEAR_DEPTH, _subdivide
+from ._simplex import _CLEAR_DEPTH, _NEWTON_ITERS, _clearing, _subdivide, damped_newton
 from .tensor import IndexSet, Tensor, apply_off
 
 SYS_TOL = 1e-9  # residual at which a refined point counts as a root
@@ -50,7 +50,6 @@ SLACK_TOL = 1e-8  # a support root counts when its slack is >= -SLACK_TOL
 
 _SHALLOW = 8  # cuts of the subdivision whose open leaves give the Newton starts
 _SCAN_ENTRIES = 2**14  # entries k (k+1)^{m-1} of a homogenized system the enclosure takes
-_NEWTON_ITERS = 60  # damped Newton steps from each start
 _DEDUP_DIST = 1e-6  # roots (and solutions) closer than this are one
 
 # why a scan is left open: the stop code of _subdivide, 3 past _SCAN_ENTRIES,
@@ -125,83 +124,10 @@ def min_sphere_norm(A: Tensor) -> float:
         top, rho, k = math.frexp(scale)[1], np.array([2.0**-30 * scale]), A.dim
         for c in 2.0 ** np.arange(top - 1, top - 41, -1):
             if not len(_subdivide(dense, np.eye(k), rho, "m1",
-                                  lambda lo, hi, r: (lo - r >= c) | (hi + r <= -c), _CLEAR_DEPTH,
-                                  np.zeros(1, dtype=np.intp), np.eye(k)[None])[0]):
+                                  _clearing(lambda lo, hi, r: (lo - r >= c) | (hi + r <= -c)),
+                                  _CLEAR_DEPTH, np.zeros(1, dtype=np.intp), np.eye(k)[None])[0]):
                 return float(c)
     return 0.0
-
-
-def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve J[s] d[s] = b[s] for every row s of a stack of square J, by
-    least squares where J[s] is singular.  When np.linalg.solve rejects the
-    batch, a batched LU test (slogdet sign 0: an exact zero pivot, the test
-    solve raises on) finds the singular rows; the others are solved in one
-    batch and only the singular ones one by one."""
-    try:
-        return np.linalg.solve(J, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        lone = np.linalg.slogdet(J)[0] == 0
-        out = np.empty(b.shape)
-        if not lone.all():
-            out[~lone] = np.linalg.solve(J[~lone], b[~lone][..., None])[..., 0]
-        for s in np.flatnonzero(lone):
-            out[s] = np.linalg.lstsq(J[s], b[s], rcond=None)[0]
-        return out
-
-
-def damped_newton(F, J, X, iters: int, tol: float, project=lambda v: v):
-    """Newton on F(x) = 0 with backtracking on ||F||, for every row x of the
-    (S, k) array X at once.  F(X, rows) maps (R, k) points to (R, k) values
-    and J(X, rows) to (R, k, k) Jacobians, where rows holds the index in X
-    of the start each point comes from, so one call can solve rows of
-    different systems (a stacked support walk gives each row its own
-    tensor's coefficients).
-
-    Each row steps on its own: it solves J(x) d = -F(x) (least squares when
-    J is singular) and halves t until
-    ||F(project(x + t d))|| < (1 - 1e-4 t) ||F(x)|| or drops to tol; it
-    stops at tol, after iters steps, when d is not finite, or when no
-    halving down to t = 1e-14 helps.  F and J must give each row the value
-    they give it alone.
-    Returns (X, ||F|| of every row).
-    """
-    X = np.array(X, dtype=float)
-    FX = F(X, np.arange(len(X)))
-    r = np.sqrt(np.vecdot(FX, FX))  # np.linalg.norm of each row, bit for bit
-    rows = np.flatnonzero(~(r <= tol))  # only r <= tol stops; a NaN residual steps on
-    for _ in range(iters):
-        if not len(rows):
-            break
-        rows = _newton_step(F, J, project, X, FX, r, rows, tol)
-    return X, r
-
-
-def _newton_step(F, J, project, X, FX, r, rows, tol):
-    """One damped Newton step of the given rows of X, updating X, FX and r
-    in place; returns the rows that step on.  Its temporaries die with it,
-    so a long run holds only X, FX and r."""
-    D = _solve_rows(J(X[rows], rows), -FX[rows])
-    if not np.isfinite(D).all():  # a non-finite step stops its row
-        finite = np.isfinite(D).all(axis=1)
-        rows, D = rows[finite], D[finite]
-    t = np.ones(len(rows))
-    stepped = np.zeros(len(X), dtype=bool)
-    while len(rows):
-        Xn = project(X[rows] + t[:, None] * D)
-        Fn = F(Xn, rows)
-        rn = np.sqrt(np.vecdot(Fn, Fn))
-        ok = (rn < r[rows] * (1.0 - 1e-4 * t)) | (rn <= tol)
-        if ok.all():
-            X[rows], FX[rows], r[rows] = Xn, Fn, rn
-            stepped[rows] = True
-            break
-        done = rows[ok]
-        X[done], FX[done], r[done] = Xn[ok], Fn[ok], rn[ok]
-        stepped[done] = True
-        t = 0.5 * t
-        left = ~ok & (t > 1e-14)  # a row whose t halves to 1e-14 stops
-        rows, D, t = rows[left], D[left], t[left]
-    return np.flatnonzero(stepped & ~(r <= tol))
 
 
 def _refine_rows(forms: _Forms, Q: np.ndarray, U0, own: np.ndarray):
@@ -301,7 +227,7 @@ def _scan_stack(forms: _Forms, Q: np.ndarray) -> list[SystemScan]:
     leaf, W = np.arange(len(H)), np.repeat(np.eye(k + 1)[None], len(H), axis=0)
     go = stop == 0
     if go.any():
-        cut, Wc, stop_c = _subdivide(H, np.eye(k + 1), rho, "m1", _clears, _SHALLOW,
+        cut, Wc, stop_c = _subdivide(H, np.eye(k + 1), rho, "m1", _clearing(_clears), _SHALLOW,
                                      leaf[go], W[go])
         stop[go] = stop_c[go]
         leaf, W = np.concatenate([leaf[~go], cut]), np.concatenate([W[~go], Wc])
@@ -316,7 +242,7 @@ def _scan_stack(forms: _Forms, Q: np.ndarray) -> list[SystemScan]:
             rootless.append(j)
     deep = np.isin(leaf, rootless) & (stop[leaf] == 0)
     if deep.any():
-        more, Wd, stop_d = _subdivide(H, np.eye(k + 1), rho, "m1", _clears,
+        more, Wd, stop_d = _subdivide(H, np.eye(k + 1), rho, "m1", _clearing(_clears),
                                       _CLEAR_DEPTH - _SHALLOW, leaf[deep], W[deep])
         stop = np.maximum(stop, stop_d)
         leaf, W = np.concatenate([leaf[~deep], more]), np.concatenate([W[~deep], Wd])

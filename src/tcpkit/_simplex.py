@@ -1,13 +1,17 @@
-"""Minimisation over the standard simplex, for one objective or a stack.
+"""Bernstein enclosures of forms on simplices, and the one damped Newton.
 
-The barycentric lattice, the Euclidean projection onto the simplex, the
-row-batched projected gradient descent every basis search polishes with,
-and the stacked basis minimisation: tensors of one order and dimension
-score the lattice each on its own, then all their starts descend together,
-each row scored with its own tensor's coefficients, so every tensor gets
-the bits it gets alone.  ``classify`` builds its verdicts on these.  The
-Bernstein subdivision of sub-simplices (``_subdivide``) encloses forms on
-a simplex: it decides the probes' gates and the support scan's systems.
+A form of degree d on a sub-simplex (a leaf) with vertices V is sum_alpha
+b_alpha B_alpha(lam) at x = V lam, the Bernstein polynomials B_alpha >= 0
+summing to 1 on the simplex: its least and greatest coefficient bound it
+on the leaf, and its coefficients at the vertices are its values there.
+``_subdivide`` cuts leaves at the midpoint of their longest edge until
+each clears a rule or its tensor stops.  It is the package's one search
+over a simplex: ``_enclose`` decides the classifiers on the basis of a
+cone, ``classify`` the dual test of S_A on the faces of the simplex, and
+``_polysys`` the support scan's homogenized systems and its sphere bound.
+``damped_newton`` is the one Newton loop: the support scan, the min-map
+refinement and the polish of the enclosures' points (``_polish``) run on
+it.
 """
 
 from __future__ import annotations
@@ -21,148 +25,11 @@ import numpy as np
 from ._forms import _Forms
 from .tensor import ShapeError
 
-
-def _compositions(k: int, res: int) -> np.ndarray:
-    """Every composition of res into k nonnegative integer parts, as the
-    rows of an int array in lexicographic order (from the k-1 cut points of
-    res + k - 1 slots, stars and bars)."""
-    cuts = list(itertools.combinations(range(res + k - 1), k - 1))
-    C = np.array(cuts, dtype=np.intp).reshape(len(cuts), k - 1)
-    ends = np.full((len(cuts), 1), -1)
-    return np.diff(np.hstack([ends, C, ends + res + k]), axis=1) - 1
-
-
-def _simplex_lattice(k: int, res: int) -> np.ndarray:
-    """All barycentric lattice points (c/res) with c a composition of res
-    into k nonnegative parts, in lexicographic order."""
-    return _compositions(k, res) / res
-
-
-def _project_simplex(V: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every row of V onto {x >= 0, sum x = 1}."""
-    U = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - 1.0
-    cond = U - css / np.arange(1, V.shape[1] + 1) > 0
-    last = V.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)  # last index with cond
-    theta = css[np.arange(len(V)), last] / (last + 1)
-    return np.maximum(V - theta[:, None], 0.0)
-
-
-def _combine(L: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """The rows of L @ G.T, as a fixed-order sum over the columns of G: each
-    row gets the bits it gets alone, which a matrix product does not promise
-    once the stack height changes."""
-    return sum(L[:, j, None] * G[:, j] for j in range(G.shape[1]))
-
-
-_RUNGS = 30  # backtracking steps tried per descent step
-_FIRST_RUNGS = 3  # rungs scored for every moving row
-_RUNG_POINTS = 1024  # candidate points scored per call past the first rungs
-
-
-def descend_on_simplex(f, grad, Lam0: np.ndarray, iters: int):
-    """Projected gradient descent of f on the standard simplex, from every
-    row of the (S, k) array Lam0 at once.  f(X, rows) maps (R, k) points to
-    (R,) values and grad(X, rows) to (R, k) gradients, where rows holds the
-    index in Lam0 of the start each point descends from, so one call can
-    descend rows of different objectives (the stacked basis minimisation
-    scores each row with its own tensor).
-
-    Each row steps on its own: it backtracks from its last accepted step
-    length t through the 30 rungs t, t/2, t/4, ... and accepts the first
-    strict decrease of f at a point on the simplex (its sum within 1e-9 of
-    1, which the projection of a huge step misses); an accepted step length
-    doubles for the next step (capped at 1e6).  A row stops when ||grad||
-    <= 1e-14 (or is NaN) or no rung decreases f.  The first 3 rungs of
-    every moving row are scored in one call, then the next rungs of the
-    rows that took none, in pieces of about 1 024 points, until every row
-    took one or ran out; a row is charged the evaluations the
-    one-rung-at-a-time rule makes: its accepted rung + 1, or 30.  f must
-    give each row the value it gets alone.
-    Returns (rows, their f values, evaluations of f per row).
-    """
-    lam = np.array(Lam0, dtype=float)
-    val = f(lam, np.arange(len(lam)))
-    evals = np.ones(len(lam), dtype=int)
-    step = np.ones(len(lam))
-    active = np.ones(len(lam), dtype=bool)
-    k = lam.shape[1]
-    for _ in range(iters):
-        rows = np.flatnonzero(active)
-        if not len(rows):
-            break
-        g = grad(lam[rows], rows)
-        moving = np.sqrt(np.vecdot(g, g)) > 1e-14
-        active[rows[~moving]] = False
-        rows, g = rows[moving], g[moving]
-        if not len(rows):
-            break
-        R = len(rows)
-        first = np.full(R, _RUNGS)  # the first accepted rung; _RUNGS when none is
-        new_lam, new_val, new_t = np.empty((R, k)), np.empty(R), np.empty(R)
-        t = step[rows]  # the first rung not scored yet, of every row
-        left, lo = np.arange(R), 0  # the rows that took no rung yet
-        while len(left) and lo < _RUNGS:
-            hi = _FIRST_RUNGS if lo == 0 else min(_RUNGS, lo + max(1, _RUNG_POINTS // len(left)))
-            T = np.full((len(left), hi - lo), 0.5)
-            T[:, 0] = t[left]
-            T = np.cumprod(T, axis=1)  # repeated halving: each rung has the one-rung rule's bits
-            V = lam[rows[left], None] - T[:, :, None] * g[left, None]
-            cand = _project_simplex(V.reshape(-1, k)).reshape(V.shape)
-            fc = f(cand.reshape(-1, k), np.repeat(rows[left], hi - lo)).reshape(len(left), -1)
-            # a huge step cancels in the projection and leaves the simplex: no decrease
-            ok = (fc < val[rows[left], None]) & (np.abs(cand.sum(axis=2) - 1.0) <= 1e-9)
-            took = ok.any(axis=1)
-            j, hit = np.argmax(ok, axis=1)[took], left[took]
-            first[hit] = lo + j
-            new_lam[hit], new_val[hit], new_t[hit] = cand[took, j], fc[took, j], T[took, j]
-            t[left] = 0.5 * T[:, -1]
-            left, lo = left[~took], hi
-        took = first < _RUNGS
-        evals[rows] += np.where(took, first + 1, _RUNGS)
-        done = rows[took]
-        lam[done], val[done] = new_lam[took], new_val[took]
-        step[done] = np.minimum(2.0 * new_t[took], 1e6)
-        active[rows[~took]] = False
-    return lam, val, evals
-
-
-class _Objective:
-    """Smooth surrogates of the three basis objectives for a stack of tensors
-    of one order and dimension: row r of X is scored with the tensor
-    tensors[own[r]].
-
-    value(X, own) is what the polish minimizes (A x^m, ||A x^{m-1}||^2 or
-    (A x^m)^2); from_internal maps it to the contract value (A x^m,
-    ||A x^{m-1}|| or |A x^m|).
-    """
-
-    def __init__(self, kind: str, tensors):
-        if kind not in ("xm", "norm_m1", "abs_xm"):
-            raise ValueError(f"unknown objective {kind!r}")
-        self.kind = kind
-        self.forms = _Forms(tensors)
-
-    def value(self, X: np.ndarray, own: np.ndarray) -> np.ndarray:
-        F = self.forms.m1(X, own)
-        if self.kind == "norm_m1":
-            return np.vecdot(F, F)
-        xm = np.vecdot(X, F)
-        return xm * xm if self.kind == "abs_xm" else xm
-
-    def grad(self, X: np.ndarray, own: np.ndarray) -> np.ndarray:
-        F, J = self.forms.eval(X, own, jac=True)
-        if self.kind == "norm_m1":
-            return 2.0 * (F[:, None, :] @ J)[:, 0]
-        dxm = F + (X[:, None, :] @ J)[:, 0]
-        if self.kind == "xm":
-            return dxm
-        return 2.0 * np.vecdot(X, F)[:, None] * dxm
-
-    def from_internal(self, v: np.ndarray) -> np.ndarray:
-        if self.kind == "xm":
-            return v
-        return np.sqrt(np.maximum(v, 0.0))
+_CLEAR_DEPTH = 30  # rounds of bounds and cuts, at most: every vertex stays dyadic
+_CLEAR_LEAVES = 64  # open leaves per tensor, at most
+_CLEAR_ENTRIES = 2**10  # dense entries (n^m and k^m) of a tensor the enclosure takes, at most
+_CLEAR_BLOCK = 2**14  # transformed-tensor entries per block of leaves
+_NEWTON_ITERS = 60  # damped Newton steps from each start
 
 
 def _basis(K, n: int) -> np.ndarray:
@@ -174,55 +41,6 @@ def _basis(K, n: int) -> np.ndarray:
     if not gens:
         raise ValueError("cone has no generators")
     return np.column_stack(gens)
-
-
-def _min_over_stack(objective: str, tensors, K, budget):
-    """[min_over_basis(objective, A, K, budget) for A in tensors], tensors of
-    one order and dimension.  Each tensor scores the lattice on its own; then
-    the starts of every tensor are polished in one descent, each row scored
-    with its own tensor's coefficients, so every tensor gets the bits it
-    gets alone.  A tensor with an entry of 2^64 or more is searched scaled
-    by a power of two to entries below 1, so no square or step overflows,
-    and its value is scaled back."""
-    G = _basis(K, tensors[0].dim)
-    if K.is_orthant:  # G is the identity; + 0.0 turns -0.0 into +0.0 as _combine does
-        to_x = to_lam = lambda L: L + 0.0
-    else:
-        to_x, to_lam = (lambda L: _combine(L, G)), (lambda X: _combine(X, G.T))
-
-    lattice = _simplex_lattice(G.shape[1], budget.resolution_for(G.shape[1]))
-    X = to_x(lattice)
-    c = min(budget.multistarts, len(X))  # starts per tensor
-    top = [math.frexp(np.abs(A._coef).max(initial=0.0))[1] for A in tensors]
-    shift = [e if e > 64 else 0 for e in top]  # an entry of 2^64 or more has exponent 65
-    obj = _Objective(objective, [A.scale(2.0 ** -e) if e else A for A, e in zip(tensors, shift)])
-    best, starts = [], []
-    for s in range(len(tensors)):
-        vals = obj.from_internal(obj.value(X, np.full(len(X), s)))
-        order = np.argsort(vals, kind="stable")
-        best.append((float(vals[order[0]]), X[order[0]]))
-        starts.append(lattice[order[:c]])
-    owner = np.repeat(np.arange(len(tensors)), c)
-    lam, f, used = descend_on_simplex(lambda L, rows: obj.value(to_x(L), owner[rows]),
-                                      lambda L, rows: to_lam(obj.grad(to_x(L), owner[rows])),
-                                      np.concatenate(starts), budget.polish_iters)
-    v = obj.from_internal(f).reshape(len(tensors), c)
-    out = []
-    for s in range(len(tensors)):
-        j = int(np.argmin(v[s]))
-        if v[s, j] < best[s][0] - 1e-15:
-            best[s] = float(v[s, j]), to_x(lam[s * c + j:s * c + j + 1])[0]
-        with np.errstate(over="ignore"):  # a value past the largest float is inf
-            value = float(np.ldexp(best[s][0], shift[s]))
-        out.append((value, best[s][1], len(X) + int(used[s * c:(s + 1) * c].sum())))
-    return out
-
-
-_CLEAR_DEPTH = 30  # rounds of bounds and cuts, at most: every vertex stays dyadic
-_CLEAR_LEAVES = 64  # open leaves per tensor, at most
-_CLEAR_ENTRIES = 2**8  # dense entries (n^m and k^m) of a tensor the enclosure takes, at most
-_CLEAR_SCALE = 2.0**8  # sum of |entries| of a tensor the enclosure takes, at most
-_CLEAR_BLOCK = 2**14  # transformed-tensor entries per block of leaves
 
 
 @functools.cache
@@ -284,36 +102,54 @@ def _bisect(W: np.ndarray) -> np.ndarray:
     return halves.reshape(2 * P, k, k)
 
 
+def _blocks(dense, G, form: str, owner, W):
+    """(block, lo, hi, vert) of _bernstein on the leaves W[p] of the tensors
+    dense[owner[p]], in blocks of about _CLEAR_BLOCK transformed entries."""
+    step = max(1, _CLEAR_BLOCK // max(dense[0].size, W.shape[1] ** (dense.ndim - 1)))
+    for s in range(0, len(owner), step):
+        block = slice(s, s + step)
+        yield (block, *_bernstein(dense[owner[block]], G @ W[block], form))
+
+
+def _clearing(clears):
+    """The rule of _subdivide for a test clears(lo, hi, r) of every
+    component: a leaf clears when some component does, and stops its tensor
+    when one of its vertices clears under no component, so no leaf around
+    it can clear."""
+    def rule(lo, hi, vert, r, _owner, _W):
+        return (clears(lo, hi, r).any(axis=1),
+                ~clears(vert, vert, r[:, :, None]).any(axis=1).all(axis=1))
+    return rule
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _subdivide(dense, G, rho, form: str, clears, depth: int, owner, W):
+def _subdivide(dense, G, rho, form: str, rule, depth: int, owner, W):
     """Bernstein subdivision of the leaves W[p] (vertices as columns, in the
     simplex coordinates of the basis G) of the tensors dense[owner[p]], for
     at most depth rounds (Bundfuss and Duer, Linear Algebra Appl. 428, 2008;
     Mourrain and Pavone, J. Symbolic Comput. 44, 2009).
 
     Each round takes every leaf's Bernstein coefficients of form
-    (_bernstein), in blocks of about _CLEAR_BLOCK entries.  A leaf clears,
-    and is dropped, when clears(lo, hi, r) holds for some component, r =
-    rho[owner] moving each coefficient against the rule; an inf or NaN rho
-    clears nothing.  A tensor stops with code 1 when a vertex of one of its
-    leaves clears under no component (no leaf around it can clear), and
-    with code 2 when more than _CLEAR_LEAVES leaves would be open; its open
-    leaves are kept as they are.  The others are cut in two (_bisect).
-    Every leaf is bounded on its own, so a tensor gets the leaves it gets
-    alone.  Returns (owner, W) of the open leaves, each tensor's in one run,
-    and the stop code of every tensor (0 when it ran every round)."""
+    (_bernstein, in _blocks) and reads rule(lo, hi, vert, r, owner, W) on
+    every block: which leaves clear, and are dropped, and which stop their
+    tensor with code 1; r = rho[owner] (one slack per tensor, or one per
+    component) moves each coefficient against the rule, so an inf or NaN
+    rho clears nothing (_clearing builds the rule of a per-component test).
+    A tensor also stops, with code 2, when more than _CLEAR_LEAVES leaves
+    would be open; a stopped tensor's open leaves are kept as they are.
+    The others are cut in two (_bisect).  Every leaf is bounded and read on
+    its own, so a tensor gets the leaves it gets alone.  Returns (owner, W)
+    of the open leaves, each tensor's in one run, and the stop code of every
+    tensor (0 when it ran every round)."""
     stop = np.zeros(len(dense), dtype=np.int8)
     frozen = [(owner[:0], W[:0])]
-    step = max(1, _CLEAR_BLOCK // max(dense[0].size, W.shape[1] ** (dense.ndim - 1)))
     for _ in range(depth):
         if not len(owner):
             break
         done, dead = np.empty(len(owner), dtype=bool), np.empty(len(owner), dtype=bool)
-        for s in range(0, len(owner), step):
-            lo, hi, vert = _bernstein(dense[owner[s:s + step]], G @ W[s:s + step], form)
-            r = rho[owner[s:s + step], None]
-            done[s:s + step] = clears(lo, hi, r).any(axis=1)
-            dead[s:s + step] = ~clears(vert, vert, r[:, :, None]).any(axis=1).all(axis=1)
+        for block, lo, hi, vert in _blocks(dense, G, form, owner, W):
+            done[block], dead[block] = rule(lo, hi, vert, rho[owner[block]].reshape(len(lo), -1),
+                                            owner[block], W[block])
         stop[owner[dead]] = 1
         keep = ~done
         stop[(np.bincount(owner[keep], minlength=len(dense)) > _CLEAR_LEAVES // 2) & (stop == 0)] = 2
@@ -326,46 +162,215 @@ def _subdivide(dense, G, rho, form: str, clears, depth: int, owner, W):
     return owner[order], W[order], stop
 
 
-def _bernstein_clears(objective: str, tensors, K, margin: float) -> np.ndarray:
-    """Which tensors of the stack provably hold under the basis objective's
-    verdict rule, one bool per tensor: those whose every leaf clears in the
-    subdivision (_subdivide) of the basis simplex, for at most _CLEAR_DEPTH
-    rounds.
+def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve J[s] d[s] = b[s] for every row s of a stack of square J, by
+    least squares where J[s] is singular.  When np.linalg.solve rejects the
+    batch, a batched LU test (slogdet sign 0: an exact zero pivot, the test
+    solve raises on) finds the singular rows; the others are solved in one
+    batch and only the singular ones one by one."""
+    try:
+        return np.linalg.solve(J, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        lone = np.linalg.slogdet(J)[0] == 0
+        out = np.empty(b.shape)
+        if not lone.all():
+            out[~lone] = np.linalg.solve(J[~lone], b[~lone][..., None])[..., 0]
+        for s in np.flatnonzero(lone):
+            out[s] = np.linalg.lstsq(J[s], b[s], rcond=None)[0]
+        return out
 
-    A leaf clears when, each coefficient moved against the rule by rho =
-    2^-30 sum|a|,
-      xm: every coefficient of A x^m is >= -margin/2;
-      abs_xm: every coefficient of A x^m is >= 2 margin, or every one is
-        <= -2 margin;
-      norm_m1: for some i, every coefficient of (A x^{m-1})_i is >= 2
-        margin, or every one is <= -2 margin.
-    rho bounds the rounding of the coefficients and of the descent's
-    evaluations, sums of at most _CLEAR_ENTRIES products of coordinates of
-    modulus <= 1; the slack to the verdicts' thresholds (-margin, and
-    margin) covers the descent's points summing to 1 only up to rounding,
-    which scales a value by (sum x)^m.  So a cleared tensor also holds by
-    _min_over_stack.  A tensor past _CLEAR_ENTRIES dense entries, or past a
-    sum of |entries| of _CLEAR_SCALE, where the descent's steps may leave
-    the simplex by more than rounding (and its squares overflow), is left
-    open."""
+
+def damped_newton(F, J, X, iters: int, tol: float, project=lambda v: v):
+    """Newton on F(x) = 0 with backtracking on ||F||, for every row x of the
+    (S, k) array X at once.  F(X, rows) maps (R, k) points to (R, k) values
+    and J(X, rows) to (R, k, k) Jacobians, where rows holds the index in X
+    of the start each point comes from, so one call can solve rows of
+    different systems (a stacked support walk gives each row its own
+    tensor's coefficients).
+
+    Each row steps on its own: it solves J(x) d = -F(x) (least squares when
+    J is singular) and halves t until
+    ||F(project(x + t d))|| < (1 - 1e-4 t) ||F(x)|| or drops to tol; it
+    stops at tol, after iters steps, when d is not finite, or when no
+    halving down to t = 1e-14 helps.  F and J must give each row the value
+    they give it alone.
+    Returns (X, ||F|| of every row).
+    """
+    X = np.array(X, dtype=float)
+    FX = F(X, np.arange(len(X)))
+    r = np.sqrt(np.vecdot(FX, FX))  # np.linalg.norm of each row, bit for bit
+    rows = np.flatnonzero(~(r <= tol))  # only r <= tol stops; a NaN residual steps on
+    for _ in range(iters):
+        if not len(rows):
+            break
+        rows = _newton_step(F, J, project, X, FX, r, rows, tol)
+    return X, r
+
+
+def _newton_step(F, J, project, X, FX, r, rows, tol):
+    """One damped Newton step of the given rows of X, updating X, FX and r
+    in place; returns the rows that step on.  Its temporaries die with it,
+    so a long run holds only X, FX and r."""
+    D = _solve_rows(J(X[rows], rows), -FX[rows])
+    if not np.isfinite(D).all():  # a non-finite step stops its row
+        finite = np.isfinite(D).all(axis=1)
+        rows, D = rows[finite], D[finite]
+    t = np.ones(len(rows))
+    stepped = np.zeros(len(X), dtype=bool)
+    while len(rows):
+        Xn = project(X[rows] + t[:, None] * D)
+        Fn = F(Xn, rows)
+        rn = np.sqrt(np.vecdot(Fn, Fn))
+        ok = (rn < r[rows] * (1.0 - 1e-4 * t)) | (rn <= tol)
+        if ok.all():
+            X[rows], FX[rows], r[rows] = Xn, Fn, rn
+            stepped[rows] = True
+            break
+        done = rows[ok]
+        X[done], FX[done], r[done] = Xn[ok], Fn[ok], rn[ok]
+        stepped[done] = True
+        t = 0.5 * t
+        left = ~ok & (t > 1e-14)  # a row whose t halves to 1e-14 stops
+        rows, D, t = rows[left], D[left], t[left]
+    return np.flatnonzero(stepped & ~(r <= tol))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _polish(forms: _Forms, own, G, L0, rows=None):
+    """Damped Newton (_NEWTON_ITERS steps) from every start L0[s], the
+    simplex coordinates of x = G[s] lam, toward a zero of the form
+    x.A x^{m-1} (rows None) or a common zero of the components rows[s] of
+    A x^{m-1}, A the tensor own[s] of forms.  Every set of p = min(k - 1, R)
+    of the R components (the form is one) is a square system in p unknowns:
+    the shifts of lam along the gradients of its components at the start,
+    projected on the plane sum lam = 1 of the start's face.  Returns the
+    start of every system and its end point, clamped to lam >= 0 and
+    rescaled to sum 1."""
+    Q, k = L0.shape
+    R = 1 if rows is None else rows.shape[1]
+    sets = np.array(list(itertools.combinations(range(R), min(k - 1, R))), dtype=np.intp)
+    start = np.repeat(np.arange(Q), len(sets))
+    if k == 1:
+        return start, L0[start]
+    pick = None if rows is None else np.take_along_axis(rows[start], np.tile(sets, (Q, 1)), axis=1)
+    G, own, L0 = G[start], own[start], L0[start]
+
+    def at(L, i):  # the chosen components at lam = L of the systems i, and their lam-gradients
+        X = (G[i] @ L[:, :, None])[:, :, 0]
+        F, J = forms.eval(X, own[i], jac=True)
+        if pick is None:
+            F, J = np.vecdot(X, F)[:, None], (F + (X[:, None, :] @ J)[:, 0])[:, None]
+        else:
+            F, J = (np.take_along_axis(F, pick[i], axis=1),
+                    np.take_along_axis(J, pick[i][:, :, None], axis=1))
+        return F, J @ G[i]
+
+    g, on = at(L0, np.arange(len(L0)))[1], (L0 > 0)[:, None, :]  # on: the start's face
+    g = np.where(on, g - (g * on).sum(axis=2, keepdims=True) / on.sum(axis=2, keepdims=True), 0.0)
+    D = np.swapaxes(g, 1, 2)  # (systems, k, p)
+
+    def point(Z, i):
+        return L0[i] + (D[i] @ Z[:, :, None])[:, :, 0]
+
+    Z, _ = damped_newton(lambda Z, i: at(point(Z, i), i)[0],
+                         lambda Z, i: at(point(Z, i), i)[1] @ D[i],
+                         np.zeros((len(L0), sets.shape[1])), _NEWTON_ITERS, 0.0)
+    L = np.maximum(point(Z, np.arange(len(L0))), 0.0)
+    return start, L / L.sum(axis=1, keepdims=True)
+
+
+def _objective(objective: str, F, X=None):
+    """The basis objective from the components F of A x^{m-1} on axis 1 at
+    the points X, or (X None) from the values F of A x^m: A x^m ("xm"),
+    |A x^m| ("abs_xm") or ||A x^{m-1}||_2 ("norm_m1", by hypot, which
+    overflows only past the largest float)."""
+    if objective == "norm_m1":
+        return np.hypot.reduce(np.abs(F), axis=1)
+    xm = F if X is None else np.vecdot(X, F)
+    return np.abs(xm) if objective == "abs_xm" else xm
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _enclose(objective: str, tensors, K, margin: float):
+    """Branch and bound of a basis objective (_objective) over the basis of
+    K for a stack of tensors of one order and dimension, each with what it
+    gets alone: (value, x, evaluations, lower) of each.
+
+    A leaf's bound is the least coefficient of A x^m (xm), or the greatest
+    distance from 0 of a component's coefficients of one sign (abs_xm, of
+    A x^m; norm_m1, of A x^{m-1}), each moved against it by rho = 2^-30
+    sum|a|.  A leaf clears at a bound >= 2 margin (abs_xm, norm_m1), or for
+    xm > margin, or >= -margin/2 once one of its vertices is at most margin.
+    A tensor stops at a vertex no leaf around which can clear (_subdivide).
+    lower, the least bound of a leaf cleared or left open, bounds the
+    minimum from below.  value, at the point x (the lexicographically
+    first among equals), is the least objective at a leaf vertex or at a
+    point _polish reaches from the best vertex and the centroid of each
+    open leaf, when the best value is above where the verdicts fail (0 for
+    xm, margin/1000).  evaluations counts the leaves bounded.  Each coefficient sums at most _CLEAR_ENTRIES products of an
+    entry with coordinates of modulus <= 1 (the basis vectors are unit, a
+    leaf's vertices their convex combinations), so its rounding error is
+    below 2^-40 sum|a| <= rho.  A tensor past _CLEAR_ENTRIES dense entries
+    (n^m or k^m) is not subdivided: lower is -inf, and value the least at a
+    basis vertex."""
     G = _basis(K, tensors[0].dim)
-    (n, k), m = G.shape, tensors[0].order
-    alive = np.zeros(len(tensors), dtype=bool)
+    (n, k), m, T = G.shape, tensors[0].order, len(tensors)
+    best, lam = np.full(T, np.inf), np.zeros((T, k))
+    used, lower, owner, W = np.zeros(T, dtype=int), np.full(T, -np.inf), np.arange(0), None
+    form = "m1" if objective == "norm_m1" else "xm"
+
+    def keep(s, own, L):  # each tensor's least candidate s at lam = L, lexicographically first
+        if len(s):
+            order = np.lexsort((*L.T[::-1], s, own))
+            first = order[np.r_[True, own[order][1:] != own[order][:-1]]]
+            t, s, L = own[first], s[first], L[first]
+            j = np.argmax(L != lam[t], axis=1)  # the first coordinate where L differs from the best
+            better = (s < best[t]) | ((s == best[t]) & (L[np.arange(len(t)), j] < lam[t, j]))
+            best[t[better]], lam[t[better]] = s[better], L[better]
+
     if max(n, k) ** m > _CLEAR_ENTRIES:
-        return alive
-    dense = np.array([A.to_dense() for A in tensors])
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.abs(dense).reshape(len(tensors), -1).sum(axis=1)
-    alive = scale <= _CLEAR_SCALE  # False at NaN
-    c = -0.5 * margin if objective == "xm" else 2.0 * margin
+        own, X = np.repeat(np.arange(T), k), np.tile(G.T, (T, 1))
+        keep(_objective(objective, _Forms(tensors).m1(X, own), X), own, np.tile(np.eye(k), (T, 1)))
+    else:
+        dense = np.array([A.to_dense() for A in tensors])
+        rho = 2.0**-30 * np.abs(dense).reshape(T, -1).sum(axis=1)
+        lower[:] = np.inf
 
-    def clears(lo, hi, r):  # per component: its coefficients lo..hi clear c
-        up = lo - r >= c
-        return up if objective == "xm" else up | (hi + r <= -c)
+        def bound(lo, hi, r):  # of every leaf, or of every vertex (on a last axis)
+            if objective == "xm":
+                return (lo - r)[:, 0]
+            return np.maximum(np.maximum(lo - r, -hi - r), 0.0).max(axis=1)
 
-    owner = np.flatnonzero(alive)
-    owner = _subdivide(dense, G, 2.0**-30 * scale, "m1" if objective == "norm_m1" else "xm",
-                       clears, _CLEAR_DEPTH, owner,
-                       np.repeat(np.eye(k)[None], len(owner), axis=0))[0]
-    alive[owner] = False  # a tensor with a leaf left open
-    return alive
+        def rule(lo, hi, vert, r, own, W):
+            keep(_objective(objective, vert if form == "m1" else vert[:, 0]).ravel(),
+                 np.repeat(own, k), np.swapaxes(W, 1, 2).reshape(-1, k))
+            used[:] += np.bincount(own, minlength=T)
+            b, v = bound(lo, hi, r), bound(vert, vert, r[:, :, None])
+            if objective == "xm":
+                done = (b > margin) | ((v.min(axis=1) <= margin) & (b >= -0.5 * margin))
+                dead = (v < -0.5 * margin).any(axis=1)
+            else:
+                done, dead = b >= 2.0 * margin, (v < 2.0 * margin).any(axis=1)
+            np.minimum.at(lower, own[done], b[done])
+            return done, dead
+
+        owner, W, _ = _subdivide(dense, G, rho, form, rule, _CLEAR_DEPTH, np.arange(T),
+                                 np.repeat(np.eye(k)[None], T, axis=0))
+        for block, lo, hi, vert in _blocks(dense, G, form, owner, W):  # the leaves left open
+            r = rho[owner[block], None]
+            rule(lo, hi, vert, r, owner[block], W[block])
+            np.minimum.at(lower, owner[block], bound(lo, hi, r))
+    polish = (np.bincount(owner, minlength=T) > 0) & (best > (0.0 if objective == "xm" else 1e-3 * margin))
+    p = np.flatnonzero(polish)
+    if len(p):  # on the tensors scaled by powers of two to entries below 1, so nothing overflows
+        shift = np.array([math.frexp(float(np.abs(tensors[t]._coef).max(initial=0.0)))[1]
+                          for t in p])
+        forms = _Forms([tensors[t].scale(2.0 ** -e) for t, e in zip(p, shift)])
+        slot = np.cumsum(polish) - 1
+        own = np.concatenate([np.arange(len(p)), slot[owner[polish[owner]]]])
+        start, L = _polish(forms, own, np.broadcast_to(G, (len(own), n, k)),
+                           np.concatenate([lam[p], W[polish[owner]].mean(axis=2)]),
+                           None if form == "xm" else np.tile(np.arange(n), (len(own), 1)))
+        X, own = L @ G.T, own[start]
+        keep(np.ldexp(_objective(objective, forms.m1(X, own), X), shift[own]), p[own], L)
+    return [(float(best[t]), G @ lam[t], int(used[t]), float(lower[t])) for t in range(T)]

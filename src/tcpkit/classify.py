@@ -1,24 +1,32 @@
-"""Numeric tensor classification: copositivity, regularity, (non)singularity.
+"""Tensor classification: copositivity, regularity, (non)singularity.
 
-Every verdict is three-valued.  "fails" always carries a witness that
-violates the defining inequality under a direct re-evaluation; "holds" is a
-claim at the search resolution, with an explicit decision margin.  The
-search minimizes over the compact basis of the cone given by the convex
-hull of its normalized generators (the standard simplex for the orthant),
-using a barycentric lattice plus projected-gradient polish (``_simplex``).
+Every verdict is three-valued and rests on a Bernstein enclosure of its
+objective over the compact basis of the cone, the convex hull of its
+normalized generators (the standard simplex for the orthant), cut into
+sub-simplices (``_simplex._enclose``).  "holds" is certified: the
+Bernstein coefficients of every leaf, each moved by a bound on its
+rounding, clear the verdict's threshold.  "fails" carries a witness: a
+leaf vertex, or a point damped Newton polishes from the best one, whose
+objective computed exactly in Fractions crosses the threshold.  Anything
+else is "unknown".  The certificate is that exact value at the best
+point found, an upper bound on the minimum.  The dual test of S_A =
+SOL(0, A) subdivides the faces of the simplex the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ._simplex import _bernstein_clears, _min_over_stack, _simplex_lattice, descend_on_simplex
+from ._forms import _Forms
+from ._simplex import _CLEAR_DEPTH, _CLEAR_ENTRIES, _clearing, _enclose, _polish, _subdivide
 from .cones import PolyhedralCone, orthant
-from .tensor import IndexSet, Tensor, apply_m1, batch_apply_m1, jacobian_m1, principal_subtensor
+from .tensor import IndexSet, ShapeError, Tensor, apply_m1, principal_subtensor
 
 __all__ = [
     "Verdict",
@@ -62,44 +70,74 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """The basis search's lattice resolution, starts and descent steps, and
-    the verdicts' margin.  multistarts is the number of lattice points the
-    basis search polishes (and the samples s_cone_samples keeps); the
-    support scan takes its starts from its enclosure and reads no budget."""
+    """The verdicts' decision margin."""
 
-    grid_resolution: int = 0  # 0 = pick by dimension (64 up to n=3, else 16)
-    multistarts: int = 16
-    polish_iters: int = 200
     margin: float = 1e-6
 
     def __post_init__(self):
-        if self.grid_resolution < 0 or self.multistarts <= 0 or self.polish_iters <= 0:
-            raise ValueError("budget fields must be positive")
         if self.margin <= 0:
             raise ValueError("margin must be > 0")
 
-    def resolution_for(self, k: int) -> int:
-        if self.grid_resolution:
-            return self.grid_resolution
-        return 64 if k <= 3 else 16
-
 
 def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchBudget):
-    """Minimize one of {A x^m, ||A x^{m-1}||, |A x^m|} over the compact basis
-    of K (convex hull of normalized generators).
+    """Bound one of {A x^m ("xm"), ||A x^{m-1}|| ("norm_m1"), |A x^m|
+    ("abs_xm")} over the compact basis of K (convex hull of normalized
+    generators) by a Bernstein enclosure (_simplex._enclose).
 
-    Returns (value, argmin, evaluations).  The value is an upper bound on
-    the true minimum; ties on the grid break toward the lexicographically
-    smallest lattice point.  The best budget.multistarts lattice points are
-    polished together; the lowest polished value replaces the lattice
-    minimum when it is lower by more than 1e-15.
+    Returns (value, x, evaluations, lower), lower <= minimum <= value.  The
+    value is the objective at the point x, computed exactly and rounded up
+    (_exact); lower is the least bound of the enclosure's leaves, each moved
+    against the verdicts by a bound on its rounding; evaluations counts the
+    leaves bounded.
     """
-    return _min_over_stack(objective, [A], K, budget)[0]
+    return _minima(objective, [A], K, budget)[0]
+
+
+def _minima(objective: str, tensors, K: PolyhedralCone, budget: SearchBudget) -> list:
+    """[min_over_basis(objective, A, K, budget) for A in tensors], tensors of
+    one order and dimension, in one stacked enclosure."""
+    return [(_exact(objective, A, x), x, used, lower)
+            for A, (_, x, used, lower) in zip(tensors, _enclose(objective, tensors, K, budget.margin))]
+
+
+def _exact(objective: str, A: Tensor, x: np.ndarray) -> float:
+    """The objective at x, computed in Fractions from A's form and rounded up
+    to a float; a norm through an integer square root, 2^-64 relative above
+    it at most."""
+    X = [Fraction(v) for v in x.tolist()]
+    mono = [math.prod([X[j] for j in tail]) for tail in A._tails.tolist()]
+    F = [sum(Fraction(c) * t for c, t in zip(col, mono) if c) for col in A._coef.T.tolist()]
+    if objective == "norm_m1":
+        s = Fraction(sum(f * f for f in F))
+        p, q = s.numerator << 128, s.denominator  # sqrt(s) = sqrt(p q) / (q 2^64)
+        r = math.isqrt(p * q)
+        v = Fraction(r + (r * r < p * q), q << 64)
+    else:
+        v = Fraction(sum(a * f for a, f in zip(X, F)))
+        v = abs(v) if objective == "abs_xm" else v
+    try:
+        up = float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -sys.float_info.max
+    return up if Fraction(up) >= v else math.nextafter(up, math.inf)
 
 
 def _unit(x: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(x)
     return x if nrm <= 1e-15 else x / nrm
+
+
+def _three_valued(name: str, v: float, x: np.ndarray, used: int, holds: bool,
+                  fails: bool) -> Verdict:
+    """holds when holds; fails, with witness x, when fails and x is not 0;
+    unknown otherwise.  The certificate is v."""
+    if holds:
+        return Verdict(name, "holds", v, None, used,
+                       note="every leaf of the Bernstein enclosure clears the threshold")
+    if fails and np.any(x):
+        return Verdict(name, "fails", v, _unit(x), used)
+    return Verdict(name, "unknown", v, None, used,
+                   note="leaves of the enclosure stay open and no point found crosses the threshold")
 
 
 def is_K_psd(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None,
@@ -108,34 +146,24 @@ def is_K_psd(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None,
     return _psd_verdict(property_name, budget, *min_over_basis("xm", A, K, budget))
 
 
-def _psd_verdict(name: str, budget: SearchBudget, v: float, x: np.ndarray, used: int) -> Verdict:
-    """holds unless the basis minimum v of A x^m is below -margin, which
-    fails with witness x."""
-    if v < -budget.margin:
-        return Verdict(name, "fails", v, _unit(x), used)
-    return Verdict(name, "holds", v, None, used, note="holds at sampling resolution")
+def _psd_verdict(name: str, budget: SearchBudget, v: float, x: np.ndarray, used: int,
+                 lower: float) -> Verdict:
+    """holds when the lower bound of A x^m is >= -margin/2; fails, with
+    witness x, when the value v at x is below -margin."""
+    return _three_valued(name, v, x, used, lower >= -0.5 * budget.margin, v < -budget.margin)
 
 
 def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
     return is_K_psd(A, orthant(A.dim), budget, property_name="copositive")
 
 
-def _three_valued(name: str, v: float, x: np.ndarray, used: int,
-                  holds_above: float, fails_at_most: float) -> Verdict:
-    """holds when the basis minimum v > holds_above, fails (witness x) when
-    v <= fails_at_most and x is not 0, unknown otherwise."""
-    if v > holds_above:
-        return Verdict(name, "holds", v, None, used, note="holds at sampling resolution")
-    if v <= fails_at_most and np.any(x):
-        return Verdict(name, "fails", v, _unit(x), used)
-    return Verdict(name, "unknown", v, None, used)
-
-
 def is_K_pd(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None,
             property_name: str = "K-positive-definite") -> Verdict:
+    """holds when the lower bound of A x^m is > margin; fails when it is
+    <= 0 at a point."""
     budget = budget or SearchBudget()
-    v, x, used = min_over_basis("xm", A, K, budget)
-    return _three_valued(property_name, v, x, used, budget.margin, 0.0)
+    v, x, used, lower = min_over_basis("xm", A, K, budget)
+    return _three_valued(property_name, v, x, used, lower > budget.margin, v <= 0.0)
 
 
 def is_strictly_copositive(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
@@ -143,43 +171,43 @@ def is_strictly_copositive(A: Tensor, budget: SearchBudget | None = None) -> Ver
 
 
 def is_K_regular(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None) -> Verdict:
+    """holds when the lower bound of |A x^m| is >= 2 margin; fails when it
+    is at most a thousandth of the margin at a point."""
     budget = budget or SearchBudget()
-    v, x, used = min_over_basis("abs_xm", A, K, budget)
-    return _three_valued("K-regular", v, x, used, budget.margin, budget.margin * 1e-3)
+    v, x, used, lower = min_over_basis("abs_xm", A, K, budget)
+    return _three_valued("K-regular", v, x, used, lower >= 2.0 * budget.margin,
+                         v <= budget.margin * 1e-3)
 
 
 def is_K_nonsingular(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None) -> Verdict:
-    """'holds' means K-nonsingular; 'fails' means K-singular with a witness
-    x on which ||A x^{m-1}|| vanishes to a thousandth of the margin."""
+    """'holds' means K-nonsingular, ||A x^{m-1}|| >= 2 margin on the basis;
+    'fails' means K-singular with a witness x on which ||A x^{m-1}|| vanishes
+    to a thousandth of the margin."""
     budget = budget or SearchBudget()
     return _nonsingular_verdict(budget, *min_over_basis("norm_m1", A, K, budget))
 
 
-def _nonsingular_verdict(budget: SearchBudget, v: float, x: np.ndarray, used: int) -> Verdict:
-    return _three_valued("K-nonsingular", v, x, used, budget.margin, budget.margin * 1e-3)
+def _nonsingular_verdict(budget: SearchBudget, v: float, x: np.ndarray, used: int,
+                         lower: float) -> Verdict:
+    return _three_valued("K-nonsingular", v, x, used, lower >= 2.0 * budget.margin,
+                         v <= budget.margin * 1e-3)
 
 
 def _holds(objective: str, tensors, K: PolyhedralCone, budget: SearchBudget) -> list[bool]:
-    """Whether min_over_basis(objective, A, K, budget), read by its verdict
-    rule (_psd_verdict for xm; for abs_xm and norm_m1 the rule of
-    is_K_regular and is_K_nonsingular), holds, for every A in tensors (of
-    one order and dimension).  The tensors a Bernstein enclosure clears
-    (_bernstein_clears) hold with no descent; the rest are minimised in one
-    stack (_min_over_stack) and read by the rule."""
-    out = _bernstein_clears(objective, tensors, K, budget.margin).tolist()
-    rest = [t for t, cleared in enumerate(out) if not cleared]
-    if rest:
-        for t, r in zip(rest, _min_over_stack(objective, [tensors[t] for t in rest], K, budget)):
-            vd = _psd_verdict("", budget, *r) if objective == "xm" else _nonsingular_verdict(budget, *r)
-            out[t] = vd.status == "holds"
-    return out
+    """Whether the verdict of every A in tensors (of one order and dimension)
+    holds: is_copositive's rule (_psd_verdict) for xm, is_K_regular's and
+    is_K_nonsingular's for abs_xm and norm_m1, read from one stacked
+    enclosure (_enclose), on which alone a holds rests."""
+    rule = _psd_verdict if objective == "xm" else (lambda _, *r: _nonsingular_verdict(*r))
+    return [rule("", budget, *res).status == "holds"
+            for res in _enclose(objective, tensors, K, budget.margin)]
 
 
 def all_principal_nonsingular(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
     """Orthant-nonsingularity of every principal sub-tensor (2^n - 1 subsets).
 
-    The sub-tensors of each size are checked in one stacked minimisation,
-    with the verdicts of one is_K_nonsingular call per sub-tensor."""
+    The sub-tensors of each size are checked in one stacked enclosure, with
+    the verdicts of one is_K_nonsingular call per sub-tensor."""
     if A.dim > 12:
         raise ValueError("principal sweep limited to dim <= 12")
     budget = budget or SearchBudget()
@@ -191,7 +219,7 @@ def all_principal_nonsingular(A: Tensor, budget: SearchBudget | None = None) -> 
     for r in range(1, A.dim + 1):
         alphas = list(itertools.combinations(range(1, A.dim + 1), r))
         subs = [principal_subtensor(A, IndexSet(alpha, A.dim)) for alpha in alphas]
-        for alpha, res in zip(alphas, _min_over_stack("norm_m1", subs, orthant(r), budget)):
+        for alpha, res in zip(alphas, _minima("norm_m1", subs, orthant(r), budget)):
             vd = _nonsingular_verdict(budget, *res)
             used += vd.budget_used
             table[",".join(map(str, alpha))] = vd.status
@@ -205,59 +233,88 @@ def all_principal_nonsingular(A: Tensor, budget: SearchBudget | None = None) -> 
                    per_alpha=table)
 
 
-def s_cone_samples(A: Tensor, N: int,
-                   budget: SearchBudget | None = None) -> list[np.ndarray]:
-    """Unit vectors x >= 0 approximately solving the homogeneous problem:
-    A x^{m-1} >= -margin componentwise and |A x^m| <= margin."""
+def _s_cone(A: Tensor, q: np.ndarray, margin: float):
+    """(settled, samples, candidates) of the subdivision of S_A = SOL(0, A)
+    against q.  On the simplex S_A is the union over supports alpha of the
+    points u of alpha's face with (A u^{m-1})_alpha = 0 and (A u^{m-1})_c
+    >= 0, c the complement.  Each face is subdivided (_subdivide) with the
+    rows of A u^{m-1}, alpha's first, and one more row of entries q_{j1},
+    which is q.u (sum u)^{m-2}: a leaf clears when a row of alpha keeps one
+    sign, a row of c is below 0, or the q row is >= margin, every
+    coefficient moved against the rule by rho = 2^-30 times the sum of
+    |entries| of its row, which bounds its rounding as in _simplex._enclose.
+    settled: every leaf of every face clears, so q.x >= margin |x|_1 on
+    S_A.  The candidates are the vertices of the open leaves, polished by
+    damped Newton on their face's rows of alpha (_polish); the samples, in
+    order, are the unit vectors u among them with A u^{m-1} >= -margin and
+    |u.A u^{m-1}| <= margin, each more than 1e-6 from those before it.  A
+    tensor past _CLEAR_ENTRIES dense entries is not subdivided."""
+    n, m = A.dim, A.order
+    if n ** m > _CLEAR_ENTRIES:
+        return False, [], 0
+    D, points = A.to_dense(), []
+    settled = True
+    for k in range(1, n + 1):
+        faces = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+        H = np.array([np.concatenate([D[np.ix_(list(a) + [j for j in range(n) if j not in a],
+                                               *[a] * (m - 1))],
+                                      np.broadcast_to(q[a].reshape((1, k) + (1,) * (m - 2)),
+                                                      (1,) + (k,) * (m - 1))]) for a in faces])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = 2.0**-30 * np.abs(H).reshape(len(H), n + 1, -1).sum(axis=2)
+
+        def clears(lo, hi, r, k=k):
+            return np.concatenate([((lo - r > 0) | (hi + r < 0))[:, :k], (hi + r < 0)[:, k:n],
+                                   (lo - r >= margin)[:, n:]], axis=1)
+
+        owner, W, _ = _subdivide(H, np.eye(k), rho, "m1", _clearing(clears), _CLEAR_DEPTH,
+                                 np.arange(len(H)), np.repeat(np.eye(k)[None], len(H), axis=0))
+        settled = settled and not len(owner)
+        if not len(owner):
+            continue
+        face = faces[np.repeat(owner, k)]
+        G = np.moveaxis(np.eye(n)[:, face], 0, 1)
+        start, L = _polish(_Forms([A]), np.zeros(len(face), dtype=np.intp), G,
+                           np.swapaxes(W, 1, 2).reshape(-1, k), face)
+        points.extend((G[start] @ L[:, :, None])[:, :, 0])
+    samples = []
+    if points:
+        U = np.array(points)
+        with np.errstate(invalid="ignore"):
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            F = apply_m1(A, U)
+            near = (F >= -margin).all(axis=1) & (np.abs(np.vecdot(U, F)) <= margin)
+        for u in U[near]:
+            if all(np.linalg.norm(u - p) > 1e-6 for p in samples):
+                samples.append(u)
+    return settled, samples, len(points)
+
+
+def s_cone_samples(A: Tensor, N: int, budget: SearchBudget | None = None) -> list[np.ndarray]:
+    """At most N unit vectors x >= 0 approximately solving the homogeneous
+    problem: A x^{m-1} >= -margin componentwise and |A x^m| <= margin; the
+    first samples of the subdivision of S_A (_s_cone, with q = 0)."""
     budget = budget or SearchBudget()
-    n = A.dim
-    res = budget.resolution_for(n)
-    lattice = _simplex_lattice(n, res)
-    F = batch_apply_m1(A, lattice)
-    xm = np.einsum("pi,pi->p", lattice, F)
-    loose = 1e-2
-    mask = (F.min(axis=1) >= -loose) & (np.abs(xm) <= loose)
-
-    def merit(X, _rows):
-        F = apply_m1(A, X)
-        return np.sum(np.minimum(F, 0.0) ** 2, axis=1) + np.vecdot(X, F) ** 2
-
-    def merit_grad(X, _rows):
-        F = apply_m1(A, X)
-        J = jacobian_m1(A, X)
-        g = 2.0 * (np.minimum(F, 0.0)[:, None, :] @ J)[:, 0]
-        g += 2.0 * np.vecdot(X, F)[:, None] * (F + (X[:, None, :] @ J)[:, 0])
-        return g
-
-    X, _, _ = descend_on_simplex(merit, merit_grad, lattice[mask], budget.polish_iters)
-    out: list[np.ndarray] = []
-    for x in X:
-        u = _unit(x)
-        Fu = apply_m1(A, u)
-        if np.all(Fu >= -budget.margin) and abs(float(np.dot(u, Fu))) <= budget.margin:
-            if all(np.linalg.norm(u - p) > 1e-6 for p in out):
-                out.append(u)
-        if len(out) >= N:
-            break
-    return out
+    return _s_cone(A, np.zeros(A.dim), budget.margin)[1][:N]
 
 
 def q_in_dual_SA(A: Tensor, q, budget: SearchBudget | None = None) -> Verdict:
-    """Necessary-condition check for q in the dual of the homogeneous
-    solution cone: q must make a nonnegative product with every sampled
-    element.  'holds' is a claim at sampling resolution only."""
+    """Is q in the interior of the dual of S_A = SOL(0, A)?  holds when the
+    subdivision of S_A's faces settles (_s_cone): q.x >= margin |x|_1 on
+    S_A.  fails, with witness u, when a sample u of S_A has q.u < -margin,
+    the least such q.u the certificate.  unknown otherwise."""
     budget = budget or SearchBudget()
     q = np.asarray(q, dtype=float)
-    samples = s_cone_samples(A, max(budget.multistarts, 8), budget)
-    used = len(samples)
-    worst = None
-    worst_val = math.inf
-    for x in samples:
-        v = float(np.dot(q, x))
-        if v < worst_val:
-            worst_val, worst = v, x
-    if worst is not None and worst_val < -budget.margin:
-        return Verdict("q-in-dual-S_A", "fails", worst_val, worst, used)
-    cert = None if worst is None else worst_val
-    return Verdict("q-in-dual-S_A", "holds", cert, None, used,
-                   note="holds at sampling resolution")
+    if q.shape != (A.dim,):
+        raise ShapeError(f"q of shape {q.shape}, expected ({A.dim},)")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("q has a non-finite entry")
+    settled, samples, used = _s_cone(A, q, budget.margin)
+    if settled:
+        return Verdict("q-in-dual-S_A", "holds", None, None, used,
+                       note="every leaf of the faces of S_A clears: q.x >= margin |x|_1 there")
+    vals = [float(q @ u) for u in samples]
+    j = int(np.argmin(vals)) if vals else None
+    cert = None if j is None else vals[j]
+    return _three_valued("q-in-dual-S_A", cert, None if j is None else samples[j], used, False,
+                         j is not None and vals[j] < -budget.margin)

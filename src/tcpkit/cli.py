@@ -91,16 +91,6 @@ def _get_cone(name, n: int):
     return K
 
 
-def _get_budget(args):
-    """The SearchBudget of --budget."""
-    from .classify import SearchBudget
-
-    budget = getattr(args, "budget", 0) or 0
-    if budget < 0:
-        raise _ParseFailure(f"--budget must be >= 0, got {budget}")
-    return SearchBudget(grid_resolution=budget)
-
-
 def _emit(args, report: dict) -> None:
     report["version"] = __version__
     if args.pretty:
@@ -126,18 +116,17 @@ def cmd_classify(args) -> int:
     )
 
     A = _get_tensor(args)
-    budget = _get_budget(args)
     K = _get_cone(args.cone, A.dim)
     if K.is_orthant:
-        verdicts = [is_copositive(A, budget), is_strictly_copositive(A, budget)]
+        verdicts = [is_copositive(A), is_strictly_copositive(A)]
     else:
-        verdicts = [is_K_psd(A, K, budget), is_K_pd(A, K, budget)]
-    verdicts += [is_K_regular(A, K, budget), is_K_nonsingular(A, K, budget)]
+        verdicts = [is_K_psd(A, K), is_K_pd(A, K)]
+    verdicts += [is_K_regular(A, K), is_K_nonsingular(A, K)]
     if args.principal:
-        verdicts.append(all_principal_nonsingular(A, budget))
+        verdicts.append(all_principal_nonsingular(A))
     report = {
         "command": "classify",
-        "config": _config_echo(args, ("fixture", "tensor", "cone", "seed", "budget")),
+        "config": _config_echo(args, ("fixture", "tensor", "cone", "seed")),
         "verdicts": {v.property: v.to_json() for v in verdicts},
     }
     _emit(args, report)
@@ -158,11 +147,10 @@ def cmd_solve(args) -> int:
         if args.q is None:
             raise _ParseFailure("--q is required without --instance")
         inst = TcpInstance(orthant(A.dim), _parse_point("q", args.q, A.dim), A)
-    budget = _get_budget(args)
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise _ParseFailure(f"--tol must be finite and >= 0, got {args.tol}")
     try:
-        outcome = solve_enumerate(inst, budget)
+        outcome = solve_enumerate(inst)
     except ValueError as e:
         raise _ParseFailure(str(e)) from e
     sols = list(outcome.solutions)
@@ -172,7 +160,7 @@ def cmd_solve(args) -> int:
     report = {
         "command": "solve",
         "config": _config_echo(args, ("fixture", "tensor", "instance", "q",
-                                      "seed", "budget", "tol", "all")),
+                                      "seed", "tol", "all")),
         "solutions": [s.to_json() for s in sols],
         "solution_count": len(outcome.solutions),
         "unknown": outcome.unknown,
@@ -193,15 +181,14 @@ def cmd_membership(args) -> int:
 
     A = _get_tensor(args)
     q = _parse_point("q", args.q, A.dim)
-    budget = _get_budget(args)
     try:
-        res = q_membership(A, q, budget)
+        res = q_membership(A, q)
     except ValueError as e:
         print(f"membership error: {e}", file=sys.stderr)
         return EXIT_MEMBERSHIP
     report = {
         "command": "membership",
-        "config": _config_echo(args, ("fixture", "tensor", "q", "seed", "budget")),
+        "config": _config_echo(args, ("fixture", "tensor", "q", "seed")),
         "result": res.to_json(),
     }
     _emit(args, report)
@@ -241,7 +228,6 @@ def cmd_perturb(args) -> int:
                 raise _ParseFailure(f"perturb {args.mode} requires --{flag}")
             setattr(args, flag, _PERTURB_DEFAULTS.get(flag))
     A = _get_tensor(args)
-    budget = _get_budget(args)
     if args.eps is not None and not (math.isfinite(args.eps) and args.eps >= 0):
         raise _ParseFailure(f"--eps must be finite and >= 0, got {args.eps}")
     if args.radius is not None and not (math.isfinite(args.radius) and args.radius > 0):
@@ -254,29 +240,26 @@ def cmd_perturb(args) -> int:
         inst = None if q is None else TcpInstance(orthant(A.dim), q, A)
         with np.errstate(over="raise", invalid="raise"):
             if args.mode == "existence":
-                result = perturb_existence(inst, args.eps, args.trials, args.seed,
-                                           budget).to_json()
+                result = perturb_existence(inst, args.eps, args.trials, args.seed).to_json()
             elif args.mode == "error-bound":
                 result = error_bound_probe(inst, xbar, args.radius, args.eps, args.trials,
-                                           args.seed, budget).to_json()
+                                           args.seed).to_json()
             elif args.mode == "usc":
-                result = usc_probe(inst, args.eps, args.trials, args.seed, budget)
+                result = usc_probe(inst, args.eps, args.trials, args.seed)
             elif args.mode == "unsolvable":
-                result = unsolvable_neighborhood_probe(A, q, args.eps, args.trials,
-                                                       args.seed, budget)
+                result = unsolvable_neighborhood_probe(A, q, args.eps, args.trials, args.seed)
             elif args.mode == "openness":
                 K = _get_cone(args.cone, A.dim)
-                result = nonsingularity_openness_probe(K, A, args.eps, args.trials,
-                                                       args.seed, budget)
+                result = nonsingularity_openness_probe(K, A, args.eps, args.trials, args.seed)
             else:  # uniqueness, the last of argparse's choices
-                result = local_uniqueness_certificate(inst, xbar, budget).to_json()
+                result = local_uniqueness_certificate(inst, xbar).to_json()
     except (ValueError, FloatingPointError) as e:
         print(f"perturb error: {e}", file=sys.stderr)
         return EXIT_PERTURB
     report = {
         "command": f"perturb {args.mode}",
         "config": _config_echo(args, ("fixture", "tensor", "q", "xbar", "cone",
-                                      "eps", "trials", "seed", "radius", "budget")),
+                                      "eps", "trials", "seed", "radius")),
         "result": result,
     }
     _emit(args, report)
@@ -325,10 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--fixture", help="named fixture tensor")
         sp.add_argument("--tensor", help="tensor JSON file")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget", type=int, default=0,
-                        help="lattice resolution of the basis search (0 = by dimension); "
-                             "solve, membership and perturb uniqueness and error-bound "
-                             "echo it and do not read it")
 
     sp = sub.add_parser("classify", help="three-valued tensor classification")
     add_tensor_opts(sp)

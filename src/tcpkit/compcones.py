@@ -134,7 +134,7 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
                    if refuted else "", per_alpha=per_alpha)
 
 
-def q_membership(A: Tensor, q, budget: SearchBudget | None = None) -> MembershipResult:
+def q_membership(A: Tensor, q) -> MembershipResult:
     """Decide q in Q(R^n_+, A) by scanning supports in increasing cardinality.
 
     member=True comes with (alpha, u) reconstructing a verified solution;
@@ -142,8 +142,7 @@ def q_membership(A: Tensor, q, budget: SearchBudget | None = None) -> Membership
     infeasible (sign analysis, the scalar closed form, or a Bernstein
     enclosure of its homogenization that clears every leaf), its complete
     root list failing the slack test, or a slack row negative at every
-    u >= 0; otherwise unknown.  The support scan takes no budget: budget is
-    accepted for the common signature of the searches.
+    u >= 0; otherwise unknown.
     """
     return _memberships(A, [q])[0]
 
@@ -180,7 +179,7 @@ def _memberships(A: Tensor, qs) -> list[MembershipResult]:
             for res, done in zip(out, all_settled)]
 
 
-def solution_from_membership(result: MembershipResult, A: Tensor, q) -> np.ndarray:
+def solution_from_membership(result: MembershipResult, A: Tensor) -> np.ndarray:
     """Reconstruct x = (u_alpha, 0) from a member result: u_alpha is the
     walk's root, already refined to the solver's tolerance."""
     if result.member is not True:

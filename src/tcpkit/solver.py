@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._forms import _Forms
-from ._polysys import _DEDUP_DIST, _dedup, damped_newton, walk_supports
+from ._polysys import _DEDUP_DIST, _dedup, walk_supports
 from ._rng import SplitMix64
-from .classify import SearchBudget
+from ._simplex import damped_newton
 from .cones import PolyhedralCone, _dists, cone_from_json, cone_to_json, dist, dual
 from .tensor import (
     IndexSet,
@@ -126,15 +126,14 @@ class EnumerationOutcome:
     open_supports: tuple = ()  # (alpha members, why) of every support left open
 
 
-def solve_enumerate(inst: TcpInstance, budget: SearchBudget | None = None) -> EnumerationOutcome:
+def solve_enumerate(inst: TcpInstance) -> EnumerationOutcome:
     """All solutions found by complementary-support enumeration (orthant only).
 
     Solutions are deduplicated at distance 1e-6 and sorted lexicographically
     by x.  The unknown flag is set when nothing was found and at least one
     support could not be settled (see ``walk_supports``), the rule
     ``q_membership`` uses for its unknown verdict; open_supports names each
-    support left open and why.  The support scan takes no budget: budget is
-    accepted for the common signature of the searches.
+    support left open and why.
     """
     return _solve_stack([inst])[0]
 
@@ -240,11 +239,10 @@ def refine(inst: TcpInstance, x0) -> TcpSolution:
     return _solutions([inst], _min_map_newton([inst], x[None], own), own, 1e-9)[0]
 
 
-def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int,
-                       budget: SearchBudget | None = None) -> dict:
+def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int) -> dict:
     """Empirical boundedness probe: enumeration plus multistart refinement
     from random starts in [0, radius]^n."""
-    outcome = solve_enumerate(inst, budget)
+    outcome = solve_enumerate(inst)
     found = [s.x for s in outcome.solutions]
     rng = SplitMix64(seed)
     n = inst.A.dim

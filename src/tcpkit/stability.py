@@ -162,19 +162,21 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     stacked copositivity check (_holds) of every trial's tensor, then of
     the redraws of the trials that failed, each round drawn in one stacked
     draw from their own streams.  The base check and every gate read the
-    status is_copositive gives, decided by a Bernstein enclosure first and
-    by the basis search only for the tensors it leaves open.  Then all
-    trials are solved in one stacked support walk, each with the outcome of
-    its own solve_enumerate call."""
+    status is_copositive gives, and the base q must be certified in the
+    interior of the dual of S_A (q_in_dual_SA).  Then all trials are solved
+    in one stacked support walk, each with the outcome of its own
+    solve_enumerate call."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     if not inst.cone.is_orthant:
         raise ValueError("perturb_existence requires the orthant")
     if not _holds("xm", [inst.A], inst.cone, budget)[0]:
         raise ValueError("base tensor is not certified copositive")
-    dual_chk = q_in_dual_SA(inst.A, inst.q, budget)
-    if dual_chk.status != "holds":
-        raise ValueError("base q fails the dual-of-S_A necessary condition")
+    dual = q_in_dual_SA(inst.A, inst.q, budget).status
+    if dual == "fails":
+        raise ValueError("base q is not in the dual of S_A = SOL(0, A)")
+    if dual == "unknown":
+        raise ValueError("base q in int(S_A^*) could not be certified")
 
     streams, _, _, perts = _trial_instances(inst, eps, trials, seed)
     redraws = [0] * trials
@@ -258,8 +260,8 @@ def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int,
     """Upper-semicontinuity probe: how far can perturbed solutions drift
     from the base solution set.
 
-    The base tensor must be K-regular, with the status is_K_regular gives,
-    decided by a Bernstein enclosure first (_holds).  Trial t draws from its
+    The base tensor must be K-regular, with the status is_K_regular gives
+    (_holds).  Trial t draws from its
     own stream SplitMix64(seed).spawn(t + 1); the base instance and every
     trial are solved in one stacked support walk, each with the outcome of
     its own solve_enumerate call."""
@@ -309,15 +311,14 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
     """Persistence of unsolvability under small right-hand-side changes.
 
     The closedness condition is checked on every complementary tensor in
-    one stacked check (_holds): a Bernstein enclosure first, the basis
-    search only for the tensors it leaves open.  Trial t draws dq from its
+    one stacked check (_holds).  Trial t draws dq from its
     own stream SplitMix64(seed).spawn(t + 1), and all trials are decided in
     one stacked membership walk.  Every verdict is that of its own
     is_K_nonsingular or q_membership call."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     q = np.asarray(q, dtype=float)
-    base = q_membership(A, q, budget)
+    base = q_membership(A, q)
     if base.member is not False:
         raise ValueError("probe requires a q certified as a non-member")
     n = A.dim
@@ -350,8 +351,7 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
     trials that share a cone (all of them on the orthant or at eps = 0; on a
     jittered generated cone each trial has its own) are checked in one
     stacked check (_holds), with the status of one is_K_nonsingular call
-    per trial, as the base check is: a Bernstein enclosure decides first,
-    and the basis search runs only on the tensors it leaves open."""
+    per trial, as the base check is."""
     _require_trials(trials)
     budget = budget or SearchBudget()
     if not _holds("norm_m1", [A], K, budget)[0]:

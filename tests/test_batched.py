@@ -1,20 +1,18 @@
 """The row-batched iterative routines against their one-start rule.
 
-damped_newton and descend_on_simplex take every start as one row of an
-array.  Each row must follow the documented one-start rule on its own: the
-tests run it alone, and through a plain per-start loop written here from the
-docstrings, and compare bit for bit.  The maps written here (dense cubic
-forms, a linear form, a rescaled quadratic) are evaluated with elementwise
-products and sums over trailing axes, so a row's value never depends on the
-other rows of its batch.  The maps that min_over_basis builds must keep
-that property too, and are checked the same way.  descend_on_simplex tells its maps which start each
-row descends from, so one call can carry rows of different objectives: the
-stacked basis minimisation scores each row with its own tensor, and must
-give every tensor what min_over_basis gives it alone.  damped_newton tells
-its maps the same, so the stacked support walk refines the starts of many
+damped_newton takes every start as one row of an array.  Each row must
+follow the documented one-start rule on its own: the tests run it alone,
+and through a plain per-start loop written here from the docstring, and
+compare bit for bit.  The maps written here (dense cubic forms, x * x - c)
+are evaluated with elementwise products and sums over trailing axes, so a
+row's value never depends on the other rows of its batch.  The maps that
+the polish of the enclosures builds must keep that property too, and are
+checked the same way.  damped_newton tells its maps which start each row
+comes from, so the stacked support walk refines the starts of many
 instances in one call, and must give every instance what its own walk and
 solve_enumerate give it; its row solve keeps the regular rows batched when
-some are singular, with the bits of a plain per-row loop.
+some are singular, with the bits of a plain per-row loop.  The stacked
+basis enclosure must give every tensor what min_over_basis gives it alone.
 
 The scan of a stack of systems must give every system the scan it gets
 alone, its starts must be the centroids of the leaves its shallow
@@ -22,10 +20,9 @@ subdivision leaves open, and its root dedup must keep the roots of a
 plain loop written here.  The walk's one cut of each group's sub-forms per
 support must give every instance what principal_subtensor gives it.
 
-The Bernstein enclosure that decides the probes' gates before any descent
-must clear only tensors the stacked descent says hold, and only tensors
-whose objective clears the enclosure's threshold on a dense einsum grid
-written here.
+The Bernstein enclosure that decides the probes' gates must hold only for
+tensors whose objective clears the enclosure's threshold on a dense einsum
+grid written here, and give each the status its public verdict gives it.
 """
 
 import itertools
@@ -42,8 +39,9 @@ from tcpkit import classify
 from tcpkit import fixtures as fx
 from tcpkit import solver, stability
 from tcpkit import _forms, _polysys, _simplex
-from tcpkit._polysys import _dedup, damped_newton, scan_system, walk_supports
-from tcpkit.classify import SearchBudget, _min_over_stack, descend_on_simplex, min_over_basis
+from tcpkit._polysys import _dedup, scan_system, walk_supports
+from tcpkit._simplex import damped_newton
+from tcpkit.classify import SearchBudget, _holds, _minima, min_over_basis
 from tcpkit.compcones import q_membership
 from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance, _solve_stack, is_solution, residual, solve_enumerate
@@ -99,40 +97,6 @@ def newton_one_start(F, J, x, iters, tol, project, row=0):
         else:
             break
     return x, r
-
-
-def simplex_projection(v):
-    """Euclidean projection onto the simplex (sort and threshold)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, len(v) + 1)
-    cond = u - css / ind > 0
-    return np.maximum(v - css[cond][-1] / ind[cond][-1], 0.0)
-
-
-def descent_one_start(f, grad, lam, iters, row=0):
-    """The one-start rule of descend_on_simplex, as a plain loop, for the
-    start at index row of its Lam0; returns the step length a next step
-    would start from as well."""
-    at = np.array([row])
-    val = f(lam[None], at)[0]
-    evals, step = 1, 1.0
-    for _ in range(iters):
-        g = grad(lam[None], at)[0]
-        if not np.linalg.norm(g) > 1e-14:
-            break
-        t = step
-        for _ in range(30):
-            cand = simplex_projection(lam - t * g)
-            fc = f(cand[None], at)[0]
-            evals += 1
-            if fc < val and abs(cand.sum() - 1.0) <= 1e-9:
-                lam, val, step = cand, fc, min(2.0 * t, 1e6)
-                break
-            t *= 0.5
-        else:
-            break
-    return lam, val, evals, step
 
 
 def clamp(V):
@@ -245,114 +209,11 @@ def test_solve_rows_keeps_the_regular_rows_batched(k, S, seed, singular):
     lstsq = np.linalg.lstsq
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw))
-        got = _polysys._solve_rows(J, b)
+        got = _simplex._solve_rows(J, b)
     ref, lone = solve_rows_loop(J, b)
     assert got.tobytes() == ref.tobytes()
     assert len(calls) == len(lone)
     assert all(s in lone for s in bad if not J[s].any(axis=1).all())  # the zero rows
-
-
-@settings(max_examples=40, deadline=None)
-@given(k=st.integers(1, 4), S=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
-       rung_points=st.integers(1, 12))
-def test_descent_rung_pieces_keep_the_one_start_rule(k, S, seed, rung_points):
-    # the rungs past the first 3 are scored in pieces of about rung_points
-    # points, only for the rows that took none yet: any cut gives every row
-    # the first accepted rung, bits and evaluations of the one-rung rule
-    rng = np.random.default_rng(seed)
-    _, _, xF, grad_xF = cubic(rng.uniform(-2.0, 2.0, (k, k, k)))
-    L0 = rng.dirichlet(np.ones(k), S)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_simplex, "_RUNG_POINTS", rung_points)
-        assert_rows_follow_one_start_rule(lambda X, _: xF(X), lambda X, _: grad_xF(X), L0, 40)
-
-
-@settings(max_examples=40, deadline=None)
-@given(k=st.integers(1, 4), S=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
-def test_descent_rows_end_where_each_start_ends_alone(k, S, seed):
-    rng = np.random.default_rng(seed)
-    _, _, xF, grad_xF = cubic(rng.uniform(-2.0, 2.0, (k, k, k)))
-    L0 = rng.dirichlet(np.ones(k), S)
-    L0[0] = np.eye(k)[0]  # a vertex start
-    lam, val, evals = assert_rows_follow_one_start_rule(lambda X, _: xF(X),
-                                                        lambda X, _: grad_xF(X), L0, 60)
-    assert lam.shape == (S, k) and val.shape == (S,) and evals.shape == (S,)
-    assert np.allclose(lam.sum(axis=1), 1.0) and np.all(lam >= 0.0)
-
-
-def assert_rows_follow_one_start_rule(f, grad, L0, iters):
-    """Every row of one descend_on_simplex call ends as its start does alone
-    (still known to f and grad as start s) and as the plain loop does, with
-    the same number of evaluations."""
-    lam, val, evals = descend_on_simplex(f, grad, L0, iters)
-    for s in range(len(L0)):
-        l1, v1, e1 = descend_on_simplex(lambda X, r: f(X, r + s), lambda X, r: grad(X, r + s),
-                                        L0[s:s + 1], iters)
-        assert np.array_equal(lam[s], l1[0]) and val[s] == v1[0] and evals[s] == e1[0]
-        lr, vr, er, _ = descent_one_start(f, grad, L0[s], iters, s)
-        assert np.array_equal(lam[s], lr) and val[s] == vr and evals[s] == er
-    return lam, val, evals
-
-
-def test_descent_row_out_of_rungs_beside_row_taking_first_rung():
-    # f(x) = c.x is smallest at the vertex e_1, and every rung from there
-    # projects back onto it: that row spends all 30 rungs in its first step
-    # and stops, while the row from (0, 1/2, 1/2) takes its first rung, t = 1,
-    # in the same step, then t = 2 onto e_1, then runs out of rungs there
-    c = np.array([0.0, 1.0, 2.0])
-    f = lambda X, _: (X * c).sum(axis=1)
-    grad = lambda X, _: np.broadcast_to(c, X.shape).copy()
-    L0 = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]])
-    _, _, evals = assert_rows_follow_one_start_rule(f, grad, L0, 20)
-    assert evals[0] == 1 + 30 and evals[1] == 1 + 1 + 1 + 30
-
-
-def test_descent_row_with_step_shrunk_over_many_iterations():
-    # the search direction of ||x - p||^2, scaled by ||x - p||^-4: only
-    # steps of about ||x - p||^4 decrease f, so the accepted step length
-    # falls by many orders of magnitude, a few halvings per iteration
-    p = np.array([0.3, 0.7])
-    f = lambda X, _: ((X - p) ** 2).sum(axis=1)
-
-    def grad(X, _):
-        D = X - p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return D / ((D * D).sum(axis=1)[:, None] ** 2)
-
-    L0 = np.array([[0.9, 0.1], [0.6, 0.4], [0.0, 1.0], [0.3, 0.7]])
-    assert_rows_follow_one_start_rule(f, grad, L0, 200)
-    _, _, evals, step = descent_one_start(f, grad, L0[0], 200)
-    assert step < 1e-40 and evals > 200
-
-
-@settings(max_examples=40, deadline=None)
-@given(k=st.integers(1, 4), S=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_descent_rows_of_different_objectives_end_as_alone(k, S, seed):
-    # start s descends objective s % 3 (a cubic form, a linear form, a
-    # squared distance), all in one call: each row ends as the descent of its
-    # own objective from its start alone
-    rng = np.random.default_rng(seed)
-    _, _, xF, grad_xF = cubic(rng.uniform(-2.0, 2.0, (k, k, k)))
-    c, p = rng.uniform(-1.0, 1.0, k), rng.dirichlet(np.ones(k))
-    objectives = [(xF, grad_xF),
-                  (lambda X: (X * c).sum(axis=1), lambda X: np.broadcast_to(c, X.shape).copy()),
-                  (lambda X: ((X - p) ** 2).sum(axis=1), lambda X: 2.0 * (X - p))]
-
-    def by_row(i):
-        def h(X, rows):
-            out = np.empty(X.shape[:1] + X.shape[1:] * i)  # values, or gradients
-            for j, obj in enumerate(objectives):
-                mine = rows % 3 == j
-                out[mine] = obj[i](X[mine])
-            return out
-        return h
-
-    L0 = rng.dirichlet(np.ones(k), S)
-    lam, val, evals = assert_rows_follow_one_start_rule(by_row(0), by_row(1), L0, 60)
-    for s in range(S):
-        f, grad = objectives[s % 3]
-        l1, v1, e1 = descend_on_simplex(lambda X, _: f(X), lambda X, _: grad(X), L0[s:s + 1], 60)
-        assert np.array_equal(lam[s], l1[0]) and val[s] == v1[0] and evals[s] == e1[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -452,42 +313,54 @@ def tensor_stacks(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(stack=tensor_stacks(), res=st.sampled_from([4, 8, 16]), multistarts=st.integers(1, 8),
-       iters=st.integers(5, 60), rung_points=st.integers(1, 40),
-       stack_entries=st.integers(1, 200))
-def test_stacked_minimiser_gives_each_tensor_its_own_minimum(stack, res, multistarts, iters,
-                                                             rung_points, stack_entries):
-    # value, witness bytes and evaluations of every tensor equal those of
-    # min_over_basis on it alone, for any cut of the rungs into scored
-    # pieces and of the rows into gathered blocks
+@given(stack=tensor_stacks(), block=st.integers(1, 2**14), stack_entries=st.integers(1, 200))
+def test_stacked_minimiser_gives_each_tensor_its_own_minimum(stack, block, stack_entries):
+    # value, witness bytes, evaluations and lower bound of every tensor equal
+    # those of min_over_basis on it alone, for any cut of the leaves into
+    # blocks and of the polished rows into gathered blocks
     tensors, K = stack
-    budget = SearchBudget(grid_resolution=res, multistarts=multistarts, polish_iters=iters)
+    budget = SearchBudget()
     for objective in ("xm", "norm_m1", "abs_xm"):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_simplex, "_RUNG_POINTS", rung_points)
+            mp.setattr(_simplex, "_CLEAR_BLOCK", block)
             mp.setattr(_forms, "_STACK_ENTRIES", stack_entries)
-            got = _min_over_stack(objective, tensors, K, budget)
+            got = _minima(objective, tensors, K, budget)
         assert len(got) == len(tensors)
-        for A, (v, x, used) in zip(tensors, got):
-            v1, x1, used1 = min_over_basis(objective, A, K, budget)
-            assert np.array_equal(v, v1, equal_nan=True)
+        for A, (v, x, used, lower) in zip(tensors, got):
+            v1, x1, used1, lower1 = min_over_basis(objective, A, K, budget)
+            assert np.array_equal([v, lower], [v1, lower1], equal_nan=True)
             assert x.tobytes() == x1.tobytes() and used == used1
+
+
+def assert_newton_rows_end_as_alone(calls):
+    """Every row of every recorded damped_newton call ends as the plain loop
+    ends its start alone (still known to the maps as start s)."""
+    for F, J, X0, iters, tol in calls:
+        X, r = damped_newton(F, J, X0, iters, tol)
+        for s in range(len(X0)):
+            xs, rs = newton_one_start(F, J, X0[s], iters, tol, lambda v: v, row=s)
+            assert np.array_equal(X[s], xs) and r[s] == rs
 
 
 @pytest.mark.parametrize("n, k, seed", [(2, 3, 1), (3, 4, 2), (4, 5, 3), (3, 6, 4)])
 def test_min_over_basis_polishes_each_start_as_alone(monkeypatch, n, k, seed):
     # on a generated cone the map from the simplex into the cone mixes the
-    # generators; it must still give each start the bits it gets alone
+    # generators; every polished start must still end where it ends alone.
+    # A x^3 = (d.x) |x|^2 plus a little noise, d the difference of two unit
+    # generators, changes sign inside the basis, so its zeros are polished
     calls = []
-    monkeypatch.setattr(_simplex, "descend_on_simplex",
-                        lambda *args: calls.append(args) or descend_on_simplex(*args))
+    monkeypatch.setattr(_simplex, "damped_newton",
+                        lambda *args: calls.append(args) or damped_newton(*args))
     rng = np.random.default_rng(seed)
-    K = from_generators(list(np.abs(rng.normal(size=(k, n))) + 0.1))
-    A = fx.random_tensor("general", 3, n, seed)
+    gens = np.abs(rng.normal(size=(k, n))) + 0.1
+    K = from_generators(list(gens))
+    d = gens[0] / np.linalg.norm(gens[0]) - gens[1] / np.linalg.norm(gens[1])
+    A = tensor_from_dense(np.einsum("i,jk->ijk", d, np.eye(n))
+                          + 0.01 * fx.random_tensor("general", 3, n, seed).to_dense())
     for objective in ("xm", "norm_m1", "abs_xm"):
-        min_over_basis(objective, A, K, SearchBudget(multistarts=16, polish_iters=60))
-    for f, grad, L0, iters in calls:
-        assert_rows_follow_one_start_rule(f, grad, L0, iters)
+        min_over_basis(objective, A, K, SearchBudget())
+    assert calls
+    assert_newton_rows_end_as_alone(calls)
 
 
 def with_axis_zeros(A):
@@ -505,19 +378,26 @@ def with_axis_zeros(A):
                                               ("symmetric", 4, 3, 2), ("copositive", 2, 4, 3)])
 @pytest.mark.parametrize("N", [1, 8, 16])
 def test_s_cone_samples_polish_each_candidate_as_alone(monkeypatch, kind, m, n, seed, N):
-    # one descent from every candidate, then the keep rule, in candidate
-    # order: the same samples as one descent per candidate, stopping at N
-    calls = []
-    monkeypatch.setattr(classify, "descend_on_simplex",
-                        lambda *args: calls.append(args) or descend_on_simplex(*args))
+    # the candidates of every face size are polished in one damped Newton,
+    # each row ending where it ends alone; then the keep rule, in candidate
+    # order: the same samples, stopping at N, e_1 and e_2 first
+    calls, polished = [], []
+    monkeypatch.setattr(_simplex, "damped_newton",
+                        lambda *args: calls.append(args) or damped_newton(*args))
+
+    def spy(forms, own, G, L0, rows):
+        start, L = polish(forms, own, G, L0, rows)
+        polished.extend((G[start] @ L[:, :, None])[:, :, 0])
+        return start, L
+
+    polish = classify._polish
+    monkeypatch.setattr(classify, "_polish", spy)
     A = with_axis_zeros(fx.random_tensor(kind, m, n, seed))
     budget = SearchBudget()
     samples = classify.s_cone_samples(A, N, budget)
-    (f, grad, L0, iters), = calls
-    assert iters == budget.polish_iters and len(L0) >= 2
+    assert_newton_rows_end_as_alone(calls)
     ref = []
-    for lam in L0:
-        x = descend_on_simplex(f, grad, lam[None], iters)[0][0]
+    for x in polished:
         u = x / np.linalg.norm(x)
         Fu = A.to_dense()
         for _ in range(m - 1):  # contract the last index with u
@@ -525,10 +405,9 @@ def test_s_cone_samples_polish_each_candidate_as_alone(monkeypatch, kind, m, n, 
         if Fu.min() >= -budget.margin and abs(u @ Fu) <= budget.margin:
             if all(np.linalg.norm(u - p) > 1e-6 for p in ref):
                 ref.append(u)
-        if len(ref) >= N:
-            break
-    assert 1 <= len(samples) == len(ref) <= N
+    assert 1 <= len(samples) == min(len(ref), N)
     assert all(np.array_equal(a, b) for a, b in zip(samples, ref))
+    assert np.array_equal(samples[0], np.eye(n)[0]) and (N == 1 or np.array_equal(samples[1], np.eye(n)[1]))
 
 
 def sparse_system(k, m, seed):
@@ -896,37 +775,39 @@ def enclosure_stack(n, m, K, seed):
 @pytest.mark.parametrize("generated", [False, True])
 @pytest.mark.parametrize("n, m", [(n, m) for n in (2, 3, 4) for m in (2, 3, 4)])
 def test_bernstein_clears_only_what_holds(n, m, generated):
-    # every cleared tensor holds by the stacked descent and clears its
-    # threshold on a dense grid of the basis; the unit tensor (and its
-    # negative, under the two-sided rules) is cleared, which takes cuts
+    # every tensor the stacked gate passes holds by its public verdict and
+    # clears its threshold on a dense grid of the basis; the unit tensor
+    # (and its negative, under the two-sided rules) passes, which takes cuts
     rng = np.random.default_rng(10 * n + m)
     K = from_generators(list(np.eye(n) + 0.3 * rng.random((n, n)))) if generated else orthant(n)
     dense = enclosure_stack(n, m, K, seed=n * m)
     tensors = [tensor_from_dense(D) for D in dense]
     X = basis_grid(K, {2: 512, 3: 48, 4: 16}[n])
     budget = SearchBudget()
+    verdict = {"xm": classify.is_K_psd, "abs_xm": classify.is_K_regular,
+               "norm_m1": classify.is_K_nonsingular}
     for objective in ("xm", "abs_xm", "norm_m1"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cleared = _simplex._bernstein_clears(objective, tensors, K, budget.margin)
+            cleared = _holds(objective, tensors, K, budget)
         assert cleared[4] and (objective == "xm" or cleared[8])  # unit + 1e-2 noise, -unit
         if not generated:
             assert cleared[7] and (objective != "xm" or cleared[9])  # eps 1e-5; a zero inside
-        picked = np.flatnonzero(cleared)
-        for t, (v, x, used) in zip(picked, _min_over_stack(objective, [tensors[t] for t in picked],
-                                                           K, budget)):
-            vd = (classify._psd_verdict("", budget, v, x, used) if objective == "xm"
-                  else classify._nonsingular_verdict(budget, v, x, used))
-            assert vd.status == "holds", (objective, t, v)
-            assert grid_objective(objective, dense[t], X).min() >= CLEAR_AT[objective], (objective, t)
+        for t, held in enumerate(cleared):
+            assert held == (verdict[objective](tensors[t], K, budget).status == "holds")
+            if held:
+                assert grid_objective(objective, dense[t], X).min() >= CLEAR_AT[objective], \
+                    (objective, t)
 
 
 def test_bernstein_clears_nothing_that_overflows():
-    # entries of 1e306: the descent's squares overflow, so nothing is
-    # cleared, and the enclosure raises no warning
-    A = tensor_from_dense(np.full((2, 2, 2), 1e306))
+    # entries of 1.5e308: the sum of |entries|, and so the rounding slack,
+    # overflows, so no leaf clears; entries of 1e306 keep every sum finite
+    # and hold; neither raises a warning
+    budget = SearchBudget()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for objective in ("xm", "abs_xm", "norm_m1"):
-            assert not _simplex._bernstein_clears(objective, [A, fx.identity(3, 2)], orthant(2),
-                                                  MARGIN)[0]
+            for c, held in ((1.5e308, False), (1e306, True)):
+                A = tensor_from_dense(np.full((2, 2, 2), c))
+                assert _holds(objective, [A, fx.identity(3, 2)], orthant(2), budget) == [held, True]

@@ -302,7 +302,8 @@ class TestErrors:
 
 
     @pytest.mark.parametrize("argv", [
-        ["classify", "--fixture", "E1", "--budget", "-1"],
+        ["perturb", "error-bound", "--fixture", "identity32", "--q=-1,-1",
+         "--xbar=1,1", "--radius", "-1"],
         ["perturb", "existence", "--fixture", "identity32", "--q=-1,-1",
          "--eps", "nan"],
         ["perturb", "existence", "--fixture", "identity32", "--q=-1,-1",

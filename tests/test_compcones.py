@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import least_squares, nnls
 
 from tcpkit import fixtures as fx
-from tcpkit.classify import SearchBudget, is_K_nonsingular
+from tcpkit.classify import is_K_nonsingular
 from tcpkit import compcones
 from tcpkit.compcones import (
     _memberships,
@@ -268,13 +268,13 @@ class TestQMembership:
         res = q_membership(e1, [-1.0, -1.0])
         assert res.member is True
         assert res.alpha.members == (1, 2)
-        x = solution_from_membership(res, e1, [-1.0, -1.0])
+        x = solution_from_membership(res, e1)
         assert np.allclose(x, [1 / np.sqrt(3)] * 2, atol=1e-7)
 
     def test_nonnegative_q_trivial(self, e2):
         res = q_membership(e2, [1.0, 2.0])
         assert res.member is True and res.alpha.members == ()
-        assert np.allclose(solution_from_membership(res, e2, [1.0, 2.0]), 0.0)
+        assert np.allclose(solution_from_membership(res, e2), 0.0)
 
     def test_e1_certified_nonmember(self, e1):
         res = q_membership(e1, [1.0, -1.0])
@@ -295,7 +295,7 @@ class TestQMembership:
         I = fx.identity(3, 2)
         q = np.array([-1.0, -4.0])
         res = q_membership(I, q)
-        x = solution_from_membership(res, I, q)
+        x = solution_from_membership(res, I)
         assert np.allclose(x, [1.0, 2.0], atol=1e-9)
 
     def test_member_reconstruction_is_solution(self, e1, e4):
@@ -305,7 +305,7 @@ class TestQMembership:
                 q = rng.uniform(-2, 2, 2)
                 res = q_membership(A, q)
                 if res.member:
-                    x = solution_from_membership(res, A, q)
+                    x = solution_from_membership(res, A)
                     inst = TcpInstance(orthant(2), q, A)
                     assert is_solution(inst, x, 1e-7)
 
@@ -314,8 +314,8 @@ class TestQMembership:
         for t in (0.5, 2.0):
             res = q_membership(e1, t * q)
             assert res.member is True
-            x = solution_from_membership(res, e1, t * q)
-            base = solution_from_membership(q_membership(e1, q), e1, q)
+            x = solution_from_membership(res, e1)
+            base = solution_from_membership(q_membership(e1, q), e1)
             assert np.allclose(x, t ** 0.5 * base, atol=1e-6)
 
     def test_dim_cap(self):
@@ -334,7 +334,7 @@ class TestQMembership:
     def test_non_member_reconstruction_rejected(self, e1):
         res = q_membership(e1, [1.0, -1.0])
         with pytest.raises(ValueError):
-            solution_from_membership(res, e1, [1.0, -1.0])
+            solution_from_membership(res, e1)
 
     def test_json_shape(self, e1):
         obj = q_membership(e1, [-1.0, -1.0]).to_json()
@@ -343,8 +343,8 @@ class TestQMembership:
         assert obj2["member"] is False
 
     def test_deterministic(self, e1):
-        a = q_membership(e1, [-1.0, -1.0], SearchBudget())
-        b = q_membership(e1, [-1.0, -1.0], SearchBudget())
+        a = q_membership(e1, [-1.0, -1.0])
+        b = q_membership(e1, [-1.0, -1.0])
         assert np.array_equal(a.u, b.u)
 
 

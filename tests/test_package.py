@@ -40,7 +40,7 @@ def test_cli_import_loads_no_heavy_module():
     (["distance", "--cone1", "orthant2", "--cone2", "ice2", "--samples", "50"],
      {"_rng", "cli", "cones", "fixtures", "tensor"}),
     (["classify", "--fixture", "E1"], CLASSIFY),
-    (["solve", "--fixture", "E1", "--q=-1,-1"], CLASSIFY | {"_polysys", "solver"}),
+    (["solve", "--fixture", "E1", "--q=-1,-1"], CLASSIFY - {"classify"} | {"_polysys", "solver"}),
     (["membership", "--fixture", "E1", "--q=1,-1"], CLASSIFY | {"_polysys", "compcones"}),
     (["perturb", "uniqueness", "--fixture", "identity32", "--q=-1,-1", "--xbar=1,1"], ALL),
     (["perturb", "existence", "--fixture", "identity32", "--q=-1,-1", "--trials", "2"], ALL),

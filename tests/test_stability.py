@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tcpkit import fixtures as fx
-from tcpkit import classify, stability
+from tcpkit import stability
 from tcpkit._rng import SplitMix64
 from tcpkit.classify import SearchBudget, is_copositive, is_K_nonsingular
 from tcpkit.compcones import complementary_tensor, q_membership
@@ -67,12 +67,7 @@ class TestLocalUniqueness:
         v = local_uniqueness_certificate(inst, np.zeros(2))
         assert "sub-symmetric" in v.note
 
-    def test_verdict_reads_only_the_margin(self, e2):
-        inst = TcpInstance(orthant(2), np.zeros(2), e2)
-        lean = SearchBudget(grid_resolution=1, multistarts=1, polish_iters=1)
-        xbar = np.array([1.0, 0.0])
-        assert local_uniqueness_certificate(inst, xbar, lean).to_json() == \
-            local_uniqueness_certificate(inst, xbar).to_json()
+    def test_verdict_reads_only_the_margin(self):
         wide = local_uniqueness_certificate(TcpInstance(orthant(2), np.array([-1.0, -1.0]),
                                                         fx.identity(3, 2)),
                                             np.array([1.0, 1.0]), SearchBudget(margin=2.0))
@@ -97,14 +92,14 @@ class TestLocalUniqueness:
         assert v.certificate <= sampled + 1e-12
 
     def test_exact_minimum_against_the_lattice_descent(self):
-        # 300 seeded (M, cone) pairs at n = 2..4: the status the sampled
-        # search gave, and a minimum never above its own
+        # 300 seeded (M, cone) pairs at n = 2..4: the status a sampled
+        # lattice gives, and a minimum never above its own
         statuses = set()
         for M, gens in corpus_pairs(300):
             inst = cone_matrix_instance(gens, M)
             v = local_uniqueness_certificate(inst, np.zeros(len(M)))
             rays = extreme_rays(inst.cone.inequalities, len(M))  # the slice at xbar = 0
-            ref = lattice_descent_minimum(M, np.column_stack(rays))
+            ref = lattice_minimum(M, np.column_stack(rays))
             ref_status = "holds" if ref > 1e-6 else ("fails" if ref <= 0.0 else "unknown")
             assert v.status == ref_status
             assert v.certificate <= ref + 1e-12 * max(1.0, np.linalg.norm(M))
@@ -185,28 +180,18 @@ def corpus_pairs(count):
     return pairs
 
 
-def lattice_descent_minimum(M, R, budget=SearchBudget()):
-    """The sampled minimum the certificate used to report: the Rayleigh
-    quotient of M over the cone of the columns of R, least on the
-    barycentric lattice of the rays, polished by projected gradient descent
-    from the first lattice minimiser."""
-    from tcpkit._simplex import _simplex_lattice, descend_on_simplex
-
-    def rayleigh(L, _rows=None):
-        V = L @ R.T
-        nv = np.einsum("si,si->s", V, V)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(nv <= 1e-20, np.inf, np.einsum("si,ij,sj->s", V, M, V) / nv)
-
-    def grad(L, _rows=None):
-        V = L @ R.T
-        nv = np.einsum("si,si->s", V, V)
-        return (2.0 * (V @ M - rayleigh(L)[:, None] * V) / nv[:, None]) @ R
-
+def lattice_minimum(M, R):
+    """An upper bound on the least Rayleigh quotient of M over the cone of
+    the columns of R: the least over the barycentric lattice of the rays,
+    every k-tuple of 0..res summing to res (res = 64 for k <= 3 rays, else
+    16)."""
     k = R.shape[1]
-    lattice = _simplex_lattice(k, budget.resolution_for(k))
-    start = lattice[np.argmin(rayleigh(lattice))]
-    return float(descend_on_simplex(rayleigh, grad, start[None], budget.polish_iters)[1][0])
+    res = 64 if k <= 3 else 16
+    L = np.array([c for c in itertools.product(range(res + 1), repeat=k) if sum(c) == res]) / res
+    V = L @ R.T
+    nv = np.einsum("si,si->s", V, V)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.min(np.where(nv <= 1e-20, np.inf, np.einsum("si,ij,sj->s", V, M, V) / nv)))
 
 
 class TestPerturbExistence:
@@ -228,6 +213,18 @@ class TestPerturbExistence:
     def test_precondition_noncopositive(self, e3bar):
         inst = TcpInstance(orthant(2), np.array([1.0, 1.0]), e3bar)
         with pytest.raises(ValueError):
+            perturb_existence(inst, 1e-3, 5, seed=0)
+
+    def test_dual_gate_names_a_q_outside_the_dual(self, e1):
+        # S_A of E1 is its two axes, and q.e2 = -1
+        inst = TcpInstance(orthant(2), np.array([1.0, -1.0]), e1)
+        with pytest.raises(ValueError, match="not in the dual of S_A"):
+            perturb_existence(inst, 1e-3, 5, seed=0)
+
+    def test_dual_gate_names_an_uncertified_q(self, e1):
+        # q.e2 = 0: q.x is neither at least the margin nor below -margin there
+        inst = TcpInstance(orthant(2), np.array([1.0, 0.0]), e1)
+        with pytest.raises(ValueError, match="could not be certified"):
             perturb_existence(inst, 1e-3, 5, seed=0)
 
     def test_solvable_fraction_integral(self, id_inst):
@@ -271,7 +268,7 @@ def per_trial_existence(inst, eps, trials, seed, gate=None):
         if redraws >= 100:
             At = At + unit_tensor(inst.A.order, n).scale(eps)
         resamples += redraws
-        outcome = solve_enumerate(TcpInstance(inst.cone, inst.q + dq, At), budget)
+        outcome = solve_enumerate(TcpInstance(inst.cone, inst.q + dq, At))
         norms = [float(np.linalg.norm(s.x)) for s in outcome.solutions]
         if norms:
             solvable += 1
@@ -381,17 +378,19 @@ class TestBatchedGates:
             assert 0 < report.resamples < 400
 
     def test_enclosure_leaves_only_e1_complements_to_the_search(self, monkeypatch, id_inst, e4):
-        # on pass 0 of the suite the basis search sees no identity32 or E4
-        # tensor, base or trial: only E1's complementary tensors of the
-        # closedness check that the enclosure leaves open, {1} and {2}
+        # on pass 0 of the suite the enclosure passes every gate of every
+        # identity32 and E4 tensor, base or trial: only E1's complementary
+        # tensors {1} and {2} of the closedness check, singular at (1/2,
+        # 1/2), stay open
         seen = []
 
         def spy(objective, tensors, K, budget):
-            seen.extend(tensors)
-            return min_over_stack(objective, tensors, K, budget)
+            out = holds(objective, tensors, K, budget)
+            seen.extend(A for A, held in zip(tensors, out) if not held)
+            return out
 
-        min_over_stack = classify._min_over_stack
-        monkeypatch.setattr(classify, "_min_over_stack", spy)
+        holds = stability._holds
+        monkeypatch.setattr(stability, "_holds", spy)
         s_exist, s_eb, s_usc, s_unsolv, s_open = suite_seeds(0)
         xbar = np.array([1.0, 1.0])
         local_uniqueness_certificate(id_inst, xbar)
@@ -419,14 +418,13 @@ class TestBatchedGates:
 
 def per_trial_usc(inst, eps, trials, seed):
     """usc_probe as one solve_enumerate call for the base and per trial."""
-    budget = SearchBudget()
-    base_pts = [s.x for s in solve_enumerate(inst, budget).solutions]
+    base_pts = [s.x for s in solve_enumerate(inst).solutions]
     n, shape = inst.A.dim, (inst.A.dim,) * inst.A.order
     max_exc, unsolved = 0.0, 0
     for trial_rng in trial_streams(seed, trials):
         dq, dA = draw_perturbation(trial_rng, n, shape, eps)
         pert = TcpInstance(inst.cone, inst.q + dq, perturbed_tensor(inst.A, dA))
-        outcome = solve_enumerate(pert, budget)
+        outcome = solve_enumerate(pert)
         if not outcome.solutions:
             unsolved += 1
         for s in outcome.solutions:
