@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "classify": (
-        "SearchBudget", "Verdict", "all_principal_nonsingular", "is_copositive",
-        "is_K_nonsingular", "is_K_pd", "is_K_psd", "is_K_regular",
-        "is_strictly_copositive", "min_over_basis", "q_in_dual_SA", "s_cone_samples",
+        "Verdict", "all_principal_nonsingular", "is_copositive", "is_K_nonsingular",
+        "is_K_pd", "is_K_psd", "is_K_regular", "is_strictly_copositive",
+        "min_over_basis", "q_in_dual_SA", "s_cone_samples",
     ),
     "compcones": (
         "MembershipResult", "complementary_tensor", "q_membership",

@@ -31,10 +31,11 @@ class _Forms:
         self._set([(tensors[m[0]], np.stack([tensors[i]._coef for i in m]), m)
                    for m in groups.values()])
 
-    def _set(self, parts):
+    def _set(self, parts, off=None):
         """The groups (A, coef, members), members the instances whose
-        coefficients are the rows of coef, in instance order."""
-        self.groups = [(A, coef) for A, coef, _ in parts]
+        coefficients are the rows of coef, in instance order; off, for the
+        forms of a cut, the rows outside it (cut), else None."""
+        self.groups, self.off = [(A, coef) for A, coef, _ in parts], off
         self.group, self.slot = np.empty((2, sum(len(m) for *_, m in parts)), dtype=np.intp)
         for g, (*_, m) in enumerate(parts):
             self.group[m], self.slot[m] = g, np.arange(len(m))
@@ -45,14 +46,16 @@ class _Forms:
         principal_subtensor gives it.  Each group's stacked coefficients are
         cut once (the tails and columns inside a); an instance then drops
         the rows it holds all zero, so the group splits by its instances'
-        nonzero-row patterns, each part keeping its instances in order."""
+        nonzero-row patterns, each part keeping its instances in order.  Its
+        off is (the tails inside a, the coefficients of the rows outside a)."""
         pos = np.full(self.groups[0][0].dim, -1)
         pos[a] = np.arange(len(a))
-        parts = []
+        parts, off, comp = [], [], np.flatnonzero(pos < 0)
         for g, (A, coef) in enumerate(self.groups):
             tails = pos[A._tails]  # pos is increasing on a, so kept rows stay sorted
             inside = np.all(tails >= 0, axis=1)
-            tails, sub = tails[inside], coef[:, inside][:, :, a]
+            tails, whole = tails[inside], coef[:, inside]
+            sub = whole[:, :, a]
             nonzero = np.any(sub != 0.0, axis=2)
             split = {}
             for s, row in enumerate(nonzero):
@@ -62,8 +65,9 @@ class _Forms:
                 keep = nonzero[at[0]]
                 parts.append((Tensor._from_form(A.order, len(a), tails[keep], sub[at[0]][keep]),
                               sub[at][:, keep], members[at]))
+                off.append((tails, whole[at][:, :, comp]))
         forms = object.__new__(_Forms)
-        forms._set(parts)
+        forms._set(parts, off)
         return forms
 
     def m1(self, X: np.ndarray, own: np.ndarray) -> np.ndarray:

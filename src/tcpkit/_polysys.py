@@ -4,18 +4,21 @@ This is the workhorse behind complementary-cone membership and the
 enumeration solver.  Every system is homogenized: G(u, t) = A u^{m-1} +
 q t^{m-1} vanishes on the standard simplex of R^{k+1}_+ exactly when the
 system has a root u >= 0 (at u / t), or a root at infinity on the orthant
-(on the face t = 0).  The scan of a stack of systems runs
+(on the face t = 0).  On a support a of TCP(q, A) a root is feasible where
+the slack rows of the complement c, S_j(u, t) = A_{j,a} u^{m-1} + (q_j +
+SLACK_TOL) t^{m-1}, are >= 0.  The scan of a stack of systems runs
 
-  * componentwise sign analysis (exact infeasibility certificates when all
-    coefficients of a component share a sign) and the scalar closed form,
-  * a shallow Bernstein subdivision of that simplex (_simplex._subdivide,
-    _SHALLOW cuts), whose open leaves' centroids, mapped to u = c_u / c_t,
-    are the starts of
+  * the sign test (an equation whose coefficients share a sign that q's
+    does not cancel, or a slack row with no positive coefficient and q_j <
+    -SLACK_TOL) and the scalar closed form,
+  * a shallow Bernstein subdivision of the equations on that simplex
+    (_simplex._subdivide, _SHALLOW cuts), whose open leaves' centroids,
+    mapped to u = c_u / c_t, are the starts of
   * one row-batched damped projected Newton refinement of every open
     system's starts, each row with its own system's coefficients, and
-  * for the systems Newton found no root of, the subdivision continued to
-    _simplex._CLEAR_DEPTH cuts: when every leaf clears, the system is
-    certified infeasible.
+  * for the systems with no feasible root, the subdivision of the equations
+    and the slack rows together, continued to _simplex._CLEAR_DEPTH cuts:
+    when every leaf clears, no root is feasible, found or not.
 
 The sign test and Newton read the tensor's frozen form; the enclosure
 reads its homogenized dense array.  A scan left open names why (_OPEN and
@@ -23,14 +26,12 @@ _AT_INFINITY).  ``_scan_stack`` is the package's one search for nonnegative
 roots: besides the support walk, ``compcones.tpos_contains`` scans with it
 the systems of its image-cone membership, lifted to the cone's generators.
 
-``walk_supports`` runs these scans over the complementary supports and
-applies the slack test, and a sign test of the slack rows settles a
-support no root of which can be feasible; membership and the enumeration
-solver both read it.  It walks a stack of instances at once: the
-instances whose tensors share ``_tails`` (the groups of ``_Forms``) cut
-their sub-systems once per support (``_Forms.cut``), and every system of
-the stack is scanned as one stack.  Every instance gets the bits it gets
-alone.
+``walk_supports`` runs these scans over the complementary supports;
+membership and the enumeration solver both read it.  It walks a stack of
+instances at once: the instances whose tensors share ``_tails`` (the
+groups of ``_Forms``) cut their sub-systems once per support
+(``_Forms.cut``), and every system of the stack is scanned as one stack.
+Every instance gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._forms import _Forms
-from ._simplex import _CLEAR_DEPTH, _NEWTON_ITERS, _clearing, _subdivide, damped_newton
-from .tensor import IndexSet, Tensor, apply_off
+from ._simplex import _CLEAR_DEPTH, _NEWTON_ITERS, _clearing, _signs, _subdivide, damped_newton
+from .tensor import IndexSet, Tensor
 
 SYS_TOL = 1e-9  # residual at which a refined point counts as a root
 SLACK_TOL = 1e-8  # a support root counts when its slack is >= -SLACK_TOL
@@ -66,48 +67,31 @@ _OPEN = {0: f"depth cap reached: leaves open after {_CLEAR_DEPTH} cuts",
 @dataclass
 class SystemScan:
     roots: list = field(default_factory=list)
-    certified_infeasible: bool = False
+    certified_infeasible: bool = False  # no root is feasible (with no slack rows: no root)
     reason: str = ""
     roots_complete: bool = False  # the root list is provably exhaustive
+    feasible: list = field(default_factory=list)  # (u, slack) of each root with slack >= -SLACK_TOL
 
 
-def _sign_infeasible(coef: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """For every system s of a stack (the coefficients coef[s], of shape (T,
-    k), and Q[s]): True when some component cannot vanish for any u >= 0:
-    its stored coefficients (its unstored ones are zero) share a sign that
-    q's does not cancel."""
-    return (((coef.min(axis=1, initial=0.0) >= 0) & (Q > 1e-12))
-            | ((coef.max(axis=1, initial=0.0) <= 0) & (Q < -1e-12))).any(axis=1)
+def _sign_infeasible(coef: np.ndarray, Q: np.ndarray, off: np.ndarray, Qc: np.ndarray):
+    """For every system s of a stack (coef[s], of shape (T, k), and Q[s];
+    its slack rows off[s], of shape (T', c), and Qc[s]): True when no root
+    u >= 0 is feasible: some equation's stored coefficients (its unstored
+    ones are zero) share a sign that q's does not cancel, or some slack row
+    has no positive coefficient and q_j < -SLACK_TOL."""
+    return ((((coef.min(axis=1, initial=0.0) >= 0) & (Q > 1e-12))
+             | ((coef.max(axis=1, initial=0.0) <= 0) & (Q < -1e-12))).any(axis=1)
+            | (~(off > 0).any(axis=1) & (Qc < -SLACK_TOL)).any(axis=1))
 
 
-def _slack_infeasible(forms: _Forms, a: list, comp: list, Q: np.ndarray) -> np.ndarray:
-    """For every instance of forms (q = Q[i]) on the support a: True when
-    some complement row j has no positive coefficient on the support's
-    monomials (the tails inside a) and q_j < -SLACK_TOL, so its slack is
-    below -SLACK_TOL at every u >= 0 and no root is feasible.  One test
-    per group of forms, on its stacked coefficients."""
-    out = np.zeros(len(Q), dtype=bool)
-    for g, (A, coef) in enumerate(forms.groups):
-        pos = (coef[:, np.isin(A._tails, a).all(axis=1)][:, :, comp] > 0).any(axis=1)
-        members = np.flatnonzero(forms.group == g)
-        out[members] = (~pos[forms.slot[members]] & (Q[members][:, comp] < -SLACK_TOL)).any(axis=1)
-    return out
-
-
-def _homogenized(A: Tensor, coef: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """The dense arrays of G(u, t) = A u^{m-1} + q t^{m-1} for the tensors
-    coef[s] with A's tails and q = Q[s]: shape (S, k) + (k + 1,) * (m - 1),
+def _homogenized(tails: np.ndarray, coef: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray:
+    """The dense arrays of A u^{m-1} + q t^{m-1} for the (S, T, r) stack coef
+    on the tails of u in R^k and q = Q[s]: shape (S, r) + (k + 1,) * (m - 1),
     the last index of each trailing axis standing for t."""
-    k = A.dim
-    H = np.zeros((len(coef), k) + (k + 1,) * (A.order - 1))
-    H[(slice(None), slice(None)) + tuple(A._tails.T)] = np.swapaxes(coef, 1, 2)
-    H[(slice(None), slice(None)) + (k,) * (A.order - 1)] = Q
+    H = np.zeros(coef.shape[::2] + (k + 1,) * tails.shape[1])
+    H[(slice(None), slice(None)) + tuple(tails.T)] = np.swapaxes(coef, 1, 2)
+    H[(slice(None), slice(None)) + (k,) * tails.shape[1]] = Q
     return H
-
-
-def _clears(lo, hi, r):
-    """A component whose coefficients, moved by r, are all > 0 or all < 0."""
-    return (lo - r > 0) | (hi + r < 0)
 
 
 def min_sphere_norm(A: Tensor) -> float:
@@ -162,12 +146,12 @@ def _dedup(roots: np.ndarray) -> list[int]:
     return kept
 
 
-def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, scans: list) -> list:
+def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, scans: list, off, Qc) -> list:
     """The part of the scans of one group (the tensors coef[s] with A's
-    tails, q = Q[s]) that needs no enclosure: the sign test, the scalar
-    closed form and q = 0 settle scans[s] in place.  Returns the positions
-    of the scans left open."""
-    sign = _sign_infeasible(coef, Q)
+    tails, q = Q[s], beside the slack rows off[s] and Qc[s]) that needs no
+    enclosure: the sign test, the scalar closed form and q = 0 settle
+    scans[s] in place.  Returns the positions of the scans left open."""
+    sign = _sign_infeasible(coef, Q, off, Qc)
     left = []
     for s, scan in enumerate(scans):
         if sign[s]:
@@ -198,60 +182,86 @@ def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, scans: list) -> list:
     return left
 
 
-def _scan_stack(forms: _Forms, Q: np.ndarray) -> list[SystemScan]:
-    """[scan_system(A, q) for A, q in zip(tensors, Q)], for the tensors of
-    forms (of one order and dimension k): each group settles what needs no
-    enclosure (_settle); the homogenized systems left open are subdivided
-    _SHALLOW cuts deep as one stack, and the centroids c of their open
-    leaves, at u = c_u / c_t, are refined in one damped Newton, each row
-    with its own system's coefficients.  The systems with no root are cut
-    on, to _CLEAR_DEPTH cuts in all, unless their subdivision stopped: a
-    system whose every leaf clears is certified infeasible, any other names
-    why it is open.  Every scan gets the bits it gets alone.  The enclosure
-    may overflow, which only leaves a scan open, so it raises no warning;
+def _feasible(forms: _Forms, Q: np.ndarray, a, comp: list, scans: list) -> None:
+    """Sets scan.feasible to (u, slack) for each root u whose slack, the rows
+    comp of A x^{m-1} + q at x = (u, 0) with the bits apply_off gives, is
+    >= -SLACK_TOL: every root, with no comp."""
+    own = np.array([s for s, scan in enumerate(scans) for _ in scan.roots], dtype=np.intp)
+    roots = [u for scan in scans for u in scan.roots]
+    slack = np.zeros((len(roots), 0))
+    if comp and roots:
+        X = np.zeros((len(roots), Q.shape[1]))
+        X[:, a] = roots
+        slack = forms.m1(X, own)[:, comp] + Q[own][:, comp]
+    for s, u, w in zip(own, roots, slack):
+        if np.all(w >= -SLACK_TOL):
+            scans[s].feasible.append((u, w))
+
+
+def _scan_stack(forms: _Forms, Q: np.ndarray, a=None) -> list[SystemScan]:
+    """[scan_system(A, q) for A, q in zip(tensors, Q)] for the tensors of
+    forms (of one order and dimension), or with a (sorted 0-based indices)
+    the scans of the support a of every instance: A_aa u^{m-1} + q_a = 0
+    (forms.cut(a)), a root feasible where the slack rows of the complement
+    are >= -SLACK_TOL (_feasible).  Each group settles what needs no
+    enclosure (_settle); the equations of the systems left open are
+    subdivided _SHALLOW cuts deep as one stack, and the centroids c of their
+    open leaves, at u = c_u / c_t, are refined in one damped Newton.  The
+    systems with no feasible root are cut on, to _CLEAR_DEPTH cuts in all,
+    unless their subdivision stopped, with their slack rows beside the
+    equations (_signs): one whose every leaf clears is certified infeasible,
+    any other names why it is open.  Every scan gets the bits it gets alone.
+    An overflow only leaves a scan open, so the enclosure raises no warning;
     the Newton stage runs under the caller's np.errstate."""
-    scans = [SystemScan() for _ in Q]
-    own, H = [], []
-    for g, (A, coef) in enumerate(forms.groups):
-        members = np.flatnonzero(forms.group == g)
-        left = _settle(A, coef, Q[members], [scans[i] for i in members])
-        own.extend(members[left])
-        H.append(_homogenized(A, coef[left], Q[members[left]]))
+    sub, Qa, comp = (forms, Q, []) if a is None else (
+        forms.cut(a), Q[:, a], [j for j in range(Q.shape[1]) if j not in a])
+    scans, k = [SystemScan() for _ in Q], sub.groups[0][0].dim
+    own, H, S = [], [], []
+    for g, (A, coef) in enumerate(sub.groups):
+        members = np.flatnonzero(sub.group == g)
+        tails, off = (A._tails[:0], coef[:, :0, :0]) if sub.off is None else sub.off[g]
+        Qc = Q[members][:, comp]
+        left = _settle(A, coef, Qa[members], [scans[i] for i in members], off, Qc)
+        if left:
+            own.extend(members[left])
+            H.append(_homogenized(A._tails, coef[left], Qa[members[left]], k))
+            S.append(_homogenized(tails, off[left], Qc[left] + SLACK_TOL, k))
     if not own:
+        _feasible(forms, Q, a, comp, scans)
         return scans
-    own, H, k = np.array(own), np.concatenate(H), forms.groups[0][0].dim
+    own, H = np.array(own), np.concatenate(H)
+    HS = np.concatenate([H, np.concatenate(S)], axis=1) if comp else H
     with np.errstate(over="ignore"):  # an inf or NaN rho clears nothing
-        rho = 2.0**-30 * np.abs(H).reshape(len(H), -1).sum(axis=1)
+        rho, rho_s = (2.0**-30 * np.abs(D).reshape(len(D), -1).sum(axis=1) for D in (H, HS))
     # the systems the enclosure does not take keep one leaf, the simplex
     stop = np.where(H[0].size > _SCAN_ENTRIES, 3, np.where(rho < math.inf, 0, 4)).astype(np.int8)
     leaf, W = np.arange(len(H)), np.repeat(np.eye(k + 1)[None], len(H), axis=0)
     go = stop == 0
     if go.any():
-        cut, Wc, stop_c = _subdivide(H, np.eye(k + 1), rho, "m1", _clearing(_clears), _SHALLOW,
+        cut, Wc, stop_c = _subdivide(H, np.eye(k + 1), rho, "m1", _clearing(_signs(k)), _SHALLOW,
                                      leaf[go], W[go])
         stop[go] = stop_c[go]
         leaf, W = np.concatenate([leaf[~go], cut]), np.concatenate([W[~go], Wc])
     c = W.mean(axis=2)  # a leaf is full-dimensional, so c_t > 0
-    X, r = _refine_rows(forms, Q, c[:, :k] / c[:, k:], own[leaf])
-    rootless = []
+    X, r = _refine_rows(sub, Qa, c[:, :k] / c[:, k:], own[leaf])
     for j, i in enumerate(own):
         mine = leaf == j
         roots = X[mine][r[mine] <= SYS_TOL]
         scans[i].roots = list(roots[_dedup(roots)])
-        if not scans[i].roots:
-            rootless.append(j)
-    deep = np.isin(leaf, rootless) & (stop[leaf] == 0)
+    _feasible(forms, Q, a, comp, scans)
+    unsettled = [j for j, i in enumerate(own) if not scans[i].feasible]
+    deep = np.isin(leaf, unsettled) & (stop[leaf] == 0)
     if deep.any():
-        more, Wd, stop_d = _subdivide(H, np.eye(k + 1), rho, "m1", _clearing(_clears),
+        more, Wd, stop_d = _subdivide(HS, np.eye(k + 1), rho_s, "m1", _clearing(_signs(k)),
                                       _CLEAR_DEPTH - _SHALLOW, leaf[deep], W[deep])
         stop = np.maximum(stop, stop_d)
         leaf, W = np.concatenate([leaf[~deep], more]), np.concatenate([W[~deep], Wd])
     V = np.swapaxes(W, 1, 2)  # vertices as rows
-    p, v = np.nonzero((V[:, :, k] == 0) & np.isin(leaf, rootless)[:, None])  # on t = 0
+    p, v = np.nonzero((V[:, :, k] == 0) & np.isin(leaf, unsettled)[:, None])  # on t = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        zero = np.abs(forms.m1(V[p, v, :k], own[leaf[p]])).max(axis=1) <= rho[leaf[p]]
+        zero = np.abs(sub.m1(V[p, v, :k], own[leaf[p]])).max(axis=1) <= rho[leaf[p]]
     at_infinity = np.isin(np.arange(len(H)), leaf[p][zero]) & (stop < 3)
-    for j in rootless:
+    for j in unsettled:
         scan = scans[own[j]]
         if not (leaf == j).any():
             scan.certified_infeasible = True
@@ -275,19 +285,16 @@ def walk_supports(tensors, qs, live=None):
     feasible lists the (u_alpha, slack) pairs with u_alpha >= 0 a root of
     A_aa u^{m-1} + q_a = 0 whose slack A_{comp,a} u^{m-1} + q_comp is
     >= -SLACK_TOL; each one gives a solution (u_alpha, 0) of TCP(q, A).
-    open_ is "" when the scan proves no other feasible root exists (the
-    system is certified infeasible, its root list is complete, or a slack
-    row is negative at every u >= 0, _slack_infeasible), and otherwise says
-    why the support is open: the scan's reason, or that its roots were
-    found but the list is not proved complete.
-    Each support cuts the sub-forms of each group of instances that share
-    _tails once (_Forms.cut) and scans them as one stack (_scan_stack), so
-    every instance gets what it gets alone.  The generator is lazy, so a
-    caller may stop at the first feasible root.  live, a boolean array over
-    the instances that the caller may clear between yields, drops instances:
-    from the next support on only the live ones are scanned (a dropped one
-    gets no root and the reason "not scanned"), and the walk ends when none
-    is live.
+    open_ is "" when the scan of the support (_scan_stack, one stack per
+    support, every instance with what it gets alone) proves no other
+    feasible root exists: the sign test or the enclosure of the equations
+    and the slack rows settles it, or its root list is complete.  Otherwise
+    it is the scan's reason, or that roots were found but the list is not
+    proved complete.  The generator is lazy, so a caller may stop at the
+    first feasible root.  live, a boolean array over the instances that the
+    caller may clear between yields, drops instances: from the next support
+    on only the live ones are scanned (a dropped one gets no root and the
+    reason "not scanned"), and the walk ends when none is live.
     """
     n = tensors[0].dim
     live = np.ones(len(tensors), dtype=bool) if live is None else live
@@ -304,15 +311,9 @@ def walk_supports(tensors, qs, live=None):
             if rows is None or not np.array_equal(rows, np.flatnonzero(live)):
                 rows = np.flatnonzero(live)
                 forms = _Forms([tensors[i] for i in rows])
-            a, comp = [i - 1 for i in members], [i - 1 for i in alpha.complement]
             feasible, open_ = [[] for _ in qs], ["not scanned"] * len(qs)
-            ruled_out = _slack_infeasible(forms, a, comp, Q[rows])
-            for i, out, scan in zip(rows, ruled_out, _scan_stack(forms.cut(a), Q[rows][:, a])):
-                for u_a in scan.roots:
-                    slack = apply_off(tensors[i], alpha, u_a) + qs[i][comp] if comp else np.zeros(0)
-                    if np.all(slack >= -SLACK_TOL):
-                        feasible[i].append((u_a, slack))
-                open_[i] = "" if out or scan.certified_infeasible or scan.roots_complete else (
-                    scan.reason or "roots found, " + ("" if feasible[i] else "none feasible, ")
-                    + "list not proved complete")
+            for i, scan in zip(rows, _scan_stack(forms, Q[rows], [i - 1 for i in members])):
+                feasible[i] = scan.feasible
+                open_[i] = "" if scan.certified_infeasible or scan.roots_complete else (
+                    scan.reason or "roots found, list not proved complete")
             yield alpha, feasible, open_

@@ -122,6 +122,17 @@ def _clearing(clears):
     return rule
 
 
+def _signs(k: int):
+    """The test of _clearing for systems of k equations (0 at a point sought)
+    above slack rows (>= 0 there): an equation clears a leaf when its
+    coefficients, moved by r, are all > 0 or all < 0; a slack row, < -r."""
+    def clears(lo, hi, r):
+        out = hi + r < 0
+        out[:, :k] |= (lo - r > 0)[:, :k]
+        return out
+    return clears
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _subdivide(dense, G, rho, form: str, rule, depth: int, owner, W):
     """Bernstein subdivision of the leaves W[p] (vertices as columns, in the

@@ -24,13 +24,12 @@ from fractions import Fraction
 import numpy as np
 
 from ._forms import _Forms
-from ._simplex import _CLEAR_DEPTH, _CLEAR_ENTRIES, _clearing, _enclose, _polish, _subdivide
+from ._simplex import _CLEAR_DEPTH, _CLEAR_ENTRIES, _clearing, _enclose, _polish, _signs, _subdivide
 from .cones import PolyhedralCone, orthant
 from .tensor import IndexSet, ShapeError, Tensor, apply_m1, principal_subtensor
 
 __all__ = [
     "Verdict",
-    "SearchBudget",
     "min_over_basis",
     "is_K_psd",
     "is_copositive",
@@ -68,18 +67,14 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """The verdicts' decision margin."""
-
-    margin: float = 1e-6
-
-    def __post_init__(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
+def _positive(margin: float) -> float:
+    """The verdicts' decision margin, which must be > 0."""
+    if not margin > 0:
+        raise ValueError("margin must be > 0")
+    return margin
 
 
-def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchBudget):
+def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, margin: float = 1e-6):
     """Bound one of {A x^m ("xm"), ||A x^{m-1}|| ("norm_m1"), |A x^m|
     ("abs_xm")} over the compact basis of K (convex hull of normalized
     generators) by a Bernstein enclosure (_simplex._enclose).
@@ -90,14 +85,16 @@ def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, budget: SearchB
     against the verdicts by a bound on its rounding; evaluations counts the
     leaves bounded.
     """
-    return _minima(objective, [A], K, budget)[0]
+    if objective not in ("xm", "norm_m1", "abs_xm"):
+        raise ValueError(f"objective {objective!r} is none of xm, norm_m1, abs_xm")
+    return _minima(objective, [A], K, _positive(margin))[0]
 
 
-def _minima(objective: str, tensors, K: PolyhedralCone, budget: SearchBudget) -> list:
-    """[min_over_basis(objective, A, K, budget) for A in tensors], tensors of
+def _minima(objective: str, tensors, K: PolyhedralCone, margin: float) -> list:
+    """[min_over_basis(objective, A, K, margin) for A in tensors], tensors of
     one order and dimension, in one stacked enclosure."""
     return [(_exact(objective, A, x), x, used, lower)
-            for A, (_, x, used, lower) in zip(tensors, _enclose(objective, tensors, K, budget.margin))]
+            for A, (_, x, used, lower) in zip(tensors, _enclose(objective, tensors, K, margin))]
 
 
 def _exact(objective: str, A: Tensor, x: np.ndarray) -> float:
@@ -140,77 +137,69 @@ def _three_valued(name: str, v: float, x: np.ndarray, used: int, holds: bool,
                    note="leaves of the enclosure stay open and no point found crosses the threshold")
 
 
-def is_K_psd(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None,
+def is_K_psd(A: Tensor, K: PolyhedralCone, margin: float = 1e-6,
              property_name: str = "K-positive-semidefinite") -> Verdict:
-    budget = budget or SearchBudget()
-    return _psd_verdict(property_name, budget, *min_over_basis("xm", A, K, budget))
+    return _psd_verdict(property_name, margin, *min_over_basis("xm", A, K, margin))
 
 
-def _psd_verdict(name: str, budget: SearchBudget, v: float, x: np.ndarray, used: int,
+def _psd_verdict(name: str, margin: float, v: float, x: np.ndarray, used: int,
                  lower: float) -> Verdict:
     """holds when the lower bound of A x^m is >= -margin/2; fails, with
     witness x, when the value v at x is below -margin."""
-    return _three_valued(name, v, x, used, lower >= -0.5 * budget.margin, v < -budget.margin)
+    return _three_valued(name, v, x, used, lower >= -0.5 * margin, v < -margin)
 
 
-def is_copositive(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
-    return is_K_psd(A, orthant(A.dim), budget, property_name="copositive")
+def is_copositive(A: Tensor, margin: float = 1e-6) -> Verdict:
+    return is_K_psd(A, orthant(A.dim), margin, property_name="copositive")
 
 
-def is_K_pd(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None,
+def is_K_pd(A: Tensor, K: PolyhedralCone, margin: float = 1e-6,
             property_name: str = "K-positive-definite") -> Verdict:
     """holds when the lower bound of A x^m is > margin; fails when it is
     <= 0 at a point."""
-    budget = budget or SearchBudget()
-    v, x, used, lower = min_over_basis("xm", A, K, budget)
-    return _three_valued(property_name, v, x, used, lower > budget.margin, v <= 0.0)
+    v, x, used, lower = min_over_basis("xm", A, K, margin)
+    return _three_valued(property_name, v, x, used, lower > margin, v <= 0.0)
 
 
-def is_strictly_copositive(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
-    return is_K_pd(A, orthant(A.dim), budget, property_name="strictly-copositive")
+def is_strictly_copositive(A: Tensor, margin: float = 1e-6) -> Verdict:
+    return is_K_pd(A, orthant(A.dim), margin, property_name="strictly-copositive")
 
 
-def is_K_regular(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None) -> Verdict:
+def is_K_regular(A: Tensor, K: PolyhedralCone, margin: float = 1e-6) -> Verdict:
     """holds when the lower bound of |A x^m| is >= 2 margin; fails when it
     is at most a thousandth of the margin at a point."""
-    budget = budget or SearchBudget()
-    v, x, used, lower = min_over_basis("abs_xm", A, K, budget)
-    return _three_valued("K-regular", v, x, used, lower >= 2.0 * budget.margin,
-                         v <= budget.margin * 1e-3)
+    return _nonsingular_verdict(margin, *min_over_basis("abs_xm", A, K, margin), name="K-regular")
 
 
-def is_K_nonsingular(A: Tensor, K: PolyhedralCone, budget: SearchBudget | None = None) -> Verdict:
+def is_K_nonsingular(A: Tensor, K: PolyhedralCone, margin: float = 1e-6) -> Verdict:
     """'holds' means K-nonsingular, ||A x^{m-1}|| >= 2 margin on the basis;
     'fails' means K-singular with a witness x on which ||A x^{m-1}|| vanishes
     to a thousandth of the margin."""
-    budget = budget or SearchBudget()
-    return _nonsingular_verdict(budget, *min_over_basis("norm_m1", A, K, budget))
+    return _nonsingular_verdict(margin, *min_over_basis("norm_m1", A, K, margin))
 
 
-def _nonsingular_verdict(budget: SearchBudget, v: float, x: np.ndarray, used: int,
-                         lower: float) -> Verdict:
-    return _three_valued("K-nonsingular", v, x, used, lower >= 2.0 * budget.margin,
-                         v <= budget.margin * 1e-3)
+def _nonsingular_verdict(margin: float, v: float, x: np.ndarray, used: int, lower: float,
+                         name: str = "K-nonsingular") -> Verdict:
+    return _three_valued(name, v, x, used, lower >= 2.0 * margin, v <= margin * 1e-3)
 
 
-def _holds(objective: str, tensors, K: PolyhedralCone, budget: SearchBudget) -> list[bool]:
+def _holds(objective: str, tensors, K: PolyhedralCone, margin: float) -> list[bool]:
     """Whether the verdict of every A in tensors (of one order and dimension)
     holds: is_copositive's rule (_psd_verdict) for xm, is_K_regular's and
     is_K_nonsingular's for abs_xm and norm_m1, read from one stacked
     enclosure (_enclose), on which alone a holds rests."""
     rule = _psd_verdict if objective == "xm" else (lambda _, *r: _nonsingular_verdict(*r))
-    return [rule("", budget, *res).status == "holds"
-            for res in _enclose(objective, tensors, K, budget.margin)]
+    return [rule("", margin, *res).status == "holds"
+            for res in _enclose(objective, tensors, K, margin)]
 
 
-def all_principal_nonsingular(A: Tensor, budget: SearchBudget | None = None) -> Verdict:
+def all_principal_nonsingular(A: Tensor, margin: float = 1e-6) -> Verdict:
     """Orthant-nonsingularity of every principal sub-tensor (2^n - 1 subsets).
 
     The sub-tensors of each size are checked in one stacked enclosure, with
     the verdicts of one is_K_nonsingular call per sub-tensor."""
     if A.dim > 12:
         raise ValueError("principal sweep limited to dim <= 12")
-    budget = budget or SearchBudget()
     table: dict[str, str] = {}
     worst: Verdict | None = None
     used = 0
@@ -219,8 +208,8 @@ def all_principal_nonsingular(A: Tensor, budget: SearchBudget | None = None) -> 
     for r in range(1, A.dim + 1):
         alphas = list(itertools.combinations(range(1, A.dim + 1), r))
         subs = [principal_subtensor(A, IndexSet(alpha, A.dim)) for alpha in alphas]
-        for alpha, res in zip(alphas, _minima("norm_m1", subs, orthant(r), budget)):
-            vd = _nonsingular_verdict(budget, *res)
+        for alpha, res in zip(alphas, _minima("norm_m1", subs, orthant(r), _positive(margin))):
+            vd = _nonsingular_verdict(margin, *res)
             used += vd.budget_used
             table[",".join(map(str, alpha))] = vd.status
             if vd.status == "fails" and status != "fails":
@@ -238,36 +227,31 @@ def _s_cone(A: Tensor, q: np.ndarray, margin: float):
     against q.  On the simplex S_A is the union over supports alpha of the
     points u of alpha's face with (A u^{m-1})_alpha = 0 and (A u^{m-1})_c
     >= 0, c the complement.  Each face is subdivided (_subdivide) with the
-    rows of A u^{m-1}, alpha's first, and one more row of entries q_{j1},
-    which is q.u (sum u)^{m-2}: a leaf clears when a row of alpha keeps one
-    sign, a row of c is below 0, or the q row is >= margin, every
-    coefficient moved against the rule by rho = 2^-30 times the sum of
-    |entries| of its row, which bounds its rounding as in _simplex._enclose.
-    settled: every leaf of every face clears, so q.x >= margin |x|_1 on
-    S_A.  The candidates are the vertices of the open leaves, polished by
-    damped Newton on their face's rows of alpha (_polish); the samples, in
-    order, are the unit vectors u among them with A u^{m-1} >= -margin and
-    |u.A u^{m-1}| <= margin, each more than 1e-6 from those before it.  A
-    tensor past _CLEAR_ENTRIES dense entries is not subdivided."""
+    rows of A u^{m-1}, alpha's first, and one more row of entries margin -
+    q_{j1}, which is margin - q.u on the simplex: the rows of alpha are
+    equations and the others slack rows (_signs), every coefficient moved
+    against the rule by rho = 2^-30 times the sum of |entries| of its row,
+    which bounds its rounding as in _simplex._enclose.  settled: every leaf
+    of every face clears, so q.x > margin |x|_1 on S_A.  The candidates are
+    the vertices of the open leaves, polished by damped Newton on their
+    face's rows of alpha (_polish); the samples, in order, are the unit
+    vectors u among them with A u^{m-1} >= -margin and |u.A u^{m-1}| <=
+    margin, each more than 1e-6 from those before it.  A tensor past
+    _CLEAR_ENTRIES dense entries is not subdivided."""
     n, m = A.dim, A.order
     if n ** m > _CLEAR_ENTRIES:
         return False, [], 0
-    D, points = A.to_dense(), []
+    D, points, top = A.to_dense(), [], margin - q
     settled = True
     for k in range(1, n + 1):
         faces = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
         H = np.array([np.concatenate([D[np.ix_(list(a) + [j for j in range(n) if j not in a],
                                                *[a] * (m - 1))],
-                                      np.broadcast_to(q[a].reshape((1, k) + (1,) * (m - 2)),
+                                      np.broadcast_to(top[a].reshape((1, k) + (1,) * (m - 2)),
                                                       (1,) + (k,) * (m - 1))]) for a in faces])
         with np.errstate(over="ignore", invalid="ignore"):
             rho = 2.0**-30 * np.abs(H).reshape(len(H), n + 1, -1).sum(axis=2)
-
-        def clears(lo, hi, r, k=k):
-            return np.concatenate([((lo - r > 0) | (hi + r < 0))[:, :k], (hi + r < 0)[:, k:n],
-                                   (lo - r >= margin)[:, n:]], axis=1)
-
-        owner, W, _ = _subdivide(H, np.eye(k), rho, "m1", _clearing(clears), _CLEAR_DEPTH,
+        owner, W, _ = _subdivide(H, np.eye(k), rho, "m1", _clearing(_signs(k)), _CLEAR_DEPTH,
                                  np.arange(len(H)), np.repeat(np.eye(k)[None], len(H), axis=0))
         settled = settled and not len(owner)
         if not len(owner):
@@ -290,26 +274,26 @@ def _s_cone(A: Tensor, q: np.ndarray, margin: float):
     return settled, samples, len(points)
 
 
-def s_cone_samples(A: Tensor, N: int, budget: SearchBudget | None = None) -> list[np.ndarray]:
+def s_cone_samples(A: Tensor, N: int, margin: float = 1e-6) -> list[np.ndarray]:
     """At most N unit vectors x >= 0 approximately solving the homogeneous
     problem: A x^{m-1} >= -margin componentwise and |A x^m| <= margin; the
     first samples of the subdivision of S_A (_s_cone, with q = 0)."""
-    budget = budget or SearchBudget()
-    return _s_cone(A, np.zeros(A.dim), budget.margin)[1][:N]
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    return _s_cone(A, np.zeros(A.dim), _positive(margin))[1][:N]
 
 
-def q_in_dual_SA(A: Tensor, q, budget: SearchBudget | None = None) -> Verdict:
+def q_in_dual_SA(A: Tensor, q, margin: float = 1e-6) -> Verdict:
     """Is q in the interior of the dual of S_A = SOL(0, A)?  holds when the
-    subdivision of S_A's faces settles (_s_cone): q.x >= margin |x|_1 on
+    subdivision of S_A's faces settles (_s_cone): q.x > margin |x|_1 on
     S_A.  fails, with witness u, when a sample u of S_A has q.u < -margin,
     the least such q.u the certificate.  unknown otherwise."""
-    budget = budget or SearchBudget()
     q = np.asarray(q, dtype=float)
     if q.shape != (A.dim,):
         raise ShapeError(f"q of shape {q.shape}, expected ({A.dim},)")
     if not np.all(np.isfinite(q)):
         raise ValueError("q has a non-finite entry")
-    settled, samples, used = _s_cone(A, q, budget.margin)
+    settled, samples, used = _s_cone(A, q, _positive(margin))
     if settled:
         return Verdict("q-in-dual-S_A", "holds", None, None, used,
                        note="every leaf of the faces of S_A clears: q.x >= margin |x|_1 there")
@@ -317,4 +301,4 @@ def q_in_dual_SA(A: Tensor, q, budget: SearchBudget | None = None) -> Verdict:
     j = int(np.argmin(vals)) if vals else None
     cert = None if j is None else vals[j]
     return _three_valued("q-in-dual-S_A", cert, None if j is None else samples[j], used, False,
-                         j is not None and vals[j] < -budget.margin)
+                         j is not None and vals[j] < -margin)

@@ -23,7 +23,7 @@ import numpy as np
 from ._forms import _Forms
 from ._polysys import SYS_TOL, _scan_stack, walk_supports
 from ._simplex import _basis, _lift
-from .classify import SearchBudget, Verdict
+from .classify import Verdict, _positive
 from .cones import PolyhedralCone, _nnls
 from .tensor import IndexSet, ShapeError, Tensor, _dense_stack, apply_m1, principal_subtensor
 
@@ -70,7 +70,7 @@ def complementary_tensor(A: Tensor, alpha: IndexSet | tuple) -> Tensor:
     return Tensor._from_form(A.order, A.dim, tails, coef, merge=True)
 
 
-def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None = None) -> Verdict:
+def tpos_contains(K: PolyhedralCone, A: Tensor, y, margin: float = 1e-6) -> Verdict:
     """Does y lie in {A x^{m-1} : x in K}?
 
     The image is a cone, so A is searched scaled by 2^-s (s a multiple of
@@ -79,7 +79,7 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     x of A's, with the same residual.
     For m = 2 the image is the cone of the columns of A G (G the normalized
     generators of K), so one NNLS gives the exact distance of y / |y| from
-    it: the certificate, holds at or below budget.margin and fails above.
+    it: the certificate, holds at or below margin and fails above.
     For m >= 3 every x in K is G_S lam, lam >= 0, on a linearly independent
     set S of rank(G) generators (Caratheodory).  Every square row subsystem
     of every lifted system B_S lam^{m-1} = y (_lift) is scanned in one stack
@@ -93,7 +93,9 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     if K.dim != A.dim or y.shape != (A.dim,):
         raise ShapeError(f"cone of dimension {K.dim} and target of shape {y.shape}, "
                          f"tensor of dimension {A.dim}")
-    budget = budget or SearchBudget()
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y has a non-finite entry")
+    _positive(margin)
     yn = float(np.linalg.norm(y))
     if yn <= SYS_TOL:
         return Verdict("tpos-contains", "holds", 0.0, np.zeros(A.dim), 0)
@@ -103,7 +105,7 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
     A, back = (A.scale(2.0**-shift), 2.0 ** (-shift // d)) if shift else (A, 1.0)
     if d == 1:
         lam, dist = _nnls(A.to_dense() @ G, y / yn)
-        if dist <= budget.margin:
+        if dist <= margin:
             return Verdict("tpos-contains", "holds", dist, yn * (G @ lam) * back, 1)
         return Verdict("tpos-contains", "fails", dist, None, 1,
                        note="exact distance of y-hat from the image cone")
@@ -119,7 +121,7 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, budget: SearchBudget | None =
         for lam in scan.roots:
             x = G[:, sets[i // len(rows)]] @ lam
             res = float(np.linalg.norm(apply_m1(A, x) - y))
-            if res <= budget.margin * max(1.0, yn):
+            if res <= margin * max(1.0, yn):
                 return Verdict("tpos-contains", "holds", res, x * back, len(scans))
     per_alpha, refuted = {}, True
     for p, S in enumerate(sets):
@@ -138,11 +140,10 @@ def q_membership(A: Tensor, q) -> MembershipResult:
     """Decide q in Q(R^n_+, A) by scanning supports in increasing cardinality.
 
     member=True comes with (alpha, u) reconstructing a verified solution;
-    member=False only when every support is settled: its system certified
-    infeasible (sign analysis, the scalar closed form, or a Bernstein
-    enclosure of its homogenization that clears every leaf), its complete
-    root list failing the slack test, or a slack row negative at every
-    u >= 0; otherwise unknown.
+    member=False only when every support is settled, with no root whose
+    slack is >= -SLACK_TOL: by the sign test or the Bernstein enclosure of
+    its equations and slack rows (walk_supports), or by the scalar closed
+    form; otherwise unknown.
     """
     return _memberships(A, [q])[0]
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._rng import SplitMix64, _sphere_stack, _uniform_stack
-from .classify import SearchBudget, Verdict, _holds, q_in_dual_SA
+from .classify import Verdict, _holds, _positive, q_in_dual_SA
 from .compcones import _memberships, complementary_tensor, q_membership
 from .cones import (_RAY_TOL, _SLICE, PolyhedralCone, _row_norms, extreme_rays, from_generators,
                     orthant, tangent_cone)
@@ -118,18 +118,17 @@ def _least_rayleigh(M: np.ndarray, R: np.ndarray):
     return best, witness, scored
 
 
-def local_uniqueness_certificate(inst: TcpInstance, xbar,
-                                 budget: SearchBudget | None = None) -> Verdict:
+def local_uniqueness_certificate(inst: TcpInstance, xbar, margin: float = 1e-6) -> Verdict:
     """Second-order sufficient condition for local uniqueness of xbar.
 
     The least v^T (A xbar^{m-2}) v over unit directions v in the tangent
     cone of K at xbar that annihilate w (_least_rayleigh over the extreme
     rays of that slice; R^n is the cone of the +-basis vectors).  A minimum
-    above budget.margin certifies local uniqueness, one at or below 0
+    above margin certifies local uniqueness, one at or below 0
     fails with a witness that re-checks, and an empty feasible slice
     certifies it vacuously.  The minimum is exact up to rounding.
     """
-    budget = budget or SearchBudget()
+    _positive(margin)
     xbar = np.asarray(xbar, dtype=float)
     if not is_solution(inst, xbar, 1e-6):
         raise ValueError("xbar is not a solution at tolerance 1e-6")
@@ -147,12 +146,12 @@ def local_uniqueness_certificate(inst: TcpInstance, xbar,
         return Verdict("local-uniqueness", "holds", None, None, 1,
                        note=(note + "; " if note else "") + "empty unit slice")
     cert, v, scored = _least_rayleigh(0.5 * (M + M.T), np.column_stack(rays))
-    status = "holds" if cert > budget.margin else ("fails" if cert <= 0.0 else "unknown")
+    status = "holds" if cert > margin else ("fails" if cert <= 0.0 else "unknown")
     return Verdict("local-uniqueness", status, cert, v / np.linalg.norm(v), scored, note=note)
 
 
 def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
-                      budget: SearchBudget | None = None) -> PerturbationReport:
+                      margin: float = 1e-6) -> PerturbationReport:
     """Solvability of TCPs near a copositive base instance.
 
     Perturbations that break copositivity are redrawn (up to 100 times per
@@ -167,12 +166,11 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     in one stacked support walk, each with the outcome of its own
     solve_enumerate call."""
     _require_trials(trials)
-    budget = budget or SearchBudget()
     if not inst.cone.is_orthant:
         raise ValueError("perturb_existence requires the orthant")
-    if not _holds("xm", [inst.A], inst.cone, budget)[0]:
+    if not _holds("xm", [inst.A], inst.cone, _positive(margin))[0]:
         raise ValueError("base tensor is not certified copositive")
-    dual = q_in_dual_SA(inst.A, inst.q, budget).status
+    dual = q_in_dual_SA(inst.A, inst.q, margin).status
     if dual == "fails":
         raise ValueError("base q is not in the dual of S_A = SOL(0, A)")
     if dual == "unknown":
@@ -182,7 +180,7 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     redraws = [0] * trials
     pending = list(range(trials))
     while pending:
-        gates = _holds("xm", [perts[t].A for t in pending], inst.cone, budget)
+        gates = _holds("xm", [perts[t].A for t in pending], inst.cone, margin)
         pending = [t for t, holds in zip(pending, gates) if not holds]
         redrawn = _perturbations(inst, [streams[t] for t in pending], eps)[2] if pending else []
         for t, pert in zip(pending, redrawn):
@@ -214,7 +212,7 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
 
 def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
                       eps: float, trials: int, seed: int,
-                      budget: SearchBudget | None = None) -> PerturbationReport:
+                      margin: float = 1e-6) -> PerturbationReport:
     """Estimate the local error-bound constant at an isolated solution.
 
     Trial t draws its perturbation and 4 starts around xbar from its own
@@ -225,9 +223,8 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
     residual check, each with the verdict of is_solution(pert, x, 1e-9) on
     its own trial's instance."""
     _require_trials(trials)
-    budget = budget or SearchBudget()
     xbar = np.asarray(xbar, dtype=float)
-    cert = local_uniqueness_certificate(inst, xbar, budget)
+    cert = local_uniqueness_certificate(inst, xbar, margin)
     if cert.status != "holds":
         raise ValueError("local uniqueness certificate does not hold at xbar")
 
@@ -256,7 +253,7 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
 
 
 def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int,
-              budget: SearchBudget | None = None) -> dict:
+              margin: float = 1e-6) -> dict:
     """Upper-semicontinuity probe: how far can perturbed solutions drift
     from the base solution set.
 
@@ -266,8 +263,7 @@ def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int,
     trial are solved in one stacked support walk, each with the outcome of
     its own solve_enumerate call."""
     _require_trials(trials)
-    budget = budget or SearchBudget()
-    if not _holds("abs_xm", [inst.A], inst.cone, budget)[0]:
+    if not _holds("abs_xm", [inst.A], inst.cone, _positive(margin))[0]:
         raise ValueError("base tensor is not certified K-regular")
     perts = _trial_instances(inst, eps, trials, seed)[3]
     base, *outcomes = _solve_stack([inst] + perts)
@@ -307,7 +303,7 @@ def graph_closedness_probe(sequence, limit) -> bool:
 
 
 def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: int,
-                                  budget: SearchBudget | None = None) -> dict:
+                                  margin: float = 1e-6) -> dict:
     """Persistence of unsolvability under small right-hand-side changes.
 
     The closedness condition is checked on every complementary tensor in
@@ -316,7 +312,6 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
     one stacked membership walk.  Every verdict is that of its own
     is_K_nonsingular or q_membership call."""
     _require_trials(trials)
-    budget = budget or SearchBudget()
     q = np.asarray(q, dtype=float)
     base = q_membership(A, q)
     if base.member is not False:
@@ -324,7 +319,7 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
     n = A.dim
     comps = [complementary_tensor(A, IndexSet(alpha, n))
              for r in range(1, n + 1) for alpha in itertools.combinations(range(1, n + 1), r)]
-    unverified = not all(_holds("norm_m1", comps, orthant(n), budget))
+    unverified = not all(_holds("norm_m1", comps, orthant(n), _positive(margin)))
     warn = ("closedness sufficient condition unverified for some complementary tensors; "
             "result is empirical only") if unverified else ""
     streams, dq = _trial_streams(seed, trials), np.zeros((trials, n))
@@ -344,7 +339,7 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
 
 def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
                                   trials: int, seed: int,
-                                  budget: SearchBudget | None = None) -> dict:
+                                  margin: float = 1e-6) -> dict:
     """Persistence of K-nonsingularity under tensor (and cone) jitter.
 
     Trial t draws from its own stream SplitMix64(seed).spawn(t + 1).  The
@@ -353,8 +348,7 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
     stacked check (_holds), with the status of one is_K_nonsingular call
     per trial, as the base check is."""
     _require_trials(trials)
-    budget = budget or SearchBudget()
-    if not _holds("norm_m1", [A], K, budget)[0]:
+    if not _holds("norm_m1", [A], K, _positive(margin))[0]:
         raise ValueError("base tensor is not certified K-nonsingular")
     n, shape = A.dim, (trials,) + (A.dim,) * A.order
     streams, dA, cones = _trial_streams(seed, trials), np.zeros(shape), [K] * trials
@@ -373,7 +367,7 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
         by_cone.setdefault(id(Kp), []).append(t)
     nonsingular = 0
     for group in by_cone.values():
-        nonsingular += sum(_holds("norm_m1", [tensors[t] for t in group], cones[group[0]], budget))
+        nonsingular += sum(_holds("norm_m1", [tensors[t] for t in group], cones[group[0]], margin))
     return {
         "fraction_nonsingular": nonsingular / trials,
         "eps": eps,

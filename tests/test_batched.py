@@ -41,7 +41,7 @@ from tcpkit import solver, stability
 from tcpkit import _forms, _polysys, _simplex
 from tcpkit._polysys import _dedup, scan_system, walk_supports
 from tcpkit._simplex import damped_newton
-from tcpkit.classify import SearchBudget, _holds, _minima, min_over_basis
+from tcpkit.classify import _holds, _minima, min_over_basis
 from tcpkit.compcones import q_membership
 from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance, _solve_stack, is_solution, residual, solve_enumerate
@@ -319,15 +319,15 @@ def test_stacked_minimiser_gives_each_tensor_its_own_minimum(stack, block, stack
     # those of min_over_basis on it alone, for any cut of the leaves into
     # blocks and of the polished rows into gathered blocks
     tensors, K = stack
-    budget = SearchBudget()
+    margin = 1e-6
     for objective in ("xm", "norm_m1", "abs_xm"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_simplex, "_CLEAR_BLOCK", block)
             mp.setattr(_forms, "_STACK_ENTRIES", stack_entries)
-            got = _minima(objective, tensors, K, budget)
+            got = _minima(objective, tensors, K, margin)
         assert len(got) == len(tensors)
         for A, (v, x, used, lower) in zip(tensors, got):
-            v1, x1, used1, lower1 = min_over_basis(objective, A, K, budget)
+            v1, x1, used1, lower1 = min_over_basis(objective, A, K, margin)
             assert np.array_equal([v, lower], [v1, lower1], equal_nan=True)
             assert x.tobytes() == x1.tobytes() and used == used1
 
@@ -358,7 +358,7 @@ def test_min_over_basis_polishes_each_start_as_alone(monkeypatch, n, k, seed):
     A = tensor_from_dense(np.einsum("i,jk->ijk", d, np.eye(n))
                           + 0.01 * fx.random_tensor("general", 3, n, seed).to_dense())
     for objective in ("xm", "norm_m1", "abs_xm"):
-        min_over_basis(objective, A, K, SearchBudget())
+        min_over_basis(objective, A, K)
     assert calls
     assert_newton_rows_end_as_alone(calls)
 
@@ -393,8 +393,8 @@ def test_s_cone_samples_polish_each_candidate_as_alone(monkeypatch, kind, m, n, 
     polish = classify._polish
     monkeypatch.setattr(classify, "_polish", spy)
     A = with_axis_zeros(fx.random_tensor(kind, m, n, seed))
-    budget = SearchBudget()
-    samples = classify.s_cone_samples(A, N, budget)
+    margin = 1e-6
+    samples = classify.s_cone_samples(A, N, margin)
     assert_newton_rows_end_as_alone(calls)
     ref = []
     for x in polished:
@@ -402,7 +402,7 @@ def test_s_cone_samples_polish_each_candidate_as_alone(monkeypatch, kind, m, n, 
         Fu = A.to_dense()
         for _ in range(m - 1):  # contract the last index with u
             Fu = Fu @ u
-        if Fu.min() >= -budget.margin and abs(u @ Fu) <= budget.margin:
+        if Fu.min() >= -margin and abs(u @ Fu) <= margin:
             if all(np.linalg.norm(u - p) > 1e-6 for p in ref):
                 ref.append(u)
     assert 1 <= len(samples) == min(len(ref), N)
@@ -725,7 +725,7 @@ def test_usc_probe_stays_blocked():
 
 # --- the Bernstein enclosure of the probes' gates ---------------------------
 
-MARGIN = SearchBudget().margin
+MARGIN = 1e-6  # the verdicts' default margin
 CLEAR_AT = {"xm": -0.5 * MARGIN, "abs_xm": 2.0 * MARGIN, "norm_m1": 2.0 * MARGIN}
 
 
@@ -783,18 +783,17 @@ def test_bernstein_clears_only_what_holds(n, m, generated):
     dense = enclosure_stack(n, m, K, seed=n * m)
     tensors = [tensor_from_dense(D) for D in dense]
     X = basis_grid(K, {2: 512, 3: 48, 4: 16}[n])
-    budget = SearchBudget()
     verdict = {"xm": classify.is_K_psd, "abs_xm": classify.is_K_regular,
                "norm_m1": classify.is_K_nonsingular}
     for objective in ("xm", "abs_xm", "norm_m1"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cleared = _holds(objective, tensors, K, budget)
+            cleared = _holds(objective, tensors, K, MARGIN)
         assert cleared[4] and (objective == "xm" or cleared[8])  # unit + 1e-2 noise, -unit
         if not generated:
             assert cleared[7] and (objective != "xm" or cleared[9])  # eps 1e-5; a zero inside
         for t, held in enumerate(cleared):
-            assert held == (verdict[objective](tensors[t], K, budget).status == "holds")
+            assert held == (verdict[objective](tensors[t], K, MARGIN).status == "holds")
             if held:
                 assert grid_objective(objective, dense[t], X).min() >= CLEAR_AT[objective], \
                     (objective, t)
@@ -804,10 +803,9 @@ def test_bernstein_clears_nothing_that_overflows():
     # entries of 1.5e308: the sum of |entries|, and so the rounding slack,
     # overflows, so no leaf clears; entries of 1e306 keep every sum finite
     # and hold; neither raises a warning
-    budget = SearchBudget()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for objective in ("xm", "abs_xm", "norm_m1"):
             for c, held in ((1.5e308, False), (1e306, True)):
                 A = tensor_from_dense(np.full((2, 2, 2), c))
-                assert _holds(objective, [A, fx.identity(3, 2)], orthant(2), budget) == [held, True]
+                assert _holds(objective, [A, fx.identity(3, 2)], orthant(2), MARGIN) == [held, True]

@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 
 from tcpkit import fixtures as fx
-from tcpkit.classify import SearchBudget, is_copositive, is_K_nonsingular, is_K_regular, \
+from tcpkit.classify import is_copositive, is_K_nonsingular, is_K_regular, \
     is_strictly_copositive
 from tcpkit.cones import orthant
 from tcpkit.tensor import tensor_from_dense, unit_tensor
 
-MARGIN = Fraction(SearchBudget().margin)
+MARGIN = Fraction(1e-6)  # the verdicts' default margin
 
 
 def coefficients(T, V):

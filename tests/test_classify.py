@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from tcpkit import classify
+from tcpkit import classify, stability
 from tcpkit import fixtures as fx
 from tcpkit.classify import (
-    SearchBudget,
     all_principal_nonsingular,
     is_copositive,
     is_K_nonsingular,
@@ -19,26 +18,27 @@ from tcpkit.classify import (
     q_in_dual_SA,
     s_cone_samples,
 )
+from tcpkit.compcones import tpos_contains
 from tcpkit.cones import from_generators, orthant
+from tcpkit.solver import TcpInstance
 from tcpkit.tensor import (IndexSet, ShapeError, Tensor, apply_m, apply_m1, principal_subtensor,
                            tensor_from_dense, unit_tensor)
 
 
 class TestMinOverBasis:
     def test_e1_min_zero_on_axis(self, e1):
-        v, x, *_ = min_over_basis("xm", e1, orthant(2), SearchBudget())
+        v, x, *_ = min_over_basis("xm", e1, orthant(2))
         assert v == pytest.approx(0.0, abs=1e-9)
         assert min(x) == pytest.approx(0.0, abs=1e-9)  # an axis point
 
     def test_identity_simplex_minimum(self):
         # min of x1^3 + x2^3 on the standard simplex is 0.25 at (.5, .5)
-        v, x, *_ = min_over_basis("xm", unit_tensor(3, 2), orthant(2),
-                                 SearchBudget())
+        v, x, *_ = min_over_basis("xm", unit_tensor(3, 2), orthant(2))
         assert v == pytest.approx(0.25, abs=1e-9)
         assert np.allclose(x, [0.5, 0.5], atol=1e-6)
 
     def test_e4_min_on_diagonal(self, e4):
-        v, x, *_ = min_over_basis("xm", e4, orthant(2), SearchBudget())
+        v, x, *_ = min_over_basis("xm", e4, orthant(2))
         assert v == pytest.approx(0.0, abs=1e-9)
         assert x[0] == pytest.approx(x[1], abs=1e-4)
 
@@ -134,7 +134,7 @@ class TestConeDimension:
             with pytest.raises(ShapeError):
                 check(e1, K)
         with pytest.raises(ShapeError):
-            min_over_basis("xm", e1, K, SearchBudget())
+            min_over_basis("xm", e1, K)
 
 
 class TestPrincipalSweep:
@@ -238,7 +238,7 @@ def s_cone_family():
 def test_q_in_dual_never_holds_against_a_point_of_s_a():
     # q.x < 0 at a point x of S_A, so q is not in its dual: never holds, and
     # every fails witness is a unit point of S_A to the margin with q.w < 0
-    margin, statuses = SearchBudget().margin, []
+    margin, statuses = 1e-6, []
     for A, q, x in s_cone_family():
         assert np.abs(apply_m1(A, x)).max() <= 1e-12
         v = q_in_dual_SA(A, q)
@@ -261,9 +261,33 @@ class TestVerdictPlumbing:
         vd = classify._three_valued("K-regular", 0.0, np.zeros(2), 1, False, True)
         assert vd.status == "unknown" and vd.witness is None
 
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            SearchBudget(margin=0.0)
+    def test_unknown_objective_is_rejected(self, e1):
+        with pytest.raises(ValueError, match="xm, norm_m1, abs_xm"):
+            min_over_basis("foo", e1, orthant(2))
+
+    def test_negative_sample_count_is_rejected(self, e1):
+        with pytest.raises(ValueError, match="N must be >= 0"):
+            s_cone_samples(e1, -1)
+        assert s_cone_samples(e1, 0) == []
+
+    def test_margin_validation(self, e1):
+        # every public entry that takes the margin rejects one that is not > 0
+        K, x = orthant(2), np.array([1.0, 1.0])
+        inst = TcpInstance(K, -x, fx.identity(3, 2))
+        calls = [(min_over_basis, "xm", e1, K), (is_K_psd, e1, K), (is_copositive, e1),
+                 (is_K_pd, e1, K), (is_strictly_copositive, e1), (is_K_regular, e1, K),
+                 (is_K_nonsingular, e1, K), (all_principal_nonsingular, e1),
+                 (s_cone_samples, e1, 4), (q_in_dual_SA, e1, x), (tpos_contains, K, e1, x),
+                 (stability.local_uniqueness_certificate, inst, x),
+                 (stability.perturb_existence, inst, 1e-3, 1, 0),
+                 (stability.error_bound_probe, inst, x, 0.1, 1e-3, 1, 0),
+                 (stability.usc_probe, inst, 1e-3, 1, 0),
+                 (stability.unsolvable_neighborhood_probe, e1, [1.0, -1.0], 1e-4, 1, 0),
+                 (stability.nonsingularity_openness_probe, K, e1, 1e-3, 1, 0)]
+        for f, *args in calls:
+            for margin in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="margin must be > 0"):
+                    f(*args, margin)
 
 
 def scaled_cases(c):
@@ -291,7 +315,7 @@ def test_basis_search_is_right_on_large_tensors(exponent):
     # nonzero point of the orthant that violates its inequality by a dense
     # einsum of its own
     c = 10.0 ** exponent
-    margin = SearchBudget().margin
+    margin = 1e-6
     for A, statuses, minima in scaled_cases(c):
         D = A.to_dense()
         verdicts = (is_K_regular(A, orthant(2)), is_K_nonsingular(A, orthant(2)),

@@ -92,22 +92,21 @@ class TestSolve:
         assert rep["solutions"] == [] and rep["unknown"] is False
         assert rep["note"] == "no solution: every support settled"
 
-    def test_uncertified_slack_failure_is_unknown(self, capsys, tmp_path):
-        # support {2,3} has a root failing the slack test and an unproved
-        # root list, and the failing slack row 1 has positive coefficients
-        # on u_2 and u_3, so no sign test settles it: solve must not claim a
-        # certified "no solution", though the LCP has none, and its note
-        # names the open support and why it is open
+    def test_slack_failure_settled_by_the_enclosure(self, capsys, tmp_path):
+        # support {2,3} has a root failing the slack test, and the failing
+        # slack row 1 has positive coefficients on u_2 and u_3, so no sign
+        # test settles it; the enclosure of its equations beside its slack
+        # row clears every leaf, so solve certifies "no solution", as the
+        # LCP's own enumeration says
         M = [[-1.8, 0.025, 0.077], [-0.939, -1.483, -1.917], [-0.425, -0.479, -1.906]]
         q = [-1.047, 1.152, 0.47]
         assert lcp_solutions(M, q) == []
         p = tmp_path / "m.json"
         p.write_text(json.dumps(tensor_to_json(tensor_from_dense(np.array(M)))))
         code, rep = run_json(capsys, "solve", "--tensor", str(p), "--q=-1.047,1.152,0.47")
-        assert code == 3
-        assert rep["unknown"] is True and rep["solutions"] == []
-        assert rep["note"] == ("no solution found; open supports: "
-                               "{2,3} roots found, none feasible, list not proved complete")
+        assert code == 0
+        assert rep["unknown"] is False and rep["solutions"] == []
+        assert rep["note"] == "no solution: every support settled"
 
     def test_negative_slack_row_certifies_no_solution(self, capsys, tmp_path):
         # on support {1,3}, slack row 2 is -1.342 u_1 - 0.733 u_3 - 0.95 < 0

@@ -107,6 +107,13 @@ class TestTposContains:
         with pytest.raises(ShapeError):
             tpos_contains(orthant(2), e2, y)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_target(self, m, bad):
+        # a matrix's NNLS and the scan at m = 3 would answer for it
+        with pytest.raises(ValueError, match="y has a non-finite entry"):
+            tpos_contains(orthant(2), fx.identity(m, 2), [bad, 1.0])
+
     def test_cone_property_scaling(self, e2):
         base = tpos_contains(orthant(2), e2, [5.0, 5.0])
         m = e2.order

@@ -52,7 +52,7 @@ def test_command_loads_only_what_it_runs(argv, expected):
 
 
 def test_every_export_resolves_to_its_module_object():
-    assert len(tcpkit.__all__) == len(set(tcpkit.__all__)) == 63
+    assert len(tcpkit.__all__) == len(set(tcpkit.__all__)) == 62
     for name in tcpkit.__all__:
         mod = importlib.import_module(f"tcpkit.{tcpkit._MODULE_OF[name]}")
         assert getattr(tcpkit, name) is getattr(mod, name)

@@ -126,8 +126,9 @@ class TestEnumerate:
         # False <=> none found and not unknown
         rng = np.random.default_rng(17)
         cases = [(A, rng.uniform(-2, 2, 2)) for A in (e1, e4) for _ in range(15)]
-        # m=2, n=3: support {1,3} has a root failing the slack test and a
-        # root list not proved complete, so both must answer unknown
+        # m=2, n=3: support {1,3} has a root failing the slack test, and its
+        # slack row 2 has no positive coefficient and q_2 < 0, so the sign
+        # test settles it: both must answer that there is no solution
         M = [[1.325, -1.749, 1.302], [-1.342, -0.499, -0.733], [0.765, -1.286, -0.415]]
         cases.append((tensor_from_dense(np.array(M)), np.array([-1.977, -0.950, -0.315])))
         for A, q in cases:

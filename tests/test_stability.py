@@ -7,7 +7,7 @@ import pytest
 from tcpkit import fixtures as fx
 from tcpkit import stability
 from tcpkit._rng import SplitMix64
-from tcpkit.classify import SearchBudget, is_copositive, is_K_nonsingular
+from tcpkit.classify import is_copositive, is_K_nonsingular
 from tcpkit.compcones import complementary_tensor, q_membership
 from tcpkit.cones import extreme_rays, from_generators, orthant
 from tcpkit.solver import TcpInstance, refine, solve_enumerate
@@ -70,7 +70,7 @@ class TestLocalUniqueness:
     def test_verdict_reads_only_the_margin(self):
         wide = local_uniqueness_certificate(TcpInstance(orthant(2), np.array([-1.0, -1.0]),
                                                         fx.identity(3, 2)),
-                                            np.array([1.0, 1.0]), SearchBudget(margin=2.0))
+                                            np.array([1.0, 1.0]), margin=2.0)
         assert wide.status == "unknown" and wide.certificate == 1.0
 
     @pytest.mark.parametrize("seed", range(12))
@@ -253,8 +253,7 @@ def per_trial_existence(inst, eps, trials, seed, gate=None):
     its own is_copositive call (or by gate) and redrawn from the trial's own
     stream until it holds, at most 100 times, then shifted by eps times the
     unit tensor; then the trial is solved."""
-    budget = SearchBudget()
-    gate = gate or (lambda A: is_copositive(A, budget).status == "holds")
+    gate = gate or (lambda A: is_copositive(A).status == "holds")
     n, shape = inst.A.dim, (inst.A.dim,) * inst.A.order
     solvable, max_norm, failures, resamples = 0, 0.0, [], 0
     for t, trial_rng in enumerate(trial_streams(seed, trials)):
@@ -368,7 +367,7 @@ class TestBatchedGates:
             return rule != "never" and A.entries.get((1, 1, 1), 0.0) > 1.0
 
         # the copositivity status the gates read; the base tensor keeps its own
-        monkeypatch.setattr(stability, "_holds", lambda objective, tensors, K, budget: [
+        monkeypatch.setattr(stability, "_holds", lambda objective, tensors, K, margin: [
             A is id_inst.A or gate(A) for A in tensors])
         report = perturb_existence(id_inst, 1e-3, 4, seed=3)
         assert report == per_trial_existence(id_inst, 1e-3, 4, 3, gate)
@@ -384,8 +383,8 @@ class TestBatchedGates:
         # 1/2), stay open
         seen = []
 
-        def spy(objective, tensors, K, budget):
-            out = holds(objective, tensors, K, budget)
+        def spy(objective, tensors, K, margin):
+            out = holds(objective, tensors, K, margin)
             seen.extend(A for A, held in zip(tensors, out) if not held)
             return out
 
