@@ -149,8 +149,8 @@ def _dedup(roots: np.ndarray) -> list[int]:
 def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, scans: list, off, Qc) -> list:
     """The part of the scans of one group (the tensors coef[s] with A's
     tails, q = Q[s], beside the slack rows off[s] and Qc[s]) that needs no
-    enclosure: the sign test, the scalar closed form and q = 0 settle
-    scans[s] in place.  Returns the positions of the scans left open."""
+    enclosure: the sign test and the scalar closed form settle scans[s] in
+    place.  Returns the positions of the scans left open."""
     sign = _sign_infeasible(coef, Q, off, Qc)
     left = []
     for s, scan in enumerate(scans):
@@ -161,8 +161,10 @@ def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, scans: list, off, Qc) ->
             # scalar a u^{m-1} = -q solves in closed form; root list is complete
             a = float(coef[s].sum())  # the one coefficient, or 0 when none is stored
             q0 = float(Q[s, 0])
-            if abs(a) > 1e-12:
-                t = -q0 / a
+            t = -q0 / a if a else math.nan
+            if t == math.inf:
+                scan.reason = "scalar closed form overflows: -q/a is past the largest float"
+            elif a:
                 if t >= 0.0:
                     scan.roots = [np.array([t ** (1.0 / (A.order - 1))])]
                     scan.roots_complete = True
@@ -175,8 +177,6 @@ def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, scans: list, off, Qc) ->
             else:
                 scan.certified_infeasible = True
                 scan.reason = "scalar zero coefficient"
-        elif float(np.linalg.norm(Q[s])) <= SYS_TOL:
-            scan.roots = [np.zeros(A.dim)]
         else:
             left.append(s)
     return left
@@ -208,9 +208,10 @@ def _scan_stack(forms: _Forms, Q: np.ndarray, a=None) -> list[SystemScan]:
     subdivided _SHALLOW cuts deep as one stack, and the centroids c of their
     open leaves, at u = c_u / c_t, are refined in one damped Newton.  The
     systems with no feasible root are cut on, to _CLEAR_DEPTH cuts in all,
-    unless their subdivision stopped, with their slack rows beside the
-    equations (_signs): one whose every leaf clears is certified infeasible,
-    any other names why it is open.  Every scan gets the bits it gets alone.
+    with their slack rows beside the equations (_signs), unless their
+    subdivision stopped at a cap, or at a vertex with no slack row to clear
+    it: one whose every leaf clears is certified infeasible, any other names
+    why it is open.  Every scan gets the bits it gets alone.
     An overflow only leaves a scan open, so the enclosure raises no warning;
     the Newton stage runs under the caller's np.errstate."""
     sub, Qa, comp = (forms, Q, []) if a is None else (
@@ -250,11 +251,11 @@ def _scan_stack(forms: _Forms, Q: np.ndarray, a=None) -> list[SystemScan]:
         scans[i].roots = list(roots[_dedup(roots)])
     _feasible(forms, Q, a, comp, scans)
     unsettled = [j for j, i in enumerate(own) if not scans[i].feasible]
-    deep = np.isin(leaf, unsettled) & (stop[leaf] == 0)
+    deep = np.isin(leaf, unsettled) & ((stop[leaf] == 0) | (stop[leaf] == 1) & bool(comp))
     if deep.any():
         more, Wd, stop_d = _subdivide(HS, np.eye(k + 1), rho_s, "m1", _clearing(_signs(k)),
                                       _CLEAR_DEPTH - _SHALLOW, leaf[deep], W[deep])
-        stop = np.maximum(stop, stop_d)
+        stop[leaf[deep]] = stop_d[leaf[deep]]
         leaf, W = np.concatenate([leaf[~deep], more]), np.concatenate([W[~deep], Wd])
     V = np.swapaxes(W, 1, 2)  # vertices as rows
     p, v = np.nonzero((V[:, :, k] == 0) & np.isin(leaf, unsettled)[:, None])  # on t = 0

@@ -30,6 +30,7 @@ _CLEAR_LEAVES = 64  # open leaves per tensor, at most
 _CLEAR_ENTRIES = 2**10  # dense entries (n^m and k^m) of a tensor the enclosure takes, at most
 _CLEAR_BLOCK = 2**14  # transformed-tensor entries per block of leaves
 _NEWTON_ITERS = 60  # damped Newton steps from each start
+MARGIN = 1e-6  # the verdicts' decision margin; every clear rule and threshold is a multiple of it
 
 
 def _basis(K, n: int) -> np.ndarray:
@@ -302,7 +303,7 @@ def _objective(objective: str, F, X=None):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _enclose(objective: str, tensors, K, margin: float):
+def _enclose(objective: str, tensors, K):
     """Branch and bound of a basis objective (_objective) over the basis of
     K for a stack of tensors of one order and dimension, each with what it
     gets alone: (value, x, evaluations, lower) of each.
@@ -310,16 +311,17 @@ def _enclose(objective: str, tensors, K, margin: float):
     A leaf's bound is the least coefficient of A x^m (xm), or the greatest
     distance from 0 of a component's coefficients of one sign (abs_xm, of
     A x^m; norm_m1, of A x^{m-1}), each moved against it by rho = 2^-30
-    sum|a|.  A leaf clears at a bound >= 2 margin (abs_xm, norm_m1), or for
-    xm > margin, or >= -margin/2 once one of its vertices is at most margin.
+    sum|a|.  A leaf clears at a bound >= 2 MARGIN (abs_xm, norm_m1), or for
+    xm > MARGIN, or >= -MARGIN/2 once one of its vertices is at most MARGIN.
     A tensor stops at a vertex no leaf around which can clear (_subdivide).
     lower, the least bound of a leaf cleared or left open, bounds the
     minimum from below.  value, at the point x (the lexicographically
     first among equals), is the least objective at a leaf vertex or at a
     point _polish reaches from the best vertex and the centroid of each
     open leaf, when the best value is above where the verdicts fail (0 for
-    xm, margin/1000).  evaluations counts the leaves bounded.  Each coefficient sums at most _CLEAR_ENTRIES products of an
-    entry with coordinates of modulus <= 1 (the basis vectors are unit, a
+    xm, MARGIN/1000).  evaluations counts the leaves bounded.  Each
+    coefficient sums at most _CLEAR_ENTRIES products of an entry with
+    coordinates of modulus <= 1 (the basis vectors are unit, a
     leaf's vertices their convex combinations), so its rounding error is
     below 2^-40 sum|a| <= rho.  A tensor past _CLEAR_ENTRIES dense entries
     (n^m or k^m) is not subdivided: lower is -inf, and value the least at a
@@ -358,10 +360,10 @@ def _enclose(objective: str, tensors, K, margin: float):
             used[:] += np.bincount(own, minlength=T)
             b, v = bound(lo, hi, r), bound(vert, vert, r[:, :, None])
             if objective == "xm":
-                done = (b > margin) | ((v.min(axis=1) <= margin) & (b >= -0.5 * margin))
-                dead = (v < -0.5 * margin).any(axis=1)
+                done = (b > MARGIN) | ((v.min(axis=1) <= MARGIN) & (b >= -0.5 * MARGIN))
+                dead = (v < -0.5 * MARGIN).any(axis=1)
             else:
-                done, dead = b >= 2.0 * margin, (v < 2.0 * margin).any(axis=1)
+                done, dead = b >= 2.0 * MARGIN, (v < 2.0 * MARGIN).any(axis=1)
             np.minimum.at(lower, own[done], b[done])
             return done, dead
 
@@ -371,7 +373,7 @@ def _enclose(objective: str, tensors, K, margin: float):
             r = rho[owner[block], None]
             rule(lo, hi, vert, r, owner[block], W[block])
             np.minimum.at(lower, owner[block], bound(lo, hi, r))
-    polish = (np.bincount(owner, minlength=T) > 0) & (best > (0.0 if objective == "xm" else 1e-3 * margin))
+    polish = (np.bincount(owner, minlength=T) > 0) & (best > (0.0 if objective == "xm" else 1e-3 * MARGIN))
     p = np.flatnonzero(polish)
     if len(p):  # on the tensors scaled by powers of two to entries below 1, so nothing overflows
         shift = np.array([math.frexp(float(np.abs(tensors[t]._coef).max(initial=0.0)))[1]

@@ -24,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._forms import _Forms
-from ._simplex import _CLEAR_DEPTH, _CLEAR_ENTRIES, _clearing, _enclose, _polish, _signs, _subdivide
+from ._simplex import (MARGIN, _CLEAR_DEPTH, _CLEAR_ENTRIES, _clearing, _enclose, _polish, _signs,
+                       _subdivide)
 from .cones import PolyhedralCone, orthant
 from .tensor import IndexSet, ShapeError, Tensor, apply_m1, principal_subtensor
 
@@ -67,14 +68,7 @@ class Verdict:
         return out
 
 
-def _positive(margin: float) -> float:
-    """The verdicts' decision margin, which must be > 0."""
-    if not margin > 0:
-        raise ValueError("margin must be > 0")
-    return margin
-
-
-def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, margin: float = 1e-6):
+def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone):
     """Bound one of {A x^m ("xm"), ||A x^{m-1}|| ("norm_m1"), |A x^m|
     ("abs_xm")} over the compact basis of K (convex hull of normalized
     generators) by a Bernstein enclosure (_simplex._enclose).
@@ -87,14 +81,14 @@ def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone, margin: float =
     """
     if objective not in ("xm", "norm_m1", "abs_xm"):
         raise ValueError(f"objective {objective!r} is none of xm, norm_m1, abs_xm")
-    return _minima(objective, [A], K, _positive(margin))[0]
+    return _minima(objective, [A], K)[0]
 
 
-def _minima(objective: str, tensors, K: PolyhedralCone, margin: float) -> list:
-    """[min_over_basis(objective, A, K, margin) for A in tensors], tensors of
-    one order and dimension, in one stacked enclosure."""
+def _minima(objective: str, tensors, K: PolyhedralCone) -> list:
+    """[min_over_basis(objective, A, K) for A in tensors], tensors of one
+    order and dimension, in one stacked enclosure."""
     return [(_exact(objective, A, x), x, used, lower)
-            for A, (_, x, used, lower) in zip(tensors, _enclose(objective, tensors, K, margin))]
+            for A, (_, x, used, lower) in zip(tensors, _enclose(objective, tensors, K))]
 
 
 def _exact(objective: str, A: Tensor, x: np.ndarray) -> float:
@@ -137,63 +131,66 @@ def _three_valued(name: str, v: float, x: np.ndarray, used: int, holds: bool,
                    note="leaves of the enclosure stay open and no point found crosses the threshold")
 
 
-def is_K_psd(A: Tensor, K: PolyhedralCone, margin: float = 1e-6,
-             property_name: str = "K-positive-semidefinite") -> Verdict:
-    return _psd_verdict(property_name, margin, *min_over_basis("xm", A, K, margin))
+def is_K_psd(A: Tensor, K: PolyhedralCone) -> Verdict:
+    return _xm_verdict("K-positive-semidefinite", A, K)
 
 
-def _psd_verdict(name: str, margin: float, v: float, x: np.ndarray, used: int,
-                 lower: float) -> Verdict:
-    """holds when the lower bound of A x^m is >= -margin/2; fails, with
-    witness x, when the value v at x is below -margin."""
-    return _three_valued(name, v, x, used, lower >= -0.5 * margin, v < -margin)
+def is_copositive(A: Tensor) -> Verdict:
+    return _xm_verdict("copositive", A, orthant(A.dim))
 
 
-def is_copositive(A: Tensor, margin: float = 1e-6) -> Verdict:
-    return is_K_psd(A, orthant(A.dim), margin, property_name="copositive")
-
-
-def is_K_pd(A: Tensor, K: PolyhedralCone, margin: float = 1e-6,
-            property_name: str = "K-positive-definite") -> Verdict:
-    """holds when the lower bound of A x^m is > margin; fails when it is
+def is_K_pd(A: Tensor, K: PolyhedralCone) -> Verdict:
+    """holds when the lower bound of A x^m is > MARGIN; fails when it is
     <= 0 at a point."""
-    v, x, used, lower = min_over_basis("xm", A, K, margin)
-    return _three_valued(property_name, v, x, used, lower > margin, v <= 0.0)
+    return _xm_verdict("K-positive-definite", A, K, strict=True)
 
 
-def is_strictly_copositive(A: Tensor, margin: float = 1e-6) -> Verdict:
-    return is_K_pd(A, orthant(A.dim), margin, property_name="strictly-copositive")
+def is_strictly_copositive(A: Tensor) -> Verdict:
+    return _xm_verdict("strictly-copositive", A, orthant(A.dim), strict=True)
 
 
-def is_K_regular(A: Tensor, K: PolyhedralCone, margin: float = 1e-6) -> Verdict:
-    """holds when the lower bound of |A x^m| is >= 2 margin; fails when it
-    is at most a thousandth of the margin at a point."""
-    return _nonsingular_verdict(margin, *min_over_basis("abs_xm", A, K, margin), name="K-regular")
+def _xm_verdict(name: str, A: Tensor, K: PolyhedralCone, strict: bool = False) -> Verdict:
+    """is_K_psd's verdict, or with strict is_K_pd's, named name."""
+    v, x, used, lower = min_over_basis("xm", A, K)
+    if strict:
+        return _three_valued(name, v, x, used, lower > MARGIN, v <= 0.0)
+    return _psd_verdict(name, v, x, used, lower)
 
 
-def is_K_nonsingular(A: Tensor, K: PolyhedralCone, margin: float = 1e-6) -> Verdict:
-    """'holds' means K-nonsingular, ||A x^{m-1}|| >= 2 margin on the basis;
+def _psd_verdict(name: str, v: float, x: np.ndarray, used: int, lower: float) -> Verdict:
+    """holds when the lower bound of A x^m is >= -MARGIN/2; fails, with
+    witness x, when the value v at x is below -MARGIN."""
+    return _three_valued(name, v, x, used, lower >= -0.5 * MARGIN, v < -MARGIN)
+
+
+def is_K_regular(A: Tensor, K: PolyhedralCone) -> Verdict:
+    """holds when the lower bound of |A x^m| is >= 2 MARGIN; fails when it
+    is at most a thousandth of MARGIN at a point."""
+    return _nonsingular_verdict(*min_over_basis("abs_xm", A, K), name="K-regular")
+
+
+def is_K_nonsingular(A: Tensor, K: PolyhedralCone) -> Verdict:
+    """'holds' means K-nonsingular, ||A x^{m-1}|| >= 2 MARGIN on the basis;
     'fails' means K-singular with a witness x on which ||A x^{m-1}|| vanishes
-    to a thousandth of the margin."""
-    return _nonsingular_verdict(margin, *min_over_basis("norm_m1", A, K, margin))
+    to a thousandth of MARGIN."""
+    return _nonsingular_verdict(*min_over_basis("norm_m1", A, K))
 
 
-def _nonsingular_verdict(margin: float, v: float, x: np.ndarray, used: int, lower: float,
+def _nonsingular_verdict(v: float, x: np.ndarray, used: int, lower: float,
                          name: str = "K-nonsingular") -> Verdict:
-    return _three_valued(name, v, x, used, lower >= 2.0 * margin, v <= margin * 1e-3)
+    return _three_valued(name, v, x, used, lower >= 2.0 * MARGIN, v <= MARGIN * 1e-3)
 
 
-def _holds(objective: str, tensors, K: PolyhedralCone, margin: float) -> list[bool]:
+def _holds(objective: str, tensors, K: PolyhedralCone) -> list[bool]:
     """Whether the verdict of every A in tensors (of one order and dimension)
     holds: is_copositive's rule (_psd_verdict) for xm, is_K_regular's and
     is_K_nonsingular's for abs_xm and norm_m1, read from one stacked
     enclosure (_enclose), on which alone a holds rests."""
     rule = _psd_verdict if objective == "xm" else (lambda _, *r: _nonsingular_verdict(*r))
-    return [rule("", margin, *res).status == "holds"
-            for res in _enclose(objective, tensors, K, margin)]
+    return [rule("", *res).status == "holds" for res in _enclose(objective, tensors, K)]
 
 
-def all_principal_nonsingular(A: Tensor, margin: float = 1e-6) -> Verdict:
+def all_principal_nonsingular(A: Tensor) -> Verdict:
     """Orthant-nonsingularity of every principal sub-tensor (2^n - 1 subsets).
 
     The sub-tensors of each size are checked in one stacked enclosure, with
@@ -208,8 +205,8 @@ def all_principal_nonsingular(A: Tensor, margin: float = 1e-6) -> Verdict:
     for r in range(1, A.dim + 1):
         alphas = list(itertools.combinations(range(1, A.dim + 1), r))
         subs = [principal_subtensor(A, IndexSet(alpha, A.dim)) for alpha in alphas]
-        for alpha, res in zip(alphas, _minima("norm_m1", subs, orthant(r), _positive(margin))):
-            vd = _nonsingular_verdict(margin, *res)
+        for alpha, res in zip(alphas, _minima("norm_m1", subs, orthant(r))):
+            vd = _nonsingular_verdict(*res)
             used += vd.budget_used
             table[",".join(map(str, alpha))] = vd.status
             if vd.status == "fails" and status != "fails":
@@ -222,26 +219,26 @@ def all_principal_nonsingular(A: Tensor, margin: float = 1e-6) -> Verdict:
                    per_alpha=table)
 
 
-def _s_cone(A: Tensor, q: np.ndarray, margin: float):
+def _s_cone(A: Tensor, q: np.ndarray):
     """(settled, samples, candidates) of the subdivision of S_A = SOL(0, A)
     against q.  On the simplex S_A is the union over supports alpha of the
     points u of alpha's face with (A u^{m-1})_alpha = 0 and (A u^{m-1})_c
     >= 0, c the complement.  Each face is subdivided (_subdivide) with the
-    rows of A u^{m-1}, alpha's first, and one more row of entries margin -
-    q_{j1}, which is margin - q.u on the simplex: the rows of alpha are
+    rows of A u^{m-1}, alpha's first, and one more row of entries MARGIN -
+    q_{j1}, which is MARGIN - q.u on the simplex: the rows of alpha are
     equations and the others slack rows (_signs), every coefficient moved
     against the rule by rho = 2^-30 times the sum of |entries| of its row,
     which bounds its rounding as in _simplex._enclose.  settled: every leaf
-    of every face clears, so q.x > margin |x|_1 on S_A.  The candidates are
+    of every face clears, so q.x > MARGIN |x|_1 on S_A.  The candidates are
     the vertices of the open leaves, polished by damped Newton on their
     face's rows of alpha (_polish); the samples, in order, are the unit
-    vectors u among them with A u^{m-1} >= -margin and |u.A u^{m-1}| <=
-    margin, each more than 1e-6 from those before it.  A tensor past
+    vectors u among them with A u^{m-1} >= -MARGIN and |u.A u^{m-1}| <=
+    MARGIN, each more than 1e-6 from those before it.  A tensor past
     _CLEAR_ENTRIES dense entries is not subdivided."""
     n, m = A.dim, A.order
     if n ** m > _CLEAR_ENTRIES:
         return False, [], 0
-    D, points, top = A.to_dense(), [], margin - q
+    D, points, top = A.to_dense(), [], MARGIN - q
     settled = True
     for k in range(1, n + 1):
         faces = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
@@ -267,38 +264,38 @@ def _s_cone(A: Tensor, q: np.ndarray, margin: float):
         with np.errstate(invalid="ignore"):
             U /= np.linalg.norm(U, axis=1, keepdims=True)
             F = apply_m1(A, U)
-            near = (F >= -margin).all(axis=1) & (np.abs(np.vecdot(U, F)) <= margin)
+            near = (F >= -MARGIN).all(axis=1) & (np.abs(np.vecdot(U, F)) <= MARGIN)
         for u in U[near]:
             if all(np.linalg.norm(u - p) > 1e-6 for p in samples):
                 samples.append(u)
     return settled, samples, len(points)
 
 
-def s_cone_samples(A: Tensor, N: int, margin: float = 1e-6) -> list[np.ndarray]:
+def s_cone_samples(A: Tensor, N: int) -> list[np.ndarray]:
     """At most N unit vectors x >= 0 approximately solving the homogeneous
-    problem: A x^{m-1} >= -margin componentwise and |A x^m| <= margin; the
+    problem: A x^{m-1} >= -MARGIN componentwise and |A x^m| <= MARGIN; the
     first samples of the subdivision of S_A (_s_cone, with q = 0)."""
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    return _s_cone(A, np.zeros(A.dim), _positive(margin))[1][:N]
+    return _s_cone(A, np.zeros(A.dim))[1][:N]
 
 
-def q_in_dual_SA(A: Tensor, q, margin: float = 1e-6) -> Verdict:
+def q_in_dual_SA(A: Tensor, q) -> Verdict:
     """Is q in the interior of the dual of S_A = SOL(0, A)?  holds when the
-    subdivision of S_A's faces settles (_s_cone): q.x > margin |x|_1 on
-    S_A.  fails, with witness u, when a sample u of S_A has q.u < -margin,
+    subdivision of S_A's faces settles (_s_cone): q.x > MARGIN |x|_1 on
+    S_A.  fails, with witness u, when a sample u of S_A has q.u < -MARGIN,
     the least such q.u the certificate.  unknown otherwise."""
     q = np.asarray(q, dtype=float)
     if q.shape != (A.dim,):
         raise ShapeError(f"q of shape {q.shape}, expected ({A.dim},)")
     if not np.all(np.isfinite(q)):
         raise ValueError("q has a non-finite entry")
-    settled, samples, used = _s_cone(A, q, _positive(margin))
+    settled, samples, used = _s_cone(A, q)
     if settled:
         return Verdict("q-in-dual-S_A", "holds", None, None, used,
-                       note="every leaf of the faces of S_A clears: q.x >= margin |x|_1 there")
+                       note="every leaf of the faces of S_A clears: q.x > margin |x|_1 there")
     vals = [float(q @ u) for u in samples]
     j = int(np.argmin(vals)) if vals else None
     cert = None if j is None else vals[j]
     return _three_valued("q-in-dual-S_A", cert, None if j is None else samples[j], used, False,
-                         j is not None and vals[j] < -margin)
+                         j is not None and vals[j] < -MARGIN)

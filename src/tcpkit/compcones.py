@@ -22,8 +22,8 @@ import numpy as np
 
 from ._forms import _Forms
 from ._polysys import SYS_TOL, _scan_stack, walk_supports
-from ._simplex import _basis, _lift
-from .classify import Verdict, _positive
+from ._simplex import MARGIN, _basis, _lift
+from .classify import Verdict
 from .cones import PolyhedralCone, _nnls
 from .tensor import IndexSet, ShapeError, Tensor, _dense_stack, apply_m1, principal_subtensor
 
@@ -70,7 +70,7 @@ def complementary_tensor(A: Tensor, alpha: IndexSet | tuple) -> Tensor:
     return Tensor._from_form(A.order, A.dim, tails, coef, merge=True)
 
 
-def tpos_contains(K: PolyhedralCone, A: Tensor, y, margin: float = 1e-6) -> Verdict:
+def tpos_contains(K: PolyhedralCone, A: Tensor, y) -> Verdict:
     """Does y lie in {A x^{m-1} : x in K}?
 
     The image is a cone, so A is searched scaled by 2^-s (s a multiple of
@@ -79,12 +79,12 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, margin: float = 1e-6) -> Verd
     x of A's, with the same residual.
     For m = 2 the image is the cone of the columns of A G (G the normalized
     generators of K), so one NNLS gives the exact distance of y / |y| from
-    it: the certificate, holds at or below margin and fails above.
+    it: the certificate, holds at or below MARGIN and fails above.
     For m >= 3 every x in K is G_S lam, lam >= 0, on a linearly independent
     set S of rank(G) generators (Caratheodory).  Every square row subsystem
     of every lifted system B_S lam^{m-1} = y (_lift) is scanned in one stack
     (_scan_stack): holds when a root's point G_S lam maps to y within
-    margin * max(1, |y|), that residual the certificate; fails when every S
+    MARGIN * max(1, |y|), that residual the certificate; fails when every S
     has a subsystem certified infeasible or with a complete root list;
     unknown otherwise.  per_alpha names each S (1-based) and the reasons of
     its scans: the one that refutes it, or why each is open.
@@ -95,7 +95,6 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, margin: float = 1e-6) -> Verd
                          f"tensor of dimension {A.dim}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y has a non-finite entry")
-    _positive(margin)
     yn = float(np.linalg.norm(y))
     if yn <= SYS_TOL:
         return Verdict("tpos-contains", "holds", 0.0, np.zeros(A.dim), 0)
@@ -105,7 +104,7 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, margin: float = 1e-6) -> Verd
     A, back = (A.scale(2.0**-shift), 2.0 ** (-shift // d)) if shift else (A, 1.0)
     if d == 1:
         lam, dist = _nnls(A.to_dense() @ G, y / yn)
-        if dist <= margin:
+        if dist <= MARGIN:
             return Verdict("tpos-contains", "holds", dist, yn * (G @ lam) * back, 1)
         return Verdict("tpos-contains", "fails", dist, None, 1,
                        note="exact distance of y-hat from the image cone")
@@ -121,7 +120,7 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y, margin: float = 1e-6) -> Verd
         for lam in scan.roots:
             x = G[:, sets[i // len(rows)]] @ lam
             res = float(np.linalg.norm(apply_m1(A, x) - y))
-            if res <= margin * max(1.0, yn):
+            if res <= MARGIN * max(1.0, yn):
                 return Verdict("tpos-contains", "holds", res, x * back, len(scans))
     per_alpha, refuted = {}, True
     for p, S in enumerate(sets):

@@ -40,6 +40,7 @@ __all__ = [
 
 _MAX_DIM = 6
 _RAY_TOL = 1e-9
+_ACTIVE_TOL = 1e-8  # |g.x| at which an inequality g of a cone is active at x
 _SLICE = 4096  # halfspace subsets per batched SVD
 _BLOCK = 2048  # delta_metric samples per block
 
@@ -352,14 +353,15 @@ def delta_metric(K1: PolyhedralCone, K2: PolyhedralCone, samples: int) -> float:
     return best
 
 
-def tangent_cone(K: PolyhedralCone, xbar, tol: float = 1e-8) -> PolyhedralCone:
-    """Tangent cone of K at xbar: inequalities of K active at xbar."""
+def tangent_cone(K: PolyhedralCone, xbar) -> PolyhedralCone:
+    """Tangent cone of K at xbar: inequalities of K active at xbar, within
+    _ACTIVE_TOL."""
     xbar = np.asarray(xbar, dtype=float)
-    if not contains(K, xbar, max(tol, 1e-12)):
+    if not contains(K, xbar, _ACTIVE_TOL):
         raise ValueError("point is not in the cone")
-    if np.linalg.norm(xbar) <= tol:
+    if np.linalg.norm(xbar) <= _ACTIVE_TOL:
         return K  # apex: the tangent cone is K itself
-    active = tuple(g for g in K.inequalities if abs(float(np.dot(g, xbar))) <= tol)
+    active = tuple(g for g in K.inequalities if abs(float(np.dot(g, xbar))) <= _ACTIVE_TOL)
     gens = tuple(extreme_rays(active, K.dim))
     return PolyhedralCone(K.dim, "general", gens, active)
 

@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._rng import SplitMix64, _sphere_stack, _uniform_stack
-from .classify import Verdict, _holds, _positive, q_in_dual_SA
+from ._simplex import MARGIN
+from .classify import Verdict, _holds, q_in_dual_SA
 from .compcones import _memberships, complementary_tensor, q_membership
 from .cones import (_RAY_TOL, _SLICE, PolyhedralCone, _row_norms, extreme_rays, from_generators,
                     orthant, tangent_cone)
@@ -118,17 +119,16 @@ def _least_rayleigh(M: np.ndarray, R: np.ndarray):
     return best, witness, scored
 
 
-def local_uniqueness_certificate(inst: TcpInstance, xbar, margin: float = 1e-6) -> Verdict:
+def local_uniqueness_certificate(inst: TcpInstance, xbar) -> Verdict:
     """Second-order sufficient condition for local uniqueness of xbar.
 
     The least v^T (A xbar^{m-2}) v over unit directions v in the tangent
     cone of K at xbar that annihilate w (_least_rayleigh over the extreme
     rays of that slice; R^n is the cone of the +-basis vectors).  A minimum
-    above margin certifies local uniqueness, one at or below 0
+    above MARGIN certifies local uniqueness, one at or below 0
     fails with a witness that re-checks, and an empty feasible slice
     certifies it vacuously.  The minimum is exact up to rounding.
     """
-    _positive(margin)
     xbar = np.asarray(xbar, dtype=float)
     if not is_solution(inst, xbar, 1e-6):
         raise ValueError("xbar is not a solution at tolerance 1e-6")
@@ -137,7 +137,7 @@ def local_uniqueness_certificate(inst: TcpInstance, xbar, margin: float = 1e-6) 
         note = "tensor is not sub-symmetric; the sufficient condition assumes it"
 
     M = apply_m2(inst.A, xbar)
-    rows = list(tangent_cone(inst.cone, xbar, tol=1e-8).inequalities)
+    rows = list(tangent_cone(inst.cone, xbar).inequalities)
     w = inst.w_of(xbar)
     if float(np.linalg.norm(w)) > 1e-10:
         rows.extend([w, -w])
@@ -146,12 +146,11 @@ def local_uniqueness_certificate(inst: TcpInstance, xbar, margin: float = 1e-6) 
         return Verdict("local-uniqueness", "holds", None, None, 1,
                        note=(note + "; " if note else "") + "empty unit slice")
     cert, v, scored = _least_rayleigh(0.5 * (M + M.T), np.column_stack(rays))
-    status = "holds" if cert > margin else ("fails" if cert <= 0.0 else "unknown")
+    status = "holds" if cert > MARGIN else ("fails" if cert <= 0.0 else "unknown")
     return Verdict("local-uniqueness", status, cert, v / np.linalg.norm(v), scored, note=note)
 
 
-def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
-                      margin: float = 1e-6) -> PerturbationReport:
+def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int) -> PerturbationReport:
     """Solvability of TCPs near a copositive base instance.
 
     Perturbations that break copositivity are redrawn (up to 100 times per
@@ -168,9 +167,9 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     _require_trials(trials)
     if not inst.cone.is_orthant:
         raise ValueError("perturb_existence requires the orthant")
-    if not _holds("xm", [inst.A], inst.cone, _positive(margin))[0]:
+    if not _holds("xm", [inst.A], inst.cone)[0]:
         raise ValueError("base tensor is not certified copositive")
-    dual = q_in_dual_SA(inst.A, inst.q, margin).status
+    dual = q_in_dual_SA(inst.A, inst.q).status
     if dual == "fails":
         raise ValueError("base q is not in the dual of S_A = SOL(0, A)")
     if dual == "unknown":
@@ -180,7 +179,7 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
     redraws = [0] * trials
     pending = list(range(trials))
     while pending:
-        gates = _holds("xm", [perts[t].A for t in pending], inst.cone, margin)
+        gates = _holds("xm", [perts[t].A for t in pending], inst.cone)
         pending = [t for t, holds in zip(pending, gates) if not holds]
         redrawn = _perturbations(inst, [streams[t] for t in pending], eps)[2] if pending else []
         for t, pert in zip(pending, redrawn):
@@ -211,8 +210,7 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int,
 
 
 def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
-                      eps: float, trials: int, seed: int,
-                      margin: float = 1e-6) -> PerturbationReport:
+                      eps: float, trials: int, seed: int) -> PerturbationReport:
     """Estimate the local error-bound constant at an isolated solution.
 
     Trial t draws its perturbation and 4 starts around xbar from its own
@@ -224,7 +222,7 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
     its own trial's instance."""
     _require_trials(trials)
     xbar = np.asarray(xbar, dtype=float)
-    cert = local_uniqueness_certificate(inst, xbar, margin)
+    cert = local_uniqueness_certificate(inst, xbar)
     if cert.status != "holds":
         raise ValueError("local uniqueness certificate does not hold at xbar")
 
@@ -252,8 +250,7 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
     )
 
 
-def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int,
-              margin: float = 1e-6) -> dict:
+def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int) -> dict:
     """Upper-semicontinuity probe: how far can perturbed solutions drift
     from the base solution set.
 
@@ -263,7 +260,7 @@ def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int,
     trial are solved in one stacked support walk, each with the outcome of
     its own solve_enumerate call."""
     _require_trials(trials)
-    if not _holds("abs_xm", [inst.A], inst.cone, _positive(margin))[0]:
+    if not _holds("abs_xm", [inst.A], inst.cone)[0]:
         raise ValueError("base tensor is not certified K-regular")
     perts = _trial_instances(inst, eps, trials, seed)[3]
     base, *outcomes = _solve_stack([inst] + perts)
@@ -302,8 +299,7 @@ def graph_closedness_probe(sequence, limit) -> bool:
     return is_solution(lim_inst, lim_x, tol_growth)
 
 
-def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: int,
-                                  margin: float = 1e-6) -> dict:
+def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: int) -> dict:
     """Persistence of unsolvability under small right-hand-side changes.
 
     The closedness condition is checked on every complementary tensor in
@@ -319,7 +315,7 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
     n = A.dim
     comps = [complementary_tensor(A, IndexSet(alpha, n))
              for r in range(1, n + 1) for alpha in itertools.combinations(range(1, n + 1), r)]
-    unverified = not all(_holds("norm_m1", comps, orthant(n), _positive(margin)))
+    unverified = not all(_holds("norm_m1", comps, orthant(n)))
     warn = ("closedness sufficient condition unverified for some complementary tensors; "
             "result is empirical only") if unverified else ""
     streams, dq = _trial_streams(seed, trials), np.zeros((trials, n))
@@ -338,8 +334,7 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
 
 
 def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
-                                  trials: int, seed: int,
-                                  margin: float = 1e-6) -> dict:
+                                  trials: int, seed: int) -> dict:
     """Persistence of K-nonsingularity under tensor (and cone) jitter.
 
     Trial t draws from its own stream SplitMix64(seed).spawn(t + 1).  The
@@ -348,7 +343,7 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
     stacked check (_holds), with the status of one is_K_nonsingular call
     per trial, as the base check is."""
     _require_trials(trials)
-    if not _holds("norm_m1", [A], K, _positive(margin))[0]:
+    if not _holds("norm_m1", [A], K)[0]:
         raise ValueError("base tensor is not certified K-nonsingular")
     n, shape = A.dim, (trials,) + (A.dim,) * A.order
     streams, dA, cones = _trial_streams(seed, trials), np.zeros(shape), [K] * trials
@@ -367,7 +362,7 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
         by_cone.setdefault(id(Kp), []).append(t)
     nonsingular = 0
     for group in by_cone.values():
-        nonsingular += sum(_holds("norm_m1", [tensors[t] for t in group], cones[group[0]], margin))
+        nonsingular += sum(_holds("norm_m1", [tensors[t] for t in group], cones[group[0]]))
     return {
         "fraction_nonsingular": nonsingular / trials,
         "eps": eps,

@@ -350,24 +350,22 @@ def frobenius_distance(A: Tensor, B: Tensor) -> float:
     return math.sqrt(math.fsum((diff._coef ** 2).ravel()))
 
 
-def tensor_from_dense(arr, tol: float = 0.0) -> Tensor:
-    """Build a Tensor from a dense (n,)*m array, dropping |a| <= tol."""
-    return _dense_stack(np.asarray(arr, dtype=float)[None], tol)[0]
+def tensor_from_dense(arr) -> Tensor:
+    """Build a Tensor from a dense (n,)*m array: its nonzero entries."""
+    return _dense_stack(np.asarray(arr, dtype=float)[None])[0]
 
 
-def _dense_stack(arrs, tol: float = 0.0) -> list:
-    """[tensor_from_dense(arr, tol) for arr in arrs], arrs an (S, n, ..., n)
-    stack, checked once."""
+def _dense_stack(arrs) -> list:
+    """[tensor_from_dense(arr) for arr in arrs], arrs an (S, n, ..., n)
+    stack, checked once (a non-finite entry raises in _from_forms)."""
     arrs = np.asarray(arrs, dtype=float)
     shape = arrs.shape[1:]
     m, n = len(shape), (shape or (0,))[0]
     if m < 2 or n < 1 or shape != (n,) * m:
         raise ShapeError(f"array of shape {shape} is not a nonempty square tensor")
-    if not (np.all(np.isfinite(arrs)) and math.isfinite(tol)):
-        raise ValueError("dense tensor entries and tol must be finite")
     coefs = arrs.reshape(len(arrs), n, n ** (m - 1)).transpose(0, 2, 1)  # row t: the t-th tail
     tails = np.indices((n,) * (m - 1)).reshape(m - 1, -1).T
-    return Tensor._from_forms(m, n, tails, np.where(np.abs(coefs) > tol, coefs, 0.0))
+    return Tensor._from_forms(m, n, tails, coefs)
 
 
 def tensor_to_json(A: Tensor) -> dict:

@@ -40,7 +40,7 @@ from tcpkit import fixtures as fx
 from tcpkit import solver, stability
 from tcpkit import _forms, _polysys, _simplex
 from tcpkit._polysys import _dedup, scan_system, walk_supports
-from tcpkit._simplex import damped_newton
+from tcpkit._simplex import MARGIN, damped_newton
 from tcpkit.classify import _holds, _minima, min_over_basis
 from tcpkit.compcones import q_membership
 from tcpkit.cones import from_generators, orthant
@@ -319,15 +319,14 @@ def test_stacked_minimiser_gives_each_tensor_its_own_minimum(stack, block, stack
     # those of min_over_basis on it alone, for any cut of the leaves into
     # blocks and of the polished rows into gathered blocks
     tensors, K = stack
-    margin = 1e-6
     for objective in ("xm", "norm_m1", "abs_xm"):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_simplex, "_CLEAR_BLOCK", block)
             mp.setattr(_forms, "_STACK_ENTRIES", stack_entries)
-            got = _minima(objective, tensors, K, margin)
+            got = _minima(objective, tensors, K)
         assert len(got) == len(tensors)
         for A, (v, x, used, lower) in zip(tensors, got):
-            v1, x1, used1, lower1 = min_over_basis(objective, A, K, margin)
+            v1, x1, used1, lower1 = min_over_basis(objective, A, K)
             assert np.array_equal([v, lower], [v1, lower1], equal_nan=True)
             assert x.tobytes() == x1.tobytes() and used == used1
 
@@ -393,8 +392,7 @@ def test_s_cone_samples_polish_each_candidate_as_alone(monkeypatch, kind, m, n, 
     polish = classify._polish
     monkeypatch.setattr(classify, "_polish", spy)
     A = with_axis_zeros(fx.random_tensor(kind, m, n, seed))
-    margin = 1e-6
-    samples = classify.s_cone_samples(A, N, margin)
+    samples = classify.s_cone_samples(A, N)
     assert_newton_rows_end_as_alone(calls)
     ref = []
     for x in polished:
@@ -402,7 +400,7 @@ def test_s_cone_samples_polish_each_candidate_as_alone(monkeypatch, kind, m, n, 
         Fu = A.to_dense()
         for _ in range(m - 1):  # contract the last index with u
             Fu = Fu @ u
-        if Fu.min() >= -margin and abs(u @ Fu) <= margin:
+        if Fu.min() >= -MARGIN and abs(u @ Fu) <= MARGIN:
             if all(np.linalg.norm(u - p) > 1e-6 for p in ref):
                 ref.append(u)
     assert 1 <= len(samples) == min(len(ref), N)
@@ -725,7 +723,6 @@ def test_usc_probe_stays_blocked():
 
 # --- the Bernstein enclosure of the probes' gates ---------------------------
 
-MARGIN = 1e-6  # the verdicts' default margin
 CLEAR_AT = {"xm": -0.5 * MARGIN, "abs_xm": 2.0 * MARGIN, "norm_m1": 2.0 * MARGIN}
 
 
@@ -752,7 +749,7 @@ def enclosure_stack(n, m, K, seed):
     """Dense tensors around every verdict threshold: random ones, near-unit
     ones perturbed at eps 1e-2..1e-5, the negative unit tensor, a
     copositive form with a zero inside the basis (like E4's), and two
-    families scaled across +-margin that are constant on the basis: the
+    families scaled across +-MARGIN that are constant on the basis: the
     form s (1'lam)^m, and s (1'lam)^{m-1} in row 1 only."""
     rng = np.random.default_rng(seed)
     G = np.column_stack([np.asarray(g, float) / np.linalg.norm(g) for g in K.generators])
@@ -788,12 +785,12 @@ def test_bernstein_clears_only_what_holds(n, m, generated):
     for objective in ("xm", "abs_xm", "norm_m1"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cleared = _holds(objective, tensors, K, MARGIN)
+            cleared = _holds(objective, tensors, K)
         assert cleared[4] and (objective == "xm" or cleared[8])  # unit + 1e-2 noise, -unit
         if not generated:
             assert cleared[7] and (objective != "xm" or cleared[9])  # eps 1e-5; a zero inside
         for t, held in enumerate(cleared):
-            assert held == (verdict[objective](tensors[t], K, MARGIN).status == "holds")
+            assert held == (verdict[objective](tensors[t], K).status == "holds")
             if held:
                 assert grid_objective(objective, dense[t], X).min() >= CLEAR_AT[objective], \
                     (objective, t)
@@ -808,4 +805,4 @@ def test_bernstein_clears_nothing_that_overflows():
         for objective in ("xm", "abs_xm", "norm_m1"):
             for c, held in ((1.5e308, False), (1e306, True)):
                 A = tensor_from_dense(np.full((2, 2, 2), c))
-                assert _holds(objective, [A, fx.identity(3, 2)], orthant(2), MARGIN) == [held, True]
+                assert _holds(objective, [A, fx.identity(3, 2)], orthant(2)) == [held, True]

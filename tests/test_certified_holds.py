@@ -18,13 +18,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tcpkit import _simplex
 from tcpkit import fixtures as fx
 from tcpkit.classify import is_copositive, is_K_nonsingular, is_K_regular, \
     is_strictly_copositive
 from tcpkit.cones import orthant
 from tcpkit.tensor import tensor_from_dense, unit_tensor
 
-MARGIN = Fraction(1e-6)  # the verdicts' default margin
+MARGIN = Fraction(_simplex.MARGIN)  # the verdicts' decision margin
 
 
 def coefficients(T, V):

@@ -1,10 +1,12 @@
+import inspect
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from tcpkit import classify, stability
+import tcpkit
+from tcpkit import classify
 from tcpkit import fixtures as fx
 from tcpkit.classify import (
     all_principal_nonsingular,
@@ -18,9 +20,7 @@ from tcpkit.classify import (
     q_in_dual_SA,
     s_cone_samples,
 )
-from tcpkit.compcones import tpos_contains
 from tcpkit.cones import from_generators, orthant
-from tcpkit.solver import TcpInstance
 from tcpkit.tensor import (IndexSet, ShapeError, Tensor, apply_m, apply_m1, principal_subtensor,
                            tensor_from_dense, unit_tensor)
 
@@ -270,24 +270,17 @@ class TestVerdictPlumbing:
             s_cone_samples(e1, -1)
         assert s_cone_samples(e1, 0) == []
 
-    def test_margin_validation(self, e1):
-        # every public entry that takes the margin rejects one that is not > 0
-        K, x = orthant(2), np.array([1.0, 1.0])
-        inst = TcpInstance(K, -x, fx.identity(3, 2))
-        calls = [(min_over_basis, "xm", e1, K), (is_K_psd, e1, K), (is_copositive, e1),
-                 (is_K_pd, e1, K), (is_strictly_copositive, e1), (is_K_regular, e1, K),
-                 (is_K_nonsingular, e1, K), (all_principal_nonsingular, e1),
-                 (s_cone_samples, e1, 4), (q_in_dual_SA, e1, x), (tpos_contains, K, e1, x),
-                 (stability.local_uniqueness_certificate, inst, x),
-                 (stability.perturb_existence, inst, 1e-3, 1, 0),
-                 (stability.error_bound_probe, inst, x, 0.1, 1e-3, 1, 0),
-                 (stability.usc_probe, inst, 1e-3, 1, 0),
-                 (stability.unsolvable_neighborhood_probe, e1, [1.0, -1.0], 1e-4, 1, 0),
-                 (stability.nonsingularity_openness_probe, K, e1, 1e-3, 1, 0)]
-        for f, *args in calls:
-            for margin in (0.0, -1.0, math.nan):
-                with pytest.raises(ValueError, match="margin must be > 0"):
-                    f(*args, margin)
+    def test_no_entry_takes_a_margin(self):
+        # the decision margin is one constant, _simplex.MARGIN: no exported
+        # name takes it, or a verdict's name, and the dense constructor and
+        # the tangent cone take no tolerance
+        functions = [name for name in tcpkit.__all__ if inspect.isfunction(getattr(tcpkit, name))]
+        assert len(functions) >= 40
+        for name in functions:
+            params = set(inspect.signature(getattr(tcpkit, name)).parameters)
+            assert not params & {"margin", "property_name"}, name
+            if name in ("tensor_from_dense", "tangent_cone"):
+                assert "tol" not in params, name
 
 
 def scaled_cases(c):

@@ -14,7 +14,8 @@ Every open scan names why it is open; the reasons are checked on systems
 open by construction (E2, whose A (1, 0)^2 = 0 is a root at infinity, and
 its padding to k = 4), and on seeded systems that reach the leaf and the
 depth cap.  A tensor with entries near 1e308 is searched scaled, with no
-warning.
+warning.  A scalar support is settled in closed form at any nonzero
+coefficient, and a support with q_a = 0 is enclosed with its slack rows.
 """
 
 import itertools
@@ -241,3 +242,29 @@ def test_entries_near_the_largest_float_are_searched_scaled(K):
     assert abs(x.sum() ** 2 - 1.0) <= 1e-6
     G = np.column_stack([np.asarray(g, float) / np.linalg.norm(g) for g in K.generators])
     assert nnls(G, x)[1] <= 1e-9 * np.linalg.norm(x)
+
+
+def test_a_scalar_support_is_settled_only_at_a_zero_coefficient():
+    # 1e-13 u^2 = 1 has the root u = 10^6.5; at a = 1e-320, -q/a overflows
+    # and the support stays open under a reason of its own
+    res = q_membership(tensor_from_dense(np.array([[[1e-13]]])), [-1.0])
+    assert res.member is True and res.residual <= 1e-15
+    assert res.u[0] == pytest.approx(10 ** 6.5, rel=1e-15)
+    A = tensor_from_dense(np.array([[[1e-320]]]))
+    scan = _polysys.scan_system(A, [-1.0])
+    assert not scan.certified_infeasible and not scan.roots_complete and not scan.roots
+    assert scan.reason not in ("scalar zero coefficient", "scalar closed form")
+    assert q_membership(A, [-1.0]).member is None
+    assert solve_enumerate(TcpInstance(orthant(1), np.array([-1.0]), A)).open_supports == (
+        ((1,), scan.reason),)
+
+
+def test_a_support_with_q_zero_is_enclosed():
+    # q_a = 0 on {1, 2}: the equations' one root u = 0 fails the slack row
+    # q_3 = -1, and the slack rows clear the vertex t = 1, at which the
+    # equations' subdivision stops
+    A, q = fx.random_tensor("general", 3, 3, 5), np.array([0.0, 0.0, -1.0])
+    walk = {alpha.members: (feasible[0], open_[0])
+            for alpha, feasible, open_ in _polysys.walk_supports([A], [q])}
+    assert walk[(1, 2)] == ([], "")
+    assert (1, 2) not in dict(solve_enumerate(TcpInstance(orthant(3), q, A)).open_supports)

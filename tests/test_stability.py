@@ -68,10 +68,12 @@ class TestLocalUniqueness:
         assert "sub-symmetric" in v.note
 
     def test_verdict_reads_only_the_margin(self):
-        wide = local_uniqueness_certificate(TcpInstance(orthant(2), np.array([-1.0, -1.0]),
-                                                        fx.identity(3, 2)),
-                                            np.array([1.0, 1.0]), margin=2.0)
-        assert wide.status == "unknown" and wide.certificate == 1.0
+        # the least quotient 5e-7 is above 0 but not above the margin 1e-6
+        c = 5e-7
+        low = local_uniqueness_certificate(TcpInstance(orthant(2), np.array([-c, -c]),
+                                                       fx.identity(3, 2).scale(c)),
+                                           np.array([1.0, 1.0]))
+        assert low.status == "unknown" and low.certificate == c
 
     @pytest.mark.parametrize("seed", range(12))
     def test_exact_on_the_arc_of_a_plane_cone(self, seed):
@@ -367,7 +369,7 @@ class TestBatchedGates:
             return rule != "never" and A.entries.get((1, 1, 1), 0.0) > 1.0
 
         # the copositivity status the gates read; the base tensor keeps its own
-        monkeypatch.setattr(stability, "_holds", lambda objective, tensors, K, margin: [
+        monkeypatch.setattr(stability, "_holds", lambda objective, tensors, K: [
             A is id_inst.A or gate(A) for A in tensors])
         report = perturb_existence(id_inst, 1e-3, 4, seed=3)
         assert report == per_trial_existence(id_inst, 1e-3, 4, 3, gate)
@@ -383,8 +385,8 @@ class TestBatchedGates:
         # 1/2), stay open
         seen = []
 
-        def spy(objective, tensors, K, margin):
-            out = holds(objective, tensors, K, margin)
+        def spy(objective, tensors, K):
+            out = holds(objective, tensors, K)
             seen.extend(A for A, held in zip(tensors, out) if not held)
             return out
 

@@ -257,32 +257,29 @@ class TestJson:
         with pytest.raises(ValueError):
             tensor_from_json(obj)
 
-    @pytest.mark.parametrize("arr, tol", [
-        ([[math.nan, 1.0], [1.0, 1.0]], 0.0),
-        ([[math.inf, 1.0], [1.0, 1.0]], 0.0),
-        ([[1.0, 1.0], [1.0, 1.0]], math.nan),
-        ([[1.0, 1.0], [1.0, 1.0]], math.inf),
+    @pytest.mark.parametrize("arr", [
+        [[math.nan, 1.0], [1.0, 1.0]],
+        [[math.inf, 1.0], [1.0, 1.0]],
     ])
-    def test_dense_non_finite_rejected(self, arr, tol):
+    def test_dense_non_finite_rejected(self, arr):
         with pytest.raises(ValueError):
-            tensor_from_dense(np.array(arr), tol=tol)
+            tensor_from_dense(np.array(arr))
         with pytest.raises(ValueError):  # one bad tensor fails its whole stack
-            _dense_stack(np.array([np.ones((2, 2)), arr]), tol=tol)
+            _dense_stack(np.array([np.ones((2, 2)), arr]))
 
     def test_dense_stack_builds_each_tensor_alone(self, e4):
-        # each tensor keeps its own nonzero rows: a zero, a -0.0 and a sub-tol
+        # each tensor keeps its own nonzero rows: a zero, a -0.0 and a small
         # entry in one tensor change nothing in the others
         rng = np.random.default_rng(5)
         sparse = np.zeros((3, 3, 3))
         sparse[1, 0, 2], sparse[2, 2, 2], sparse[0, 1, 1] = -0.0, 0.3, 1e-3
         stack = [np.pad(e4.to_dense(), ((0, 1),) * 3), np.zeros((3, 3, 3)), sparse,
                  rng.normal(size=(3, 3, 3))]
-        for tol in (0.0, 1e-2):
-            got = _dense_stack(np.array(stack), tol)
-            assert got == [tensor_from_dense(arr, tol) for arr in stack]
-            for T, arr in zip(got, stack):
-                assert dict(T.entries) == {tuple(i + 1 for i in idx): float(arr[idx])
-                                           for idx in np.ndindex(arr.shape) if abs(arr[idx]) > tol}
+        got = _dense_stack(np.array(stack))
+        assert got == [tensor_from_dense(arr) for arr in stack]
+        for T, arr in zip(got, stack):
+            assert dict(T.entries) == {tuple(i + 1 for i in idx): float(arr[idx])
+                                       for idx in np.ndindex(arr.shape) if arr[idx] != 0}
 
 
 class TestBatch:
@@ -463,8 +460,8 @@ def nearly_symmetric_tensors(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(A=sparse_tensors(), B=sparse_tensors(), alpha_bits=st.integers(0, 15),
-       t=st.floats(-3, 3), tol=st.floats(0, 2), S=nearly_symmetric_tensors())
-def test_derived_tensors_match_definitions(A, B, alpha_bits, t, tol, S):
+       t=st.floats(-3, 3), S=nearly_symmetric_tensors())
+def test_derived_tensors_match_definitions(A, B, alpha_bits, t, S):
     m, n = A.order, A.dim
     ents = dict(A.entries)
     members = [i + 1 for i in range(n) if alpha_bits >> i & 1]
@@ -486,8 +483,8 @@ def test_derived_tensors_match_definitions(A, B, alpha_bits, t, tol, S):
     dense = np.zeros((n,) * m)
     for idx, v in ents.items():
         dense[tuple(i - 1 for i in idx)] = v
-    from_dense = tensor_from_dense(dense, tol=tol)
-    assert dict(from_dense.entries) == {k: v for k, v in ents.items() if abs(v) > tol}
+    from_dense = tensor_from_dense(dense)
+    assert dict(from_dense.entries) == ents
     derived.append(from_dense)
 
     scaled = A.scale(t)
