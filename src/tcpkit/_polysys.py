@@ -43,7 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._forms import _Forms
-from ._simplex import _CLEAR_DEPTH, _NEWTON_ITERS, _clearing, _signs, _subdivide, damped_newton
+from ._simplex import (_CLEAR_DEPTH, _NEWTON_ITERS, _clearing, _enclose, _signs, _subdivide,
+                       damped_newton)
+from .cones import orthant
 from .tensor import IndexSet, Tensor
 
 SYS_TOL = 1e-9  # residual at which a refined point counts as a root
@@ -96,22 +98,11 @@ def _homogenized(tails: np.ndarray, coef: np.ndarray, Q: np.ndarray, k: int) -> 
 
 def min_sphere_norm(A: Tensor) -> float:
     """A lower bound on min ||A v^{m-1}|| over unit v >= 0, 0 when none is
-    shown.  On that sphere ||A v^{m-1}||_2 >= ||A s^{m-1}||_inf at s = v /
-    |v|_1, which the subdivision of the simplex (_subdivide) shows >= c when
-    every leaf has a component whose coefficients, moved by 2^-30 sum|a|,
-    are all >= c or all <= -c; c is the first of 2^(e-1), ..., 2^(e-40)
-    it shows, 2^e > sum|a|."""
-    dense = A.to_dense()[None]
-    with np.errstate(over="ignore"):
-        scale = np.abs(dense).sum()
-    if 0.0 < scale < math.inf:
-        top, rho, k = math.frexp(scale)[1], np.array([2.0**-30 * scale]), A.dim
-        for c in 2.0 ** np.arange(top - 1, top - 41, -1):
-            if not len(_subdivide(dense, np.eye(k), rho, "m1",
-                                  _clearing(lambda lo, hi, r: (lo - r >= c) | (hi + r <= -c)),
-                                  _CLEAR_DEPTH, np.zeros(1, dtype=np.intp), np.eye(k)[None])[0]):
-                return float(c)
-    return 0.0
+    shown: the lower bound of the norm_m1 enclosure on the orthant's basis
+    (_simplex._enclose), which bounds ||A s^{m-1}||_inf from below on the
+    standard simplex; ||A v^{m-1}||_2 >= ||A s^{m-1}||_inf at s = v / |v|_1."""
+    lower = _enclose("norm_m1", [A], orthant(A.dim))[0][3]
+    return lower if lower > 0 else 0.0
 
 
 def _refine_rows(forms: _Forms, Q: np.ndarray, U0, own: np.ndarray):
@@ -198,12 +189,13 @@ def _feasible(forms: _Forms, Q: np.ndarray, a, comp: list, scans: list) -> None:
             scans[s].feasible.append((u, w))
 
 
-def _scan_stack(forms: _Forms, Q: np.ndarray, a=None) -> list[SystemScan]:
-    """[scan_system(A, q) for A, q in zip(tensors, Q)] for the tensors of
-    forms (of one order and dimension), or with a (sorted 0-based indices)
-    the scans of the support a of every instance: A_aa u^{m-1} + q_a = 0
-    (forms.cut(a)), a root feasible where the slack rows of the complement
-    are >= -SLACK_TOL (_feasible).  Each group settles what needs no
+def _scan_stack(forms: _Forms, Q: np.ndarray, a: list) -> list[SystemScan]:
+    """The scans of the support a (sorted 0-based indices) of every instance
+    (A, q) of a stack, A the tensors of forms (of one order and dimension)
+    and q the rows of Q: the system A_aa u^{m-1} + q_a = 0 (forms.cut(a)),
+    a root feasible where the slack rows of the complement are >=
+    -SLACK_TOL (_feasible).  The full support has no slack rows; its scan
+    of (A, q) is scan_system(A, q).  Each group settles what needs no
     enclosure (_settle); the equations of the systems left open are
     subdivided _SHALLOW cuts deep as one stack, and the centroids c of their
     open leaves, at u = c_u / c_t, are refined in one damped Newton.  The
@@ -214,13 +206,12 @@ def _scan_stack(forms: _Forms, Q: np.ndarray, a=None) -> list[SystemScan]:
     why it is open.  Every scan gets the bits it gets alone.
     An overflow only leaves a scan open, so the enclosure raises no warning;
     the Newton stage runs under the caller's np.errstate."""
-    sub, Qa, comp = (forms, Q, []) if a is None else (
-        forms.cut(a), Q[:, a], [j for j in range(Q.shape[1]) if j not in a])
+    sub, Qa, comp = forms.cut(a), Q[:, a], [j for j in range(Q.shape[1]) if j not in a]
     scans, k = [SystemScan() for _ in Q], sub.groups[0][0].dim
     own, H, S = [], [], []
     for g, (A, coef) in enumerate(sub.groups):
         members = np.flatnonzero(sub.group == g)
-        tails, off = (A._tails[:0], coef[:, :0, :0]) if sub.off is None else sub.off[g]
+        tails, off = sub.off[g]
         Qc = Q[members][:, comp]
         left = _settle(A, coef, Qa[members], [scans[i] for i in members], off, Qc)
         if left:
@@ -274,7 +265,7 @@ def _scan_stack(forms: _Forms, Q: np.ndarray, a=None) -> list[SystemScan]:
 
 def scan_system(A: Tensor, q) -> SystemScan:
     """Search for all nonnegative roots of A u^{m-1} + q = 0."""
-    return _scan_stack(_Forms([A]), np.asarray(q, dtype=float)[None])[0]
+    return _scan_stack(_Forms([A]), np.asarray(q, dtype=float)[None], list(range(A.dim)))[0]
 
 
 def walk_supports(tensors, qs, live=None):

@@ -27,7 +27,7 @@ from ._forms import _Forms
 from ._simplex import (MARGIN, _CLEAR_DEPTH, _CLEAR_ENTRIES, _clearing, _enclose, _polish, _signs,
                        _subdivide)
 from .cones import PolyhedralCone, orthant
-from .tensor import IndexSet, ShapeError, Tensor, apply_m1, principal_subtensor
+from .tensor import IndexSet, Tensor, _finite, apply_m1, principal_subtensor
 
 __all__ = [
     "Verdict",
@@ -285,11 +285,7 @@ def q_in_dual_SA(A: Tensor, q) -> Verdict:
     subdivision of S_A's faces settles (_s_cone): q.x > MARGIN |x|_1 on
     S_A.  fails, with witness u, when a sample u of S_A has q.u < -MARGIN,
     the least such q.u the certificate.  unknown otherwise."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (A.dim,):
-        raise ShapeError(f"q of shape {q.shape}, expected ({A.dim},)")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("q has a non-finite entry")
+    q = _finite(q, (A.dim,), "q")
     settled, samples, used = _s_cone(A, q)
     if settled:
         return Verdict("q-in-dual-S_A", "holds", None, None, used,

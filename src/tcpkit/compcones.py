@@ -25,7 +25,8 @@ from ._polysys import SYS_TOL, _scan_stack, walk_supports
 from ._simplex import MARGIN, _basis, _lift
 from .classify import Verdict
 from .cones import PolyhedralCone, _nnls
-from .tensor import IndexSet, ShapeError, Tensor, _dense_stack, apply_m1, principal_subtensor
+from .tensor import (IndexSet, ShapeError, Tensor, _dense_stack, _finite, apply_m1,
+                     principal_subtensor)
 
 __all__ = [
     "MembershipResult",
@@ -89,12 +90,9 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y) -> Verdict:
     unknown otherwise.  per_alpha names each S (1-based) and the reasons of
     its scans: the one that refutes it, or why each is open.
     """
-    y = np.asarray(y, dtype=float)
-    if K.dim != A.dim or y.shape != (A.dim,):
-        raise ShapeError(f"cone of dimension {K.dim} and target of shape {y.shape}, "
-                         f"tensor of dimension {A.dim}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y has a non-finite entry")
+    if K.dim != A.dim:
+        raise ShapeError(f"cone of dimension {K.dim}, tensor of dimension {A.dim}")
+    y = _finite(y, (A.dim,), "y")
     yn = float(np.linalg.norm(y))
     if yn <= SYS_TOL:
         return Verdict("tpos-contains", "holds", 0.0, np.zeros(A.dim), 0)
@@ -115,7 +113,7 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y) -> Verdict:
     rows = np.array(list(itertools.combinations(range(n), r)), dtype=np.intp)
     B = _lift(A.to_dense()[None], np.moveaxis(G[:, sets], 1, 0))[:, rows]
     scans = _scan_stack(_Forms(_dense_stack(B.reshape((-1,) + B.shape[2:]))),
-                        -np.tile(y[rows], (len(sets), 1)))
+                        -np.tile(y[rows], (len(sets), 1)), list(range(r)))
     for i, scan in enumerate(scans):
         for lam in scan.roots:
             x = G[:, sets[i // len(rows)]] @ lam
@@ -153,12 +151,7 @@ def _memberships(A: Tensor, qs) -> list[MembershipResult]:
     and stops once every q has its verdict: every q gets the result it gets
     alone, subsets_examined included."""
     n = A.dim
-    qs = [np.asarray(q, dtype=float) for q in qs]
-    for q in qs:
-        if q.shape != (n,):
-            raise ShapeError(f"q of shape {q.shape}, expected ({n},)")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("q has a non-finite entry")
+    qs = [_finite(q, (n,), "q") for q in qs]
     if n > 12:
         raise ValueError("membership scan limited to dim <= 12")
     out, all_settled, examined = [None] * len(qs), [True] * len(qs), 0

@@ -206,7 +206,9 @@ def orthant(n: int) -> PolyhedralCone:
 
 
 def from_generators(vs) -> PolyhedralCone:
-    """Pointed cone generated by the given nonzero vectors."""
+    """Pointed cone generated by the given nonzero vectors.  Its inequalities
+    are the extreme rays of the dual cone (extreme_rays); the generators
+    span a line exactly when those rays do not span R^n."""
     gens = [np.asarray(v, dtype=float) for v in vs]
     if not gens:
         raise ValueError("at least one generator required")
@@ -216,18 +218,10 @@ def from_generators(vs) -> PolyhedralCone:
             raise ShapeError("generators of mixed dimension")
         if np.linalg.norm(g) <= _RAY_TOL:
             raise ValueError("zero generator")
-    if not _is_pointed(gens):
-        raise NotPointedError("generators span a line; cone is not pointed")
     ineqs = extreme_rays(gens, n)
+    if np.linalg.matrix_rank(np.reshape(ineqs, (-1, n)), tol=_RAY_TOL) < n:
+        raise NotPointedError("generators span a line; cone is not pointed")
     return PolyhedralCone(n, "general", tuple(gens), tuple(ineqs))
-
-
-def _is_pointed(gens) -> bool:
-    # Non-pointed iff 0 is a nonzero nonnegative combination of generators, i.e.
-    # 0 = G lam with lam >= 0, sum lam = 1 for the normalized generators G.
-    G = np.column_stack(_normalize_rows(gens))
-    aug = np.vstack([G, np.ones(G.shape[1])])
-    return _nnls(aug, np.eye(len(aug))[-1])[1] > 1e-9
 
 
 def dual(K: PolyhedralCone) -> PolyhedralCone:
@@ -353,17 +347,24 @@ def delta_metric(K1: PolyhedralCone, K2: PolyhedralCone, samples: int) -> float:
     return best
 
 
-def tangent_cone(K: PolyhedralCone, xbar) -> PolyhedralCone:
-    """Tangent cone of K at xbar: inequalities of K active at xbar, within
-    _ACTIVE_TOL."""
-    xbar = np.asarray(xbar, dtype=float)
+def _active(K: PolyhedralCone, xbar: np.ndarray) -> tuple:
+    """The inequalities of K active at xbar, within _ACTIVE_TOL: all of them
+    at the apex.  Raises ValueError when xbar is not in K."""
     if not contains(K, xbar, _ACTIVE_TOL):
         raise ValueError("point is not in the cone")
     if np.linalg.norm(xbar) <= _ACTIVE_TOL:
-        return K  # apex: the tangent cone is K itself
-    active = tuple(g for g in K.inequalities if abs(float(np.dot(g, xbar))) <= _ACTIVE_TOL)
-    gens = tuple(extreme_rays(active, K.dim))
-    return PolyhedralCone(K.dim, "general", gens, active)
+        return K.inequalities
+    return tuple(g for g in K.inequalities if abs(float(np.dot(g, xbar))) <= _ACTIVE_TOL)
+
+
+def tangent_cone(K: PolyhedralCone, xbar) -> PolyhedralCone:
+    """Tangent cone of K at xbar: the inequalities of K active at xbar
+    (_active), and K itself at the apex."""
+    xbar = np.asarray(xbar, dtype=float)
+    active = _active(K, xbar)
+    if np.linalg.norm(xbar) <= _ACTIVE_TOL:
+        return K
+    return PolyhedralCone(K.dim, "general", tuple(extreme_rays(active, K.dim)), active)
 
 
 def cone_to_json(K: PolyhedralCone) -> dict:

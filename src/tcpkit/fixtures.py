@@ -151,7 +151,9 @@ def random_tensor(kind: str, m: int, n: int, seed: int) -> Tensor:
     A = Tensor(m, n, entries)
     if kind == "copositive":
         # on the simplex every monomial is <= 1 and sum x_i^m >= n^{1-m},
-        # so this shift makes A x^m strictly positive there
-        shift = (sum(abs(v) for v in entries.values()) + 1.0) * n ** (m - 1)
+        # so this shift makes A x^m strictly positive there; the |entries|
+        # are added in order (from Python 3.12 on, sum compensates rounding)
+        total = np.cumsum(np.abs(list(entries.values())))[-1]
+        shift = (float(total) + 1.0) * n ** (m - 1)
         A = A + unit_tensor(m, n).scale(shift)
     return A

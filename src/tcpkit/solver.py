@@ -3,14 +3,15 @@
 Verification (residual triple, is_solution) works for any polyhedral cone;
 the enumeration solver is orthant-only, walking the 2^n complementarity
 supports and collecting every root the per-support search finds.  Local
-refinement is a semismooth Newton method on the componentwise min-map.  On
-the orthant, the candidate points of a stacked walk, of refine and of the
-probes' end points are checked in one row check (``_residual_rows``) with
-the bits residual() gives each point alone.
+refinement is a semismooth Newton method on the componentwise min-map.  The
+candidate points of a stacked walk, of refine and of the probes' end points
+are checked in one row check (``_residual_rows``), of which residual() is
+the one-row case, so every point gets the bits it gets alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,15 +20,9 @@ from ._forms import _Forms
 from ._polysys import _DEDUP_DIST, _dedup, walk_supports
 from ._rng import SplitMix64
 from ._simplex import damped_newton
-from .cones import PolyhedralCone, _dists, cone_from_json, cone_to_json, dist, dual
-from .tensor import (
-    IndexSet,
-    ShapeError,
-    Tensor,
-    apply_m1,
-    tensor_from_json,
-    tensor_to_json,
-)
+from .cones import PolyhedralCone, _dists, cone_from_json, cone_to_json, dual
+from .tensor import (IndexSet, ShapeError, Tensor, _finite, apply_m1, tensor_from_json,
+                     tensor_to_json)
 
 __all__ = [
     "TcpInstance",
@@ -53,12 +48,9 @@ class TcpInstance:
     A: Tensor
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.shape != (self.A.dim,) or self.cone.dim != self.A.dim:
-            raise ShapeError("cone, q and tensor dimensions disagree")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("q has a non-finite entry")
-        object.__setattr__(self, "q", q)
+        if self.cone.dim != self.A.dim:
+            raise ShapeError("cone and tensor dimensions disagree")
+        object.__setattr__(self, "q", _finite(self.q, (self.A.dim,), "q"))
 
     def w_of(self, x) -> np.ndarray:
         return apply_m1(self.A, x) + self.q
@@ -68,10 +60,7 @@ def _instance_stack(cone: PolyhedralCone, Q: np.ndarray, tensors) -> list[TcpIns
     """[TcpInstance(cone, q, A) for q, A in zip(Q, tensors)], tensors of the
     cone's dimension, with __post_init__'s checks made once on the stacked
     (T, n) array Q."""
-    if Q.shape != (len(tensors), cone.dim):
-        raise ShapeError("cone, q and tensor dimensions disagree")
-    if not np.all(np.isfinite(Q)):
-        raise ValueError("q has a non-finite entry")
+    Q = _finite(Q, (len(tensors), cone.dim), "q")
     out = []
     for q, A in zip(Q, tensors):
         inst = object.__new__(TcpInstance)
@@ -107,12 +96,12 @@ class TcpSolution:
 
 
 def residual(inst: TcpInstance, x) -> tuple[float, float, float]:
-    """(dist(x, K), dist(w, K*), |<x, w>|) for w = A x^{m-1} + q."""
+    """(dist(x, K), dist(w, K*), |<x, w>|) for w = A x^{m-1} + q: one row of
+    _residual_rows."""
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.A.dim,):
         raise ShapeError("candidate point has wrong dimension")
-    w = inst.w_of(x)
-    return dist(inst.cone, x), dist(dual(inst.cone), w), abs(float(np.dot(x, w)))
+    return tuple(_residual_rows([inst], x[None], np.zeros(1, dtype=np.intp))[1][0].tolist())
 
 
 def is_solution(inst: TcpInstance, x, tol: float) -> bool:
@@ -174,10 +163,11 @@ def _solve_stack(insts) -> list[EnumerationOutcome]:
 
 
 def _residual_rows(insts, X: np.ndarray, own: np.ndarray):
-    """(W, R) at every row r, x of the (S, n) array X, on the orthant
-    instance insts[own[r]] (instances of one dimension and order): W[r] =
-    A x^{m-1} + q has the bits of inst.w_of(x), and R[r] the residual triple
-    of residual(inst, x)."""
+    """(W, R) at every row r, x of the (S, n) array X, on the instance
+    insts[own[r]] (instances of one cone, dimension and order; any cone):
+    W[r] = A x^{m-1} + q has the bits of inst.w_of(x), and R[r] is the
+    residual triple (dist(x, K), dist(w, K*), |<x, w>|), each distance a row
+    of cones._dists."""
     K = insts[0].cone
     W = _Forms([inst.A for inst in insts]).m1(X, own) + np.array([inst.q for inst in insts])[own]
     return W, np.column_stack([_dists(K, X), _dists(dual(K), W), np.abs(np.vecdot(X, W))])
@@ -242,6 +232,10 @@ def refine(inst: TcpInstance, x0) -> TcpSolution:
 def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int) -> dict:
     """Empirical boundedness probe: enumeration plus multistart refinement
     from random starts in [0, radius]^n."""
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     outcome = solve_enumerate(inst)
     found = [s.x for s in outcome.solutions]
     rng = SplitMix64(seed)

@@ -20,8 +20,8 @@ from ._rng import SplitMix64, _sphere_stack, _uniform_stack
 from ._simplex import MARGIN
 from .classify import Verdict, _holds, q_in_dual_SA
 from .compcones import _memberships, complementary_tensor, q_membership
-from .cones import (_RAY_TOL, _SLICE, PolyhedralCone, _row_norms, extreme_rays, from_generators,
-                    orthant, tangent_cone)
+from .cones import (_RAY_TOL, _SLICE, PolyhedralCone, _active, _row_norms, extreme_rays,
+                    from_generators, orthant)
 from .solver import (TcpInstance, _instance_stack, _min_map_newton, _solve_stack, _solved_rows,
                      is_solution, residual)
 from .tensor import IndexSet, Tensor, _dense_stack, apply_m2, is_subsymmetric, unit_tensor
@@ -54,9 +54,16 @@ class PerturbationReport:
         return {**asdict(self), "failures": list(self.failures)}
 
 
-def _require_trials(trials: int) -> None:
+def _require_sizes(trials: int, eps: float, radius: float | None = None) -> None:
+    """Refuses, naming the argument, trials below 1, an eps that is not
+    finite and >= 0, and a neighborhood radius (when given) that is not
+    finite and > 0."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    if radius is not None and not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"neighborhood_radius must be finite and > 0, got {radius}")
 
 
 def _trial_streams(seed: int, trials: int) -> list:
@@ -137,7 +144,7 @@ def local_uniqueness_certificate(inst: TcpInstance, xbar) -> Verdict:
         note = "tensor is not sub-symmetric; the sufficient condition assumes it"
 
     M = apply_m2(inst.A, xbar)
-    rows = list(tangent_cone(inst.cone, xbar).inequalities)
+    rows = list(_active(inst.cone, xbar))  # the tangent cone's inequalities
     w = inst.w_of(xbar)
     if float(np.linalg.norm(w)) > 1e-10:
         rows.extend([w, -w])
@@ -164,7 +171,7 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int) -> 
     interior of the dual of S_A (q_in_dual_SA).  Then all trials are solved
     in one stacked support walk, each with the outcome of its own
     solve_enumerate call."""
-    _require_trials(trials)
+    _require_sizes(trials, eps)
     if not inst.cone.is_orthant:
         raise ValueError("perturb_existence requires the orthant")
     if not _holds("xm", [inst.A], inst.cone)[0]:
@@ -220,7 +227,7 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
     All 5 x trials end points are then checked in one stacked orthant
     residual check, each with the verdict of is_solution(pert, x, 1e-9) on
     its own trial's instance."""
-    _require_trials(trials)
+    _require_sizes(trials, eps, neighborhood_radius)
     xbar = np.asarray(xbar, dtype=float)
     cert = local_uniqueness_certificate(inst, xbar)
     if cert.status != "holds":
@@ -259,7 +266,7 @@ def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int) -> dict:
     own stream SplitMix64(seed).spawn(t + 1); the base instance and every
     trial are solved in one stacked support walk, each with the outcome of
     its own solve_enumerate call."""
-    _require_trials(trials)
+    _require_sizes(trials, eps)
     if not _holds("abs_xm", [inst.A], inst.cone)[0]:
         raise ValueError("base tensor is not certified K-regular")
     perts = _trial_instances(inst, eps, trials, seed)[3]
@@ -307,7 +314,7 @@ def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: i
     own stream SplitMix64(seed).spawn(t + 1), and all trials are decided in
     one stacked membership walk.  Every verdict is that of its own
     is_K_nonsingular or q_membership call."""
-    _require_trials(trials)
+    _require_sizes(trials, eps)
     q = np.asarray(q, dtype=float)
     base = q_membership(A, q)
     if base.member is not False:
@@ -342,7 +349,7 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
     jittered generated cone each trial has its own) are checked in one
     stacked check (_holds), with the status of one is_K_nonsingular call
     per trial, as the base check is."""
-    _require_trials(trials)
+    _require_sizes(trials, eps)
     if not _holds("norm_m1", [A], K)[0]:
         raise ValueError("base tensor is not certified K-nonsingular")
     n, shape = A.dim, (trials,) + (A.dim,) * A.order

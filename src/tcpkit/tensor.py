@@ -208,6 +208,17 @@ def _check_vec(A: Tensor, x, stack: bool = False) -> np.ndarray:
     return x
 
 
+def _finite(v, shape: tuple, name: str) -> np.ndarray:
+    """v as a float array of the given shape with finite entries; raises a
+    ShapeError or a ValueError that names it otherwise."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != shape:
+        raise ShapeError(f"{name} of shape {v.shape}, expected {shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has a non-finite entry")
+    return v
+
+
 def _monomials(A: Tensor, X: np.ndarray, skip: int | None = None) -> np.ndarray:
     """prod_{p != skip} x_{tails[t, p]} for every tail t: shape (T,) for one
     point x, (T, S) for the S rows of X."""
@@ -243,14 +254,11 @@ def apply_m1(A: Tensor, x) -> np.ndarray:
     """F(x) = A x^{m-1}, component i = sum a_{i i2...im} x_{i2}...x_{im}.
 
     x is one point or the rows of an (S, n) array; every row gets the bits
-    it gets alone (one vector-matrix product per row), so a batch of
-    iterates moves as each would on its own.  On large grids
-    batch_apply_m1 is faster, but its rows can differ in the last bit.
+    it gets alone (one vector-matrix product per row, _rows_m1; one point is
+    a stack of one), so a batch of iterates moves as each would on its own.
     """
     x = _check_vec(A, x, stack=True)
-    if x.ndim == 1:
-        return _monomials(A, x) @ A._coef
-    return _rows_m1(A, x, A._coef)
+    return _rows_m1(A, x.reshape(-1, A.dim), A._coef).reshape(x.shape)
 
 
 def apply_m(A: Tensor, x) -> float:
@@ -383,16 +391,9 @@ def tensor_from_json(obj: dict) -> Tensor:
 
 
 def batch_apply_m1(A: Tensor, X) -> np.ndarray:
-    """A x^{m-1} for every row x of the (S, n) array X.
-
-    Works through the rows in blocks of about 2**16 monomial entries, so the
-    temporaries stay small on large grids.
-    """
+    """A x^{m-1} for every row x of the (S, n) array X: apply_m1 on a stack,
+    with its bits."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != A.dim:
         raise ShapeError(f"points of shape {X.shape} incompatible with dim {A.dim}")
-    out = np.empty((len(X), A.dim))
-    step = max(1, 2**16 // max(len(A._tails), 1))
-    for s in range(0, len(X), step):
-        out[s:s + step] = _monomials(A, X[s:s + step]).T @ A._coef
-    return out
+    return _rows_m1(A, X, A._coef)

@@ -562,7 +562,8 @@ def test_stacked_scan_is_the_per_instance_scan(insts):
     # bit (NaN included)
     tensors, qs = [i.A for i in insts], [i.q for i in insts]
     with np.errstate(all="ignore"):
-        scans = _polysys._scan_stack(_forms._Forms(tensors), np.array(qs))
+        scans = _polysys._scan_stack(_forms._Forms(tensors), np.array(qs),
+                                     list(range(tensors[0].dim)))
         alone = [scan_system(A, q) for A, q in zip(tensors, qs)]
     assert [repr(scan_fields(s)) for s in scans] == [repr(scan_fields(s)) for s in alone]
 

@@ -276,6 +276,46 @@ def lp_member(G, x) -> bool:
     return res.fun <= 1e-9 * max(1.0, np.linalg.norm(x))
 
 
+def lp_spans_a_line(G) -> bool:
+    """Is 0 = G lam for some lam >= 0 with sum lam = 1 (G's columns the
+    generators)?  A feasibility LP independent of tcpkit."""
+    n, k = G.shape
+    res = linprog(np.zeros(k), A_eq=np.vstack([G, np.ones(k)]), b_eq=np.r_[np.zeros(n), 1.0],
+                  bounds=(0, None), method="highs")
+    assert res.status in (0, 2)  # feasible or infeasible
+    return res.status == 0
+
+
+def generator_sets(count):
+    """count seeded generator sets (rows) in R^2 to R^5: random ones, ones in
+    the open orthant, ones with a constructed line (g and -g), and ones with
+    0 in the relative interior of their hull (-(0.3 g1 + 0.7 g2) added)."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        G = rng.normal(size=(k, n))
+        if seed % 4 == 1:
+            G = np.abs(G) + 0.1
+        elif seed % 4 == 2:
+            G = np.vstack([G, -G[0]])
+        elif seed % 4 == 3:
+            G = np.vstack([G, -(0.3 * G[0] + 0.7 * G[1])])
+        yield G
+
+
+def test_not_pointed_exactly_when_an_lp_finds_a_line():
+    verdicts = []
+    for G in generator_sets(300):
+        try:
+            from_generators(list(G))
+            pointed = True
+        except NotPointedError:
+            pointed = False
+        assert pointed != lp_spans_a_line(G.T), G
+        verdicts.append(pointed)
+    assert 50 <= sum(verdicts) <= 250  # both answers are tested
+
+
 class TestHRepresentation:
     """from_generators must keep every true ray of the dual: pruning a ray
     whose real residual is far above the membership tolerance loses a facet

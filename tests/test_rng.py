@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from tcpkit._rng import SplitMix64, _sphere_stack, _uniform_stack
+from tcpkit.fixtures import random_tensor
+from tcpkit.tensor import unit_tensor
 
 from splitmix_reference import INC, MASK, Stream, mix, unmix
 
@@ -54,6 +56,20 @@ def test_on_sphere_sums_its_squares_in_order(k):
         for _ in range(3):
             assert s.on_sphere(k) == ref.on_sphere(k)
         assert (s._state, s._gauss_cache) == (ref.state, ref.cache)
+
+
+@pytest.mark.parametrize("m, n", [(3, 2), (3, 3), (3, 4), (4, 3)])
+def test_copositive_shift_sums_in_order(m, n):
+    # the reference adds the |entries| one after another, as the fixture
+    # draws them; the builtin sum compensates since Python 3.12, which would
+    # move the shift of about half of these draws by an ulp
+    for seed in range(200):
+        ref, total = Stream(seed), 0.0
+        for _ in range(n ** m):
+            total += abs(ref.uniform(-2.0, 2.0))
+        shift = (total + 1.0) * n ** (m - 1)
+        expected = random_tensor("general", m, n, seed) + unit_tensor(m, n).scale(shift)
+        assert random_tensor("copositive", m, n, seed) == expected
 
 
 def crafted_stack():

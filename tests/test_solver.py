@@ -2,12 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from tcpkit import fixtures as fx
 from tcpkit._rng import SplitMix64
 from tcpkit.classify import q_in_dual_SA
 from tcpkit.compcones import q_membership
 from tcpkit.cones import dist, from_generators, orthant
+from tcpkit.fixtures import cone_fixture
 from tcpkit.solver import (
     TcpInstance,
     _min_map_newton,
@@ -72,6 +74,26 @@ class TestResidual:
         A = fx.identity(3, 2)
         inst = TcpInstance(K, np.array([1.0, 1.0]), A)
         assert is_solution(inst, np.zeros(2), 1e-9)
+
+    @pytest.mark.parametrize("cone", ["ice2", "random"])
+    def test_residual_matches_a_scipy_reference(self, cone):
+        # w = A x^2 + q by einsum on the dense tensor; dist(x, K) and
+        # dist(w, K*) by scipy's nnls on K's generators and on its
+        # inequalities, the generators of K*
+        rng = np.random.default_rng(41)
+        if cone == "ice2":
+            K = cone_fixture("ice2")
+        else:
+            K = from_generators(list(rng.normal(size=(5, 3)) + [1.5, 0.0, 0.0]))
+        n = K.dim
+        A, q = fx.random_tensor("general", 3, n, 41), rng.normal(size=n)
+        inst, D = TcpInstance(K, q, A), A.to_dense()
+        G, H = np.column_stack(K.generators), np.column_stack(K.inequalities)
+        inside = rng.uniform(0.0, 1.0, (20, G.shape[1])) @ G.T
+        for x in np.vstack([inside, rng.normal(size=(20, n)), np.zeros((1, n))]):
+            w = np.einsum("ijk,j,k->i", D, x, x) + q
+            ref = (nnls(G, x)[1], nnls(H, w)[1], abs(float(x @ w)))
+            assert residual(inst, x) == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
 class TestEnumerate:
@@ -270,6 +292,19 @@ class TestProbeAndJson:
         inst = TcpInstance(orthant(2), np.array([1.0, 1.0]), e1)
         rep = solution_set_probe(inst, radius=5.0, samples=40, seed=2)
         assert rep["count"] == 1  # only the origin
+
+    def test_probe_rejects_negative_samples(self, identity32):
+        inst = TcpInstance(orthant(2), np.array([-1.0, -4.0]), identity32)
+        with pytest.raises(ValueError, match="samples must be >= 0"):
+            solution_set_probe(inst, radius=5.0, samples=-1, seed=2)
+        assert solution_set_probe(inst, radius=5.0, samples=0, seed=2)["count"] == 1
+
+    @pytest.mark.parametrize("radius", [-5.0, 0.0, np.nan, np.inf])
+    def test_probe_rejects_a_bad_radius(self, identity32, radius):
+        # the starts are drawn in [0, radius]^n
+        inst = TcpInstance(orthant(2), np.array([-1.0, -4.0]), identity32)
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            solution_set_probe(inst, radius=radius, samples=10, seed=2)
 
     @pytest.mark.parametrize("q", [[-1.0, -4.0], [1.0, 1.0], [-1.0, 0.5]])
     @pytest.mark.parametrize("name", ["E1", "E4", "identity32"])

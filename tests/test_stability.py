@@ -619,18 +619,38 @@ class TestNonsingularityOpenness:
             nonsingularity_openness_probe(orthant(2), e2, 1e-3, 5, seed=0)
 
 
-@pytest.mark.parametrize("probe", [
-    lambda inst, e1, trials: perturb_existence(inst, 1e-3, trials, seed=7),
-    lambda inst, e1, trials: error_bound_probe(inst, np.array([1.0, 1.0]), 0.1,
-                                               1e-3, trials, 7),
-    lambda inst, e1, trials: usc_probe(inst, 1e-3, trials, seed=7),
-    lambda inst, e1, trials: unsolvable_neighborhood_probe(
-        e1, np.array([1.0, -1.0]), 1e-4, trials, seed=3),
-    lambda inst, e1, trials: nonsingularity_openness_probe(orthant(2), e1, 1e-3,
-                                                           trials, seed=3),
+# every probe on valid base inputs, with 5 trials and its usual eps unless told
+probes = pytest.mark.parametrize("probe", [
+    lambda inst, e1, trials=5, eps=1e-3: perturb_existence(inst, eps, trials, seed=7),
+    lambda inst, e1, trials=5, eps=1e-3: error_bound_probe(inst, np.array([1.0, 1.0]), 0.1,
+                                                           eps, trials, 7),
+    lambda inst, e1, trials=5, eps=1e-3: usc_probe(inst, eps, trials, seed=7),
+    lambda inst, e1, trials=5, eps=1e-4: unsolvable_neighborhood_probe(
+        e1, np.array([1.0, -1.0]), eps, trials, seed=3),
+    lambda inst, e1, trials=5, eps=1e-3: nonsingularity_openness_probe(orthant(2), e1, eps,
+                                                                       trials, seed=3),
 ], ids=["existence", "error-bound", "usc", "unsolvable", "openness"])
+
+
+@probes
 @pytest.mark.parametrize("trials", [0, -3])
 def test_probes_reject_no_trials(probe, trials, id_inst, e1):
     # a fraction over no trials measures nothing; the base inputs are valid
     with pytest.raises(ValueError, match="trials"):
         probe(id_inst, e1, trials)
+
+
+@probes
+@pytest.mark.parametrize("eps", [-1e-3, math.nan, math.inf])
+def test_probes_reject_a_bad_eps(probe, eps, id_inst, e1):
+    # a negative eps would flip the redraw fallback's shift; a NaN or inf
+    # one must be named as eps, not as a tensor entry
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        probe(id_inst, e1, eps=eps)
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+def test_error_bound_rejects_a_bad_radius(radius, id_inst):
+    # no end point lies within such a radius, which would read as unsolvable
+    with pytest.raises(ValueError, match="neighborhood_radius must be finite and > 0"):
+        error_bound_probe(id_inst, np.array([1.0, 1.0]), radius, 1e-3, 5, 7)

@@ -285,14 +285,14 @@ class TestJson:
 class TestBatch:
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_batch_matches_single(self, m):
+        # batch_apply_m1 is apply_m1 on a stack: every row has the bits it
+        # gets alone
         A = fx.random_tensor("general", m, 3, seed=m)
-        # 1203 rows span more than one block of 2**16 monomials at m = 5
-        # (81 tails), so the block boundary is crossed there
         X = np.vstack([[[0.1, 0.5, 2.0], [1.0, 0.0, 0.3], [0.0, 0.0, 0.0]],
                        np.random.default_rng(m).uniform(-1.0, 1.0, (1200, 3))])
         batch = batch_apply_m1(A, X)
         for i, x in enumerate(X):
-            assert np.allclose(batch[i], apply_m1(A, x), atol=1e-12)
+            assert np.array_equal(batch[i], apply_m1(A, x))
 
 
 @settings(max_examples=60, deadline=None)
