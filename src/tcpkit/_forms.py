@@ -63,8 +63,10 @@ class _Forms:
             members = np.flatnonzero(self.group == g)
             for at in split.values():
                 keep = nonzero[at[0]]
-                parts.append((Tensor._from_form(A.order, len(a), tails[keep], sub[at[0]][keep]),
-                              sub[at][:, keep], members[at]))
+                B = object.__new__(Tensor)  # _from_form's tensor: A is finite, keep nonzero
+                B.__dict__.update(order=A.order, dim=len(a), _tails=tails[keep],
+                                  _coef=sub[at[0]][keep] + 0.0)
+                parts.append((B, sub[at][:, keep], members[at]))
                 off.append((tails, whole[at][:, :, comp]))
         forms = object.__new__(_Forms)
         forms._set(parts, off)

@@ -21,24 +21,27 @@ SLACK_TOL) t^{m-1}, are >= 0.  The scan of a stack of systems runs
     when every leaf clears, no root is feasible, found or not.
 
 The sign test and Newton read the tensor's frozen form; the enclosure
-reads its homogenized dense array.  A scan left open names why (_OPEN and
-_AT_INFINITY).  ``_scan_stack`` is the package's one search for nonnegative
-roots: besides the support walk, ``compcones.tpos_contains`` scans with it
-the systems of its image-cone membership, lifted to the cone's generators.
+reads its homogenized dense array.  ``_scan_stack`` is the package's one
+search for nonnegative roots: besides the support walk,
+``compcones.tpos_contains`` scans with it the systems of its image-cone
+membership, lifted to the cone's generators.  Its result is arrays
+(``_Scans``), each system's reason a code into _REASONS; only
+``scan_system`` builds a ``SystemScan``.
 
 ``walk_supports`` runs these scans over the complementary supports;
 membership and the enumeration solver both read it.  It walks a stack of
 instances at once: the instances whose tensors share ``_tails`` (the
 groups of ``_Forms``) cut their sub-systems once per support
-(``_Forms.cut``), and every system of the stack is scanned as one stack.
-Every instance gets the bits it gets alone.
+(``_Forms.cut``), every system of the stack is scanned as one stack, and
+each support yields arrays over the stack.  Every instance gets the bits
+it gets alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,26 +67,35 @@ _OPEN = {0: f"depth cap reached: leaves open after {_CLEAR_DEPTH} cuts",
          2: "leaf cap reached: too many open leaves",
          3: "too large for the enclosure",
          4: "the enclosure overflows: its rounding slack is not finite"}
+# what settles a scan or leaves it open, by code: _SIGN to _ENCLOSED certify it,
+# _COMPLETE completes its roots, _OPEN[s] is _STOP + s; _WALK maps it to the walk's
+_REASONS = ("", "sign analysis", "scalar closed form", "scalar zero coefficient",
+            "Bernstein enclosure", "scalar closed form", "scalar degenerate",
+            "scalar closed form overflows: -q/a is past the largest float",
+            "roots found, list not proved complete", "not scanned", _AT_INFINITY, *_OPEN.values())
+(_SIGN, _CLOSED, _ZERO, _ENCLOSED, _COMPLETE, _DEGENERATE, _OVERFLOW, _FOUND, _UNSCANNED,
+ _INFINITE, _STOP) = range(1, 12)
+_WALK = np.r_[_FOUND, [0] * _COMPLETE, _DEGENERATE:len(_REASONS)].astype(np.int8)
 
 
 @dataclass
 class SystemScan:
     roots: list = field(default_factory=list)
-    certified_infeasible: bool = False  # no root is feasible (with no slack rows: no root)
+    certified_infeasible: bool = False  # no root exists
     reason: str = ""
     roots_complete: bool = False  # the root list is provably exhaustive
-    feasible: list = field(default_factory=list)  # (u, slack) of each root with slack >= -SLACK_TOL
 
 
-def _sign_infeasible(coef: np.ndarray, Q: np.ndarray, off: np.ndarray, Qc: np.ndarray):
-    """For every system s of a stack (coef[s], of shape (T, k), and Q[s];
-    its slack rows off[s], of shape (T', c), and Qc[s]): True when no root
-    u >= 0 is feasible: some equation's stored coefficients (its unstored
-    ones are zero) share a sign that q's does not cancel, or some slack row
-    has no positive coefficient and q_j < -SLACK_TOL."""
-    return ((((coef.min(axis=1, initial=0.0) >= 0) & (Q > 1e-12))
-             | ((coef.max(axis=1, initial=0.0) <= 0) & (Q < -1e-12))).any(axis=1)
-            | (~(off > 0).any(axis=1) & (Qc < -SLACK_TOL)).any(axis=1))
+class _Scans(NamedTuple):
+    """The scans of a stack of systems as arrays: the roots (R, k), by system
+    and each system's in _dedup's order, with the system owner, slack rows
+    (R, c) and feasibility (all >= -SLACK_TOL) of each; every system's reason
+    code, which says whether no root is feasible (certified) or all found."""
+    roots: np.ndarray
+    owner: np.ndarray
+    slack: np.ndarray
+    feasible: np.ndarray
+    reason: np.ndarray
 
 
 def _homogenized(tails: np.ndarray, coef: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray:
@@ -126,79 +138,58 @@ def newton_refine(A: Tensor, q: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray,
     return U[0], float(r[0])
 
 
-def _dedup(roots: np.ndarray) -> list[int]:
-    """The indices of the rows of roots in lexicographic order, each row
-    kept when it is more than _DEDUP_DIST from every row kept before it."""
-    kept, left = [], np.lexsort(roots.T[::-1])
-    while len(left):  # the first row left is kept, and drops the rows near it
-        kept.append(left[0])
-        d = roots[left] - roots[left[0]]
+def _dedup(roots: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The rows of roots kept, by owner and lexicographically within one: each
+    when more than _DEDUP_DIST from every row of its owner kept before it.  A
+    round keeps each owner's first row left, so rounds = most rows one keeps."""
+    order = np.lexsort((*roots.T[::-1], owner))
+    roots, owner = roots[order], owner[order]
+    kept, left = np.zeros(len(order), dtype=bool), np.arange(len(order))
+    while len(left):
+        head = np.ones(len(left), dtype=bool)
+        head[1:] = owner[left[1:]] != owner[left[:-1]]
+        kept[left[head]] = True
+        d = roots[left] - roots[left[head]][np.cumsum(head) - 1]
         left = left[np.sqrt(np.vecdot(d, d)) > _DEDUP_DIST]  # np.linalg.norm, bit for bit
-    return kept
+    return order[kept]
 
 
-def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, scans: list, off, Qc) -> list:
-    """The part of the scans of one group (the tensors coef[s] with A's
-    tails, q = Q[s], beside the slack rows off[s] and Qc[s]) that needs no
-    enclosure: the sign test and the scalar closed form settle scans[s] in
-    place.  Returns the positions of the scans left open."""
-    sign = _sign_infeasible(coef, Q, off, Qc)
-    left = []
-    for s, scan in enumerate(scans):
-        if sign[s]:
-            scan.certified_infeasible = True
-            scan.reason = "sign analysis"
-        elif A.dim == 1:
-            # scalar a u^{m-1} = -q solves in closed form; root list is complete
-            a = float(coef[s].sum())  # the one coefficient, or 0 when none is stored
-            q0 = float(Q[s, 0])
-            t = -q0 / a if a else math.nan
-            if t == math.inf:
-                scan.reason = "scalar closed form overflows: -q/a is past the largest float"
-            elif a:
-                if t >= 0.0:
-                    scan.roots = [np.array([t ** (1.0 / (A.order - 1))])]
-                    scan.roots_complete = True
-                else:
-                    scan.certified_infeasible = True
-                scan.reason = "scalar closed form"
-            elif abs(q0) <= SYS_TOL:
-                scan.roots = [np.zeros(1)]  # every u solves; not exhaustive
-                scan.reason = "scalar degenerate"
-            else:
-                scan.certified_infeasible = True
-                scan.reason = "scalar zero coefficient"
-        else:
-            left.append(s)
-    return left
+def _settle(A: Tensor, coef: np.ndarray, Q: np.ndarray, off: np.ndarray, Qc: np.ndarray):
+    """What needs no enclosure in the scans of one group, coef[s] (T, k) on
+    A's tails with q = Q[s] beside the slack rows off[s] (T', c) and Qc[s]:
+    every system's reason, 0 when left open, and one root of a scalar system
+    that has one, else NaN.  The sign test finds no feasible root when some
+    equation's stored coefficients (its unstored ones are zero) share a sign
+    q's does not cancel, or a slack row has none > 0 and q_j < -SLACK_TOL."""
+    sign = ((((coef.min(axis=1, initial=0.0) >= 0) & (Q > 1e-12))
+             | ((coef.max(axis=1, initial=0.0) <= 0) & (Q < -1e-12))).any(axis=1)
+            | (~(off > 0).any(axis=1) & (Qc < -SLACK_TOL)).any(axis=1))
+    if A.dim > 1:
+        return np.where(sign, _SIGN, 0), np.nan
+    # scalar a u^{m-1} = -q solves in closed form; the root list is complete
+    a, q0 = coef.reshape(len(coef), -1).sum(axis=1), Q[:, 0]  # 0 when no coefficient is stored
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = -q0 / a
+    reason = np.where(sign, _SIGN, np.where(
+        a == 0, np.where(np.abs(q0) <= SYS_TOL, _DEGENERATE, _ZERO),
+        np.where(t == np.inf, _OVERFLOW, np.where(t >= 0.0, _COMPLETE, _CLOSED))))
+    root = np.where(reason == _DEGENERATE, 0.0, np.nan)  # every u solves; not exhaustive
+    closed = reason == _COMPLETE
+    root[closed] = [v ** (1.0 / (A.order - 1)) for v in t[closed].tolist()]  # Python float **
+    return reason, root
 
 
-def _feasible(forms: _Forms, Q: np.ndarray, a, comp: list, scans: list) -> None:
-    """Sets scan.feasible to (u, slack) for each root u whose slack, the rows
-    comp of A x^{m-1} + q at x = (u, 0) with the bits apply_off gives, is
-    >= -SLACK_TOL: every root, with no comp."""
-    own = np.array([s for s, scan in enumerate(scans) for _ in scan.roots], dtype=np.intp)
-    roots = [u for scan in scans for u in scan.roots]
-    slack = np.zeros((len(roots), 0))
-    if comp and roots:
-        X = np.zeros((len(roots), Q.shape[1]))
-        X[:, a] = roots
-        slack = forms.m1(X, own)[:, comp] + Q[own][:, comp]
-    for s, u, w in zip(own, roots, slack):
-        if np.all(w >= -SLACK_TOL):
-            scans[s].feasible.append((u, w))
-
-
-def _scan_stack(forms: _Forms, Q: np.ndarray, a: list) -> list[SystemScan]:
+def _scan_stack(forms: _Forms, Q: np.ndarray, a: list) -> _Scans:
     """The scans of the support a (sorted 0-based indices) of every instance
     (A, q) of a stack, A the tensors of forms (of one order and dimension)
     and q the rows of Q: the system A_aa u^{m-1} + q_a = 0 (forms.cut(a)),
-    a root feasible where the slack rows of the complement are >=
-    -SLACK_TOL (_feasible).  The full support has no slack rows; its scan
-    of (A, q) is scan_system(A, q).  Each group settles what needs no
-    enclosure (_settle); the equations of the systems left open are
-    subdivided _SHALLOW cuts deep as one stack, and the centroids c of their
-    open leaves, at u = c_u / c_t, are refined in one damped Newton.  The
+    a root feasible where its slack, the rows comp of A x^{m-1} + q at x =
+    (u, 0) with the bits apply_off gives, is >= -SLACK_TOL.  The full
+    support has no slack rows; its scan of (A, q) is scan_system(A, q).
+    Each group settles what needs no enclosure (_settle); the equations of
+    the systems left open are subdivided _SHALLOW cuts deep as one stack,
+    the centroids c of their open leaves, at u = c_u / c_t, refined in one
+    damped Newton and the roots deduplicated in one pass (_dedup).  The
     systems with no feasible root are cut on, to _CLEAR_DEPTH cuts in all,
     with their slack rows beside the equations (_signs), unless their
     subdivision stopped at a cap, or at a vertex with no slack row to clear
@@ -207,86 +198,97 @@ def _scan_stack(forms: _Forms, Q: np.ndarray, a: list) -> list[SystemScan]:
     An overflow only leaves a scan open, so the enclosure raises no warning;
     the Newton stage runs under the caller's np.errstate."""
     sub, Qa, comp = forms.cut(a), Q[:, a], [j for j in range(Q.shape[1]) if j not in a]
-    scans, k = [SystemScan() for _ in Q], sub.groups[0][0].dim
-    own, H, S = [], [], []
+    k, S = len(a), len(Q)
+    reason, root, own, H, HS = np.empty(S, dtype=np.int8), np.empty(S), [], [], []
     for g, (A, coef) in enumerate(sub.groups):
         members = np.flatnonzero(sub.group == g)
         tails, off = sub.off[g]
         Qc = Q[members][:, comp]
-        left = _settle(A, coef, Qa[members], [scans[i] for i in members], off, Qc)
-        if left:
-            own.extend(members[left])
+        reason[members], root[members] = _settle(A, coef, Qa[members], off, Qc)
+        left = reason[members] == 0
+        if left.any():
+            own.append(members[left])
             H.append(_homogenized(A._tails, coef[left], Qa[members[left]], k))
-            S.append(_homogenized(tails, off[left], Qc[left] + SLACK_TOL, k))
-    if not own:
-        _feasible(forms, Q, a, comp, scans)
-        return scans
-    own, H = np.array(own), np.concatenate(H)
-    HS = np.concatenate([H, np.concatenate(S)], axis=1) if comp else H
-    with np.errstate(over="ignore"):  # an inf or NaN rho clears nothing
-        rho, rho_s = (2.0**-30 * np.abs(D).reshape(len(D), -1).sum(axis=1) for D in (H, HS))
-    # the systems the enclosure does not take keep one leaf, the simplex
-    stop = np.where(H[0].size > _SCAN_ENTRIES, 3, np.where(rho < math.inf, 0, 4)).astype(np.int8)
-    leaf, W = np.arange(len(H)), np.repeat(np.eye(k + 1)[None], len(H), axis=0)
-    go = stop == 0
-    if go.any():
-        cut, Wc, stop_c = _subdivide(H, np.eye(k + 1), rho, "m1", _clearing(_signs(k)), _SHALLOW,
-                                     leaf[go], W[go])
-        stop[go] = stop_c[go]
-        leaf, W = np.concatenate([leaf[~go], cut]), np.concatenate([W[~go], Wc])
-    c = W.mean(axis=2)  # a leaf is full-dimensional, so c_t > 0
-    X, r = _refine_rows(sub, Qa, c[:, :k] / c[:, k:], own[leaf])
-    for j, i in enumerate(own):
-        mine = leaf == j
-        roots = X[mine][r[mine] <= SYS_TOL]
-        scans[i].roots = list(roots[_dedup(roots)])
-    _feasible(forms, Q, a, comp, scans)
-    unsettled = [j for j, i in enumerate(own) if not scans[i].feasible]
-    deep = np.isin(leaf, unsettled) & ((stop[leaf] == 0) | (stop[leaf] == 1) & bool(comp))
-    if deep.any():
-        more, Wd, stop_d = _subdivide(HS, np.eye(k + 1), rho_s, "m1", _clearing(_signs(k)),
-                                      _CLEAR_DEPTH - _SHALLOW, leaf[deep], W[deep])
-        stop[leaf[deep]] = stop_d[leaf[deep]]
-        leaf, W = np.concatenate([leaf[~deep], more]), np.concatenate([W[~deep], Wd])
-    V = np.swapaxes(W, 1, 2)  # vertices as rows
-    p, v = np.nonzero((V[:, :, k] == 0) & np.isin(leaf, unsettled)[:, None])  # on t = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        zero = np.abs(sub.m1(V[p, v, :k], own[leaf[p]])).max(axis=1) <= rho[leaf[p]]
-    at_infinity = np.isin(np.arange(len(H)), leaf[p][zero]) & (stop < 3)
-    for j in unsettled:
-        scan = scans[own[j]]
-        if not (leaf == j).any():
-            scan.certified_infeasible = True
-            scan.reason = "Bernstein enclosure"
-        else:
-            scan.reason = _AT_INFINITY if at_infinity[j] else _OPEN[int(stop[j])]
-    return scans
+            HS.append(_homogenized(tails, off[left], Qc[left] + SLACK_TOL, k))
+    U, owner = root[~np.isnan(root), None], np.flatnonzero(~np.isnan(root))  # scalar roots
+    if own:
+        own, H = np.concatenate(own), np.concatenate(H)
+        HS = np.concatenate([H, np.concatenate(HS)], axis=1) if comp else H
+        with np.errstate(over="ignore"):  # an inf or NaN rho clears nothing
+            rho, rho_s = (2.0**-30 * np.abs(D).reshape(len(D), -1).sum(axis=1) for D in (H, HS))
+        # the systems the enclosure does not take keep one leaf, the simplex
+        stop = np.where(H[0].size > _SCAN_ENTRIES, 3, np.where(rho < np.inf, 0, 4)).astype(np.int8)
+        leaf, W = np.arange(len(H)), np.repeat(np.eye(k + 1)[None], len(H), axis=0)
+        go = stop == 0
+        if go.any():
+            cut, Wc, stop_c = _subdivide(H, np.eye(k + 1), rho, "m1", _clearing(_signs(k)),
+                                         _SHALLOW, leaf[go], W[go])
+            stop[go] = stop_c[go]
+            leaf, W = np.concatenate([leaf[~go], cut]), np.concatenate([W[~go], Wc])
+        c = W.mean(axis=2)  # a leaf is full-dimensional, so c_t > 0
+        X, r = _refine_rows(sub, Qa, c[:, :k] / c[:, k:], own[leaf])
+        found = np.flatnonzero(r <= SYS_TOL)
+        found = found[_dedup(X[found], own[leaf[found]])]
+        U, owner = X[found], own[leaf[found]]
+    slack = np.zeros((len(U), 0))
+    if comp and len(U):
+        X = np.zeros((len(U), Q.shape[1]))
+        X[:, a] = U
+        slack = forms.m1(X, owner)[:, comp] + Q[owner][:, comp]
+    feasible = (slack >= -SLACK_TOL).all(axis=1)
+    if len(own):
+        unsettled = np.ones(S, dtype=bool)
+        unsettled[owner[feasible]] = False
+        unsettled = unsettled[own]  # of the systems j enclosed, those with no feasible root
+        deep = unsettled[leaf] & ((stop[leaf] == 0) | (stop[leaf] == 1) & bool(comp))
+        if deep.any():
+            more, Wd, stop_d = _subdivide(HS, np.eye(k + 1), rho_s, "m1", _clearing(_signs(k)),
+                                          _CLEAR_DEPTH - _SHALLOW, leaf[deep], W[deep])
+            stop[leaf[deep]] = stop_d[leaf[deep]]
+            leaf, W = np.concatenate([leaf[~deep], more]), np.concatenate([W[~deep], Wd])
+        V = np.swapaxes(W, 1, 2)  # vertices as rows
+        p, v = np.nonzero((V[:, :, k] == 0) & unsettled[leaf][:, None])  # on t = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            zero = np.abs(sub.m1(V[p, v, :k], own[leaf[p]])).max(axis=1) <= rho[leaf[p]]
+        at_infinity = np.zeros(len(H), dtype=bool)
+        at_infinity[leaf[p][zero]] = True
+        cleared = unsettled & (np.bincount(leaf, minlength=len(H)) == 0)
+        reason[own[unsettled]] = np.where(cleared, _ENCLOSED, np.where(
+            at_infinity & (stop < 3), _INFINITE, _STOP + stop))[unsettled]
+    return _Scans(U, owner, slack, feasible, reason)
 
 
 def scan_system(A: Tensor, q) -> SystemScan:
     """Search for all nonnegative roots of A u^{m-1} + q = 0."""
-    return _scan_stack(_Forms([A]), np.asarray(q, dtype=float)[None], list(range(A.dim)))[0]
+    return _system_scan(_scan_stack(_Forms([A]), np.asarray(q, dtype=float)[None],
+                                    list(range(A.dim))), 0)
+
+
+def _system_scan(s: _Scans, i: int) -> SystemScan:
+    """The SystemScan of the system i of a stack's scans."""
+    return SystemScan(list(s.roots[s.owner == i]), bool(0 < s.reason[i] < _COMPLETE),
+                      _REASONS[s.reason[i]], bool(s.reason[i] == _COMPLETE))
 
 
 def walk_supports(tensors, qs, live=None):
     """Scan every complementary support alpha of {1..n} for every instance
     (A, q) of a stack at once (tensors of one order and dimension n), by
     increasing size and lexicographically within a size, yielding (alpha,
-    feasible, open_) with one entry per instance in each list.
+    U, slack, owner, open_) as arrays over the stack.
 
-    feasible lists the (u_alpha, slack) pairs with u_alpha >= 0 a root of
-    A_aa u^{m-1} + q_a = 0 whose slack A_{comp,a} u^{m-1} + q_comp is
-    >= -SLACK_TOL; each one gives a solution (u_alpha, 0) of TCP(q, A).
-    open_ is "" when the scan of the support (_scan_stack, one stack per
-    support, every instance with what it gets alone) proves no other
-    feasible root exists: the sign test or the enclosure of the equations
-    and the slack rows settles it, or its root list is complete.  Otherwise
-    it is the scan's reason, or that roots were found but the list is not
-    proved complete.  The generator is lazy, so a caller may stop at the
-    first feasible root.  live, a boolean array over the instances that the
-    caller may clear between yields, drops instances: from the next support
-    on only the live ones are scanned (a dropped one gets no root and the
-    reason "not scanned"), and the walk ends when none is live.
+    The rows of U are the roots u_alpha >= 0 of A_aa u^{m-1} + q_a = 0 of
+    the instances owner, by instance, whose slack rows A_{comp,a} u^{m-1} +
+    q_comp are >= -SLACK_TOL; each gives a solution (u_alpha, 0) of TCP(q,
+    A).  open_[t] is 0 when the scan of the support (_scan_stack, one stack
+    per support, every instance with what it gets alone) proves instance t
+    has no other feasible root: the sign test or the enclosure settles it,
+    or its root list is complete.  Else it codes (_REASONS) the scan's
+    reason, or that the roots found are not proved all.  The generator is
+    lazy, so a caller may stop at the first feasible root.  live, a boolean
+    array over the instances that the caller may clear between yields,
+    drops instances: from the next support on only the live ones are
+    scanned (a dropped one gets no root and the reason "not scanned"), and
+    the walk ends when none is live.
     """
     n = tensors[0].dim
     live = np.ones(len(tensors), dtype=bool) if live is None else live
@@ -295,17 +297,14 @@ def walk_supports(tensors, qs, live=None):
         for members in itertools.combinations(range(1, n + 1), r):
             if not live.any():
                 return
-            alpha = IndexSet(members, n)
+            alpha, open_ = IndexSet(members, n), np.full(len(Q), _UNSCANNED, dtype=np.int8)
             if r == 0:
-                yield alpha, [[(np.zeros(0), q)] if np.all(q >= -SLACK_TOL) else []
-                              for q in qs], [""] * len(qs)
+                owner = np.flatnonzero((Q >= -SLACK_TOL).all(axis=1))
+                yield alpha, np.zeros((len(owner), 0)), Q[owner], owner, np.zeros_like(open_)
                 continue
             if rows is None or not np.array_equal(rows, np.flatnonzero(live)):
                 rows = np.flatnonzero(live)
                 forms = _Forms([tensors[i] for i in rows])
-            feasible, open_ = [[] for _ in qs], ["not scanned"] * len(qs)
-            for i, scan in zip(rows, _scan_stack(forms, Q[rows], [i - 1 for i in members])):
-                feasible[i] = scan.feasible
-                open_[i] = "" if scan.certified_infeasible or scan.roots_complete else (
-                    scan.reason or "roots found, list not proved complete")
-            yield alpha, feasible, open_
+            s = _scan_stack(forms, Q[rows], [i - 1 for i in members])
+            open_[rows] = _WALK[s.reason]
+            yield alpha, s.roots[s.feasible], s.slack[s.feasible], rows[s.owner[s.feasible]], open_

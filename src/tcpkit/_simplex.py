@@ -84,22 +84,23 @@ def _bernstein(dense: np.ndarray, V: np.ndarray, form: str):
     if form == "xm":  # contract the first index too
         T, r = np.moveaxis(T, 1, -1) @ V.reshape((P,) + (1,) * (m - 2) + (n, k)), m
     T = T.reshape(P, -1, k**r)
-    B = T @ _class_means(k, r)
+    # reductions here, in _bisect and in _clearing run over the leading axes of a copy:
+    # the same bits as over many short rows (B, a sum from +0.0, holds no -0.0)
+    B = np.ascontiguousarray((T @ _class_means(k, r)).transpose(2, 0, 1))
     vertices = np.ravel_multi_index((np.arange(k),) * r, (k,) * r)  # the tuples (j, ..., j)
-    return B.min(axis=2), B.max(axis=2), T[:, :, vertices]
+    return B.min(axis=0), B.max(axis=0), T[:, :, vertices]
 
 
 def _bisect(W: np.ndarray) -> np.ndarray:
     """Both halves of every leaf W[p] (vertices as columns, in simplex
     coordinates) cut at the midpoint of its longest edge (the first in
     order among equals), the halves of W[p] at rows 2p and 2p + 1."""
-    P, k, _ = W.shape
-    D = W[:, :, :, None] - W[:, :, None, :]
-    a, b = np.divmod(np.argmax((D * D).sum(axis=1).reshape(P, k * k), axis=1), k)
-    mid = 0.5 * (W[np.arange(P), :, a] + W[np.arange(P), :, b])
+    (P, k, _), p = W.shape, np.arange(len(W))
+    V = np.ascontiguousarray(W.transpose(1, 0, 2))  # coordinates first
+    D = V[:, :, :, None] - V[:, :, None, :]
+    a, b = np.divmod(np.argmax((D * D).sum(axis=0).reshape(P, k * k), axis=1), k)
     halves = np.stack([W, W], axis=1)
-    halves[np.arange(P), 0, :, a] = mid
-    halves[np.arange(P), 1, :, b] = mid
+    halves[p, 0, :, a] = halves[p, 1, :, b] = 0.5 * (W[p, :, a] + W[p, :, b])  # the midpoint
     return halves.reshape(2 * P, k, k)
 
 
@@ -118,8 +119,8 @@ def _clearing(clears):
     when one of its vertices clears under no component, so no leaf around
     it can clear."""
     def rule(lo, hi, vert, r, _owner, _W):
-        return (clears(lo, hi, r).any(axis=1),
-                ~clears(vert, vert, r[:, :, None]).any(axis=1).all(axis=1))
+        return (np.ascontiguousarray(clears(lo, hi, r).T).any(axis=0),
+                ~np.ascontiguousarray(clears(vert, vert, r[:, :, None]).T).any(axis=1).all(axis=0))
     return rule
 
 
@@ -158,7 +159,7 @@ def _subdivide(dense, G, rho, form: str, rule, depth: int, owner, W):
     for _ in range(depth):
         if not len(owner):
             break
-        done, dead = np.empty(len(owner), dtype=bool), np.empty(len(owner), dtype=bool)
+        done, dead = np.empty((2, len(owner)), dtype=bool)
         for block, lo, hi, vert in _blocks(dense, G, form, owner, W):
             done[block], dead[block] = rule(lo, hi, vert, rho[owner[block]].reshape(len(lo), -1),
                                             owner[block], W[block])

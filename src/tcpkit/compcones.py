@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._forms import _Forms
-from ._polysys import SYS_TOL, _scan_stack, walk_supports
+from ._polysys import _REASONS, _WALK, SYS_TOL, _scan_stack, walk_supports
 from ._simplex import MARGIN, _basis, _lift
 from .classify import Verdict
 from .cones import PolyhedralCone, _nnls
@@ -114,21 +114,20 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y) -> Verdict:
     B = _lift(A.to_dense()[None], np.moveaxis(G[:, sets], 1, 0))[:, rows]
     scans = _scan_stack(_Forms(_dense_stack(B.reshape((-1,) + B.shape[2:]))),
                         -np.tile(y[rows], (len(sets), 1)), list(range(r)))
-    for i, scan in enumerate(scans):
-        for lam in scan.roots:
-            x = G[:, sets[i // len(rows)]] @ lam
-            res = float(np.linalg.norm(apply_m1(A, x) - y))
-            if res <= MARGIN * max(1.0, yn):
-                return Verdict("tpos-contains", "holds", res, x * back, len(scans))
-    per_alpha, refuted = {}, True
+    for lam, i in zip(scans.roots, scans.owner):
+        x = G[:, sets[i // len(rows)]] @ lam
+        res = float(np.linalg.norm(apply_m1(A, x) - y))
+        if res <= MARGIN * max(1.0, yn):
+            return Verdict("tpos-contains", "holds", res, x * back, len(scans.reason))
+    why = np.array(_REASONS, dtype=object)[scans.reason].reshape(len(sets), len(rows))
+    done = (_WALK[scans.reason] == 0).reshape(why.shape)  # settled
+    refuted, per_alpha = bool(done.any(axis=1).all()), {}
     for p, S in enumerate(sets):
-        mine = list(zip(rows, scans[p * len(rows):(p + 1) * len(rows)]))
-        done = [(R, scan) for R, scan in mine if scan.certified_infeasible or scan.roots_complete]
-        refuted = refuted and bool(done)
         per_alpha[",".join(map(str, S + 1))] = "; ".join(
-            f"rows {','.join(map(str, R + 1))}: {scan.reason or 'roots off y, not proved complete'}"
-            for R, scan in (done[:1] or mine))
-    return Verdict("tpos-contains", "fails" if refuted else "unknown", None, None, len(scans),
+            f"rows {','.join(map(str, rows[j] + 1))}: "
+            f"{why[p, j] or 'roots off y, not proved complete'}"
+            for j in (np.flatnonzero(done[p])[:1] if done[p].any() else range(len(rows))))
+    return Verdict("tpos-contains", "fails" if refuted else "unknown", None, None, done.size,
                    note="every independent generator set refuted by a subsystem scan"
                    if refuted else "", per_alpha=per_alpha)
 
@@ -154,22 +153,21 @@ def _memberships(A: Tensor, qs) -> list[MembershipResult]:
     qs = [_finite(q, (n,), "q") for q in qs]
     if n > 12:
         raise ValueError("membership scan limited to dim <= 12")
-    out, all_settled, examined = [None] * len(qs), [True] * len(qs), 0
+    out, settled, examined = [None] * len(qs), np.ones(len(qs), dtype=bool), 0
     live = np.ones(len(qs), dtype=bool)
-    for alpha, feasible, open_ in walk_supports([A] * len(qs), qs, live):
+    for alpha, U, slack, owner, open_ in walk_supports([A] * len(qs), qs, live):
         examined += 1
         a, comp = [i - 1 for i in alpha.members], [i - 1 for i in alpha.complement]
-        for t in np.flatnonzero(live):
-            all_settled[t] = all_settled[t] and not open_[t]
-            if feasible[t]:
-                (u_a, slack), q = feasible[t][0], qs[t]
-                u = np.zeros(n)
-                u[a], u[comp] = u_a, np.maximum(slack, 0.0) ** (1.0 / (A.order - 1))
-                resid = (float(np.linalg.norm(apply_m1(principal_subtensor(A, alpha), u_a) + q[a]))
-                         if a else 0.0)  # the empty support's system has no equations
-                out[t], live[t] = MembershipResult(True, alpha, u, resid, examined), False
+        settled &= ~live | (open_ == 0)
+        first = live[owner] & (owner != np.concatenate(([-1], owner[:-1])))
+        for u_a, w, t in zip(U[first], slack[first], owner[first]):  # each live q's first root
+            u = np.zeros(n)
+            u[a], u[comp] = u_a, np.maximum(w, 0.0) ** (1.0 / (A.order - 1))
+            resid = (float(np.linalg.norm(apply_m1(principal_subtensor(A, alpha), u_a) + qs[t][a]))
+                     if a else 0.0)  # the empty support's system has no equations
+            out[t], live[t] = MembershipResult(True, alpha, u, resid, examined), False
     return [res or MembershipResult(False if done else None, None, None, math.inf, examined)
-            for res, done in zip(out, all_settled)]
+            for res, done in zip(out, settled)]
 
 
 def solution_from_membership(result: MembershipResult, A: Tensor) -> np.ndarray:

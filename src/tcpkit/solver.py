@@ -6,7 +6,9 @@ supports and collecting every root the per-support search finds.  Local
 refinement is a semismooth Newton method on the componentwise min-map.  The
 candidate points of a stacked walk, of refine and of the probes' end points
 are checked in one row check (``_residual_rows``), of which residual() is
-the one-row case, so every point gets the bits it gets alone.
+the one-row case, so every point gets the bits it gets alone.  A stacked
+solve (``_solve_stack``) keeps its solutions in arrays, which the probes
+read; only the public calls build objects from them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._forms import _Forms
-from ._polysys import _DEDUP_DIST, _dedup, walk_supports
+from ._polysys import _DEDUP_DIST, _REASONS, _dedup, walk_supports
 from ._rng import SplitMix64
 from ._simplex import damped_newton
 from .cones import PolyhedralCone, _dists, cone_from_json, cone_to_json, dual
@@ -124,42 +126,45 @@ def solve_enumerate(inst: TcpInstance) -> EnumerationOutcome:
     ``q_membership`` uses for its unknown verdict; open_supports names each
     support left open and why.
     """
-    return _solve_stack([inst])[0]
+    return _outcome(_solve_stack([inst]), 0)
 
 
-def _solve_stack(insts) -> list[EnumerationOutcome]:
-    """[solve_enumerate(inst) for inst in insts], instances of one dimension
-    and order, in one stacked support walk and one check of every candidate
-    point (_solutions): every instance gets the outcome it gets alone."""
+def _solve_stack(insts):
+    """solve_enumerate(inst) for every inst of insts (of one dimension and
+    order) in one stacked support walk, one check of every candidate point
+    (_residual_rows) and one dedup (_dedup): each gets what it gets alone.
+    Returns the solutions, the rows of X, with the instance own, w (W) and
+    residual triple (R) of each, every instance's in solve_enumerate's
+    order; the (alpha members, open codes of walk_supports) of every
+    support; and whether each instance is unknown."""
     if not all(inst.cone.is_orthant for inst in insts):
         raise ValueError("enumeration solver requires the nonnegative orthant")
     n = insts[0].A.dim
     if n > 12:
         raise ValueError("enumeration limited to dim <= 12")
-    points, owner = [], []
-    left_open = [[] for _ in insts]
-    for alpha, feasible, open_ in walk_supports([inst.A for inst in insts],
-                                                [inst.q for inst in insts]):
-        a = [i - 1 for i in alpha.members]
-        for t, roots in enumerate(feasible):
-            if open_[t]:
-                left_open[t].append((alpha.members, open_[t]))
-            for u_a, _ in roots:
-                x = np.zeros(n)
-                x[a] = u_a
-                points.append(x)
-                owner.append(t)
-    found = [[] for _ in insts]
-    for t, s in zip(owner, _solutions(insts, np.reshape(points, (-1, n)),
-                                      np.array(owner, dtype=np.intp), _SUPPORT_TOL)):
-        if s.converged:
-            found[t].append(s)
-    out = []
-    for sols, why in zip(found, left_open):
-        keep = _dedup(np.reshape([s.x for s in sols], (-1, n)))
-        out.append(EnumerationOutcome(tuple(sols[i] for i in keep), bool(why) and not sols,
-                                      tuple(why)))
-    return out
+    points, owner, open_ = [], [], []
+    for alpha, U, _, own, why in walk_supports([inst.A for inst in insts],
+                                               [inst.q for inst in insts]):
+        X = np.zeros((len(U), n))
+        X[:, [i - 1 for i in alpha.members]] = U
+        points.append(X)
+        owner.append(own)
+        open_.append((alpha.members, why))
+    X, own = np.concatenate(points), np.concatenate(owner)
+    W, R = _residual_rows(insts, X, own)
+    keep = np.flatnonzero((R <= _SUPPORT_TOL).all(axis=1))
+    keep = keep[_dedup(X[keep], own[keep])]
+    unknown = np.any([why > 0 for _, why in open_], axis=0)
+    unknown &= np.bincount(own[keep], minlength=len(insts)) == 0
+    return X[keep], own[keep], W[keep], R[keep], open_, unknown
+
+
+def _outcome(found, t: int) -> EnumerationOutcome:
+    """The EnumerationOutcome of the instance t of a stacked solve."""
+    X, own, W, R, open_, unknown = found
+    why = tuple((members, _REASONS[code[t]]) for members, code in open_ if code[t])
+    return EnumerationOutcome(tuple(_solutions(X[own == t], W[own == t], R[own == t],
+                                               _SUPPORT_TOL)), bool(unknown[t]), why)
 
 
 def _residual_rows(insts, X: np.ndarray, own: np.ndarray):
@@ -179,12 +184,12 @@ def _solved_rows(insts, X: np.ndarray, own: np.ndarray, tol: float) -> np.ndarra
     return (_residual_rows(insts, X, own)[1] <= tol).all(axis=1)
 
 
-def _solutions(insts, X: np.ndarray, own: np.ndarray, tol: float) -> list[TcpSolution]:
-    """The TcpSolution of every row r, x of X on insts[own[r]], in one check
-    (_residual_rows): w and the residual triple as residual(inst, x) gives
-    them, alpha the coordinates of x above 1e-7, and converged when every
-    residual is within tol, as is_solution(inst, x, tol) says."""
-    (W, R), n = _residual_rows(insts, X, own), X.shape[1]
+def _solutions(X: np.ndarray, W: np.ndarray, R: np.ndarray, tol: float) -> list[TcpSolution]:
+    """The TcpSolution of every row r, x of X, with w = W[r] and the
+    residual triple R[r] (_residual_rows): alpha the coordinates of x above
+    1e-7, and converged when every residual is within tol, as
+    is_solution(inst, x, tol) says."""
+    n = X.shape[1]
     return [TcpSolution(x, w, p, d, c, IndexSet(tuple(np.flatnonzero(x > _SUPPORT_TOL) + 1), n),
                         p <= tol and d <= tol and c <= tol)
             for x, w, (p, d, c) in zip(X, W, R.tolist())]
@@ -226,7 +231,8 @@ def refine(inst: TcpInstance, x0) -> TcpSolution:
     if x.shape != (inst.A.dim,):
         raise ShapeError("starting point has wrong dimension")
     own = np.zeros(1, dtype=np.intp)
-    return _solutions([inst], _min_map_newton([inst], x[None], own), own, 1e-9)[0]
+    X = _min_map_newton([inst], x[None], own)
+    return _solutions(X, *_residual_rows([inst], X, own), 1e-9)[0]
 
 
 def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int) -> dict:
@@ -236,8 +242,8 @@ def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int
         raise ValueError(f"radius must be finite and > 0, got {radius}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    outcome = solve_enumerate(inst)
-    found = [s.x for s in outcome.solutions]
+    X, *_, unknown = _solve_stack([inst])
+    found = list(X)
     rng = SplitMix64(seed)
     n = inst.A.dim
     starts = np.array([[rng.uniform(0.0, radius) for _ in range(n)] for _ in range(samples)])
@@ -250,7 +256,7 @@ def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int
     return {
         "count": len(found),
         "bounded_within": max_norm,
-        "enumeration_unknown": outcome.unknown,
+        "enumeration_unknown": bool(unknown[0]),
         "radius": radius,
         "samples": samples,
         "seed": seed,

@@ -197,21 +197,14 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int) -> 
     shift = unit_tensor(inst.A.order, inst.A.dim).scale(eps)
     perts = [TcpInstance(p.cone, p.q, p.A + shift) if r >= 100 else p
              for p, r in zip(perts, redraws)]
-    solvable = 0
-    max_norm = 0.0
-    failures: list[int] = []
-    for t, outcome in enumerate(_solve_stack(perts)):
-        if outcome.solutions:
-            solvable += 1
-            max_norm = max(max_norm, max(float(np.linalg.norm(s.x)) for s in outcome.solutions))
-        else:
-            failures.append(t)
+    X, own = _solve_stack(perts)[:2]
+    solved = np.bincount(own, minlength=trials) > 0
     return PerturbationReport(
         trials=trials, eps=eps, seed=seed,
-        solvable_fraction=solvable / trials,
-        max_solution_norm=max_norm,
+        solvable_fraction=int(np.count_nonzero(solved)) / trials,
+        max_solution_norm=float(np.max(_row_norms(X), initial=0.0)),
         error_ratio_max=0.0,
-        failures=tuple(failures),
+        failures=tuple(np.flatnonzero(~solved).tolist()),
         resamples=sum(redraws),
     )
 
@@ -270,18 +263,17 @@ def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int) -> dict:
     if not _holds("abs_xm", [inst.A], inst.cone)[0]:
         raise ValueError("base tensor is not certified K-regular")
     perts = _trial_instances(inst, eps, trials, seed)[3]
-    base, *outcomes = _solve_stack([inst] + perts)
-    n = inst.A.dim
-    B = np.array([s.x for s in base.solutions]).reshape(-1, n)
-    X = np.array([s.x for outcome in outcomes for s in outcome.solutions]).reshape(-1, n)
-    nearest = np.min(_row_norms(X[:, None] - B), axis=1, initial=math.inf)
+    X, own = _solve_stack([inst] + perts)[:2]
+    B = X[own == 0]
+    nearest = np.min(_row_norms(X[own > 0, None] - B), axis=1, initial=math.inf)
+    unsolved = np.bincount(own, minlength=trials + 1)[1:] == 0
     return {
         "max_excursion": float(np.max(nearest, initial=0.0)),
         "eps": eps,
         "trials": trials,
         "seed": seed,
         "base_solution_count": len(B),
-        "unsolved_trials": sum(not outcome.solutions for outcome in outcomes),
+        "unsolved_trials": int(np.count_nonzero(unsolved)),
     }
 
 

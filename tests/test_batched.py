@@ -494,8 +494,19 @@ def instance_stacks(draw, max_n=3, extremes=False):
 
 
 def outcome_bytes(outcome):
-    return (outcome.unknown, [(s.x.tobytes(), s.w.tobytes(), s.primal_dist, s.dual_dist,
-                               s.comp_gap, s.alpha, s.converged) for s in outcome.solutions])
+    return (outcome.unknown, outcome.open_supports,
+            [(s.x.tobytes(), s.w.tobytes(), s.primal_dist, s.dual_dist, s.comp_gap, s.alpha,
+              s.converged) for s in outcome.solutions])
+
+
+def walk_lists(step, count):
+    """A step (alpha, U, slack, owner, open_) of walk_supports over count
+    instances as (alpha, the (u, slack) pairs of every instance's feasible
+    roots, why each instance is open: "" when settled)."""
+    alpha, U, slack, owner, open_ = step
+    assert len(U) == len(slack) == len(owner) and len(open_) == count
+    return (alpha, [[(u, w) for u, w, o in zip(U, slack, owner) if o == t] for t in range(count)],
+            [_polysys._REASONS[c] for c in open_])
 
 
 @settings(max_examples=30, deadline=None)
@@ -504,8 +515,9 @@ def test_stacked_walk_gives_each_instance_its_own_outcome(insts):
     # every support of the stacked walk gives each instance the feasible
     # roots, slacks and settled flag of its own walk, and the stacked solve
     # the outcome of its own solve_enumerate, bit for bit
-    walks = [list(walk_supports([i.A], [i.q])) for i in insts]
-    stacked = list(walk_supports([i.A for i in insts], [i.q for i in insts]))
+    walks = [[walk_lists(s, 1) for s in walk_supports([i.A], [i.q])] for i in insts]
+    stacked = [walk_lists(s, len(insts))
+               for s in walk_supports([i.A for i in insts], [i.q for i in insts])]
     assert len(stacked) == 2 ** insts[0].A.dim
     for step, (alpha, feasible, settled) in enumerate(stacked):
         assert len(feasible) == len(settled) == len(insts)
@@ -514,8 +526,9 @@ def test_stacked_walk_gives_each_instance_its_own_outcome(insts):
             assert alpha == alpha1 and settled[t] == settled1
             assert [(u.tobytes(), w.tobytes()) for u, w in feasible[t]] == \
                 [(u.tobytes(), w.tobytes()) for u, w in feasible1]
-    for inst, outcome in zip(insts, _solve_stack(insts)):
-        assert outcome_bytes(outcome) == outcome_bytes(solve_enumerate(inst))
+    found = _solve_stack(insts)
+    for t, inst in enumerate(insts):
+        assert outcome_bytes(solver._outcome(found, t)) == outcome_bytes(solve_enumerate(inst))
 
 
 def scan_fields(scan):
@@ -565,7 +578,9 @@ def test_stacked_scan_is_the_per_instance_scan(insts):
         scans = _polysys._scan_stack(_forms._Forms(tensors), np.array(qs),
                                      list(range(tensors[0].dim)))
         alone = [scan_system(A, q) for A, q in zip(tensors, qs)]
-    assert [repr(scan_fields(s)) for s in scans] == [repr(scan_fields(s)) for s in alone]
+    assert len(scans.reason) == len(insts) and np.array_equal(scans.owner, np.sort(scans.owner))
+    assert [repr(scan_fields(_polysys._system_scan(scans, i))) for i in range(len(insts))] == \
+        [repr(scan_fields(s)) for s in alone]
 
 
 def test_overflowed_sphere_bound_certifies_nothing():
@@ -576,7 +591,8 @@ def test_overflowed_sphere_bound_certifies_nothing():
     with np.errstate(all="ignore"):
         assert _polysys.min_sphere_norm(inst.A) == 0.0
         scan = scan_system(inst.A, inst.q)
-        (alpha, _, open_), = [s for s in walk_supports([inst.A], [inst.q]) if len(s[0]) == 2]
+        (alpha, _, open_), = [walk_lists(s, 1) for s in walk_supports([inst.A], [inst.q])
+                              if len(s[0]) == 2]
     assert not scan.certified_infeasible and scan.reason == _polysys._OPEN[4]
     assert open_ == [scan.reason]
 
@@ -663,9 +679,70 @@ def test_dedup_keeps_the_roots_of_the_plain_loop(k, S, seed):
     centers = rng.uniform(0.0, 2.0, (3, k))
     roots = centers[rng.integers(0, 3, S)] + rng.normal(0.0, 1e-6, (S, k))
     roots[rng.random(S) < 0.2, 0] = 1.0  # some ties in the first coordinate
-    kept, ref = roots[_dedup(roots)], dedup_loop(list(roots))
+    kept, ref = roots[_dedup(roots, np.zeros(S, dtype=np.intp))], dedup_loop(list(roots))
     assert len(kept) == len(ref)
     assert all(np.array_equal(a, b) for a, b in zip(kept, ref))
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 4), sizes=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+       seed=st.integers(0, 2**32 - 1))
+def test_segment_dedup_keeps_every_systems_plain_loop_roots(k, sizes, seed):
+    # the roots of a stack of systems, some with none, shuffled together:
+    # clusters, ties in the first coordinate, and chains 0.6 _DEDUP_DIST
+    # apart, of which the greedy rule keeps every other point.  _dedup
+    # orders what it keeps by system, and keeps of each what the plain loop
+    # keeps of its roots alone
+    rng = np.random.default_rng(seed)
+    rows, owner, chains = [], [], {}
+    for i, size in enumerate(sizes):
+        kind = rng.integers(3)
+        if kind == 0:
+            centers = rng.uniform(0.0, 2.0, (2, k))
+            pts = centers[rng.integers(0, 2, size)] + rng.normal(0.0, 1e-6, (size, k))
+        elif kind == 1:
+            step = np.abs(rng.normal(size=k)) + 0.1
+            step *= 0.6 * _polysys._DEDUP_DIST / np.linalg.norm(step)
+            pts, chains[i] = rng.uniform(0.0, 2.0, k) + np.arange(size)[:, None] * step, size
+        else:
+            pts = rng.uniform(0.0, 3e-6, (size, k))
+            pts[:, 0] = 1.0
+        rows.append(pts)
+        owner += [i] * size
+    X, own = np.concatenate(rows).reshape(-1, k), np.array(owner, dtype=np.intp)
+    perm = rng.permutation(len(X))
+    X, own = X[perm], own[perm]
+    keep = _dedup(X, own)
+    assert np.array_equal(own[keep], np.sort(own[keep]))
+    for i in range(len(sizes)):
+        kept, ref = X[keep[own[keep] == i]], dedup_loop(list(X[own == i]))
+        assert len(kept) == len(ref)
+        assert i not in chains or len(kept) == (chains[i] + 1) // 2  # every other point
+        assert all(np.array_equal(a, b) for a, b in zip(kept, ref))
+
+
+@pytest.mark.parametrize("m, n", [(3, 3), (4, 2)])
+def test_stacked_solve_of_a_sparse_base_and_dense_trials(m, n):
+    # as usc_probe stacks them: the sparse identity tensor beside dense
+    # perturbations of it, two tail groups of _Forms.  Every support of the
+    # stacked walk and the stacked solve give each instance what it gets
+    # alone, bit for bit
+    base = TcpInstance(orthant(n), -np.ones(n), fx.identity(m, n))
+    insts = [base] + stability._trial_instances(base, 0.3, 11, seed=5)[3]
+    assert len(_forms._Forms([i.A for i in insts]).groups) == 2
+    stacked = [walk_lists(s, len(insts))
+               for s in walk_supports([i.A for i in insts], [i.q for i in insts])]
+    for t, inst in enumerate(insts):
+        for (alpha, feasible, why), (alpha1, (feasible1,), (why1,)) in zip(
+                stacked, [walk_lists(s, 1) for s in walk_supports([inst.A], [inst.q])]):
+            assert alpha == alpha1 and why[t] == why1
+            assert [(u.tobytes(), w.tobytes()) for u, w in feasible[t]] == \
+                [(u.tobytes(), w.tobytes()) for u, w in feasible1]
+    found = _solve_stack(insts)
+    assert np.array_equal(found[1], np.sort(found[1]))  # by instance
+    for t, inst in enumerate(insts):
+        assert outcome_bytes(solver._outcome(found, t)) == outcome_bytes(solve_enumerate(inst))
+    assert any(outcome.solutions for outcome in map(solve_enumerate, insts))
 
 
 def test_scan_system_memory_stays_blocked():

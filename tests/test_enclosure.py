@@ -109,7 +109,7 @@ def test_no_certified_support_has_a_root(m, n, count):
     for c, (A, q) in enumerate(corpus(m, n, count, 77 + 10 * m + n)):
         dense = A.to_dense()
         settled = {alpha.members: not open_[0]
-                   for alpha, _, open_ in _polysys.walk_supports([A], [q])}
+                   for alpha, *_, open_ in _polysys.walk_supports([A], [q])}
         for r in range(1, n + 1):
             for alpha in itertools.combinations(range(n), r):
                 scan = _polysys.scan_system(principal_subtensor(A, IndexSet(
@@ -264,7 +264,7 @@ def test_a_support_with_q_zero_is_enclosed():
     # q_3 = -1, and the slack rows clear the vertex t = 1, at which the
     # equations' subdivision stops
     A, q = fx.random_tensor("general", 3, 3, 5), np.array([0.0, 0.0, -1.0])
-    walk = {alpha.members: (feasible[0], open_[0])
-            for alpha, feasible, open_ in _polysys.walk_supports([A], [q])}
+    walk = {alpha.members: (U.tolist(), _polysys._REASONS[open_[0]])
+            for alpha, U, _, _, open_ in _polysys.walk_supports([A], [q])}
     assert walk[(1, 2)] == ([], "")
     assert (1, 2) not in dict(solve_enumerate(TcpInstance(orthant(3), q, A)).open_supports)
