@@ -5,14 +5,16 @@ evaluated through the two steps of ``tensor``'s kernel, each row with its
 own tensor's coefficients: every row gets the bits ``apply_m1`` and
 ``jacobian_m1`` give it with its tensor alone.  The stacked support walk,
 the stacked min-map Newton and the stacked basis minimisation read their
-tensors this way.
+tensors this way.  A stack of dense arrays, such as a probe's perturbed
+tensors, becomes its forms directly (``_Forms.dense``), with no tensor per
+instance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _derivative, _rows_m1
+from .tensor import Tensor, _dense_form, _derivative, _rows_m1
 
 _STACK_ENTRIES = 2**12  # gathered coefficients (rows x T x n) per block of _Forms.eval
 
@@ -31,10 +33,41 @@ class _Forms:
         self._set([(tensors[m[0]], np.stack([tensors[i]._coef for i in m]), m)
                    for m in groups.values()])
 
+    @classmethod
+    def dense(cls, D) -> "_Forms":
+        """_Forms(_dense_stack(D)) for an (S, n, ..., n) stack D, with no
+        tensor per instance: the groups in the same order, the same
+        coefficient bits.  An instance keeps the tails of its nonzero rows
+        (-0.0 stored as 0.0), so the instances of one nonzero-row pattern
+        are one group, its tensor built from its first instance's form; a
+        non-finite entry raises as in _dense_stack."""
+        m, n, tails, coefs = _dense_form(D)
+        coefs = coefs + 0.0
+        nonzero, split = np.any(coefs != 0.0, axis=2), {}
+        for s, row in enumerate(nonzero):
+            split.setdefault(row.tobytes(), []).append(s)
+        firsts = Tensor._from_forms(m, n, tails, coefs[[at[0] for at in split.values()]])
+        forms = object.__new__(cls)
+        forms._set([(A, coefs[at][:, nonzero[at[0]]], at) for A, at in zip(firsts, split.values())])
+        return forms
+
+    def take(self, rows) -> "_Forms":
+        """_Forms([tensors[i] for i in rows]), tensors this one's: the groups
+        in order of their first instance in rows, each instance with its
+        coefficients, each group's A kept (_set)."""
+        g, parts = self.group[rows], []
+        for h in dict.fromkeys(g.tolist()):
+            at = np.flatnonzero(g == h)
+            parts.append((self.groups[h][0], self.groups[h][1][self.slot[rows[at]]], at))
+        forms = object.__new__(_Forms)
+        forms._set(parts)
+        return forms
+
     def _set(self, parts, off=None):
         """The groups (A, coef, members), members the instances whose
-        coefficients are the rows of coef, in instance order; off, for the
-        forms of a cut, the rows outside it (cut), else None."""
+        coefficients are the rows of coef, in instance order, and A a tensor
+        with their tails (whose own coefficients nothing reads); off, for
+        the forms of a cut, the rows outside it (cut), else None."""
         self.groups, self.off = [(A, coef) for A, coef, _ in parts], off
         self.group, self.slot = np.empty((2, sum(len(m) for *_, m in parts)), dtype=np.intp)
         for g, (*_, m) in enumerate(parts):

@@ -30,7 +30,8 @@ membership, lifted to the cone's generators.  Its result is arrays
 
 ``walk_supports`` runs these scans over the complementary supports;
 membership and the enumeration solver both read it.  It walks a stack of
-instances at once: the instances whose tensors share ``_tails`` (the
+instances at once, given as their ``_Forms`` and the array of their q's:
+the instances whose tensors share ``_tails`` (the
 groups of ``_Forms``) cut their sub-systems once per support
 (``_Forms.cut``), every system of the stack is scanned as one stack, and
 each support yields arrays over the stack.  Every instance gets the bits
@@ -113,7 +114,7 @@ def min_sphere_norm(A: Tensor) -> float:
     shown: the lower bound of the norm_m1 enclosure on the orthant's basis
     (_simplex._enclose), which bounds ||A s^{m-1}||_inf from below on the
     standard simplex; ||A v^{m-1}||_2 >= ||A s^{m-1}||_inf at s = v / |v|_1."""
-    lower = _enclose("norm_m1", [A], orthant(A.dim))[0][3]
+    lower = _enclose("norm_m1", A.to_dense()[None], orthant(A.dim))[0][3]
     return lower if lower > 0 else 0.0
 
 
@@ -221,7 +222,7 @@ def _scan_stack(forms: _Forms, Q: np.ndarray, a: list) -> _Scans:
         leaf, W = np.arange(len(H)), np.repeat(np.eye(k + 1)[None], len(H), axis=0)
         go = stop == 0
         if go.any():
-            cut, Wc, stop_c = _subdivide(H, np.eye(k + 1), rho, "m1", _clearing(_signs(k)),
+            cut, Wc, stop_c = _subdivide(H, None, rho, "m1", _clearing(_signs(k)),
                                          _SHALLOW, leaf[go], W[go])
             stop[go] = stop_c[go]
             leaf, W = np.concatenate([leaf[~go], cut]), np.concatenate([W[~go], Wc])
@@ -242,7 +243,7 @@ def _scan_stack(forms: _Forms, Q: np.ndarray, a: list) -> _Scans:
         unsettled = unsettled[own]  # of the systems j enclosed, those with no feasible root
         deep = unsettled[leaf] & ((stop[leaf] == 0) | (stop[leaf] == 1) & bool(comp))
         if deep.any():
-            more, Wd, stop_d = _subdivide(HS, np.eye(k + 1), rho_s, "m1", _clearing(_signs(k)),
+            more, Wd, stop_d = _subdivide(HS, None, rho_s, "m1", _clearing(_signs(k)),
                                           _CLEAR_DEPTH - _SHALLOW, leaf[deep], W[deep])
             stop[leaf[deep]] = stop_d[leaf[deep]]
             leaf, W = np.concatenate([leaf[~deep], more]), np.concatenate([W[~deep], Wd])
@@ -270,11 +271,12 @@ def _system_scan(s: _Scans, i: int) -> SystemScan:
                       _REASONS[s.reason[i]], bool(s.reason[i] == _COMPLETE))
 
 
-def walk_supports(tensors, qs, live=None):
+def walk_supports(forms: _Forms, Q, live=None):
     """Scan every complementary support alpha of {1..n} for every instance
-    (A, q) of a stack at once (tensors of one order and dimension n), by
-    increasing size and lexicographically within a size, yielding (alpha,
-    U, slack, owner, open_) as arrays over the stack.
+    (A, q) of a stack at once, A the tensors of forms (of one order and
+    dimension n) and q the rows of Q, by increasing size and
+    lexicographically within a size, yielding (alpha, U, slack, owner,
+    open_) as arrays over the stack.
 
     The rows of U are the roots u_alpha >= 0 of A_aa u^{m-1} + q_a = 0 of
     the instances owner, by instance, whose slack rows A_{comp,a} u^{m-1} +
@@ -287,12 +289,12 @@ def walk_supports(tensors, qs, live=None):
     lazy, so a caller may stop at the first feasible root.  live, a boolean
     array over the instances that the caller may clear between yields,
     drops instances: from the next support on only the live ones are
-    scanned (a dropped one gets no root and the reason "not scanned"), and
-    the walk ends when none is live.
+    scanned (a dropped one gets no root and the reason "not scanned"), with
+    the forms of the live ones (_Forms.take), and the walk ends when none is
+    live.
     """
-    n = tensors[0].dim
-    live = np.ones(len(tensors), dtype=bool) if live is None else live
-    Q, rows = np.array(qs, dtype=float), None
+    Q, rows = np.asarray(Q, dtype=float), None
+    n, live = Q.shape[1], np.ones(len(Q), dtype=bool) if live is None else live
     for r in range(n + 1):
         for members in itertools.combinations(range(1, n + 1), r):
             if not live.any():
@@ -304,7 +306,7 @@ def walk_supports(tensors, qs, live=None):
                 continue
             if rows is None or not np.array_equal(rows, np.flatnonzero(live)):
                 rows = np.flatnonzero(live)
-                forms = _Forms([tensors[i] for i in rows])
-            s = _scan_stack(forms, Q[rows], [i - 1 for i in members])
+                sub = forms if len(rows) == len(Q) else forms.take(rows)
+            s = _scan_stack(sub, Q[rows], [i - 1 for i in members])
             open_[rows] = _WALK[s.reason]
             yield alpha, s.roots[s.feasible], s.slack[s.feasible], rows[s.owner[s.feasible]], open_

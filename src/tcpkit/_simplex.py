@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -63,10 +62,10 @@ def _lift(dense: np.ndarray, V: np.ndarray) -> np.ndarray:
     (P, n, k, ..., k) stack B[p]_{i j...} = sum_l A_{i l...} V_{l j} ..., so
     B[p] lam^{m-1} = A (V[p] lam)^{m-1}."""
     P, n, k = V.shape
-    Vb = V.reshape((P,) + (1,) * (dense.ndim - 3) + (n, k))
-    T = dense
-    for _ in range(dense.ndim - 2):
-        T = np.moveaxis(T @ Vb, -1, 2)
+    d = dense.ndim
+    Vb, T = V.reshape((P,) + (1,) * (d - 3) + (n, k)), dense
+    for _ in range(d - 2):
+        T = (T @ Vb).transpose(0, 1, d - 1, *range(2, d - 1))  # the new axis to position 2
     return T
 
 
@@ -91,26 +90,42 @@ def _bernstein(dense: np.ndarray, V: np.ndarray, form: str):
     return B.min(axis=0), B.max(axis=0), T[:, :, vertices]
 
 
+@functools.cache
+def _edges(k: int) -> np.ndarray:
+    """The vertex pairs (a, b), a < b, of a simplex of k vertices, in
+    row-major order (k = 1: its one pair (0, 0)), as the rows of a (2, E)
+    array."""
+    E = np.array([*itertools.combinations(range(k), 2)] or [(0, 0)]).T
+    E.flags.writeable = False  # cached, so shared by every call
+    return E
+
+
 def _bisect(W: np.ndarray) -> np.ndarray:
     """Both halves of every leaf W[p] (vertices as columns, in simplex
-    coordinates) cut at the midpoint of its longest edge (the first in
-    order among equals), the halves of W[p] at rows 2p and 2p + 1."""
-    (P, k, _), p = W.shape, np.arange(len(W))
+    coordinates) cut at the midpoint of its longest edge (the first (a, b)
+    in row-major order among equals), the halves of W[p] at rows 2p and
+    2p + 1.  Only the edges a < b are scored (_edges): (b, a) has the same
+    length and comes later."""
+    k, p = W.shape[1], np.arange(len(W))
     V = np.ascontiguousarray(W.transpose(1, 0, 2))  # coordinates first
-    D = V[:, :, :, None] - V[:, :, None, :]
-    a, b = np.divmod(np.argmax((D * D).sum(axis=0).reshape(P, k * k), axis=1), k)
+    a, b = _edges(k)
+    D = V[:, :, a] - V[:, :, b]
+    j = np.argmax((D * D).sum(axis=0), axis=1)
+    a, b = a[j], b[j]
     halves = np.stack([W, W], axis=1)
     halves[p, 0, :, a] = halves[p, 1, :, b] = 0.5 * (W[p, :, a] + W[p, :, b])  # the midpoint
-    return halves.reshape(2 * P, k, k)
+    return halves.reshape(-1, k, k)
 
 
 def _blocks(dense, G, form: str, owner, W):
     """(block, lo, hi, vert) of _bernstein on the leaves W[p] of the tensors
-    dense[owner[p]], in blocks of about _CLEAR_BLOCK transformed entries."""
+    dense[owner[p]], in blocks of about _CLEAR_BLOCK transformed entries; G
+    None is the identity basis."""
     step = max(1, _CLEAR_BLOCK // max(dense[0].size, W.shape[1] ** (dense.ndim - 1)))
     for s in range(0, len(owner), step):
         block = slice(s, s + step)
-        yield (block, *_bernstein(dense[owner[block]], G @ W[block], form))
+        yield (block, *_bernstein(dense[owner[block]], W[block] if G is None else G @ W[block],
+                                  form))
 
 
 def _clearing(clears):
@@ -138,7 +153,8 @@ def _signs(k: int):
 @np.errstate(over="ignore", invalid="ignore")
 def _subdivide(dense, G, rho, form: str, rule, depth: int, owner, W):
     """Bernstein subdivision of the leaves W[p] (vertices as columns, in the
-    simplex coordinates of the basis G) of the tensors dense[owner[p]], for
+    simplex coordinates of the basis G, None for the identity) of the
+    tensors dense[owner[p]], for
     at most depth rounds (Bundfuss and Duer, Linear Algebra Appl. 428, 2008;
     Mourrain and Pavone, J. Symbolic Comput. 44, 2009).
 
@@ -304,9 +320,9 @@ def _objective(objective: str, F, X=None):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _enclose(objective: str, tensors, K):
+def _enclose(objective: str, D: np.ndarray, K):
     """Branch and bound of a basis objective (_objective) over the basis of
-    K for a stack of tensors of one order and dimension, each with what it
+    K for the (T, n, ..., n) stack D of dense tensors, each with what it
     gets alone: (value, x, evaluations, lower) of each.
 
     A leaf's bound is the least coefficient of A x^m (xm), or the greatest
@@ -327,8 +343,8 @@ def _enclose(objective: str, tensors, K):
     below 2^-40 sum|a| <= rho.  A tensor past _CLEAR_ENTRIES dense entries
     (n^m or k^m) is not subdivided: lower is -inf, and value the least at a
     basis vertex."""
-    G = _basis(K, tensors[0].dim)
-    (n, k), m, T = G.shape, tensors[0].order, len(tensors)
+    G = _basis(K, D.shape[1])
+    (n, k), m, T = G.shape, D.ndim - 1, len(D)
     best, lam = np.full(T, np.inf), np.zeros((T, k))
     used, lower, owner, W = np.zeros(T, dtype=int), np.full(T, -np.inf), np.arange(0), None
     form = "m1" if objective == "norm_m1" else "xm"
@@ -344,10 +360,9 @@ def _enclose(objective: str, tensors, K):
 
     if max(n, k) ** m > _CLEAR_ENTRIES:
         own, X = np.repeat(np.arange(T), k), np.tile(G.T, (T, 1))
-        keep(_objective(objective, _Forms(tensors).m1(X, own), X), own, np.tile(np.eye(k), (T, 1)))
+        keep(_objective(objective, _Forms.dense(D).m1(X, own), X), own, np.tile(np.eye(k), (T, 1)))
     else:
-        dense = np.array([A.to_dense() for A in tensors])
-        rho = 2.0**-30 * np.abs(dense).reshape(T, -1).sum(axis=1)
+        rho = 2.0**-30 * np.abs(D).reshape(T, -1).sum(axis=1)
         lower[:] = np.inf
 
         def bound(lo, hi, r):  # of every leaf, or of every vertex (on a last axis)
@@ -368,18 +383,17 @@ def _enclose(objective: str, tensors, K):
             np.minimum.at(lower, own[done], b[done])
             return done, dead
 
-        owner, W, _ = _subdivide(dense, G, rho, form, rule, _CLEAR_DEPTH, np.arange(T),
+        owner, W, _ = _subdivide(D, G, rho, form, rule, _CLEAR_DEPTH, np.arange(T),
                                  np.repeat(np.eye(k)[None], T, axis=0))
-        for block, lo, hi, vert in _blocks(dense, G, form, owner, W):  # the leaves left open
+        for block, lo, hi, vert in _blocks(D, G, form, owner, W):  # the leaves left open
             r = rho[owner[block], None]
             rule(lo, hi, vert, r, owner[block], W[block])
             np.minimum.at(lower, owner[block], bound(lo, hi, r))
     polish = (np.bincount(owner, minlength=T) > 0) & (best > (0.0 if objective == "xm" else 1e-3 * MARGIN))
     p = np.flatnonzero(polish)
     if len(p):  # on the tensors scaled by powers of two to entries below 1, so nothing overflows
-        shift = np.array([math.frexp(float(np.abs(tensors[t]._coef).max(initial=0.0)))[1]
-                          for t in p])
-        forms = _Forms([tensors[t].scale(2.0 ** -e) for t, e in zip(p, shift)])
+        shift = np.frexp(np.abs(D[p]).reshape(len(p), -1).max(axis=1))[1]
+        forms = _Forms.dense(D[p] * np.ldexp(1.0, -shift).reshape((-1,) + (1,) * m))
         slot = np.cumsum(polish) - 1
         own = np.concatenate([np.arange(len(p)), slot[owner[polish[owner]]]])
         start, L = _polish(forms, own, np.broadcast_to(G, (len(own), n, k)),

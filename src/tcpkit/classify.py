@@ -87,8 +87,8 @@ def min_over_basis(objective: str, A: Tensor, K: PolyhedralCone):
 def _minima(objective: str, tensors, K: PolyhedralCone) -> list:
     """[min_over_basis(objective, A, K) for A in tensors], tensors of one
     order and dimension, in one stacked enclosure."""
-    return [(_exact(objective, A, x), x, used, lower)
-            for A, (_, x, used, lower) in zip(tensors, _enclose(objective, tensors, K))]
+    return [(_exact(objective, A, x), x, used, lower) for A, (_, x, used, lower)
+            in zip(tensors, _enclose(objective, np.array([A.to_dense() for A in tensors]), K))]
 
 
 def _exact(objective: str, A: Tensor, x: np.ndarray) -> float:
@@ -181,13 +181,13 @@ def _nonsingular_verdict(v: float, x: np.ndarray, used: int, lower: float,
     return _three_valued(name, v, x, used, lower >= 2.0 * MARGIN, v <= MARGIN * 1e-3)
 
 
-def _holds(objective: str, tensors, K: PolyhedralCone) -> list[bool]:
-    """Whether the verdict of every A in tensors (of one order and dimension)
-    holds: is_copositive's rule (_psd_verdict) for xm, is_K_regular's and
+def _holds(objective: str, D: np.ndarray, K: PolyhedralCone) -> list[bool]:
+    """Whether the verdict of every tensor of the (T, n, ..., n) dense stack
+    D holds: is_copositive's rule (_psd_verdict) for xm, is_K_regular's and
     is_K_nonsingular's for abs_xm and norm_m1, read from one stacked
     enclosure (_enclose), on which alone a holds rests."""
     rule = _psd_verdict if objective == "xm" else (lambda _, *r: _nonsingular_verdict(*r))
-    return [rule("", *res).status == "holds" for res in _enclose(objective, tensors, K)]
+    return [rule("", *res).status == "holds" for res in _enclose(objective, D, K)]
 
 
 def all_principal_nonsingular(A: Tensor) -> Verdict:
@@ -248,7 +248,7 @@ def _s_cone(A: Tensor, q: np.ndarray):
                                                       (1,) + (k,) * (m - 1))]) for a in faces])
         with np.errstate(over="ignore", invalid="ignore"):
             rho = 2.0**-30 * np.abs(H).reshape(len(H), n + 1, -1).sum(axis=2)
-        owner, W, _ = _subdivide(H, np.eye(k), rho, "m1", _clearing(_signs(k)), _CLEAR_DEPTH,
+        owner, W, _ = _subdivide(H, None, rho, "m1", _clearing(_signs(k)), _CLEAR_DEPTH,
                                  np.arange(len(H)), np.repeat(np.eye(k)[None], len(H), axis=0))
         settled = settled and not len(owner)
         if not len(owner):

@@ -25,7 +25,7 @@ from ._polysys import _REASONS, _WALK, SYS_TOL, _scan_stack, walk_supports
 from ._simplex import MARGIN, _basis, _lift
 from .classify import Verdict
 from .cones import PolyhedralCone, _nnls
-from .tensor import (IndexSet, ShapeError, Tensor, _dense_stack, _finite, apply_m1,
+from .tensor import (IndexSet, ShapeError, Tensor, _finite, apply_m1,
                      principal_subtensor)
 
 __all__ = [
@@ -112,7 +112,7 @@ def tpos_contains(K: PolyhedralCone, A: Tensor, y) -> Verdict:
     sets = sets[np.linalg.matrix_rank(np.moveaxis(G[:, sets], 1, 0)) == r]
     rows = np.array(list(itertools.combinations(range(n), r)), dtype=np.intp)
     B = _lift(A.to_dense()[None], np.moveaxis(G[:, sets], 1, 0))[:, rows]
-    scans = _scan_stack(_Forms(_dense_stack(B.reshape((-1,) + B.shape[2:]))),
+    scans = _scan_stack(_Forms.dense(B.reshape((-1,) + B.shape[2:])),
                         -np.tile(y[rows], (len(sets), 1)), list(range(r)))
     for lam, i in zip(scans.roots, scans.owner):
         x = G[:, sets[i // len(rows)]] @ lam
@@ -155,7 +155,7 @@ def _memberships(A: Tensor, qs) -> list[MembershipResult]:
         raise ValueError("membership scan limited to dim <= 12")
     out, settled, examined = [None] * len(qs), np.ones(len(qs), dtype=bool), 0
     live = np.ones(len(qs), dtype=bool)
-    for alpha, U, slack, owner, open_ in walk_supports([A] * len(qs), qs, live):
+    for alpha, U, slack, owner, open_ in walk_supports(_Forms([A] * len(qs)), qs, live):
         examined += 1
         a, comp = [i - 1 for i in alpha.members], [i - 1 for i in alpha.complement]
         settled &= ~live | (open_ == 0)

@@ -308,7 +308,7 @@ def _sample_blocks(K: PolyhedralCone, N: int, seed: int, block: int):
     yield np.array(gens)
     rng, need = SplitMix64(seed), max(N, k) - k
     while need:
-        V = _mv(G, _uniform_stack([rng], min(need, block) * k).reshape(-1, k))
+        V = _mv(G, rng.stacked(_uniform_stack, min(need, block) * k).reshape(-1, k))
         nrm = _row_norms(V)
         V = V[nrm > 1e-12] / nrm[nrm > 1e-12, None]
         need -= len(V)

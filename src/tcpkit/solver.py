@@ -4,11 +4,16 @@ Verification (residual triple, is_solution) works for any polyhedral cone;
 the enumeration solver is orthant-only, walking the 2^n complementarity
 supports and collecting every root the per-support search finds.  Local
 refinement is a semismooth Newton method on the componentwise min-map.  The
+stacked entry points (``_solve_stack``, ``_residual_rows``, ``_solved_rows``,
+``_min_map_newton``) take a stack of instances of one cone as arrays: the
+``_Forms`` of their tensors, the (T, n) array Q of their q's and the cone,
+so a probe's perturbed trials are never TcpInstance objects, and one
+``_Forms`` serves its walk, its residual check and its Newton.  The
 candidate points of a stacked walk, of refine and of the probes' end points
 are checked in one row check (``_residual_rows``), of which residual() is
 the one-row case, so every point gets the bits it gets alone.  A stacked
-solve (``_solve_stack``) keeps its solutions in arrays, which the probes
-read; only the public calls build objects from them.
+solve keeps its solutions in arrays, which the probes read; only the public
+calls build objects from them.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from ._polysys import _DEDUP_DIST, _REASONS, _dedup, walk_supports
 from ._rng import SplitMix64
 from ._simplex import damped_newton
 from .cones import PolyhedralCone, _dists, cone_from_json, cone_to_json, dual
-from .tensor import (IndexSet, ShapeError, Tensor, _finite, apply_m1, tensor_from_json,
+from .tensor import (IndexSet, ShapeError, Tensor, _finite, _whole, apply_m1, tensor_from_json,
                      tensor_to_json)
 
 __all__ = [
@@ -58,17 +63,9 @@ class TcpInstance:
         return apply_m1(self.A, x) + self.q
 
 
-def _instance_stack(cone: PolyhedralCone, Q: np.ndarray, tensors) -> list[TcpInstance]:
-    """[TcpInstance(cone, q, A) for q, A in zip(Q, tensors)], tensors of the
-    cone's dimension, with __post_init__'s checks made once on the stacked
-    (T, n) array Q."""
-    Q = _finite(Q, (len(tensors), cone.dim), "q")
-    out = []
-    for q, A in zip(Q, tensors):
-        inst = object.__new__(TcpInstance)
-        inst.__dict__.update(cone=cone, q=q, A=A)
-        out.append(inst)
-    return out
+def _one(inst: TcpInstance):
+    """(forms, Q, cone), the stack of the stacked entry points, of inst alone."""
+    return _Forms([inst.A]), inst.q[None], inst.cone
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ def residual(inst: TcpInstance, x) -> tuple[float, float, float]:
     x = np.asarray(x, dtype=float)
     if x.shape != (inst.A.dim,):
         raise ShapeError("candidate point has wrong dimension")
-    return tuple(_residual_rows([inst], x[None], np.zeros(1, dtype=np.intp))[1][0].tolist())
+    return tuple(_residual_rows(*_one(inst), x[None], np.zeros(1, dtype=np.intp))[1][0].tolist())
 
 
 def is_solution(inst: TcpInstance, x, tol: float) -> bool:
@@ -126,36 +123,36 @@ def solve_enumerate(inst: TcpInstance) -> EnumerationOutcome:
     ``q_membership`` uses for its unknown verdict; open_supports names each
     support left open and why.
     """
-    return _outcome(_solve_stack([inst]), 0)
+    return _outcome(_solve_stack(*_one(inst)), 0)
 
 
-def _solve_stack(insts):
-    """solve_enumerate(inst) for every inst of insts (of one dimension and
-    order) in one stacked support walk, one check of every candidate point
+def _solve_stack(forms: _Forms, Q: np.ndarray, cone: PolyhedralCone):
+    """solve_enumerate(inst) for every instance (cone, q, A) of a stack, A
+    the tensors of forms (of one dimension and order) and q the rows of Q,
+    in one stacked support walk, one check of every candidate point
     (_residual_rows) and one dedup (_dedup): each gets what it gets alone.
     Returns the solutions, the rows of X, with the instance own, w (W) and
     residual triple (R) of each, every instance's in solve_enumerate's
     order; the (alpha members, open codes of walk_supports) of every
     support; and whether each instance is unknown."""
-    if not all(inst.cone.is_orthant for inst in insts):
+    if not cone.is_orthant:
         raise ValueError("enumeration solver requires the nonnegative orthant")
-    n = insts[0].A.dim
+    n = Q.shape[1]
     if n > 12:
         raise ValueError("enumeration limited to dim <= 12")
     points, owner, open_ = [], [], []
-    for alpha, U, _, own, why in walk_supports([inst.A for inst in insts],
-                                               [inst.q for inst in insts]):
+    for alpha, U, _, own, why in walk_supports(forms, Q):
         X = np.zeros((len(U), n))
         X[:, [i - 1 for i in alpha.members]] = U
         points.append(X)
         owner.append(own)
         open_.append((alpha.members, why))
     X, own = np.concatenate(points), np.concatenate(owner)
-    W, R = _residual_rows(insts, X, own)
+    W, R = _residual_rows(forms, Q, cone, X, own)
     keep = np.flatnonzero((R <= _SUPPORT_TOL).all(axis=1))
     keep = keep[_dedup(X[keep], own[keep])]
     unknown = np.any([why > 0 for _, why in open_], axis=0)
-    unknown &= np.bincount(own[keep], minlength=len(insts)) == 0
+    unknown &= np.bincount(own[keep], minlength=len(Q)) == 0
     return X[keep], own[keep], W[keep], R[keep], open_, unknown
 
 
@@ -167,21 +164,22 @@ def _outcome(found, t: int) -> EnumerationOutcome:
                                                _SUPPORT_TOL)), bool(unknown[t]), why)
 
 
-def _residual_rows(insts, X: np.ndarray, own: np.ndarray):
+def _residual_rows(forms: _Forms, Q: np.ndarray, K: PolyhedralCone, X: np.ndarray,
+                   own: np.ndarray):
     """(W, R) at every row r, x of the (S, n) array X, on the instance
-    insts[own[r]] (instances of one cone, dimension and order; any cone):
-    W[r] = A x^{m-1} + q has the bits of inst.w_of(x), and R[r] is the
-    residual triple (dist(x, K), dist(w, K*), |<x, w>|), each distance a row
-    of cones._dists."""
-    K = insts[0].cone
-    W = _Forms([inst.A for inst in insts]).m1(X, own) + np.array([inst.q for inst in insts])[own]
+    (K, Q[own[r]], A) of a stack (_solve_stack's; any cone), A the tensor
+    own[r] of forms: W[r] = A x^{m-1} + q has the bits of inst.w_of(x), and
+    R[r] is the residual triple (dist(x, K), dist(w, K*), |<x, w>|), each
+    distance a row of cones._dists."""
+    W = forms.m1(X, own) + Q[own]
     return W, np.column_stack([_dists(K, X), _dists(dual(K), W), np.abs(np.vecdot(X, W))])
 
 
-def _solved_rows(insts, X: np.ndarray, own: np.ndarray, tol: float) -> np.ndarray:
-    """is_solution(insts[own[r]], x, tol) at every row r, x of X, in one
-    check (_residual_rows)."""
-    return (_residual_rows(insts, X, own)[1] <= tol).all(axis=1)
+def _solved_rows(forms: _Forms, Q: np.ndarray, K: PolyhedralCone, X: np.ndarray,
+                 own: np.ndarray, tol: float) -> np.ndarray:
+    """is_solution(inst, x, tol) at every row r, x of X, inst the instance
+    own[r] of the stack, in one check (_residual_rows)."""
+    return (_residual_rows(forms, Q, K, X, own)[1] <= tol).all(axis=1)
 
 
 def _solutions(X: np.ndarray, W: np.ndarray, R: np.ndarray, tol: float) -> list[TcpSolution]:
@@ -195,17 +193,16 @@ def _solutions(X: np.ndarray, W: np.ndarray, R: np.ndarray, tol: float) -> list[
             for x, w, (p, d, c) in zip(X, W, R.tolist())]
 
 
-def _min_map_newton(insts, X0: np.ndarray, own: np.ndarray) -> np.ndarray:
+def _min_map_newton(forms: _Forms, Q: np.ndarray, K: PolyhedralCone, X0: np.ndarray,
+                    own: np.ndarray) -> np.ndarray:
     """Semismooth Newton on the min-map Phi(x) = min(x, A x^{m-1} + q) from
-    every row r of the (S, n) array X0 at once, on the instance insts[own[r]]
-    (instances of one dimension and order), for at most 80 steps; returns
-    the end points clamped to x >= 0, each row as its start would end alone
-    on its instance."""
-    if not all(inst.cone.is_orthant for inst in insts):
+    every row r of the (S, n) array X0 at once, on the instance own[r] of
+    the stack (_solve_stack's), for at most 80 steps; returns the end points
+    clamped to x >= 0, each row as its start would end alone on its
+    instance."""
+    if not K.is_orthant:
         raise ValueError("min-map refinement requires the nonnegative orthant")
-    forms = _Forms([inst.A for inst in insts])
-    Q = np.array([inst.q for inst in insts])
-    eye = np.eye(insts[0].A.dim)
+    eye = np.eye(Q.shape[1])
 
     def phi(V, rows):
         o = own[rows]
@@ -230,26 +227,29 @@ def refine(inst: TcpInstance, x0) -> TcpSolution:
     x = np.asarray(x0, dtype=float)
     if x.shape != (inst.A.dim,):
         raise ShapeError("starting point has wrong dimension")
-    own = np.zeros(1, dtype=np.intp)
-    X = _min_map_newton([inst], x[None], own)
-    return _solutions(X, *_residual_rows([inst], X, own), 1e-9)[0]
+    own, stack = np.zeros(1, dtype=np.intp), _one(inst)
+    X = _min_map_newton(*stack, x[None], own)
+    return _solutions(X, *_residual_rows(*stack, X, own), 1e-9)[0]
 
 
 def solution_set_probe(inst: TcpInstance, radius: float, samples: int, seed: int) -> dict:
     """Empirical boundedness probe: enumeration plus multistart refinement
-    from random starts in [0, radius]^n."""
+    from random starts in [0, radius]^n.  samples and seed must be whole
+    numbers (operator.index), and are echoed as Python ints."""
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be finite and > 0, got {radius}")
+    samples, seed = _whole(samples, "samples"), _whole(seed, "seed")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    X, *_, unknown = _solve_stack([inst])
+    stack = _one(inst)
+    X, *_, unknown = _solve_stack(*stack)
     found = list(X)
     rng = SplitMix64(seed)
     n = inst.A.dim
     starts = np.array([[rng.uniform(0.0, radius) for _ in range(n)] for _ in range(samples)])
     own = np.zeros(samples, dtype=np.intp)
-    ends = _min_map_newton([inst], starts.reshape(-1, n), own)
-    for x in ends[_solved_rows([inst], ends, own, 1e-9)]:
+    ends = _min_map_newton(*stack, starts.reshape(-1, n), own)
+    for x in ends[_solved_rows(*stack, ends, own, 1e-9)]:
         if all(np.linalg.norm(x - y) > _DEDUP_DIST for y in found):
             found.append(x)
     max_norm = max((float(np.linalg.norm(x)) for x in found), default=0.0)

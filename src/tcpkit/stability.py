@@ -6,6 +6,14 @@ with the same seed are bit-identical.  The probes estimate the existential
 constants (solvability radius, error-bound constant) empirically and claim
 no exact value for them.  The local-uniqueness certificate is no estimate:
 it is the least Rayleigh quotient over the slice, exact up to rounding.
+
+Each probe is one array pipeline from its seed to its report.  Its trials'
+streams are one struct of arrays (_rng._trial_streams), its perturbed
+tensors a dense (T, n, ..., n) stack and its q's a (T, n) array
+(_perturbations), never a Tensor or TcpInstance per trial: the gates
+(_holds) read the dense stack, and one _Forms.dense of it serves the
+stacked solve, residual check and min-map Newton.  The base instance rides
+in its trials' stack: its gate, or its membership walk, is row 0.
 """
 
 from __future__ import annotations
@@ -16,15 +24,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._rng import SplitMix64, _sphere_stack, _uniform_stack
+from ._forms import _Forms
+from ._rng import _sphere_stack, _trial_streams, _uniform_stack
 from ._simplex import MARGIN
 from .classify import Verdict, _holds, q_in_dual_SA
-from .compcones import _memberships, complementary_tensor, q_membership
+from .compcones import _memberships, complementary_tensor
 from .cones import (_RAY_TOL, _SLICE, PolyhedralCone, _active, _row_norms, extreme_rays,
                     from_generators, orthant)
-from .solver import (TcpInstance, _instance_stack, _min_map_newton, _solve_stack, _solved_rows,
-                     is_solution, residual)
-from .tensor import IndexSet, Tensor, _dense_stack, apply_m2, is_subsymmetric, unit_tensor
+from .solver import TcpInstance, _min_map_newton, _solve_stack, _solved_rows, is_solution, residual
+from .tensor import IndexSet, Tensor, _dense_form, _finite, _whole, apply_m2, is_subsymmetric
 
 __all__ = [
     "PerturbationReport",
@@ -54,46 +62,51 @@ class PerturbationReport:
         return {**asdict(self), "failures": list(self.failures)}
 
 
-def _require_sizes(trials: int, eps: float, radius: float | None = None) -> None:
-    """Refuses, naming the argument, trials below 1, an eps that is not
-    finite and >= 0, and a neighborhood radius (when given) that is not
-    finite and > 0."""
+def _require_sizes(trials, eps: float, seed, radius: float | None = None) -> tuple[int, int]:
+    """(trials, seed) as Python ints (operator.index), so a report echoes
+    what was drawn.  Refuses, naming the argument, a trials or seed that is
+    not a whole number, trials below 1, an eps that is not finite and >= 0,
+    and a neighborhood radius (when given) that is not finite and > 0."""
+    trials = _whole(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not (math.isfinite(eps) and eps >= 0):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if radius is not None and not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"neighborhood_radius must be finite and > 0, got {radius}")
+    return trials, _whole(seed, "seed")
 
 
-def _trial_streams(seed: int, trials: int) -> list:
-    """The stream SplitMix64(seed).spawn(t + 1) of every trial t."""
-    rng = SplitMix64(seed)
-    return [rng.spawn(t + 1) for t in range(trials)]
-
-
-def _perturbations(inst: TcpInstance, streams, eps: float):
-    """(dq, dA, perturbed instances) of the next draw of every stream, in one
-    stacked draw: dq (T, n) and the flat dA (T, n^m) on a random ray (a
-    point on the unit sphere in R^(n + n^m)), scaled so that ||dq|| +
-    ||dA||_F = eps * U(0, 1); eps = 0 draws nothing."""
-    n, T = inst.A.dim, len(streams)
-    size = n ** inst.A.order
+def _perturbations(A0: np.ndarray, q: np.ndarray, streams, eps: float):
+    """(dq, dA, D, Q) of the next draw of every stream, in one stacked draw:
+    dq (T, n) and the flat dA (T, n^m) on a random ray (a point on the unit
+    sphere in R^(n + n^m)), scaled so that ||dq|| + ||dA||_F = eps * U(0, 1)
+    (eps = 0 draws nothing), and the perturbed dense tensors D = A0 + dA,
+    (T, n, ..., n), and q's Q = q + dq, unchecked (_checked)."""
+    n, T = len(q), len(streams)
     if eps == 0.0:
-        dq, dA = np.zeros((T, n)), np.zeros((T, size))
+        dq, dA = np.zeros((T, n)), np.zeros((T, A0.size))
     else:
-        D = _sphere_stack(streams, 1, n + size)[:, 0]
-        scale = eps * _uniform_stack(streams, 1)[:, 0] / (_row_norms(D[:, :n]) + _row_norms(D[:, n:]))
-        dq, dA = D[:, :n] * scale[:, None], D[:, n:] * scale[:, None]
-    tensors = _dense_stack(inst.A.to_dense() + dA.reshape((T,) + (n,) * inst.A.order))
-    return dq, dA, _instance_stack(inst.cone, inst.q + dq, tensors)
+        V = _sphere_stack(streams, 1, n + A0.size)[:, 0]
+        scale = eps * _uniform_stack(streams, 1)[:, 0] / (_row_norms(V[:, :n]) + _row_norms(V[:, n:]))
+        dq, dA = V[:, :n] * scale[:, None], V[:, n:] * scale[:, None]
+    return dq, dA, A0 + dA.reshape((T,) + A0.shape), q + dq
 
 
-def _trial_instances(inst: TcpInstance, eps: float, trials: int, seed: int):
-    """(streams, dq, dA, perturbed instances): the stream of every trial t
-    (_trial_streams) and the perturbation drawn first from it."""
-    streams = _trial_streams(seed, trials)
-    return (streams, *_perturbations(inst, streams, eps))
+def _checked(D: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Q, once D and Q pass the checks a tensor and an instance of each
+    trial would make: a non-finite entry of D (_dense_form), then of Q,
+    raises."""
+    _dense_form(D)
+    return _finite(Q, Q.shape, "q")
+
+
+def _joined(objective: str, A0: np.ndarray, D: np.ndarray, K) -> np.ndarray:
+    """_holds of the base tensor A0, then of every trial's D[t], in one
+    stacked check; the base alone when D is not finite, which the caller's
+    check of the trials then raises on, after the base's errors."""
+    stack = np.concatenate([A0[None], D])
+    return np.array(_holds(objective, stack if np.isfinite(D).all() else stack[:1], K))
 
 
 def _least_rayleigh(M: np.ndarray, R: np.ndarray):
@@ -163,18 +176,22 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int) -> 
     Perturbations that break copositivity are redrawn (up to 100 times per
     trial, then shifted by eps times the unit tensor, which adds the sum of
     m-th powers to the polynomial).  Trial t draws from its own stream
-    SplitMix64(seed).spawn(t + 1), so the trials are gated together: one
-    stacked copositivity check (_holds) of every trial's tensor, then of
-    the redraws of the trials that failed, each round drawn in one stacked
-    draw from their own streams.  The base check and every gate read the
-    status is_copositive gives, and the base q must be certified in the
-    interior of the dual of S_A (q_in_dual_SA).  Then all trials are solved
-    in one stacked support walk, each with the outcome of its own
+    SplitMix64(seed).spawn(t + 1), so the trials are gated together, as
+    dense arrays: one stacked copositivity check (_holds) per round, the
+    first of the base tensor and every trial's, then of the redraws of the
+    trials that failed, each round drawn in one stacked draw from their own
+    streams.  The base check and every gate read the status is_copositive
+    gives, and the base q must be certified in the interior of the dual of
+    S_A (q_in_dual_SA).  Then all trials are solved in one stacked support
+    walk over their forms (_Forms.dense), each with the outcome of its own
     solve_enumerate call."""
-    _require_sizes(trials, eps)
+    trials, seed = _require_sizes(trials, eps, seed)
     if not inst.cone.is_orthant:
         raise ValueError("perturb_existence requires the orthant")
-    if not _holds("xm", [inst.A], inst.cone)[0]:
+    A0, streams = inst.A.to_dense(), _trial_streams(seed, trials)
+    _, _, D, Q = _perturbations(A0, inst.q, streams, eps)
+    held = _joined("xm", A0, D, inst.cone)
+    if not held[0]:
         raise ValueError("base tensor is not certified copositive")
     dual = q_in_dual_SA(inst.A, inst.q).status
     if dual == "fails":
@@ -182,22 +199,19 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int) -> 
     if dual == "unknown":
         raise ValueError("base q in int(S_A^*) could not be certified")
 
-    streams, _, _, perts = _trial_instances(inst, eps, trials, seed)
-    redraws = [0] * trials
-    pending = list(range(trials))
-    while pending:
-        gates = _holds("xm", [perts[t].A for t in pending], inst.cone)
-        pending = [t for t, holds in zip(pending, gates) if not holds]
-        redrawn = _perturbations(inst, [streams[t] for t in pending], eps)[2] if pending else []
-        for t, pert in zip(pending, redrawn):
-            perts[t] = pert
-            redraws[t] += 1
-        pending = [t for t in pending if redraws[t] < 100]
-
-    shift = unit_tensor(inst.A.order, inst.A.dim).scale(eps)
-    perts = [TcpInstance(p.cone, p.q, p.A + shift) if r >= 100 else p
-             for p, r in zip(perts, redraws)]
-    X, own = _solve_stack(perts)[:2]
+    Q, redraws, pending = _checked(D, Q), np.zeros(trials, dtype=int), np.flatnonzero(~held[1:])
+    while len(pending):
+        sub = streams[pending]
+        _, _, D[pending], Qp = _perturbations(A0, inst.q, sub, eps)
+        streams[pending], Q[pending] = sub, _checked(D[pending], Qp)
+        redraws[pending] += 1
+        pending = pending[redraws[pending] < 100]
+        if len(pending):
+            pending = pending[~np.array(_holds("xm", D[pending], inst.cone))]
+    capped = np.flatnonzero(redraws >= 100)[:, None]
+    with np.errstate(over="ignore"):  # a non-finite entry raises in _Forms.dense
+        D[(capped,) + (np.arange(inst.A.dim),) * A0.ndim] += eps  # the unit tensor's entries
+    X, own = _solve_stack(_Forms.dense(D), Q, inst.cone)[:2]
     solved = np.bincount(own, minlength=trials) > 0
     return PerturbationReport(
         trials=trials, eps=eps, seed=seed,
@@ -205,7 +219,7 @@ def perturb_existence(inst: TcpInstance, eps: float, trials: int, seed: int) -> 
         max_solution_norm=float(np.max(_row_norms(X), initial=0.0)),
         error_ratio_max=0.0,
         failures=tuple(np.flatnonzero(~solved).tolist()),
-        resamples=sum(redraws),
+        resamples=int(redraws.sum()),
     )
 
 
@@ -216,25 +230,28 @@ def error_bound_probe(inst: TcpInstance, xbar, neighborhood_radius: float,
     Trial t draws its perturbation and 4 starts around xbar from its own
     stream SplitMix64(seed).spawn(t + 1); the 5 starts of every trial (xbar
     first) are refined in one stacked min-map Newton, each row on its own
-    trial's instance, with the end points of one refine call per start.
-    All 5 x trials end points are then checked in one stacked orthant
-    residual check, each with the verdict of is_solution(pert, x, 1e-9) on
-    its own trial's instance."""
-    _require_sizes(trials, eps, neighborhood_radius)
+    trial's instance (one _Forms.dense of the trials' tensors), with the end
+    points of one refine call per start.  All 5 x trials end points are then
+    checked in one stacked orthant residual check, each with the verdict of
+    is_solution(pert, x, 1e-9) on its own trial's instance."""
+    trials, seed = _require_sizes(trials, eps, seed, neighborhood_radius)
     xbar = np.asarray(xbar, dtype=float)
     cert = local_uniqueness_certificate(inst, xbar)
     if cert.status != "holds":
         raise ValueError("local uniqueness certificate does not hold at xbar")
 
-    streams, dq, dA, perts = _trial_instances(inst, eps, trials, seed)
-    n = inst.A.dim
+    streams = _trial_streams(seed, trials)
+    dq, dA, D, Q = _perturbations(inst.A.to_dense(), inst.q, streams, eps)
+    Q = _checked(D, Q)
+    forms, n = _Forms.dense(D), inst.A.dim
     starts = np.empty((trials, 5, n))
     starts[:, 0] = xbar
     starts[:, 1:] = xbar + 0.1 * neighborhood_radius * _sphere_stack(streams, 4, n)
     own = np.repeat(np.arange(trials), 5)
-    ends = _min_map_newton(perts, starts.reshape(-1, n), own)
+    ends = _min_map_newton(forms, Q, inst.cone, starts.reshape(-1, n), own)
     dist = _row_norms(ends - xbar)
-    kept = (_solved_rows(perts, ends, own, 1e-9) & (dist <= neighborhood_radius)).reshape(trials, 5)
+    kept = (_solved_rows(forms, Q, inst.cone, ends, own, 1e-9)
+            & (dist <= neighborhood_radius)).reshape(trials, 5)
     solvable = kept.any(axis=1)
     denom = _row_norms(dq) + _row_norms(dA)
     rated = solvable & (denom >= 1e-12)
@@ -255,15 +272,17 @@ def usc_probe(inst: TcpInstance, eps: float, trials: int, seed: int) -> dict:
     from the base solution set.
 
     The base tensor must be K-regular, with the status is_K_regular gives
-    (_holds).  Trial t draws from its
-    own stream SplitMix64(seed).spawn(t + 1); the base instance and every
-    trial are solved in one stacked support walk, each with the outcome of
+    (_holds).  Trial t draws from its own stream SplitMix64(seed).spawn(t +
+    1); the base instance, row 0, and every trial are solved in one stacked
+    support walk over their forms (_Forms.dense), each with the outcome of
     its own solve_enumerate call."""
-    _require_sizes(trials, eps)
-    if not _holds("abs_xm", [inst.A], inst.cone)[0]:
+    trials, seed = _require_sizes(trials, eps, seed)
+    A0 = inst.A.to_dense()
+    if not _holds("abs_xm", A0[None], inst.cone)[0]:
         raise ValueError("base tensor is not certified K-regular")
-    perts = _trial_instances(inst, eps, trials, seed)[3]
-    X, own = _solve_stack([inst] + perts)[:2]
+    _, _, D, Q = _perturbations(A0, inst.q, _trial_streams(seed, trials), eps)
+    Q = np.vstack([inst.q, _checked(D, Q)])
+    X, own = _solve_stack(_Forms.dense(np.concatenate([A0[None], D])), Q, inst.cone)[:2]
     B = X[own == 0]
     nearest = np.min(_row_norms(X[own > 0, None] - B), axis=1, initial=math.inf)
     unsolved = np.bincount(own, minlength=trials + 1)[1:] == 0
@@ -301,27 +320,30 @@ def graph_closedness_probe(sequence, limit) -> bool:
 def unsolvable_neighborhood_probe(A: Tensor, q, eps: float, trials: int, seed: int) -> dict:
     """Persistence of unsolvability under small right-hand-side changes.
 
-    The closedness condition is checked on every complementary tensor in
-    one stacked check (_holds).  Trial t draws dq from its
-    own stream SplitMix64(seed).spawn(t + 1), and all trials are decided in
-    one stacked membership walk.  Every verdict is that of its own
-    is_K_nonsingular or q_membership call."""
-    _require_sizes(trials, eps)
-    q = np.asarray(q, dtype=float)
-    base = q_membership(A, q)
-    if base.member is not False:
-        raise ValueError("probe requires a q certified as a non-member")
-    n = A.dim
-    comps = [complementary_tensor(A, IndexSet(alpha, n))
-             for r in range(1, n + 1) for alpha in itertools.combinations(range(1, n + 1), r)]
-    unverified = not all(_holds("norm_m1", comps, orthant(n)))
-    warn = ("closedness sufficient condition unverified for some complementary tensors; "
-            "result is empirical only") if unverified else ""
+    Trial t draws dq from its own stream SplitMix64(seed).spawn(t + 1); the
+    base q, row 0, and every trial's q + dq are decided in one stacked
+    membership walk, and the closedness condition on every complementary
+    tensor in one stacked check (_holds).  Every verdict is that of its own
+    q_membership or is_K_nonsingular call."""
+    trials, seed = _require_sizes(trials, eps, seed)
+    q, n = _finite(q, (A.dim,), "q"), A.dim
     streams, dq = _trial_streams(seed, trials), np.zeros((trials, n))
     if eps != 0.0:
         scale = eps * _uniform_stack(streams, 1)
         dq = scale * _sphere_stack(streams, 1, n)[:, 0]
-    verdicts = [res.member for res in _memberships(A, q + dq)]
+    Q = q + dq
+    finite = bool(np.isfinite(Q).all())  # else the base walks alone, and the trials raise below
+    verdicts = [res.member for res in _memberships(A, [q, *Q] if finite else [q])]
+    if verdicts[0] is not False:
+        raise ValueError("probe requires a q certified as a non-member")
+    comps = [complementary_tensor(A, IndexSet(alpha, n)).to_dense()
+             for r in range(1, n + 1) for alpha in itertools.combinations(range(1, n + 1), r)]
+    unverified = not all(_holds("norm_m1", np.array(comps), orthant(n)))
+    warn = ("closedness sufficient condition unverified for some complementary tensors; "
+            "result is empirical only") if unverified else ""
+    if not finite:
+        _finite(Q, Q.shape, "q")
+    verdicts = verdicts[1:]
     return {
         "fraction_unsolvable": verdicts.count(False) / trials,
         "unknown_trials": verdicts.count(None),
@@ -336,34 +358,31 @@ def nonsingularity_openness_probe(K: PolyhedralCone, A: Tensor, eps: float,
                                   trials: int, seed: int) -> dict:
     """Persistence of K-nonsingularity under tensor (and cone) jitter.
 
-    Trial t draws from its own stream SplitMix64(seed).spawn(t + 1).  The
-    trials that share a cone (all of them on the orthant or at eps = 0; on a
-    jittered generated cone each trial has its own) are checked in one
-    stacked check (_holds), with the status of one is_K_nonsingular call
-    per trial, as the base check is."""
-    _require_sizes(trials, eps)
-    if not _holds("norm_m1", [A], K)[0]:
-        raise ValueError("base tensor is not certified K-nonsingular")
-    n, shape = A.dim, (trials,) + (A.dim,) * A.order
-    streams, dA, cones = _trial_streams(seed, trials), np.zeros(shape), [K] * trials
+    Trial t draws from its own stream SplitMix64(seed).spawn(t + 1).  When
+    the trials share the base's cone (on the orthant or at eps = 0) the
+    base tensor and every trial's are checked in one stacked check (_holds);
+    on a jittered generated cone each trial has its own, and one check.
+    Each status is that of one is_K_nonsingular call."""
+    trials, seed = _require_sizes(trials, eps, seed)
+    n, A0, streams = A.dim, A.to_dense(), _trial_streams(seed, trials)
+    D, shared = np.broadcast_to(A0, (trials,) + A0.shape), eps == 0.0 or K.is_orthant
     if eps != 0.0:
-        flat = _sphere_stack(streams, 1, n ** A.order)[:, 0]
-        dA = (eps * _uniform_stack(streams, 1)) * flat
-        if not K.is_orthant:
-            jittered = []
-            for g in K.generators:  # a uniform, then a sphere point, per generator
-                scale = eps * _uniform_stack(streams, 1, -1.0, 1.0)
-                jittered.append(g + scale * _sphere_stack(streams, 1, n)[:, 0])
-            cones = [from_generators(list(G)) for G in np.stack(jittered, axis=1)]
-    tensors = _dense_stack(A.to_dense() + dA.reshape(shape))
-    by_cone: dict[int, list[int]] = {}
-    for t, Kp in enumerate(cones):
-        by_cone.setdefault(id(Kp), []).append(t)
-    nonsingular = 0
-    for group in by_cone.values():
-        nonsingular += sum(_holds("norm_m1", [tensors[t] for t in group], cones[group[0]]))
+        flat = _sphere_stack(streams, 1, A0.size)[:, 0]
+        D = A0 + ((eps * _uniform_stack(streams, 1)) * flat).reshape(D.shape)
+    held = _joined("norm_m1", A0, D, K) if shared else _holds("norm_m1", A0[None], K)
+    if not held[0]:
+        raise ValueError("base tensor is not certified K-nonsingular")
+    if not shared:
+        jittered = []
+        for g in K.generators:  # a uniform, then a sphere point, per generator
+            scale = eps * _uniform_stack(streams, 1, -1.0, 1.0)
+            jittered.append(g + scale * _sphere_stack(streams, 1, n)[:, 0])
+        cones = [from_generators(list(G)) for G in np.stack(jittered, axis=1)]
+    _dense_form(D)  # a non-finite entry raises, as a trial's tensor would
+    if not shared:
+        held = [True] + [_holds("norm_m1", D[[t]], Kt)[0] for t, Kt in enumerate(cones)]
     return {
-        "fraction_nonsingular": nonsingular / trials,
+        "fraction_nonsingular": int(np.count_nonzero(held[1:])) / trials,
         "eps": eps,
         "trials": trials,
         "seed": seed,

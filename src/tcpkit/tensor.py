@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -109,11 +110,8 @@ class Tensor:
     @classmethod
     def _from_forms(cls, order: int, dim: int, tails, coefs) -> list:
         """The tensors _from_form(order, dim, tails, coefs[s]), one per s, with
-        one finiteness check and one zero-row scan for the stack."""
-        if not np.all(np.isfinite(coefs)):  # scale and + can overflow
-            s, t, i = np.argwhere(~np.isfinite(coefs))[0]
-            idx = (np.r_[i, tails[t]] + 1).tolist()
-            raise ValueError(f"non-finite entry at {idx}: {coefs[s, t, i]}")
+        one finiteness check (_finite_form) and one zero-row scan for the stack."""
+        _finite_form(tails, coefs)
         out = []
         for coef, keep in zip(coefs, np.any(coefs != 0.0, axis=2)):
             self = object.__new__(cls)
@@ -161,6 +159,15 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
+
+
+def _finite_form(tails: np.ndarray, coefs: np.ndarray) -> None:
+    """Raises, naming the first in order of (s, t, i), on a non-finite
+    coefs[s, t, i], the entry (i, *tails[t]) of the tensor s."""
+    if not np.all(np.isfinite(coefs)):  # scale and + can overflow
+        s, t, i = np.argwhere(~np.isfinite(coefs))[0]
+        idx = (np.r_[i, tails[t]] + 1).tolist()
+        raise ValueError(f"non-finite entry at {idx}: {coefs[s, t, i]}")
 
 
 def _entry_arrays(A: Tensor) -> tuple[np.ndarray, np.ndarray]:
@@ -217,6 +224,15 @@ def _finite(v, shape: tuple, name: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} has a non-finite entry")
     return v
+
+
+def _whole(v, name: str) -> int:
+    """v as a Python int (operator.index); a ValueError that names it when v
+    is not a whole number, a float included."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {v!r}") from None
 
 
 def _monomials(A: Tensor, X: np.ndarray, skip: int | None = None) -> np.ndarray:
@@ -365,7 +381,15 @@ def tensor_from_dense(arr) -> Tensor:
 
 def _dense_stack(arrs) -> list:
     """[tensor_from_dense(arr) for arr in arrs], arrs an (S, n, ..., n)
-    stack, checked once (a non-finite entry raises in _from_forms)."""
+    stack, cut from its _dense_form."""
+    return Tensor._from_forms(*_dense_form(arrs))
+
+
+def _dense_form(arrs):
+    """(m, n, tails, coefs) of the (S, n, ..., n) stack arrs: every tail
+    tuple, in order, and coefs[s, t] the column of tail t of arrs[s], the
+    form _dense_stack's tensors are cut from.  A shape that is not square,
+    or a non-finite entry (_finite_form), raises."""
     arrs = np.asarray(arrs, dtype=float)
     shape = arrs.shape[1:]
     m, n = len(shape), (shape or (0,))[0]
@@ -373,7 +397,8 @@ def _dense_stack(arrs) -> list:
         raise ShapeError(f"array of shape {shape} is not a nonempty square tensor")
     coefs = arrs.reshape(len(arrs), n, n ** (m - 1)).transpose(0, 2, 1)  # row t: the t-th tail
     tails = np.indices((n,) * (m - 1)).reshape(m - 1, -1).T
-    return Tensor._from_forms(m, n, tails, coefs)
+    _finite_form(tails, coefs)
+    return m, n, tails, coefs
 
 
 def tensor_to_json(A: Tensor) -> dict:

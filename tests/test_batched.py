@@ -45,9 +45,8 @@ from tcpkit.classify import _holds, _minima, min_over_basis
 from tcpkit.compcones import q_membership
 from tcpkit.cones import from_generators, orthant
 from tcpkit.solver import TcpInstance, _solve_stack, is_solution, residual, solve_enumerate
-from tcpkit.tensor import (IndexSet, Tensor, _derivative, _rows_m1, apply_m1, jacobian_m1,
-                           principal_subtensor,
-                           tensor_from_dense)
+from tcpkit.tensor import (IndexSet, Tensor, _dense_stack, _derivative, _rows_m1, apply_m1,
+                           jacobian_m1, principal_subtensor, tensor_from_dense)
 
 
 def cubic(D):
@@ -294,6 +293,61 @@ def test_cut_gives_each_instance_its_principal_subtensor(tensors):
                 assert len(cut.groups[g][1]) == len(members)
 
 
+def forms_fields(forms, own=True):
+    """Every group of a _Forms, bit for bit: its tensor's order, dimension,
+    tails and (if own) coefficients, its stacked coefficients, and each
+    instance's group and slot."""
+    return ([(A.order, A.dim, A._tails.tobytes(), A._tails.shape, own and A._coef.tobytes(),
+              A._coef.shape, coef.tobytes(), coef.shape) for A, coef in forms.groups],
+            forms.group.tolist(), forms.slot.tolist(), forms.off)
+
+
+@st.composite
+def dense_stacks(draw):
+    """1..12 dense (n,) * m arrays whose rows (the n entries of one tail)
+    are zeroed on per-instance patterns, some to -0.0 and some to a mix of
+    0.0 and -0.0, so instances share, or do not share, their nonzero rows."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S, rows = draw(st.integers(1, 12)), n ** (m - 1)
+    D = np.round(rng.uniform(-2.0, 2.0, (S, n, rows)), 1)  # 0.0 and -0.0 among them
+    patterns = rng.random((draw(st.integers(1, 3)), rows)) < 0.4
+    zero = patterns[rng.integers(0, len(patterns), S)][:, None, :]
+    D = np.where(zero, np.where(rng.random(D.shape) < 0.5, -0.0, 0.0), D)
+    D[rng.random(D.shape) < 0.1] = -0.0
+    return D.reshape((S,) + (n,) * m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(D=dense_stacks())
+@example(D=np.array([[[-0.0, -0.0], [0.0, -0.0]], [[1.0, 0.0], [0.0, 2.0]]]).reshape(1, 2, 2, 2))
+def test_dense_forms_are_the_forms_of_the_dense_tensors(D):
+    # the forms built from the stack itself have the groups, in order, and
+    # the coefficient bits of the forms of its tensors: each instance keeps
+    # its nonzero rows, a -0.0 is stored as 0.0, and an all-zero row (of
+    # -0.0 too) is dropped
+    got, ref = _forms._Forms.dense(D), _forms._Forms(_dense_stack(D))
+    assert forms_fields(got) == forms_fields(ref)
+    assert not any((np.signbit(coef) & (coef == 0.0)).any() for _, coef in got.groups)
+    X = np.random.default_rng(len(D)).uniform(-1.0, 1.0, (3 * len(D), D.shape[1]))
+    own = np.repeat(np.arange(len(D)), 3)
+    assert got.m1(X, own).tobytes() == ref.m1(X, own).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=dense_stacks(), seed=st.integers(0, 2**32 - 1))
+def test_forms_take_is_the_forms_of_the_rows(D, seed):
+    # the walk's forms of its live instances: those of their tensors alone,
+    # groups in order of their first instance among the rows; a group's
+    # tensor gives its tails, and keeps the coefficients of the instance it
+    # was built from, which nothing reads
+    tensors = _dense_stack(D)
+    rng = np.random.default_rng(seed)
+    rows = np.flatnonzero(rng.random(len(D)) < 0.6)
+    got = _forms._Forms(tensors).take(rows)
+    assert forms_fields(got, False) == forms_fields(_forms._Forms([tensors[i] for i in rows]), False)
+
+
 @st.composite
 def tensor_stacks(draw):
     """1..8 tensors of one order m in 2..4 and dimension n in 1..4, on one to
@@ -499,6 +553,12 @@ def outcome_bytes(outcome):
               s.converged) for s in outcome.solutions])
 
 
+def stack(insts):
+    """(forms, Q, cone), the arrays the stacked entry points take, of
+    instances of one cone."""
+    return _forms._Forms([i.A for i in insts]), np.array([i.q for i in insts]), insts[0].cone
+
+
 def walk_lists(step, count):
     """A step (alpha, U, slack, owner, open_) of walk_supports over count
     instances as (alpha, the (u, slack) pairs of every instance's feasible
@@ -515,9 +575,9 @@ def test_stacked_walk_gives_each_instance_its_own_outcome(insts):
     # every support of the stacked walk gives each instance the feasible
     # roots, slacks and settled flag of its own walk, and the stacked solve
     # the outcome of its own solve_enumerate, bit for bit
-    walks = [[walk_lists(s, 1) for s in walk_supports([i.A], [i.q])] for i in insts]
+    walks = [[walk_lists(s, 1) for s in walk_supports(*stack([i])[:2])] for i in insts]
     stacked = [walk_lists(s, len(insts))
-               for s in walk_supports([i.A for i in insts], [i.q for i in insts])]
+               for s in walk_supports(*stack(insts)[:2])]
     assert len(stacked) == 2 ** insts[0].A.dim
     for step, (alpha, feasible, settled) in enumerate(stacked):
         assert len(feasible) == len(settled) == len(insts)
@@ -526,7 +586,7 @@ def test_stacked_walk_gives_each_instance_its_own_outcome(insts):
             assert alpha == alpha1 and settled[t] == settled1
             assert [(u.tobytes(), w.tobytes()) for u, w in feasible[t]] == \
                 [(u.tobytes(), w.tobytes()) for u, w in feasible1]
-    found = _solve_stack(insts)
+    found = _solve_stack(*stack(insts))
     for t, inst in enumerate(insts):
         assert outcome_bytes(solver._outcome(found, t)) == outcome_bytes(solve_enumerate(inst))
 
@@ -591,7 +651,7 @@ def test_overflowed_sphere_bound_certifies_nothing():
     with np.errstate(all="ignore"):
         assert _polysys.min_sphere_norm(inst.A) == 0.0
         scan = scan_system(inst.A, inst.q)
-        (alpha, _, open_), = [walk_lists(s, 1) for s in walk_supports([inst.A], [inst.q])
+        (alpha, _, open_), = [walk_lists(s, 1) for s in walk_supports(*stack([inst])[:2])
                               if len(s[0]) == 2]
     assert not scan.certified_infeasible and scan.reason == _polysys._OPEN[4]
     assert open_ == [scan.reason]
@@ -628,7 +688,7 @@ def test_solved_rows_is_is_solution_row_by_row(insts, seed):
     triples = [residual(insts[o], x) for o, x in zip(own, X)]
     tols = [1e-9] + [t for r in triples[:4] for v in r for t in (v, np.nextafter(v, 0.0))]
     for tol in tols:
-        got = solver._solved_rows(insts, X, own, tol)
+        got = solver._solved_rows(*stack(insts), X, own, tol)
         assert got.tolist() == [is_solution(insts[o], x, tol) for o, x in zip(own, X)]
 
 
@@ -657,7 +717,7 @@ def test_solved_rows_at_the_tolerance_and_the_snap(n):
         rows.append((x, A, -apply_m1(A, x)))
     insts = [TcpInstance(orthant(n), q, T) for _, T, q in rows]
     X = np.array([x for x, _, _ in rows])
-    got = solver._solved_rows(insts, X, np.arange(len(rows)), 1e-9)
+    got = solver._solved_rows(*stack(insts), X, np.arange(len(rows)), 1e-9)
     assert got.tolist() == [is_solution(i, x, 1e-9) for i, x in zip(insts, X)]
     assert got.tolist() == [True, False] * 4
 
@@ -728,21 +788,63 @@ def test_stacked_solve_of_a_sparse_base_and_dense_trials(m, n):
     # stacked walk and the stacked solve give each instance what it gets
     # alone, bit for bit
     base = TcpInstance(orthant(n), -np.ones(n), fx.identity(m, n))
-    insts = [base] + stability._trial_instances(base, 0.3, 11, seed=5)[3]
+    *_, D, Q = stability._perturbations(base.A.to_dense(), base.q,
+                                        stability._trial_streams(5, 11), 0.3)
+    insts = [base] + [TcpInstance(base.cone, q, tensor_from_dense(A)) for A, q in zip(D, Q)]
     assert len(_forms._Forms([i.A for i in insts]).groups) == 2
-    stacked = [walk_lists(s, len(insts))
-               for s in walk_supports([i.A for i in insts], [i.q for i in insts])]
+    stacked = [walk_lists(s, len(insts)) for s in walk_supports(*stack(insts)[:2])]
     for t, inst in enumerate(insts):
         for (alpha, feasible, why), (alpha1, (feasible1,), (why1,)) in zip(
-                stacked, [walk_lists(s, 1) for s in walk_supports([inst.A], [inst.q])]):
+                stacked, [walk_lists(s, 1) for s in walk_supports(*stack([inst])[:2])]):
             assert alpha == alpha1 and why[t] == why1
             assert [(u.tobytes(), w.tobytes()) for u, w in feasible[t]] == \
                 [(u.tobytes(), w.tobytes()) for u, w in feasible1]
-    found = _solve_stack(insts)
+    found = _solve_stack(*stack(insts))
     assert np.array_equal(found[1], np.sort(found[1]))  # by instance
     for t, inst in enumerate(insts):
         assert outcome_bytes(solver._outcome(found, t)) == outcome_bytes(solve_enumerate(inst))
     assert any(outcome.solutions for outcome in map(solve_enumerate, insts))
+
+
+def bisect_reference(W):
+    """_bisect by its definition: each leaf cut at the midpoint of its
+    longest edge, the first of all k x k pairs (a, b) in row-major order,
+    each squared length summed over the coordinates in order."""
+    halves = []
+    for w in W:
+        k, best, cut = len(w), -1.0, None
+        for a in range(k):
+            for b in range(k):
+                d2 = 0.0
+                for c in range(k):
+                    d2 += (w[c, a] - w[c, b]) * (w[c, a] - w[c, b])
+                if d2 > best:
+                    best, cut = d2, (a, b)
+        a, b = cut
+        mid = 0.5 * (w[:, a] + w[:, b])
+        for j in (a, b):
+            h = w.copy()
+            h[:, j] = mid
+            halves.append(h)
+    return np.array(halves).reshape(-1, *W.shape[1:])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_bisect_cuts_the_first_longest_edge(k):
+    # the standard simplex ties every edge, its halves tie some; four rounds
+    # of cuts, random leaves and leaves with a repeated vertex (a zero edge
+    # among longer ties) against the definition over every pair
+    W = np.eye(k)[None]
+    leaves = [W]
+    for _ in range(4):
+        W = _simplex._bisect(W)
+        leaves.append(W)
+    rng = np.random.default_rng(k)
+    R = rng.dirichlet(np.ones(k), size=(6, k)).transpose(0, 2, 1)
+    twin = np.eye(k)[None].repeat(2, axis=0)
+    twin[:, :, -1] = twin[:, :, 0]
+    for W in leaves + [R, twin, 0.5 * np.round(4 * R) / 2]:
+        assert _simplex._bisect(W).tobytes() == bisect_reference(W).tobytes()
 
 
 def test_scan_system_memory_stays_blocked():
@@ -863,7 +965,7 @@ def test_bernstein_clears_only_what_holds(n, m, generated):
     for objective in ("xm", "abs_xm", "norm_m1"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cleared = _holds(objective, tensors, K)
+            cleared = _holds(objective, np.array(dense), K)
         assert cleared[4] and (objective == "xm" or cleared[8])  # unit + 1e-2 noise, -unit
         if not generated:
             assert cleared[7] and (objective != "xm" or cleared[9])  # eps 1e-5; a zero inside
@@ -882,5 +984,5 @@ def test_bernstein_clears_nothing_that_overflows():
         warnings.simplefilter("error")
         for objective in ("xm", "abs_xm", "norm_m1"):
             for c, held in ((1.5e308, False), (1e306, True)):
-                A = tensor_from_dense(np.full((2, 2, 2), c))
-                assert _holds(objective, [A, fx.identity(3, 2)], orthant(2)) == [held, True]
+                D = np.array([np.full((2, 2, 2), c), fx.identity(3, 2).to_dense()])
+                assert _holds(objective, D, orthant(2)) == [held, True]

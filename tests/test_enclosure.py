@@ -26,6 +26,7 @@ import pytest
 from scipy.optimize import nnls
 
 from tcpkit import _polysys
+from tcpkit._forms import _Forms
 from tcpkit import fixtures as fx
 from tcpkit.cli import main
 from tcpkit.compcones import q_membership, tpos_contains
@@ -109,7 +110,7 @@ def test_no_certified_support_has_a_root(m, n, count):
     for c, (A, q) in enumerate(corpus(m, n, count, 77 + 10 * m + n)):
         dense = A.to_dense()
         settled = {alpha.members: not open_[0]
-                   for alpha, *_, open_ in _polysys.walk_supports([A], [q])}
+                   for alpha, *_, open_ in _polysys.walk_supports(_Forms([A]), np.array([q]))}
         for r in range(1, n + 1):
             for alpha in itertools.combinations(range(n), r):
                 scan = _polysys.scan_system(principal_subtensor(A, IndexSet(
@@ -265,6 +266,6 @@ def test_a_support_with_q_zero_is_enclosed():
     # equations' subdivision stops
     A, q = fx.random_tensor("general", 3, 3, 5), np.array([0.0, 0.0, -1.0])
     walk = {alpha.members: (U.tolist(), _polysys._REASONS[open_[0]])
-            for alpha, U, _, _, open_ in _polysys.walk_supports([A], [q])}
+            for alpha, U, _, _, open_ in _polysys.walk_supports(_Forms([A]), np.array([q]))}
     assert walk[(1, 2)] == ([], "")
     assert (1, 2) not in dict(solve_enumerate(TcpInstance(orthant(3), q, A)).open_supports)

@@ -3,10 +3,13 @@ tests (splitmix_reference): every point, every stream's state and its
 cached normal after the draw, bit for bit, including the rejection
 branches reached from crafted states."""
 
+import math
+
 import numpy as np
 import pytest
 
-from tcpkit._rng import SplitMix64, _sphere_stack, _uniform_stack
+from tcpkit._rng import (SplitMix64, _normal_stack, _sphere_stack, _Streams, _trial_streams,
+                         _uniform_stack)
 from tcpkit.fixtures import random_tensor
 from tcpkit.tensor import unit_tensor
 
@@ -76,12 +79,20 @@ def crafted_stack():
     """Ordinary streams with and without a cached normal, mixed with streams
     whose first, second or fourth u1 is 0, one whose first normal is about
     1e-16, and one whose cached normal is tiny (a k = 2 sphere then rejects
-    [cache, r cos(pi / 2)])."""
+    [cache, r cos(pi / 2)]): the package's struct of arrays and the
+    reference streams."""
     states = [(3, None), (4, 0.75), (zero_output_at(1), None), (zero_output_at(1), -1.25),
               (zero_output_at(3), None), (zero_output_at(7), 0.5), (quarter_u2_state(), None),
               (quarter_u2_state(), 1e-300), (2**64 - 1, None), (12345, -2.0)]
-    pairs = [twin(state, cache) for state, cache in states]
-    return [s for s, _ in pairs], [ref for _, ref in pairs]
+    streams = _Streams(np.array([state for state, _ in states], dtype=np.uint64),
+                       np.array([math.nan if c is None else c for _, c in states]))
+    return streams, [Stream(state, cache) for state, cache in states]
+
+
+def where(streams):
+    """(state, cached normal or None) of every stream of a struct."""
+    return [(int(s), None if math.isnan(c) else float(c))
+            for s, c in zip(streams.state, streams.cache)]
 
 
 @pytest.mark.parametrize("reps, k", [(1, 1), (3, 1), (1, 2), (4, 2), (1, 3), (2, 5), (1, 27)])
@@ -91,7 +102,18 @@ def test_sphere_stack_matches_scalar_draws(reps, k):
     assert got.shape == (len(refs), reps, k)
     for row, ref in zip(got, refs):
         assert row.tolist() == [ref.on_sphere(k) for _ in range(reps)]
-    assert [(s._state, s._gauss_cache) for s in streams] == [(r.state, r.cache) for r in refs]
+    assert where(streams) == [(r.state, r.cache) for r in refs]
+
+
+@pytest.mark.parametrize("counts", [(1, 1, 1), (2, 3, 1), (5, 4), (3, 3, 2, 7)])
+def test_normal_stack_carries_the_cached_deviate(counts):
+    # an odd count leaves a sine in the cache, which the next draw returns
+    # first; the rows whose u1 is 0 redraw it as the scalar rule does
+    streams, refs = crafted_stack()
+    for count in counts:
+        got = _normal_stack(streams, count)
+        assert got.tolist() == [[ref.normal() for _ in range(count)] for ref in refs]
+        assert where(streams) == [(r.state, r.cache) for r in refs]
 
 
 def test_interleaved_stacked_draws_carry_state_and_cache():
@@ -105,19 +127,43 @@ def test_interleaved_stacked_draws_carry_state_and_cache():
         for sphere, u, ref in zip(spheres, uniforms, refs):
             assert sphere.tolist() == [ref.on_sphere(k) for _ in range(reps)]
             assert u.tolist() == [ref.uniform(lo, hi) for _ in range(2)]
-    assert [(s._state, s._gauss_cache) for s in streams] == [(r.state, r.cache) for r in refs]
+    assert where(streams) == [(r.state, r.cache) for r in refs]
+
+
+def test_a_stream_subset_draws_and_writes_back():
+    # the redraw rounds of perturb_existence draw from some streams only
+    streams, refs = crafted_stack()
+    rows = np.array([1, 2, 7])
+    sub = streams[rows]
+    got = _sphere_stack(sub, 2, 3)
+    streams[rows] = sub
+    assert got.tolist() == [[refs[t].on_sphere(3) for _ in range(2)] for t in rows]
+    assert where(streams) == [(r.state, r.cache) for r in refs]
 
 
 def test_spawned_streams_match_the_reference():
-    rng, ref = twin(2024)
-    streams = [rng.spawn(t + 1) for t in range(6)]
-    refs = [ref.spawn(t + 1) for t in range(6)]
-    got = _sphere_stack(streams, 1, 10)[:, 0]
-    assert got.tolist() == [r.on_sphere(10) for r in refs]
-    assert np.all(np.abs(np.linalg.norm(got, axis=1) - 1.0) < 1e-15)
-    assert _uniform_stack(streams, 1)[:, 0].tolist() == [r.uniform() for r in refs]
+    # the trial streams are spawned in one step; a seed outside [0, 2^64)
+    # wraps as the scalar stream's does
+    for seed in (2024, 0, -1, 2**64 + 5):
+        rng, ref = twin(seed)
+        streams = _trial_streams(seed, 6)
+        refs = [ref.spawn(t + 1) for t in range(6)]
+        assert where(streams) == [(rng.spawn(t + 1)._state, None) for t in range(6)]
+        got = _sphere_stack(streams, 1, 10)[:, 0]
+        assert got.tolist() == [r.on_sphere(10) for r in refs]
+        assert np.all(np.abs(np.linalg.norm(got, axis=1) - 1.0) < 1e-15)
+        assert _uniform_stack(streams, 1)[:, 0].tolist() == [r.uniform() for r in refs]
+
+
+def test_scalar_stream_reads_the_stacked_draws():
+    # SplitMix64's sphere points and cones' sampler weights are stacks of one
+    for state, cache in ((3, None), (zero_output_at(1), -1.25), (quarter_u2_state(), 1e-300)):
+        s, ref = twin(state, cache)
+        assert s.on_sphere(2) == ref.on_sphere(2)
+        assert s.stacked(_uniform_stack, 5).tolist() == [ref.uniform() for _ in range(5)]
+        assert (s._state, s._gauss_cache) == (ref.state, ref.cache)
 
 
 def test_empty_stack_draws_nothing():
-    assert _sphere_stack([], 1, 3).shape == (0, 1, 3)
-    assert _uniform_stack([], 2).shape == (0, 2)
+    assert _sphere_stack(_trial_streams(1, 0), 1, 3).shape == (0, 1, 3)
+    assert _uniform_stack(_trial_streams(1, 0), 2).shape == (0, 2)

@@ -13,6 +13,7 @@ from tcpkit.fixtures import cone_fixture
 from tcpkit.solver import (
     TcpInstance,
     _min_map_newton,
+    _one,
     _residual_rows,
     instance_from_json,
     instance_to_json,
@@ -37,7 +38,7 @@ class TestResidual:
             warnings.simplefilter("error")
             d = dist(orthant(2), np.array([0.0, -1e200]))
             res = residual(inst, x)
-            rows = _residual_rows([inst], x[None], np.zeros(1, dtype=np.intp))[1]
+            rows = _residual_rows(*_one(inst), x[None], np.zeros(1, dtype=np.intp))[1]
             solved = is_solution(inst, x, 1e-6)
         assert d == pytest.approx(1e200, rel=1e-15)
         assert res[1] == pytest.approx(1e200, rel=1e-15) and not solved
@@ -212,8 +213,9 @@ class TestRefine:
         # the zero row of A's Jacobian, so that start's Newton system is singular
         inst = TcpInstance(orthant(2), np.array([-1.0, -4.0]), identity32)
         X0 = np.array([[1.5, 1.0], [0.0, 1.0], [1.5, 2.5]])
-        X = _min_map_newton([inst], X0, np.zeros(3, dtype=int))
-        assert np.array_equal(X[[0, 2]], _min_map_newton([inst], X0[[0, 2]], np.zeros(2, dtype=int)))
+        X = _min_map_newton(*_one(inst), X0, np.zeros(3, dtype=int))
+        assert np.array_equal(X[[0, 2]], _min_map_newton(*_one(inst), X0[[0, 2]],
+                                           np.zeros(2, dtype=int)))
         for x, x0 in zip(X, X0):
             s = refine(inst, x0)
             assert np.array_equal(x, s.x)
@@ -264,7 +266,7 @@ def probe_reference(inst, radius, samples, seed):
     rng = SplitMix64(seed)
     n = inst.A.dim
     starts = np.array([[rng.uniform(0.0, radius) for _ in range(n)] for _ in range(samples)])
-    for x in _min_map_newton([inst], starts, np.zeros(samples, dtype=int)):
+    for x in _min_map_newton(*_one(inst), starts, np.zeros(samples, dtype=int)):
         if is_solution(inst, x, 1e-9) and all(np.linalg.norm(x - y) > 1e-6 for y in found):
             found.append(x)
     return len(found), max((float(np.linalg.norm(x)) for x in found), default=0.0)
@@ -298,6 +300,20 @@ class TestProbeAndJson:
         with pytest.raises(ValueError, match="samples must be >= 0"):
             solution_set_probe(inst, radius=5.0, samples=-1, seed=2)
         assert solution_set_probe(inst, radius=5.0, samples=0, seed=2)["count"] == 1
+
+    @pytest.mark.parametrize("samples, seed, name", [(2.5, 2, "samples"), (40, 1.5, "seed"),
+                                                     (40.0, 2, "samples"), (40, None, "seed")])
+    def test_probe_rejects_counts_that_are_not_whole(self, identity32, samples, seed, name):
+        # a float seed would be truncated to another one than the report echoes
+        inst = TcpInstance(orthant(2), np.array([-1.0, -4.0]), identity32)
+        with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+            solution_set_probe(inst, radius=5.0, samples=samples, seed=seed)
+
+    def test_probe_echoes_python_ints(self, identity32):
+        inst = TcpInstance(orthant(2), np.array([-1.0, -4.0]), identity32)
+        rep = solution_set_probe(inst, radius=5.0, samples=np.int64(40), seed=np.int32(2))
+        assert rep == solution_set_probe(inst, radius=5.0, samples=40, seed=2)
+        assert type(rep["samples"]) is int and type(rep["seed"]) is int
 
     @pytest.mark.parametrize("radius", [-5.0, 0.0, np.nan, np.inf])
     def test_probe_rejects_a_bad_radius(self, identity32, radius):

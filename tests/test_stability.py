@@ -1,11 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from tcpkit import fixtures as fx
-from tcpkit import stability
+from tcpkit import compcones, stability
 from tcpkit._rng import SplitMix64
 from tcpkit.classify import is_copositive, is_K_nonsingular
 from tcpkit.compcones import complementary_tensor, q_membership
@@ -21,7 +22,7 @@ from tcpkit.stability import (
     unsolvable_neighborhood_probe,
     usc_probe,
 )
-from tcpkit.tensor import apply_m1, frobenius_distance, tensor_from_dense, unit_tensor
+from tcpkit.tensor import Tensor, apply_m1, frobenius_distance, tensor_from_dense, unit_tensor
 
 from splitmix_reference import draw_perturbation, perturbed_tensor, trial_streams
 
@@ -368,9 +369,11 @@ class TestBatchedGates:
         def gate(A):
             return rule != "never" and A.entries.get((1, 1, 1), 0.0) > 1.0
 
-        # the copositivity status the gates read; the base tensor keeps its own
-        monkeypatch.setattr(stability, "_holds", lambda objective, tensors, K: [
-            A is id_inst.A or gate(A) for A in tensors])
+        # the copositivity status the gates read, of the dense stacks they
+        # check; the base tensor keeps its own
+        base = id_inst.A.to_dense()
+        monkeypatch.setattr(stability, "_holds", lambda objective, D, K: [
+            np.array_equal(A, base) or gate(tensor_from_dense(A)) for A in D])
         report = perturb_existence(id_inst, 1e-3, 4, seed=3)
         assert report == per_trial_existence(id_inst, 1e-3, 4, 3, gate)
         if rule == "never":
@@ -385,9 +388,9 @@ class TestBatchedGates:
         # 1/2), stay open
         seen = []
 
-        def spy(objective, tensors, K):
-            out = holds(objective, tensors, K)
-            seen.extend(A for A, held in zip(tensors, out) if not held)
+        def spy(objective, D, K):
+            out = holds(objective, D, K)
+            seen.extend(tensor_from_dense(A) for A, held in zip(D, out) if not held)
             return out
 
         holds = stability._holds
@@ -415,6 +418,84 @@ class TestBatchedGates:
         A = unit_tensor(3, 3)
         assert nonsingularity_openness_probe(K, A, 0.2, 6, seed=5) == \
             per_trial_openness(K, A, 0.2, 6, 5)
+
+
+def spy_holds(monkeypatch):
+    """The dense stacks of every _holds call the probes make, in order."""
+    calls, holds = [], stability._holds
+
+    def spy(objective, D, K):
+        calls.append(np.array(D))
+        return holds(objective, D, K)
+
+    monkeypatch.setattr(stability, "_holds", spy)
+    return calls
+
+
+class TestOneArrayPipeline:
+    """Each probe checks its base inside its trials' stack, and builds no
+    tensor or instance per trial."""
+
+    def test_existence_gates_once_per_round(self, monkeypatch, id_inst, e4):
+        # every identity32 trial passes the first round, which checks the
+        # base (row 0) and the 50 trials at once
+        calls = spy_holds(monkeypatch)
+        perturb_existence(id_inst, 1e-3, 50, seed=7)
+        assert [len(D) for D in calls] == [51]
+        assert np.array_equal(calls[0][0], id_inst.A.to_dense())
+        # E4 redraws: each later round checks the redraws of the trials
+        # still failing, every redraw once, in shrinking rounds
+        calls.clear()
+        inst = TcpInstance(orthant(2), np.array([1.0, 1.0]), e4)
+        report = perturb_existence(inst, 1e-2, 5, seed=11)
+        sizes = [len(D) for D in calls]
+        assert sizes[0] == 6 and len(sizes) > 2
+        assert sum(sizes[1:]) == report.resamples and sizes[1:] == sorted(sizes[1:])[::-1]
+
+    def test_openness_on_the_orthant_checks_once(self, monkeypatch, e4):
+        calls = spy_holds(monkeypatch)
+        nonsingularity_openness_probe(orthant(2), e4, 1e-3, 5, seed=3)
+        assert [len(D) for D in calls] == [6] and np.array_equal(calls[0][0], e4.to_dense())
+
+    def test_unsolvable_runs_one_membership_walk(self, monkeypatch, e1):
+        walks, walk = [], compcones.walk_supports
+
+        def spy(forms, Q, live=None):
+            walks.append(np.array(Q))
+            yield from walk(forms, Q, live)
+
+        monkeypatch.setattr(compcones, "walk_supports", spy)
+        q = np.array([1.0, -1.0])
+        unsolvable_neighborhood_probe(e1, q, 1e-4, 30, seed=3)
+        assert len(walks) == 1 and len(walks[0]) == 31 and np.array_equal(walks[0][0], q)
+
+    @pytest.mark.parametrize("probe", [
+        lambda inst, trials: perturb_existence(inst, 1e-3, trials, seed=7),
+        lambda inst, trials: usc_probe(inst, 1e-3, trials, seed=7),
+        lambda inst, trials: error_bound_probe(inst, np.array([1.0, 1.0]), 0.1, 1e-3, trials, 7),
+    ], ids=["existence", "usc", "error-bound"])
+    def test_no_tensor_or_instance_per_trial(self, monkeypatch, probe, id_inst):
+        # every tensor is built by Tensor._from_forms, every checked
+        # instance by TcpInstance.__init__; 40 trials build what 2 do
+        built, from_forms, init = [], Tensor._from_forms, TcpInstance.__init__
+
+        def tensors(*args):
+            out = from_forms(*args)
+            built.extend(out)
+            return out
+
+        def instance(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "_from_forms", staticmethod(tensors))
+        monkeypatch.setattr(TcpInstance, "__init__", instance)
+        counts = []
+        for trials in (2, 40):
+            built.clear()
+            probe(id_inst, trials)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
 
 
 def per_trial_usc(inst, eps, trials, seed):
@@ -619,25 +700,46 @@ class TestNonsingularityOpenness:
             nonsingularity_openness_probe(orthant(2), e2, 1e-3, 5, seed=0)
 
 
-# every probe on valid base inputs, with 5 trials and its usual eps unless told
+# every probe on valid base inputs, with 5 trials, its usual eps and its
+# usual seed unless told
 probes = pytest.mark.parametrize("probe", [
-    lambda inst, e1, trials=5, eps=1e-3: perturb_existence(inst, eps, trials, seed=7),
-    lambda inst, e1, trials=5, eps=1e-3: error_bound_probe(inst, np.array([1.0, 1.0]), 0.1,
-                                                           eps, trials, 7),
-    lambda inst, e1, trials=5, eps=1e-3: usc_probe(inst, eps, trials, seed=7),
-    lambda inst, e1, trials=5, eps=1e-4: unsolvable_neighborhood_probe(
-        e1, np.array([1.0, -1.0]), eps, trials, seed=3),
-    lambda inst, e1, trials=5, eps=1e-3: nonsingularity_openness_probe(orthant(2), e1, eps,
-                                                                       trials, seed=3),
+    lambda inst, e1, trials=5, eps=1e-3, seed=7: perturb_existence(inst, eps, trials, seed=seed),
+    lambda inst, e1, trials=5, eps=1e-3, seed=7: error_bound_probe(
+        inst, np.array([1.0, 1.0]), 0.1, eps, trials, seed),
+    lambda inst, e1, trials=5, eps=1e-3, seed=7: usc_probe(inst, eps, trials, seed=seed),
+    lambda inst, e1, trials=5, eps=1e-4, seed=3: unsolvable_neighborhood_probe(
+        e1, np.array([1.0, -1.0]), eps, trials, seed=seed),
+    lambda inst, e1, trials=5, eps=1e-3, seed=3: nonsingularity_openness_probe(
+        orthant(2), e1, eps, trials, seed=seed),
 ], ids=["existence", "error-bound", "usc", "unsolvable", "openness"])
 
 
 @probes
-@pytest.mark.parametrize("trials", [0, -3])
+@pytest.mark.parametrize("trials", [0, -3, 2.5, 3.0])
 def test_probes_reject_no_trials(probe, trials, id_inst, e1):
-    # a fraction over no trials measures nothing; the base inputs are valid
+    # a fraction over no trials measures nothing, and a trial count that is
+    # not a whole number names no count of draws; the base inputs are valid
     with pytest.raises(ValueError, match="trials"):
         probe(id_inst, e1, trials)
+
+
+@probes
+@pytest.mark.parametrize("seed", [1.5, 7.0, "7", None])
+def test_probes_reject_a_seed_that_is_not_whole(probe, seed, id_inst, e1):
+    # a float seed would be truncated to another one than the report echoes
+    with pytest.raises(ValueError, match="seed must be a whole number"):
+        probe(id_inst, e1, seed=seed)
+
+
+@probes
+def test_probes_echo_python_ints(probe, id_inst, e1):
+    # numpy integers are whole numbers; the report echoes them as Python
+    # ints, the report of the same ints, which json serialises
+    report = probe(id_inst, e1, trials=np.int64(5), seed=np.uint32(3))
+    same = probe(id_inst, e1, trials=5, seed=3)
+    report, same = (r if isinstance(r, dict) else r.to_json() for r in (report, same))
+    assert report == same and type(report["trials"]) is int and type(report["seed"]) is int
+    json.dumps(report)
 
 
 @probes
